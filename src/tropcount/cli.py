@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .counting import (
     Constraint,
@@ -23,7 +24,7 @@ from .counting import (
     generate_constraints,
     kontsevich_oracle,
 )
-from .exactmath import IntMatrix, rational_from_string
+from .exactmath import IntMatrix
 from .figures import fan_svg
 from .maps import DiscreteData, map_from_json, validate
 from .moduli import (
@@ -90,7 +91,7 @@ def _parse_subspace(spec: str, rank: int):
     )
     translation = None
     if len(parts) > 1 and parts[1]:
-        translation = tuple(rational_from_string(x) for x in parts[1].split(","))
+        translation = tuple(Fraction(x) for x in parts[1].split(","))
         if len(translation) != rank:
             raise ValueError(f"translation must have {rank} coordinates")
     return basis, translation
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, CodimensionMismatchError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
 
 

@@ -30,9 +30,12 @@ from .maps import (
 )
 from .moduli import (
     canonical_form,
-    labeled_trees,
+    forced_edge_contacts,
+    grow_trees,
+    insert_leg,
     moduli_cone,
     relabel_type,
+    rooted_form,
 )
 from .polyhedral import Fan, locate, quotient_projection
 
@@ -46,6 +49,10 @@ class CodimensionMismatchError(ValueError):
 
 class SingularError(ValueError):
     """The evaluation matrix of a type is singular against the constraints."""
+
+
+class SolveCheckError(ValueError):
+    """A solved map failed a self-check: a defect of the engine, not of the input."""
 
 
 class NonGenericError(RuntimeError):
@@ -195,64 +202,24 @@ def kontsevich_oracle(d: int) -> int:
 # --- working tree representation -------------------------------------------
 #
 # During enumeration a stabilized type is held as a plain tuple
-# (nv, edges, legs): edges are bare (a, b) pairs and legs are
-# (vertex, contact, label).  Edge contact orders are derived data (the sum
-# of leg contacts beyond the head), recomputed when needed so that leaf
-# insertions never have to patch them.  Contact labels are interchangeable
-# within an equal contact order, so canonical keys replace them by the
-# contact vector itself.
+# (nv, edges, legs), as grown by ``moduli.grow_trees``: edges are bare
+# (a, b) pairs and legs are (vertex, contact, label).  Edge contact orders
+# are derived data (the sum of leg contacts beyond the head), recomputed
+# when needed so that leaf insertions never have to patch them.
 
 
-def _tree_key(nv: int, edges, legs) -> tuple:
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for i, (a, b) in enumerate(edges):
-        adj[a].append(i)
-        adj[b].append(i)
+def _skeleton_key(tree) -> tuple:
+    """Isomorphism key of a census tree.
 
-    def serialize(v: int, come_from: int) -> tuple:
-        toks = sorted(
-            ("m", lab, c) if not any(c) else ("c", c)
-            for w, c, lab in legs
-            if w == v
-        )
-        children = []
-        for i in adj[v]:
-            if i == come_from:
-                continue
-            a, b = edges[i]
-            w = b if a == v else a
-            children.append(serialize(w, i))
-        children.sort()
-        return (tuple(toks), tuple(children))
-
-    return min(serialize(root, -1) for root in range(nv))
-
-
-def _derived_contacts(nv: int, edges, legs, rank: int) -> list[Vec]:
-    """Contact order of each edge (a, b): sum of leg contacts on the b side."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for i, (a, b) in enumerate(edges):
-        adj[a].append((b, i))
-        adj[b].append((a, i))
+    Census legs all carry placeholder labels, so each leg is identified by
+    its contact vector alone.
+    """
+    nv, edges, legs = tree
     at_vertex: list[list[Vec]] = [[] for _ in range(nv)]
     for v, c, _ in legs:
         at_vertex[v].append(c)
-    out: list[Vec] = []
-    for i, (a, b) in enumerate(edges):
-        total = [0] * rank
-        seen = {a, b}
-        stack = [b]
-        while stack:
-            v = stack.pop()
-            for c in at_vertex[v]:
-                for k in range(rank):
-                    total[k] += c[k]
-            for w, j in adj[v]:
-                if w not in seen and j != i:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(tuple(total))
-    return out
+    vertex_tokens = [(tuple(sorted(cs)),) for cs in at_vertex]
+    return rooted_form(nv, edges, vertex_tokens, [((), ())] * len(edges))[0]
 
 
 def _skeleton_census(rank: int, contacts: Sequence[Vec]) -> list[tuple]:
@@ -262,58 +229,16 @@ def _skeleton_census(rank: int, contacts: Sequence[Vec]) -> list[tuple]:
     order with canonical deduplication after every level, so the census
     never holds more than one representative per class.
     """
-    contacts = sorted(contacts)
     if len(contacts) < 3:
         raise ValueError("skeleton census needs at least three contact legs")
-    trees = [(1, (), tuple((0, c, 0) for c in contacts[:3]))]
-    for c in contacts[3:]:
-        seen = {}
-        for nv, edges, legs in trees:
-            grown: list[tuple] = []
-            for i, (a, b) in enumerate(edges):
-                rest = edges[:i] + edges[i + 1 :]
-                grown.append(
-                    (nv + 1, rest + ((a, nv), (nv, b)), legs + ((nv, c, 0),))
-                )
-            for j, (v, c0, lab0) in enumerate(legs):
-                rest_legs = legs[:j] + legs[j + 1 :]
-                grown.append(
-                    (nv + 1, edges + ((v, nv),), rest_legs + ((nv, c0, lab0), (nv, c, 0)))
-                )
-            for t in grown:
-                key = _tree_key(*t)
-                if key not in seen:
-                    seen[key] = t
-        trees = list(seen.values())
+    trees = grow_trees([(c, 0) for c in sorted(contacts)], _skeleton_key)
     # drop skeletons with a contracted internal edge: their evaluation
     # matrices always carry a zero column
     return [
-        t
-        for t in trees
-        if all(any(c) for c in _derived_contacts(t[0], t[1], t[2], rank))
+        (nv, edges, legs)
+        for nv, edges, legs in trees
+        if all(any(c) for c in forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), rank))
     ]
-
-
-def _components(nv: int, edges, marked: set[int]):
-    """Connected components of the unmarked vertices; returns (component id per vertex, count)."""
-    comp = [-1] * nv
-    cid = 0
-    for v in range(nv):
-        if v in marked or comp[v] != -1:
-            continue
-        stack = [v]
-        comp[v] = cid
-        while stack:
-            u = stack.pop()
-            for a, b in edges:
-                if a == u and b not in marked and comp[b] == -1:
-                    comp[b] = cid
-                    stack.append(b)
-                elif b == u and a not in marked and comp[a] == -1:
-                    comp[a] = cid
-                    stack.append(a)
-        cid += 1
-    return comp, cid
 
 
 def _cross(u, v) -> int:
@@ -338,24 +263,6 @@ def _in_closed_cone_2d(v: Point, dirs: list[Vec]) -> bool:
         if a >= 0 and b >= 0:
             return True
     return False
-
-
-def _insert_marked(tree, label: int, target_edge: Optional[int], target_leg: Optional[int]):
-    """New tree with a trivial leg at a fresh 2-valent point on an edge or a leg."""
-    nv, edges, legs = tree
-    w = nv
-    zero = tuple(0 for _ in legs[0][1])
-    if target_edge is not None:
-        a, b = edges[target_edge]
-        rest = edges[:target_edge] + edges[target_edge + 1 :]
-        new_edges = rest + ((a, w), (w, b))
-        new_legs = legs + ((w, zero, label),)
-    else:
-        v, c0, lab0 = legs[target_leg]
-        rest_legs = legs[:target_leg] + legs[target_leg + 1 :]
-        new_edges = edges + ((v, w),)
-        new_legs = rest_legs + ((w, c0, lab0), (w, zero, label))
-    return (nv + 1, new_edges, new_legs)
 
 
 def _integer_targets(problem: CountProblem) -> dict[int, Vec]:
@@ -387,8 +294,9 @@ def _marked_dfs(problem: CountProblem, skeleton, trivial_labels):
     """
     planar_points = problem.is_point_problem() and problem.fan.rank == 2
     rank = problem.fan.rank
+    zero = (0,) * rank
     nv0, edges0, legs0 = skeleton
-    contacts0 = tuple(_derived_contacts(nv0, edges0, legs0, rank))
+    contacts0 = tuple(forced_edge_contacts(nv0, edges0, ((v, c) for v, c, _ in legs0), rank))
     targets = _integer_targets(problem) if planar_points else {}
 
     # direction alphabet: +-contact of every skeleton edge and leg
@@ -450,8 +358,7 @@ def _marked_dfs(problem: CountProblem, skeleton, trivial_labels):
 
         candidates = []
         if planar_points:
-            comp, _ = _components(nv, edges, marked)
-            below, totals, parent_edge = _subtree_end_counts(nv, edges, legs, marked, comp)
+            below, totals, parent_edge, comp = _subtree_end_counts(nv, edges, legs, marked)
             for i, (a, b) in enumerate(edges):
                 if a in marked or b in marked:
                     continue
@@ -494,7 +401,7 @@ def _marked_dfs(problem: CountProblem, skeleton, trivial_labels):
                         break
                 if not ok:
                     continue
-            grown = _insert_marked(tree, label, te, tl)
+            grown = insert_leg(tree, (zero, label), te, tl)
             if te is not None:
                 new_contacts = (
                     contacts[:te] + contacts[te + 1 :] + (contacts[te], contacts[te])
@@ -526,9 +433,9 @@ def _marked_dfs(problem: CountProblem, skeleton, trivial_labels):
     yield from rec(skeleton, contacts0, {}, {}, 0)
 
 
-def _subtree_end_counts(nv, edges, legs, marked, comp):
-    """Contact-end totals per component and below each vertex in a rooted forest."""
-    ncomp = max((c for c in comp if c >= 0), default=-1) + 1
+def _subtree_end_counts(nv, edges, legs, marked):
+    """Contact-end counts of the forest left by deleting the marked vertices:
+    (ends below each vertex, ends per component, parent edge, component id)."""
     own = [0] * nv
     for v, c, _ in legs:
         if any(c) and v not in marked:
@@ -538,23 +445,23 @@ def _subtree_end_counts(nv, edges, legs, marked, comp):
         if a not in marked and b not in marked:
             adj[a].append((b, i))
             adj[b].append((a, i))
-    totals = [0] * ncomp
+    totals: list[int] = []
     below = [0] * nv
     parent_vertex = [-1] * nv
     parent_edge = [-1] * nv
-    seen = [False] * nv
+    comp = [-1] * nv
     for root in range(nv):
-        if root in marked or seen[root]:
+        if root in marked or comp[root] != -1:
             continue
         order = []
         stack = [root]
-        seen[root] = True
+        comp[root] = len(totals)
         while stack:
             v = stack.pop()
             order.append(v)
             for w, i in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
+                if comp[w] == -1:
+                    comp[w] = comp[root]
                     parent_vertex[w] = v
                     parent_edge[w] = i
                     stack.append(w)
@@ -562,8 +469,8 @@ def _subtree_end_counts(nv, edges, legs, marked, comp):
             below[v] += own[v]
             if parent_vertex[v] >= 0:
                 below[parent_vertex[v]] += below[v]
-        totals[comp[root]] = below[root]
-    return below, totals, parent_edge
+        totals.append(below[root])
+    return below, totals, parent_edge, comp
 
 
 def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
@@ -585,7 +492,7 @@ def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
         else:
             labelled.append((v, pool[c].pop(), c))
     labelled.sort(key=lambda t: t[1])
-    derived = _derived_contacts(nv, edges, legs, problem.fan.rank)
+    derived = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), problem.fan.rank)
     shape_edges = []
     contacts = []
     order = sorted(range(len(edges)), key=lambda i: (min(edges[i]), max(edges[i])))
@@ -618,40 +525,45 @@ def enumerate_rigid_types(problem: CountProblem, prune: bool = True) -> Iterator
     filtered by sound necessary conditions against the problem's seeded
     targets (a pruned-away type can never contribute to this problem).
     """
-    codim = expected_codimension(problem.fan, problem.gamma)
-    seen = set()
-    for tree in _candidate_trees(problem, prune):
-        theta = _tree_to_type(problem, tree)
-        key, _ = canonical_form(theta, identify_contacts=True)
-        if key in seen:
-            continue
-        seen.add(key)
-        if problem.fan.rank + len(theta.shape.edges) != codim:
-            continue
+    for _, _, theta in _rigid_types(problem, prune, 0, 1):
         yield theta
 
 
-def _candidate_trees(problem: CountProblem, prune: bool) -> Iterator[tuple]:
+def _rigid_types(problem: CountProblem, prune: bool, chunk_index: int, threads: int):
+    """Yield (canonical key, relabeling, type) for the distinct rigid types of one chunk.
+
+    With pruning, point problems with at least three contact legs run the
+    marked-point search over skeletons ``chunk_index``, ``chunk_index +
+    threads``, ...; distinct final types never cross skeleton classes, so
+    per-chunk deduplication is globally valid.  Every other problem runs
+    the full trivalent census over all legs, in chunk 0 only.
+    """
     gamma = problem.gamma
     fan = problem.fan
     trivial = sorted(gamma.trivial_legs)
-    fast = prune and problem.is_point_problem() and gamma.n >= 3
-    if fast:
-        contacts = [c for _, c in gamma.contact_legs]
-        for skeleton in _skeleton_census(fan.rank, contacts):
-            yield from _marked_dfs(problem, skeleton, trivial)
-        return
-    # small census over all legs; used for subspace constraints and degree 0
-    zero = (0,) * fan.rank
-    contact_of = {lab: c for lab, c in gamma.contact_legs}
-    for lab in trivial:
-        contact_of[lab] = zero
-    for shape in labeled_trees(sorted(contact_of)):
-        yield (
-            shape.vertices,
-            shape.edges,
-            tuple((v, contact_of[lab], lab) for v, lab in shape.legs),
+    if prune and problem.is_point_problem() and gamma.n >= 3:
+        skeletons = _skeleton_census(fan.rank, [c for _, c in gamma.contact_legs])
+        trees = (
+            tree
+            for skeleton in skeletons[chunk_index::threads]
+            for tree in _marked_dfs(problem, skeleton, trivial)
         )
+    elif chunk_index == 0:
+        # small census over all legs; used for subspace constraints and degree 0
+        legs = sorted([*gamma.contact_legs, *((lab, (0,) * fan.rank) for lab in trivial)])
+        trees = grow_trees([(c, lab) for lab, c in legs])
+    else:
+        return
+    codim = expected_codimension(fan, gamma)
+    seen = set()
+    for tree in trees:
+        theta = _tree_to_type(problem, tree)
+        if fan.rank + len(theta.shape.edges) != codim:
+            continue
+        key, relabel = canonical_form(theta, identify_contacts=True)
+        if key not in seen:
+            seen.add(key)
+            yield key, relabel, theta
 
 
 def _evaluation_rows(problem: CountProblem, theta: CombinatorialType, root_label: int):
@@ -746,7 +658,8 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
     """Solve the evaluation system for one type.
 
     Returns (map, multiplicity) for an interior solution, None for a miss,
-    raises SingularError or NonGenericError as appropriate.
+    raises SingularError or NonGenericError as appropriate, and
+    SolveCheckError if the solved map fails validation or its constraints.
     """
     fan = problem.fan
     r = fan.rank
@@ -805,7 +718,10 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
             raise NonGenericError("an edge crossed a stratum of codimension > 1")
     report = validate(full)
     if not report.valid:
-        raise AssertionError(f"solved map fails validation: {report}")
+        raise SolveCheckError(
+            f"seed {problem.constraints.seed}: the map solved from root leg {root_label} "
+            f"for type {shape} fails validation: {sorted(report.conditions())}"
+        )
     mult = multiplicity(theta, problem)
     for label in problem.gamma.trivial_legs:
         ep = ev_trop(full, label)
@@ -813,7 +729,10 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
         want = proj.apply(list(problem.target(label)))
         got = proj.apply(list(ep.coset))
         if want != got:
-            raise AssertionError("solved map misses its constraint translate")
+            raise SolveCheckError(
+                f"seed {problem.constraints.seed}: the map solved for type {shape} "
+                f"misses the constraint translate of leg {label}"
+            )
     return full, mult
 
 
@@ -836,66 +755,28 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
         results = _map_workers(problem, threads)
     else:
         results = [_count_worker((problem, 0, 1))]
-    merged: dict = {}
-    rejected = 0
-    for items, rej in results:
-        rejected += rej
-        for key, contribution in items:
-            if key not in merged:
-                merged[key] = contribution
-    contributions = sorted(merged.values(), key=lambda c: c.key)
+    # chunks never share a type (see _rigid_types)
+    contributions = sorted((c for items, _ in results for c in items), key=lambda c: c.key)
+    rejected = sum(rej for _, rej in results)
     total = sum(c.multiplicity for c in contributions)
     return CountResult(total, tuple(contributions), problem.constraints.seed, rejected)
 
 
-def _process_type(problem: CountProblem, theta: CombinatorialType, out: dict, state: dict) -> None:
-    key, relabel = canonical_form(theta, identify_contacts=True)
-    seen = state.setdefault("seen", set())
-    if key in seen:
-        return
-    seen.add(key)
-    try:
-        solved = _solve_type(problem, theta)
-    except SingularError:
-        state["rejected"] = state.get("rejected", 0) + 1
-        return
-    if solved is None:
-        return
-    full, mult = solved
-    canon_theta = relabel_type(theta, relabel)
-    out[key] = Contribution(canon_theta, full, mult, key)
-
-
 def _count_worker(args):
-    """Process one deterministic chunk of the skeleton census.
-
-    Distinct final types never cross skeleton classes, so chunking by
-    skeleton index keeps per-worker deduplication globally valid.
-    """
+    """Solve the rigid types of one deterministic chunk of the work."""
     problem, chunk_index, threads = args
-    out: dict = {}
-    state: dict = {}
-    gamma = problem.gamma
-    trivial = sorted(gamma.trivial_legs)
-    codim = expected_codimension(problem.fan, gamma)
-    if problem.is_point_problem() and gamma.n >= 3:
-        contacts = [c for _, c in gamma.contact_legs]
-        skeletons = _skeleton_census(problem.fan.rank, contacts)
-        for i, skeleton in enumerate(skeletons):
-            if i % threads != chunk_index:
-                continue
-            for tree in _marked_dfs(problem, skeleton, trivial):
-                theta = _tree_to_type(problem, tree)
-                if problem.fan.rank + len(theta.shape.edges) != codim:
-                    continue
-                _process_type(problem, theta, out, state)
-    elif chunk_index == 0:
-        for tree in _candidate_trees(problem, prune=True):
-            theta = _tree_to_type(problem, tree)
-            if problem.fan.rank + len(theta.shape.edges) != codim:
-                continue
-            _process_type(problem, theta, out, state)
-    return list(out.items()), state.get("rejected", 0)
+    contributions = []
+    rejected = 0
+    for key, relabel, theta in _rigid_types(problem, True, chunk_index, threads):
+        try:
+            solved = _solve_type(problem, theta)
+        except SingularError:
+            rejected += 1
+            continue
+        if solved is not None:
+            full, mult = solved
+            contributions.append(Contribution(relabel_type(theta, relabel), full, mult, key))
+    return contributions, rejected
 
 
 def _map_workers(problem: CountProblem, threads: int):

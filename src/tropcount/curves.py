@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
-from .exactmath import rational_from_string, rational_to_string
+from .exactmath import rational_to_string
 
 INF = math.inf
 Length = Union[Fraction, float]  # Fraction, or math.inf for nodal edges
@@ -109,6 +109,59 @@ def is_smooth(curve: TropicalCurve) -> bool:
     return all(l != INF for _, _, l in curve.internal_edges)
 
 
+def straighten(
+    vertices: int,
+    edges: Sequence[tuple[int, int]],
+    legs: Sequence[tuple[int, int]],
+) -> tuple[list[int], list[tuple[int, int]], tuple[tuple[int, int], ...], list[list[int]]]:
+    """Erase the 2-valent vertices of a tree combinatorially, as ``stabilize`` does.
+
+    Returns the surviving vertices in increasing order (new vertex ``k`` is
+    ``kept[k]``), the straightened edges and legs on the new numbering, and
+    per straightened edge the indices of the original edges merged into it.
+    """
+    work = [[a, b, [i]] for i, (a, b) in enumerate(edges)]
+    moved = [[v, lab] for v, lab in legs]
+    alive = set(range(vertices))
+
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(alive):
+            inc_e = [e for e in work if v in (e[0], e[1])]
+            inc_l = [l for l in moved if l[0] == v]
+            if len(inc_e) + len(inc_l) != 2:
+                continue
+            if len(inc_e) == 2:
+                e1, e2 = inc_e
+                u1 = e1[0] if e1[1] == v else e1[1]
+                u2 = e2[0] if e2[1] == v else e2[1]
+                work.remove(e1)
+                work.remove(e2)
+                work.append([u1, u2, e1[2] + e2[2]])
+                alive.discard(v)
+                changed = True
+                break
+            if len(inc_e) == 1 and len(inc_l) == 1:
+                (e,) = inc_e
+                u = e[0] if e[1] == v else e[1]
+                work.remove(e)
+                inc_l[0][0] = u
+                alive.discard(v)
+                changed = True
+                break
+            # two legs: nothing to straighten
+
+    kept = sorted(alive)
+    relabel = {old: new for new, old in enumerate(kept)}
+    return (
+        kept,
+        [(relabel[a], relabel[b]) for a, b, _ in work],
+        tuple(sorted((relabel[v], lab) for v, lab in moved)),
+        [group for _, _, group in work],
+    )
+
+
 def stabilize(curve: TropicalCurve) -> TropicalCurve:
     """Erase 2-valent vertices, adding the lengths of the merged edges.
 
@@ -117,44 +170,15 @@ def stabilize(curve: TropicalCurve) -> TropicalCurve:
     length is absorbed into the leg's infinite one).  A vertex carrying two
     legs and nothing else is irreducible and stays.
     """
-    edges = [[a, b, l] for a, b, l in curve.internal_edges]
-    legs = [[v, lab] for v, lab in curve.legs]
-    alive = set(range(curve.vertices))
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            inc_e = [e for e in edges if v in (e[0], e[1])]
-            inc_l = [l for l in legs if l[0] == v]
-            if len(inc_e) + len(inc_l) != 2:
-                continue
-            if len(inc_e) == 2:
-                e1, e2 = inc_e
-                u1 = e1[0] if e1[1] == v else e1[1]
-                u2 = e2[0] if e2[1] == v else e2[1]
-                edges.remove(e1)
-                edges.remove(e2)
-                edges.append([u1, u2, e1[2] + e2[2]])
-                alive.discard(v)
-                changed = True
-                break
-            if len(inc_e) == 1 and len(inc_l) == 1:
-                (e,) = inc_e
-                u = e[0] if e[1] == v else e[1]
-                edges.remove(e)
-                inc_l[0][0] = u
-                alive.discard(v)
-                changed = True
-                break
-            # two legs: nothing to straighten
-
-    relabel = {old: new for new, old in enumerate(sorted(alive))}
-    return TropicalCurve(
-        len(alive),
-        tuple((relabel[a], relabel[b], l) for a, b, l in edges),
-        tuple(sorted((relabel[v], lab) for v, lab in legs)),
+    kept, edges, legs, groups = straighten(
+        curve.vertices, [(a, b) for a, b, _ in curve.internal_edges], curve.legs
     )
+    lengths = [l for _, _, l in curve.internal_edges]
+    merged = tuple(
+        (a, b, sum((lengths[k] for k in group), Fraction(0)))
+        for (a, b), group in zip(edges, groups)
+    )
+    return TropicalCurve(len(kept), merged, legs)
 
 
 def overvalence(curve: TropicalCurve) -> int:
@@ -176,7 +200,7 @@ def length_to_json(l: Length) -> str:
 
 
 def length_from_json(s: str) -> Length:
-    return INF if s == "inf" else rational_from_string(s)
+    return INF if s == "inf" else Fraction(s)
 
 
 def curve_to_json(curve: TropicalCurve) -> dict:

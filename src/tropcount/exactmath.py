@@ -21,10 +21,6 @@ class RankDeficientError(ValueError):
     """The matrix does not surject onto its target lattice after ⊗ℚ."""
 
 
-def rational_from_string(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def rational_to_string(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .curves import TropicalCurve
-from .exactmath import rational_from_string, rational_to_string
+from .exactmath import rational_to_string
 from .polyhedral import (
     Fan,
     NotCompleteError,
@@ -624,6 +624,6 @@ def map_to_json(f: TropicalStableMap) -> dict:
 def map_from_json(data: dict, fan: Optional[Fan] = None) -> TropicalStableMap:
     fan = fan if fan is not None else fan_from_json(data["fan"])
     t = type_from_json(fan, data["type"])
-    positions = tuple(tuple(rational_from_string(x) for x in p) for p in data["positions"])
-    lengths = tuple(rational_from_string(l) for l in data["lengths"])
+    positions = tuple(tuple(Fraction(x) for x in p) for p in data["positions"])
+    lengths = tuple(Fraction(l) for l in data["lengths"])
     return TropicalStableMap(t, positions, lengths)

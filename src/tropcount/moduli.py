@@ -13,11 +13,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import lp
+from .curves import straighten
 from .exactmath import (
     IntMatrix,
+    determinant,
     integer_kernel,
     lattice_quotient,
     primitive_vector,
@@ -184,6 +186,44 @@ def contains(cone: ModuliCone, f: TropicalStableMap) -> str:
 # --- canonical forms -------------------------------------------------------
 
 
+def rooted_form(
+    vertices: int,
+    edges: Sequence[tuple[int, int]],
+    vertex_tokens: Sequence[tuple],
+    edge_tokens: Sequence[tuple[tuple, tuple]],
+) -> tuple[tuple, list[int]]:
+    """Least rooted serialization of a decorated tree, and its vertex order.
+
+    A vertex serializes as its token plus the sorted tuple of its children,
+    each as the token of the edge to it plus the child's serialization; edge
+    ``(a, b)`` shows ``edge_tokens[i][0]`` from ``a`` and ``[1]`` from ``b``.
+    """
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(vertices)]
+    for i, (a, b) in enumerate(edges):
+        adj[a].append((i, b, 0))
+        adj[b].append((i, a, 1))
+
+    def serialize(v: int, come_from: int) -> tuple[tuple, list[int]]:
+        children = []
+        for i, w, side in adj[v]:
+            if i != come_from:
+                child_ser, child_order = serialize(w, i)
+                children.append((edge_tokens[i][side] + (child_ser,), child_order))
+        children.sort(key=lambda t: t[0])
+        order = [v]
+        for _, child_order in children:
+            order.extend(child_order)
+        return vertex_tokens[v] + (tuple(c[0] for c in children),), order
+
+    best = None
+    best_order: list[int] = []
+    for root in range(vertices):
+        ser, order = serialize(root, -1)
+        if best is None or ser < best:
+            best, best_order = ser, order
+    return best, best_order
+
+
 def canonical_form(
     theta: CombinatorialType, identify_contacts: bool = False
 ) -> tuple[tuple, tuple[int, ...]]:
@@ -194,47 +234,24 @@ def canonical_form(
     by a permutation of equal-contact legs collapse together.
     """
     shape = theta.shape
-    adj: list[list[int]] = [[] for _ in range(shape.vertices)]
-    for i, (a, b) in enumerate(shape.edges):
-        adj[a].append(i)
-        adj[b].append(i)
 
-    def carrier_token(car: Optional[int]) -> int:
-        return -1 if car is None else car
+    def token(idx: Optional[int]) -> int:
+        return -1 if idx is None else idx
 
-    def leg_token(j: int) -> tuple:
-        v, lab = shape.legs[j]
-        c = theta.leg_contacts[j]
+    legs_at: list[list[tuple]] = [[] for _ in range(shape.vertices)]
+    for (v, lab), c, car in zip(shape.legs, theta.leg_contacts, theta.leg_carriers):
         if identify_contacts and any(c):
-            return ("c", c, carrier_token(theta.leg_carriers[j]))
-        return ("l", lab, c, carrier_token(theta.leg_carriers[j]))
-
-    def serialize(v: int, come_from: int) -> tuple[tuple, list[int]]:
-        legs = sorted(leg_token(j) for j, (w, _) in enumerate(shape.legs) if w == v)
-        children = []
-        for i in adj[v]:
-            if i == come_from:
-                continue
-            a, b = shape.edges[i]
-            w = b if a == v else a
-            c = theta.edge_contacts[i]
-            away = c if a == v else tuple(-x for x in c)
-            child_ser, child_order = serialize(w, i)
-            children.append(((away, carrier_token(theta.edge_carriers[i]), child_ser), child_order))
-        children.sort(key=lambda t: t[0])
-        cone = theta.vertex_cones[v]
-        ser = (-1 if cone is None else cone, tuple(legs), tuple(c[0] for c in children))
-        order = [v]
-        for _, child_order in children:
-            order.extend(child_order)
-        return ser, order
-
-    best = None
-    best_order: list[int] = []
-    for root in range(shape.vertices):
-        ser, order = serialize(root, -1)
-        if best is None or ser < best:
-            best, best_order = ser, order
+            legs_at[v].append(("c", c, token(car)))
+        else:
+            legs_at[v].append(("l", lab, c, token(car)))
+    vertex_tokens = [
+        (token(cone), tuple(sorted(legs))) for cone, legs in zip(theta.vertex_cones, legs_at)
+    ]
+    edge_tokens = [
+        ((c, token(car)), (tuple(-x for x in c), token(car)))
+        for c, car in zip(theta.edge_contacts, theta.edge_carriers)
+    ]
+    best, best_order = rooted_form(shape.vertices, shape.edges, vertex_tokens, edge_tokens)
     relabel = [0] * shape.vertices
     for new, old in enumerate(best_order):
         relabel[old] = new
@@ -491,49 +508,82 @@ class ConeComplex:
         return {i for i in seen if self.cones[i].cone.dimension == dim}
 
 
+def insert_leg(tree: tuple, leg: tuple, edge: Optional[int] = None, at_leg: Optional[int] = None) -> tuple:
+    """Attach ``leg`` at a fresh vertex subdividing edge ``edge`` or leg ``at_leg``.
+
+    A tree is ``(vertex count, edges, legs)`` with bare ``(a, b)`` edges and
+    each leg a tuple whose first entry is its vertex; ``leg`` holds the
+    entries after the vertex.
+    """
+    nv, edges, legs = tree
+    if edge is not None:
+        a, b = edges[edge]
+        rest_edges = edges[:edge] + edges[edge + 1 :]
+        return (nv + 1, rest_edges + ((a, nv), (nv, b)), legs + ((nv,) + leg,))
+    old = legs[at_leg]
+    rest = legs[:at_leg] + legs[at_leg + 1 :]
+    return (nv + 1, edges + ((old[0], nv),), rest + ((nv,) + old[1:], (nv,) + leg))
+
+
+def grow_trees(legs: Sequence[tuple], dedup_key: Optional[Callable[[tuple], object]] = None) -> list[tuple]:
+    """Trivalent trees over ``legs`` by leaf insertion, in ``insert_leg``'s encoding.
+
+    The first three legs form the tripod (one vertex when there are fewer).
+    With ``dedup_key`` each level keeps only the first tree of every key.
+    """
+    trees = [(1, (), tuple((0,) + leg for leg in legs[:3]))]
+    for leg in legs[3:]:
+        seen = set()
+        grown: list[tuple] = []
+        for tree in trees:
+            children = [insert_leg(tree, leg, edge=i) for i in range(len(tree[1]))]
+            children += [insert_leg(tree, leg, at_leg=j) for j in range(len(tree[2]))]
+            for child in children:
+                if dedup_key is not None:
+                    key = dedup_key(child)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                grown.append(child)
+        trees = grown
+    return trees
+
+
 def labeled_trees(labels: Sequence[int]) -> list[TreeShape]:
     """All trivalent trees with the given leg labels (single vertex for <= 3)."""
-    labels = sorted(labels)
     if not labels:
         raise ValueError("need at least one leg")
-    if len(labels) <= 3:
-        return [TreeShape(1, (), tuple((0, lab) for lab in labels))]
-    shapes = labeled_trees(labels[:3])
-    for lab in labels[3:]:
-        grown: list[TreeShape] = []
-        for shape in shapes:
-            w = shape.vertices
-            for i, (a, b) in enumerate(shape.edges):
-                rest = shape.edges[:i] + shape.edges[i + 1 :]
-                edges = rest + ((min(a, w), max(a, w)), (min(b, w), max(b, w)))
-                grown.append(TreeShape(w + 1, tuple(sorted(edges)), shape.legs + ((w, lab),)))
-            for j, (v, moved) in enumerate(shape.legs):
-                rest_legs = shape.legs[:j] + shape.legs[j + 1 :]
-                edges = shape.edges + ((min(v, w), max(v, w)),)
-                grown.append(
-                    TreeShape(w + 1, tuple(sorted(edges)), rest_legs + ((w, moved), (w, lab)))
-                )
-        shapes = grown
-    return shapes
+    return [
+        TreeShape(nv, tuple(sorted((min(a, b), max(a, b)) for a, b in edges)), legs)
+        for nv, edges, legs in grow_trees([(lab,) for lab in sorted(labels)])
+    ]
 
 
-def forced_edge_contacts(shape: TreeShape, leg_contact: dict[int, tuple[int, ...]], rank: int) -> list[tuple[int, ...]]:
-    """Edge contact orders implied by balancing: sum of leg contacts on the head side."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(shape.vertices)]
-    for i, (a, b) in enumerate(shape.edges):
+def forced_edge_contacts(
+    vertices: int,
+    edges: Sequence[tuple[int, int]],
+    legs: Iterable[tuple[int, tuple[int, ...]]],
+    rank: int,
+) -> list[tuple[int, ...]]:
+    """Edge contact orders implied by balancing: for edge (a, b), the sum of
+    the contacts of the (vertex, contact) legs on the b side."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(vertices)]
+    for i, (a, b) in enumerate(edges):
         adj[a].append((b, i))
         adj[b].append((a, i))
+    at_vertex: list[list[tuple[int, ...]]] = [[] for _ in range(vertices)]
+    for v, c in legs:
+        at_vertex[v].append(c)
     out = []
-    for i, (a, b) in enumerate(shape.edges):
+    for i, (a, b) in enumerate(edges):
+        total = [0] * rank
         seen = {a, b}
         stack = [b]
-        total = [0] * rank
         while stack:
             v = stack.pop()
-            for w, lab in shape.legs:
-                if w == v:
-                    for k in range(rank):
-                        total[k] += leg_contact[lab][k]
+            for c in at_vertex[v]:
+                for k in range(rank):
+                    total[k] += c[k]
             for w, j in adj[v]:
                 if w not in seen and j != i:
                     seen.add(w)
@@ -604,7 +654,9 @@ def _subdivided_candidates(
     walk_cache: Optional[dict] = None,
 ) -> Iterator[CombinatorialType]:
     """All subdivided types over one stabilized tree and vertex-cone assignment."""
-    edge_contacts = forced_edge_contacts(shape, leg_contact, fan.rank)
+    edge_contacts = forced_edge_contacts(
+        shape.vertices, shape.edges, ((v, leg_contact[lab]) for v, lab in shape.legs), fan.rank
+    )
 
     # contracted edges force equal endpoint cones
     for (a, b), c in zip(shape.edges, edge_contacts):
@@ -832,57 +884,6 @@ class EmbeddedFan:
         return Fan.make(self.ambient_rank, rays, cones, name=name)
 
 
-def _stabilized_structure(shape: TreeShape):
-    """Straighten 2-valent vertices combinatorially.
-
-    Returns (leg vertex map after stabilization, per original edge either the
-    representative stab edge id or None if it vanished into a leg, grouping of
-    original edges by stab edge id).
-    """
-    edges = {i: list(e) for i, e in enumerate(shape.edges)}
-    groups = {i: [i] for i in edges}
-    legs = {lab: v for v, lab in shape.legs}
-    alive = set(range(shape.vertices))
-
-    def incident(v):
-        es = [i for i, (a, b) in edges.items() if v in (a, b)]
-        ls = [lab for lab, w in legs.items() if w == v]
-        return es, ls
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            es, ls = incident(v)
-            if len(es) + len(ls) != 2:
-                continue
-            if len(es) == 2:
-                i, j = es
-                a = edges[i][0] if edges[i][1] == v else edges[i][1]
-                b = edges[j][0] if edges[j][1] == v else edges[j][1]
-                edges[i] = [a, b]
-                groups[i] = groups[i] + groups[j]
-                del edges[j], groups[j]
-                alive.discard(v)
-                changed = True
-                break
-            if len(es) == 1 and len(ls) == 1:
-                i = es[0]
-                far = edges[i][0] if edges[i][1] == v else edges[i][1]
-                legs[ls[0]] = far
-                del edges[i], groups[i]
-                alive.discard(v)
-                changed = True
-                break
-    rep = {}
-    for i, members in groups.items():
-        for k in members:
-            rep[k] = i
-    edge_of = [rep.get(i) for i in range(len(shape.edges))]
-    stab_edges = {i: tuple(e) for i, e in edges.items()}
-    return legs, edge_of, stab_edges, groups
-
-
 def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
     """Embed the cone complex linearly into RR^k as a fan.
 
@@ -912,23 +913,20 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
         shape = cc.type.shape
         r = fan.rank
         nv = shape.vertices
-        stab_legs, edge_of, stab_edges, groups = _stabilized_structure(shape)
-        root_vertex = stab_legs[root_label]
+        kept, stab_edges, stab_legs, groups = straighten(shape.vertices, shape.edges, shape.legs)
+        stab = TreeShape(
+            len(kept), tuple((min(a, b), max(a, b)) for a, b in stab_edges), stab_legs
+        )
+        root_vertex = kept[stab.leg_vertex(root_label)]
         rows: list[list[int]] = []
         for i in range(r):
             row = [0] * cc.cone.ambient_dim
             row[root_vertex * r + i] = 1
             rows.append(row)
         dist_rows = []
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for i, (a, b) in stab_edges.items():
-            adj.setdefault(a, []).append((b, i))
-            adj.setdefault(b, []).append((a, i))
         for la, lb in pairs:
-            va, vb = stab_legs[la], stab_legs[lb]
-            path = _tree_path(adj, va, vb)
             row = [0] * cc.cone.ambient_dim
-            for stab_e in path:
+            for stab_e, _ in stab.path_edges(stab.leg_vertex(la), stab.leg_vertex(lb)):
                 for orig in groups[stab_e]:
                     row[nv * r + orig] = 1
             dist_rows.append(row)
@@ -960,24 +958,6 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
             gens.append(ray_image[idx])
         images.append(tuple(gens))
     return EmbeddedFan(k, tuple(images), tuple(lattice_maps))
-
-
-def _tree_path(adj: dict[int, list[tuple[int, int]]], a: int, b: int) -> list[int]:
-    parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        for w, i in adj.get(v, []):
-            if w not in parent:
-                parent[w] = (v, i)
-                stack.append(w)
-    out = []
-    v = b
-    while v != a:
-        u, i = parent[v]
-        out.append(i)
-        v = u
-    return out
 
 
 def _apply_rows(m: IntMatrix, cone: ModuliCone, ambient_witness: Sequence[Fraction]) -> list[Fraction]:
@@ -1016,7 +996,7 @@ def unimodular_equivalent(a: Fan, b: Fan) -> Optional[IntMatrix]:
     ra = a.rays
     for i, j in base_pairs:
         m = IntMatrix.from_rows([[ra[i][0], ra[j][0]], [ra[i][1], ra[j][1]]])
-        det = determinant2(m)
+        det = determinant(m)
         if abs(det) != 1:
             continue
         for bi, bj in base_pairs:
@@ -1036,10 +1016,6 @@ def unimodular_equivalent(a: Fan, b: Fan) -> Optional[IntMatrix]:
             if cones_a == set(b.cones):
                 return g
     return None
-
-
-def determinant2(m: IntMatrix) -> int:
-    return m.at(0, 0) * m.at(1, 1) - m.at(0, 1) * m.at(1, 0)
 
 
 # --- JSON interface --------------------------------------------------------

@@ -141,7 +141,11 @@ def random_trivalent_type(fan, rng):
         fan,
         shape,
         tuple(rng.choice(maximal) for _ in range(shape.vertices)),
-        tuple(forced_edge_contacts(shape, contacts, fan.rank)),
+        tuple(
+            forced_edge_contacts(
+                shape.vertices, shape.edges, [(v, contacts[lab]) for v, lab in shape.legs], fan.rank
+            )
+        ),
         (None,) * len(shape.edges),
         tuple(contacts[lab] for _, lab in shape.legs),
         (None,) * len(shape.legs),

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -11,9 +13,20 @@ from tropcount.moduli import complex_from_json, embedding_from_json
 from tropcount.polyhedral import fan_from_json
 
 
-def run_cli(*argv, check=True):
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*argv, check=True, env=None):
+    """Run the CLI in a child interpreter that imports the package from ``src``."""
+    child_env = dict(os.environ, **(env or {}))
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
-        [sys.executable, "-m", "tropcount.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "tropcount.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env,
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -120,10 +133,8 @@ def test_count_subspace_flag():
 
 
 def test_validate_exit_codes(tmp_path):
-    out = subprocess.run(
-        [sys.executable, "-m", "tropcount.cli", "count", "--fan", "p2",
-         "--contacts", "p2-degree:1", "--points", "2", "--seed", "7"],
-        capture_output=True, text=True,
+    out = run_cli(
+        "count", "--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--seed", "7"
     )
     data = json.loads(out.stdout)
     good = tmp_path / "map.json"
@@ -147,6 +158,22 @@ def test_usage_error_exit_code():
     assert proc.returncode == 64
 
 
+def test_solve_check_failure_is_a_named_error(monkeypatch, capsys):
+    from tropcount import counting
+    from tropcount.maps import ValidationReport, Violation
+
+    monkeypatch.setattr(
+        counting, "validate", lambda f: ValidationReport((Violation("balancing", "injected"),))
+    )
+    code = main(
+        ["count", "--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--seed", "7"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "SolveCheckError" in err
+    assert "seed 7" in err and "leg" in err and "balancing" in err
+
+
 def test_main_entrypoint_in_process(capsys):
     code = main(["oracle", "kontsevich", "3"])
     assert code == 0
@@ -154,15 +181,10 @@ def test_main_entrypoint_in_process(capsys):
 
 
 def test_threads_env_var_default():
-    import os
-
-    env = dict(os.environ, TROPCOUNT_THREADS="2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "tropcount.cli", "count", "--fan", "p2",
-         "--contacts", "p2-degree:1", "--points", "2", "--seed", "7"],
-        capture_output=True, text=True, env=env,
+    proc = run_cli(
+        "count", "--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--seed", "7",
+        env={"TROPCOUNT_THREADS": "2"},
     )
-    assert proc.returncode == 0
     assert json.loads(proc.stdout)["total"] == 1
 
 

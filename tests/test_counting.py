@@ -75,6 +75,14 @@ def test_enumerate_census_degree_one():
     assert pruned_keys <= {t.shape.legs for t in unpruned} | pruned_keys
 
 
+def test_skeleton_census_sizes():
+    from tropcount.counting import _skeleton_census
+
+    # stabilized skeletons over the 3d contact legs of plane curves of degree d
+    for d, size in ((1, 1), (2, 17), (3, 791)):
+        assert len(_skeleton_census(2, [U1] * d + [U2] * d + [U3] * d)) == size
+
+
 def test_enumerate_p1_single_path_type():
     gamma = DiscreteData(P1, ((1, (1,)), (2, (-1,))), (3,))
     prob = CountProblem(P1, gamma, generate_constraints(gamma, None, 5))

@@ -14,7 +14,6 @@ from tropcount.exactmath import (
     lattice_quotient,
     primitive_vector,
     rank,
-    rational_from_string,
     rational_to_string,
     saturate_columns,
     smith_normal_form,
@@ -234,4 +233,3 @@ def test_primitive_vector():
 def test_rational_strings():
     assert rational_to_string(Fraction(3, 1)) == "3"
     assert rational_to_string(Fraction(-3, 7)) == "-3/7"
-    assert rational_from_string("-3/7") == Fraction(-3, 7)

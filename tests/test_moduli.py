@@ -98,7 +98,9 @@ def random_balanced_type(fan, rng, max_legs=7):
     contacts[n_legs] = tuple(-x for x in total)
     maximal = fan.maximal_cones()
     cones = tuple(rng.choice(maximal) for _ in range(shape.vertices))
-    edge_contacts = forced_edge_contacts(shape, contacts, fan.rank)
+    edge_contacts = forced_edge_contacts(
+        shape.vertices, shape.edges, [(v, contacts[lab]) for v, lab in shape.legs], fan.rank
+    )
     return CombinatorialType(
         fan,
         shape,
@@ -318,6 +320,6 @@ def test_canonical_form_invariant_under_relabeling():
 
 
 def test_labeled_trees_census_sizes():
-    assert len(labeled_trees([1, 2, 3])) == 1
-    assert len(labeled_trees([1, 2, 3, 4])) == 3
-    assert len(labeled_trees([1, 2, 3, 4, 5])) == 15
+    # (2n - 5)!! trivalent trees with n labelled legs
+    for n, size in zip(range(3, 9), (1, 3, 15, 105, 945, 10395)):
+        assert len(labeled_trees(list(range(1, n + 1)))) == size
