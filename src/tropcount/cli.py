@@ -36,6 +36,18 @@ from .moduli import (
 from .polyhedral import NAMED_FANS, fan_to_json, load_fan
 
 
+class MalformedInputError(ValueError):
+    """An input file parsed as JSON but lacks a field or has the wrong shape."""
+
+
+def _parse_input(what: str, parse, *args):
+    """Call an input parser, naming the lookups that malformed JSON makes fail."""
+    try:
+        return parse(*args)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise MalformedInputError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -98,7 +110,7 @@ def _parse_subspace(spec: str, rank: int):
 
 
 def _gamma_from_args(args, fan) -> tuple[DiscreteData, dict, dict]:
-    contacts = _parse_contacts(args.contacts, fan) if args.contacts else ()
+    contacts = _parse_input("contacts", _parse_contacts, args.contacts, fan) if args.contacts else ()
     n = len(contacts)
     points = getattr(args, "points", 0) or 0
     subspace_specs = getattr(args, "subspace", None) or []
@@ -129,7 +141,7 @@ def _build_problem(args, fan, seed: int) -> CountProblem:
 
 
 def _cmd_fan(args) -> int:
-    fan = load_fan(args.name if args.name else args.infile)
+    fan = _parse_input("fan", load_fan, args.name if args.name else args.infile)
     _emit(fan_to_json(fan), args.out)
     return 0
 
@@ -137,8 +149,8 @@ def _cmd_fan(args) -> int:
 def _cmd_validate(args) -> int:
     with (open(args.infile) if args.infile else sys.stdin) as fh:
         data = json.load(fh)
-    fan = load_fan(args.fan) if args.fan else None
-    report = validate(map_from_json(data, fan))
+    fan = _parse_input("fan", load_fan, args.fan) if args.fan else None
+    report = validate(_parse_input("map", map_from_json, data, fan))
     _emit(
         {
             "schema": "tropcount/1",
@@ -154,7 +166,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_complex(args) -> int:
-    fan = load_fan(args.fan)
+    fan = _parse_input("fan", load_fan, args.fan)
     gamma, _, _ = _gamma_from_args(args, fan)
     cx = assemble_complex(gamma)
     _emit(complex_to_json(cx), args.out)
@@ -170,7 +182,7 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    fan = load_fan(args.fan)
+    fan = _parse_input("fan", load_fan, args.fan)
     gamma, _, _ = _gamma_from_args(args, fan)
     emb = gkm_embedding(assemble_complex(gamma), args.root)
     _emit(embedding_to_json(emb), args.out)
@@ -178,7 +190,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    fan = load_fan(args.fan)
+    fan = _parse_input("fan", load_fan, args.fan)
     seed = args.seed
     for attempt in range(args.retries + 1):
         problem = _build_problem(args, fan, seed)

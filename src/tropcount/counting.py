@@ -12,12 +12,12 @@ the caller can reseed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .exactmath import IntMatrix, lattice_index, rank as int_rank, solve_rational
+from .exactmath import IntMatrix, determinant, solve_rational
 from .maps import (
     CombinatorialType,
     DiscreteData,
@@ -33,7 +33,6 @@ from .moduli import (
     forced_edge_contacts,
     grow_trees,
     insert_leg,
-    moduli_cone,
     relabel_type,
     rooted_form,
 )
@@ -95,6 +94,8 @@ class CountProblem:
     fan: Fan
     gamma: DiscreteData
     constraints: ConstraintConfig
+    # label -> (projection onto N / L, projected target), built once per problem
+    projected: dict[int, tuple[IntMatrix, Point]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gamma.m < 1:
@@ -104,14 +105,14 @@ class CountProblem:
         labels = {c.label for c in self.constraints.constraints}
         if labels != set(self.gamma.trivial_legs):
             raise ValueError("constraints must cover exactly the trivial legs")
-
-    def projection(self, label: int) -> IntMatrix:
+        projected = {}
         for c in self.constraints.constraints:
-            if c.label == label:
-                if c.subspace is None:
-                    return IntMatrix.identity(self.fan.rank)
-                return quotient_projection(self.fan, c.subspace).projection
-        raise KeyError(label)
+            if c.subspace is None:
+                proj = IntMatrix.identity(self.fan.rank)
+            else:
+                proj = quotient_projection(self.fan, c.subspace).projection
+            projected[c.label] = (proj, tuple(proj.apply(list(c.translation))))
+        object.__setattr__(self, "projected", projected)
 
     def target(self, label: int) -> Point:
         for c in self.constraints.constraints:
@@ -286,7 +287,7 @@ def _marked_dfs(problem: CountProblem, skeleton, trivial_labels):
     tree minus the marked vertices must end up with exactly one unbounded
     contact end (checked via subtree end-counts), and every pinned pairwise
     difference must lie in the closed cone of its path's directions.
-    Other problems fall back to the raw census.
+    Other point problems insert every leg at every site, without pruning.
 
     Path direction sets are kept as bitmasks over the skeleton's direction
     alphabet and maintained incrementally: subdividing an edge never changes
@@ -566,63 +567,40 @@ def _rigid_types(problem: CountProblem, prune: bool, chunk_index: int, threads: 
             yield key, relabel, theta
 
 
-def _evaluation_rows(problem: CountProblem, theta: CombinatorialType, root_label: int):
-    """Rows of the constrained evaluation map in (root position, lengths) coordinates."""
-    fan = problem.fan
-    r = fan.rank
+def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMatrix:
+    """Stacked constrained evaluations of an unconfined stabilized type.
+
+    Columns are the position of the vertex carrying the smallest trivial leg
+    followed by the internal edge lengths, a basis of the type's moduli
+    lattice; rows are the projected evaluations of the trivial legs in
+    label order.
+    """
+    if any(cone is not None for cone in theta.vertex_cones):
+        raise ValueError("evaluation matrices are built for unconfined stabilized types")
+    r = problem.fan.rank
     shape = theta.shape
     ne = len(shape.edges)
-    root_vertex = shape.leg_vertex(root_label)
+    root_vertex = shape.leg_vertex(min(problem.gamma.trivial_legs))
     rows: list[list[int]] = []
-    rhs: list[Fraction] = []
     for label in sorted(problem.gamma.trivial_legs):
-        proj = problem.projection(label)
-        v = shape.leg_vertex(label)
-        path = shape.path_edges(root_vertex, v)
-        block = [[0] * (r + ne) for _ in range(r)]
-        for i in range(r):
-            block[i][i] = 1
-        for e, sign in path:
+        proj = problem.projected[label][0]
+        block = [[int(i == j) for j in range(r)] + [0] * ne for i in range(r)]
+        for e, sign in shape.path_edges(root_vertex, shape.leg_vertex(label)):
             c = theta.edge_contacts[e]
             for i in range(r):
                 block[i][r + e] = sign * c[i]
-        target = proj.apply(list(problem.target(label)))
         for i in range(proj.rows):
-            row = [0] * (r + ne)
-            for j in range(r + ne):
-                row[j] = sum(proj.at(i, k) * block[k][j] for k in range(r))
-            rows.append(row)
-        rhs.extend(target)
-    return rows, rhs, root_vertex
-
-
-def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMatrix:
-    """Matrix of the stacked constrained evaluations on the moduli span lattice."""
-    fan = problem.fan
-    r = fan.rank
-    shape = theta.shape
-    nv = shape.vertices
-    ne = len(shape.edges)
-    mc = moduli_cone(theta)
-    rows: list[list[int]] = []
-    for label in sorted(problem.gamma.trivial_legs):
-        proj = problem.projection(label)
-        v = shape.leg_vertex(label)
-        for i in range(proj.rows):
-            row = [0] * mc.ambient_dim
-            for j in range(r):
-                row[v * r + j] = proj.at(i, j)
-            rows.append(row)
-    stacked = IntMatrix.from_rows(rows) if rows else IntMatrix(0, mc.ambient_dim, ())
-    return stacked @ mc.span_basis
+            rows.append([sum(proj.at(i, k) * block[k][j] for k in range(r)) for j in range(r + ne)])
+    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, r + ne, ())
 
 
 def multiplicity(theta: CombinatorialType, problem: CountProblem) -> int:
-    """Lattice index of the evaluation matrix; the type's contribution weight."""
+    """Lattice index of the evaluation matrix, |det|; the type's contribution weight."""
     m = evaluation_matrix(theta, problem)
-    if m.rows != m.cols or int_rank(m) < m.rows:
+    det = determinant(m) if m.rows == m.cols else 0
+    if det == 0:
         raise SingularError("type is not rigid against this constraint pattern")
-    return lattice_index(m)
+    return abs(det)
 
 
 def mikhalkin_multiplicity(theta: CombinatorialType) -> int:
@@ -657,8 +635,9 @@ def mikhalkin_multiplicity(theta: CombinatorialType) -> int:
 def _solve_type(problem: CountProblem, theta: CombinatorialType):
     """Solve the evaluation system for one type.
 
-    Returns (map, multiplicity) for an interior solution, None for a miss,
-    raises SingularError or NonGenericError as appropriate, and
+    Returns (map, multiplicity) for an interior solution, where the
+    multiplicity is |det| of the solved ``evaluation_matrix``, and None for a
+    miss; raises SingularError or NonGenericError as appropriate, and
     SolveCheckError if the solved map fails validation or its constraints.
     """
     fan = problem.fan
@@ -666,10 +645,10 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
     shape = theta.shape
     ne = len(shape.edges)
     root_label = min(problem.gamma.trivial_legs)
-    rows, rhs, root_vertex = _evaluation_rows(problem, theta, root_label)
-    matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, r + ne, ())
-    if matrix.rows != r + ne:
+    matrix = evaluation_matrix(theta, problem)
+    if matrix.rows != matrix.cols:
         raise SingularError("evaluation system is not square")
+    rhs = [x for label in sorted(problem.gamma.trivial_legs) for x in problem.projected[label][1]]
     sol = solve_rational(matrix, rhs)
     if sol is None:
         raise SingularError("evaluation matrix is singular (inconsistent)")
@@ -685,7 +664,7 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
             raise NonGenericError("a solved edge length is exactly zero")
     # propagate positions from the root vertex
     positions: list[Optional[Point]] = [None] * shape.vertices
-    positions[root_vertex] = tuple(x)
+    positions[shape.leg_vertex(root_label)] = tuple(x)
     changed = True
     while changed:
         changed = False
@@ -722,18 +701,14 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
             f"seed {problem.constraints.seed}: the map solved from root leg {root_label} "
             f"for type {shape} fails validation: {sorted(report.conditions())}"
         )
-    mult = multiplicity(theta, problem)
     for label in problem.gamma.trivial_legs:
-        ep = ev_trop(full, label)
-        proj = problem.projection(label)
-        want = proj.apply(list(problem.target(label)))
-        got = proj.apply(list(ep.coset))
-        if want != got:
+        proj, want = problem.projected[label]
+        if tuple(proj.apply(list(ev_trop(full, label).coset))) != want:
             raise SolveCheckError(
                 f"seed {problem.constraints.seed}: the map solved for type {shape} "
                 f"misses the constraint translate of leg {label}"
             )
-    return full, mult
+    return full, abs(determinant(matrix))
 
 
 def _check_problem_genericity(problem: CountProblem) -> None:

@@ -58,10 +58,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -96,11 +92,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return [sum(self.at(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)]
-
-    def stack_below(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vertical stack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
 
 @dataclass(frozen=True)
@@ -231,7 +222,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def rank(a: IntMatrix) -> int:
-    """Rank over ℚ, via fraction-free elimination."""
+    """Rank over ℚ, by Gauss–Jordan elimination over ``Fraction``."""
     return len(_row_echelon([[Fraction(x) for x in a.row(i)] for i in range(a.rows)])[0])
 
 

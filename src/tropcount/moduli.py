@@ -23,7 +23,6 @@ from .exactmath import (
     integer_kernel,
     lattice_quotient,
     primitive_vector,
-    rank as int_rank,
     solve_rational,
     solve_rational_matrix,
 )
@@ -73,6 +72,28 @@ class ModuliCone:
             coords.extend(Fraction(x) for x in p)
         coords.extend(Fraction(l) for l in f.lengths)
         return coords
+
+    def classify(self, coords: Sequence[Fraction]) -> str:
+        """Classify ambient coordinates exactly: 'interior', 'boundary' or 'outside'."""
+        if any(x != 0 for x in self.constraint_matrix.apply(coords)):
+            return "outside"
+        fan = self.type.fan
+        r = fan.rank
+        tight = False
+        for v, cone_idx in enumerate(self.type.vertex_cones):
+            if cone_idx is None:
+                continue
+            coeffs = fan.cone_coefficients(cone_idx, coords[v * r : (v + 1) * r])
+            if coeffs is None or any(q < 0 for q in coeffs):
+                return "outside"
+            if any(q == 0 for q in coeffs):
+                tight = True
+        for l in coords[self.type.shape.vertices * r :]:
+            if l < 0:
+                return "outside"
+            if l == 0:
+                tight = True
+        return "boundary" if tight else "interior"
 
     def inequality_rows(self) -> list[tuple[list[Fraction], str]]:
         """Linear functionals that must be >= 0 on the cone (valid on its span)."""
@@ -161,26 +182,7 @@ def moduli_cone(theta: CombinatorialType) -> ModuliCone:
 
 def contains(cone: ModuliCone, f: TropicalStableMap) -> str:
     """Classify a map against a moduli cone: 'interior', 'boundary' or 'outside'."""
-    fan = cone.type.fan
-    coords = cone.ambient_coordinates(f)
-    residual = cone.constraint_matrix.apply(coords)
-    if any(x != 0 for x in residual):
-        return "outside"
-    tight = False
-    for v, cone_idx in enumerate(cone.type.vertex_cones):
-        if cone_idx is None:
-            continue
-        coeffs = fan.cone_coefficients(cone_idx, f.positions[v])
-        if coeffs is None or any(q < 0 for q in coeffs):
-            return "outside"
-        if any(q == 0 for q in coeffs):
-            tight = True
-    for l in f.lengths:
-        if l < 0:
-            return "outside"
-        if l == 0:
-            tight = True
-    return "boundary" if tight else "interior"
+    return cone.classify(cone.ambient_coordinates(f))
 
 
 # --- canonical forms -------------------------------------------------------
@@ -315,9 +317,10 @@ class FaceData:
     face: CombinatorialType
     vertex_map: tuple[int, ...]  # parent vertex -> face vertex
     edge_map: tuple[Optional[int], ...]  # parent edge -> face edge (None if contracted)
+    witness: tuple[Fraction, ...]  # relative-interior point of the face's moduli cone
 
 
-def _contract_edge(theta: CombinatorialType, e: int) -> Optional[FaceData]:
+def _contract_edge(theta: CombinatorialType, e: int) -> Optional[tuple]:
     shape = theta.shape
     a, b = shape.edges[e]
     ca, cb = theta.vertex_cones[a], theta.vertex_cones[b]
@@ -362,10 +365,10 @@ def _contract_edge(theta: CombinatorialType, e: int) -> Optional[FaceData]:
         theta.leg_contacts,
         theta.leg_carriers,
     )
-    return FaceData(face, tuple(vmap), tuple(emap))
+    return face, tuple(vmap), tuple(emap)
 
 
-def _specialize_vertex(theta: CombinatorialType, v: int, facet: int) -> FaceData:
+def _specialize_vertex(theta: CombinatorialType, v: int, facet: int) -> tuple:
     cones = list(theta.vertex_cones)
     cones[v] = facet
     face = CombinatorialType(
@@ -377,8 +380,7 @@ def _specialize_vertex(theta: CombinatorialType, v: int, facet: int) -> FaceData
         theta.leg_contacts,
         theta.leg_carriers,
     )
-    ident = tuple(range(theta.shape.vertices))
-    return FaceData(face, ident, tuple(range(len(theta.shape.edges))))
+    return face, tuple(range(theta.shape.vertices)), tuple(range(len(theta.shape.edges)))
 
 
 def face_types(theta: CombinatorialType) -> list[FaceData]:
@@ -391,30 +393,31 @@ def face_types(theta: CombinatorialType) -> list[FaceData]:
     parent = moduli_cone(theta)
     out = []
     seen = set()
-    candidates: list[FaceData] = []
+    candidates: list[tuple] = []
     for e in range(len(theta.shape.edges)):
-        fd = _contract_edge(theta, e)
-        if fd is not None:
-            candidates.append(fd)
+        contracted = _contract_edge(theta, e)
+        if contracted is not None:
+            candidates.append(contracted)
     for v, cone_idx in enumerate(theta.vertex_cones):
         if cone_idx is None:
             continue
         for facet in theta.fan.facet_indices(cone_idx):
             candidates.append(_specialize_vertex(theta, v, facet))
-    for fd in candidates:
+    for face, vertex_map, edge_map in candidates:
         try:
-            mc = moduli_cone(fd.face)
+            mc = moduli_cone(face)
         except InvalidTypeError:
             continue
         if mc.dimension != parent.dimension - 1:
             continue
-        if mc.relint_witness() is None:
+        witness = mc.relint_witness()
+        if witness is None:
             continue
-        key, _ = canonical_form(fd.face)
+        key, _ = canonical_form(face)
         if key in seen:
             continue
         seen.add(key)
-        out.append(fd)
+        out.append(FaceData(face, vertex_map, edge_map, tuple(witness)))
     return out
 
 
@@ -799,32 +802,37 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
         leg_contact[lab] = (0,) * fan.rank
 
     by_key: dict[tuple, ComplexCone] = {}
+    r = fan.rank
 
-    def admit(theta: CombinatorialType):
-        """Store the canonical representative; returns (key, is_new, relabel)."""
-        try:
-            mc = moduli_cone(theta)
-        except InvalidTypeError:
-            return None, False, ()
-        witness = mc.relint_witness()
-        if witness is None:
-            return None, False, ()
+    def admit(theta: CombinatorialType, witness: Sequence[Fraction]):
+        """Store the canonical representative of a type, given a point of its
+        relative interior; returns (key, is_new, relabel)."""
         canon = _canonical_carriers(theta, witness)
         key, relabel = canonical_form(canon)
         if key in by_key:
             return key, False, relabel
         stored = relabel_type(canon, relabel)
-        mc2 = moduli_cone(stored)
-        w2 = mc2.relint_witness()
-        assert w2 is not None
-        by_key[key] = ComplexCone(stored, mc2, tuple(w2), key)
+        nv = theta.shape.vertices
+        moved = list(witness)
+        for v in range(nv):
+            moved[relabel[v] * r : relabel[v] * r + r] = witness[v * r : v * r + r]
+        for e, new in enumerate(edge_permutation(canon.shape, relabel)):
+            moved[nv * r + new] = witness[nv * r + e]
+        mc = moduli_cone(stored)
+        assert mc.classify(moved) == "interior"
+        by_key[key] = ComplexCone(stored, mc, tuple(moved), key)
         return key, True, relabel
 
     walk_cache: dict = {}
     for shape in labeled_trees(labels):
         for assignment in itertools.product(range(len(fan.cones)), repeat=shape.vertices):
             for theta in _subdivided_candidates(fan, shape, leg_contact, assignment, walk_cache):
-                admit(theta)
+                try:
+                    witness = moduli_cone(theta).relint_witness()
+                except InvalidTypeError:
+                    continue
+                if witness is not None:
+                    admit(theta, witness)
 
     # face closure, recording pairs and inclusion matrices as we go
     face_rel: dict[tuple[tuple, tuple], IntMatrix] = {}
@@ -833,9 +841,7 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
         key = queue.pop()
         parent = by_key[key]
         for fd in face_types(parent.type):
-            face_key, is_new, relabel = admit(fd.face)
-            if face_key is None:
-                continue
+            face_key, is_new, relabel = admit(fd.face, fd.witness)
             if is_new:
                 queue.append(face_key)
             pair = (face_key, key)

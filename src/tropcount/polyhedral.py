@@ -8,6 +8,7 @@ with rational coordinates in a deterministically chosen quotient basis.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,25 +182,8 @@ def fan_projective_space(r: int) -> Fan:
         raise ValueError("projective space fan needs rank >= 1")
     rays = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
     rays.append(tuple(-1 for _ in range(r)))
-    cones = [c for k in range(1, r + 1) for c in _subsets(range(r + 1), k) if len(c) <= r]
+    cones = [c for k in range(1, r + 1) for c in itertools.combinations(range(r + 1), k)]
     return Fan.make(r, rays, cones, name=f"p{r}")
-
-
-def _subsets(items, k):
-    items = list(items)
-    if k == 0:
-        return [()]
-    out = []
-
-    def rec(start, acc):
-        if len(acc) == k:
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(items)):
-            rec(i + 1, acc + [items[i]])
-
-    rec(0, [])
-    return out
 
 
 def fan_product(f: Fan, g: Fan) -> Fan:

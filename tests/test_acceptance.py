@@ -13,13 +13,22 @@ import pytest
 
 from tropcount.counting import (
     CountProblem,
+    SingularError,
     count,
     count_result_to_json,
+    enumerate_rigid_types,
     generate_constraints,
     kontsevich_oracle,
     mikhalkin_multiplicity,
+    multiplicity,
 )
-from tropcount.exactmath import IntMatrix, integer_kernel, lattice_index, smith_normal_form
+from tropcount.exactmath import (
+    IntMatrix,
+    RankDeficientError,
+    integer_kernel,
+    lattice_index,
+    smith_normal_form,
+)
 from tropcount.maps import (
     CombinatorialType,
     DiscreteData,
@@ -165,17 +174,61 @@ def test_criterion_5_dimension_formula():
     ok(5, "exact rank equals dim X - 3 + m + n on 100 generic trivalent types")
 
 
+def snf_multiplicity(theta, problem):
+    """Reference weight: the Smith-normal-form lattice index of the stacked
+    evaluations on the moduli span lattice, or None if they are not rigid."""
+    mc = moduli_cone(theta)
+    r = problem.fan.rank
+    rows = []
+    for label in sorted(problem.gamma.trivial_legs):
+        proj = problem.projected[label][0]
+        v = theta.shape.leg_vertex(label)
+        for i in range(proj.rows):
+            row = [0] * mc.ambient_dim
+            row[v * r : (v + 1) * r] = proj.row(i)
+            rows.append(row)
+    m = IntMatrix.from_rows(rows) @ mc.span_basis
+    if m.rows != m.cols:
+        return None
+    try:
+        return lattice_index(m)
+    except RankDeficientError:
+        return None
+
+
 def test_criterion_6_multiplicity_equivalence():
     checked = 0
     for d in (1, 2, 3):
         seeds = {1: (7, 8, 9), 2: (0, 1, 3), 3: D3_SEEDS}[d]
         for seed in seeds:
-            res = plane_count(d, seed)
-            for c in res.contributions:
+            problem = p2_problem(d, seed)
+            for c in plane_count(d, seed).contributions:
                 assert mikhalkin_multiplicity(c.type) == c.multiplicity
+                assert snf_multiplicity(c.type, problem) == c.multiplicity
+                assert multiplicity(c.type, problem) == c.multiplicity
                 checked += 1
     assert checked > 0
-    ok(6, f"vertex-product multiplicity matches the lattice index on {checked} types")
+    # no vertex formula off planar point conditions: every rigid type of the
+    # quadric and of a count with subtorus constraints against the SNF weight
+    quadric = DiscreteData(P1P1, ((1, (1, 0)), (2, (-1, 0)), (3, (0, 1)), (4, (0, -1))), (5, 6, 7))
+    lines = DiscreteData(P2, ((1, U1), (2, U2), (3, U3)), (4, 5, 6, 7))
+    subtori = {4: None, 5: None, 6: IntMatrix.from_rows([[1], [1]]), 7: IntMatrix.from_rows([[1], [0]])}
+    weights = []
+    for gamma, subspaces in ((quadric, None), (lines, subtori)):
+        problem = CountProblem(gamma.fan, gamma, generate_constraints(gamma, subspaces, 1000))
+        for theta in enumerate_rigid_types(problem, prune=False):
+            try:
+                got = multiplicity(theta, problem)
+            except SingularError:
+                got = None
+            assert got == snf_multiplicity(theta, problem)
+            weights.append(got)
+    assert any(w is None for w in weights) and any(w is not None for w in weights)
+    ok(
+        6,
+        f"vertex product, |det| and SNF lattice index agree on {checked} contributions; "
+        f"|det| and SNF agree on {len(weights)} quadric and subtorus types",
+    )
 
 
 def embed_face_witness(parent_type, fd, witness):
@@ -205,9 +258,8 @@ def test_criterion_7_face_correctness():
         for fd in face_types(theta):
             mc = moduli_cone(fd.face)
             assert mc.dimension == parent.dimension - 1
-            w = mc.relint_witness()
-            assert w is not None
-            lifted = embed_face_witness(theta, fd, w)
+            assert mc.classify(fd.witness) == "interior"
+            lifted = embed_face_witness(theta, fd, fd.witness)
             assert contains(parent, lifted) == "boundary"
             checked += 1
         if checked >= 20:

@@ -195,3 +195,20 @@ def test_retries_exhausted_exit_code():
         "--seed", "2", "--retries", "0", check=False,
     )
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (("fan", "--in"), {}),
+        (("validate", "--in"), {}),
+        (("count", "--fan", "p2", "--points", "2", "--contacts"), [[1]]),
+    ],
+)
+def test_malformed_json_input_is_a_named_error(tmp_path, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    proc = run_cli(*argv, str(path), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: MalformedInputError: malformed ")
+    assert "Traceback" not in proc.stderr

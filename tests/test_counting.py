@@ -1,3 +1,4 @@
+import dataclasses
 import pytest
 from fractions import Fraction
 
@@ -139,6 +140,10 @@ def test_evaluation_matrix_leg_across_an_edge():
     assert m.rows == 4 and m.cols == 3
     mc = moduli_cone(theta)
     assert mc.dimension == 3
+    # (root position, lengths) is no lattice basis once a vertex is confined
+    confined = dataclasses.replace(theta, vertex_cones=(P2.maximal_cones()[0], None))
+    with pytest.raises(ValueError, match="unconfined"):
+        multiplicity(confined, prob)
 
 
 def test_multiplicity_weighted_vertex():
@@ -207,8 +212,6 @@ def test_count_contributions_are_interior_and_on_target():
     assert res.seed_echo == 0
     assert res.total == sum(c.multiplicity for c in res.contributions)
     for c in res.contributions:
-        stab_cone = moduli_cone(c.type)
-        # rebuild the stabilized map from the solved one by dropping carriers
         for label in prob.gamma.trivial_legs:
             ep = ev_trop(c.map, label)
             assert ep.coset == prob.target(label)

@@ -181,9 +181,8 @@ def test_faces_are_boundary_strata():
         for fd in face_types(t):
             mc = moduli_cone(fd.face)
             assert mc.dimension == parent.dimension - 1
-            w = mc.relint_witness()
-            assert w is not None
-            lifted = embed_face_witness(t, fd, w)
+            assert mc.classify(fd.witness) == "interior"
+            lifted = embed_face_witness(t, fd, fd.witness)
             assert contains(parent, lifted) == "boundary"
             checked += 1
         if checked >= 20:
@@ -194,6 +193,15 @@ def test_faces_are_boundary_strata():
 def test_assemble_complex_toy_f_vector():
     cx = assemble_complex(TOY)
     assert cx.f_vector() == (1, 6, 6)
+
+
+@pytest.mark.parametrize("trivial", [(), (4,)])
+def test_stored_witnesses_are_relative_interior_points(trivial):
+    cx = assemble_complex(DiscreteData(P2, TOY.contact_legs, trivial))
+    for cc in cx.cones:
+        assert all(x == 0 for x in cc.cone.constraint_matrix.apply(cc.witness))
+        for row, _ in cc.cone.inequality_rows():
+            assert sum(a * x for a, x in zip(row, cc.witness)) > 0
 
 
 def test_assemble_complex_toy_incidences():
