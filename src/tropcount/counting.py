@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Iterator, Optional, Sequence
 
 from .exactmath import IntMatrix, determinant, solve_rational
@@ -207,6 +207,25 @@ def kontsevich_oracle(d: int) -> int:
 # (a, b) pairs and legs are (vertex, contact, label).  Edge contact orders
 # are derived data (the sum of leg contacts beyond the head), recomputed
 # when needed so that leaf insertions never have to patch them.
+#
+# Beside each tree the marked-point search carries the state its prunes
+# read, a tuple (ebits, masks, hop, comp, ends, beyond, marks):
+#
+# - ebits[i]: the bits of the rays of +c and -c, for the contact c of edge
+#   i, in the search's direction alphabet (one bit per ray);
+# - masks[y][x]: the rays of the walk from x to y, as a bitmask;
+# - hop[y][x]: the vertex after x on the walk from x to y (hop[y][y] = y);
+# - comp[x]: the component of x in the forest left by deleting the marked
+#   vertices, or -1 for a marked vertex;
+# - ends[k]: the number of contact ends in component k;
+# - beyond[i]: the contact ends on the b side of edge i = (a, b) within its
+#   component, or None when a or b is marked;
+# - marks: the marked vertices in label order.
+#
+# Inserting a marked vertex w updates all of it in O(nv): each row of masks
+# and hop gains an entry for w and has at most one hop redirected to w, w
+# gets rows of its own, and the ends that w cuts off leave the component of
+# the insertion site and each of its edges on the side that faces w.
 
 
 def _skeleton_key(tree) -> tuple:
@@ -280,198 +299,222 @@ def _integer_targets(problem: CountProblem) -> dict[int, Vec]:
     }
 
 
-def _marked_dfs(problem: CountProblem, skeleton, trivial_labels):
-    """Yield completed trees over one skeleton, pruning against the targets.
+def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
+    """Yield the completed trees over each skeleton in turn, pruning against the targets.
 
-    Two sound prunes for planar point conditions: every component of the
-    tree minus the marked vertices must end up with exactly one unbounded
-    contact end (checked via subtree end-counts), and every pinned pairwise
-    difference must lie in the closed cone of its path's directions.
-    Other point problems insert every leg at every site, without pruning.
+    The trivial legs are inserted in label order, each at a fresh 2-valent
+    vertex subdividing an edge or a contact leg.  For planar point
+    conditions two sound prunes apply to every insertion site:
 
-    Path direction sets are kept as bitmasks over the skeleton's direction
-    alphabet and maintained incrementally: subdividing an edge never changes
-    the directions a path uses, so only the fresh vertex needs new entries.
+    - end count: every component of the tree minus the marked vertices
+      must keep at least one contact end, so an edge is a site only when
+      its component has an end on both of its sides, and a contact leg
+      only when its component has another end;
+    - path cone: for every earlier point i, the difference of target i and
+      the new point's target must lie in the closed cone of the directions
+      of the walk from the new vertex to vertex i.
+
+    Each node updates the state both prunes read from its parent's, in
+    O(nv), by the one insertion (see ``_split_edge`` and ``_split_leg``).
+    A walk's directions are a bitmask over rays, which get their bits on
+    first sight and keep them for the whole search, so the cone tests are
+    cached by (point pair, walk mask) across skeletons.  Other point
+    problems insert every leg at every site, without pruning.
     """
-    planar_points = problem.is_point_problem() and problem.fan.rank == 2
-    rank = problem.fan.rank
-    zero = (0,) * rank
-    nv0, edges0, legs0 = skeleton
-    contacts0 = tuple(forced_edge_contacts(nv0, edges0, ((v, c) for v, c, _ in legs0), rank))
-    targets = _integer_targets(problem) if planar_points else {}
+    zero = (0,) * problem.fan.rank
+    last = len(trivial_labels)
+    if not (problem.is_point_problem() and problem.fan.rank == 2):
 
-    # direction alphabet: +-contact of every skeleton edge and leg
+        def grow(tree, j):
+            if j == last:
+                yield tree
+                return
+            leg = (zero, trivial_labels[j])
+            for te in range(len(tree[1])):
+                yield from grow(insert_leg(tree, leg, te), j + 1)
+            for tl, (_, c, _) in enumerate(tree[2]):
+                if any(c):
+                    yield from grow(insert_leg(tree, leg, None, tl), j + 1)
+
+        for skeleton in skeletons:
+            yield from grow(skeleton, 0)
+        return
+
+    # direction alphabet, one bit per ray: bits[c] = (bit of +c, bit of -c)
     alphabet: dict[Vec, int] = {}
-    for c in list(contacts0) + [c for _, c, _ in legs0]:
-        for d in (c, tuple(-x for x in c)):
-            if any(d) and d not in alphabet:
-                alphabet[d] = 1 << len(alphabet)
-    dirs_of_mask: dict[int, list[Vec]] = {}
+    bits: dict[Vec, tuple[int, int]] = {}
 
-    def unpack(mask: int) -> list[Vec]:
-        got = dirs_of_mask.get(mask)
+    def bits_of(c: Vec) -> tuple[int, int]:
+        got = bits.get(c)
         if got is None:
-            got = [d for d, bit in alphabet.items() if mask & bit]
-            dirs_of_mask[mask] = got
+            g = gcd(*c)
+            ray = (c[0] // g, c[1] // g)
+            for d in (ray, (-ray[0], -ray[1])):
+                if d not in alphabet:
+                    alphabet[d] = 1 << len(alphabet)
+            got = bits[c] = (alphabet[ray], alphabet[(-ray[0], -ray[1])])
         return got
 
-    cone_cache: dict[tuple, bool] = {}
+    targets = _integer_targets(problem)
+    points = [targets[label] for label in trivial_labels]
+    # diffs[j][i] = target i - target j; caches[j][i] maps a walk mask to its cone test
+    diffs = [[(ti[0] - tj[0], ti[1] - tj[1]) for ti in points[:j]] for j, tj in enumerate(points)]
+    caches: list[list[dict[int, bool]]] = [[{} for _ in range(j)] for j in range(last)]
 
-    def cone_ok(diff: Vec, mask: int) -> bool:
-        key = (diff, mask)
-        hit = cone_cache.get(key)
-        if hit is None:
-            hit = _in_closed_cone_2d(diff, unpack(mask))
-            cone_cache[key] = hit
+    def cone_test(cache: dict[int, bool], diff: Vec, mask: int) -> bool:
+        hit = cache[mask] = _in_closed_cone_2d(diff, [d for d, bit in alphabet.items() if mask & bit])
         return hit
 
-    def masks_from(tree, contacts, source: int):
-        """Per vertex: depth from source and the direction bitmask of the
-        walk vertex -> source (directions oriented along the walk)."""
-        nv, edges, legs = tree
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(nv)]
-        for i, (x, y) in enumerate(edges):
-            adj[x].append((y, i, 1))
-            adj[y].append((x, i, -1))
-        depth = [-1] * nv
-        mask = [0] * nv
-        depth[source] = 0
-        stack = [source]
-        while stack:
-            v = stack.pop()
-            for w, i, s in adj[v]:
-                if depth[w] == -1:
-                    depth[w] = depth[v] + 1
-                    # step w -> v traverses edge i against sign s
-                    c = contacts[i]
-                    d = tuple(-x for x in c) if s > 0 else c
-                    mask[w] = mask[v] | (alphabet[d] if any(d) else 0)
-                    stack.append(w)
-        return depth, mask
-
-    def rec(tree, contacts, marked_vertex, marked_geo, j):
-        if j == len(trivial_labels):
+    def rec(tree, state, j):
+        if j == last:
             yield tree
             return
-        label = trivial_labels[j]
-        nv, edges, legs = tree
-        marked = set(marked_vertex.values())
-
-        candidates = []
-        if planar_points:
-            below, totals, parent_edge, comp = _subtree_end_counts(nv, edges, legs, marked)
-            for i, (a, b) in enumerate(edges):
-                if a in marked or b in marked:
-                    continue
-                child = b if parent_edge[b] == i else a
-                if below[child] >= 1 and totals[comp[a]] - below[child] >= 1:
-                    candidates.append((i, None))
-            for k, (v, c, lab) in enumerate(legs):
-                if not any(c) or v in marked:
-                    continue
-                if totals[comp[v]] >= 2:
-                    candidates.append((None, k))
-        else:
-            candidates.extend((i, None) for i in range(len(edges)))
-            candidates.extend(
-                (None, k) for k, (v, c, lab) in enumerate(legs) if any(c)
-            )
-
-        tj = targets.get(label)
-        for te, tl in candidates:
-            if planar_points and marked_vertex:
-                # O(1) per earlier leg: reuse its depth/mask arrays
-                ok = True
-                if te is not None:
-                    a, b = edges[te]
-                    c = contacts[te]
-                else:
-                    a = legs[tl][0]
-                    b = None
-                    c = legs[tl][1]
-                for lab_i, (depth_i, mask_i) in marked_geo.items():
-                    if b is None or depth_i[a] < depth_i[b]:
-                        step = tuple(-x for x in c)
-                        wmask = mask_i[a] | alphabet[step]
-                    else:
-                        wmask = mask_i[b] | alphabet[c]
-                    ti = targets[lab_i]
-                    diff = (ti[0] - tj[0], ti[1] - tj[1])
-                    if not cone_ok(diff, wmask):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            grown = insert_leg(tree, (zero, label), te, tl)
-            if te is not None:
-                new_contacts = (
-                    contacts[:te] + contacts[te + 1 :] + (contacts[te], contacts[te])
-                )
+        _, edges, legs = tree
+        ebits, masks, hop, comp, ends, beyond, marks = state
+        leg = (zero, trivial_labels[j])
+        # per earlier point: its hop and mask rows, its cone cache and target difference
+        rows = [(hop[s], masks[s], cache, diff) for s, cache, diff in zip(marks, caches[j], diffs[j])]
+        for te, (a, b) in enumerate(edges):
+            e = beyond[te]
+            if e is None or e < 1 or ends[comp[a]] - e < 1:
+                continue
+            plus, minus = ebits[te]
+            for hs, ms, cache, diff in rows:
+                # the walk from the new vertex to the point leaves through a or b
+                mask = ms[a] | minus if hs[b] == a else ms[b] | plus
+                hit = cache.get(mask)
+                if not (cone_test(cache, diff, mask) if hit is None else hit):
+                    break
             else:
-                new_contacts = contacts + (legs[tl][1],)
-            gnv = grown[0]
-            new_marked = dict(marked_vertex)
-            new_marked[label] = gnv - 1
-            if planar_points:
-                new_geo = {}
-                for lab_i, (depth_i, mask_i) in marked_geo.items():
-                    if te is not None:
-                        a, b = edges[te]
-                        c = contacts[te]
-                        if depth_i[a] < depth_i[b]:
-                            wd, wm = depth_i[a] + 1, mask_i[a] | alphabet[tuple(-x for x in c)]
-                        else:
-                            wd, wm = depth_i[b] + 1, mask_i[b] | alphabet[c]
-                    else:
-                        v, c, _ = legs[tl]
-                        wd, wm = depth_i[v] + 1, mask_i[v] | alphabet[tuple(-x for x in c)]
-                    new_geo[lab_i] = (depth_i + [wd], mask_i + [wm])
-                new_geo[label] = masks_from(grown, new_contacts, gnv - 1)
+                yield from rec(insert_leg(tree, leg, te), _split_edge(state, tree, te), j + 1)
+        for tl, (v, c, _) in enumerate(legs):
+            if comp[v] < 0 or ends[comp[v]] < 2 or not any(c):
+                continue
+            leg_bits = bits[c]
+            minus = leg_bits[1]
+            for _, ms, cache, diff in rows:
+                mask = ms[v] | minus
+                hit = cache.get(mask)
+                if not (cone_test(cache, diff, mask) if hit is None else hit):
+                    break
             else:
-                new_geo = marked_geo
-            yield from rec(grown, new_contacts, new_marked, new_geo, j + 1)
+                yield from rec(insert_leg(tree, leg, None, tl), _split_leg(state, tree, tl, leg_bits), j + 1)
 
-    yield from rec(skeleton, contacts0, {}, {}, 0)
+    for skeleton in skeletons:
+        nv, edges, legs = skeleton
+        for _, c, _ in legs:
+            bits_of(c)  # rec reads leg bits from ``bits``
+        contacts = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), 2)
+        yield from rec(skeleton, _skeleton_state(skeleton, [bits_of(c) for c in contacts]), 0)
 
 
-def _subtree_end_counts(nv, edges, legs, marked):
-    """Contact-end counts of the forest left by deleting the marked vertices:
-    (ends below each vertex, ends per component, parent edge, component id)."""
-    own = [0] * nv
-    for v, c, _ in legs:
-        if any(c) and v not in marked:
-            own[v] += 1
+def _skeleton_state(skeleton, ebits: list[tuple[int, int]]):
+    """Search state of a skeleton with no marked vertex: a BFS from every vertex."""
+    nv, edges, legs = skeleton
     adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for i, (a, b) in enumerate(edges):
-        if a not in marked and b not in marked:
-            adj[a].append((b, i))
-            adj[b].append((a, i))
-    totals: list[int] = []
-    below = [0] * nv
-    parent_vertex = [-1] * nv
-    parent_edge = [-1] * nv
-    comp = [-1] * nv
-    for root in range(nv):
-        if root in marked or comp[root] != -1:
-            continue
-        order = []
-        stack = [root]
-        comp[root] = len(totals)
+    for (a, b), (plus, minus) in zip(edges, ebits):
+        adj[a].append((b, minus))  # neighbour b, bit of the step b -> a
+        adj[b].append((a, plus))
+    masks = []
+    hops = []
+    for s in range(nv):
+        mask = [0] * nv
+        hop = [-1] * nv
+        hop[s] = s
+        stack = [s]
         while stack:
-            v = stack.pop()
-            order.append(v)
-            for w, i in adj[v]:
-                if comp[w] == -1:
-                    comp[w] = comp[root]
-                    parent_vertex[w] = v
-                    parent_edge[w] = i
-                    stack.append(w)
-        for v in reversed(order):
-            below[v] += own[v]
-            if parent_vertex[v] >= 0:
-                below[parent_vertex[v]] += below[v]
-        totals.append(below[root])
-    return below, totals, parent_edge, comp
+            y = stack.pop()
+            for x, back in adj[y]:
+                if hop[x] == -1:
+                    hop[x] = y
+                    mask[x] = mask[y] | back
+                    stack.append(x)
+        masks.append(mask)
+        hops.append(hop)
+    ends = [sum(1 for _, c, _ in legs if any(c))]
+    beyond = [sum(1 for x, c, _ in legs if any(c) and hops[x][a] == b) for a, b in edges]
+    return (ebits, masks, hops, [0] * nv, ends, beyond, [])
+
+
+def _split_edge(state, tree, te: int):
+    """DFS state after a marked vertex w = nv subdivides edge te = (a, b).
+
+    Every vertex y lies on the a side or the b side of the edge, which
+    ``hop[y][b] == a`` tells.  Row y gains its entry for w from its entry
+    at a or at b, and its one hop across the edge is redirected to w; row w
+    is read off rows a and b.  The component of the edge splits in two, and
+    each other edge of it loses, on the side that faces w, the ends beyond
+    w: those of the b side if the edge lies on the a side, and vice versa.
+    """
+    ebits, masks, hop, comp, ends, beyond, marks = state
+    nv, edges, _ = tree
+    a, b = edges[te]
+    plus, minus = ebits[te]
+    w = nv
+    side_a = [h[b] == a for h in hop]
+    new_masks = []
+    new_hop = []
+    for y in range(nv):
+        m = masks[y]
+        h = hop[y][:]
+        if side_a[y]:
+            new_masks.append(m + [m[a] | minus])
+            h[b] = w
+            h.append(a)
+        else:
+            new_masks.append(m + [m[b] | plus])
+            h[a] = w
+            h.append(b)
+        new_hop.append(h)
+    ma, mb, ha, hb = masks[a], masks[b], hop[a], hop[b]
+    new_masks.append([ma[x] | plus if side_a[x] else mb[x] | minus for x in range(nv)] + [0])
+    hw = [ha[x] if side_a[x] else hb[x] for x in range(nv)] + [w]
+    hw[a] = hw[b] = w
+    new_hop.append(hw)
+
+    k = comp[a]
+    b_ends = beyond[te]
+    a_ends = ends[k] - b_ends
+    fresh = len(ends)
+    new_comp = [fresh if ck == k and not side_a[x] else ck for x, ck in enumerate(comp)] + [-1]
+    new_ends = ends + [b_ends]
+    new_ends[k] = a_ends
+    new_beyond = [
+        e - (b_ends if side_a[x] else a_ends) if e is not None and comp[x] == k and hw[x] == y else e
+        for (x, y), e in zip(edges, beyond)
+    ]
+    del new_beyond[te]
+    new_ebits = ebits[:te] + ebits[te + 1 :] + [ebits[te], ebits[te]]
+    return (new_ebits, new_masks, new_hop, new_comp, new_ends, new_beyond + [None, None], marks + [w])
+
+
+def _split_leg(state, tree, tl: int, leg_bits: tuple[int, int]):
+    """DFS state after a marked vertex w = nv subdivides contact leg tl at v.
+
+    Every row gains its entry for w from its entry at v, row w is row v
+    shifted by the new edge (v, w), and the contact end moves to w: v's
+    component loses it, and so does each of its edges on the side facing v.
+    """
+    ebits, masks, hop, comp, ends, beyond, marks = state
+    nv, edges, legs = tree
+    v = legs[tl][0]
+    plus, minus = leg_bits
+    w = nv
+    new_masks = [m + [m[v] | minus] for m in masks]
+    new_masks.append([x | plus for x in masks[v]] + [0])
+    new_hop = [h + [v] for h in hop]
+    hv = hop[v]
+    hw = hv + [w]
+    hw[v] = w
+    new_hop.append(hw)
+    k = comp[v]
+    new_ends = ends[:]
+    new_ends[k] -= 1
+    new_beyond = [
+        e - 1 if e is not None and comp[x] == k and hv[x] == y else e
+        for (x, y), e in zip(edges, beyond)
+    ]
+    return (ebits + [leg_bits], new_masks, new_hop, comp + [-1], new_ends, new_beyond + [None], marks + [w])
 
 
 def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
@@ -544,11 +587,7 @@ def _rigid_types(problem: CountProblem, prune: bool, chunk_index: int, threads: 
     trivial = sorted(gamma.trivial_legs)
     if prune and problem.is_point_problem() and gamma.n >= 3:
         skeletons = _skeleton_census(fan.rank, [c for _, c in gamma.contact_legs])
-        trees = (
-            tree
-            for skeleton in skeletons[chunk_index::threads]
-            for tree in _marked_dfs(problem, skeleton, trivial)
-        )
+        trees = _marked_dfs(problem, skeletons[chunk_index::threads], trivial)
     elif chunk_index == 0:
         # small census over all legs; used for subspace constraints and degree 0
         legs = sorted([*gamma.contact_legs, *((lab, (0,) * fan.rank) for lab in trivial)])

@@ -383,14 +383,16 @@ def _specialize_vertex(theta: CombinatorialType, v: int, facet: int) -> tuple:
     return face, tuple(range(theta.shape.vertices)), tuple(range(len(theta.shape.edges)))
 
 
-def face_types(theta: CombinatorialType) -> list[FaceData]:
+def face_types(theta: CombinatorialType, parent: Optional[ModuliCone] = None) -> list[FaceData]:
     """Codimension-one faces via single edge contractions and single facet specializations.
 
     Candidates whose moduli cone does not drop dimension by exactly one, or
     whose relative interior is empty (a length or coefficient forced to
-    zero), are discarded.
+    zero), are discarded.  ``parent`` is ``moduli_cone(theta)`` when the
+    caller already holds it.
     """
-    parent = moduli_cone(theta)
+    if parent is None:
+        parent = moduli_cone(theta)
     out = []
     seen = set()
     candidates: list[tuple] = []
@@ -840,7 +842,7 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     while queue:
         key = queue.pop()
         parent = by_key[key]
-        for fd in face_types(parent.type):
+        for fd in face_types(parent.type, parent.cone):
             face_key, is_new, relabel = admit(fd.face, fd.witness)
             if is_new:
                 queue.append(face_key)

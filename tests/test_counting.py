@@ -2,6 +2,9 @@ import dataclasses
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tropcount.counting import (
     CodimensionMismatchError,
     CountProblem,
@@ -269,3 +272,202 @@ def test_contributions_interior_to_their_moduli_cone():
     prob = p2_problem(2, 0)
     for c in count(prob).contributions:
         assert contains(moduli_cone(c.map.type), c.map) == "interior"
+
+
+small_vectors = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_vectors, st.lists(small_vectors, max_size=6))
+def test_closed_cone_test_matches_lp_feasibility(v, dirs):
+    # v lies in the closed cone of dirs iff sum_i lam_i d_i = v has a solution
+    # lam >= 0; rows with a negative entry of v are negated so that b >= 0
+    from tropcount.counting import _in_closed_cone_2d
+    from tropcount.lp import _phase_one
+
+    a = []
+    b = []
+    for k in range(2):
+        sign = -1 if v[k] < 0 else 1
+        a.append([Fraction(sign * d[k]) for d in dirs])
+        b.append(Fraction(sign * v[k]))
+    assert _in_closed_cone_2d(v, dirs) == (_phase_one(a, b) is not None)
+
+
+# --- reference marked-point search -------------------------------------------
+#
+# The from-scratch form of ``counting._marked_dfs``: every node recomputes the
+# end counts of the unmarked forest and runs a fresh BFS from every marked
+# point for the directions of the walks to it.  The incremental search must
+# yield the same trees in the same order.
+
+
+def _reference_end_counts(nv, edges, legs, marked):
+    """(ends below each vertex, ends per component, parent edge, component id)
+    of the forest left by deleting the marked vertices."""
+    own = [0] * nv
+    for v, c, _ in legs:
+        if any(c) and v not in marked:
+            own[v] += 1
+    adj = [[] for _ in range(nv)]
+    for i, (a, b) in enumerate(edges):
+        if a not in marked and b not in marked:
+            adj[a].append((b, i))
+            adj[b].append((a, i))
+    totals = []
+    below = [0] * nv
+    parent_vertex = [-1] * nv
+    parent_edge = [-1] * nv
+    comp = [-1] * nv
+    for root in range(nv):
+        if root in marked or comp[root] != -1:
+            continue
+        order = []
+        stack = [root]
+        comp[root] = len(totals)
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w, i in adj[v]:
+                if comp[w] == -1:
+                    comp[w] = comp[root]
+                    parent_vertex[w] = v
+                    parent_edge[w] = i
+                    stack.append(w)
+        for v in reversed(order):
+            below[v] += own[v]
+            if parent_vertex[v] >= 0:
+                below[parent_vertex[v]] += below[v]
+        totals.append(below[root])
+    return below, totals, parent_edge, comp
+
+
+def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
+    """Yield the completed trees; append each search node at depth k to nodes[k - 1]."""
+    from tropcount.counting import _in_closed_cone_2d, _integer_targets
+    from tropcount.moduli import forced_edge_contacts, insert_leg
+
+    planar_points = problem.is_point_problem() and problem.fan.rank == 2
+    rank = problem.fan.rank
+    zero = (0,) * rank
+    targets = _integer_targets(problem)
+
+    def neg(c):
+        return tuple(-x for x in c)
+
+    def masks_from(tree, contacts, source):
+        """Per vertex: its depth from source and the directions of its walk to source."""
+        nv, edges, _ = tree
+        adj = [[] for _ in range(nv)]
+        for i, (x, y) in enumerate(edges):
+            adj[x].append((y, contacts[i]))  # the step y -> x goes along -c
+            adj[y].append((x, neg(contacts[i])))
+        depth = [-1] * nv
+        dirs = [frozenset()] * nv
+        depth[source] = 0
+        stack = [source]
+        while stack:
+            v = stack.pop()
+            for w, c in adj[v]:
+                if depth[w] == -1:
+                    depth[w] = depth[v] + 1
+                    dirs[w] = dirs[v] | {neg(c)}
+                    stack.append(w)
+        return depth, dirs
+
+    def rec(tree, contacts, j, marked_vertex):
+        if j:
+            nodes[j - 1].append(tree)
+        if j == len(trivial_labels):
+            yield tree
+            return
+        label = trivial_labels[j]
+        nv, edges, legs = tree
+        marked = set(marked_vertex.values())
+        candidates = []
+        if planar_points:
+            below, totals, parent_edge, comp = _reference_end_counts(nv, edges, legs, marked)
+            for i, (a, b) in enumerate(edges):
+                if a in marked or b in marked:
+                    continue
+                child = b if parent_edge[b] == i else a
+                if below[child] >= 1 and totals[comp[a]] - below[child] >= 1:
+                    candidates.append((i, None))
+            for k, (v, c, _) in enumerate(legs):
+                if any(c) and v not in marked and totals[comp[v]] >= 2:
+                    candidates.append((None, k))
+        else:
+            candidates.extend((i, None) for i in range(len(edges)))
+            candidates.extend((None, k) for k, (_, c, _) in enumerate(legs) if any(c))
+        tj = targets[label]
+        geo = {lab_i: masks_from(tree, contacts, s) for lab_i, s in marked_vertex.items()}
+        for te, tl in candidates:
+            if te is not None:
+                (a, b), c = edges[te], contacts[te]
+                grown_contacts = contacts[:te] + contacts[te + 1 :] + (c, c)
+            else:
+                (a, c, _), b = legs[tl], None
+                grown_contacts = contacts + (c,)
+            if planar_points:
+                ok = True
+                for lab_i, (depth, dirs) in geo.items():
+                    if b is None or depth[a] < depth[b]:
+                        walk = dirs[a] | {neg(c)}
+                    else:
+                        walk = dirs[b] | {c}
+                    ti = targets[lab_i]
+                    if not _in_closed_cone_2d((ti[0] - tj[0], ti[1] - tj[1]), sorted(walk)):
+                        ok = False
+                        break
+                if not ok:
+                    continue
+            grown = insert_leg(tree, (zero, label), te, tl)
+            yield from rec(grown, grown_contacts, j + 1, {**marked_vertex, label: grown[0] - 1})
+
+    nv, edges, legs = skeleton
+    contacts = tuple(forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), rank))
+    yield from rec(skeleton, contacts, 0, {})
+
+
+def _assert_dfs_matches_reference(problem, limit=None):
+    """Compare the two searches on every skeleton, at every depth: the trees
+    yielded for the first k trivial labels are the search nodes at depth k.
+    Returns the number of nodes per depth."""
+    from tropcount.counting import _marked_dfs, _skeleton_census
+
+    trivial = sorted(problem.gamma.trivial_legs)
+    skeletons = _skeleton_census(problem.fan.rank, [c for _, c in problem.gamma.contact_legs])
+    skeletons = skeletons[:limit]
+    nodes = [[] for _ in trivial]
+    want = [tree for skeleton in skeletons for tree in _reference_marked_dfs(problem, skeleton, trivial, nodes)]
+    assert list(_marked_dfs(problem, skeletons, trivial)) == want
+    for k in range(1, len(trivial)):
+        assert list(_marked_dfs(problem, skeletons, trivial[:k])) == nodes[k - 1], k
+    return [len(level) for level in nodes]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_marked_dfs_matches_reference_plane_degree_two(seed):
+    assert _assert_dfs_matches_reference(p2_problem(2, seed))[-1] > 0
+
+
+def test_marked_dfs_matches_reference_quadric():
+    contacts = ((1, (1, 0)), (2, (-1, 0)), (3, (0, 1)), (4, (0, -1)))
+    gamma = DiscreteData(P1P1, contacts, (5, 6, 7))
+    prob = CountProblem(P1P1, gamma, generate_constraints(gamma, None, 0))
+    assert _assert_dfs_matches_reference(prob)[-1] > 0
+
+
+def test_marked_dfs_matches_reference_plane_degree_three_head():
+    # no tree over these skeletons survives all eight points of seed 0
+    nodes = _assert_dfs_matches_reference(p2_problem(3, 0), limit=40)
+    assert nodes[0] > 0 and nodes[-1] == 0
+
+
+def test_marked_dfs_matches_reference_unpruned():
+    # points in a rank-3 fan: every site is tried, without pruning
+    p3 = fan_projective_space(3)
+    contacts = ((1, (1, 0, 0)), (2, (0, 1, 0)), (3, (0, 0, 1)), (4, (-1, -1, -1)))
+    gamma = DiscreteData(p3, contacts, (5, 6))
+    prob = CountProblem(p3, gamma, generate_constraints(gamma, None, 0))
+    assert _assert_dfs_matches_reference(prob)[-1] > 0
