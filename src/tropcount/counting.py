@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterator, Optional, Sequence
 
-from .exactmath import IntMatrix, determinant, solve_rational
+from .exactmath import IntMatrix, clear_denominators, determinant, solve_rational
 from .maps import (
     CombinatorialType,
     DiscreteData,
@@ -287,16 +287,9 @@ def _in_closed_cone_2d(v: Point, dirs: list[Vec]) -> bool:
 
 def _integer_targets(problem: CountProblem) -> dict[int, Vec]:
     """Targets rescaled by a common denominator; cone tests are scale-invariant."""
-    from math import lcm
-
-    denom = 1
-    for c in problem.constraints.constraints:
-        for x in c.translation:
-            denom = lcm(denom, x.denominator)
-    return {
-        c.label: tuple(int(x * denom) for x in c.translation)
-        for c in problem.constraints.constraints
-    }
+    constraints = problem.constraints.constraints
+    cleared = iter(clear_denominators([x for c in constraints for x in c.translation])[0])
+    return {c.label: tuple(next(cleared) for _ in c.translation) for c in constraints}
 
 
 def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):

@@ -2,8 +2,13 @@
 
 Everything downstream (cone membership, moduli cone dimensions, lattice
 multiplicities) is decided by the routines in this module, so all of them
-work over arbitrary-precision ``int`` and ``fractions.Fraction`` and never
-touch floating point.
+work over arbitrary-precision ``int`` and never touch floating point.
+Rational inputs and results are ``fractions.Fraction``, but the
+eliminations do no arithmetic on them: Smith normal form and the
+determinant work on ``int`` directly, and the one elimination behind
+``rank``, ``solve_rational`` and ``solve_rational_matrix`` is a
+fraction-free Gauss–Jordan on right-hand sides cleared of their
+denominators, divided out once at the end.
 """
 from __future__ import annotations
 
@@ -19,6 +24,15 @@ Rational = Fraction
 
 class RankDeficientError(ValueError):
     """The matrix does not surject onto its target lattice after ⊗ℚ."""
+
+
+def clear_denominators(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers q and the least positive den with vec = q / den.
+
+    Takes ``int`` or ``Fraction`` entries and does no ``Fraction`` arithmetic.
+    """
+    den = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 def rational_to_string(q: Fraction) -> str:
@@ -222,8 +236,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def rank(a: IntMatrix) -> int:
-    """Rank over ℚ, by Gauss–Jordan elimination over ``Fraction``."""
-    return len(_row_echelon([[Fraction(x) for x in a.row(i)] for i in range(a.rows)])[0])
+    """Rank over ℚ, by fraction-free Gauss–Jordan elimination over ``int``."""
+    return len(_fraction_free_rref([list(a.row(i)) for i in range(a.rows)], a.cols)[0])
 
 
 def determinant(a: IntMatrix) -> int:
@@ -279,62 +293,81 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     return IntMatrix(a.cols, len(cols), entries)
 
 
-def _row_echelon(rows: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
-    """In-place reduced row echelon form; returns (pivot columns, rows)."""
-    if not rows:
-        return [], rows
-    ncols = len(rows[0])
+def _fraction_free_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss–Jordan elimination on the first ``ncols`` columns.
+
+    Reduces the integer ``rows`` in place to d·R, where R is the reduced row
+    echelon form that Gauss–Jordan over ℚ reaches with the same pivot
+    choices (first nonzero entry from the top), and returns
+    ``(pivot columns, d)``. Each step updates every other row to
+    ``(x·p − f·y) // d_prev``, which divides exactly (Bareiss), so the
+    entries stay integer minors of the input; d is the last pivot, nonzero
+    and possibly negative. Columns past ``ncols`` are carried along.
+    """
     pivots: list[int] = []
-    r = 0
+    d = 1
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(x * p - f * y) // d for x, y in zip(row, top)]
+        d = p
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, rows
+    return pivots, d
+
+
+def _solve(a: IntMatrix, b: Sequence[Sequence[Fraction]]) -> Optional[tuple[list[list[Fraction]], int]]:
+    """Solve A X = B with every column of B attached to one elimination.
+
+    Each column is cleared of its denominators first, so the elimination
+    runs over ``int``; the result is divided out once at the end. Returns
+    ``(X, rank A)`` with the free variables set to 0, or None when some
+    column is inconsistent.
+    """
+    ncols = len(b[0]) if b else 0
+    columns = [clear_denominators([b[i][j] for i in range(a.rows)]) for j in range(ncols)]
+    rows = [list(a.row(i)) + [col[i] for col, _ in columns] for i in range(a.rows)]
+    pivots, d = _fraction_free_rref(rows, a.cols)
+    if any(any(row[a.cols :]) for row in rows[len(pivots) :]):
+        return None
+    zero = Fraction(0)
+    x = [[zero] * ncols for _ in range(a.cols)]
+    for row, c in zip(rows, pivots):
+        x[c] = [Fraction(n, d * den) for n, (_, den) in zip(row[a.cols :], columns)]
+    return x, len(pivots)
 
 
 def solve_rational(
     a: IntMatrix, b: Sequence[Fraction]
 ) -> Optional[tuple[tuple[Fraction, ...], bool]]:
-    """Solve A x = b exactly over ℚ.
+    """Solve A x = b exactly over ℚ, by fraction-free elimination.
 
     Returns ``(solution, unique)`` where ``unique`` is True iff the kernel
-    is trivial, or ``None`` when the system is inconsistent.
+    is trivial, or ``None`` when the system is inconsistent. The free
+    variables of a non-unique solution are 0.
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = [[Fraction(x) for x in a.row(i)] + [Fraction(b[i])] for i in range(a.rows)]
-    pivots, rows = _row_echelon(aug)
-    if a.cols in pivots:
+    sol = _solve(a, [[x] for x in b])
+    if sol is None:
         return None
-    x = [Fraction(0)] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][-1]
-    return tuple(x), len(pivots) == a.cols
+    x, r = sol
+    return tuple(row[0] for row in x), r == a.cols
 
 
-def solve_rational_matrix(a: IntMatrix, b: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
-    """Solve A X = B columnwise; None if any column is inconsistent."""
-    ncols = len(b[0]) if b else 0
-    out: list[list[Fraction]] = [[Fraction(0)] * ncols for _ in range(a.cols)]
-    for j in range(ncols):
-        sol = solve_rational(a, [b[i][j] for i in range(a.rows)])
-        if sol is None:
-            return None
-        for i in range(a.cols):
-            out[i][j] = sol[0][i]
-    return out
+def solve_rational_matrix(a: IntMatrix, b: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
+    """Solve A X = B in one elimination; None if any column is inconsistent."""
+    sol = _solve(a, b)
+    return None if sol is None else sol[0]
 
 
 def lattice_quotient(basis: IntMatrix) -> IntMatrix:
@@ -356,16 +389,11 @@ def saturate_columns(basis: IntMatrix) -> IntMatrix:
     snf = smith_normal_form(basis)
     r = snf.rank()
     # left·B·right = D, so the saturation is spanned by the first r columns
-    # of left^{-1}; recover them by solving left·X = e_i.
+    # of left^{-1}; recover them by solving left·X = (e_1 … e_r).
     n = basis.rows
-    cols = []
-    for i in range(r):
-        rhs = [Fraction(1) if k == i else Fraction(0) for k in range(n)]
-        sol = solve_rational(snf.left, rhs)
-        assert sol is not None and sol[1]
-        cols.append([int(x) for x in sol[0]])
-    entries = tuple(cols[j][i] for i in range(n) for j in range(r))
-    return IntMatrix(n, r, entries)
+    sol = solve_rational_matrix(snf.left, [[int(k == i) for i in range(r)] for k in range(n)])
+    assert sol is not None
+    return IntMatrix(n, r, tuple(int(x) for row in sol for x in row))
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:

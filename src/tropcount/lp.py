@@ -4,67 +4,96 @@ The moduli assembly needs two primitives: decide whether a cone
 {y : B y >= 0} has a point with every inequality strict, and if so hand
 back such a point. Since the region is a cone, strict feasibility is
 equivalent to feasibility of B y >= 1, which a small dense phase-I
-simplex over Fraction settles exactly. Bland's rule keeps it from
+simplex settles exactly. The simplex is fraction-free (Edmonds' integer
+pivoting): the tableau is integer numerators over one common positive
+denominator, so no step does ``Fraction`` arithmetic, and it makes the
+same pivots as the simplex over ``Fraction``. Bland's rule keeps it from
 cycling; the systems involved are tiny (tens of rows/columns).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
+
+from .exactmath import clear_denominators
 
 Row = Sequence[Fraction]
 
 
-def _phase_one(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """Find x >= 0 with A x = b (b >= 0 assumed), or None."""
+def _phase_one(a: Sequence[Row], b: Row) -> Optional[tuple[list[int], int]]:
+    """Find x >= 0 with A x = b (b >= 0 assumed), or None.
+
+    A and b may be rational (``int`` or ``Fraction``). The point comes back
+    as integer numerators over one positive common denominator.
+
+    Row i is scaled by the lcm s_i of its denominators, which scales its
+    artificial variable by s_i too, so the phase-I objective weighs that
+    artificial by lcm(s)/s_i. This is the same LP in rescaled variables:
+    every reduced cost and every ratio of the rational tableau keeps its
+    sign and order, so the entering column (first negative reduced cost),
+    the leaving row (least ratio, ties to the least basic index) and the
+    returned point match the simplex run over ``Fraction``. A pivot on p
+    updates every other row, cost row included, to (x·p − f·y) // d and
+    makes p the new common denominator d; the division is exact.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
     # Tableau columns: n structural + m artificial + rhs.
-    tab = [a[i][:] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]] for i in range(m)]
+    tab = []
+    scales = []
+    for i, (row, rhs) in enumerate(zip(a, b)):
+        ints, s = clear_denominators([*row, rhs])
+        tab.append(ints[:-1] + [1 if j == i else 0 for j in range(m)] + ints[-1:])
+        scales.append(s)
+    total = lcm(*scales)
+    weights = [total // s for s in scales]
+    # Objective: minimize the weighted sum of artificials; keep reduced costs
+    # explicitly (they vanish on the artificial columns).
+    cost = [-sum(w * row[j] for w, row in zip(weights, tab)) for j in range(n + m + 1)]
+    for i, w in enumerate(weights):
+        cost[n + i] += w
     basis = [n + i for i in range(m)]
-    # Objective: minimize sum of artificials; keep reduced costs explicitly.
-    cost = [Fraction(0)] * (n + m) + [Fraction(0)]
-    for j in range(n + m):
-        cost[j] = -sum(tab[i][j] for i in range(m))
-    cost[n + m] = -sum(b)
-    for j in range(n, n + m):
-        cost[j] += 1
+    d = 1
 
     while True:
         enter = next((j for j in range(n + m) if cost[j] < 0), None)
         if enter is None:
             break
-        # Ratio test with Bland's rule on ties.
+        # Ratio test with Bland's rule on ties; ratios compared cross-multiplied.
         leave = None
-        best: Optional[Fraction] = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tab[i][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * tab[i][enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             # Unbounded phase-I objective cannot happen; defensive.
             return None
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        top = tab[leave]
+        piv = top[enter]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
+            if i != leave:
                 f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave] + [])]
+                tab[i] = [(x * piv - f * y) // d for x, y in zip(tab[i], top)]
+        f = cost[enter]
+        cost = [(x * piv - f * y) // d for x, y in zip(cost, top)]
+        d = piv
         basis[leave] = enter
 
     if cost[-1] != 0:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, bv in enumerate(basis):
         if bv < n:
             x[bv] = tab[i][-1]
         elif tab[i][-1] != 0:
             return None
-    return x
+    return x, d
 
 
 def strict_point(rows: list[list[Fraction]], dim: int) -> Optional[list[Fraction]]:
@@ -78,13 +107,9 @@ def strict_point(rows: list[list[Fraction]], dim: int) -> Optional[list[Fraction
         return [Fraction(0)] * dim
     # y = u - w with u, w >= 0; slacks s >= 0: B u - B w - s = 1.
     m = len(rows)
-    a = []
-    for r in rows:
-        a.append([Fraction(x) for x in r] + [-Fraction(x) for x in r] + [
-            Fraction(-1) if j == len(a) else Fraction(0) for j in range(m)
-        ])
-    b = [Fraction(1)] * m
-    sol = _phase_one(a, b)
+    a = [list(r) + [-x for x in r] + [-1 if j == i else 0 for j in range(m)] for i, r in enumerate(rows)]
+    sol = _phase_one(a, [1] * m)
     if sol is None:
         return None
-    return [sol[j] - sol[dim + j] for j in range(dim)]
+    x, d = sol
+    return [Fraction(x[j] - x[dim + j], d) for j in range(dim)]

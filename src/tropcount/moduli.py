@@ -19,11 +19,11 @@ from . import lp
 from .curves import straighten
 from .exactmath import (
     IntMatrix,
+    clear_denominators,
     determinant,
     integer_kernel,
     lattice_quotient,
     primitive_vector,
-    solve_rational,
     solve_rational_matrix,
 )
 from .maps import (
@@ -75,7 +75,9 @@ class ModuliCone:
 
     def classify(self, coords: Sequence[Fraction]) -> str:
         """Classify ambient coordinates exactly: 'interior', 'boundary' or 'outside'."""
-        if any(x != 0 for x in self.constraint_matrix.apply(coords)):
+        # every test below reads signs, which clearing denominators keeps
+        coords, _ = clear_denominators(coords)
+        if any(self.constraint_matrix.apply(coords)):
             return "outside"
         fan = self.type.fan
         r = fan.rank
@@ -95,55 +97,48 @@ class ModuliCone:
                 tight = True
         return "boundary" if tight else "interior"
 
-    def inequality_rows(self) -> list[tuple[list[Fraction], str]]:
-        """Linear functionals that must be >= 0 on the cone (valid on its span)."""
+    def _inequality_numerators(self) -> list[tuple[list[int], int, str]]:
+        """Inequalities as integer rows over positive denominators, with labels.
+
+        A vertex's rows come from its cone's ``ConeData``: adj(G)·Rᵀ over
+        det G extracts ray coefficients from any point of span(cone).
+        """
         fan = self.type.fan
         r = fan.rank
         nv = self.type.shape.vertices
-        rows: list[tuple[list[Fraction], str]] = []
+        rows: list[tuple[list[int], int, str]] = []
         for v, cone_idx in enumerate(self.type.vertex_cones):
             if cone_idx is None or not fan.cones[cone_idx]:
                 continue
-            left_inv = _left_inverse(fan._ray_matrix(fan.cones[cone_idx]))
-            for lam in left_inv:
-                row = [Fraction(0)] * self.ambient_dim
-                for j in range(r):
-                    row[v * r + j] = lam[j]
-                rows.append((row, f"vertex {v}"))
+            data = fan.cone_data(cone_idx)
+            for lam in data.coefficients:
+                row = [0] * self.ambient_dim
+                row[v * r : (v + 1) * r] = lam
+                rows.append((row, data.det, f"vertex {v}"))
         for e in range(len(self.type.shape.edges)):
-            row = [Fraction(0)] * self.ambient_dim
-            row[nv * r + e] = Fraction(1)
-            rows.append((row, f"length {e}"))
+            row = [0] * self.ambient_dim
+            row[nv * r + e] = 1
+            rows.append((row, 1, f"length {e}"))
         return rows
+
+    def inequality_rows(self) -> list[tuple[list[Fraction], str]]:
+        """Linear functionals that must be >= 0 on the cone (valid on its span)."""
+        return [([Fraction(x, den) for x in row], label) for row, den, label in self._inequality_numerators()]
 
     def relint_witness(self) -> Optional[list[Fraction]]:
         """A point in the cone with every inequality strict, or None."""
+        basis = [self.span_basis.row(a) for a in range(self.ambient_dim)]
         rows = []
-        for row, _ in self.inequality_rows():
+        for row, den, _ in self._inequality_numerators():
             rows.append([
-                sum(row[a] * self.span_basis.at(a, j) for a in range(self.ambient_dim))
+                Fraction(sum(x * b[j] for x, b in zip(row, basis) if x), den)
                 for j in range(self.dimension)
             ])
         y = lp.strict_point(rows, self.dimension)
         if y is None:
             return None
-        return [
-            sum(self.span_basis.at(a, j) * y[j] for j in range(self.dimension))
-            for a in range(self.ambient_dim)
-        ]
-
-
-def _left_inverse(ray_matrix: IntMatrix) -> list[list[Fraction]]:
-    """Rational L with L . R = identity, valid for coefficient extraction on span(R)."""
-    k = ray_matrix.cols
-    transpose = ray_matrix.transpose()
-    out = []
-    for i in range(k):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-        sol = solve_rational(transpose, rhs)
-        assert sol is not None
-        out.append(list(sol[0]))
-    return out
+        num, den = clear_denominators(y)
+        return [Fraction(sum(b * x for b, x in zip(brow, num)), den) for brow in basis]
 
 
 def moduli_cone(theta: CombinatorialType) -> ModuliCone:
@@ -169,11 +164,9 @@ def moduli_cone(theta: CombinatorialType) -> ModuliCone:
     for v, cone_idx in enumerate(theta.vertex_cones):
         if cone_idx is None:
             continue
-        proj = fan.span_projection(cone_idx)
-        for i in range(proj.rows):
+        for cut in fan.cone_data(cone_idx).projection:
             row = [0] * ambient
-            for j in range(r):
-                row[v * r + j] = proj.at(i, j)
+            row[v * r : (v + 1) * r] = cut
             rows.append(row)
     matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, ambient, ())
     basis = integer_kernel(matrix)
@@ -438,27 +431,13 @@ def face_inclusion_matrix(
     fan = parent.type.fan
     r = fan.rank
     pnv = parent.type.shape.vertices
-    pne = len(parent.type.shape.edges)
     fnv = face_cone.type.shape.vertices
-    emb: list[list[Fraction]] = []
-    for v in range(pnv):
-        for i in range(r):
-            row = [Fraction(0)] * face_cone.ambient_dim
-            row[vertex_map[v] * r + i] = Fraction(1)
-            emb.append(row)
-    for e in range(pne):
-        row = [Fraction(0)] * face_cone.ambient_dim
-        fe = edge_map[e]
-        if fe is not None:
-            row[fnv * r + fe] = Fraction(1)
-        emb.append(row)
-    target = [
-        [
-            sum(emb[i][a] * face_cone.span_basis.at(a, j) for a in range(face_cone.ambient_dim))
-            for j in range(face_cone.dimension)
-        ]
-        for i in range(parent.ambient_dim)
-    ]
+    # iota sends each parent coordinate to one face coordinate, or to 0
+    # for a contracted edge
+    source = [vertex_map[v] * r + i for v in range(pnv) for i in range(r)]
+    source += [None if fe is None else fnv * r + fe for fe in edge_map]
+    zero = [0] * face_cone.dimension
+    target = [zero if a is None else list(face_cone.span_basis.row(a)) for a in source]
     sol = solve_rational_matrix(parent.span_basis, target)
     if sol is None:
         raise InvalidTypeError("face lattice does not inject into the parent span")
@@ -956,7 +935,7 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
         if cc.cone.dimension != 1:
             continue
         emb_witness = _apply_rows(lattice_maps[idx], cc.cone, cc.witness)
-        ray_image[idx] = primitive_vector(_clear_denominators(emb_witness))
+        ray_image[idx] = primitive_vector(clear_denominators(emb_witness)[0])
     for idx, cc in enumerate(complex_.cones):
         gens: list[tuple[int, ...]] = []
         for face_idx in sorted(complex_.skeleton(idx, 1)):
@@ -978,15 +957,6 @@ def _apply_rows(m: IntMatrix, cone: ModuliCone, ambient_witness: Sequence[Fracti
     return [
         sum(m.at(i, j) * y[j] for j in range(m.cols)) for i in range(m.rows)
     ]
-
-
-def _clear_denominators(vec: Sequence[Fraction]) -> list[int]:
-    from math import lcm
-
-    denom = 1
-    for x in vec:
-        denom = lcm(denom, Fraction(x).denominator)
-    return [int(Fraction(x) * denom) for x in vec]
 
 
 def unimodular_equivalent(a: Fan, b: Fan) -> Optional[IntMatrix]:

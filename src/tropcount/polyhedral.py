@@ -2,8 +2,9 @@
 
 A fan is stored as primitive ray vectors plus cones given by ray-index
 sets; the zero cone is the empty set. Membership and location are decided
-exactly by solving for nonnegative ray coefficients, and points of the
-compactified fan are represented by the stratum they fall in together
+exactly by the signs of ray coefficients, read as integer dot products
+from per-cone data that the fan builds once (``ConeData``), and points of
+the compactified fan are represented by the stratum they fall in together
 with rational coordinates in a deterministically chosen quotient basis.
 """
 from __future__ import annotations
@@ -12,15 +13,18 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 from .exactmath import (
     IntMatrix,
+    clear_denominators,
+    determinant,
     lattice_quotient,
     primitive_vector,
     rank,
     saturate_columns,
-    solve_rational,
+    solve_rational_matrix,
 )
 
 SCHEMA = "tropcount/1"
@@ -44,6 +48,24 @@ class DirectionOutsideFanError(NotCompleteError):
 
 Vector = tuple[int, ...]
 Point = tuple[Fraction, ...]
+
+
+class ConeData(NamedTuple):
+    """Integer data that decides membership in one simplicial cone.
+
+    With R the cone's ray matrix and G = RᵀR its Gram matrix, an integer
+    vector q lies in span(R) iff ``projection``·q = 0, and then its ray
+    coefficients are ``coefficients``·q / ``det``, where ``coefficients``
+    is adj(G)·Rᵀ and ``det`` = det G > 0.
+    """
+
+    projection: tuple[tuple[int, ...], ...]
+    coefficients: tuple[tuple[int, ...], ...]
+    det: int
+
+
+def _dot(row: Sequence[int], q: Sequence[int]) -> int:
+    return sum(a * x for a, x in zip(row, q))
 
 
 @dataclass(frozen=True)
@@ -116,23 +138,66 @@ class Fan:
                 out.append(i)
         return out
 
-    def cone_coefficients(self, cone_idx: int, p: Sequence[Fraction]) -> Optional[list[Fraction]]:
-        """Coefficients of p in the cone's ray basis, or None if p is off its span."""
-        cone = self.cones[cone_idx]
-        if not cone:
-            return [] if all(x == 0 for x in p) else None
-        sol = solve_rational(self._ray_matrix(cone), [Fraction(x) for x in p])
-        if sol is None:
+    @cached_property
+    def _cone_cache(self) -> dict[int, ConeData]:
+        # Not a field, so ==, hash and repr ignore it; __getstate__ drops it.
+        return {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_cone_cache", None)
+        return state
+
+    def cone_data(self, cone_idx: int) -> ConeData:
+        """The cone's ``ConeData``, built on first use and cached on the fan."""
+        data = self._cone_cache.get(cone_idx)
+        if data is None:
+            rays = self._ray_matrix(self.cones[cone_idx])
+            rays_t = rays.transpose()
+            gram = rays_t @ rays
+            det = determinant(gram)
+            # det·G⁻¹Rᵀ = adj(G)·Rᵀ is integral, so each denominator divides det
+            inverse = solve_rational_matrix(gram, rays_t.to_lists())
+            proj = self.span_projection(cone_idx)
+            data = ConeData(
+                tuple(proj.row(i) for i in range(proj.rows)),
+                tuple(tuple(x.numerator * (det // x.denominator) for x in row) for row in inverse),
+                det,
+            )
+            self._cone_cache[cone_idx] = data
+        return data
+
+    def _coefficient_numerators(self, cone_idx: int, q: Sequence[int]) -> Optional[list[int]]:
+        """adj(G)·Rᵀ·q for an integer q in the cone's span, None if q is off it."""
+        data = self.cone_data(cone_idx)
+        if any(_dot(row, q) for row in data.projection):
             return None
-        return list(sol[0])
+        return [_dot(row, q) for row in data.coefficients]
+
+    def cone_coefficients(self, cone_idx: int, p: Sequence[Fraction]) -> Optional[list[Fraction]]:
+        """Coefficients of p in the cone's ray basis, or None if p is off its span.
+
+        The first call for a cone builds its ``ConeData`` (span cuts,
+        adj(G)·Rᵀ and det G for the Gram matrix G = RᵀR of the ray matrix R)
+        and caches it on the fan. After p's denominators are cleared, the
+        span test and the coefficients are integer dot products; the only
+        ``Fraction``s built are the returned values.
+        """
+        q, den = clear_denominators(p)
+        nums = self._coefficient_numerators(cone_idx, q)
+        if nums is None:
+            return None
+        scale = self.cone_data(cone_idx).det * den
+        return [Fraction(x, scale) for x in nums]
 
     def contains(self, cone_idx: int, p: Sequence[Fraction], strict: bool = False) -> bool:
-        coeffs = self.cone_coefficients(cone_idx, p)
-        if coeffs is None:
+        # the coefficients are the numerators over a positive denominator
+        nums = self._coefficient_numerators(cone_idx, clear_denominators(p)[0])
+        if nums is None:
             return False
         if strict:
-            return all(c > 0 for c in coeffs)
-        return all(c >= 0 for c in coeffs)
+            return all(c > 0 for c in nums)
+        return all(c >= 0 for c in nums)
 
     def face_indices(self, cone_idx: int) -> list[int]:
         s = set(self.cones[cone_idx])
@@ -202,8 +267,10 @@ def point_fan() -> Fan:
 def locate(fan: Fan, p: Sequence[Fraction]) -> int:
     """Index of the unique cone containing p in its relative interior."""
     p = tuple(Fraction(x) for x in p)
+    q, _ = clear_denominators(p)
     for idx in range(len(fan.cones)):
-        if fan.contains(idx, p, strict=True):
+        nums = fan._coefficient_numerators(idx, q)
+        if nums is not None and all(c > 0 for c in nums):
             return idx
     raise NotCompleteError(f"no cone contains {p} in its relative interior")
 
@@ -219,11 +286,14 @@ def locate_germ(fan: Fan, base: Sequence[Fraction], direction: Sequence[Fraction
     direction = [Fraction(x) for x in direction]
     if all(x == 0 for x in direction):
         return locate(fan, base)
-    for idx, cone in enumerate(fan.cones):
-        cb = fan.cone_coefficients(idx, base)
+    qb, _ = clear_denominators(base)
+    qd, _ = clear_denominators(direction)
+    for idx in range(len(fan.cones)):
+        # numerators over positive denominators: the signs are the coefficients'
+        cb = fan._coefficient_numerators(idx, qb)
         if cb is None:
             continue
-        cd = fan.cone_coefficients(idx, direction)
+        cd = fan._coefficient_numerators(idx, qd)
         if cd is None:
             continue
         if all(b > 0 or (b == 0 and d > 0) for b, d in zip(cb, cd)):

@@ -203,10 +203,13 @@ def test_quadric_count_matches_bilinear_kernel_oracle():
         y = Fraction(next(stream) % 41 - 20, next(stream) % 7 + 1)
         pts.append((x, y))
     rows = [[Fraction(1), x, y, x * y] for x, y in pts]
-    from tropcount.exactmath import _row_echelon
+    from math import lcm
 
-    pivots, _ = _row_echelon([r[:] for r in rows])
-    assert len(pivots) == 3  # one-dimensional kernel: exactly one (1,1)-curve
+    from tropcount.exactmath import rank
+
+    # scaling a row by the lcm of its denominators keeps the rank
+    scaled = [[int(q * lcm(*(p.denominator for p in r))) for q in r] for r in rows]
+    assert rank(IntMatrix.from_rows(scaled)) == 3  # one-dimensional kernel: exactly one (1,1)-curve
 
 
 def test_count_contributions_are_interior_and_on_target():

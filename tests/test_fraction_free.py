@@ -1,0 +1,360 @@
+"""The fraction-free exact kernels against their ``Fraction`` references.
+
+``lp._phase_one``, ``exactmath.solve_rational`` (with ``rank`` and
+``solve_rational_matrix`` on the same elimination) and the per-cone
+integer data behind ``Fan.cone_coefficients``, ``contains``, ``locate`` and
+``locate_germ`` used to do their arithmetic over ``Fraction``. The former
+implementations are kept below as references, and the property tests
+require exact equality with them: same pivots, same points, same
+decisions. The last test checks that the kernels do no ``Fraction``
+arithmetic at all.
+"""
+from fractions import Fraction
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tropcount import lp
+from tropcount.exactmath import IntMatrix, rank, solve_rational, solve_rational_matrix
+from tropcount.maps import DiscreteData
+from tropcount.moduli import assemble_complex
+from tropcount.polyhedral import (
+    Fan,
+    NotCompleteError,
+    fan_product,
+    fan_projective_space,
+    locate,
+    locate_germ,
+)
+
+# --- references: the former Fraction implementations -------------------------
+
+
+def _reference_phase_one(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
+    """Find x >= 0 with A x = b (b >= 0 assumed), or None."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    tab = [a[i][:] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    cost = [Fraction(0)] * (n + m) + [Fraction(0)]
+    for j in range(n + m):
+        cost[j] = -sum(tab[i][j] for i in range(m))
+    cost[n + m] = -sum(b)
+    for j in range(n, n + m):
+        cost[j] += 1
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best: Optional[Fraction] = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return None
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+    if cost[-1] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tab[i][-1]
+        elif tab[i][-1] != 0:
+            return None
+    return x
+
+
+def _reference_strict_point(rows: list[list[Fraction]], dim: int) -> Optional[list[Fraction]]:
+    if not rows:
+        return [Fraction(0)] * dim
+    m = len(rows)
+    a = []
+    for r in rows:
+        a.append([Fraction(x) for x in r] + [-Fraction(x) for x in r] + [
+            Fraction(-1) if j == len(a) else Fraction(0) for j in range(m)
+        ])
+    sol = _reference_phase_one(a, [Fraction(1)] * m)
+    if sol is None:
+        return None
+    return [sol[j] - sol[dim + j] for j in range(dim)]
+
+
+def _reference_row_echelon(rows: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
+    if not rows:
+        return [], rows
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots, rows
+
+
+def _reference_solve_rational(a: IntMatrix, b: list[Fraction]):
+    aug = [[Fraction(x) for x in a.row(i)] + [Fraction(b[i])] for i in range(a.rows)]
+    pivots, rows = _reference_row_echelon(aug)
+    if a.cols in pivots:
+        return None
+    x = [Fraction(0)] * a.cols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][-1]
+    return tuple(x), len(pivots) == a.cols
+
+
+def _reference_cone_coefficients(fan: Fan, cone_idx: int, p) -> Optional[list[Fraction]]:
+    cone = fan.cones[cone_idx]
+    if not cone:
+        return [] if all(x == 0 for x in p) else None
+    sol = _reference_solve_rational(fan._ray_matrix(cone), [Fraction(x) for x in p])
+    return None if sol is None else list(sol[0])
+
+
+def _reference_contains(fan: Fan, cone_idx: int, p, strict: bool) -> bool:
+    coeffs = _reference_cone_coefficients(fan, cone_idx, p)
+    if coeffs is None:
+        return False
+    return all(c > 0 for c in coeffs) if strict else all(c >= 0 for c in coeffs)
+
+
+def _reference_locate(fan: Fan, p) -> int:
+    for idx in range(len(fan.cones)):
+        if _reference_contains(fan, idx, p, True):
+            return idx
+    raise NotCompleteError("no cone")
+
+
+def _reference_locate_germ(fan: Fan, base, direction) -> int:
+    if all(x == 0 for x in direction):
+        return _reference_locate(fan, base)
+    for idx in range(len(fan.cones)):
+        cb = _reference_cone_coefficients(fan, idx, base)
+        cd = _reference_cone_coefficients(fan, idx, direction)
+        if cb is None or cd is None:
+            continue
+        if all(b > 0 or (b == 0 and d > 0) for b, d in zip(cb, cd)):
+            return idx
+    raise NotCompleteError("no cone")
+
+
+# --- strategies ---------------------------------------------------------------
+
+rationals = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 1, 2, 3, 4, 6]))
+
+
+@st.composite
+def int_matrices(draw, max_rows=5, max_cols=5):
+    """Small integer matrices, about half of them a product through a thin
+    middle dimension, so that rank-deficient ones are common."""
+    nr = draw(st.integers(1, max_rows))
+    nc = draw(st.integers(1, max_cols))
+    entries = st.integers(-4, 4)
+    if draw(st.booleans()):
+        rows = [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+    else:
+        k = draw(st.integers(0, min(nr, nc) - 1))
+        left = [[draw(entries) for _ in range(k)] for _ in range(nr)]
+        right = [[draw(entries) for _ in range(nc)] for _ in range(k)]
+        rows = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(nc)] for i in range(nr)]
+    return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def right_hand_sides(draw, a: IntMatrix):
+    """A rational b: random (often inconsistent) or A·x for a rational x."""
+    if draw(st.booleans()):
+        return [draw(rationals) for _ in range(a.rows)]
+    x = [draw(rationals) for _ in range(a.cols)]
+    return [sum((a.at(i, j) * x[j] for j in range(a.cols)), Fraction(0)) for i in range(a.rows)]
+
+
+# --- the LP ---------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.data())
+def test_strict_point_matches_fraction_reference(dim, m, data):
+    rows = [[data.draw(rationals) for _ in range(dim)] for _ in range(m)]
+    got = lp.strict_point(rows, dim)
+    assert got == _reference_strict_point(rows, dim)
+    if got is not None:
+        assert all(sum(x * y for x, y in zip(row, got)) >= 1 for row in rows)
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("rows", [
+    # rows with different denominators: scaling each row by its lcm without
+    # reweighting its artificial variable in the phase-I objective changes
+    # the pivots, and so the point
+    [[F(-5), F(-1, 4), F(-2), F(-1)], [F(5, 6), F(0), F(2, 3), F(1)], [F(-5), F(0), F(-3), F(-1)]],
+    [[F(-3), F(-2), F(1)], [F(3, 4), F(1), F(1, 3)]],
+    # a tie in the ratio test: reversing Bland's tie-break on the basic
+    # index, or taking the later of two equal ratios, changes the point
+    [[F(3), F(4), F(1), F(1)], [F(-1, 6), F(1), F(1), F(-2, 3)], [F(-5, 4), F(-1), F(0), F(0)]],
+])
+def test_strict_point_pivot_sensitive_cases(rows):
+    dim = len(rows[0])
+    assert lp.strict_point(rows, dim) == _reference_strict_point(rows, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_phase_one_matches_fraction_reference(m, n, data):
+    a = [[data.draw(rationals) for _ in range(n)] for _ in range(m)]
+    b = [abs(data.draw(rationals)) for _ in range(m)]
+    got = lp._phase_one(a, b)
+    want = _reference_phase_one(a, b)
+    if want is None:
+        assert got is None
+    else:
+        nums, d = got
+        assert d > 0
+        assert [Fraction(x, d) for x in nums] == want
+
+
+# --- exact solves ---------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_solve_rational_matches_fraction_reference(data):
+    a = data.draw(int_matrices())
+    b = data.draw(right_hand_sides(a))
+    assert solve_rational(a, b) == _reference_solve_rational(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_and_matrix_solve_match_fraction_reference(data):
+    a = data.draw(int_matrices())
+    reference_rank = len(_reference_row_echelon([[Fraction(x) for x in a.row(i)] for i in range(a.rows)])[0])
+    assert rank(a) == reference_rank
+    columns = [data.draw(right_hand_sides(a)) for _ in range(data.draw(st.integers(1, 3)))]
+    got = solve_rational_matrix(a, [list(row) for row in zip(*columns)])
+    want = [_reference_solve_rational(a, col) for col in columns]
+    if any(w is None for w in want):
+        assert got is None
+    else:
+        assert got == [list(row) for row in zip(*(w[0] for w in want))]
+
+
+def test_singular_solves():
+    # a consistent singular system is solved with unique False (counting
+    # turns that into NonGenericError); an inconsistent one gives None
+    a = IntMatrix.from_rows([[1, 2], [2, 4]])
+    assert solve_rational(a, [Fraction(1, 3), Fraction(2, 3)]) == ((Fraction(1, 3), Fraction(0)), False)
+    assert solve_rational(a, [Fraction(1, 3), Fraction(1)]) is None
+
+
+# --- per-cone integer data on Fan ---------------------------------------------
+
+SKEW = Fan.make(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)], name="skew")
+FANS = {
+    "p2": fan_projective_space(2),
+    "p1xp1": fan_product(fan_projective_space(1), fan_projective_space(1)),
+    "p3": fan_projective_space(3),
+    "skew": SKEW,
+}
+
+
+@st.composite
+def fan_points(draw, fan: Fan):
+    """A cone of the fan and a rational point that often lies in its span."""
+    idx = draw(st.integers(0, len(fan.cones) - 1))
+    coeffs = [draw(rationals) for _ in fan.cones[idx]]
+    p = [sum((c * fan.rays[i][k] for c, i in zip(coeffs, fan.cones[idx])), Fraction(0)) for k in range(fan.rank)]
+    if draw(st.booleans()):
+        p = [x + draw(rationals) for x in p]
+    return idx, p
+
+
+def test_skew_fan_is_not_unimodular():
+    assert sorted(SKEW.cone_data(SKEW.cone_index(c)).det for c in [(0, 1), (1, 2), (0, 2)]) == [1, 1, 4]
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cone_coefficients_match_fraction_reference(name, data):
+    fan = FANS[name]
+    idx, p = data.draw(fan_points(fan))
+    assert fan.cone_coefficients(idx, p) == _reference_cone_coefficients(fan, idx, p)
+    for strict in (False, True):
+        assert fan.contains(idx, p, strict) == _reference_contains(fan, idx, p, strict)
+    _, direction = data.draw(fan_points(fan))
+    assert locate(fan, p) == _reference_locate(fan, p)
+    assert locate_germ(fan, p, direction) == _reference_locate_germ(fan, p, direction)
+
+
+def test_cone_cache_is_not_part_of_the_fan():
+    import pickle
+
+    fan = fan_projective_space(2)
+    fresh = fan_projective_space(2)
+    locate(fan, [Fraction(1), Fraction(2)])
+    assert fan == fresh and hash(fan) == hash(fresh) and repr(fan) == repr(fresh)
+    assert pickle.dumps(fan) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(fan)).contains(fan.cone_index((0, 1)), [1, 2], strict=True)
+
+
+# --- no Fraction arithmetic in the kernels --------------------------------------
+
+FRACTION_ARITHMETIC = [
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+]
+
+
+def test_kernels_do_no_fraction_arithmetic(monkeypatch):
+    toy = DiscreteData(FANS["p2"], ((1, (1, 0)), (2, (0, 1)), (3, (-1, -1))), (4,))
+    cones = [cc.cone for cc in assemble_complex(toy).cones]
+    fan = Fan.make(2, SKEW.rays, SKEW.cones)  # its cone data is built under the guard
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, forbidden)
+    with pytest.raises(AssertionError):
+        half + 1
+
+    assert lp.strict_point([[half, third], [Fraction(1, 5), half]], 2) is not None
+    a = IntMatrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 3, 1]])
+    assert solve_rational(a, [half, third, Fraction(-1, 6)]) is not None
+    assert solve_rational(IntMatrix.identity(2), [half, third]) == ((half, third), True)
+    for idx in range(len(fan.cones)):
+        fan.contains(idx, [half, third])
+        fan.contains(idx, [half, third], strict=True)
+        fan.cone_coefficients(idx, [half, third])
+    locate(fan, [half, third])
+    locate_germ(fan, [half, Fraction(0)], [Fraction(0), third])
+    for cone in cones:
+        assert cone.relint_witness() is not None
