@@ -6,13 +6,16 @@ equations head - tail = length * contact and the vertex-span cuts
 pos_v in span(cone_v) are integral linear constraints, and the cone is
 carved out of their solution lattice by the ray-coefficient and length
 inequalities.  Dimensions are exact ranks, never the generic formula.
+Faces come from the same inequalities: each facet is a hyperplane of
+them that an exact LP meets in a relative-interior point, and the face's
+type is the type of the map at that point.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import lp
@@ -125,20 +128,29 @@ class ModuliCone:
         """Linear functionals that must be >= 0 on the cone (valid on its span)."""
         return [([Fraction(x, den) for x in row], label) for row, den, label in self._inequality_numerators()]
 
+    def _span_inequalities(self) -> list[tuple[list[int], int]]:
+        """The inequality rows on span coordinates, as integer numerators over
+        positive denominators: row·B for the span basis B."""
+        basis = [self.span_basis.row(a) for a in range(self.ambient_dim)]
+        return [
+            ([sum(x * b[j] for x, b in zip(row, basis) if x) for j in range(self.dimension)], den)
+            for row, den, _ in self._inequality_numerators()
+        ]
+
+    def _lift(self, num: Sequence[int], den: int) -> list[Fraction]:
+        """Ambient coordinates of the span point num / den."""
+        return [
+            Fraction(sum(b * x for b, x in zip(self.span_basis.row(a), num)), den)
+            for a in range(self.ambient_dim)
+        ]
+
     def relint_witness(self) -> Optional[list[Fraction]]:
         """A point in the cone with every inequality strict, or None."""
-        basis = [self.span_basis.row(a) for a in range(self.ambient_dim)]
-        rows = []
-        for row, den, _ in self._inequality_numerators():
-            rows.append([
-                Fraction(sum(x * b[j] for x, b in zip(row, basis) if x), den)
-                for j in range(self.dimension)
-            ])
+        rows = [[Fraction(x, den) for x in row] for row, den in self._span_inequalities()]
         y = lp.strict_point(rows, self.dimension)
         if y is None:
             return None
-        num, den = clear_denominators(y)
-        return [Fraction(sum(b * x for b, x in zip(brow, num)), den) for brow in basis]
+        return self._lift(*clear_denominators(y))
 
 
 def moduli_cone(theta: CombinatorialType) -> ModuliCone:
@@ -313,106 +325,114 @@ class FaceData:
     witness: tuple[Fraction, ...]  # relative-interior point of the face's moduli cone
 
 
-def _contract_edge(theta: CombinatorialType, e: int) -> Optional[tuple]:
+def _type_at(theta: CombinatorialType, witness: Sequence[Fraction]) -> FaceData:
+    """The type of the map at ``witness``, a point of theta's closed moduli cone.
+
+    Every zero-length edge is contracted at once (its ends coincide), and
+    vertex cones and carriers are located at the point; whatever theta
+    leaves None stays None. At a relative-interior point this is theta
+    with its cones and carriers recomputed.
+    """
+    fan = theta.fan
+    r = fan.rank
     shape = theta.shape
-    a, b = shape.edges[e]
-    ca, cb = theta.vertex_cones[a], theta.vertex_cones[b]
-    if ca is None or cb is None:
-        merged = ca if cb is None else cb
-    else:
-        rays = set(theta.fan.cones[ca]) & set(theta.fan.cones[cb])
-        merged = theta.fan.cone_index(tuple(sorted(rays)))
-    vmap = []
-    for v in range(shape.vertices):
-        w = a if v == b else v
-        vmap.append(w - 1 if w > b else w)
-    edges = []
-    contacts = []
-    carriers = []
+    nv = shape.vertices
+    lengths = witness[nv * r :]
+    # the ends of each zero-length edge merge into the class's least vertex
+    root = list(range(nv))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for (a, b), l in zip(shape.edges, lengths):
+        if l == 0:
+            x, y = sorted((find(a), find(b)))
+            root[y] = x
+    reps = sorted({find(v) for v in range(nv)})
+    vmap = [reps.index(find(v)) for v in range(nv)]
+    positions = [tuple(witness[v * r : v * r + r]) for v in reps]
+    confined = {vmap[v] for v, cone in enumerate(theta.vertex_cones) if cone is not None}
+    cones = tuple(locate(fan, p) if w in confined else None for w, p in enumerate(positions))
+
+    def carrier(old: Optional[int], v: int, c: tuple[int, ...]) -> Optional[int]:
+        if old is None:
+            return None
+        if not any(c):
+            return locate(fan, positions[v])
+        return locate_germ(fan, positions[v], [Fraction(x) for x in c])
+
+    edges: list[tuple[int, int]] = []
+    contacts: list[tuple[int, ...]] = []
+    e_cars: list[Optional[int]] = []
     emap: list[Optional[int]] = []
-    for i, (x, y) in enumerate(shape.edges):
-        if i == e:
+    for (a, b), c, car, l in zip(shape.edges, theta.edge_contacts, theta.edge_carriers, lengths):
+        if l == 0:
             emap.append(None)
             continue
-        nx, ny = vmap[x], vmap[y]
-        if nx == ny:
-            return None  # would create a loop; cannot happen in a tree
+        x, y = vmap[a], vmap[b]
+        if x > y:
+            x, y, c = y, x, tuple(-t for t in c)
         emap.append(len(edges))
-        if nx < ny:
-            edges.append((nx, ny))
-            contacts.append(theta.edge_contacts[i])
-        else:
-            edges.append((ny, nx))
-            contacts.append(tuple(-x for x in theta.edge_contacts[i]))
-        carriers.append(theta.edge_carriers[i])
-    legs = tuple((vmap[v], lab) for v, lab in shape.legs)
-    cones = [None] * (shape.vertices - 1)
-    for v in range(shape.vertices):
-        cones[vmap[v]] = merged if v in (a, b) else theta.vertex_cones[v]
+        edges.append((x, y))
+        contacts.append(c)
+        e_cars.append(carrier(car, x, c))
+    l_cars = tuple(
+        carrier(car, vmap[v], c)
+        for (v, _), c, car in zip(shape.legs, theta.leg_contacts, theta.leg_carriers)
+    )
     face = CombinatorialType(
-        theta.fan,
-        TreeShape(shape.vertices - 1, tuple(edges), legs),
-        tuple(cones),
+        fan,
+        TreeShape(len(reps), tuple(edges), tuple((vmap[v], lab) for v, lab in shape.legs)),
+        cones,
         tuple(contacts),
-        tuple(carriers),
+        tuple(e_cars),
         theta.leg_contacts,
-        theta.leg_carriers,
+        l_cars,
     )
-    return face, tuple(vmap), tuple(emap)
-
-
-def _specialize_vertex(theta: CombinatorialType, v: int, facet: int) -> tuple:
-    cones = list(theta.vertex_cones)
-    cones[v] = facet
-    face = CombinatorialType(
-        theta.fan,
-        theta.shape,
-        tuple(cones),
-        theta.edge_contacts,
-        theta.edge_carriers,
-        theta.leg_contacts,
-        theta.leg_carriers,
-    )
-    return face, tuple(range(theta.shape.vertices)), tuple(range(len(theta.shape.edges)))
+    face_witness = tuple(x for p in positions for x in p) + tuple(l for l in lengths if l)
+    return FaceData(face, tuple(vmap), tuple(emap), face_witness)
 
 
 def face_types(theta: CombinatorialType, parent: Optional[ModuliCone] = None) -> list[FaceData]:
-    """Codimension-one faces via single edge contractions and single facet specializations.
+    """Codimension-one faces, read off the cone's own inequalities.
 
-    Candidates whose moduli cone does not drop dimension by exactly one, or
-    whose relative interior is empty (a length or coefficient forced to
-    zero), are discarded.  ``parent`` is ``moduli_cone(theta)`` when the
-    caller already holds it.
+    The inequality rows, on the span basis, fall into groups of positive
+    multiples of one row. A group is a facet exactly when one exact LP finds
+    a point on its hyperplane with every other group strict; that point is
+    the face's witness, and ``_type_at`` reads the face type off it. A cone
+    with a row vanishing on its whole span has no relative interior and no
+    faces. ``parent`` is ``moduli_cone(theta)`` when the caller already
+    holds it.
     """
     if parent is None:
         parent = moduli_cone(theta)
+    normals: dict[tuple[int, ...], None] = {}
+    for row, _ in parent._span_inequalities():
+        g = gcd(*row)
+        if g == 0:
+            return []
+        normals.setdefault(tuple(x // g for x in row))
     out = []
-    seen = set()
-    candidates: list[tuple] = []
-    for e in range(len(theta.shape.edges)):
-        contracted = _contract_edge(theta, e)
-        if contracted is not None:
-            candidates.append(contracted)
-    for v, cone_idx in enumerate(theta.vertex_cones):
-        if cone_idx is None:
+    for h in normals:
+        # on h·y = 0, y_k = -(sum of h_j y_j over j != k) / h_k; each other
+        # row g becomes |h_k| times its restriction, an integer row
+        k = next(j for j, x in enumerate(h) if x)
+        s = 1 if h[k] > 0 else -1
+        rows = [
+            [s * (g[j] * h[k] - g[k] * h[j]) for j in range(len(h)) if j != k]
+            for g in normals
+            if g != h
+        ]
+        z = lp.strict_point(rows, len(h) - 1)
+        if z is None:
             continue
-        for facet in theta.fan.facet_indices(cone_idx):
-            candidates.append(_specialize_vertex(theta, v, facet))
-    for face, vertex_map, edge_map in candidates:
-        try:
-            mc = moduli_cone(face)
-        except InvalidTypeError:
-            continue
-        if mc.dimension != parent.dimension - 1:
-            continue
-        witness = mc.relint_witness()
-        if witness is None:
-            continue
-        key, _ = canonical_form(face)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(FaceData(face, vertex_map, edge_map, tuple(witness)))
+        q, den = clear_denominators(z)
+        q.insert(k, 0)
+        y = [h[k] * x for x in q]
+        y[k] = -sum(a * x for a, x in zip(h, q))
+        out.append(_type_at(theta, parent._lift(y, h[k] * den)))
     return out
 
 
@@ -635,7 +655,7 @@ def _subdivided_candidates(
     shape: TreeShape,
     leg_contact: dict[int, tuple[int, ...]],
     assignment: tuple[int, ...],
-    walk_cache: Optional[dict] = None,
+    walk_cache: dict,
 ) -> Iterator[CombinatorialType]:
     """All subdivided types over one stabilized tree and vertex-cone assignment."""
     edge_contacts = forced_edge_contacts(
@@ -648,34 +668,17 @@ def _subdivided_candidates(
             return
 
     def walks(start: int, c: tuple[int, ...], end: Optional[int]):
-        if walk_cache is None:
-            return list(_walks(fan, start, c, end))
+        if not any(c):
+            return [((start,), ())]
         key = (start, c, end)
-        got = walk_cache.get(key)
-        if got is None:
-            got = list(_walks(fan, start, c, end))
-            walk_cache[key] = got
-        return got
+        if key not in walk_cache:
+            walk_cache[key] = list(_walks(fan, start, c, end))
+        return walk_cache[key]
 
-    edge_options: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    for (a, b), c in zip(shape.edges, edge_contacts):
-        if not any(c):
-            edge_options.append([((assignment[a],), ())])
-            continue
-        opts = walks(assignment[a], c, assignment[b])
-        if not opts:
-            return
-        edge_options.append(opts)
-    leg_options: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    for v, lab in shape.legs:
-        c = leg_contact[lab]
-        if not any(c):
-            leg_options.append([((assignment[v],), ())])
-            continue
-        opts = walks(assignment[v], c, None)
-        if not opts:
-            return
-        leg_options.append(opts)
+    edge_options = [walks(assignment[a], c, assignment[b]) for (a, b), c in zip(shape.edges, edge_contacts)]
+    leg_options = [walks(assignment[v], leg_contact[lab], None) for v, lab in shape.legs]
+    if not all(edge_options) or not all(leg_options):
+        return
 
     for edge_choice in itertools.product(*edge_options):
         for leg_choice in itertools.product(*leg_options):
@@ -697,27 +700,21 @@ def _subdivided_candidates(
                     contacts.append(tuple(-t for t in c))
                 carriers.append(car)
 
-            for ((a, b), c), (cars, faces) in zip(
-                zip(shape.edges, edge_contacts), edge_choice
-            ):
-                cursor = a
+            def subdivide(cursor: int, c: tuple[int, ...], cars: tuple[int, ...], faces: tuple[int, ...]) -> int:
+                """Chain new vertices on the crossing faces from ``cursor``; returns the last."""
+                nonlocal vertices
                 for car, face in zip(cars, faces):
-                    w = vertices
-                    vertices += 1
                     cones.append(face)
-                    add_edge(cursor, w, c, car)
-                    cursor = w
-                add_edge(cursor, b, c, cars[-1])
+                    add_edge(cursor, vertices, c, car)
+                    cursor = vertices
+                    vertices += 1
+                return cursor
+
+            for ((a, b), c), (cars, faces) in zip(zip(shape.edges, edge_contacts), edge_choice):
+                add_edge(subdivide(a, c, cars, faces), b, c, cars[-1])
             for (v, lab), (cars, faces) in zip(shape.legs, leg_choice):
                 c = leg_contact[lab]
-                cursor = v
-                for car, face in zip(cars, faces):
-                    w = vertices
-                    vertices += 1
-                    cones.append(face)
-                    add_edge(cursor, w, c, car)
-                    cursor = w
-                legs.append((cursor, lab))
+                legs.append((subdivide(v, c, cars, faces), lab))
                 leg_cs.append(c)
                 leg_cars.append(cars[-1])
 
@@ -730,36 +727,6 @@ def _subdivided_candidates(
                 tuple(leg_cs),
                 tuple(leg_cars),
             )
-
-
-def _canonical_carriers(theta: CombinatorialType, witness: Sequence[Fraction]) -> CombinatorialType:
-    """Recompute vertex cones and carriers from a relative-interior witness."""
-    fan = theta.fan
-    r = fan.rank
-    nv = theta.shape.vertices
-    positions = [tuple(witness[v * r : (v + 1) * r]) for v in range(nv)]
-    cones = tuple(locate(fan, p) for p in positions)
-    e_cars = []
-    for (a, b), c in zip(theta.shape.edges, theta.edge_contacts):
-        if not any(c):
-            e_cars.append(locate(fan, positions[a]))
-        else:
-            e_cars.append(locate_germ(fan, positions[a], [Fraction(x) for x in c]))
-    l_cars = []
-    for (v, lab), c in zip(theta.shape.legs, theta.leg_contacts):
-        if not any(c):
-            l_cars.append(locate(fan, positions[v]))
-        else:
-            l_cars.append(locate_germ(fan, positions[v], [Fraction(x) for x in c]))
-    return CombinatorialType(
-        fan,
-        theta.shape,
-        cones,
-        theta.edge_contacts,
-        tuple(e_cars),
-        theta.leg_contacts,
-        tuple(l_cars),
-    )
 
 
 def assemble_complex(gamma: DiscreteData) -> ConeComplex:
@@ -785,15 +752,14 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     by_key: dict[tuple, ComplexCone] = {}
     r = fan.rank
 
-    def admit(theta: CombinatorialType, witness: Sequence[Fraction]):
-        """Store the canonical representative of a type, given a point of its
-        relative interior; returns (key, is_new, relabel)."""
-        canon = _canonical_carriers(theta, witness)
+    def admit(canon: CombinatorialType, witness: Sequence[Fraction]):
+        """Store the canonical representative of a located type, given a point
+        of its relative interior; returns (key, is_new, relabel)."""
         key, relabel = canonical_form(canon)
         if key in by_key:
             return key, False, relabel
         stored = relabel_type(canon, relabel)
-        nv = theta.shape.vertices
+        nv = canon.shape.vertices
         moved = list(witness)
         for v in range(nv):
             moved[relabel[v] * r : relabel[v] * r + r] = witness[v * r : v * r + r]
@@ -813,7 +779,8 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
                 except InvalidTypeError:
                     continue
                 if witness is not None:
-                    admit(theta, witness)
+                    located = _type_at(theta, witness)
+                    admit(located.face, located.witness)
 
     # face closure, recording pairs and inclusion matrices as we go
     face_rel: dict[tuple[tuple, tuple], IntMatrix] = {}
@@ -941,8 +908,6 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
         for face_idx in sorted(complex_.skeleton(idx, 1)):
             if face_idx in ray_image and ray_image[face_idx] not in gens:
                 gens.append(ray_image[face_idx])
-        if cc.cone.dimension == 1 and not gens:
-            gens.append(ray_image[idx])
         images.append(tuple(gens))
     return EmbeddedFan(k, tuple(images), tuple(lattice_maps))
 

@@ -203,10 +203,6 @@ class Fan:
         s = set(self.cones[cone_idx])
         return [i for i, c in enumerate(self.cones) if set(c) <= s]
 
-    def facet_indices(self, cone_idx: int) -> list[int]:
-        cone = self.cones[cone_idx]
-        return [self.cone_index(cone[:i] + cone[i + 1 :]) for i in range(len(cone))]
-
     def span_projection(self, cone_idx: int) -> IntMatrix:
         """Integral projection with kernel exactly span(cone) ∩ ZZ^rank."""
         cone = self.cones[cone_idx]

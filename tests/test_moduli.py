@@ -22,6 +22,7 @@ from tropcount.polyhedral import Fan, fan_product, fan_projective_space, point_f
 
 P2 = fan_projective_space(2)
 P1P1 = fan_product(fan_projective_space(1), fan_projective_space(1))
+P3 = fan_projective_space(3)
 U1, U2, U3 = (1, 0), (0, 1), (-1, -1)
 ZERO = P2.cone_index(())
 RAY = {u: P2.cone_index((P2.rays.index(u),)) for u in (U1, U2, U3)}
@@ -149,11 +150,22 @@ def test_face_types_of_wall_type():
     dims = sorted(moduli_cone(fd.face).dimension for fd in fds)
     assert dims == [1, 1]
     vertex_counts = sorted(fd.face.shape.vertices for fd in fds)
-    assert vertex_counts == [1, 2]  # edge contraction and wall-vertex specialization
+    assert vertex_counts == [1, 2]  # the edge's length and the wall vertex's ray coefficient reach 0
 
 
 def test_root_type_has_no_faces():
     assert face_types(root_type()) == []
+    # both ends at the origin pin the edge's length to 0: no relative interior
+    pinned = CombinatorialType(
+        P2,
+        TreeShape(2, ((0, 1),), ((0, 1), (0, 2), (1, 3))),
+        (ZERO, ZERO),
+        (U3,),
+        (None,),
+        (U1, U2, U3),
+        (None, None, None),
+    )
+    assert face_types(pinned) == []
 
 
 def embed_face_witness(parent_type, fd, witness):
@@ -174,20 +186,22 @@ def embed_face_witness(parent_type, fd, witness):
 
 def test_faces_are_boundary_strata():
     rng = random.Random(99)
-    checked = 0
-    candidates = [wall_type()] + [random_balanced_type(P2, rng, max_legs=5) for _ in range(30)]
-    for t in candidates:
-        parent = moduli_cone(t)
-        for fd in face_types(t):
-            mc = moduli_cone(fd.face)
-            assert mc.dimension == parent.dimension - 1
-            assert mc.classify(fd.witness) == "interior"
-            lifted = embed_face_witness(t, fd, fd.witness)
-            assert contains(parent, lifted) == "boundary"
-            checked += 1
-        if checked >= 20:
-            break
-    assert checked >= 20
+    for fan in (P2, P1P1, P3):
+        checked = 0
+        candidates = [wall_type()] if fan is P2 else []
+        candidates += [random_balanced_type(fan, rng, max_legs=5) for _ in range(30)]
+        for t in candidates:
+            parent = moduli_cone(t)
+            for fd in face_types(t):
+                mc = moduli_cone(fd.face)
+                assert mc.dimension == parent.dimension - 1
+                assert mc.classify(fd.witness) == "interior"
+                lifted = embed_face_witness(t, fd, fd.witness)
+                assert contains(parent, lifted) == "boundary"
+                checked += 1
+            if checked >= 20:
+                break
+        assert checked >= 20, fan.name
 
 
 def test_assemble_complex_toy_f_vector():
