@@ -1,7 +1,10 @@
 """Command-line surface: fan inspection, validation, complexes, embeddings, counts.
 
 All output is deterministic for a fixed invocation; JSON goes to --out or
-standard output, human-readable summaries to standard error.  Exit codes:
+standard output, human-readable summaries to standard error.  The retry
+notices of ``count`` go through the ``tropcount`` logger; with logging left
+unconfigured, Python's last-resort handler writes them to standard error
+as bare messages.  Exit codes:
 0 success, 2 validation failure, 3 generic-position retries exhausted,
 64 usage errors.
 """
@@ -34,6 +37,12 @@ from .moduli import (
     gkm_embedding,
 )
 from .polyhedral import NAMED_FANS, fan_to_json, load_fan
+
+
+def _logger():
+    import logging  # here, not at the top: loading it adds ~0.6 MiB to every run
+
+    return logging.getLogger("tropcount")
 
 
 class MalformedInputError(ValueError):
@@ -197,7 +206,7 @@ def _cmd_count(args) -> int:
         try:
             result = count(problem, threads=args.threads)
         except NonGenericError as exc:
-            sys.stderr.write(f"seed {seed} is not generic ({exc}); retrying\n")
+            _logger().warning("seed %d is not generic (%s); retrying", seed, exc)
             seed += 1
             continue
         _emit(count_result_to_json(problem, result), args.out)
@@ -205,7 +214,7 @@ def _cmd_count(args) -> int:
             f"degree = {result.total} (types: {len(result.contributions)}, seed: {seed})\n"
         )
         return 0
-    sys.stderr.write(f"gave up after {args.retries + 1} non-generic seeds\n")
+    _logger().error("gave up after %d non-generic seeds", args.retries + 1)
     return 3
 
 

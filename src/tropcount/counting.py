@@ -14,16 +14,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Iterator, Optional, Sequence
 
+from .curves import TreeShape
 from .exactmath import IntMatrix, clear_denominators, determinant, solve_rational
 from .maps import (
     CombinatorialType,
     DiscreteData,
-    TreeShape,
     TropicalStableMap,
     ev_trop,
+    oriented,
     subdivide,
     torically_transverse,
     validate,
@@ -60,6 +61,15 @@ class NonGenericError(RuntimeError):
 
 class NotPlanarPointProblemError(ValueError):
     pass
+
+
+class CensusTooLargeError(ValueError):
+    """The trivalent census over all legs is too large to grow."""
+
+
+# The census over k legs holds all (2k-5)!! labeled trivalent trees, a whole
+# level at a time: 135,135 at 9 legs, 2,027,025 at 10.
+MAX_CENSUS_LEGS = 9
 
 
 MASK64 = (1 << 64) - 1
@@ -530,25 +540,14 @@ def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
             labelled.append((v, pool[c].pop(), c))
     labelled.sort(key=lambda t: t[1])
     derived = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), problem.fan.rank)
-    shape_edges = []
-    contacts = []
-    order = sorted(range(len(edges)), key=lambda i: (min(edges[i]), max(edges[i])))
-    for i in order:
-        a, b = edges[i]
-        c = derived[i]
-        if a < b:
-            shape_edges.append((a, b))
-            contacts.append(c)
-        else:
-            shape_edges.append((b, a))
-            contacts.append(tuple(-x for x in c))
-    shape = TreeShape(nv, tuple(shape_edges), tuple((v, lab) for v, lab, _ in labelled))
+    oriented_edges = sorted(oriented(a, b, c) for (a, b), c in zip(edges, derived))
+    shape = TreeShape(nv, tuple(e for e, _ in oriented_edges), tuple((v, lab) for v, lab, _ in labelled))
     return CombinatorialType(
         problem.fan,
         shape,
         (None,) * nv,
-        tuple(contacts),
-        (None,) * len(shape_edges),
+        tuple(c for _, c in oriented_edges),
+        (None,) * len(edges),
         tuple(c for _, _, c in labelled),
         (None,) * len(labelled),
     )
@@ -577,14 +576,11 @@ def _rigid_types(problem: CountProblem, prune: bool, chunk_index: int, threads: 
     """
     gamma = problem.gamma
     fan = problem.fan
-    trivial = sorted(gamma.trivial_legs)
-    if prune and problem.is_point_problem() and gamma.n >= 3:
+    if prune and _searches_skeletons(problem):
         skeletons = _skeleton_census(fan.rank, [c for _, c in gamma.contact_legs])
-        trees = _marked_dfs(problem, skeletons[chunk_index::threads], trivial)
+        trees = _marked_dfs(problem, skeletons[chunk_index::threads], sorted(gamma.trivial_legs))
     elif chunk_index == 0:
-        # small census over all legs; used for subspace constraints and degree 0
-        legs = sorted([*gamma.contact_legs, *((lab, (0,) * fan.rank) for lab in trivial)])
-        trees = grow_trees([(c, lab) for lab, c in legs])
+        trees = grow_trees([(c, lab) for lab, c in _census_legs(problem)])
     else:
         return
     codim = expected_codimension(fan, gamma)
@@ -597,6 +593,27 @@ def _rigid_types(problem: CountProblem, prune: bool, chunk_index: int, threads: 
         if key not in seen:
             seen.add(key)
             yield key, relabel, theta
+
+
+def _searches_skeletons(problem: CountProblem) -> bool:
+    """Whether pruned enumeration runs the skeleton census and marked-point search."""
+    return problem.is_point_problem() and problem.gamma.n >= 3
+
+
+def _census_legs(problem: CountProblem) -> list[tuple[int, Vec]]:
+    """(label, contact) of every leg for the census over all legs, which
+    subspace constraints and fewer than three contact legs need; raises
+    CensusTooLargeError past ``MAX_CENSUS_LEGS`` legs."""
+    gamma = problem.gamma
+    zero = (0,) * problem.fan.rank
+    legs = sorted([*gamma.contact_legs, *((lab, zero) for lab in gamma.trivial_legs)])
+    k = len(legs)
+    if k > MAX_CENSUS_LEGS:
+        raise CensusTooLargeError(
+            f"the census over {k} legs would grow {prod(range(1, 2 * k - 4, 2)):,} "
+            f"labeled trivalent trees; at most {MAX_CENSUS_LEGS} legs are supported"
+        )
+    return legs
 
 
 def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMatrix:
@@ -694,19 +711,14 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
             return None
         if l == 0:
             raise NonGenericError("a solved edge length is exactly zero")
-    # propagate positions from the root vertex
-    positions: list[Optional[Point]] = [None] * shape.vertices
-    positions[shape.leg_vertex(root_label)] = tuple(x)
-    changed = True
-    while changed:
-        changed = False
-        for e, ((a, b), c) in enumerate(zip(shape.edges, theta.edge_contacts)):
-            if positions[a] is not None and positions[b] is None:
-                positions[b] = tuple(p + lengths[e] * ci for p, ci in zip(positions[a], c))
-                changed = True
-            elif positions[b] is not None and positions[a] is None:
-                positions[a] = tuple(p - lengths[e] * ci for p, ci in zip(positions[b], c))
-                changed = True
+    # each vertex sits at the root position plus the signed edges of its path
+    root_vertex = shape.leg_vertex(root_label)
+    positions = []
+    for v in range(shape.vertices):
+        p = list(x)
+        for e, sign in shape.path_edges(root_vertex, v):
+            p = [pi + sign * lengths[e] * ci for pi, ci in zip(p, theta.edge_contacts[e])]
+        positions.append(tuple(p))
     stab_cones = []
     for p in positions:
         cone = locate(fan, p)
@@ -758,6 +770,8 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
     worker count; contribution lists are canonically sorted.
     """
     _check_problem_genericity(problem)
+    if not _searches_skeletons(problem):
+        _census_legs(problem)  # bound the census before any worker starts
     if threads > 1:
         results = _map_workers(problem, threads)
     else:

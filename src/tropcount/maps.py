@@ -1,10 +1,13 @@
 """Tropical stable maps to a fan: discrete data, combinatorial types, validation.
 
-A combinatorial type records the source tree, a cone for each vertex, a
-contact order for each edge (stored for the tail->head orientation with
-tail < head) and a carrier cone for every edge and leg.  Vertex cones and
-carriers may be ``None`` for the stabilized types used by the counting
-engine, where vertices roam freely; the solver fills them in afterwards.
+A combinatorial type records the source tree (a ``curves.TreeShape``), a
+cone for each vertex, a contact order for each edge and a carrier cone for
+every edge and leg.  Edge contacts are stored for the tail->head
+orientation with tail < head, the form ``oriented`` puts an edge in.
+``CombinatorialType.outgoing`` is the star of a vertex, read by type
+checks, balancing and stability.  Vertex cones and carriers may be
+``None`` for the stabilized types used by the counting engine, where
+vertices roam freely; the solver fills them in afterwards.
 
 Constructors here are deliberately permissive: broken maps must be
 representable so that ``validate`` can report exactly which conditions
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .curves import TropicalCurve
+from .curves import TreeShape, TropicalCurve, UnknownLabelError
 from .exactmath import rational_to_string
 from .polyhedral import (
     Fan,
@@ -33,10 +36,6 @@ Vector = tuple[int, ...]
 Point = tuple[Fraction, ...]
 
 
-class UnknownLabelError(KeyError):
-    pass
-
-
 class InvalidTypeError(ValueError):
     pass
 
@@ -45,71 +44,9 @@ class InfiniteCrossingError(RuntimeError):
     """An edge cannot be threaded through the fan (incomplete support)."""
 
 
-@dataclass(frozen=True)
-class TreeShape:
-    """Combinatorial tree with labelled legs and canonically oriented edges."""
-
-    vertices: int
-    edges: tuple[tuple[int, int], ...]  # (tail, head) with tail < head
-    legs: tuple[tuple[int, int], ...]  # (vertex, label)
-
-    def __post_init__(self):
-        for a, b in self.edges:
-            if not (0 <= a < b < self.vertices):
-                raise ValueError(f"edge ({a},{b}) must satisfy tail < head")
-        labels = sorted(lab for _, lab in self.legs)
-        if labels != list(range(1, len(labels) + 1)):
-            raise ValueError("leg labels must be 1..n+m")
-
-    def valence(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b)) + sum(
-            1 for w, _ in self.legs if w == v
-        )
-
-    def leg_vertex(self, label: int) -> int:
-        for v, lab in self.legs:
-            if lab == label:
-                return v
-        raise UnknownLabelError(f"no leg labelled {label}")
-
-    def is_tree(self) -> bool:
-        if len(self.edges) != self.vertices - 1 or self.vertices == 0:
-            return False
-        adj: list[list[int]] = [[] for _ in range(self.vertices)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertices
-
-    def path_edges(self, a: int, b: int) -> list[tuple[int, int]]:
-        """Edge indices along the a-b path, each signed by traversal direction."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
-        for i, (x, y) in enumerate(self.edges):
-            adj[x].append((y, i))
-            adj[y].append((x, i))
-        parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
-        stack = [a]
-        while stack:
-            v = stack.pop()
-            for w, i in adj[v]:
-                if w not in parent:
-                    parent[w] = (v, i)
-                    stack.append(w)
-        out = []
-        v = b
-        while v != a:
-            u, i = parent[v]
-            sign = 1 if self.edges[i] == (u, v) else -1
-            out.append((i, sign))
-            v = u
-        return out[::-1]
+def oriented(a: int, b: int, c: Vector) -> tuple[tuple[int, int], Vector]:
+    """Edge a->b with contact c, stored as (tail, head) with tail < head."""
+    return ((a, b), c) if a < b else ((b, a), tuple(-x for x in c))
 
 
 @dataclass(frozen=True)
@@ -200,35 +137,24 @@ class CombinatorialType:
         if len(self.leg_carriers) != len(self.shape.legs):
             raise ValueError("leg_carriers length mismatch")
 
-    def outgoing(self, v: int) -> list[Vector]:
-        """Contact orders of all edges and legs leaving v."""
+    def outgoing(self, v: int) -> list[tuple[Vector, Optional[int]]]:
+        """The star of v: (contact leaving v, carrier) of its edges, then its legs."""
         out = []
-        for (a, b), c in zip(self.shape.edges, self.edge_contacts):
+        for (a, b), c, car in zip(self.shape.edges, self.edge_contacts, self.edge_carriers):
             if a == v:
-                out.append(c)
+                out.append((c, car))
             elif b == v:
-                out.append(tuple(-x for x in c))
-        for (w, _), c in zip(self.shape.legs, self.leg_contacts):
+                out.append((tuple(-x for x in c), car))
+        for (w, _), c, car in zip(self.shape.legs, self.leg_contacts, self.leg_carriers):
             if w == v:
-                out.append(c)
+                out.append((c, car))
         return out
-
-    def is_balanced(self) -> bool:
-        r = self.fan.rank
-        for v in range(self.shape.vertices):
-            total = [0] * r
-            for c in self.outgoing(v):
-                for i in range(r):
-                    total[i] += c[i]
-            if any(total):
-                return False
-        return True
 
     def check(self) -> None:
         """Raise InvalidTypeError if the structural invariants fail."""
         if not self.shape.is_tree():
             raise InvalidTypeError("shape is not a tree")
-        if not self.is_balanced():
+        if not all(_balanced(self.outgoing(v)) for v in range(self.shape.vertices)):
             raise InvalidTypeError("balancing fails at some vertex")
         for i, (a, b) in enumerate(self.shape.edges):
             car = self.edge_carriers[i]
@@ -252,6 +178,10 @@ class CombinatorialType:
             c = self.leg_contacts[j]
             if any(c) and not self.fan.contains(car, [Fraction(x) for x in c]):
                 raise InvalidTypeError(f"leg {lab} leaves its carrier cone")
+
+
+def _balanced(star: list[tuple[Vector, Optional[int]]]) -> bool:
+    return not any(sum(xs) for xs in zip(*(c for c, _ in star)))
 
 
 def _is_face(fan: Fan, small: int, big: int) -> bool:
@@ -371,13 +301,8 @@ def validate(f: TropicalStableMap) -> ValidationReport:
         if not (inside and ray_ok):
             out.append(Violation("edge-in-cone", f"leg {lab} leaves its carrier cone"))
 
-    r = fan.rank
     for v in range(shape.vertices):
-        total = [0] * r
-        for c in f.type.outgoing(v):
-            for i in range(r):
-                total[i] += c[i]
-        if any(total):
+        if not _balanced(f.type.outgoing(v)):
             out.append(Violation("balancing", f"vertex {v} is unbalanced"))
 
     out.extend(_stability_violations(f))
@@ -388,21 +313,9 @@ def validate(f: TropicalStableMap) -> ValidationReport:
 
 def _stability_violations(f: TropicalStableMap) -> list[Violation]:
     fan = f.type.fan
-    shape = f.type.shape
     out = []
-    for v in range(shape.vertices):
-        branches: list[tuple[Vector, Optional[int]]] = []
-        for i, (a, b) in enumerate(shape.edges):
-            if a == v:
-                branches.append((f.type.edge_contacts[i], f.type.edge_carriers[i]))
-            elif b == v:
-                branches.append(
-                    (tuple(-x for x in f.type.edge_contacts[i]), f.type.edge_carriers[i])
-                )
-        for j, (w, _) in enumerate(shape.legs):
-            if w == v:
-                branches.append((f.type.leg_contacts[j], f.type.leg_carriers[j]))
-
+    for v in range(f.type.shape.vertices):
+        branches = f.type.outgoing(v)
         if all(not any(c) for c, _ in branches):
             # Vertex is contracted to a point; it needs three special points.
             if len(branches) < 3:
@@ -490,12 +403,9 @@ def subdivide(f: TropicalStableMap) -> TropicalStableMap:
         return len(positions) - 1
 
     def add_edge(a: int, b: int, c: Vector, carrier: int, length: Fraction) -> None:
-        if a < b:
-            new_edges.append((a, b))
-            edge_contacts.append(c)
-        else:
-            new_edges.append((b, a))
-            edge_contacts.append(tuple(-x for x in c))
+        edge, c = oriented(a, b, c)
+        new_edges.append(edge)
+        edge_contacts.append(c)
         edge_carriers.append(carrier)
         lengths.append(length)
 

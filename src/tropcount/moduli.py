@@ -19,7 +19,7 @@ from math import comb, gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import lp
-from .curves import straighten
+from .curves import TreeShape, straighten
 from .exactmath import (
     IntMatrix,
     clear_denominators,
@@ -33,8 +33,8 @@ from .maps import (
     CombinatorialType,
     DiscreteData,
     InvalidTypeError,
-    TreeShape,
     TropicalStableMap,
+    oriented,
     torically_transverse,
 )
 from .polyhedral import Fan, locate, locate_germ
@@ -268,24 +268,11 @@ def canonical_form(
 def relabel_type(theta: CombinatorialType, relabel: Sequence[int]) -> CombinatorialType:
     """Apply a vertex permutation, renormalizing edge orientations."""
     shape = theta.shape
-    edges = []
-    contacts = []
-    order = sorted(
-        range(len(shape.edges)),
-        key=lambda i: tuple(sorted((relabel[shape.edges[i][0]], relabel[shape.edges[i][1]]))),
+    # edges are distinct, so the sort never compares contacts or carriers
+    moved = sorted(
+        (*oriented(relabel[a], relabel[b], c), car)
+        for (a, b), c, car in zip(shape.edges, theta.edge_contacts, theta.edge_carriers)
     )
-    carriers = []
-    for i in order:
-        a, b = shape.edges[i]
-        c = theta.edge_contacts[i]
-        na, nb = relabel[a], relabel[b]
-        if na < nb:
-            edges.append((na, nb))
-            contacts.append(c)
-        else:
-            edges.append((nb, na))
-            contacts.append(tuple(-x for x in c))
-        carriers.append(theta.edge_carriers[i])
     leg_order = sorted(range(len(shape.legs)), key=lambda j: shape.legs[j][1])
     legs = tuple((relabel[shape.legs[j][0]], shape.legs[j][1]) for j in leg_order)
     inv = [0] * shape.vertices
@@ -293,10 +280,10 @@ def relabel_type(theta: CombinatorialType, relabel: Sequence[int]) -> Combinator
         inv[new] = old
     return CombinatorialType(
         theta.fan,
-        TreeShape(shape.vertices, tuple(edges), legs),
+        TreeShape(shape.vertices, tuple(e for e, _, _ in moved), legs),
         tuple(theta.vertex_cones[inv[v]] for v in range(shape.vertices)),
-        tuple(contacts),
-        tuple(carriers),
+        tuple(c for _, c, _ in moved),
+        tuple(car for _, _, car in moved),
         tuple(theta.leg_contacts[j] for j in leg_order),
         tuple(theta.leg_carriers[j] for j in leg_order),
     )
@@ -371,13 +358,11 @@ def _type_at(theta: CombinatorialType, witness: Sequence[Fraction]) -> FaceData:
         if l == 0:
             emap.append(None)
             continue
-        x, y = vmap[a], vmap[b]
-        if x > y:
-            x, y, c = y, x, tuple(-t for t in c)
+        edge, c = oriented(vmap[a], vmap[b], c)
         emap.append(len(edges))
-        edges.append((x, y))
+        edges.append(edge)
         contacts.append(c)
-        e_cars.append(carrier(car, x, c))
+        e_cars.append(carrier(car, edge[0], c))
     l_cars = tuple(
         carrier(car, vmap[v], c)
         for (v, _), c, car in zip(shape.legs, theta.leg_contacts, theta.leg_carriers)
@@ -692,12 +677,9 @@ def _subdivided_candidates(
             leg_cars: list[int] = []
 
             def add_edge(x: int, y: int, c: tuple[int, ...], car: int) -> None:
-                if x < y:
-                    new_edges.append((x, y))
-                    contacts.append(c)
-                else:
-                    new_edges.append((y, x))
-                    contacts.append(tuple(-t for t in c))
+                edge, c = oriented(x, y, c)
+                new_edges.append(edge)
+                contacts.append(c)
                 carriers.append(car)
 
             def subdivide(cursor: int, c: tuple[int, ...], cars: tuple[int, ...], faces: tuple[int, ...]) -> int:
@@ -867,10 +849,7 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
         shape = cc.type.shape
         r = fan.rank
         nv = shape.vertices
-        kept, stab_edges, stab_legs, groups = straighten(shape.vertices, shape.edges, shape.legs)
-        stab = TreeShape(
-            len(kept), tuple((min(a, b), max(a, b)) for a, b in stab_edges), stab_legs
-        )
+        kept, stab, groups = straighten(shape)
         root_vertex = kept[stab.leg_vertex(root_label)]
         rows: list[list[int]] = []
         for i in range(r):

@@ -222,9 +222,6 @@ class ExtendedPoint:
     stratum_cone: int
     coset: Point
 
-    def key(self) -> tuple:
-        return (self.stratum_cone, self.coset)
-
 
 @dataclass(frozen=True)
 class QuotientProjection:

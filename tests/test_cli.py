@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcount.cli import main
 from tropcount.counting import count_result_from_json
@@ -212,3 +217,72 @@ def test_malformed_json_input_is_a_named_error(tmp_path, argv, payload):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: MalformedInputError: malformed ")
     assert "Traceback" not in proc.stderr
+
+
+def test_census_limit_is_a_named_error(monkeypatch, capsys):
+    from tropcount import counting
+
+    def must_not_run(*args):
+        raise AssertionError("the census was grown or a worker started")
+
+    monkeypatch.setattr(counting, "grow_trees", must_not_run)
+    monkeypatch.setattr(counting, "_map_workers", must_not_run)
+    argv = ["count", "--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--threads", "2"]
+    for spec in ("1,0", "0,1", "1,1", "1,0", "0,1"):
+        argv += ["--subspace", spec]  # 3 + 2 + 5 = 10 legs
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: CensusTooLargeError: ")
+    assert "10 legs" in err and "2,027,025" in err and "Traceback" not in err
+
+
+# contact shorthand -> the number of contact legs it makes (0 when malformed)
+CONTACTS = {
+    "p2-degree:0": 0,
+    "p2-degree:1": 3,
+    "p2-degree:2": 6,
+    "p1-degree:1": 2,
+    "p1-degree:2": 4,
+    "p1xp1-bidegree:1,1": 4,
+    "p2-degree:x": 0,
+    "p2-degree:": 0,
+    "p1xp1-bidegree:1": 0,
+    "no-such-contacts.json": 0,
+}
+SUBSPACES = ("1,0", "0,1", "1,1", "1", "1,0,0", "1,0|0,1", "1,1;1/2,-3", "1,0;1", "x", "")
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["count", "complex", "embed"]))
+    # at most 5 marked legs for a complex or an embedding (6 take a minute),
+    # at most 7 for a count
+    room = 7 if command == "count" else 5
+    contacts = draw(st.sampled_from(sorted(c for c, n in CONTACTS.items() if n <= room)))
+    room -= CONTACTS[contacts]
+    subspaces = draw(st.lists(st.sampled_from(SUBSPACES), max_size=min(2, room)))
+    points = draw(st.integers(0, min(4, room - len(subspaces))))
+    fan = draw(st.sampled_from(["p1", "p2", "p1xp1", "p3"]))
+    argv = [command, "--fan", fan, "--contacts", contacts, "--points", str(points)]
+    for spec in subspaces:
+        argv += ["--subspace", spec]
+    if command == "count":
+        argv += ["--seed", str(draw(st.integers(0, 3))), "--retries", "1"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_argv())
+def test_cli_never_raises(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 64, err.getvalue()
+    assert code in (0, 2, 3, 64), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -87,6 +87,22 @@ def test_skeleton_census_sizes():
         assert len(_skeleton_census(2, [U1] * d + [U2] * d + [U3] * d)) == size
 
 
+def test_census_bound_sits_at_nine_legs():
+    from tropcount.counting import CensusTooLargeError, _census_legs
+
+    # lines through 2 points and s lines: 3 + 2 + s legs
+    line = IntMatrix.from_rows([[1], [0]])
+    for s in (4, 5):
+        gamma = p2_gamma(1, 2 + s)
+        subspaces = {lab: line for lab in gamma.trivial_legs[2:]}
+        prob = CountProblem(P2, gamma, generate_constraints(gamma, subspaces, 1))
+        if s == 4:
+            assert len(_census_legs(prob)) == 9
+        else:
+            with pytest.raises(CensusTooLargeError, match="10 legs"):
+                count(prob)
+
+
 def test_enumerate_p1_single_path_type():
     gamma = DiscreteData(P1, ((1, (1,)), (2, (-1,))), (3,))
     prob = CountProblem(P1, gamma, generate_constraints(gamma, None, 5))

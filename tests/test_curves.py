@@ -25,6 +25,8 @@ def test_tree_invariant_enforced():
         TropicalCurve(1, (), ((0, 1), (0, 1)))  # duplicate labels
     with pytest.raises(ValueError):
         TropicalCurve(2, ((0, 1, Fraction(-1)),), ((0, 1), (1, 2)))
+    with pytest.raises(ValueError):  # a tree's edge count, but vertex 2 is cut off
+        TropicalCurve(3, ((0, 1, Fraction(1)), (1, 0, Fraction(2))), ((0, 1), (1, 2), (2, 3)))
 
 
 def test_is_smooth():
@@ -159,7 +161,7 @@ def test_overvalence_examples():
         ((0, 1, Fraction(1)), (0, 2, Fraction(1))),
         ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7)),
     )
-    assert c.valence(0) == 5
+    assert c.shape.valence(0) == 5
     assert overvalence(c) == 2
 
 
