@@ -3,7 +3,7 @@
 
 Runs the tropical count of degree-d rational plane curves through 3d-1
 seeded generic points and compares with the recursion values.  Degree 3
-takes a minute or two per seed in pure Python; pass --max-degree 3 to
+takes a few seconds per seed in pure Python; pass --max-degree 3 to
 include it.
 """
 import argparse

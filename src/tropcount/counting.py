@@ -238,8 +238,23 @@ def kontsevich_oracle(d: int) -> int:
 # the insertion site and each of its edges on the side that faces w.
 
 
+def _centres(nv: int, edges) -> list[int]:
+    """The one or two vertices of least eccentricity, left by peeling leaves."""
+    adj: list[set[int]] = [set() for _ in range(nv)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    left = set(range(nv))
+    while len(left) > 2:
+        leaves = [v for v in left if len(adj[v]) == 1]
+        for v in leaves:
+            adj[adj[v].pop()].discard(v)
+        left.difference_update(leaves)
+    return sorted(left)
+
+
 def _skeleton_key(tree) -> tuple:
-    """Isomorphism key of a census tree.
+    """Isomorphism key of a census tree, rooted at its centres.
 
     Census legs all carry placeholder labels, so each leg is identified by
     its contact vector alone.
@@ -249,7 +264,7 @@ def _skeleton_key(tree) -> tuple:
     for v, c, _ in legs:
         at_vertex[v].append(c)
     vertex_tokens = [(tuple(sorted(cs)),) for cs in at_vertex]
-    return rooted_form(nv, edges, vertex_tokens, [((), ())] * len(edges))[0]
+    return rooted_form(nv, edges, vertex_tokens, [((), ())] * len(edges), _centres(nv, edges))[0]
 
 
 def _skeleton_census(rank: int, contacts: Sequence[Vec]) -> list[tuple]:
@@ -307,7 +322,7 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
 
     The trivial legs are inserted in label order, each at a fresh 2-valent
     vertex subdividing an edge or a contact leg.  For planar point
-    conditions two sound prunes apply to every insertion site:
+    conditions a site must pass two sound tests:
 
     - end count: every component of the tree minus the marked vertices
       must keep at least one contact end, so an edge is a site only when
@@ -317,12 +332,17 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
       the new point's target must lie in the closed cone of the directions
       of the walk from the new vertex to vertex i.
 
-    Each node updates the state both prunes read from its parent's, in
-    O(nv), by the one insertion (see ``_split_edge`` and ``_split_leg``).
-    A walk's directions are a bitmask over rays, which get their bits on
-    first sight and keep them for the whole search, so the cone tests are
-    cached by (point pair, walk mask) across skeletons.  Other point
-    problems insert every leg at every site, without pruning.
+    Each node holds the sites of every later point.  A child's sites are
+    among its parent's (no site touches a marked vertex, walks keep their
+    directions, the end count only tightens), so ``admissible`` keeps those
+    that pass again.  The lookahead drops a child in which a later point
+    has no site left.  A completed tree passes both tests in any insertion
+    order (the cone test is symmetric in the two points, the end count
+    weakens as marks are removed), so the lookahead drops only subtrees
+    that complete nothing: the same trees come out in the same order.  Cone
+    tests are cached by (point pair, walk mask) for the whole search, over
+    rays that keep their bits throughout.  Other point problems insert
+    every leg at every site, without pruning.
     """
     zero = (0,) * problem.fan.rank
     last = len(trivial_labels)
@@ -364,51 +384,69 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     diffs = [[(ti[0] - tj[0], ti[1] - tj[1]) for ti in points[:j]] for j, tj in enumerate(points)]
     caches: list[list[dict[int, bool]]] = [[{} for _ in range(j)] for j in range(last)]
 
-    def cone_test(cache: dict[int, bool], diff: Vec, mask: int) -> bool:
-        hit = cache[mask] = _in_closed_cone_2d(diff, [d for d, bit in alphabet.items() if mask & bit])
-        return hit
+    def admissible(tree, state, k, candidates):
+        """Point k's sites among candidates that passed against all but the newest mark."""
+        _, edges, legs = tree
+        ebits, masks, hop, comp, ends, beyond, marks = state
+        i = len(marks) - 1
+        hw, mw, cache, diff = hop[marks[i]], masks[marks[i]], caches[k][i], diffs[k][i]
+        kept = []
+        for te, tl in candidates:
+            if tl is None:
+                a, b = edges[te]
+                e = beyond[te]
+                if e is None or e < 1 or ends[comp[a]] - e < 1:
+                    continue
+                plus, minus = ebits[te]
+                # the walk from the new vertex to the mark leaves through a or b
+                mask = mw[a] | minus if hw[b] == a else mw[b] | plus
+            else:
+                v, c, _ = legs[tl]
+                if comp[v] < 0 or ends[comp[v]] < 2:
+                    continue
+                mask = mw[v] | bits[c][1]
+            hit = cache.get(mask)
+            if hit is None:
+                hit = cache[mask] = _in_closed_cone_2d(diff, [d for d, bit in alphabet.items() if mask & bit])
+            if hit:
+                kept.append((te, tl))
+        return kept
 
-    def rec(tree, state, j):
+    def rec(tree, state, j, open_sites):
+        # open_sites[k - j]: the sites of point k, for every k >= j, in tree order
         if j == last:
             yield tree
             return
-        _, edges, legs = tree
-        ebits, masks, hop, comp, ends, beyond, marks = state
         leg = (zero, trivial_labels[j])
-        # per earlier point: its hop and mask rows, its cone cache and target difference
-        rows = [(hop[s], masks[s], cache, diff) for s, cache, diff in zip(marks, caches[j], diffs[j])]
-        for te, (a, b) in enumerate(edges):
-            e = beyond[te]
-            if e is None or e < 1 or ends[comp[a]] - e < 1:
-                continue
-            plus, minus = ebits[te]
-            for hs, ms, cache, diff in rows:
-                # the walk from the new vertex to the point leaves through a or b
-                mask = ms[a] | minus if hs[b] == a else ms[b] | plus
-                hit = cache.get(mask)
-                if not (cone_test(cache, diff, mask) if hit is None else hit):
-                    break
+        for te, tl in open_sites[0]:
+            child = insert_leg(tree, leg, te, tl)
+            if tl is None:
+                child_state = _split_edge(state, tree, te)
             else:
-                yield from rec(insert_leg(tree, leg, te), _split_edge(state, tree, te), j + 1)
-        for tl, (v, c, _) in enumerate(legs):
-            if comp[v] < 0 or ends[comp[v]] < 2 or not any(c):
-                continue
-            leg_bits = bits[c]
-            minus = leg_bits[1]
-            for _, ms, cache, diff in rows:
-                mask = ms[v] | minus
-                hit = cache.get(mask)
-                if not (cone_test(cache, diff, mask) if hit is None else hit):
-                    break
+                child_state = _split_leg(state, tree, tl, bits[tree[2][tl][1]])
+            later = []
+            for k, sites in enumerate(open_sites[1:], j + 1):
+                if tl is None:  # renumber as insert_leg did: the used site goes, later ones shift
+                    sites = [(se - (se > te), None) if sl is None else (se, sl) for se, sl in sites if se != te]
+                else:
+                    sites = [(se, sl - (sl > tl)) if se is None else (se, sl) for se, sl in sites if sl != tl]
+                sites = admissible(child, child_state, k, sites)
+                if not sites:
+                    break  # the lookahead: point k has no site left
+                later.append(sites)
             else:
-                yield from rec(insert_leg(tree, leg, None, tl), _split_leg(state, tree, tl, leg_bits), j + 1)
+                yield from rec(child, child_state, j + 1, later)
 
     for skeleton in skeletons:
         nv, edges, legs = skeleton
         for _, c, _ in legs:
-            bits_of(c)  # rec reads leg bits from ``bits``
+            bits_of(c)  # the search reads leg bits from ``bits``
         contacts = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), 2)
-        yield from rec(skeleton, _skeleton_state(skeleton, [bits_of(c) for c in contacts]), 0)
+        state = _skeleton_state(skeleton, [bits_of(c) for c in contacts])
+        ends, beyond = state[4:6]  # no mark yet: the end count alone gives every point's sites
+        root = [(te, None) for te, e in enumerate(beyond) if 0 < e < ends[0]]
+        root += [(None, tl) for tl in range(len(legs)) if ends[0] > 1]
+        yield from rec(skeleton, state, 0, [root] * last)
 
 
 def _skeleton_state(skeleton, ebits: list[tuple[int, int]]):

@@ -198,12 +198,15 @@ def rooted_form(
     edges: Sequence[tuple[int, int]],
     vertex_tokens: Sequence[tuple],
     edge_tokens: Sequence[tuple[tuple, tuple]],
+    roots: Optional[Sequence[int]] = None,
 ) -> tuple[tuple, list[int]]:
     """Least rooted serialization of a decorated tree, and its vertex order.
 
     A vertex serializes as its token plus the sorted tuple of its children,
     each as the token of the edge to it plus the child's serialization; edge
     ``(a, b)`` shows ``edge_tokens[i][0]`` from ``a`` and ``[1]`` from ``b``.
+    The least is over ``roots`` (default: every vertex); roots picked by a
+    rule isomorphisms respect, such as the tree's centres, keep it a key.
     """
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(vertices)]
     for i, (a, b) in enumerate(edges):
@@ -224,7 +227,7 @@ def rooted_form(
 
     best = None
     best_order: list[int] = []
-    for root in range(vertices):
+    for root in range(vertices) if roots is None else roots:
         ser, order = serialize(root, -1)
         if best is None or ser < best:
             best, best_order = ser, order

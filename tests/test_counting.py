@@ -448,7 +448,7 @@ def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
     yield from rec(skeleton, contacts, 0, {})
 
 
-def _assert_dfs_matches_reference(problem, limit=None):
+def _assert_dfs_matches_reference(problem, limit=None, start=0):
     """Compare the two searches on every skeleton, at every depth: the trees
     yielded for the first k trivial labels are the search nodes at depth k.
     Returns the number of nodes per depth."""
@@ -456,7 +456,7 @@ def _assert_dfs_matches_reference(problem, limit=None):
 
     trivial = sorted(problem.gamma.trivial_legs)
     skeletons = _skeleton_census(problem.fan.rank, [c for _, c in problem.gamma.contact_legs])
-    skeletons = skeletons[:limit]
+    skeletons = skeletons[start:limit]
     nodes = [[] for _ in trivial]
     want = [tree for skeleton in skeletons for tree in _reference_marked_dfs(problem, skeleton, trivial, nodes)]
     assert list(_marked_dfs(problem, skeletons, trivial)) == want
@@ -490,3 +490,141 @@ def test_marked_dfs_matches_reference_unpruned():
     gamma = DiscreteData(p3, contacts, (5, 6))
     prob = CountProblem(p3, gamma, generate_constraints(gamma, None, 0))
     assert _assert_dfs_matches_reference(prob)[-1] > 0
+
+
+def quadric_problem():
+    contacts = ((1, (1, 0)), (2, (-1, 0)), (3, (0, 1)), (4, (0, -1)))
+    gamma = DiscreteData(P1P1, contacts, (5, 6, 7))
+    return CountProblem(P1P1, gamma, generate_constraints(gamma, None, 0))
+
+
+# skeletons 160-209 of the d=3 census: 44 trees over 9 of them survive all
+# eight points of seed 0, so a lookahead that drops a completing subtree shows
+D3_SLICE = (160, 210)
+
+
+def test_marked_dfs_matches_reference_plane_degree_three_slice():
+    start, stop = D3_SLICE
+    nodes = _assert_dfs_matches_reference(p2_problem(3, 0), limit=stop, start=start)
+    assert nodes[-1] == 44
+
+
+def test_marked_dfs_nodes_per_depth_with_lookahead(monkeypatch):
+    # every search node is made by one insert_leg call; the reference search,
+    # without the lookahead, makes 750 / 3,244 / 5,870 / 5,667 / 3,797 /
+    # 1,317 / 304 / 44 (20,993) on the same slice
+    from tropcount import counting
+
+    prob = p2_problem(3, 0)
+    start, stop = D3_SLICE
+    skeletons = counting._skeleton_census(2, [c for _, c in prob.gamma.contact_legs])[start:stop]
+    per_depth = [0] * prob.gamma.m
+    insert_leg = counting.insert_leg
+
+    def counted(tree, *args):
+        child = insert_leg(tree, *args)
+        per_depth[sum(1 for _, c, _ in child[2] if not any(c)) - 1] += 1
+        return child
+
+    monkeypatch.setattr(counting, "insert_leg", counted)
+    trees = list(counting._marked_dfs(prob, skeletons, sorted(prob.gamma.trivial_legs)))
+    assert len(trees) == 44
+    assert per_depth == [750, 2816, 1714, 706, 626, 223, 272, 44]
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [p2_problem(2, s) for s in range(5)] + [quadric_problem()],
+    ids=[f"p2-d2-seed{s}" for s in range(5)] + ["quadric"],
+)
+def test_marked_dfs_completes_the_same_types_in_any_point_order(prob):
+    # the lemma behind the lookahead: both site tests hold in a completed tree
+    # whatever order the points went in, so any label order completes the
+    # same types over each skeleton
+    import random
+    from collections import Counter
+
+    from tropcount.counting import _marked_dfs, _skeleton_census, _tree_to_type
+    from tropcount.moduli import canonical_form
+
+    def types(skeleton, labels):
+        trees = _marked_dfs(prob, [skeleton], labels)
+        return Counter(canonical_form(_tree_to_type(prob, t), identify_contacts=True)[0] for t in trees)
+
+    labels = sorted(prob.gamma.trivial_legs)
+    shuffled = labels[:]
+    random.Random(len(labels)).shuffle(shuffled)
+    completed = 0
+    for skeleton in _skeleton_census(2, [c for _, c in prob.gamma.contact_legs]):
+        want = types(skeleton, labels)
+        completed += sum(want.values())
+        for order in (labels[::-1], shuffled):
+            assert types(skeleton, order) == want, order
+    assert completed > 0
+
+
+# --- census key ----------------------------------------------------------------
+
+
+def _brute_centres(nv, edges):
+    adj = [[] for _ in range(nv)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def eccentricity(s):
+        depth = {s: 0}
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    stack.append(w)
+        return max(depth.values())
+
+    ecc = [eccentricity(v) for v in range(nv)]
+    return sorted(v for v in range(nv) if ecc[v] == min(ecc))
+
+
+def test_centres_are_the_eccentricity_minimisers():
+    import random
+
+    from tropcount.counting import _centres
+
+    trees = [(n, [(i, i + 1) for i in range(n - 1)]) for n in range(1, 9)]  # paths, odd and even
+    trees += [(n, [(0, i) for i in range(1, n)]) for n in range(2, 7)]  # stars
+    rng = random.Random(0)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        trees.append((n, [(labels[rng.randrange(i)], labels[i]) for i in range(1, n)]))
+    for nv, edges in trees:
+        centres = _centres(nv, edges)
+        assert centres == _brute_centres(nv, edges), (nv, edges)
+        assert len(centres) in (1, 2)
+
+
+@pytest.mark.parametrize(
+    "contacts",
+    [[U1] * d + [U2] * d + [U3] * d for d in (1, 2, 3)] + [[(1, 0), (-1, 0), (0, 1), (0, -1)]],
+    ids=["d1", "d2", "d3", "quadric"],
+)
+def test_skeleton_census_keyed_at_centres_keeps_the_all_roots_list(contacts, monkeypatch):
+    # isomorphisms map centres to centres, so the centre-rooted key splits the
+    # trees into the same classes and dedup keeps the same first tree of each
+    from tropcount import counting
+    from tropcount.moduli import rooted_form
+
+    def all_roots_key(tree):
+        nv, edges, legs = tree
+        at_vertex = [[] for _ in range(nv)]
+        for v, c, _ in legs:
+            at_vertex[v].append(c)
+        tokens = [(tuple(sorted(cs)),) for cs in at_vertex]
+        return rooted_form(nv, edges, tokens, [((), ())] * len(edges))[0]
+
+    centred = counting._skeleton_census(2, contacts)
+    monkeypatch.setattr(counting, "_skeleton_key", all_roots_key)
+    assert counting._skeleton_census(2, contacts) == centred
