@@ -16,6 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
+from . import figures
 from .counting import (
     Constraint,
     ConstraintConfig,
@@ -28,7 +29,6 @@ from .counting import (
     kontsevich_oracle,
 )
 from .exactmath import IntMatrix
-from .figures import fan_svg
 from .maps import DiscreteData, map_from_json, validate
 from .moduli import (
     assemble_complex,
@@ -186,7 +186,7 @@ def _cmd_complex(args) -> int:
             sys.stderr.write("svg output needs an embedding of ambient rank 2\n")
             return 2
         with open(args.svg, "w") as fh:
-            fh.write(fan_svg(emb.to_fan(), title=f"embedded fan ({fan.name})"))
+            fh.write(figures.fan_svg(emb.to_fan(), title=f"embedded fan ({fan.name})"))
     return 0
 
 

@@ -87,6 +87,40 @@ class TreeShape:
             v = u
         return out[::-1]
 
+    def straighten(self) -> tuple[list[int], TreeShape, list[list[int]]]:
+        """Erase the 2-valent vertices of a tree combinatorially, as ``stabilize`` does.
+
+        Returns the surviving vertices in increasing order (new vertex ``k`` is
+        ``kept[k]``), the straightened tree on the new numbering, and per
+        straightened edge the indices of the original edges merged into it.
+        """
+        work = [[a, b, [i]] for i, (a, b) in enumerate(self.edges)]
+        moved = [[v, lab] for v, lab in self.legs]
+        alive = set(range(self.vertices))
+
+        while True:
+            for v in sorted(alive):
+                inc_e = [e for e in work if v in (e[0], e[1])]
+                inc_l = [l for l in moved if l[0] == v]
+                if len(inc_e) + len(inc_l) == 2 and inc_e:  # a vertex with two legs stays
+                    break
+            else:
+                break
+            far = [e[0] if e[1] == v else e[1] for e in inc_e]
+            for e in inc_e:
+                work.remove(e)
+            if len(inc_e) == 2:
+                work.append([far[0], far[1], inc_e[0][2] + inc_e[1][2]])
+            else:
+                inc_l[0][0] = far[0]
+            alive.discard(v)
+
+        kept = sorted(alive)
+        relabel = {old: new for new, old in enumerate(kept)}
+        edges = tuple(tuple(sorted((relabel[a], relabel[b]))) for a, b, _ in work)
+        legs = tuple(sorted((relabel[v], lab) for v, lab in moved))
+        return kept, TreeShape(len(kept), edges, legs), [group for _, _, group in work]
+
 
 @dataclass(frozen=True)
 class TropicalCurve:
@@ -127,41 +161,6 @@ def is_smooth(curve: TropicalCurve) -> bool:
     return all(l != INF for _, _, l in curve.internal_edges)
 
 
-def straighten(shape: TreeShape) -> tuple[list[int], TreeShape, list[list[int]]]:
-    """Erase the 2-valent vertices of a tree combinatorially, as ``stabilize`` does.
-
-    Returns the surviving vertices in increasing order (new vertex ``k`` is
-    ``kept[k]``), the straightened tree on the new numbering, and per
-    straightened edge the indices of the original edges merged into it.
-    """
-    work = [[a, b, [i]] for i, (a, b) in enumerate(shape.edges)]
-    moved = [[v, lab] for v, lab in shape.legs]
-    alive = set(range(shape.vertices))
-
-    while True:
-        for v in sorted(alive):
-            inc_e = [e for e in work if v in (e[0], e[1])]
-            inc_l = [l for l in moved if l[0] == v]
-            if len(inc_e) + len(inc_l) == 2 and inc_e:  # a vertex with two legs stays
-                break
-        else:
-            break
-        far = [e[0] if e[1] == v else e[1] for e in inc_e]
-        for e in inc_e:
-            work.remove(e)
-        if len(inc_e) == 2:
-            work.append([far[0], far[1], inc_e[0][2] + inc_e[1][2]])
-        else:
-            inc_l[0][0] = far[0]
-        alive.discard(v)
-
-    kept = sorted(alive)
-    relabel = {old: new for new, old in enumerate(kept)}
-    edges = tuple(tuple(sorted((relabel[a], relabel[b]))) for a, b, _ in work)
-    legs = tuple(sorted((relabel[v], lab) for v, lab in moved))
-    return kept, TreeShape(len(kept), edges, legs), [group for _, _, group in work]
-
-
 def stabilize(curve: TropicalCurve) -> TropicalCurve:
     """Erase 2-valent vertices, adding the lengths of the merged edges.
 
@@ -171,7 +170,7 @@ def stabilize(curve: TropicalCurve) -> TropicalCurve:
     legs and nothing else is irreducible and stays. Edges come out oriented
     tail < head.
     """
-    _, stab, groups = straighten(curve.shape)
+    _, stab, groups = curve.shape.straighten()
     lengths = [l for _, _, l in curve.internal_edges]
     merged = tuple(
         (a, b, sum((lengths[k] for k in group), Fraction(0)))

@@ -28,7 +28,6 @@ from .polyhedral import (
     fan_from_json,
     fan_to_json,
     locate,
-    locate_germ,
     ExtendedPoint,
 )
 
@@ -165,8 +164,9 @@ class CombinatorialType:
                 if cone_v is not None and not _is_face(self.fan, cone_v, car):
                     raise InvalidTypeError(f"vertex cone of {v} is not a face of edge {i}'s carrier")
                 c = tuple(sign * x for x in self.edge_contacts[i])
-                base_cone = cone_v if cone_v is not None else car
-                if not _points_into(self.fan, car, base_cone, c):
+                # base is a face of car, so this says c lies in car + span(base)
+                germ = self.fan.germ(cone_v if cone_v is not None else car, c)
+                if germ is None or not _is_face(self.fan, germ, car):
                     raise InvalidTypeError(f"edge {i} does not point into its carrier from vertex {v}")
         for j, (v, lab) in enumerate(self.shape.legs):
             car = self.leg_carriers[j]
@@ -186,16 +186,6 @@ def _balanced(star: list[tuple[Vector, Optional[int]]]) -> bool:
 
 def _is_face(fan: Fan, small: int, big: int) -> bool:
     return set(fan.cones[small]) <= set(fan.cones[big])
-
-
-def _points_into(fan: Fan, carrier: int, base: int, c: Vector) -> bool:
-    """c lies in carrier + span(base), the tangent cone along the base face."""
-    cone = fan.cones[carrier]
-    free = set(fan.cones[base])
-    coeffs = fan.cone_coefficients(carrier, [Fraction(x) for x in c])
-    if coeffs is None:
-        return False
-    return all(q >= 0 for ray, q in zip(cone, coeffs) if ray not in free)
 
 
 @dataclass(frozen=True)
@@ -358,9 +348,11 @@ def _walk(fan: Fan, start: Point, c: Vector, total: Optional[Fraction]):
     cfrac = [Fraction(x) for x in c]
     for _ in range(len(fan.cones) + 1):
         try:
-            germ = locate_germ(fan, current, cfrac)
+            germ = fan.germ(locate(fan, current), c)
         except NotCompleteError as exc:
             raise InfiniteCrossingError(str(exc)) from exc
+        if germ is None:
+            raise InfiniteCrossingError(f"no cone carries the germ at {current} toward {c}")
         cb = fan.cone_coefficients(germ, current)
         cd = fan.cone_coefficients(germ, cfrac)
         assert cb is not None and cd is not None

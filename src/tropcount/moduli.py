@@ -19,7 +19,7 @@ from math import comb, gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import lp
-from .curves import TreeShape, straighten
+from .curves import TreeShape
 from .exactmath import (
     IntMatrix,
     clear_denominators,
@@ -37,7 +37,7 @@ from .maps import (
     oriented,
     torically_transverse,
 )
-from .polyhedral import Fan, locate, locate_germ
+from .polyhedral import Fan, locate
 
 Point = tuple[Fraction, ...]
 
@@ -82,26 +82,13 @@ class ModuliCone:
         coords, _ = clear_denominators(coords)
         if any(self.constraint_matrix.apply(coords)):
             return "outside"
-        fan = self.type.fan
-        r = fan.rank
-        tight = False
-        for v, cone_idx in enumerate(self.type.vertex_cones):
-            if cone_idx is None:
-                continue
-            coeffs = fan.cone_coefficients(cone_idx, coords[v * r : (v + 1) * r])
-            if coeffs is None or any(q < 0 for q in coeffs):
-                return "outside"
-            if any(q == 0 for q in coeffs):
-                tight = True
-        for l in coords[self.type.shape.vertices * r :]:
-            if l < 0:
-                return "outside"
-            if l == 0:
-                tight = True
-        return "boundary" if tight else "interior"
+        values = [sum(a * x for a, x in zip(row, coords)) for row, _ in self._inequality_numerators()]
+        if any(x < 0 for x in values):
+            return "outside"
+        return "boundary" if 0 in values else "interior"
 
-    def _inequality_numerators(self) -> list[tuple[list[int], int, str]]:
-        """Inequalities as integer rows over positive denominators, with labels.
+    def _inequality_numerators(self) -> list[tuple[list[int], int]]:
+        """Inequalities as integer rows over positive denominators, valid on the span.
 
         A vertex's rows come from its cone's ``ConeData``: adj(G)·Rᵀ over
         det G extracts ray coefficients from any point of span(cone).
@@ -109,7 +96,7 @@ class ModuliCone:
         fan = self.type.fan
         r = fan.rank
         nv = self.type.shape.vertices
-        rows: list[tuple[list[int], int, str]] = []
+        rows: list[tuple[list[int], int]] = []
         for v, cone_idx in enumerate(self.type.vertex_cones):
             if cone_idx is None or not fan.cones[cone_idx]:
                 continue
@@ -117,16 +104,12 @@ class ModuliCone:
             for lam in data.coefficients:
                 row = [0] * self.ambient_dim
                 row[v * r : (v + 1) * r] = lam
-                rows.append((row, data.det, f"vertex {v}"))
+                rows.append((row, data.det))
         for e in range(len(self.type.shape.edges)):
             row = [0] * self.ambient_dim
             row[nv * r + e] = 1
-            rows.append((row, 1, f"length {e}"))
+            rows.append((row, 1))
         return rows
-
-    def inequality_rows(self) -> list[tuple[list[Fraction], str]]:
-        """Linear functionals that must be >= 0 on the cone (valid on its span)."""
-        return [([Fraction(x, den) for x in row], label) for row, den, label in self._inequality_numerators()]
 
     def _span_inequalities(self) -> list[tuple[list[int], int]]:
         """The inequality rows on span coordinates, as integer numerators over
@@ -134,7 +117,7 @@ class ModuliCone:
         basis = [self.span_basis.row(a) for a in range(self.ambient_dim)]
         return [
             ([sum(x * b[j] for x, b in zip(row, basis) if x) for j in range(self.dimension)], den)
-            for row, den, _ in self._inequality_numerators()
+            for row, den in self._inequality_numerators()
         ]
 
     def _lift(self, num: Sequence[int], den: int) -> list[Fraction]:
@@ -349,9 +332,7 @@ def _type_at(theta: CombinatorialType, witness: Sequence[Fraction]) -> FaceData:
     def carrier(old: Optional[int], v: int, c: tuple[int, ...]) -> Optional[int]:
         if old is None:
             return None
-        if not any(c):
-            return locate(fan, positions[v])
-        return locate_germ(fan, positions[v], [Fraction(x) for x in c])
+        return fan.germ(cones[v] if cones[v] is not None else locate(fan, positions[v]), c)
 
     edges: list[tuple[int, int]] = []
     contacts: list[tuple[int, ...]] = []
@@ -584,57 +565,37 @@ def forced_edge_contacts(
     return out
 
 
-def _germ_into(fan: Fan, carrier: int, base: int, c: Sequence[Fraction]) -> bool:
-    """Moving off relint(base) along c lands immediately in relint(carrier).
-
-    Requires base to be a face of carrier and the coefficients of c on the
-    carrier's rays outside base to be strictly positive, which rules out
-    directions running parallel to a wall.
-    """
-    cone = fan.cones[carrier]
-    base_rays = set(fan.cones[base])
-    if not base_rays <= set(cone):
-        return False
-    coeffs = fan.cone_coefficients(carrier, c)
-    if coeffs is None:
-        return False
-    return all(q > 0 for ray, q in zip(cone, coeffs) if ray not in base_rays)
-
-
 def _walks(fan: Fan, start_cone: int, c: tuple[int, ...], end_cone: Optional[int]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Combinatorial wall-crossing patterns for a segment or ray of direction c.
 
-    Yields (carriers, crossing faces): carriers[0] holds the germ at the
-    start vertex (whose cone is ``start_cone``), consecutive carriers meet
-    transversally in the proper crossing face between them; a ray must end
-    in a carrier containing c, a segment in a carrier reached backwards
-    from the head vertex.
+    Yields (carriers, crossing faces). ``Fan.germ`` decides every step:
+    carriers[0] is the germ along c at the start vertex (whose cone is
+    ``start_cone``); a carrier is left through a proper face whose germ along
+    -c is that carrier, into the face's germ along c; a ray ends in a carrier
+    containing c, a segment in the germ along -c at the head vertex (whose
+    cone is ``end_cone``). Its strict positivity keeps a segment running
+    inside a wall in that wall.
     """
-    cfrac = [Fraction(x) for x in c]
-    neg = [-x for x in cfrac]
+    neg = tuple(-x for x in c)
 
     def ends_ok(car: int) -> bool:
         if end_cone is None:
-            return fan.contains(car, cfrac)
-        return _germ_into(fan, car, end_cone, neg)
+            return fan.contains(car, c)
+        return fan.germ(end_cone, neg) == car
 
     def rec(carriers: tuple[int, ...], faces: tuple[int, ...]) -> Iterator:
         cur = carriers[-1]
         if ends_ok(cur):
             yield carriers, faces
         for face in fan.face_indices(cur):
-            if face == cur or not _germ_into(fan, cur, face, neg):
+            if face == cur or fan.germ(face, neg) != cur:
                 continue
-            for nxt in range(len(fan.cones)):
-                if nxt in carriers or nxt == face:
-                    continue
-                if not _germ_into(fan, nxt, face, cfrac):
-                    continue
+            nxt = fan.germ(face, c)
+            if nxt is not None and nxt not in carriers:
                 yield from rec(carriers + (nxt,), faces + (face,))
 
-    for first in range(len(fan.cones)):
-        if not _germ_into(fan, first, start_cone, cfrac):
-            continue
+    first = fan.germ(start_cone, c)
+    if first is not None:
         yield from rec((first,), ())
 
 
@@ -852,7 +813,7 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
         shape = cc.type.shape
         r = fan.rank
         nv = shape.vertices
-        kept, stab, groups = straighten(shape)
+        kept, stab, groups = shape.straighten()
         root_vertex = kept[stab.leg_vertex(root_label)]
         rows: list[list[int]] = []
         for i in range(r):

@@ -1,11 +1,12 @@
 """Complete simplicial fans, their canonical compactifications, and quotients.
 
 A fan is stored as primitive ray vectors plus cones given by ray-index
-sets; the zero cone is the empty set. Membership and location are decided
-exactly by the signs of ray coefficients, read as integer dot products
-from per-cone data that the fan builds once (``ConeData``), and points of
-the compactified fan are represented by the stratum they fall in together
-with rational coordinates in a deterministically chosen quotient basis.
+sets; the zero cone is the empty set. Membership, location and the cone
+a germ enters (``Fan.germ``) are decided exactly by the signs of ray
+coefficients, read as integer dot products from per-cone data that the
+fan builds once (``ConeData``), and points of the compactified fan are
+represented by the stratum they fall in together with rational
+coordinates in a deterministically chosen quotient basis.
 """
 from __future__ import annotations
 
@@ -143,9 +144,14 @@ class Fan:
         # Not a field, so ==, hash and repr ignore it; __getstate__ drops it.
         return {}
 
+    @cached_property
+    def _germ_cache(self) -> dict[tuple[int, Vector], Optional[int]]:
+        return {}
+
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_cone_cache", None)
+        state.pop("_germ_cache", None)
         return state
 
     def cone_data(self, cone_idx: int) -> ConeData:
@@ -198,6 +204,26 @@ class Fan:
         if strict:
             return all(c > 0 for c in nums)
         return all(c >= 0 for c in nums)
+
+    def germ(self, base: int, direction: Sequence[int]) -> Optional[int]:
+        """The cone entered by moving off relint(base) along an integer direction.
+
+        It is the cone containing base on whose other rays the direction's
+        coefficients are all > 0, strictly, so a direction running inside a
+        wall stays in the wall; None off the fan's support. Cached per
+        (base, direction): both range over finite sets, unlike points.
+        """
+        key = (base, tuple(direction))
+        cache = self._germ_cache
+        if key not in cache:
+            inner = set(self.cones[base])
+            cache[key] = None
+            for idx, cone in enumerate(self.cones):
+                nums = self._coefficient_numerators(idx, key[1]) if inner <= set(cone) else None
+                if nums is not None and all(x > 0 for ray, x in zip(cone, nums) if ray not in inner):
+                    cache[key] = idx
+                    break
+        return cache[key]
 
     def face_indices(self, cone_idx: int) -> list[int]:
         s = set(self.cones[cone_idx])
@@ -266,32 +292,6 @@ def locate(fan: Fan, p: Sequence[Fraction]) -> int:
         if nums is not None and all(c > 0 for c in nums):
             return idx
     raise NotCompleteError(f"no cone contains {p} in its relative interior")
-
-
-def locate_germ(fan: Fan, base: Sequence[Fraction], direction: Sequence[Fraction]) -> int:
-    """The cone whose relative interior contains base + eps*direction for small eps > 0.
-
-    Decided exactly: the coefficients of base + eps*direction in a cone's ray
-    basis are affine in eps, so their signs near 0+ are readable from the
-    (base, direction) coefficient pairs.
-    """
-    base = [Fraction(x) for x in base]
-    direction = [Fraction(x) for x in direction]
-    if all(x == 0 for x in direction):
-        return locate(fan, base)
-    qb, _ = clear_denominators(base)
-    qd, _ = clear_denominators(direction)
-    for idx in range(len(fan.cones)):
-        # numerators over positive denominators: the signs are the coefficients'
-        cb = fan._coefficient_numerators(idx, qb)
-        if cb is None:
-            continue
-        cd = fan._coefficient_numerators(idx, qd)
-        if cd is None:
-            continue
-        if all(b > 0 or (b == 0 and d > 0) for b, d in zip(cb, cd)):
-            return idx
-    raise NotCompleteError(f"no cone carries the germ at {base} toward {direction}")
 
 
 def quotient_projection(fan: Fan, l_basis: IntMatrix) -> QuotientProjection:

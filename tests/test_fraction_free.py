@@ -3,11 +3,13 @@
 ``lp._phase_one``, ``exactmath.solve_rational`` (with ``rank`` and
 ``solve_rational_matrix`` on the same elimination) and the per-cone
 integer data behind ``Fan.cone_coefficients``, ``contains``, ``locate`` and
-``locate_germ`` used to do their arithmetic over ``Fraction``. The former
-implementations are kept below as references, and the property tests
-require exact equality with them: same pivots, same points, same
-decisions. The last test checks that the kernels do no ``Fraction``
-arithmetic at all.
+the former ``locate_germ`` (now ``Fan.germ`` at the located cone) used to
+do their arithmetic over ``Fraction``. The former implementations are kept
+below as references, and the property tests require exact equality with
+them: same pivots, same points, same decisions. So are the former germ
+rules of ``moduli._germ_into`` and ``maps._points_into``, which
+``Fan.germ`` replaced. The last test checks that the kernels do no
+``Fraction`` arithmetic at all.
 """
 from fractions import Fraction
 from typing import Optional
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcount import lp
-from tropcount.exactmath import IntMatrix, rank, solve_rational, solve_rational_matrix
-from tropcount.maps import DiscreteData
+from tropcount.curves import TreeShape
+from tropcount.exactmath import IntMatrix, clear_denominators, rank, solve_rational, solve_rational_matrix
+from tropcount.maps import CombinatorialType, DiscreteData, InvalidTypeError
 from tropcount.moduli import assemble_complex
 from tropcount.polyhedral import (
     Fan,
@@ -26,7 +29,6 @@ from tropcount.polyhedral import (
     fan_product,
     fan_projective_space,
     locate,
-    locate_germ,
 )
 
 # --- references: the former Fraction implementations -------------------------
@@ -161,6 +163,29 @@ def _reference_locate_germ(fan: Fan, base, direction) -> int:
         if all(b > 0 or (b == 0 and d > 0) for b, d in zip(cb, cd)):
             return idx
     raise NotCompleteError("no cone")
+
+
+def _reference_germ_into(fan: Fan, carrier: int, base: int, c) -> bool:
+    """The former ``moduli._germ_into``: moving off relint(base) along c lands
+    immediately in relint(carrier)."""
+    cone = fan.cones[carrier]
+    base_rays = set(fan.cones[base])
+    if not base_rays <= set(cone):
+        return False
+    coeffs = fan.cone_coefficients(carrier, [Fraction(x) for x in c])
+    if coeffs is None:
+        return False
+    return all(q > 0 for ray, q in zip(cone, coeffs) if ray not in base_rays)
+
+
+def _reference_points_into(fan: Fan, carrier: int, base: int, c) -> bool:
+    """The former ``maps._points_into``: c lies in carrier + span(base)."""
+    cone = fan.cones[carrier]
+    free = set(fan.cones[base])
+    coeffs = fan.cone_coefficients(carrier, [Fraction(x) for x in c])
+    if coeffs is None:
+        return False
+    return all(q >= 0 for ray, q in zip(cone, coeffs) if ray not in free)
 
 
 # --- strategies ---------------------------------------------------------------
@@ -311,7 +336,8 @@ def test_cone_coefficients_match_fraction_reference(name, data):
         assert fan.contains(idx, p, strict) == _reference_contains(fan, idx, p, strict)
     _, direction = data.draw(fan_points(fan))
     assert locate(fan, p) == _reference_locate(fan, p)
-    assert locate_germ(fan, p, direction) == _reference_locate_germ(fan, p, direction)
+    germ = fan.germ(locate(fan, p), clear_denominators(direction)[0])
+    assert germ == _reference_locate_germ(fan, p, direction)
 
 
 def test_cone_cache_is_not_part_of_the_fan():
@@ -320,9 +346,74 @@ def test_cone_cache_is_not_part_of_the_fan():
     fan = fan_projective_space(2)
     fresh = fan_projective_space(2)
     locate(fan, [Fraction(1), Fraction(2)])
+    assert fan.germ(fan.cone_index(()), (1, 2)) == fan.cone_index((0, 1))
     assert fan == fresh and hash(fan) == hash(fresh) and repr(fan) == repr(fresh)
     assert pickle.dumps(fan) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(fan)).contains(fan.cone_index((0, 1)), [1, 2], strict=True)
+
+
+# --- the germ rule ------------------------------------------------------------
+
+P2_HOLED = Fan.make(2, FANS["p2"].rays, [(0, 1), (1, 2)], name="p2-holed")  # the cone (0, 2) removed
+# the same fan with every cone listed before its faces: the germ must not
+# depend on the order in which the cones are scanned
+P2_REVERSED = Fan(2, FANS["p2"].rays, FANS["p2"].cones[::-1], name="p2-reversed")
+GERM_FANS = {"p1": fan_projective_space(1), "p2-holed": P2_HOLED, "p2-reversed": P2_REVERSED, **FANS}
+
+
+@st.composite
+def directions(draw, fan: Fan, cone_idx: int):
+    """An integer direction: random, or an integer combination of the cone's rays."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.integers(-3, 3), min_size=fan.rank, max_size=fan.rank)))
+    coeffs = [draw(st.integers(-2, 2)) for _ in fan.cones[cone_idx]]
+    return tuple(sum(k * fan.rays[i][j] for k, i in zip(coeffs, fan.cones[cone_idx])) for j in range(fan.rank))
+
+
+@pytest.mark.parametrize("name", sorted(GERM_FANS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_germ_is_the_one_cone_the_former_scan_passes(name, data):
+    fan = GERM_FANS[name]
+    toward = data.draw(st.integers(0, len(fan.cones) - 1))
+    for direction in (data.draw(directions(fan, toward)), (0,) * fan.rank):
+        for base in range(len(fan.cones)):
+            passing = [idx for idx in range(len(fan.cones)) if _reference_germ_into(fan, idx, base, direction)]
+            # a complete fan has exactly one; P2 without a maximal cone at most one
+            assert len(passing) == 1 or (fan is P2_HOLED and not passing)
+            assert fan.germ(base, direction) == (passing[0] if passing else None)
+
+
+def test_germ_is_none_off_the_support():
+    inside = (1, -1)  # in the relative interior of the removed cone (0, 2)
+    assert FANS["p2"].germ(FANS["p2"].cone_index(()), inside) == FANS["p2"].cone_index((0, 2))
+    for base in [(), (0,), (2,)]:
+        assert P2_HOLED.germ(P2_HOLED.cone_index(base), inside) is None
+    assert P2_HOLED.germ(P2_HOLED.cone_index((0,)), (0, 1)) == P2_HOLED.cone_index((0, 1))
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_check_matches_the_former_points_into(name, data):
+    # one edge from vertex 0 to vertex 1 with contact c in ``carrier``, each end
+    # in a face of it or unconfined, balanced by a leg at each end
+    fan = FANS[name]
+    carrier = data.draw(st.integers(0, len(fan.cones) - 1))
+    ends = [data.draw(st.sampled_from(fan.face_indices(carrier) + [None])) for _ in range(2)]
+    c = data.draw(directions(fan, carrier))
+    neg = tuple(-x for x in c)
+    theta = CombinatorialType(
+        fan, TreeShape(2, ((0, 1),), ((0, 1), (1, 2))), tuple(ends), (c,), (carrier,), (neg, c), (None, None)
+    )
+    want = all(
+        _reference_points_into(fan, carrier, carrier if end is None else end, d) for end, d in zip(ends, (c, neg))
+    )
+    try:
+        theta.check()
+        assert want
+    except InvalidTypeError:
+        assert not want
 
 
 # --- no Fraction arithmetic in the kernels --------------------------------------
@@ -355,6 +446,6 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
         fan.contains(idx, [half, third], strict=True)
         fan.cone_coefficients(idx, [half, third])
     locate(fan, [half, third])
-    locate_germ(fan, [half, Fraction(0)], [Fraction(0), third])
+    fan.germ(locate(fan, [half, Fraction(0)]), clear_denominators([Fraction(0), third])[0])
     for cone in cones:
         assert cone.relint_witness() is not None

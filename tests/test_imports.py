@@ -1,10 +1,15 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+function one package module imports from another can be traced."""
 import ast
+import importlib
+import inspect
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "tropcount"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tropcount"
+TRACER = ROOT / "perfbench" / "tracer.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -42,3 +47,24 @@ def used_names(tree: ast.Module) -> set[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     assert sorted(imported_names(tree) - used_names(tree)) == []
+
+
+def test_cross_module_functions_are_traceable():
+    # the benchmark's tracer wraps each such function as a span of the
+    # defining module's layer, so that module must be a layer, and a
+    # generator's span would not cover its work
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACER.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    untraceable = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                source = importlib.import_module(f"tropcount.{node.module}")
+                for alias in node.names:
+                    fn = getattr(source, alias.name)
+                    if inspect.isfunction(fn) and (node.module not in layers or inspect.isgeneratorfunction(fn)):
+                        untraceable.add(f"{node.module}.{alias.name}")
+    assert sorted(untraceable) == []

@@ -214,7 +214,7 @@ def test_stored_witnesses_are_relative_interior_points(trivial):
     cx = assemble_complex(DiscreteData(P2, TOY.contact_legs, trivial))
     for cc in cx.cones:
         assert all(x == 0 for x in cc.cone.constraint_matrix.apply(cc.witness))
-        for row, _ in cc.cone.inequality_rows():
+        for row, _ in cc.cone._inequality_numerators():
             assert sum(a * x for a, x in zip(row, cc.witness)) > 0
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropcount.exactmath import IntMatrix, smith_normal_form
+from tropcount.exactmath import IntMatrix, clear_denominators, smith_normal_form
 from tropcount.polyhedral import (
     DependentGeneratorsError,
     Fan,
@@ -17,7 +17,6 @@ from tropcount.polyhedral import (
     fan_projective_space,
     fan_to_json,
     locate,
-    locate_germ,
     point_fan,
     quotient_projection,
 )
@@ -155,12 +154,15 @@ def test_extended_point_invariant_under_span_translation():
 
 
 def test_locate_germ():
+    def germ(p, d):
+        return P2.germ(locate(P2, p), clear_denominators(d)[0])
+
     origin = (Fraction(0), Fraction(0))
-    g = locate_germ(P2, origin, (Fraction(1), Fraction(0)))
+    g = germ(origin, (Fraction(1), Fraction(0)))
     assert P2.cones[g] == (P2.rays.index(U1),)
-    g = locate_germ(P2, origin, (Fraction(-1), Fraction(0)))
+    g = germ(origin, (Fraction(-1), Fraction(0)))
     assert len(P2.cones[g]) == 2  # interior of <u2,u3>
-    g = locate_germ(P2, (Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)))
+    g = germ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)))
     assert P2.cones[g] == (P2.rays.index(U1),)
 
 
