@@ -210,7 +210,7 @@ def kontsevich_oracle(d: int) -> int:
     return n[d]
 
 
-# --- working tree representation -------------------------------------------
+# --- working trees and site tables -------------------------------------------
 #
 # During enumeration a stabilized type is held as a plain tuple
 # (nv, edges, legs), as grown by ``moduli.grow_trees``: edges are bare
@@ -218,24 +218,11 @@ def kontsevich_oracle(d: int) -> int:
 # are derived data (the sum of leg contacts beyond the head), recomputed
 # when needed so that leaf insertions never have to patch them.
 #
-# Beside each tree the marked-point search carries the state its prunes
-# read, a tuple (ebits, masks, hop, comp, ends, beyond, marks):
-#
-# - ebits[i]: the bits of the rays of +c and -c, for the contact c of edge
-#   i, in the search's direction alphabet (one bit per ray);
-# - masks[y][x]: the rays of the walk from x to y, as a bitmask;
-# - hop[y][x]: the vertex after x on the walk from x to y (hop[y][y] = y);
-# - comp[x]: the component of x in the forest left by deleting the marked
-#   vertices, or -1 for a marked vertex;
-# - ends[k]: the number of contact ends in component k;
-# - beyond[i]: the contact ends on the b side of edge i = (a, b) within its
-#   component, or None when a or b is marked;
-# - marks: the marked vertices in label order.
-#
-# Inserting a marked vertex w updates all of it in O(nv): each row of masks
-# and hop gains an entry for w and has at most one hop redirected to w, w
-# gets rows of its own, and the ends that w cuts off leave the component of
-# the insertion site and each of its edges on the side that faces w.
+# The marked-point search reads its prunes off ``_site_tables``, built once
+# per skeleton over site ids 0..E-1 (the edges) and E..E+L-1 (the legs):
+# per site s, the walk masks from the other sites to a mark on s, grouped
+# by mask, and the ends that such a mark cuts off from each site; and per
+# site, the contact ends it reaches on either side before any mark.
 
 
 def _centres(nv: int, edges) -> list[int]:
@@ -320,29 +307,53 @@ def _integer_targets(problem: CountProblem) -> dict[int, Vec]:
 def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     """Yield the completed trees over each skeleton in turn, pruning against the targets.
 
-    The trivial legs are inserted in label order, each at a fresh 2-valent
-    vertex subdividing an edge or a contact leg.  For planar point
+    The trivial legs are inserted in label order, each at a fresh marked
+    2-valent vertex subdividing an edge or a contact leg.  For planar point
     conditions a site must pass two sound tests:
 
     - end count: every component of the tree minus the marked vertices
-      must keep at least one contact end, so an edge is a site only when
-      its component has an end on both of its sides, and a contact leg
-      only when its component has another end;
-    - path cone: for every earlier point i, the difference of target i and
-      the new point's target must lie in the closed cone of the directions
-      of the walk from the new vertex to vertex i.
+      keeps a contact end, so a site is offered only when it reaches an
+      end on each of its two sides without crossing a mark;
+    - path cone: for every earlier point i, target i minus the new point's
+      target lies in the closed cone of the directions of the walk from
+      the new vertex to mark i.
 
-    Each node holds the sites of every later point.  A child's sites are
-    among its parent's (no site touches a marked vertex, walks keep their
-    directions, the end count only tightens), so ``admissible`` keeps those
-    that pass again.  The lookahead drops a child in which a later point
-    has no site left.  A completed tree passes both tests in any insertion
-    order (the cone test is symmetric in the two points, the end count
-    weakens as marks are removed), so the lookahead drops only subtrees
-    that complete nothing: the same trees come out in the same order.  Cone
-    tests are cached by (point pair, walk mask) for the whole search, over
-    rays that keep their bits throughout.  Other point problems insert
-    every leg at every site, without pruning.
+    Three facts put both tests on static tables of the skeleton
+    (``_site_tables``), the same for every node over it:
+
+    (i) Every site the search offers is an unused edge or leg of the
+        skeleton.  Both halves of a split edge or leg (a moved leg is the
+        outer half) touch a mark, and a new mark on either would leave the
+        open segment between the two marks as a component without an end.
+        So a point's sites are a bitset over the skeleton's E + L edges and
+        legs.  ``insert_leg`` keeps the unused skeleton edges and legs, in
+        order, ahead of all it appends, so ascending bit order is tree
+        order, and a site's index among the tree's edges (legs) is its
+        index among the skeleton's edges (legs) minus the used ones below
+        it.
+    (ii) The walk from site t to a mark on site s has the ray mask of the
+        skeleton walk between their midpoints: subdividing an edge keeps
+        its direction on both halves.
+    (iii) A mark on s cuts off, from each site t, exactly the contact ends
+        beyond s: an end reaches t unless a mark lies on the skeleton path
+        between them, and that path passes through s exactly when the end
+        lies on the far side of s from t.  With ``reach[t]`` the ends t
+        reaches on each of its sides, a mark on s sets
+        ``reach[t] &= notfar[s][t]``, and t passes the end count while
+        neither side is empty.
+
+    Each node carries the sites of every later point.  A child's sites are
+    among its parent's (by (ii) the tests against earlier marks stay as
+    they were, and the end count only tightens), so a child keeps those
+    that pass the end count and the cone test against its own mark.  That
+    cone test runs once per group of sites sharing a walk mask, and is
+    cached by (point pair, walk mask) for the whole search.  The lookahead
+    drops a child in which a later point has no site left.  A completed
+    tree passes both tests in any insertion order (the cone test is
+    symmetric in the two points, the end count weakens as marks are
+    removed), so the lookahead drops only subtrees that complete nothing:
+    the same trees come out in the same order.  Other point problems
+    insert every leg at every site, without pruning.
     """
     zero = (0,) * problem.fan.rank
     last = len(trivial_labels)
@@ -380,182 +391,136 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
 
     targets = _integer_targets(problem)
     points = [targets[label] for label in trivial_labels]
-    # diffs[j][i] = target i - target j; caches[j][i] maps a walk mask to its cone test
-    diffs = [[(ti[0] - tj[0], ti[1] - tj[1]) for ti in points[:j]] for j, tj in enumerate(points)]
-    caches: list[list[dict[int, bool]]] = [[{} for _ in range(j)] for j in range(last)]
+    # diffs[k][i] = target i - target k; caches[k][i] maps a walk mask to its cone test
+    diffs = [[(ti[0] - tk[0], ti[1] - tk[1]) for ti in points[:k]] for k, tk in enumerate(points)]
+    caches: list[list[dict[int, bool]]] = [[{} for _ in range(k)] for k in range(last)]
 
-    def admissible(tree, state, k, candidates):
-        """Point k's sites among candidates that passed against all but the newest mark."""
-        _, edges, legs = tree
-        ebits, masks, hop, comp, ends, beyond, marks = state
-        i = len(marks) - 1
-        hw, mw, cache, diff = hop[marks[i]], masks[marks[i]], caches[k][i], diffs[k][i]
-        kept = []
-        for te, tl in candidates:
-            if tl is None:
-                a, b = edges[te]
-                e = beyond[te]
-                if e is None or e < 1 or ends[comp[a]] - e < 1:
-                    continue
-                plus, minus = ebits[te]
-                # the walk from the new vertex to the mark leaves through a or b
-                mask = mw[a] | minus if hw[b] == a else mw[b] | plus
-            else:
-                v, c, _ = legs[tl]
-                if comp[v] < 0 or ends[comp[v]] < 2:
-                    continue
-                mask = mw[v] | bits[c][1]
-            hit = cache.get(mask)
-            if hit is None:
-                hit = cache[mask] = _in_closed_cone_2d(diff, [d for d, bit in alphabet.items() if mask & bit])
-            if hit:
-                kept.append((te, tl))
-        return kept
-
-    def rec(tree, state, j, open_sites):
-        # open_sites[k - j]: the sites of point k, for every k >= j, in tree order
+    def rec(tree, used, reach, j, open_sites):
+        # open_sites[k - j]: the site bitset of point k, for every k >= j
         if j == last:
             yield tree
             return
         leg = (zero, trivial_labels[j])
-        for te, tl in open_sites[0]:
-            child = insert_leg(tree, leg, te, tl)
-            if tl is None:
-                child_state = _split_edge(state, tree, te)
+        todo = open_sites[0]
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            s = bit.bit_length() - 1
+            below = used & (bit - 1)
+            if s < n_edges:
+                child = insert_leg(tree, leg, s - below.bit_count())
             else:
-                child_state = _split_leg(state, tree, tl, bits[tree[2][tl][1]])
+                child = insert_leg(tree, leg, None, s - n_edges - (below >> n_edges).bit_count())
+            child_reach = [r & f for r, f in zip(reach, notfar[s])]
+            passing = _end_sites(child_reach, n_legs)
             later = []
-            for k, sites in enumerate(open_sites[1:], j + 1):
-                if tl is None:  # renumber as insert_leg did: the used site goes, later ones shift
-                    sites = [(se - (se > te), None) if sl is None else (se, sl) for se, sl in sites if se != te]
-                else:
-                    sites = [(se, sl - (sl > tl)) if se is None else (se, sl) for se, sl in sites if sl != tl]
-                sites = admissible(child, child_state, k, sites)
+            for k in range(j + 1, last):
+                sites = open_sites[k - j] & passing
+                if sites:
+                    cache, diff, ok = caches[k][j], diffs[k][j], 0
+                    for mask, group in groups[s]:
+                        if group & sites:
+                            hit = cache.get(mask)
+                            if hit is None:
+                                dirs = [d for d, b in alphabet.items() if mask & b]
+                                hit = cache[mask] = _in_closed_cone_2d(diff, dirs)
+                            if hit:
+                                ok |= group
+                    sites &= ok
                 if not sites:
                     break  # the lookahead: point k has no site left
                 later.append(sites)
             else:
-                yield from rec(child, child_state, j + 1, later)
+                yield from rec(child, used | bit, child_reach, j + 1, later)
 
-    for skeleton in skeletons:
+    for skeleton in skeletons:  # rec reads the tables of the skeleton in hand
         nv, edges, legs = skeleton
-        for _, c, _ in legs:
-            bits_of(c)  # the search reads leg bits from ``bits``
-        contacts = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), 2)
-        state = _skeleton_state(skeleton, [bits_of(c) for c in contacts])
-        ends, beyond = state[4:6]  # no mark yet: the end count alone gives every point's sites
-        root = [(te, None) for te, e in enumerate(beyond) if 0 < e < ends[0]]
-        root += [(None, tl) for tl in range(len(legs)) if ends[0] > 1]
-        yield from rec(skeleton, state, 0, [root] * last)
+        lbits = [bits_of(c) for _, c, _ in legs]
+        ebits = [bits_of(c) for c in forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), 2)]
+        n_edges, n_legs = len(edges), len(legs)
+        groups, notfar, reach = _site_tables(skeleton, ebits, lbits)
+        yield from rec(skeleton, 0, reach, 0, [_end_sites(reach, n_legs)] * last)
 
 
-def _skeleton_state(skeleton, ebits: list[tuple[int, int]]):
-    """Search state of a skeleton with no marked vertex: a BFS from every vertex."""
+def _site_tables(skeleton, ebits: list[tuple[int, int]], lbits: list[tuple[int, int]]):
+    """(groups, notfar, reach) of a skeleton, over site ids 0..E-1 (edges) and E..E+L-1 (legs).
+
+    ``groups[s]`` lists, for a mark on site s, (walk mask, bitset of the
+    sites t whose walk to the mark has that mask), from the midpoint of t
+    to the midpoint of s.  ``reach[t]`` holds the legs that t reaches on
+    its side 0 in bits 0..L-1 and on its side 1 in bits L..2L-1; an edge
+    (a, b) has a on side 0 and b on side 1, a leg has its vertex on side 0
+    and its own end on side 1.  ``notfar[s][t]`` clears from ``reach[t]``
+    the legs beyond a mark on s, and ``notfar[s][s]`` clears it all.
+    ``ebits``/``lbits`` give each edge's and leg's (bit of +c, bit of -c),
+    with an edge's c pointing from a to b and a leg's away from its vertex.
+    """
     nv, edges, legs = skeleton
     adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for (a, b), (plus, minus) in zip(edges, ebits):
-        adj[a].append((b, minus))  # neighbour b, bit of the step b -> a
-        adj[b].append((a, plus))
-    masks = []
-    hops = []
-    for s in range(nv):
+        adj[a].append((b, plus))
+        adj[b].append((a, minus))
+    # walk[x][y]: the rays of the walk from vertex x to y; first[x][y]: its first step
+    walk = []
+    first = []
+    for x in range(nv):
         mask = [0] * nv
-        hop = [-1] * nv
-        hop[s] = s
-        stack = [s]
+        step = [-1] * nv
+        step[x] = x
+        stack = [x]
         while stack:
             y = stack.pop()
-            for x, back in adj[y]:
-                if hop[x] == -1:
-                    hop[x] = y
-                    mask[x] = mask[y] | back
-                    stack.append(x)
-        masks.append(mask)
-        hops.append(hop)
-    ends = [sum(1 for _, c, _ in legs if any(c))]
-    beyond = [sum(1 for x, c, _ in legs if any(c) and hops[x][a] == b) for a, b in edges]
-    return (ebits, masks, hops, [0] * nv, ends, beyond, [])
+            for z, ray in adj[y]:
+                if step[z] == -1:
+                    step[z] = z if y == x else step[y]
+                    mask[z] = mask[y] | ray
+                    stack.append(z)
+        walk.append(mask)
+        first.append(step)
+    # per site and side: (vertex, bit of the step in from it, bit of the step out to it)
+    sides = [((a, plus, minus), (b, minus, plus)) for (a, b), (plus, minus) in zip(edges, ebits)]
+    sides += [((v, plus, minus),) for (v, _, _), (plus, minus) in zip(legs, lbits)]
+    # facing[t][y]: the side of site t that vertex y lies on
+    facing = [[int(first[a][y] == b) for y in range(nv)] for a, b in edges]
+    facing += [[0] * nv] * len(legs)
+    anchor = [side[0][0] for side in sides]
+    n_legs = len(legs)
+    full = (1 << n_legs) - 1
+    ends = []  # ends[t][k]: the legs on side k of site t
+    for on in facing[: len(edges)]:
+        far = sum(1 << u for u, (v, _, _) in enumerate(legs) if on[v])
+        ends.append((full ^ far, far))
+    ends += [(full ^ 1 << u, 1 << u) for u in range(n_legs)]
+    reach = [near | far << n_legs for near, far in ends]
+    everything = (1 << 2 * n_legs) - 1
+    groups = []
+    notfar = []
+    for s, (in_s, at_s, ends_s) in enumerate(zip(sides, facing, ends)):
+        # to_s[k][x]: the rays of the walk from vertex x to the midpoint of s, entering from side k
+        to_s = [[walk[x][x_s] | into for x in range(nv)] for x_s, into, _ in in_s]
+        by_mask: dict[int, int] = {}
+        row = [0] * len(sides)
+        for t, (out_t, at_t, y_t) in enumerate(zip(sides, facing, anchor)):
+            if t != s:
+                k_s = at_s[y_t]  # the side of s facing t
+                k_t = at_t[anchor[s]]  # the side of t facing s
+                x_t, _, out = out_t[k_t]
+                mask = out | to_s[k_s][x_t]
+                by_mask[mask] = by_mask.get(mask, 0) | 1 << t
+                row[t] = everything ^ ends_s[1 - k_s] << k_t * n_legs
+        groups.append(list(by_mask.items()))
+        notfar.append(row)
+    return groups, notfar, reach
 
 
-def _split_edge(state, tree, te: int):
-    """DFS state after a marked vertex w = nv subdivides edge te = (a, b).
-
-    Every vertex y lies on the a side or the b side of the edge, which
-    ``hop[y][b] == a`` tells.  Row y gains its entry for w from its entry
-    at a or at b, and its one hop across the edge is redirected to w; row w
-    is read off rows a and b.  The component of the edge splits in two, and
-    each other edge of it loses, on the side that faces w, the ends beyond
-    w: those of the b side if the edge lies on the a side, and vice versa.
-    """
-    ebits, masks, hop, comp, ends, beyond, marks = state
-    nv, edges, _ = tree
-    a, b = edges[te]
-    plus, minus = ebits[te]
-    w = nv
-    side_a = [h[b] == a for h in hop]
-    new_masks = []
-    new_hop = []
-    for y in range(nv):
-        m = masks[y]
-        h = hop[y][:]
-        if side_a[y]:
-            new_masks.append(m + [m[a] | minus])
-            h[b] = w
-            h.append(a)
-        else:
-            new_masks.append(m + [m[b] | plus])
-            h[a] = w
-            h.append(b)
-        new_hop.append(h)
-    ma, mb, ha, hb = masks[a], masks[b], hop[a], hop[b]
-    new_masks.append([ma[x] | plus if side_a[x] else mb[x] | minus for x in range(nv)] + [0])
-    hw = [ha[x] if side_a[x] else hb[x] for x in range(nv)] + [w]
-    hw[a] = hw[b] = w
-    new_hop.append(hw)
-
-    k = comp[a]
-    b_ends = beyond[te]
-    a_ends = ends[k] - b_ends
-    fresh = len(ends)
-    new_comp = [fresh if ck == k and not side_a[x] else ck for x, ck in enumerate(comp)] + [-1]
-    new_ends = ends + [b_ends]
-    new_ends[k] = a_ends
-    new_beyond = [
-        e - (b_ends if side_a[x] else a_ends) if e is not None and comp[x] == k and hw[x] == y else e
-        for (x, y), e in zip(edges, beyond)
-    ]
-    del new_beyond[te]
-    new_ebits = ebits[:te] + ebits[te + 1 :] + [ebits[te], ebits[te]]
-    return (new_ebits, new_masks, new_hop, new_comp, new_ends, new_beyond + [None, None], marks + [w])
-
-
-def _split_leg(state, tree, tl: int, leg_bits: tuple[int, int]):
-    """DFS state after a marked vertex w = nv subdivides contact leg tl at v.
-
-    Every row gains its entry for w from its entry at v, row w is row v
-    shifted by the new edge (v, w), and the contact end moves to w: v's
-    component loses it, and so does each of its edges on the side facing v.
-    """
-    ebits, masks, hop, comp, ends, beyond, marks = state
-    nv, edges, legs = tree
-    v = legs[tl][0]
-    plus, minus = leg_bits
-    w = nv
-    new_masks = [m + [m[v] | minus] for m in masks]
-    new_masks.append([x | plus for x in masks[v]] + [0])
-    new_hop = [h + [v] for h in hop]
-    hv = hop[v]
-    hw = hv + [w]
-    hw[v] = w
-    new_hop.append(hw)
-    k = comp[v]
-    new_ends = ends[:]
-    new_ends[k] -= 1
-    new_beyond = [
-        e - 1 if e is not None and comp[x] == k and hv[x] == y else e
-        for (x, y), e in zip(edges, beyond)
-    ]
-    return (ebits + [leg_bits], new_masks, new_hop, comp + [-1], new_ends, new_beyond + [None], marks + [w])
+def _end_sites(reach: list[int], n_legs: int) -> int:
+    """The bitset of the sites that reach an end on both sides."""
+    low = (1 << n_legs) - 1
+    passing = 0
+    for t, r in enumerate(reach):
+        if r & low and r >> n_legs:
+            passing |= 1 << t
+    return passing
 
 
 def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:

@@ -326,8 +326,9 @@ def _type_at(theta: CombinatorialType, witness: Sequence[Fraction]) -> FaceData:
     reps = sorted({find(v) for v in range(nv)})
     vmap = [reps.index(find(v)) for v in range(nv)]
     positions = [tuple(witness[v * r : v * r + r]) for v in reps]
-    confined = {vmap[v] for v, cone in enumerate(theta.vertex_cones) if cone is not None}
-    cones = tuple(locate(fan, p) if w in confined else None for w, p in enumerate(positions))
+    # a confined vertex lies in its closed vertex cone, so one of that cone's faces holds it
+    confined = {vmap[v]: cone for v, cone in enumerate(theta.vertex_cones) if cone is not None}
+    cones = tuple(fan.face_at(confined[w], p) if w in confined else None for w, p in enumerate(positions))
 
     def carrier(old: Optional[int], v: int, c: tuple[int, ...]) -> Optional[int]:
         if old is None:

@@ -317,7 +317,7 @@ def test_closed_cone_test_matches_lp_feasibility(v, dirs):
 #
 # The from-scratch form of ``counting._marked_dfs``: every node recomputes the
 # end counts of the unmarked forest and runs a fresh BFS from every marked
-# point for the directions of the walks to it.  The incremental search must
+# point for the directions of the walks to it.  The table-driven search must
 # yield the same trees in the same order.
 
 
@@ -361,6 +361,63 @@ def _reference_end_counts(nv, edges, legs, marked):
     return below, totals, parent_edge, comp
 
 
+def _reference_end_sites(tree, marked):
+    """The sites of the tree that pass the end count, as (edge, None) and
+    (None, leg) pairs: edges and contact legs off the marked vertices whose
+    component keeps an end on both sides."""
+    nv, edges, legs = tree
+    below, totals, parent_edge, comp = _reference_end_counts(nv, edges, legs, marked)
+    sites = []
+    for i, (a, b) in enumerate(edges):
+        if a in marked or b in marked:
+            continue
+        child = b if parent_edge[b] == i else a
+        if below[child] >= 1 and totals[comp[a]] - below[child] >= 1:
+            sites.append((i, None))
+    for k, (v, c, _) in enumerate(legs):
+        if any(c) and v not in marked and totals[comp[v]] >= 2:
+            sites.append((None, k))
+    return sites
+
+
+def _neg(c):
+    return tuple(-x for x in c)
+
+
+def _reference_walks(tree, contacts, source):
+    """Per vertex: its depth from source and the directions of its walk to source."""
+    nv, edges, _ = tree
+    adj = [[] for _ in range(nv)]
+    for i, (x, y) in enumerate(edges):
+        adj[x].append((y, contacts[i]))  # the step y -> x goes along -c
+        adj[y].append((x, _neg(contacts[i])))
+    depth = [-1] * nv
+    dirs = [frozenset()] * nv
+    depth[source] = 0
+    stack = [source]
+    while stack:
+        v = stack.pop()
+        for w, c in adj[v]:
+            if depth[w] == -1:
+                depth[w] = depth[v] + 1
+                dirs[w] = dirs[v] | {_neg(c)}
+                stack.append(w)
+    return depth, dirs
+
+
+def _reference_site_walk(tree, contacts, te, tl, walks):
+    """The directions of the walk from a new vertex on edge te or leg tl to
+    the source of ``walks``."""
+    depth, dirs = walks
+    if te is not None:
+        (a, b), c = tree[1][te], contacts[te]
+    else:
+        (a, c, _), b = tree[2][tl], None
+    if b is None or depth[a] < depth[b]:
+        return dirs[a] | {_neg(c)}
+    return dirs[b] | {c}
+
+
 def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
     """Yield the completed trees; append each search node at depth k to nodes[k - 1]."""
     from tropcount.counting import _in_closed_cone_2d, _integer_targets
@@ -371,29 +428,6 @@ def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
     zero = (0,) * rank
     targets = _integer_targets(problem)
 
-    def neg(c):
-        return tuple(-x for x in c)
-
-    def masks_from(tree, contacts, source):
-        """Per vertex: its depth from source and the directions of its walk to source."""
-        nv, edges, _ = tree
-        adj = [[] for _ in range(nv)]
-        for i, (x, y) in enumerate(edges):
-            adj[x].append((y, contacts[i]))  # the step y -> x goes along -c
-            adj[y].append((x, neg(contacts[i])))
-        depth = [-1] * nv
-        dirs = [frozenset()] * nv
-        depth[source] = 0
-        stack = [source]
-        while stack:
-            v = stack.pop()
-            for w, c in adj[v]:
-                if depth[w] == -1:
-                    depth[w] = depth[v] + 1
-                    dirs[w] = dirs[v] | {neg(c)}
-                    stack.append(w)
-        return depth, dirs
-
     def rec(tree, contacts, j, marked_vertex):
         if j:
             nodes[j - 1].append(tree)
@@ -402,38 +436,23 @@ def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
             return
         label = trivial_labels[j]
         nv, edges, legs = tree
-        marked = set(marked_vertex.values())
-        candidates = []
         if planar_points:
-            below, totals, parent_edge, comp = _reference_end_counts(nv, edges, legs, marked)
-            for i, (a, b) in enumerate(edges):
-                if a in marked or b in marked:
-                    continue
-                child = b if parent_edge[b] == i else a
-                if below[child] >= 1 and totals[comp[a]] - below[child] >= 1:
-                    candidates.append((i, None))
-            for k, (v, c, _) in enumerate(legs):
-                if any(c) and v not in marked and totals[comp[v]] >= 2:
-                    candidates.append((None, k))
+            candidates = _reference_end_sites(tree, set(marked_vertex.values()))
         else:
-            candidates.extend((i, None) for i in range(len(edges)))
+            candidates = [(i, None) for i in range(len(edges))]
             candidates.extend((None, k) for k, (_, c, _) in enumerate(legs) if any(c))
         tj = targets[label]
-        geo = {lab_i: masks_from(tree, contacts, s) for lab_i, s in marked_vertex.items()}
+        geo = {lab_i: _reference_walks(tree, contacts, s) for lab_i, s in marked_vertex.items()}
         for te, tl in candidates:
             if te is not None:
-                (a, b), c = edges[te], contacts[te]
+                c = contacts[te]
                 grown_contacts = contacts[:te] + contacts[te + 1 :] + (c, c)
             else:
-                (a, c, _), b = legs[tl], None
-                grown_contacts = contacts + (c,)
+                grown_contacts = contacts + (legs[tl][1],)
             if planar_points:
                 ok = True
-                for lab_i, (depth, dirs) in geo.items():
-                    if b is None or depth[a] < depth[b]:
-                        walk = dirs[a] | {neg(c)}
-                    else:
-                        walk = dirs[b] | {c}
+                for lab_i, walks in geo.items():
+                    walk = _reference_site_walk(tree, contacts, te, tl, walks)
                     ti = targets[lab_i]
                     if not _in_closed_cone_2d((ti[0] - tj[0], ti[1] - tj[1]), sorted(walk)):
                         ok = False
@@ -530,6 +549,94 @@ def test_marked_dfs_nodes_per_depth_with_lookahead(monkeypatch):
     trees = list(counting._marked_dfs(prob, skeletons, sorted(prob.gamma.trivial_legs)))
     assert len(trees) == 44
     assert per_depth == [750, 2816, 1714, 706, 626, 223, 272, 44]
+
+
+# slices on which trees complete for the other d=3 seeds: 8 trees over
+# skeletons 128-135 for seed 1, 10 over skeletons 92-99 for seed 3
+D3_OTHER_SLICES = {1: ((128, 136), 8), 3: ((92, 100), 10)}
+
+
+@pytest.mark.parametrize("seed", sorted(D3_OTHER_SLICES))
+def test_marked_dfs_matches_reference_plane_degree_three_other_seeds(seed):
+    (start, stop), completed = D3_OTHER_SLICES[seed]
+    nodes = _assert_dfs_matches_reference(p2_problem(3, seed), limit=stop, start=start)
+    assert nodes[-1] == completed
+
+
+@pytest.mark.parametrize(
+    "prob,every",
+    [(p2_problem(2, s), 1) for s in range(5)] + [(p2_problem(3, 0), 16), (quadric_problem(), 1)],
+    ids=[f"p2-d2-seed{s}" for s in range(5)] + ["p2-d3", "quadric"],
+)
+def test_site_tables_match_the_marked_tree(prob, every):
+    # facts (i)-(iii) of ``_marked_dfs``, on random insertion sequences: at
+    # every node the unused skeleton sites sit at their predicted tree
+    # indices, the end count offers only them and the static reach gives
+    # its verdict, and the static walk mask from each of them to each mark
+    # is the mask of the walk in the marked tree
+    import random
+    from math import gcd
+
+    from tropcount.counting import _end_sites, _site_tables, _skeleton_census
+    from tropcount.moduli import forced_edge_contacts, insert_leg
+
+    alphabet = {}
+
+    def bits(c):
+        g = gcd(*c)
+        ray = (c[0] // g, c[1] // g)
+        for d in (ray, _neg(ray)):
+            alphabet.setdefault(d, 1 << len(alphabet))
+        return alphabet[ray], alphabet[_neg(ray)]
+
+    def mask_of(dirs):
+        mask = 0
+        for d in dirs:
+            mask |= bits(d)[0]
+        return mask
+
+    rng = random.Random(0)
+    labels = sorted(prob.gamma.trivial_legs)
+    checked = 0
+    for skeleton in _skeleton_census(2, [c for _, c in prob.gamma.contact_legs])[::every]:
+        nv, edges, legs = skeleton
+        contacts = tuple(forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), 2))
+        groups, notfar, reach = _site_tables(skeleton, [bits(c) for c in contacts], [bits(c) for _, c, _ in legs])
+        n_edges, n_sites = len(edges), len(edges) + len(legs)
+        walk_mask = [{t: mask for mask, group in row for t in range(n_sites) if group >> t & 1} for row in groups]
+        for _ in range(2):
+            tree, tree_contacts, now, used, marks = skeleton, contacts, reach, 0, {}
+            for label in labels:
+                unused = [t for t in range(n_sites) if not used >> t & 1]
+                index = {}  # (i): site id -> (edge, None) or (None, leg) in the tree
+                for t in unused:
+                    below = used & ((1 << t) - 1)
+                    if t < n_edges:
+                        index[t] = (t - below.bit_count(), None)
+                        assert tree[1][index[t][0]] == edges[t]
+                    else:
+                        index[t] = (None, t - n_edges - (below >> n_edges).bit_count())
+                        assert tree[2][index[t][1]] == legs[t - n_edges]
+                offered = _reference_end_sites(tree, set(marks.values()))
+                passing = _end_sites(now, len(legs))
+                assert passing & used == 0
+                assert offered == [index[t] for t in unused if passing >> t & 1]  # in tree order
+                for s, vertex in marks.items():  # (ii)
+                    walks = _reference_walks(tree, tree_contacts, vertex)
+                    for t in unused:
+                        assert walk_mask[s][t] == mask_of(_reference_site_walk(tree, tree_contacts, *index[t], walks))
+                        checked += 1
+                s = rng.choice(unused)
+                te, tl = index[s]
+                if te is None:
+                    tree_contacts += (tree[2][tl][1],)
+                else:
+                    tree_contacts = tree_contacts[:te] + tree_contacts[te + 1 :] + (tree_contacts[te],) * 2
+                tree = insert_leg(tree, ((0, 0), label), te, tl)
+                marks[s] = tree[0] - 1
+                used |= 1 << s
+                now = [r & f for r, f in zip(now, notfar[s])]  # (iii)
+    assert checked > 0
 
 
 @pytest.mark.parametrize(
