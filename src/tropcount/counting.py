@@ -11,10 +11,11 @@ the caller can reseed.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb, gcd, prod
+from operator import lshift
 from typing import Iterator, Optional, Sequence
 
 from .curves import TreeShape
@@ -277,24 +278,31 @@ def _cross(u, v) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _in_closed_cone_2d(v: Point, dirs: list[Vec]) -> bool:
-    """Exact membership of v in the nonnegative span of dirs (rank 2)."""
-    if all(x == 0 for x in v):
-        return True
-    for d in dirs:
-        if _cross(d, v) == 0 and d[0] * v[0] + d[1] * v[1] > 0:
-            return True
-    for d1, d2 in itertools.combinations(dirs, 2):
-        det = _cross(d1, d2)
-        if det == 0:
-            continue
-        a = _cross(v, d2)
-        b = _cross(d1, v)
-        if det < 0:
-            a, b, det = -a, -b, -det
-        if a >= 0 and b >= 0:
-            return True
-    return False
+def _by_angle(a: Vec, b: Vec) -> int:
+    """Compare nonzero plane vectors by angle in [0, 2pi) from the positive x-axis."""
+    return ((a[1], a[0]) < (0, 0)) - ((b[1], b[0]) < (0, 0)) or _cross(b, a)
+
+
+def _cone_verdicts(dirs: Sequence[Vec], vs: Sequence[Vec]) -> int:
+    """Bit i is set iff vs[i] lies in the closed cone spanned by dirs (rank 2, exact).
+
+    The gaps of at least pi between neighbours of the primitive rays of
+    dirs, sorted by angle, give the cone: none, the plane; two (of pi), a
+    line; one of pi, a closed half-plane; one of more, the pointed sector
+    between its ends.  It is kept as the vectors u with v in the cone iff
+    cross(u, v) >= 0 for each u: at most two, but three for one ray and
+    four for none.
+    """
+    rays = sorted({(d[0] // gcd(*d), d[1] // gcd(*d)) for d in dirs if any(d)}, key=cmp_to_key(_by_angle))
+    wide = [(a, b) for a, b in zip(rays, rays[1:] + rays[:1]) if _cross(a, b) <= 0]
+    if not wide:  # the plane, or {0} when there is no ray
+        bounds = [] if rays else [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    elif len(wide) == 2:  # the line through a = -b
+        bounds = list(wide[0])
+    else:  # from b counterclockwise to a: a half-plane if b = -a; for one ray a = b, also a.v >= 0
+        a, b = wide[0]
+        bounds = [b, (-a[0], -a[1])] + [(a[1], -a[0])] * (len(rays) == 1)
+    return sum(1 << i for i, v in enumerate(vs) if all(_cross(u, v) >= 0 for u in bounds))
 
 
 def _integer_targets(problem: CountProblem) -> dict[int, Vec]:
@@ -318,7 +326,7 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
       target lies in the closed cone of the directions of the walk from
       the new vertex to mark i.
 
-    Three facts put both tests on static tables of the skeleton
+    Four facts put both tests on static tables of the skeleton
     (``_site_tables``), the same for every node over it:
 
     (i) Every site the search offers is an unused edge or leg of the
@@ -341,18 +349,29 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
         reaches on each of its sides, a mark on s sets
         ``reach[t] &= notfar[s][t]``, and t passes the end count while
         neither side is empty.
+    (iv) The cone test of a site t of point k against the mark of an
+        earlier point j on s reads only the walk mask from t to s, so by
+        (ii) a pair's verdict depends only on its two sites: the pair
+        relation is a static table of the skeleton.  ``compat[s]`` packs
+        it in one int, whose field (j, k) of E + L bits holds the sites of
+        point k compatible with a mark of point j on s, built from the
+        mask groups and one verdict bitset over all pairs per walk mask.
 
     Each node carries the sites of every later point.  A child's sites are
     among its parent's (by (ii) the tests against earlier marks stay as
     they were, and the end count only tightens), so a child keeps those
-    that pass the end count and the cone test against its own mark.  That
-    cone test runs once per group of sites sharing a walk mask, and is
-    cached by (point pair, walk mask) for the whole search.  The lookahead
-    drops a child in which a later point has no site left.  A completed
-    tree passes both tests in any insertion order (the cone test is
-    symmetric in the two points, the end count weakens as marks are
-    removed), so the lookahead drops only subtrees that complete nothing:
-    the same trees come out in the same order.  Other point problems
+    that pass the end count and its pair fields against its own mark.  The
+    end count is packed: ``reach`` and ``notfar[s]`` hold a field of 2L
+    bits per site, its two sides of L bits, so a mark is one AND.  A carry
+    test leaves a flag at the top bit of each nonempty side, and one
+    multiply gathers the sites with both flags into a bitset.  The copies
+    it shifts together never meet, as the E + L fields are 2L bits apart
+    and E + L <= 2L - 1 (a stable tree with L legs has at most L - 3
+    edges).  The lookahead drops a child in which a later point has no
+    site left.  A completed tree passes both tests in any insertion order
+    (the cone test is symmetric in the two points, the end count weakens as
+    marks are removed), so the lookahead drops only subtrees that complete
+    nothing: the same trees come out in the same order.  Other point problems
     insert every leg at every site, without pruning.
     """
     zero = (0,) * problem.fan.rank
@@ -391,9 +410,21 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
 
     targets = _integer_targets(problem)
     points = [targets[label] for label in trivial_labels]
-    # diffs[k][i] = target i - target k; caches[k][i] maps a walk mask to its cone test
-    diffs = [[(ti[0] - tk[0], ti[1] - tk[1]) for ti in points[:k]] for k, tk in enumerate(points)]
-    caches: list[list[dict[int, bool]]] = [[{} for _ in range(k)] for k in range(last)]
+    # pair (j, k), j < k, is field first[j] + k - j - 1, for the vector target j - target k
+    pairs = [(tj[0] - tk[0], tj[1] - tk[1]) for j, tj in enumerate(points) for tk in points[j + 1 :]]
+    first = [j * (2 * last - j - 1) // 2 for j in range(last)]
+    pair_fields: dict[int, int] = {}  # walk mask -> the fields of the pairs whose cone test it passes
+    # every skeleton has the L contact legs and L - 3 edges; a field of 2L bits per site
+    n_legs = problem.gamma.n
+    n_edges = n_legs - 3
+    n_sites = n_edges + n_legs
+    per_site = sum(1 << t * 2 * n_legs for t in range(n_sites))
+    low = (per_site | per_site << n_legs) * ((1 << n_legs - 1) - 1)  # the low L - 1 bits of each side
+    high = (per_site | per_site << n_legs) << n_legs - 1  # the top bit of each side
+    near = per_site << n_legs - 1  # the top bit of each site's side 0
+    gather = sum(1 << u * (2 * n_legs - 1) for u in range(n_sites))
+    gather_at = n_legs - 1 + (n_sites - 1) * (2 * n_legs - 1)
+    offsets = [t * 2 * n_legs for t in range(n_sites)]
 
     def rec(tree, used, reach, j, open_sites):
         # open_sites[k - j]: the site bitset of point k, for every k >= j
@@ -411,25 +442,17 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
                 child = insert_leg(tree, leg, s - below.bit_count())
             else:
                 child = insert_leg(tree, leg, None, s - n_edges - (below >> n_edges).bit_count())
-            child_reach = [r & f for r, f in zip(reach, notfar[s])]
-            passing = _end_sites(child_reach, n_legs)
+            child_reach = reach & notfar[s]
+            sides = ((child_reach & low) + low | child_reach) & high
+            passing = (sides & sides >> n_legs & near) * gather >> gather_at
+            row = compat[s] >> first[j] * n_sites
             later = []
-            for k in range(j + 1, last):
-                sites = open_sites[k - j] & passing
-                if sites:
-                    cache, diff, ok = caches[k][j], diffs[k][j], 0
-                    for mask, group in groups[s]:
-                        if group & sites:
-                            hit = cache.get(mask)
-                            if hit is None:
-                                dirs = [d for d, b in alphabet.items() if mask & b]
-                                hit = cache[mask] = _in_closed_cone_2d(diff, dirs)
-                            if hit:
-                                ok |= group
-                    sites &= ok
+            for sites in open_sites[1:]:
+                sites &= passing & row
                 if not sites:
-                    break  # the lookahead: point k has no site left
+                    break  # the lookahead: a later point has no site left
                 later.append(sites)
+                row >>= n_sites
             else:
                 yield from rec(child, used | bit, child_reach, j + 1, later)
 
@@ -437,9 +460,15 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
         nv, edges, legs = skeleton
         lbits = [bits_of(c) for _, c, _ in legs]
         ebits = [bits_of(c) for c in forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), 2)]
-        n_edges, n_legs = len(edges), len(legs)
-        groups, notfar, reach = _site_tables(skeleton, ebits, lbits)
-        yield from rec(skeleton, 0, reach, 0, [_end_sites(reach, n_legs)] * last)
+        groups, notfar_rows, reach_row = _site_tables(skeleton, ebits, lbits)
+        for mask in {mask for row in groups for mask, _ in row}.difference(pair_fields):
+            ok = _cone_verdicts([d for d, b in alphabet.items() if mask & b], pairs)
+            pair_fields[mask] = sum(1 << f * n_sites for f in range(len(pairs)) if ok >> f & 1)
+        # a site's groups are disjoint, so the sum is an OR
+        compat = [sum(group * pair_fields[mask] for mask, group in row) for row in groups]
+        notfar = [sum(map(lshift, row, offsets)) for row in notfar_rows]
+        reach = sum(map(lshift, reach_row, offsets))
+        yield from rec(skeleton, 0, reach, 0, [_end_sites(reach_row, n_legs)] * last)
 
 
 def _site_tables(skeleton, ebits: list[tuple[int, int]], lbits: list[tuple[int, int]]):
@@ -564,28 +593,27 @@ def enumerate_rigid_types(problem: CountProblem, prune: bool = True) -> Iterator
     filtered by sound necessary conditions against the problem's seeded
     targets (a pruned-away type can never contribute to this problem).
     """
-    for _, _, theta in _rigid_types(problem, prune, 0, 1):
+    for _, _, theta in _rigid_types(problem, prune):
         yield theta
 
 
-def _rigid_types(problem: CountProblem, prune: bool, chunk_index: int, threads: int):
+def _rigid_types(problem: CountProblem, prune: bool, skeletons: Optional[list[tuple]] = None):
     """Yield (canonical key, relabeling, type) for the distinct rigid types of one chunk.
 
     With pruning, point problems with at least three contact legs run the
-    marked-point search over skeletons ``chunk_index``, ``chunk_index +
-    threads``, ...; distinct final types never cross skeleton classes, so
+    marked-point search over ``skeletons``, by default the whole skeleton
+    census; distinct final types never cross skeleton classes, so
     per-chunk deduplication is globally valid.  Every other problem runs
-    the full trivalent census over all legs, in chunk 0 only.
+    the full trivalent census over all legs.
     """
     gamma = problem.gamma
     fan = problem.fan
     if prune and _searches_skeletons(problem):
-        skeletons = _skeleton_census(fan.rank, [c for _, c in gamma.contact_legs])
-        trees = _marked_dfs(problem, skeletons[chunk_index::threads], sorted(gamma.trivial_legs))
-    elif chunk_index == 0:
-        trees = grow_trees([(c, lab) for lab, c in _census_legs(problem)])
+        if skeletons is None:
+            skeletons = _skeleton_census(fan.rank, [c for _, c in gamma.contact_legs])
+        trees = _marked_dfs(problem, skeletons, sorted(gamma.trivial_legs))
     else:
-        return
+        trees = grow_trees([(c, lab) for lab, c in _census_legs(problem)])
     codim = expected_codimension(fan, gamma)
     seen = set()
     for tree in trees:
@@ -773,12 +801,12 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
     worker count; contribution lists are canonically sorted.
     """
     _check_problem_genericity(problem)
-    if not _searches_skeletons(problem):
-        _census_legs(problem)  # bound the census before any worker starts
-    if threads > 1:
-        results = _map_workers(problem, threads)
+    if _searches_skeletons(problem):  # one census, dealt out skeleton by skeleton
+        census = _skeleton_census(problem.fan.rank, [c for _, c in problem.gamma.contact_legs])
+        chunks = [census[i::threads] for i in range(threads)] if threads > 1 else [census]
     else:
-        results = [_count_worker((problem, 0, 1))]
+        chunks = [None]  # the census over all legs, in one worker
+    results = _map_workers(problem, chunks) if len(chunks) > 1 else [_count_worker((problem, chunks[0]))]
     # chunks never share a type (see _rigid_types)
     contributions = sorted((c for items, _ in results for c in items), key=lambda c: c.key)
     rejected = sum(rej for _, rej in results)
@@ -787,11 +815,11 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
 
 
 def _count_worker(args):
-    """Solve the rigid types of one deterministic chunk of the work."""
-    problem, chunk_index, threads = args
+    """Solve the rigid types of one chunk of skeletons (None: the census over all legs)."""
+    problem, skeletons = args
     contributions = []
     rejected = 0
-    for key, relabel, theta in _rigid_types(problem, True, chunk_index, threads):
+    for key, relabel, theta in _rigid_types(problem, True, skeletons):
         try:
             solved = _solve_type(problem, theta)
         except SingularError:
@@ -803,11 +831,11 @@ def _count_worker(args):
     return contributions, rejected
 
 
-def _map_workers(problem: CountProblem, threads: int):
+def _map_workers(problem: CountProblem, chunks: list):
     import multiprocessing as mp
 
-    with mp.Pool(threads) as pool:
-        return pool.map(_count_worker, [(problem, i, threads) for i in range(threads)])
+    with mp.Pool(len(chunks)) as pool:
+        return pool.map(_count_worker, [(problem, chunk) for chunk in chunks])
 
 
 # --- JSON interface --------------------------------------------------------

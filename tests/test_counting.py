@@ -197,6 +197,12 @@ def test_plane_counts_small_degrees(d, expected):
     assert totals == {expected}
 
 
+@pytest.mark.slow
+def test_plane_degree_four_on_two_workers():
+    # 66,748 skeletons and 11 points: minutes of pure Python (pytest -m slow)
+    assert count(p2_problem(4, 0), threads=2).total == kontsevich_oracle(4) == 620
+
+
 def test_quadric_bidegree_one_one():
     contacts = ((1, (1, 0)), (2, (-1, 0)), (3, (0, 1)), (4, (0, -1)))
     totals = set()
@@ -296,12 +302,9 @@ def test_contributions_interior_to_their_moduli_cone():
 small_vectors = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 
-@settings(max_examples=400, deadline=None)
-@given(small_vectors, st.lists(small_vectors, max_size=6))
-def test_closed_cone_test_matches_lp_feasibility(v, dirs):
+def _lp_in_cone(v, dirs):
     # v lies in the closed cone of dirs iff sum_i lam_i d_i = v has a solution
     # lam >= 0; rows with a negative entry of v are negated so that b >= 0
-    from tropcount.counting import _in_closed_cone_2d
     from tropcount.lp import _phase_one
 
     a = []
@@ -310,7 +313,49 @@ def test_closed_cone_test_matches_lp_feasibility(v, dirs):
         sign = -1 if v[k] < 0 else 1
         a.append([Fraction(sign * d[k]) for d in dirs])
         b.append(Fraction(sign * v[k]))
-    assert _in_closed_cone_2d(v, dirs) == (_phase_one(a, b) is not None)
+    return _phase_one(a, b) is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_vectors, st.lists(small_vectors, max_size=6))
+def test_closed_cone_test_matches_lp_feasibility(v, dirs):
+    from tropcount.counting import _cone_verdicts
+
+    assert _cone_verdicts(dirs, [v]) == _lp_in_cone(v, dirs)
+
+
+CONE_CASES = {
+    "no ray": ([], [((0, 0), True), ((1, 0), False), ((0, -3), False)]),
+    "one ray": ([(2, 1)], [((4, 2), True), ((2, 1), True), ((0, 0), True), ((-2, -1), False), ((1, 2), False)]),
+    "zero and non-primitive": ([(0, 0), (3, 0), (0, 0)], [((1, 0), True), ((-1, 0), False), ((1, 1), False)]),
+    "line": ([(1, -1), (-2, 2)], [((3, -3), True), ((-1, 1), True), ((1, 0), False), ((0, 1), False)]),
+    "half-plane": (
+        [(1, 0), (-2, 0), (1, 1)],
+        [((5, 0), True), ((-1, 0), True), ((-3, 1), True), ((0, -1), False), ((7, -1), False)],
+    ),
+    "half-plane, more rays": (
+        [(0, 1), (1, 1), (1, 0), (1, -1), (0, -2)],
+        [((0, 4), True), ((0, -1), True), ((2, -9), True), ((-1, 0), False), ((-1, 5), False)],
+    ),
+    "pointed sector": (
+        [(1, 0), (1, 1), (2, 1)],
+        [((3, 1), True), ((2, 2), True), ((4, 0), True), ((0, 0), True)]
+        + [((1, 2), False), ((1, -1), False), ((-1, -1), False)],
+    ),
+    "positively spanning": ([(1, 0), (0, 1), (-1, -1)], [((0, 0), True), ((-5, 2), True), ((3, -7), True)]),
+    "plane, no line in it": ([(1, 2), (-3, 1), (1, -4)], [((-1, -1), True), ((9, 9), True), ((0, 1), True)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONE_CASES))
+def test_cone_verdicts_named_cases(name):
+    # every listed v against the LP, one by one and as one verdict bitset
+    from tropcount.counting import _cone_verdicts
+
+    dirs, cases = CONE_CASES[name]
+    for v, inside in cases:
+        assert _cone_verdicts(dirs, [v]) == inside == _lp_in_cone(v, dirs), v
+    assert _cone_verdicts(dirs, [v for v, _ in cases]) == sum(inside << i for i, (_, inside) in enumerate(cases))
 
 
 # --- reference marked-point search -------------------------------------------
@@ -420,13 +465,20 @@ def _reference_site_walk(tree, contacts, te, tl, walks):
 
 def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
     """Yield the completed trees; append each search node at depth k to nodes[k - 1]."""
-    from tropcount.counting import _in_closed_cone_2d, _integer_targets
+    from tropcount.counting import _integer_targets
     from tropcount.moduli import forced_edge_contacts, insert_leg
 
     planar_points = problem.is_point_problem() and problem.fan.rank == 2
     rank = problem.fan.rank
     zero = (0,) * rank
     targets = _integer_targets(problem)
+    in_cone = {}  # (v, walk) -> the LP verdict, shared with no cone code of the engine
+
+    def lp_in_cone(v, walk):
+        key = (v, tuple(sorted(walk)))
+        if key not in in_cone:
+            in_cone[key] = _lp_in_cone(v, key[1])
+        return in_cone[key]
 
     def rec(tree, contacts, j, marked_vertex):
         if j:
@@ -454,7 +506,7 @@ def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
                 for lab_i, walks in geo.items():
                     walk = _reference_site_walk(tree, contacts, te, tl, walks)
                     ti = targets[lab_i]
-                    if not _in_closed_cone_2d((ti[0] - tj[0], ti[1] - tj[1]), sorted(walk)):
+                    if not lp_in_cone((ti[0] - tj[0], ti[1] - tj[1]), walk):
                         ok = False
                         break
                 if not ok:
