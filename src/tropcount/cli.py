@@ -57,6 +57,13 @@ def _parse_input(what: str, parse, *args):
         raise MalformedInputError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --threads; also converts its default, $TROPCOUNT_THREADS."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -261,11 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subspace", action="append")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--height-bound", type=int, default=32)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("TROPCOUNT_THREADS", "1")),
-    )
+    # a string default goes through the type too, so a bad $TROPCOUNT_THREADS is a usage error
+    p.add_argument("--threads", type=_positive_int, default=os.environ.get("TROPCOUNT_THREADS", "1"))
     p.add_argument("--retries", type=int, default=5)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_count)

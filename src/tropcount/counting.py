@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb, gcd, prod
-from operator import lshift
 from typing import Iterator, Optional, Sequence
 
 from .curves import TreeShape
@@ -148,6 +147,8 @@ class CountResult:
     total: int
     contributions: tuple[Contribution, ...]
     seed_echo: int
+    # types rejected as singular (SingularError); a non-generic solution
+    # aborts the count for a reseed instead of adding to it
     rejected_nongeneric: int
 
 
@@ -222,8 +223,8 @@ def kontsevich_oracle(d: int) -> int:
 # The marked-point search reads its prunes off ``_site_tables``, built once
 # per skeleton over site ids 0..E-1 (the edges) and E..E+L-1 (the legs):
 # per site s, the walk masks from the other sites to a mark on s, grouped
-# by mask, and the ends that such a mark cuts off from each site; and per
-# site, the contact ends it reaches on either side before any mark.
+# by mask, and one int that clears the ends such a mark cuts off from each
+# site; and one int of the ends each site reaches on either side.
 
 
 def _centres(nv: int, edges) -> list[int]:
@@ -345,10 +346,11 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     (iii) A mark on s cuts off, from each site t, exactly the contact ends
         beyond s: an end reaches t unless a mark lies on the skeleton path
         between them, and that path passes through s exactly when the end
-        lies on the far side of s from t.  With ``reach[t]`` the ends t
-        reaches on each of its sides, a mark on s sets
-        ``reach[t] &= notfar[s][t]``, and t passes the end count while
-        neither side is empty.
+        lies on the far side of s from t.  With ``reach`` holding, in one
+        field per site t, the ends t reaches on each of its sides, a mark
+        on s sets ``reach &= notfar[s]``, which clears from field t the
+        ends beyond s and all of field s, and t passes the end count while
+        neither side of its field is empty.
     (iv) The cone test of a site t of point k against the mark of an
         earlier point j on s reads only the walk mask from t to s, so by
         (ii) a pair's verdict depends only on its two sites: the pair
@@ -362,12 +364,14 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     they were, and the end count only tightens), so a child keeps those
     that pass the end count and its pair fields against its own mark.  The
     end count is packed: ``reach`` and ``notfar[s]`` hold a field of 2L
-    bits per site, its two sides of L bits, so a mark is one AND.  A carry
-    test leaves a flag at the top bit of each nonempty side, and one
-    multiply gathers the sites with both flags into a bitset.  The copies
-    it shifts together never meet, as the E + L fields are 2L bits apart
-    and E + L <= 2L - 1 (a stable tree with L legs has at most L - 3
-    edges).  The lookahead drops a child in which a later point has no
+    bits per site, its two sides of L bits, so a mark is one AND.  In
+    ``end_sites`` a carry test leaves a flag at the top bit of each
+    nonempty side, and one multiply gathers the sites with both flags into
+    a bitset.  The copies it shifts together never meet, as the E + L
+    fields are 2L bits apart and E + L <= 2L - 1 (a stable tree with L legs
+    has at most L - 3 edges); the multiply leaves stray copies from bit
+    E + L up, which a child's AND with its parent's sites drops and the
+    root cuts off.  The lookahead drops a child in which a later point has no
     site left.  A completed tree passes both tests in any insertion order
     (the cone test is symmetric in the two points, the end count weakens as
     marks are removed), so the lookahead drops only subtrees that complete
@@ -424,7 +428,11 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     near = per_site << n_legs - 1  # the top bit of each site's side 0
     gather = sum(1 << u * (2 * n_legs - 1) for u in range(n_sites))
     gather_at = n_legs - 1 + (n_sites - 1) * (2 * n_legs - 1)
-    offsets = [t * 2 * n_legs for t in range(n_sites)]
+
+    def end_sites(reach):
+        # the sites with an end on both sides, and stray bits from bit E + L up
+        sides = ((reach & low) + low | reach) & high
+        return (sides & sides >> n_legs & near) * gather >> gather_at
 
     def rec(tree, used, reach, j, open_sites):
         # open_sites[k - j]: the site bitset of point k, for every k >= j
@@ -443,8 +451,7 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
             else:
                 child = insert_leg(tree, leg, None, s - n_edges - (below >> n_edges).bit_count())
             child_reach = reach & notfar[s]
-            sides = ((child_reach & low) + low | child_reach) & high
-            passing = (sides & sides >> n_legs & near) * gather >> gather_at
+            passing = end_sites(child_reach)
             row = compat[s] >> first[j] * n_sites
             later = []
             for sites in open_sites[1:]:
@@ -460,15 +467,13 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
         nv, edges, legs = skeleton
         lbits = [bits_of(c) for _, c, _ in legs]
         ebits = [bits_of(c) for c in forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), 2)]
-        groups, notfar_rows, reach_row = _site_tables(skeleton, ebits, lbits)
+        groups, notfar, reach = _site_tables(skeleton, ebits, lbits)
         for mask in {mask for row in groups for mask, _ in row}.difference(pair_fields):
             ok = _cone_verdicts([d for d, b in alphabet.items() if mask & b], pairs)
             pair_fields[mask] = sum(1 << f * n_sites for f in range(len(pairs)) if ok >> f & 1)
         # a site's groups are disjoint, so the sum is an OR
         compat = [sum(group * pair_fields[mask] for mask, group in row) for row in groups]
-        notfar = [sum(map(lshift, row, offsets)) for row in notfar_rows]
-        reach = sum(map(lshift, reach_row, offsets))
-        yield from rec(skeleton, 0, reach, 0, [_end_sites(reach_row, n_legs)] * last)
+        yield from rec(skeleton, 0, reach, 0, [end_sites(reach) & (1 << n_sites) - 1] * last)
 
 
 def _site_tables(skeleton, ebits: list[tuple[int, int]], lbits: list[tuple[int, int]]):
@@ -476,80 +481,57 @@ def _site_tables(skeleton, ebits: list[tuple[int, int]], lbits: list[tuple[int, 
 
     ``groups[s]`` lists, for a mark on site s, (walk mask, bitset of the
     sites t whose walk to the mark has that mask), from the midpoint of t
-    to the midpoint of s.  ``reach[t]`` holds the legs that t reaches on
-    its side 0 in bits 0..L-1 and on its side 1 in bits L..2L-1; an edge
+    to the midpoint of s.  The other two are packed, a field of 2L bits per
+    site t at bit 2Lt: in ``reach`` it holds the legs that t reaches on its
+    side 0 in its low L bits and on its side 1 in its high L bits; an edge
     (a, b) has a on side 0 and b on side 1, a leg has its vertex on side 0
-    and its own end on side 1.  ``notfar[s][t]`` clears from ``reach[t]``
-    the legs beyond a mark on s, and ``notfar[s][s]`` clears it all.
-    ``ebits``/``lbits`` give each edge's and leg's (bit of +c, bit of -c),
-    with an edge's c pointing from a to b and a leg's away from its vertex.
+    and its own end on side 1.  ``reach & notfar[s]`` clears from each
+    field the legs beyond a mark on s, and all of field s.  ``ebits`` and
+    ``lbits`` give each edge's and leg's (bit of +c, bit of -c), with an
+    edge's c pointing from a to b and a leg's away from its vertex.
     """
     nv, edges, legs = skeleton
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for (a, b), (plus, minus) in zip(edges, ebits):
-        adj[a].append((b, plus))
-        adj[b].append((a, minus))
-    # walk[x][y]: the rays of the walk from vertex x to y; first[x][y]: its first step
-    walk = []
-    first = []
-    for x in range(nv):
-        mask = [0] * nv
-        step = [-1] * nv
-        step[x] = x
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for z, ray in adj[y]:
-                if step[z] == -1:
-                    step[z] = z if y == x else step[y]
-                    mask[z] = mask[y] | ray
-                    stack.append(z)
-        walk.append(mask)
-        first.append(step)
-    # per site and side: (vertex, bit of the step in from it, bit of the step out to it)
-    sides = [((a, plus, minus), (b, minus, plus)) for (a, b), (plus, minus) in zip(edges, ebits)]
-    sides += [((v, plus, minus),) for (v, _, _), (plus, minus) in zip(legs, lbits)]
-    # facing[t][y]: the side of site t that vertex y lies on
-    facing = [[int(first[a][y] == b) for y in range(nv)] for a, b in edges]
-    facing += [[0] * nv] * len(legs)
-    anchor = [side[0][0] for side in sides]
-    n_legs = len(legs)
-    full = (1 << n_legs) - 1
-    ends = []  # ends[t][k]: the legs on side k of site t
-    for on in facing[: len(edges)]:
-        far = sum(1 << u for u, (v, _, _) in enumerate(legs) if on[v])
-        ends.append((full ^ far, far))
-    ends += [(full ^ 1 << u, 1 << u) for u in range(n_legs)]
-    reach = [near | far << n_legs for near, far in ends]
-    everything = (1 << 2 * n_legs) - 1
+    n_edges, n_legs = len(edges), len(legs)
+    width = 2 * n_legs
+    # star[v]: per site t at v, (bit of t, low bit of the side of t that v is on in a field of
+    # t, bit of the step from the midpoint of t to v, the vertex on the other side or None)
+    star: list[list[tuple]] = [[] for _ in range(nv)]
+    # per site and side: (the stack its walk starts from, the sites it holds beyond the walk);
+    # a stack entry is (vertex, bit of the site stepped in by, mask of the walk from the vertex)
+    sides = []
+    for t, ((a, b), (plus, minus)) in enumerate(zip(edges, ebits)):
+        star[a].append((1 << t, 1 << t * width, minus, b))
+        star[b].append((1 << t, 1 << t * width + n_legs, plus, a))
+        sides.append((([(a, 1 << t, plus)], 0), ([(b, 1 << t, minus)], 0)))
+    for t, ((v, _, _), (plus, minus)) in enumerate(zip(legs, lbits), n_edges):
+        star[v].append((1 << t, 1 << t * width, minus, None))
+        sides.append((([(v, 1 << t, plus)], 0), ([], 1 << t)))  # side 1 is the leg's own end
+    everything = (1 << width * len(sides)) - 1
     groups = []
     notfar = []
-    for s, (in_s, at_s, ends_s) in enumerate(zip(sides, facing, ends)):
-        # to_s[k][x]: the rays of the walk from vertex x to the midpoint of s, entering from side k
-        to_s = [[walk[x][x_s] | into for x in range(nv)] for x_s, into, _ in in_s]
+    reach = 0
+    for s, s_sides in enumerate(sides):
         by_mask: dict[int, int] = {}
-        row = [0] * len(sides)
-        for t, (out_t, at_t, y_t) in enumerate(zip(sides, facing, anchor)):
-            if t != s:
-                k_s = at_s[y_t]  # the side of s facing t
-                k_t = at_t[anchor[s]]  # the side of t facing s
-                x_t, _, out = out_t[k_t]
-                mask = out | to_s[k_s][x_t]
-                by_mask[mask] = by_mask.get(mask, 0) | 1 << t
-                row[t] = everything ^ ends_s[1 - k_s] << k_t * n_legs
+        ends = []  # per side of s: the legs on it
+        facing = []  # per side of s: the low bit of the side facing s of each site on it
+        for stack, found in s_sides:  # one walk out of each side of s
+            seen = 0
+            while stack:
+                y, came, mask = stack.pop()
+                for bit, low, out, z in star[y]:
+                    if bit != came:
+                        m = mask | out
+                        by_mask[m] = by_mask.get(m, 0) | bit
+                        found |= bit
+                        seen |= low
+                        if z is not None:
+                            stack.append((z, bit, m))
+            ends.append(found >> n_edges)
+            facing.append(seen)
         groups.append(list(by_mask.items()))
-        notfar.append(row)
+        notfar.append(everything ^ ((1 << width) - 1) << s * width ^ ends[1] * facing[0] ^ ends[0] * facing[1])
+        reach |= (ends[0] | ends[1] << n_legs) << s * width
     return groups, notfar, reach
-
-
-def _end_sites(reach: list[int], n_legs: int) -> int:
-    """The bitset of the sites that reach an end on both sides."""
-    low = (1 << n_legs) - 1
-    passing = 0
-    for t, r in enumerate(reach):
-        if r & low and r >> n_legs:
-            passing |= 1 << t
-    return passing
 
 
 def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
@@ -798,12 +780,16 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
     """Sum lattice multiplicities of rigid types solved against the constraints.
 
     The result is independent of the seed for generic seeds and of the
-    worker count; contribution lists are canonically sorted.
+    worker count; contribution lists are canonically sorted.  The census
+    is dealt to at most one worker per skeleton.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, not {threads}")
     _check_problem_genericity(problem)
     if _searches_skeletons(problem):  # one census, dealt out skeleton by skeleton
         census = _skeleton_census(problem.fan.rank, [c for _, c in problem.gamma.contact_legs])
-        chunks = [census[i::threads] for i in range(threads)] if threads > 1 else [census]
+        workers = max(1, min(threads, len(census)))  # an empty census still runs one worker
+        chunks = [census[i::workers] for i in range(workers)]
     else:
         chunks = [None]  # the census over all legs, in one worker
     results = _map_workers(problem, chunks) if len(chunks) > 1 else [_count_worker((problem, chunks[0]))]

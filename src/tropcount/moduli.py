@@ -576,6 +576,17 @@ def _walks(fan: Fan, start_cone: int, c: tuple[int, ...], end_cone: Optional[int
     containing c, a segment in the germ along -c at the head vertex (whose
     cone is ``end_cone``). Its strict positivity keeps a segment running
     inside a wall in that wall.
+
+    No walk revisits a carrier (rank <= 2). Crossing a ray u out of a
+    sector into the sector tau beyond, c = a u + b w with b > 0 for the
+    other ray w of tau, so the walk turns the way sign(cross(u, c))
+    gives; leaving tau across w needs a < 0, and then cross(w, c) has that
+    sign too. So the crossed rays turn one way only, strictly, and all
+    lie in the open half-plane where cross(., c) has that sign. To cross
+    a ray twice the walk would go all the way round, across every ray,
+    and the rays of a complete fan do not lie in an open half-plane. A
+    walk through the origin goes from the cone holding -c to the cone
+    holding c, and that cone has no exit. Rank 3 needs a proof of its own.
     """
     neg = tuple(-x for x in c)
 
@@ -592,7 +603,7 @@ def _walks(fan: Fan, start_cone: int, c: tuple[int, ...], end_cone: Optional[int
             if face == cur or fan.germ(face, neg) != cur:
                 continue
             nxt = fan.germ(face, c)
-            if nxt is not None and nxt not in carriers:
+            if nxt is not None:
                 yield from rec(carriers + (nxt,), faces + (face,))
 
     first = fan.germ(start_cone, c)

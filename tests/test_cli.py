@@ -111,7 +111,8 @@ def test_count_summary_and_roundtrip(tmp_path):
 
 
 def test_count_byte_identical_across_threads_and_runs():
-    argv = ["count", "--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--seed", "7"]
+    # degree 2 has 17 skeletons, so --threads 2 deals them to two workers
+    argv = ["count", "--fan", "p2", "--contacts", "p2-degree:2", "--points", "5", "--seed", "7"]
     a = run_cli(*argv)
     b = run_cli(*argv)
     c = run_cli(*argv, "--threads", "2")
@@ -191,6 +192,25 @@ def test_threads_env_var_default():
         env={"TROPCOUNT_THREADS": "2"},
     )
     assert json.loads(proc.stdout)["total"] == 1
+
+
+@pytest.mark.parametrize(
+    "flag,env",
+    [((), {"TROPCOUNT_THREADS": "two"}), (("--threads", "0"), {}), (("--threads", "-2"), {})],
+    ids=["bad-env", "zero", "negative"],
+)
+def test_bad_thread_count_is_a_usage_error(flag, env):
+    argv = ["count", "--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", *flag]
+    proc = run_cli(*argv, env=env, check=False)
+    assert proc.returncode == 64
+    bad = env.get("TROPCOUNT_THREADS") or flag[1]
+    assert f"argument --threads: not a positive integer: '{bad}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_bad_thread_env_var_leaves_other_commands_alone():
+    proc = run_cli("oracle", "kontsevich", "3", env={"TROPCOUNT_THREADS": "two"})
+    assert proc.stdout == "12\n"
 
 
 def test_retries_exhausted_exit_code():

@@ -41,6 +41,19 @@ def p2_problem(d, seed):
     return CountProblem(P2, gamma, generate_constraints(gamma, None, seed))
 
 
+def tangency_problem(contacts, seed=0):
+    """Rational plane curves with these contact vectors through n - 1 points."""
+    n = len(contacts)
+    gamma = DiscreteData(P2, tuple(enumerate(contacts, 1)), tuple(range(n + 1, 2 * n)))
+    return CountProblem(P2, gamma, generate_constraints(gamma, None, seed))
+
+
+# tangent to the line of the ray (0, 1): conics once, cubics once and at a contact of order 3
+CONIC_TANGENT = [U1] * 2 + [(0, 2)] + [U3] * 2
+CUBIC_TANGENT = [U1] * 3 + [(0, 2), U2] + [U3] * 3
+CUBIC_FLEX = [U1] * 3 + [(0, 3)] + [U3] * 3
+
+
 def test_kontsevich_oracle_values():
     assert kontsevich_oracle(1) == 1
     assert kontsevich_oracle(2) == 1
@@ -203,6 +216,15 @@ def test_plane_degree_four_on_two_workers():
     assert count(p2_problem(4, 0), threads=2).total == kontsevich_oracle(4) == 620
 
 
+@pytest.mark.parametrize(
+    "contacts,expected",
+    [(CONIC_TANGENT, 2), (CUBIC_TANGENT, 36), (CUBIC_FLEX, 21)],
+    ids=["conics-4pts-tangent", "cubics-7pts-tangent", "cubics-6pts-contact-3"],
+)
+def test_plane_counts_with_tangency(contacts, expected):
+    assert count(tangency_problem(contacts)).total == expected
+
+
 def test_quadric_bidegree_one_one():
     contacts = ((1, (1, 0)), (2, (-1, 0)), (3, (0, 1)), (4, (0, -1)))
     totals = set()
@@ -272,6 +294,29 @@ def test_seed_and_thread_determinism():
     assert r1.total == r2.total == r3.total
     assert [c.key for c in r1.contributions] == [c.key for c in r2.contributions]
     assert [c.key for c in r1.contributions] == [c.key for c in r3.contributions]
+
+
+def test_count_deals_the_census_to_at_most_one_worker_per_skeleton(monkeypatch):
+    # the stand-in pool records its size and starts no process
+    from tropcount import counting
+
+    pools = []
+
+    def in_process(problem, chunks):
+        pools.append(len(chunks))
+        return [counting._count_worker((problem, chunk)) for chunk in chunks]
+
+    monkeypatch.setattr(counting, "_map_workers", in_process)
+    assert count(p2_problem(1, 0), threads=2).total == 1  # one skeleton: no pool
+    assert count(quadric_problem(), threads=3).total == 1  # two skeletons
+    assert count(p2_problem(2, 1), threads=3).total == 1  # 17 skeletons
+    assert pools == [2, 3]
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_count_rejects_a_thread_count_below_one(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        count(p2_problem(1, 0), threads=threads)
 
 
 def test_subspace_constraint_line_through_two_points():
@@ -615,21 +660,33 @@ def test_marked_dfs_matches_reference_plane_degree_three_other_seeds(seed):
     assert nodes[-1] == completed
 
 
+def _reference_packed_end_sites(reach, n_legs, n_sites):
+    """The bitset of the sites whose field of a packed reach holds an end on both sides."""
+    side = (1 << n_legs) - 1
+    passing = 0
+    for t in range(n_sites):
+        r = reach >> 2 * n_legs * t
+        if r & side and r >> n_legs & side:
+            passing |= 1 << t
+    return passing
+
+
 @pytest.mark.parametrize(
     "prob,every",
-    [(p2_problem(2, s), 1) for s in range(5)] + [(p2_problem(3, 0), 16), (quadric_problem(), 1)],
-    ids=[f"p2-d2-seed{s}" for s in range(5)] + ["p2-d3", "quadric"],
+    [(p2_problem(2, s), 1) for s in range(5)]
+    + [(p2_problem(3, 0), 16), (quadric_problem(), 1), (tangency_problem(CONIC_TANGENT), 1)],
+    ids=[f"p2-d2-seed{s}" for s in range(5)] + ["p2-d3", "quadric", "conic-tangent"],
 )
 def test_site_tables_match_the_marked_tree(prob, every):
     # facts (i)-(iii) of ``_marked_dfs``, on random insertion sequences: at
     # every node the unused skeleton sites sit at their predicted tree
-    # indices, the end count offers only them and the static reach gives
+    # indices, the end count offers only them and the packed reach gives
     # its verdict, and the static walk mask from each of them to each mark
     # is the mask of the walk in the marked tree
     import random
     from math import gcd
 
-    from tropcount.counting import _end_sites, _site_tables, _skeleton_census
+    from tropcount.counting import _site_tables, _skeleton_census
     from tropcount.moduli import forced_edge_contacts, insert_leg
 
     alphabet = {}
@@ -670,7 +727,7 @@ def test_site_tables_match_the_marked_tree(prob, every):
                         index[t] = (None, t - n_edges - (below >> n_edges).bit_count())
                         assert tree[2][index[t][1]] == legs[t - n_edges]
                 offered = _reference_end_sites(tree, set(marks.values()))
-                passing = _end_sites(now, len(legs))
+                passing = _reference_packed_end_sites(now, len(legs), n_sites)
                 assert passing & used == 0
                 assert offered == [index[t] for t in unused if passing >> t & 1]  # in tree order
                 for s, vertex in marks.items():  # (ii)
@@ -687,7 +744,7 @@ def test_site_tables_match_the_marked_tree(prob, every):
                 tree = insert_leg(tree, ((0, 0), label), te, tl)
                 marks[s] = tree[0] - 1
                 used |= 1 << s
-                now = [r & f for r, f in zip(now, notfar[s])]  # (iii)
+                now &= notfar[s]  # (iii)
     assert checked > 0
 
 
