@@ -57,11 +57,16 @@ def _parse_input(what: str, parse, *args):
         raise MalformedInputError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of --threads; also converts its default, $TROPCOUNT_THREADS."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """argparse type of the integers >= low, which is 0 or 1."""
+    kind = ("non-negative", "positive")[low]
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"not a {kind} integer: {text!r}")
+        return int(text)
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,16 +133,15 @@ def _parse_subspace(spec: str, rank: int):
 def _gamma_from_args(args, fan) -> tuple[DiscreteData, dict, dict]:
     contacts = _parse_input("contacts", _parse_contacts, args.contacts, fan) if args.contacts else ()
     n = len(contacts)
-    points = getattr(args, "points", 0) or 0
-    subspace_specs = getattr(args, "subspace", None) or []
-    m = points + len(subspace_specs)
+    subspace_specs = args.subspace or []
+    m = args.points + len(subspace_specs)
     trivial = tuple(range(n + 1, n + 1 + m))
     gamma = DiscreteData(fan, contacts, trivial)
     subspaces = {}
     overrides = {}
     for k, spec in enumerate(subspace_specs):
         basis, translation = _parse_subspace(spec, fan.rank)
-        label = n + points + 1 + k
+        label = n + args.points + 1 + k
         subspaces[label] = basis
         if translation is not None:
             overrides[label] = translation
@@ -207,14 +211,12 @@ def _cmd_embed(args) -> int:
 
 def _cmd_count(args) -> int:
     fan = _parse_input("fan", load_fan, args.fan)
-    seed = args.seed
-    for attempt in range(args.retries + 1):
+    for seed in range(args.seed, args.seed + args.retries + 1):
         problem = _build_problem(args, fan, seed)
         try:
             result = count(problem, threads=args.threads)
         except NonGenericError as exc:
             _logger().warning("seed %d is not generic (%s); retrying", seed, exc)
-            seed += 1
             continue
         _emit(count_result_to_json(problem, result), args.out)
         sys.stderr.write(
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} of the moduli of tropical stable maps")
         p.add_argument("--fan", required=True)
         p.add_argument("--contacts")
-        p.add_argument("--points", type=int, default=0)
+        p.add_argument("--points", type=_int_at_least(0), default=0)
         p.add_argument("--subspace", action="append")
         p.add_argument("--root", type=int, default=1)
         p.add_argument("--out")
@@ -264,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="degree of the constrained evaluation map")
     p.add_argument("--fan", required=True)
     p.add_argument("--contacts", required=True)
-    p.add_argument("--points", type=int, default=0)
+    p.add_argument("--points", type=_int_at_least(0), default=0)
     p.add_argument("--subspace", action="append")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--height-bound", type=int, default=32)
+    p.add_argument("--height-bound", type=_int_at_least(1), default=32)
     # a string default goes through the type too, so a bad $TROPCOUNT_THREADS is a usage error
-    p.add_argument("--threads", type=_positive_int, default=os.environ.get("TROPCOUNT_THREADS", "1"))
-    p.add_argument("--retries", type=int, default=5)
+    p.add_argument("--threads", type=_int_at_least(1), default=os.environ.get("TROPCOUNT_THREADS", "1"))
+    p.add_argument("--retries", type=_int_at_least(0), default=5)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_count)
 

@@ -19,6 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 from .curves import TreeShape
 from .exactmath import IntMatrix, clear_denominators, determinant, solve_rational
+from .lp import in_closed_cone
 from .maps import (
     CombinatorialType,
     DiscreteData,
@@ -316,16 +317,21 @@ def _integer_targets(problem: CountProblem) -> dict[int, Vec]:
 def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     """Yield the completed trees over each skeleton in turn, pruning against the targets.
 
-    The trivial legs are inserted in label order, each at a fresh marked
-    2-valent vertex subdividing an edge or a contact leg.  For planar point
-    conditions a site must pass two sound tests:
+    The trivial legs, each pinned to a point, are inserted in label order,
+    each at a fresh marked 2-valent vertex subdividing an edge or a contact
+    leg.  A site must pass two tests, sound in every fan rank r >= 2 (a
+    rank-1 point problem has two contact legs and never comes here):
 
     - end count: every component of the tree minus the marked vertices
       keeps a contact end, so a site is offered only when it reaches an
-      end on each of its two sides without crossing a mark;
+      end on each of its two sides without crossing a mark.  A component
+      without an end is bounded by k >= 2 marks; at most 2k - 3 edge
+      lengths move the r(k - 1) coordinates of the differences of their
+      points, and 2k - 3 < r(k - 1), so generic points avoid it;
     - path cone: for every earlier point i, target i minus the new point's
       target lies in the closed cone of the directions of the walk from
-      the new vertex to mark i.
+      the new vertex to mark i, as two points of the tree differ by the
+      sum of l_e c_e over the edges e between them, every l_e > 0.
 
     Four facts put both tests on static tables of the skeleton
     (``_site_tables``), the same for every node over it:
@@ -357,7 +363,9 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
         relation is a static table of the skeleton.  ``compat[s]`` packs
         it in one int, whose field (j, k) of E + L bits holds the sites of
         point k compatible with a mark of point j on s, built from the
-        mask groups and one verdict bitset over all pairs per walk mask.
+        mask groups and one verdict bitset over all pairs per walk mask:
+        ``_cone_verdicts`` in rank 2, an angular test far cheaper than
+        one ``lp.in_closed_cone`` per pair, which the other ranks run.
 
     Each node carries the sites of every later point.  A child's sites are
     among its parent's (by (ii) the tests against earlier marks stay as
@@ -375,28 +383,11 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     site left.  A completed tree passes both tests in any insertion order
     (the cone test is symmetric in the two points, the end count weakens as
     marks are removed), so the lookahead drops only subtrees that complete
-    nothing: the same trees come out in the same order.  Other point problems
-    insert every leg at every site, without pruning.
+    nothing: the same trees come out in the same order.
     """
-    zero = (0,) * problem.fan.rank
+    rank = problem.fan.rank
+    zero = (0,) * rank
     last = len(trivial_labels)
-    if not (problem.is_point_problem() and problem.fan.rank == 2):
-
-        def grow(tree, j):
-            if j == last:
-                yield tree
-                return
-            leg = (zero, trivial_labels[j])
-            for te in range(len(tree[1])):
-                yield from grow(insert_leg(tree, leg, te), j + 1)
-            for tl, (_, c, _) in enumerate(tree[2]):
-                if any(c):
-                    yield from grow(insert_leg(tree, leg, None, tl), j + 1)
-
-        for skeleton in skeletons:
-            yield from grow(skeleton, 0)
-        return
-
     # direction alphabet, one bit per ray: bits[c] = (bit of +c, bit of -c)
     alphabet: dict[Vec, int] = {}
     bits: dict[Vec, tuple[int, int]] = {}
@@ -404,20 +395,18 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     def bits_of(c: Vec) -> tuple[int, int]:
         got = bits.get(c)
         if got is None:
-            g = gcd(*c)
-            ray = (c[0] // g, c[1] // g)
-            for d in (ray, (-ray[0], -ray[1])):
-                if d not in alphabet:
-                    alphabet[d] = 1 << len(alphabet)
-            got = bits[c] = (alphabet[ray], alphabet[(-ray[0], -ray[1])])
+            g = gcd(*c)  # a ray and its opposite enter the alphabet together
+            rays = (tuple(s * x // g for x in c) for s in (1, -1))
+            got = bits[c] = tuple(alphabet.setdefault(d, 1 << len(alphabet)) for d in rays)
         return got
 
     targets = _integer_targets(problem)
     points = [targets[label] for label in trivial_labels]
     # pair (j, k), j < k, is field first[j] + k - j - 1, for the vector target j - target k
-    pairs = [(tj[0] - tk[0], tj[1] - tk[1]) for j, tj in enumerate(points) for tk in points[j + 1 :]]
+    pairs = [tuple(a - b for a, b in zip(tj, tk)) for j, tj in enumerate(points) for tk in points[j + 1 :]]
     first = [j * (2 * last - j - 1) // 2 for j in range(last)]
     pair_fields: dict[int, int] = {}  # walk mask -> the fields of the pairs whose cone test it passes
+    verdicts = _cone_verdicts if rank == 2 else lambda ds, vs: sum(in_closed_cone(v, ds) << i for i, v in enumerate(vs))
     # every skeleton has the L contact legs and L - 3 edges; a field of 2L bits per site
     n_legs = problem.gamma.n
     n_edges = n_legs - 3
@@ -466,10 +455,10 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     for skeleton in skeletons:  # rec reads the tables of the skeleton in hand
         nv, edges, legs = skeleton
         lbits = [bits_of(c) for _, c, _ in legs]
-        ebits = [bits_of(c) for c in forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), 2)]
+        ebits = [bits_of(c) for c in forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), rank)]
         groups, notfar, reach = _site_tables(skeleton, ebits, lbits)
         for mask in {mask for row in groups for mask, _ in row}.difference(pair_fields):
-            ok = _cone_verdicts([d for d, b in alphabet.items() if mask & b], pairs)
+            ok = verdicts([d for d, b in alphabet.items() if mask & b], pairs)
             pair_fields[mask] = sum(1 << f * n_sites for f in range(len(pairs)) if ok >> f & 1)
         # a site's groups are disjoint, so the sum is an OR
         compat = [sum(group * pair_fields[mask] for mask, group in row) for row in groups]

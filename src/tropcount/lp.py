@@ -1,14 +1,15 @@
-"""Exact rational feasibility for open polyhedral cones.
+"""Exact rational feasibility for polyhedral cones.
 
-The moduli assembly needs two primitives: decide whether a cone
-{y : B y >= 0} has a point with every inequality strict, and if so hand
-back such a point. Since the region is a cone, strict feasibility is
-equivalent to feasibility of B y >= 1, which a small dense phase-I
-simplex settles exactly. The simplex is fraction-free (Edmonds' integer
-pivoting): the tableau is integer numerators over one common positive
-denominator, so no step does ``Fraction`` arithmetic, and it makes the
-same pivots as the simplex over ``Fraction``. Bland's rule keeps it from
-cycling; the systems involved are tiny (tens of rows/columns).
+``strict_point`` finds a point of a cone {y : B y >= 0} with every
+inequality strict, or proves there is none: since the region is a cone,
+that is a point with B y >= 1.  ``in_closed_cone`` decides whether a
+vector lies in the closed cone spanned by given directions.  A small
+dense phase-I simplex settles both exactly. It is fraction-free
+(Edmonds' integer pivoting): the tableau is integer numerators over one
+common positive denominator, so no step does ``Fraction`` arithmetic,
+and it makes the same pivots as the simplex over ``Fraction``. Bland's
+rule keeps it from cycling; the systems involved are tiny (tens of
+rows/columns).
 """
 from __future__ import annotations
 
@@ -113,3 +114,10 @@ def strict_point(rows: list[list[Fraction]], dim: int) -> Optional[list[Fraction
         return None
     x, d = sol
     return [Fraction(x[j] - x[dim + j], d) for j in range(dim)]
+
+
+def in_closed_cone(v: Sequence[int], dirs: Sequence[Sequence[int]]) -> bool:
+    """Whether sum_d lam_d d = v for some lam >= 0: with no dirs, whether v = 0."""
+    signs = [-1 if x < 0 else 1 for x in v]  # rows where v < 0 are negated: _phase_one needs b >= 0
+    a = [[s * d[k] for d in dirs] for k, s in enumerate(signs)]
+    return _phase_one(a, [s * x for s, x in zip(signs, v)]) is not None

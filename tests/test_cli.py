@@ -208,6 +208,25 @@ def test_bad_thread_count_is_a_usage_error(flag, env):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,kind",
+    [
+        (("count", "--contacts", "p2-degree:1", "--points", "2", "--retries", "-1"), "non-negative"),
+        (("count", "--contacts", "p2-degree:1", "--points", "-1"), "non-negative"),
+        (("count", "--contacts", "p2-degree:1", "--points", "2", "--height-bound", "0"), "positive"),
+        (("complex", "--contacts", "p2-degree:1", "--points", "-1"), "non-negative"),
+        (("embed", "--contacts", "p2-degree:1", "--points", "-1"), "non-negative"),
+    ],
+    ids=["count-retries", "count-points", "count-height-bound", "complex-points", "embed-points"],
+)
+def test_bad_integer_argument_is_a_usage_error(argv, kind):
+    command, *rest = argv
+    proc = run_cli(command, "--fan", "p2", *rest, check=False)
+    assert proc.returncode == 64
+    assert f"argument {rest[-2]}: not a {kind} integer: '{rest[-1]}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_thread_env_var_leaves_other_commands_alone():
     proc = run_cli("oracle", "kontsevich", "3", env={"TROPCOUNT_THREADS": "two"})
     assert proc.stdout == "12\n"

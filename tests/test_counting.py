@@ -48,6 +48,29 @@ def tangency_problem(contacts, seed=0):
     return CountProblem(P2, gamma, generate_constraints(gamma, None, seed))
 
 
+def unit(r, i):
+    return tuple(int(k == i) for k in range(r))
+
+
+def projective_problem(r, d, seed):
+    """Rational curves of degree d in P^r through the points that make them rigid."""
+    fan = fan_projective_space(r)
+    dirs = [unit(r, i) for i in range(r)] + [(-1,) * r]
+    n = d * (r + 1)
+    m = (r - 3 + n) // (r - 1)  # r - 3 + n + m = r m
+    gamma = DiscreteData(fan, tuple((i + 1, dirs[i // d]) for i in range(n)), tuple(range(n + 1, n + 1 + m)))
+    return CountProblem(fan, gamma, generate_constraints(gamma, None, seed))
+
+
+def p1_cube_problem(degrees, seed):
+    """Rational curves of multidegree ``degrees`` in (P^1)^3 through n / 2 points."""
+    fan = fan_product(P1, fan_product(P1, P1))
+    dirs = [tuple(s * x for x in unit(3, i)) for i, a in enumerate(degrees) for s in (1, -1) for _ in range(a)]
+    n = len(dirs)
+    gamma = DiscreteData(fan, tuple(enumerate(dirs, 1)), tuple(range(n + 1, n + 1 + n // 2)))
+    return CountProblem(fan, gamma, generate_constraints(gamma, None, seed))
+
+
 # tangent to the line of the ray (0, 1): conics once, cubics once and at a contact of order 3
 CONIC_TANGENT = [U1] * 2 + [(0, 2)] + [U3] * 2
 CUBIC_TANGENT = [U1] * 3 + [(0, 2), U2] + [U3] * 3
@@ -256,6 +279,47 @@ def test_quadric_count_matches_bilinear_kernel_oracle():
     assert rank(IntMatrix.from_rows(scaled)) == 3  # one-dimensional kernel: exactly one (1,1)-curve
 
 
+def _unpruned_solutions(problem):
+    """{key: multiplicity} of every interior solution over the census of all legs."""
+    from tropcount.counting import _solve_type
+    from tropcount.moduli import canonical_form
+
+    found = {}
+    for theta in enumerate_rigid_types(problem, prune=False):
+        try:
+            solved = _solve_type(problem, theta)
+        except SingularError:
+            continue
+        if solved is not None:
+            found[canonical_form(theta, identify_contacts=True)[0]] = solved[1]
+    return found
+
+
+@pytest.mark.parametrize("r,seed", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1)])
+def test_lines_through_two_points_in_higher_rank(r, seed):
+    # the pruned search keeps every solution of the unpruned census (the
+    # targets of P^4 seed 2 lie on a wall)
+    prob = projective_problem(r, 1, seed)
+    res = count(prob)
+    assert res.total == 1
+    assert {c.key: c.multiplicity for c in res.contributions} == _unpruned_solutions(prob)
+
+
+RANK_THREE_COUNTS = {
+    "p1-cube-(1,1,1)-3pts": (lambda: p1_cube_problem((1, 1, 1), 0), 1),
+    # a conic spans a plane, which 4 generic points of P^3 do not lie on
+    "p3-conics-4pts": (lambda: projective_problem(3, 2, 0), 0),
+    # the last two factors of a (2,1,1) curve are a Mobius map, which 4 generic pairs do not fit
+    "p1-cube-(2,1,1)-4pts": (lambda: p1_cube_problem((2, 1, 1), 0), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_THREE_COUNTS))
+def test_rank_three_point_counts(name):
+    problem, expected = RANK_THREE_COUNTS[name]
+    assert count(problem()).total == expected
+
+
 def test_count_contributions_are_interior_and_on_target():
     prob = p2_problem(2, 0)
     res = count(prob)
@@ -354,7 +418,7 @@ def _lp_in_cone(v, dirs):
 
     a = []
     b = []
-    for k in range(2):
+    for k in range(len(v)):
         sign = -1 if v[k] < 0 else 1
         a.append([Fraction(sign * d[k]) for d in dirs])
         b.append(Fraction(sign * v[k]))
@@ -367,6 +431,43 @@ def test_closed_cone_test_matches_lp_feasibility(v, dirs):
     from tropcount.counting import _cone_verdicts
 
     assert _cone_verdicts(dirs, [v]) == _lp_in_cone(v, dirs)
+
+
+small_3vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _caratheodory_in_cone(v, dirs):
+    # v = 0, or v is a nonnegative combination of linearly independent dirs,
+    # at most 3 of them; no LP code is shared with lp.in_closed_cone
+    from itertools import combinations
+
+    from tropcount.exactmath import solve_rational
+
+    if not any(v):
+        return True
+    for k in (1, 2, 3):
+        for subset in combinations(dirs, k):
+            sol = solve_rational(IntMatrix.from_rows([[d[i] for d in subset] for i in range(3)]), v)
+            if sol is not None and sol[1] and min(sol[0]) >= 0:
+                return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_3vectors, st.lists(small_3vectors, max_size=5))
+def test_in_closed_cone_matches_caratheodory(v, dirs):
+    from tropcount.lp import in_closed_cone
+
+    assert in_closed_cone(v, dirs) == _caratheodory_in_cone(v, dirs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_vectors, st.lists(small_vectors, max_size=6))
+def test_in_closed_cone_matches_cone_verdicts_in_rank_two(v, dirs):
+    from tropcount.counting import _cone_verdicts
+    from tropcount.lp import in_closed_cone
+
+    assert in_closed_cone(v, dirs) == bool(_cone_verdicts(dirs, [v]))
 
 
 CONE_CASES = {
@@ -513,7 +614,6 @@ def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
     from tropcount.counting import _integer_targets
     from tropcount.moduli import forced_edge_contacts, insert_leg
 
-    planar_points = problem.is_point_problem() and problem.fan.rank == 2
     rank = problem.fan.rank
     zero = (0,) * rank
     targets = _integer_targets(problem)
@@ -532,12 +632,8 @@ def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
             yield tree
             return
         label = trivial_labels[j]
-        nv, edges, legs = tree
-        if planar_points:
-            candidates = _reference_end_sites(tree, set(marked_vertex.values()))
-        else:
-            candidates = [(i, None) for i in range(len(edges))]
-            candidates.extend((None, k) for k, (_, c, _) in enumerate(legs) if any(c))
+        legs = tree[2]
+        candidates = _reference_end_sites(tree, set(marked_vertex.values()))
         tj = targets[label]
         geo = {lab_i: _reference_walks(tree, contacts, s) for lab_i, s in marked_vertex.items()}
         for te, tl in candidates:
@@ -546,16 +642,14 @@ def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
                 grown_contacts = contacts[:te] + contacts[te + 1 :] + (c, c)
             else:
                 grown_contacts = contacts + (legs[tl][1],)
-            if planar_points:
-                ok = True
-                for lab_i, walks in geo.items():
-                    walk = _reference_site_walk(tree, contacts, te, tl, walks)
-                    ti = targets[lab_i]
-                    if not lp_in_cone((ti[0] - tj[0], ti[1] - tj[1]), walk):
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            ok = True
+            for lab_i, walks in geo.items():
+                walk = _reference_site_walk(tree, contacts, te, tl, walks)
+                if not lp_in_cone(tuple(a - b for a, b in zip(targets[lab_i], tj)), walk):
+                    ok = False
+                    break
+            if not ok:
+                continue
             grown = insert_leg(tree, (zero, label), te, tl)
             yield from rec(grown, grown_contacts, j + 1, {**marked_vertex, label: grown[0] - 1})
 
@@ -599,13 +693,21 @@ def test_marked_dfs_matches_reference_plane_degree_three_head():
     assert nodes[0] > 0 and nodes[-1] == 0
 
 
-def test_marked_dfs_matches_reference_unpruned():
-    # points in a rank-3 fan: every site is tried, without pruning
+def test_marked_dfs_matches_reference_p3_lines():
+    # points in a rank-3 fan: both prunes, with the LP cone test
     p3 = fan_projective_space(3)
     contacts = ((1, (1, 0, 0)), (2, (0, 1, 0)), (3, (0, 0, 1)), (4, (-1, -1, -1)))
     gamma = DiscreteData(p3, contacts, (5, 6))
     prob = CountProblem(p3, gamma, generate_constraints(gamma, None, 0))
     assert _assert_dfs_matches_reference(prob)[-1] > 0
+
+
+def test_marked_dfs_matches_reference_p3_conics():
+    assert _assert_dfs_matches_reference(projective_problem(3, 2, 0), limit=60) == [780, 777, 129, 40]
+
+
+def test_marked_dfs_matches_reference_p1_cube():
+    assert _assert_dfs_matches_reference(p1_cube_problem((1, 1, 1), 0)) == [612, 137, 5]
 
 
 def quadric_problem():
