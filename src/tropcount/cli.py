@@ -189,13 +189,14 @@ def _cmd_complex(args) -> int:
     fan = _parse_input("fan", load_fan, args.fan)
     gamma, _, _ = _gamma_from_args(args, fan)
     cx = assemble_complex(gamma)
+    # embed before any output, so that a failing --svg or --root writes no file
+    emb = gkm_embedding(cx, args.root) if args.svg else None
+    if emb is not None and emb.ambient_rank != 2:
+        sys.stderr.write("svg output needs an embedding of ambient rank 2\n")
+        return 2
     _emit(complex_to_json(cx), args.out)
     sys.stderr.write(f"f-vector = {list(cx.f_vector())}\n")
-    if args.svg:
-        emb = gkm_embedding(cx, args.root)
-        if emb.ambient_rank != 2:
-            sys.stderr.write("svg output needs an embedding of ambient rank 2\n")
-            return 2
+    if emb is not None:
         with open(args.svg, "w") as fh:
             fh.write(figures.fan_svg(emb.to_fan(), title=f"embedded fan ({fan.name})"))
     return 0
@@ -228,8 +229,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.which != "kontsevich":
-        raise ValueError(f"unknown oracle {args.which!r}")
     sys.stdout.write(f"{kontsevich_oracle(args.degree)}\n")
     return 0
 
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="independent enumerative oracles")
     p.add_argument("which", choices=["kontsevich"])
-    p.add_argument("degree", type=int)
+    p.add_argument("degree", type=_int_at_least(1))
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -694,7 +694,6 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
     fan = problem.fan
     r = fan.rank
     shape = theta.shape
-    ne = len(shape.edges)
     root_label = min(problem.gamma.trivial_legs)
     matrix = evaluation_matrix(theta, problem)
     if matrix.rows != matrix.cols:
@@ -721,26 +720,12 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
         for e, sign in shape.path_edges(root_vertex, v):
             p = [pi + sign * lengths[e] * ci for pi, ci in zip(p, theta.edge_contacts[e])]
         positions.append(tuple(p))
-    stab_cones = []
-    for p in positions:
-        cone = locate(fan, p)
-        if fan.dim(cone) != fan.rank:
-            raise NonGenericError("a stabilized vertex landed on a wall")
-        stab_cones.append(cone)
-    concrete = CombinatorialType(
-        fan,
-        shape,
-        tuple(stab_cones),
-        theta.edge_contacts,
-        (None,) * ne,
-        theta.leg_contacts,
-        (None,) * len(shape.legs),
-    )
-    solved = TropicalStableMap(concrete, tuple(positions), tuple(lengths))
-    full = subdivide(solved)
-    for v in range(shape.vertices, full.type.shape.vertices):
-        if fan.dim(full.type.vertex_cones[v]) != fan.rank - 1:
-            raise NonGenericError("an edge crossed a stratum of codimension > 1")
+    full = subdivide(TropicalStableMap(theta, tuple(positions), tuple(lengths)))
+    cones = full.type.vertex_cones
+    if any(fan.dim(cone) != r for cone in cones[: shape.vertices]):
+        raise NonGenericError("a stabilized vertex landed on a wall")
+    if any(fan.dim(cone) != r - 1 for cone in cones[shape.vertices :]):
+        raise NonGenericError("an edge crossed a stratum of codimension > 1")
     report = validate(full)
     if not report.valid:
         raise SolveCheckError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .curves import TreeShape, TropicalCurve, UnknownLabelError
 from .exactmath import rational_to_string
@@ -33,6 +33,7 @@ from .polyhedral import (
 
 Vector = tuple[int, ...]
 Point = tuple[Fraction, ...]
+Walk = tuple[tuple[int, ...], tuple[int, ...]]  # (carriers, crossed faces)
 
 
 class InvalidTypeError(ValueError):
@@ -337,39 +338,89 @@ def _stability_violations(f: TropicalStableMap) -> list[Violation]:
     return out
 
 
-def _walk(fan: Fan, start: Point, c: Vector, total: Optional[Fraction]):
-    """Cut the segment (or ray, when total is None) from ``start`` along c at wall crossings.
+def _walk(fan: Fan, cone: int, start: Point, c: Vector, total: Optional[Fraction]):
+    """Cut the segment (or ray, when total is None) from ``start``, a point of
+    relint(cone), along c where it crosses walls.
 
-    Yields (carrier cone, length or None) pieces; crossing points follow
-    from the accumulated lengths.
+    Returns (carriers, crossed faces, crossing points, lengths of the
+    bounded pieces): the walk ``threaded`` takes, and where it goes.
     """
+    carriers, faces, points, lengths = [], [], [], []
     current = list(start)
     remaining = total
     cfrac = [Fraction(x) for x in c]
     for _ in range(len(fan.cones) + 1):
-        try:
-            germ = fan.germ(locate(fan, current), c)
-        except NotCompleteError as exc:
-            raise InfiniteCrossingError(str(exc)) from exc
+        germ = fan.germ(cone, c)
         if germ is None:
             raise InfiniteCrossingError(f"no cone carries the germ at {current} toward {c}")
+        carriers.append(germ)
         cb = fan.cone_coefficients(germ, current)
         cd = fan.cone_coefficients(germ, cfrac)
         assert cb is not None and cd is not None
-        exit_t: Optional[Fraction] = None
-        for b, d in zip(cb, cd):
-            if d < 0:
-                t = -b / d
-                if exit_t is None or t < exit_t:
-                    exit_t = t
+        exit_t = min((-b / d for b, d in zip(cb, cd) if d < 0), default=None)
         if exit_t is None or (remaining is not None and exit_t >= remaining):
-            yield germ, remaining
-            return
-        yield germ, exit_t
+            if remaining is not None:
+                lengths.append(remaining)
+            return tuple(carriers), tuple(faces), points, lengths
+        lengths.append(exit_t)
         current = [x + exit_t * ci for x, ci in zip(current, cfrac)]
+        points.append(tuple(current))
+        cone = locate(fan, current)  # a face of the closed germ, so never off the fan
+        faces.append(cone)
         if remaining is not None:
             remaining -= exit_t
     raise InfiniteCrossingError("crossed more walls than the fan has cones")
+
+
+def threaded(
+    fan: Fan,
+    shape: TreeShape,
+    cones: Sequence[int],
+    edge_contacts: Sequence[Vector],
+    leg_contacts: Sequence[Vector],
+    edge_walks: Sequence[Walk],
+    leg_walks: Sequence[Walk],
+) -> CombinatorialType:
+    """The type of ``shape`` with every edge and leg cut where its walk crosses a wall.
+
+    ``cones`` holds the cones of the shape's vertices, edge contacts are for
+    the tail->head orientation, and each walk has a crossed face between
+    each two carriers. A 2-valent vertex is chained on at each crossed
+    face. New vertices are numbered on from ``shape.vertices``, edge by
+    edge and then leg by leg, and the pieces of the edges and legs follow
+    in the same order.
+    """
+    cones = list(cones)
+    edges: list[tuple[int, int]] = []
+    contacts: list[Vector] = []
+    carriers: list[int] = []
+
+    def add_edge(a: int, b: int, c: Vector, carrier: int) -> None:
+        edge, c = oriented(a, b, c)
+        edges.append(edge)
+        contacts.append(c)
+        carriers.append(carrier)
+
+    def chain(cursor: int, c: Vector, walk: Walk) -> int:
+        """Chain a new vertex on each crossed face from ``cursor``; returns the last."""
+        for carrier, face in zip(*walk):
+            add_edge(cursor, len(cones), c, carrier)
+            cursor = len(cones)
+            cones.append(face)
+        return cursor
+
+    for (a, b), c, walk in zip(shape.edges, edge_contacts, edge_walks):
+        add_edge(chain(a, c, walk), b, c, walk[0][-1])
+    legs = tuple((chain(v, c, walk), lab) for (v, lab), c, walk in zip(shape.legs, leg_contacts, leg_walks))
+    return CombinatorialType(
+        fan,
+        TreeShape(len(cones), tuple(edges), legs),
+        tuple(cones),
+        tuple(contacts),
+        tuple(carriers),
+        tuple(leg_contacts),
+        tuple(cars[-1] for cars, _ in leg_walks),
+    )
 
 
 def subdivide(f: TropicalStableMap) -> TropicalStableMap:
@@ -377,78 +428,24 @@ def subdivide(f: TropicalStableMap) -> TropicalStableMap:
 
     The output satisfies the one-edge-one-cone condition, restricts to the
     input on surviving vertices, and recomputes vertex cones and carriers
-    canonically (smallest cones) from the geometry.
+    canonically (smallest cones) from the geometry: each vertex and each
+    crossing point is located once.
     """
     fan = f.type.fan
     shape = f.type.shape
+    cones = [locate(fan, p) for p in f.positions]
     positions = [tuple(p) for p in f.positions]
-    new_edges: list[tuple[int, int]] = []
-    edge_contacts: list[Vector] = []
-    edge_carriers: list[int] = []
     lengths: list[Fraction] = []
-    legs: list[tuple[int, int]] = []
-    leg_contacts: list[Vector] = []
-    leg_carriers: list[int] = []
 
-    def add_vertex(p: Point) -> int:
-        positions.append(tuple(p))
-        return len(positions) - 1
+    def walk(v: int, c: Vector, total: Optional[Fraction]):
+        carriers, faces, points, pieces = _walk(fan, cones[v], f.positions[v], c, total)
+        positions.extend(points)
+        lengths.extend(pieces)
+        return carriers, faces
 
-    def add_edge(a: int, b: int, c: Vector, carrier: int, length: Fraction) -> None:
-        edge, c = oriented(a, b, c)
-        new_edges.append(edge)
-        edge_contacts.append(c)
-        edge_carriers.append(carrier)
-        lengths.append(length)
-
-    for i, (a, b) in enumerate(shape.edges):
-        c = f.type.edge_contacts[i]
-        if not any(c):
-            carrier = locate(fan, positions[a])
-            add_edge(a, b, c, carrier, f.lengths[i])
-            continue
-        pieces = list(_walk(fan, f.positions[a], c, f.lengths[i]))
-        cursor = a
-        pos = list(f.positions[a])
-        for k, (carrier, t) in enumerate(pieces):
-            last = k == len(pieces) - 1
-            if last:
-                add_edge(cursor, b, c, carrier, t)
-            else:
-                pos = [x + t * ci for x, ci in zip(pos, c)]
-                w = add_vertex(tuple(pos))
-                add_edge(cursor, w, c, carrier, t)
-                cursor = w
-
-    for j, (v, lab) in enumerate(shape.legs):
-        c = f.type.leg_contacts[j]
-        if not any(c):
-            legs.append((v, lab))
-            leg_contacts.append(c)
-            leg_carriers.append(locate(fan, positions[v]))
-            continue
-        pieces = list(_walk(fan, f.positions[v], c, None))
-        cursor = v
-        pos = list(f.positions[v])
-        for carrier, t in pieces[:-1]:
-            pos = [x + t * ci for x, ci in zip(pos, c)]
-            w = add_vertex(tuple(pos))
-            add_edge(cursor, w, c, carrier, t)
-            cursor = w
-        legs.append((cursor, lab))
-        leg_contacts.append(c)
-        leg_carriers.append(pieces[-1][0])
-
-    vertex_cones = tuple(locate(fan, p) for p in positions)
-    new_type = CombinatorialType(
-        fan,
-        TreeShape(len(positions), tuple(new_edges), tuple(legs)),
-        vertex_cones,
-        tuple(edge_contacts),
-        tuple(edge_carriers),
-        tuple(leg_contacts),
-        tuple(leg_carriers),
-    )
+    edge_walks = [walk(a, c, l) for (a, _), c, l in zip(shape.edges, f.type.edge_contacts, f.lengths)]
+    leg_walks = [walk(v, c, None) for (v, _), c in zip(shape.legs, f.type.leg_contacts)]
+    new_type = threaded(fan, shape, cones, f.type.edge_contacts, f.type.leg_contacts, edge_walks, leg_walks)
     return TropicalStableMap(new_type, tuple(positions), tuple(lengths))
 
 

@@ -35,6 +35,7 @@ from .maps import (
     InvalidTypeError,
     TropicalStableMap,
     oriented,
+    threaded,
     torically_transverse,
 )
 from .polyhedral import Fan, locate
@@ -575,7 +576,8 @@ def _walks(fan: Fan, start_cone: int, c: tuple[int, ...], end_cone: Optional[int
     -c is that carrier, into the face's germ along c; a ray ends in a carrier
     containing c, a segment in the germ along -c at the head vertex (whose
     cone is ``end_cone``). Its strict positivity keeps a segment running
-    inside a wall in that wall.
+    inside a wall in that wall. With c = 0 the one walk stays in
+    ``start_cone``, so a contracted edge has it only between equal cones.
 
     No walk revisits a carrier (rank <= 2). Crossing a ray u out of a
     sector into the sector tau beyond, c = a u + b w with b > 0 for the
@@ -622,69 +624,21 @@ def _subdivided_candidates(
     edge_contacts = forced_edge_contacts(
         shape.vertices, shape.edges, ((v, leg_contact[lab]) for v, lab in shape.legs), fan.rank
     )
-
-    # contracted edges force equal endpoint cones
-    for (a, b), c in zip(shape.edges, edge_contacts):
-        if not any(c) and assignment[a] != assignment[b]:
-            return
+    leg_contacts = [leg_contact[lab] for _, lab in shape.legs]
 
     def walks(start: int, c: tuple[int, ...], end: Optional[int]):
-        if not any(c):
-            return [((start,), ())]
         key = (start, c, end)
         if key not in walk_cache:
             walk_cache[key] = list(_walks(fan, start, c, end))
         return walk_cache[key]
 
     edge_options = [walks(assignment[a], c, assignment[b]) for (a, b), c in zip(shape.edges, edge_contacts)]
-    leg_options = [walks(assignment[v], leg_contact[lab], None) for v, lab in shape.legs]
+    leg_options = [walks(assignment[v], c, None) for (v, _), c in zip(shape.legs, leg_contacts)]
     if not all(edge_options) or not all(leg_options):
         return
-
-    for edge_choice in itertools.product(*edge_options):
-        for leg_choice in itertools.product(*leg_options):
-            vertices = shape.vertices
-            cones = list(assignment)
-            new_edges: list[tuple[int, int]] = []
-            contacts: list[tuple[int, ...]] = []
-            carriers: list[int] = []
-            legs: list[tuple[int, int]] = []
-            leg_cs: list[tuple[int, ...]] = []
-            leg_cars: list[int] = []
-
-            def add_edge(x: int, y: int, c: tuple[int, ...], car: int) -> None:
-                edge, c = oriented(x, y, c)
-                new_edges.append(edge)
-                contacts.append(c)
-                carriers.append(car)
-
-            def subdivide(cursor: int, c: tuple[int, ...], cars: tuple[int, ...], faces: tuple[int, ...]) -> int:
-                """Chain new vertices on the crossing faces from ``cursor``; returns the last."""
-                nonlocal vertices
-                for car, face in zip(cars, faces):
-                    cones.append(face)
-                    add_edge(cursor, vertices, c, car)
-                    cursor = vertices
-                    vertices += 1
-                return cursor
-
-            for ((a, b), c), (cars, faces) in zip(zip(shape.edges, edge_contacts), edge_choice):
-                add_edge(subdivide(a, c, cars, faces), b, c, cars[-1])
-            for (v, lab), (cars, faces) in zip(shape.legs, leg_choice):
-                c = leg_contact[lab]
-                legs.append((subdivide(v, c, cars, faces), lab))
-                leg_cs.append(c)
-                leg_cars.append(cars[-1])
-
-            yield CombinatorialType(
-                fan,
-                TreeShape(vertices, tuple(new_edges), tuple(legs)),
-                tuple(cones),
-                tuple(contacts),
-                tuple(carriers),
-                tuple(leg_cs),
-                tuple(leg_cars),
-            )
+    for edge_walks in itertools.product(*edge_options):
+        for leg_walks in itertools.product(*leg_options):
+            yield threaded(fan, shape, assignment, edge_contacts, leg_contacts, edge_walks, leg_walks)
 
 
 def assemble_complex(gamma: DiscreteData) -> ConeComplex:

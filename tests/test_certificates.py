@@ -1,5 +1,6 @@
 """Exact certificates on assembled complexes: incidences, Euler
-characteristic, pseudo-manifold counts and the fan embedding.
+characteristic, pseudo-manifold counts, the fan embedding and the
+geometric subdivision of each stored type.
 
 Each complex is assembled once for the whole module.
 """
@@ -9,7 +10,7 @@ from math import factorial
 import pytest
 
 from tropcount.exactmath import IntMatrix, solve_rational_matrix
-from tropcount.maps import DiscreteData
+from tropcount.maps import DiscreteData, TropicalStableMap, subdivide
 from tropcount.moduli import _apply_rows, assemble_complex, gkm_embedding
 from tropcount.polyhedral import fan_product, fan_projective_space
 
@@ -95,3 +96,18 @@ def test_embedded_cones_are_spanned_by_their_generators(name):
         assert coeffs is not None and all(row[0] > 0 for row in coeffs)
     # distinct cones have distinct images (70 for p2_1pt)
     assert len(emb.to_fan().cones) == len(cx.cones)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_stored_types_are_their_own_geometric_subdivision(name):
+    # The assembly cuts edges at walls by combinatorial walks (``_walks`` and
+    # ``Fan.germ``), ``subdivide`` by the geometric walk of a map (``_walk``
+    # and ``locate``). At its witness each stored type is already cut at
+    # every wall, with the vertex cones and carriers the geometry gives.
+    cx = assembled(name)
+    r = cx.gamma.fan.rank
+    for idx, cc in enumerate(cx.cones):
+        nv = cc.type.shape.vertices
+        positions = tuple(tuple(cc.witness[v * r : v * r + r]) for v in range(nv))
+        f = TropicalStableMap(cc.type, positions, tuple(cc.witness[nv * r :]))
+        assert subdivide(f).type == cc.type, idx

@@ -78,6 +78,22 @@ def test_complex_toy_f_vector(tmp_path):
     assert text.startswith("<svg") and text.count("<path") == 6
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (("--points", "1"), "svg output needs an embedding of ambient rank 2\n"),
+        (("--root", "9"), "error: ValueError: root label 9 is not a marked leg\n"),
+    ],
+    ids=["ambient-rank-3", "bad-root"],
+)
+def test_failing_svg_writes_no_file(tmp_path, capsys, extra, message):
+    out, svg = tmp_path / "cx.json", tmp_path / "cx.svg"
+    argv = ["complex", "--fan", "p2", "--contacts", "p2-degree:1", *extra, "--svg", str(svg), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_embed_toy(tmp_path):
     out = tmp_path / "emb.json"
     run_cli("embed", "--fan", "p2", "--contacts", "p2-degree:1", "--out", str(out))
@@ -216,12 +232,19 @@ def test_bad_thread_count_is_a_usage_error(flag, env):
         (("count", "--contacts", "p2-degree:1", "--points", "2", "--height-bound", "0"), "positive"),
         (("complex", "--contacts", "p2-degree:1", "--points", "-1"), "non-negative"),
         (("embed", "--contacts", "p2-degree:1", "--points", "-1"), "non-negative"),
+        (("oracle", "degree", "0"), "positive"),
+        (("oracle", "degree", "-2"), "positive"),
     ],
-    ids=["count-retries", "count-points", "count-height-bound", "complex-points", "embed-points"],
+    ids=[
+        "count-retries", "count-points", "count-height-bound", "complex-points", "embed-points",
+        "oracle-degree-0", "oracle-degree-negative",
+    ],
 )
 def test_bad_integer_argument_is_a_usage_error(argv, kind):
     command, *rest = argv
-    proc = run_cli(command, "--fan", "p2", *rest, check=False)
+    # the oracle's degree is a positional argument after its kind, named "degree"
+    given = ("kontsevich", rest[-1]) if command == "oracle" else ("--fan", "p2", *rest)
+    proc = run_cli(command, *given, check=False)
     assert proc.returncode == 64
     assert f"argument {rest[-2]}: not a {kind} integer: '{rest[-1]}'" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -331,22 +331,32 @@ def test_count_contributions_are_interior_and_on_target():
             assert ep.coset == prob.target(label)
 
 
-def test_nongeneric_seed_detected():
-    # seed 2 puts a solved edge length at exactly zero for degree 3; use a
-    # cheap handmade collision instead: a target on a wall of the fan
-    gamma = p2_gamma(1)
-    cfg = generate_constraints(gamma, None, 0)
+# two targets for the point legs 4 and 5 of a line in P^2 (contacts u1, u2, u3)
+NONGENERIC_TARGETS = {
+    # seed 0's target for leg 5, and one for leg 4 on the ray u1
+    "target-on-a-wall": (lambda seed0: ((1, 0), seed0[1]), "target for leg 4 lies on a wall"),
+    # the line's vertex is (1, 0), on the ray u1
+    "vertex-on-a-wall": (lambda seed0: ((1, 2), (0, -1)), "a stabilized vertex landed on a wall"),
+    # the vertex is (1, 1), and its (-1, -1) leg runs through the origin
+    "leg-through-the-origin": (lambda seed0: ((3, 1), (1, 4)), "an edge crossed a stratum of codimension > 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONGENERIC_TARGETS))
+def test_nongeneric_seed_detected(name):
+    # seed 2 puts a solved edge length at exactly zero for degree 3; use
+    # cheap handmade collisions instead
     from tropcount.counting import Constraint, ConstraintConfig
 
+    gamma = p2_gamma(1)
+    seed0 = [c.translation for c in generate_constraints(gamma, None, 0).constraints]
+    targets, message = NONGENERIC_TARGETS[name]
     bad = ConstraintConfig(
-        (
-            Constraint(4, None, (Fraction(1), Fraction(0))),  # on the ray u1
-            cfg.constraints[1],
-        ),
+        tuple(Constraint(label, None, tuple(Fraction(x) for x in t)) for label, t in zip((4, 5), targets(seed0))),
         0,
         32,
     )
-    with pytest.raises(NonGenericError):
+    with pytest.raises(NonGenericError, match=message):
         count(CountProblem(P2, gamma, bad))
 
 

@@ -1,0 +1,47 @@
+"""The JSON of six cheap standard CLI cases, pinned by its sha256.
+
+A change that alters one of these outputs on purpose updates its hash
+here and says in CHANGES.md what changed and why.
+"""
+import hashlib
+
+import pytest
+
+from tropcount.cli import main
+
+LINE = ("--fan", "p2", "--contacts", "p2-degree:1")
+
+PINNED = {
+    "count-conics-seed-0": (
+        ("count", "--fan", "p2", "--contacts", "p2-degree:2", "--points", "5", "--seed", "0"),
+        "3e219fb0ba9dcf11010f05f70647a206fd1ef43fd63b3bfa002b69726f07a043",
+    ),
+    "count-quadric-1-1": (
+        ("count", "--fan", "p1xp1", "--contacts", "p1xp1-bidegree:1,1", "--points", "3"),
+        "8163e9ea3db6ef0bb88eab2ec55b342882975b710c8a2927fac0572c6cb3c50d",
+    ),
+    "count-subspace-seed-1000": (
+        ("count", *LINE, "--points", "2", "--subspace", "1,1", "--subspace", "1,0", "--seed", "1000"),
+        "f7d439ab63d8e8b47dbc431b06af5f16be5cb88c8286ed6dd1aa1a0c1a524611",
+    ),
+    "complex-toy": (
+        ("complex", *LINE),
+        "f843e21c0f0527871c9194624f83c6189c62c206bbd8cfbbb143fde17b93c500",
+    ),
+    "complex-1-point": (
+        ("complex", *LINE, "--points", "1"),
+        "7c5f8528481c66c6acbf7b2cb1ea1a7313fecc09c10956d4227f5a14f0bb0097",
+    ),
+    "embed-toy": (
+        ("embed", *LINE),
+        "5ae8ba40b78756f7f2ad47016623d52e022f603137e67ef913deac85a247351c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_standard_output_is_pinned(tmp_path, name):
+    argv, digest = PINNED[name]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
