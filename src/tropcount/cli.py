@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import figures
@@ -85,21 +86,25 @@ def _emit(data: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# contact shorthand -> per number, the directions that each get that many legs
+_SHORTHANDS = {
+    "p2-degree": (((1, 0), (0, 1), (-1, -1)),),
+    "p1-degree": (((1,), (-1,)),),
+    "p1xp1-bidegree": (((1, 0), (-1, 0)), ((0, 1), (0, -1))),
+}
+
+
 def _parse_contacts(spec: str, fan) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Shorthand like p2-degree:3, p1xp1-bidegree:1,1, or a JSON file path."""
-    if spec.startswith("p2-degree:"):
-        d = int(spec[len("p2-degree:") :].split("-")[0])
-        dirs = [(1, 0), (0, 1), (-1, -1)]
-        return tuple((i + 1, dirs[i // d]) for i in range(3 * d))
-    if spec.startswith("p1-degree:"):
-        d = int(spec[len("p1-degree:") :].split("-")[0])
-        return tuple(
-            (i + 1, ((1,) if i < d else (-1,))) for i in range(2 * d)
-        )
-    if spec.startswith("p1xp1-bidegree:"):
-        a, b = (int(x) for x in spec[len("p1xp1-bidegree:") :].split("-")[0].split(","))
-        dirs = [(1, 0)] * a + [(-1, 0)] * a + [(0, 1)] * b + [(0, -1)] * b
-        return tuple((i + 1, d) for i, d in enumerate(dirs))
+    """Shorthand like p2-degree:3 or p1xp1-bidegree:1,1, where a suffix after a
+    dash (p2-degree:1-transverse) is ignored, or a JSON file path."""
+    name, _, rest = spec.partition(":")
+    if name in _SHORTHANDS:
+        numbers = rest.split("-")[0].split(",")
+        groups = _SHORTHANDS[name]
+        if len(numbers) != len(groups) or not all(x.isdecimal() for x in numbers):
+            raise ValueError(f"malformed contact shorthand: {spec!r}")
+        dirs = [c for n, group in zip(numbers, groups) for c in group for _ in range(int(n))]
+        return tuple((i + 1, c) for i, c in enumerate(dirs))
     with open(spec) as fh:
         data = json.load(fh)
     out = []
@@ -194,11 +199,12 @@ def _cmd_complex(args) -> int:
     if emb is not None and emb.ambient_rank != 2:
         sys.stderr.write("svg output needs an embedding of ambient rank 2\n")
         return 2
-    _emit(complex_to_json(cx), args.out)
-    sys.stderr.write(f"f-vector = {list(cx.f_vector())}\n")
-    if emb is not None:
-        with open(args.svg, "w") as fh:
-            fh.write(figures.fan_svg(emb.to_fan(), title=f"embedded fan ({fan.name})"))
+    # open the SVG before writing the JSON, so that an unwritable path writes no file
+    with open(args.svg, "w") if emb is not None else nullcontext() as svg:
+        _emit(complex_to_json(cx), args.out)
+        sys.stderr.write(f"f-vector = {list(cx.f_vector())}\n")
+        if svg is not None:
+            svg.write(figures.fan_svg(emb.to_fan(), title=f"embedded fan ({fan.name})"))
     return 0
 
 

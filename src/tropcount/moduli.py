@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -39,8 +40,6 @@ from .maps import (
     torically_transverse,
 )
 from .polyhedral import Fan, locate
-
-Point = tuple[Fraction, ...]
 
 
 class UnsupportedRankError(ValueError):
@@ -83,42 +82,41 @@ class ModuliCone:
         coords, _ = clear_denominators(coords)
         if any(self.constraint_matrix.apply(coords)):
             return "outside"
-        values = [sum(a * x for a, x in zip(row, coords)) for row, _ in self._inequality_numerators()]
+        values = [sum(a * x for a, x in zip(row, coords)) for row in self._inequality_rows()]
         if any(x < 0 for x in values):
             return "outside"
         return "boundary" if 0 in values else "interior"
 
-    def _inequality_numerators(self) -> list[tuple[list[int], int]]:
-        """Inequalities as integer rows over positive denominators, valid on the span.
+    def _inequality_rows(self) -> list[list[int]]:
+        """Inequalities as integer rows, valid on the span.
 
-        A vertex's rows come from its cone's ``ConeData``: adj(G)·Rᵀ over
-        det G extracts ray coefficients from any point of span(cone).
+        A vertex's rows come from its cone's ``ConeData``: adj(G)·Rᵀ
+        extracts det G times the ray coefficients from any point of
+        span(cone), a positive scaling that no sign test sees.
         """
         fan = self.type.fan
         r = fan.rank
         nv = self.type.shape.vertices
-        rows: list[tuple[list[int], int]] = []
+        rows: list[list[int]] = []
         for v, cone_idx in enumerate(self.type.vertex_cones):
             if cone_idx is None or not fan.cones[cone_idx]:
                 continue
-            data = fan.cone_data(cone_idx)
-            for lam in data.coefficients:
+            for lam in fan.cone_data(cone_idx).coefficients:
                 row = [0] * self.ambient_dim
                 row[v * r : (v + 1) * r] = lam
-                rows.append((row, data.det))
+                rows.append(row)
         for e in range(len(self.type.shape.edges)):
             row = [0] * self.ambient_dim
             row[nv * r + e] = 1
-            rows.append((row, 1))
+            rows.append(row)
         return rows
 
-    def _span_inequalities(self) -> list[tuple[list[int], int]]:
-        """The inequality rows on span coordinates, as integer numerators over
-        positive denominators: row·B for the span basis B."""
+    def _span_inequalities(self) -> list[list[int]]:
+        """The inequality rows on span coordinates: row·B for the span basis B."""
         basis = [self.span_basis.row(a) for a in range(self.ambient_dim)]
         return [
-            ([sum(x * b[j] for x, b in zip(row, basis) if x) for j in range(self.dimension)], den)
-            for row, den in self._inequality_numerators()
+            [sum(x * b[j] for x, b in zip(row, basis) if x) for j in range(self.dimension)]
+            for row in self._inequality_rows()
         ]
 
     def _lift(self, num: Sequence[int], den: int) -> list[Fraction]:
@@ -130,8 +128,7 @@ class ModuliCone:
 
     def relint_witness(self) -> Optional[list[Fraction]]:
         """A point in the cone with every inequality strict, or None."""
-        rows = [[Fraction(x, den) for x in row] for row, den in self._span_inequalities()]
-        y = lp.strict_point(rows, self.dimension)
+        y = lp.strict_point(self._span_inequalities(), self.dimension)
         if y is None:
             return None
         return self._lift(*clear_denominators(y))
@@ -380,7 +377,7 @@ def face_types(theta: CombinatorialType, parent: Optional[ModuliCone] = None) ->
     if parent is None:
         parent = moduli_cone(theta)
     normals: dict[tuple[int, ...], None] = {}
-    for row, _ in parent._span_inequalities():
+    for row in parent._span_inequalities():
         g = gcd(*row)
         if g == 0:
             return []
@@ -589,6 +586,11 @@ def _walks(fan: Fan, start_cone: int, c: tuple[int, ...], end_cone: Optional[int
     and the rays of a complete fan do not lie in an open half-plane. A
     walk through the origin goes from the cone holding -c to the cone
     holding c, and that cone has no exit. Rank 3 needs a proof of its own.
+
+    So a carrier is the germ along c at its piece's tail and along -c at
+    its head. At a relative-interior point of a threaded type's cone every
+    length is positive and every vertex in its cone's relative interior,
+    so ``_type_at`` finds the same cones and germs: the type is located.
     """
     neg = tuple(-x for x in c)
 
@@ -613,86 +615,79 @@ def _walks(fan: Fan, start_cone: int, c: tuple[int, ...], end_cone: Optional[int
         yield from rec((first,), ())
 
 
-def _subdivided_candidates(
-    fan: Fan,
-    shape: TreeShape,
-    leg_contact: dict[int, tuple[int, ...]],
-    assignment: tuple[int, ...],
-    walk_cache: dict,
-) -> Iterator[CombinatorialType]:
-    """All subdivided types over one stabilized tree and vertex-cone assignment."""
-    edge_contacts = forced_edge_contacts(
-        shape.vertices, shape.edges, ((v, leg_contact[lab]) for v, lab in shape.legs), fan.rank
-    )
-    leg_contacts = [leg_contact[lab] for _, lab in shape.legs]
+def _candidates(gamma: DiscreteData) -> Iterator[CombinatorialType]:
+    """Candidate types, every top cone among them: each stabilized tree with each
+    vertex-cone assignment over maximal cones and wall-crossing pattern, threaded."""
+    fan = gamma.fan
+    leg_contact = dict(gamma.contact_legs)
+    for lab in gamma.trivial_legs:
+        leg_contact[lab] = (0,) * fan.rank
+    maximal = fan.maximal_cones()
 
-    def walks(start: int, c: tuple[int, ...], end: Optional[int]):
-        key = (start, c, end)
-        if key not in walk_cache:
-            walk_cache[key] = list(_walks(fan, start, c, end))
-        return walk_cache[key]
+    @cache
+    def walks(start: int, c: tuple[int, ...], end: Optional[int]) -> list:
+        return list(_walks(fan, start, c, end))
 
-    edge_options = [walks(assignment[a], c, assignment[b]) for (a, b), c in zip(shape.edges, edge_contacts)]
-    leg_options = [walks(assignment[v], c, None) for (v, _), c in zip(shape.legs, leg_contacts)]
-    if not all(edge_options) or not all(leg_options):
-        return
-    for edge_walks in itertools.product(*edge_options):
-        for leg_walks in itertools.product(*leg_options):
-            yield threaded(fan, shape, assignment, edge_contacts, leg_contacts, edge_walks, leg_walks)
+    for shape in labeled_trees(list(leg_contact)):
+        edge_contacts = forced_edge_contacts(
+            shape.vertices, shape.edges, ((v, leg_contact[lab]) for v, lab in shape.legs), fan.rank
+        )
+        leg_contacts = [leg_contact[lab] for _, lab in shape.legs]
+        ne = len(shape.edges)
+        for assignment in itertools.product(maximal, repeat=shape.vertices):
+            options = [walks(assignment[a], c, assignment[b]) for (a, b), c in zip(shape.edges, edge_contacts)]
+            options += [walks(assignment[v], c, None) for (v, _), c in zip(shape.legs, leg_contacts)]
+            for pattern in itertools.product(*options):
+                yield threaded(fan, shape, assignment, edge_contacts, leg_contacts, pattern[:ne], pattern[ne:])
+
+
+def _stored_cone(theta: CombinatorialType, key: tuple) -> Optional[ComplexCone]:
+    """The record of a stored type: its moduli cone and that cone's own
+    relative-interior witness, or None when the cone is empty."""
+    mc = moduli_cone(theta)
+    witness = mc.relint_witness()
+    if witness is None:
+        return None
+    assert mc.classify(witness) == "interior"
+    return ComplexCone(theta, mc, tuple(witness), key)
 
 
 def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     """Enumerate all combinatorial types with the given discrete data and glue them.
 
-    Works over fans of rank <= 2: stabilized trees are enumerated, every
-    vertex-cone assignment and wall-crossing pattern is emitted, infeasible
-    candidates are discarded by exact linear programming, and the face
-    closure is taken with canonical deduplication.
+    Works over fans of rank <= 2. The complex subdivides M_0,n^trop x the
+    fan, so it is pure, and in a top cone every vertex of the stabilized
+    tree lies in a maximal cone of the fan. Candidates are therefore the
+    stabilized trees with every vertex-cone assignment over maximal cones
+    and every wall-crossing pattern; each is already its own located type
+    (see ``_walks``). Every lower cone is reached by face closure, with
+    canonical deduplication. A stored cone's moduli cone is built once, on
+    its canonical type; a candidate whose cone is empty is not stored.
     """
     fan = gamma.fan
     if fan.rank > 2:
         raise UnsupportedRankError("complex assembly supports fan rank <= 2 only")
     if gamma.contact_legs and not torically_transverse(gamma):
         raise ValueError("assembly requires torically transverse contact data")
-    labels = [lab for lab, _ in gamma.contact_legs] + list(gamma.trivial_legs)
-    if len(labels) < 2:
+    if len(gamma.contact_legs) + len(gamma.trivial_legs) < 2:
         raise ValueError("need at least two marked legs")
-    leg_contact = {lab: c for lab, c in gamma.contact_legs}
-    for lab in gamma.trivial_legs:
-        leg_contact[lab] = (0,) * fan.rank
 
     by_key: dict[tuple, ComplexCone] = {}
-    r = fan.rank
 
-    def admit(canon: CombinatorialType, witness: Sequence[Fraction]):
-        """Store the canonical representative of a located type, given a point
-        of its relative interior; returns (key, is_new, relabel)."""
-        key, relabel = canonical_form(canon)
+    def admit(theta: CombinatorialType):
+        """Store the canonical representative of a located type unless its key
+        is known or its cone is empty; returns (key, is_new, relabel)."""
+        key, relabel = canonical_form(theta)
         if key in by_key:
             return key, False, relabel
-        stored = relabel_type(canon, relabel)
-        nv = canon.shape.vertices
-        moved = list(witness)
-        for v in range(nv):
-            moved[relabel[v] * r : relabel[v] * r + r] = witness[v * r : v * r + r]
-        for e, new in enumerate(edge_permutation(canon.shape, relabel)):
-            moved[nv * r + new] = witness[nv * r + e]
-        mc = moduli_cone(stored)
-        assert mc.classify(moved) == "interior"
-        by_key[key] = ComplexCone(stored, mc, tuple(moved), key)
+        cc = _stored_cone(relabel_type(theta, relabel), key)
+        if cc is None:
+            return key, False, relabel
+        by_key[key] = cc
         return key, True, relabel
 
-    walk_cache: dict = {}
-    for shape in labeled_trees(labels):
-        for assignment in itertools.product(range(len(fan.cones)), repeat=shape.vertices):
-            for theta in _subdivided_candidates(fan, shape, leg_contact, assignment, walk_cache):
-                try:
-                    witness = moduli_cone(theta).relint_witness()
-                except InvalidTypeError:
-                    continue
-                if witness is not None:
-                    located = _type_at(theta, witness)
-                    admit(located.face, located.witness)
+    for theta in _candidates(gamma):
+        admit(theta)
 
     # face closure, recording pairs and inclusion matrices as we go
     face_rel: dict[tuple[tuple, tuple], IntMatrix] = {}
@@ -701,7 +696,7 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
         key = queue.pop()
         parent = by_key[key]
         for fd in face_types(parent.type, parent.cone):
-            face_key, is_new, relabel = admit(fd.face, fd.witness)
+            face_key, is_new, relabel = admit(fd.face)
             if is_new:
                 queue.append(face_key)
             pair = (face_key, key)
@@ -920,14 +915,12 @@ def complex_from_json(data: dict) -> ConeComplex:
     cones = []
     for entry in data["cones"]:
         theta = type_from_json(fan, entry["type"])
-        mc = moduli_cone(theta)
-        if mc.dimension != entry["dimension"]:
-            raise ValueError("stored dimension disagrees with the recomputed cone")
-        witness = mc.relint_witness()
-        if witness is None:
+        cc = _stored_cone(theta, canonical_form(theta)[0])
+        if cc is None:
             raise ValueError("stored type has an empty moduli cone")
-        key, _ = canonical_form(theta)
-        cones.append(ComplexCone(theta, mc, tuple(witness), key))
+        if cc.cone.dimension != entry["dimension"]:
+            raise ValueError("stored dimension disagrees with the recomputed cone")
+        cones.append(cc)
     face_maps = tuple((s, b, _matrix_from_json(m)) for s, b, m in data["faces"])
     return ConeComplex(gamma, tuple(cones), face_maps)
 

@@ -79,19 +79,28 @@ def test_complex_toy_f_vector(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra,message",
+    "extra,svg_name,message",
     [
-        (("--points", "1"), "svg output needs an embedding of ambient rank 2\n"),
-        (("--root", "9"), "error: ValueError: root label 9 is not a marked leg\n"),
+        (("--points", "1"), "cx.svg", "svg output needs an embedding of ambient rank 2\n"),
+        (("--root", "9"), "cx.svg", "error: ValueError: root label 9 is not a marked leg\n"),
+        ((), "no-such-dir/f.svg", "error: FileNotFoundError: [Errno 2] No such file or directory: '{svg}'\n"),
     ],
-    ids=["ambient-rank-3", "bad-root"],
+    ids=["ambient-rank-3", "bad-root", "unwritable-svg-path"],
 )
-def test_failing_svg_writes_no_file(tmp_path, capsys, extra, message):
-    out, svg = tmp_path / "cx.json", tmp_path / "cx.svg"
+def test_failing_svg_writes_no_file(tmp_path, capsys, extra, svg_name, message):
+    out, svg = tmp_path / "cx.json", tmp_path / svg_name
     argv = ["complex", "--fan", "p2", "--contacts", "p2-degree:1", *extra, "--svg", str(svg), "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == message.format(svg=svg)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec", ["p2-degree:-1", "p1xp1-bidegree:1"])
+def test_malformed_contact_shorthand_is_refused(tmp_path, capsys, spec):
+    out = tmp_path / "cx.json"
+    assert main(["complex", "--fan", "p2", "--contacts", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: ValueError: malformed contact shorthand: {spec!r}\n"
+    assert not out.exists()
 
 
 def test_embed_toy(tmp_path):
@@ -310,6 +319,7 @@ CONTACTS = {
     "p1-degree:2": 4,
     "p1xp1-bidegree:1,1": 4,
     "p2-degree:x": 0,
+    "p2-degree:-1": 0,
     "p2-degree:": 0,
     "p1xp1-bidegree:1": 0,
     "no-such-contacts.json": 0,

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from tropcount import moduli
 from tropcount.exactmath import IntMatrix, rank as int_rank
 from tropcount.maps import CombinatorialType, DiscreteData, TreeShape, TropicalStableMap
 from tropcount.moduli import (
     ConeComplex,
     UnsupportedRankError,
+    _candidates,
+    _type_at,
     assemble_complex,
     canonical_form,
     contains,
@@ -214,7 +217,7 @@ def test_stored_witnesses_are_relative_interior_points(trivial):
     cx = assemble_complex(DiscreteData(P2, TOY.contact_legs, trivial))
     for cc in cx.cones:
         assert all(x == 0 for x in cc.cone.constraint_matrix.apply(cc.witness))
-        for row, _ in cc.cone._inequality_numerators():
+        for row in cc.cone._inequality_rows():
             assert sum(a * x for a, x in zip(row, cc.witness)) > 0
 
 
@@ -261,6 +264,44 @@ def test_assemble_complex_rejects_high_rank():
     p3 = fan_projective_space(3)
     with pytest.raises(UnsupportedRankError):
         assemble_complex(DiscreteData(p3, (), (1, 2, 3)))
+
+
+ASSEMBLED = {
+    "toy": TOY,
+    "p2_1pt": DiscreteData(P2, TOY.contact_legs, (4,)),
+    "p2_2pts": DiscreteData(P2, TOY.contact_legs, (4, 5)),
+    "p1xp1": DiscreteData(P1P1, ((1, (1, 0)), (2, (-1, 0)), (3, (0, 1)), (4, (0, -1))), ()),
+}
+
+
+@pytest.mark.parametrize("name", ASSEMBLED)
+def test_candidates_are_valid_nonempty_and_located(name):
+    # assembly stores each candidate as it comes: none fails check(), none
+    # has an empty cone, and each is the type of the map at its witness
+    seen = 0
+    for theta in _candidates(ASSEMBLED[name]):
+        theta.check()
+        witness = moduli_cone(theta).relint_witness()
+        assert witness is not None
+        assert _type_at(theta, witness).face == theta
+        seen += 1
+    assert seen > 0
+
+
+@pytest.mark.parametrize("name", ASSEMBLED)
+def test_one_moduli_cone_per_stored_cone(monkeypatch, name):
+    built = []
+
+    def counted(theta):
+        built.append(theta)
+        return moduli_cone(theta)
+
+    monkeypatch.setattr(moduli, "moduli_cone", counted)
+    cx = assemble_complex(ASSEMBLED[name])
+    assert len(built) == len(cx.cones)
+    assert set(built) == {cc.type for cc in cx.cones}
+    if name == "p2_2pts":
+        assert len(built) == 554
 
 
 HEXAGON = Fan.make(

@@ -1,4 +1,4 @@
-"""The JSON of six cheap standard CLI cases, pinned by its sha256.
+"""The JSON of nine cheap standard CLI cases, pinned by its sha256.
 
 A change that alters one of these outputs on purpose updates its hash
 here and says in CHANGES.md what changed and why.
@@ -32,9 +32,21 @@ PINNED = {
         ("complex", *LINE, "--points", "1"),
         "7c5f8528481c66c6acbf7b2cb1ea1a7313fecc09c10956d4227f5a14f0bb0097",
     ),
+    "complex-2-points": (
+        ("complex", *LINE, "--points", "2"),
+        "56bde5e5e8dccc8a5d884d95ff4a52733ac000bb115beae92bf26679935b93ca",
+    ),
+    "complex-quadric-1-1": (
+        ("complex", "--fan", "p1xp1", "--contacts", "p1xp1-bidegree:1,1"),
+        "27465c47db8759840373e1e775c04632769831bc739dbe4a2b3f331bfc585c77",
+    ),
     "embed-toy": (
         ("embed", *LINE),
         "5ae8ba40b78756f7f2ad47016623d52e022f603137e67ef913deac85a247351c",
+    ),
+    "embed-1-point": (
+        ("embed", *LINE, "--points", "1"),
+        "bad64e0999e21e7de4365dc3e7e026fb3c87ce0bb65b7a2c4e18dfc28ab31910",
     ),
 }
 
