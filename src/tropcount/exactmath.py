@@ -237,7 +237,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 def rank(a: IntMatrix) -> int:
     """Rank over ℚ, by fraction-free Gauss–Jordan elimination over ``int``."""
-    return len(_fraction_free_rref([list(a.row(i)) for i in range(a.rows)], a.cols)[0])
+    return len(fraction_free_rref([list(a.row(i)) for i in range(a.rows)], a.cols)[0])
 
 
 def determinant(a: IntMatrix) -> int:
@@ -293,7 +293,7 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     return IntMatrix(a.cols, len(cols), entries)
 
 
-def _fraction_free_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+def fraction_free_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free Gauss–Jordan elimination on the first ``ncols`` columns.
 
     Reduces the integer ``rows`` in place to d·R, where R is the reduced row
@@ -336,7 +336,7 @@ def _solve(a: IntMatrix, b: Sequence[Sequence[Fraction]]) -> Optional[tuple[list
     ncols = len(b[0]) if b else 0
     columns = [clear_denominators([b[i][j] for i in range(a.rows)]) for j in range(ncols)]
     rows = [list(a.row(i)) + [col[i] for col, _ in columns] for i in range(a.rows)]
-    pivots, d = _fraction_free_rref(rows, a.cols)
+    pivots, d = fraction_free_rref(rows, a.cols)
     if any(any(row[a.cols :]) for row in rows[len(pivots) :]):
         return None
     zero = Fraction(0)

@@ -2,8 +2,10 @@
 
 ``strict_point`` finds a point of a cone {y : B y >= 0} with every
 inequality strict, or proves there is none: since the region is a cone,
-that is a point with B y >= 1.  ``in_closed_cone`` decides whether a
-vector lies in the closed cone spanned by given directions.  A small
+that is a point with B y >= 1. The package reads such points off extreme
+rays instead (``moduli.cone_rays``); the tests keep this LP as their
+reference.  ``in_closed_cone`` decides whether a vector lies in the
+closed cone spanned by given directions.  A small
 dense phase-I simplex settles both exactly. It is fraction-free
 (Edmonds' integer pivoting): the tableau is integer numerators over one
 common positive denominator, so no step does ``Fraction`` arithmetic,

@@ -6,28 +6,33 @@ equations head - tail = length * contact and the vertex-span cuts
 pos_v in span(cone_v) are integral linear constraints, and the cone is
 carved out of their solution lattice by the ray-coefficient and length
 inequalities.  Dimensions are exact ranks, never the generic formula.
-Faces come from the same inequalities: each facet is a hyperplane of
-them that an exact LP meets in a relative-interior point, and the face's
-type is the type of the map at that point.
+Faces come from the same inequalities. An exact double description over
+the integers finds each cone's extreme rays once; their sum is the
+cone's relative-interior witness, a facet is an inequality whose zero
+rays have rank one less than the cone's, the sum of those rays is the
+facet's witness, and the face's type is the type of the map there. No
+LP is involved, and rays, witnesses and facets take integer arithmetic
+alone.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import comb, gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import lp
 from .curves import TreeShape
 from .exactmath import (
     IntMatrix,
     clear_denominators,
     determinant,
+    fraction_free_rref,
     integer_kernel,
     lattice_quotient,
     primitive_vector,
+    rank,
     solve_rational_matrix,
 )
 from .maps import (
@@ -55,6 +60,122 @@ class ShapeMismatchError(ValueError):
 
 
 # --- moduli cones ----------------------------------------------------------
+
+
+def _ray_sum(rays: Sequence[Sequence[int]], dim: int) -> list[int]:
+    return [sum(ray[c] for ray in rays) for c in range(dim)]
+
+
+class ConeRays:
+    """The cone {y in QQ^dim : row·y >= 0 for every row}, by its extreme rays.
+
+    ``normals`` are the rows up to positive multiples, primitive, in order
+    of first appearance; ``rank`` is their rank. The cone is its pointed
+    part plus the lineality space where every normal vanishes. ``rays`` are
+    the primitive extreme rays of the pointed part, and bit j of
+    ``tight[i]`` is set when normal j vanishes on ray i.
+    """
+
+    # a plain class: building a frozen dataclass costs about 1 ms at every
+    # start of the program
+    __slots__ = ("dim", "normals", "rank", "rays", "tight")
+
+    def __init__(
+        self,
+        dim: int,
+        normals: tuple[tuple[int, ...], ...],
+        rank: int,
+        rays: tuple[tuple[int, ...], ...],
+        tight: tuple[int, ...],
+    ):
+        self.dim, self.normals, self.rank, self.rays, self.tight = dim, normals, rank, rays, tight
+
+    def interior_point(self) -> Optional[list[int]]:
+        """The sum of the rays, strict on every normal; None when some normal
+        vanishes on every ray, and so on the whole cone."""
+        everywhere = (1 << len(self.normals)) - 1
+        for t in self.tight:
+            everywhere &= t
+        return None if everywhere else _ray_sum(self.rays, self.dim)
+
+    def facets(self) -> list[tuple[int, list[int]]]:
+        """(normal index, relative-interior point) of each facet, in normal order.
+
+        A normal is a facet's when the rays it vanishes on have rank
+        ``rank`` - 1. Their sum is then strict on every other normal, which
+        would otherwise vanish on the facet's hyperplane and so be a positive
+        multiple of this one. A cone with no interior point has no facets here.
+        """
+        if self.interior_point() is None:
+            return []
+        out = []
+        for j in range(len(self.normals)):
+            on = [ray for ray, t in zip(self.rays, self.tight) if t >> j & 1]
+            if rank(IntMatrix(len(on), self.dim, tuple(x for ray in on for x in ray))) == self.rank - 1:
+                out.append((j, _ray_sum(on, self.dim)))
+        return out
+
+
+def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
+    """Extreme rays of {y in QQ^dim : row·y >= 0}, or None when a row is zero.
+
+    A double description over the integers (Fukuda and Prodon, *Double
+    description method revisited*, 1996). The first independent normals
+    cut out a simplicial cone. Its rays are the columns of their inverse on
+    the first columns independent on them; the other coordinates stay 0,
+    which drops the lineality space and leaves the pointed part. Each
+    further normal keeps the rays where it is >= 0 and adds, for each
+    adjacent pair on opposite sides of its hyperplane, the primitive point
+    of their segment on it. Two rays are adjacent when the normals zero on
+    both have at least rank - 2 members and no third ray is zero on all of
+    them (the combinatorial test, exact on the minimal ray set kept here).
+    """
+    groups: dict[tuple[int, ...], None] = {}
+    for row in rows:
+        g = gcd(*row)
+        if g == 0:
+            return None
+        groups.setdefault(tuple(x // g for x in row))
+    normals = list(groups)
+    basis, _ = fraction_free_rref([list(col) for col in zip(*normals)], len(normals))
+    k = len(basis)
+    # Gauss-Jordan on (A | I) leaves d times A_P^-1 in the right block, for
+    # A_P the columns of A at the pivots P
+    top = [list(normals[i]) + [int(s == t) for t in range(k)] for s, i in enumerate(basis)]
+    cols, d = fraction_free_rref(top, dim)
+    sign = 1 if d > 0 else -1
+    start = sum(1 << i for i in basis)
+    rays = [primitive_vector([sign * top[t][dim + s] for t in range(k)]) for s in range(k)]
+    tight = [start & ~(1 << i) for i in basis]
+    for i, h in enumerate(normals):
+        if start >> i & 1:
+            continue
+        bit = 1 << i
+        a = [h[c] for c in cols]
+        values = [sum(x * z for x, z in zip(a, ray)) for ray in rays]
+        next_rays = [ray for ray, v in zip(rays, values) if v >= 0]
+        next_tight = [t | bit if v == 0 else t for t, v in zip(tight, values) if v >= 0]
+        for p, vp in enumerate(values):
+            if vp <= 0:
+                continue
+            for n, vn in enumerate(values):
+                if vn >= 0:
+                    continue
+                common = tight[p] & tight[n]
+                if common.bit_count() < k - 2 or any(
+                    t & common == common for q, t in enumerate(tight) if q != p and q != n
+                ):
+                    continue
+                next_rays.append(primitive_vector([vp * y - vn * x for x, y in zip(rays[p], rays[n])]))
+                next_tight.append(common | bit)
+        rays, tight = next_rays, next_tight
+    padded = []
+    for ray in rays:
+        y = [0] * dim
+        for c, x in zip(cols, ray):
+            y[c] = x
+        padded.append(tuple(y))
+    return ConeRays(dim, tuple(normals), k, tuple(padded), tuple(tight))
 
 
 @dataclass(frozen=True)
@@ -119,19 +240,25 @@ class ModuliCone:
             for row in self._inequality_rows()
         ]
 
-    def _lift(self, num: Sequence[int], den: int) -> list[Fraction]:
-        """Ambient coordinates of the span point num / den."""
+    def _lift(self, y: Sequence[int]) -> list[Fraction]:
+        """Ambient coordinates of the span point y."""
         return [
-            Fraction(sum(b * x for b, x in zip(self.span_basis.row(a), num)), den)
+            Fraction(sum(b * x for b, x in zip(self.span_basis.row(a), y)))
             for a in range(self.ambient_dim)
         ]
 
+    @cached_property
+    def extreme_rays(self) -> Optional[ConeRays]:
+        """The cone on span coordinates by its extreme rays, found once per
+        cone; None when an inequality vanishes on the whole span."""
+        return cone_rays(self._span_inequalities(), self.dimension)
+
     def relint_witness(self) -> Optional[list[Fraction]]:
-        """A point in the cone with every inequality strict, or None."""
-        y = lp.strict_point(self._span_inequalities(), self.dimension)
-        if y is None:
-            return None
-        return self._lift(*clear_denominators(y))
+        """The lift of the sum of the extreme rays, a point with every
+        inequality strict; None when no point of the cone is."""
+        rays = self.extreme_rays
+        y = None if rays is None else rays.interior_point()
+        return None if y is None else self._lift(y)
 
 
 def moduli_cone(theta: CombinatorialType) -> ModuliCone:
@@ -364,44 +491,22 @@ def _type_at(theta: CombinatorialType, witness: Sequence[Fraction]) -> FaceData:
 
 
 def face_types(theta: CombinatorialType, parent: Optional[ModuliCone] = None) -> list[FaceData]:
-    """Codimension-one faces, read off the cone's own inequalities.
+    """Codimension-one faces, read off the cone's extreme rays.
 
     The inequality rows, on the span basis, fall into groups of positive
-    multiples of one row. A group is a facet exactly when one exact LP finds
-    a point on its hyperplane with every other group strict; that point is
-    the face's witness, and ``_type_at`` reads the face type off it. A cone
-    with a row vanishing on its whole span has no relative interior and no
-    faces. ``parent`` is ``moduli_cone(theta)`` when the caller already
-    holds it.
+    multiples of one row. A group is a facet exactly when the extreme rays
+    it vanishes on have rank one less than the cone's pointed part (see
+    ``ConeRays.facets``); their sum is the face's witness, and ``_type_at``
+    reads the face type off it. A cone with no relative-interior point has
+    no faces. ``parent`` is ``moduli_cone(theta)`` when the caller already
+    holds it, and its rays are then reused.
     """
     if parent is None:
         parent = moduli_cone(theta)
-    normals: dict[tuple[int, ...], None] = {}
-    for row in parent._span_inequalities():
-        g = gcd(*row)
-        if g == 0:
-            return []
-        normals.setdefault(tuple(x // g for x in row))
-    out = []
-    for h in normals:
-        # on h·y = 0, y_k = -(sum of h_j y_j over j != k) / h_k; each other
-        # row g becomes |h_k| times its restriction, an integer row
-        k = next(j for j, x in enumerate(h) if x)
-        s = 1 if h[k] > 0 else -1
-        rows = [
-            [s * (g[j] * h[k] - g[k] * h[j]) for j in range(len(h)) if j != k]
-            for g in normals
-            if g != h
-        ]
-        z = lp.strict_point(rows, len(h) - 1)
-        if z is None:
-            continue
-        q, den = clear_denominators(z)
-        q.insert(k, 0)
-        y = [h[k] * x for x in q]
-        y[k] = -sum(a * x for a, x in zip(h, q))
-        out.append(_type_at(theta, parent._lift(y, h[k] * den)))
-    return out
+    rays = parent.extreme_rays
+    if rays is None:
+        return []
+    return [_type_at(theta, parent._lift(y)) for _, y in rays.facets()]
 
 
 def face_inclusion_matrix(
@@ -462,8 +567,16 @@ class ConeComplex:
             counts[c.cone.dimension] += 1
         return tuple(counts)
 
+    @cached_property
+    def _faces(self) -> dict[int, list[int]]:
+        """big -> its faces, in face-map order; built once."""
+        index: dict[int, list[int]] = {}
+        for s, b, _ in self.face_maps:
+            index.setdefault(b, []).append(s)
+        return index
+
     def faces_of(self, idx: int) -> list[int]:
-        return [s for s, b, _ in self.face_maps if b == idx]
+        return list(self._faces.get(idx, ()))
 
     def skeleton(self, idx: int, dim: int) -> set[int]:
         """Iterated faces of the given cone having the requested dimension."""
@@ -642,8 +755,10 @@ def _candidates(gamma: DiscreteData) -> Iterator[CombinatorialType]:
 
 
 def _stored_cone(theta: CombinatorialType, key: tuple) -> Optional[ComplexCone]:
-    """The record of a stored type: its moduli cone and that cone's own
-    relative-interior witness, or None when the cone is empty."""
+    """The record of a stored type: its moduli cone and, as its witness, the
+    lifted sum of that cone's extreme rays, or None when the cone has no
+    relative-interior point. The rays stay cached on the cone, for
+    ``face_types``; ``complex_from_json`` builds its records here too."""
     mc = moduli_cone(theta)
     witness = mc.relint_witness()
     if witness is None:

@@ -8,10 +8,14 @@ do their arithmetic over ``Fraction``. The former implementations are kept
 below as references, and the property tests require exact equality with
 them: same pivots, same points, same decisions. So are the former germ
 rules of ``moduli._germ_into`` and ``maps._points_into``, which
-``Fan.germ`` replaced. The last test checks that the kernels do no
-``Fraction`` arithmetic at all.
+``Fan.germ`` replaced, and the former facet search of
+``moduli.face_types``, one ``lp.strict_point`` per hyperplane, against
+which ``moduli.cone_rays`` is checked. The last test checks that the
+kernels do no ``Fraction`` arithmetic at all.
 """
+import random
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 import pytest
@@ -22,7 +26,7 @@ from tropcount import lp
 from tropcount.curves import TreeShape
 from tropcount.exactmath import IntMatrix, clear_denominators, rank, solve_rational, solve_rational_matrix
 from tropcount.maps import CombinatorialType, DiscreteData, InvalidTypeError
-from tropcount.moduli import assemble_complex
+from tropcount.moduli import assemble_complex, cone_rays
 from tropcount.polyhedral import (
     Fan,
     NotCompleteError,
@@ -93,6 +97,28 @@ def _reference_strict_point(rows: list[list[Fraction]], dim: int) -> Optional[li
     if sol is None:
         return None
     return [sol[j] - sol[dim + j] for j in range(dim)]
+
+
+def _reference_facets(rows: list[list[int]], dim: int) -> list[tuple[int, ...]]:
+    """The former facet search of ``moduli.face_types``: the primitive normals,
+    one per group of positive multiples, on whose hyperplane an exact LP finds
+    a point with every other group strict. A zero row leaves no facets."""
+    normals: dict[tuple[int, ...], None] = {}
+    for row in rows:
+        g = gcd(*row)
+        if g == 0:
+            return []
+        normals.setdefault(tuple(x // g for x in row))
+    out = []
+    for h in normals:
+        # on h·y = 0, y_k = -(sum of h_j y_j over j != k) / h_k; each other
+        # row g becomes |h_k| times its restriction, an integer row
+        k = next(j for j, x in enumerate(h) if x)
+        s = 1 if h[k] > 0 else -1
+        restricted = [[s * (g[j] * h[k] - g[k] * h[j]) for j in range(dim) if j != k] for g in normals if g != h]
+        if lp.strict_point(restricted, dim - 1) is not None:
+            out.append(h)
+    return out
 
 
 def _reference_row_echelon(rows: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
@@ -263,6 +289,119 @@ def test_phase_one_matches_fraction_reference(m, n, data):
         nums, d = got
         assert d > 0
         assert [Fraction(x, d) for x in nums] == want
+
+
+# --- extreme rays against the hyperplane LP --------------------------------------
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+@st.composite
+def cone_rows(draw):
+    """Integer rows of a cone {row·y >= 0} in dimension 1-4, often with
+    positive multiples of a row, redundant sums of two rows, a row beside its
+    negative, a zero row, or rank below the dimension (a lineality space).
+    Half of them have every row turned to be >= 0 at one point, so that most
+    of those cones have an interior and many are not simplicial."""
+    dim = draw(st.integers(1, 4))
+    k = dim if draw(st.booleans()) else draw(st.integers(1, dim))
+    entries = st.integers(-3, 3)
+    # rows of rank <= k: nonzero random rows times a k x dim matrix of rank k
+    lift = [[int(i == j) for j in range(dim)] for i in range(k)]
+    if k < dim and draw(st.booleans()):
+        lift = [[draw(entries) for _ in range(dim)] for _ in range(k)]
+    centre = [draw(entries) for _ in range(dim)] if draw(st.booleans()) else [0] * dim
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        x = draw(st.lists(entries, min_size=k, max_size=k).filter(any))
+        row = [sum(a * b[j] for a, b in zip(x, lift)) for j in range(dim)]
+        rows.append([-a for a in row] if dot(row, centre) < 0 else row)
+    for extra in draw(st.lists(st.sampled_from(["multiple", "sum", "negative", "zero"]), max_size=2)):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append({
+            "multiple": [draw(st.integers(1, 3)) * x for x in a],
+            "sum": [x + y for x, y in zip(a, b)],
+            "negative": [-x for x in a],
+            "zero": [0] * dim,
+        }[extra])
+    return rows, dim
+
+
+def check_cone_rays(rows: list[list[int]], dim: int) -> None:
+    cone = cone_rays(rows, dim)
+    if any(not any(row) for row in rows):
+        assert cone is None
+        return
+    normals = cone.normals
+    assert all(gcd(*h) == 1 for h in normals) and len(normals) == len(set(normals))
+    # each ray is extreme in the pointed part: in the cone, on normals of rank - 1
+    for ray, t in zip(cone.rays, cone.tight):
+        assert all(dot(h, ray) > 0 for j, h in enumerate(normals) if not t >> j & 1)
+        assert all(dot(h, ray) == 0 for j, h in enumerate(normals) if t >> j & 1)
+        on = [h for j, h in enumerate(normals) if t >> j & 1]
+        assert rank(IntMatrix(len(on), dim, tuple(x for h in on for x in h))) == cone.rank - 1
+    witness = cone.interior_point()
+    assert (witness is None) == (lp.strict_point(rows, dim) is None)
+    if witness is not None:
+        assert all(dot(row, witness) > 0 for row in rows)
+    facets = cone.facets()
+    assert [normals[j] for j, _ in facets] == _reference_facets(rows, dim)
+    for j, point in facets:
+        assert dot(normals[j], point) == 0
+        assert all(dot(h, point) > 0 for i, h in enumerate(normals) if i != j)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cone_rows())
+def test_cone_rays_match_the_hyperplane_lp(case):
+    check_cone_rays(*case)
+
+
+def test_cone_rays_match_the_hyperplane_lp_on_uniform_cones():
+    # hypothesis favours small entries and few rows; uniform draws around a
+    # centre give non-simplicial cones in dimensions 3 and 4 about half the time
+    rng = random.Random(7)
+    for _ in range(300):
+        dim = rng.randint(3, 4)
+        centre = [rng.randint(-3, 3) for _ in range(dim)]
+        rows = []
+        while len(rows) < rng.randint(3, 8):
+            row = [rng.randint(-3, 3) for _ in range(dim)]
+            if any(row):
+                rows.append([-x for x in row] if dot(row, centre) < 0 else row)
+        check_cone_rays(rows, dim)
+
+
+@pytest.mark.parametrize("rows", [
+    # the cone over a square: four facets, four rays, not simplicial
+    [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+    # the cone over a pentagon, one facet given twice and one redundant row
+    [[1, 0, 1], [0, 1, 1], [-1, 0, 2], [0, -1, 2], [-1, -1, 3], [2, 0, 2], [-1, -1, 5]],
+    # a row beside its negative: no interior point, no facets
+    [[1, 2, 0], [-1, -2, 0], [0, 0, 1]],
+    # the same around a square cone, then a cut between two opposite corners:
+    # every ray is zero on the first two rows, so only the combinatorial
+    # adjacency test keeps the corners from being joined
+    [[0, 0, 0, 1], [0, 0, 0, -1], [1, 0, 1, 0], [-1, 0, 1, 0], [0, 1, 1, 0], [0, -1, 1, 0], [1, 1, 0, 0]],
+    # a zero row
+    [[1, 0], [0, 0]],
+    # lineality: the half-space x >= 0 and a wedge, times a line
+    [[1, 0, 0]],
+    [[1, 1, 0], [1, -1, 0], [2, 0, 0]],
+    # a simplicial cone with all of its facets
+    [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0], [0, 0, 0, 1], [1, -1, 1, 1]],
+])
+def test_cone_rays_on_chosen_cones(rows):
+    check_cone_rays(rows, len(rows[0]))
+
+
+def test_cone_rays_over_a_square():
+    cone = cone_rays([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]], 3)
+    assert sorted(cone.rays) == [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
+    assert cone.interior_point() == [0, 0, 4]
+    assert [point for _, point in cone.facets()] == [[-2, 0, 2], [2, 0, 2], [0, -2, 2], [0, 2, 2]]
 
 
 # --- exact solves ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and every
-function one package module imports from another can be traced."""
+function one package module imports from another, or the benchmark's
+tracer wraps by name, can be traced."""
 import ast
 import importlib
 import inspect
@@ -49,15 +50,19 @@ def test_no_unused_imports(path):
     assert sorted(imported_names(tree) - used_names(tree)) == []
 
 
+def tracer_constant(name: str):
+    return next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACER.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
+    )
+
+
 def test_cross_module_functions_are_traceable():
     # the benchmark's tracer wraps each such function as a span of the
     # defining module's layer, so that module must be a layer, and a
     # generator's span would not cover its work
-    layers = next(
-        ast.literal_eval(node.value)
-        for node in ast.parse(TRACER.read_text()).body
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
-    )
+    layers = tracer_constant("LAYERS")
     untraceable = set()
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -68,3 +73,23 @@ def test_cross_module_functions_are_traceable():
                     if inspect.isfunction(fn) and (node.module not in layers or inspect.isgeneratorfunction(fn)):
                         untraceable.add(f"{node.module}.{alias.name}")
     assert sorted(untraceable) == []
+
+
+def test_tracer_attribute_calls_resolve():
+    # the tracer wraps these by name, so a traced run stops with an
+    # AttributeError when one of them is gone
+    for module, name in tracer_constant("ATTRIBUTE_CALLS"):
+        fn = getattr(importlib.import_module(f"tropcount.{module}"), name, None)
+        assert inspect.isfunction(fn) and not inspect.isgeneratorfunction(fn), f"{module}.{name}"
+
+
+def test_strict_point_has_no_caller_outside_lp():
+    # moduli reads faces and witnesses off extreme rays; the LP stays as the
+    # tests' reference
+    for path in MODULES:
+        if path.name != "lp.py":
+            tree = ast.parse(path.read_text())
+            # attribute uses, bare names and imported names
+            names = {getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(tree)}
+            names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+            assert "strict_point" not in names, path.name

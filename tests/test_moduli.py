@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropcount import moduli
+from tropcount import lp, moduli
 from tropcount.exactmath import IntMatrix, rank as int_rank
 from tropcount.maps import CombinatorialType, DiscreteData, TreeShape, TropicalStableMap
 from tropcount.moduli import (
@@ -88,6 +88,36 @@ def test_moduli_cone_overvalent_unconfined():
     )
     mc = moduli_cone(t)
     assert mc.dimension == 2  # = dim X - 3 + 0 + 4 - ov with ov = 1
+    # no inequality at all: the cone is its lineality space, the plane
+    assert mc.extreme_rays.rank == 0
+    assert mc.relint_witness() == [0, 0]
+    assert face_types(t) == []
+
+
+def test_unconfined_edge_has_a_lineality_space():
+    # two roaming vertices: only the edge length is >= 0, so the cone is a
+    # half-space with a 2-dimensional lineality space, which the extreme
+    # rays leave out; its one facet contracts the edge
+    shape = TreeShape(2, ((0, 1),), ((0, 1), (0, 2), (1, 3), (1, 4)))
+    legs = (U1, U2, U3, (0, 0))
+    t = CombinatorialType(
+        P2,
+        shape,
+        (None, None),
+        tuple(forced_edge_contacts(2, shape.edges, [(v, c) for (v, _), c in zip(shape.legs, legs)], 2)),
+        (None,),
+        legs,
+        (None,) * 4,
+    )
+    mc = moduli_cone(t)
+    assert (mc.dimension, mc.extreme_rays.rank) == (3, 1)
+    assert lp.strict_point(mc._span_inequalities(), mc.dimension) is not None
+    witness = mc.relint_witness()
+    assert mc.classify(witness) == "interior"
+    [fd] = face_types(t)
+    assert fd.edge_map == (None,) and fd.face.shape.vertices == 1
+    face = moduli_cone(fd.face)
+    assert face.dimension == 2 and face.classify(fd.witness) == "interior"
 
 
 def random_balanced_type(fan, rng, max_legs=7):

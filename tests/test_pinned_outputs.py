@@ -1,4 +1,4 @@
-"""The JSON of nine cheap standard CLI cases, pinned by its sha256.
+"""The JSON of ten cheap standard CLI cases, pinned by its sha256.
 
 A change that alters one of these outputs on purpose updates its hash
 here and says in CHANGES.md what changed and why.
@@ -47,6 +47,10 @@ PINNED = {
     "embed-1-point": (
         ("embed", *LINE, "--points", "1"),
         "bad64e0999e21e7de4365dc3e7e026fb3c87ce0bb65b7a2c4e18dfc28ab31910",
+    ),
+    "embed-2-points": (
+        ("embed", *LINE, "--points", "2"),
+        "f48b83a1d355faf973e3b82c6731227529044cea3451afb730c4582aac139306",
     ),
 }
 
