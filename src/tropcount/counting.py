@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
 from math import comb, gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from .curves import TreeShape
 from .exactmath import IntMatrix, clear_denominators, determinant, solve_rational
-from .lp import in_closed_cone
 from .maps import (
     CombinatorialType,
     DiscreteData,
@@ -32,6 +30,7 @@ from .maps import (
 )
 from .moduli import (
     canonical_form,
+    cone_rays,
     forced_edge_contacts,
     grow_trees,
     insert_leg,
@@ -276,35 +275,43 @@ def _skeleton_census(rank: int, contacts: Sequence[Vec]) -> list[tuple]:
     ]
 
 
-def _cross(u, v) -> int:
-    return u[0] * v[1] - u[1] * v[0]
+def _closed_cone_test(vs: Sequence[Vec], rank: int, stride: int = 1):
+    """A function from directions to the bitset of the vs in their closed cone, vs[i] at bit stride*i.
 
-
-def _by_angle(a: Vec, b: Vec) -> int:
-    """Compare nonzero plane vectors by angle in [0, 2pi) from the positive x-axis."""
-    return ((a[1], a[0]) < (0, 0)) - ((b[1], b[0]) < (0, 0)) or _cross(b, a)
-
-
-def _cone_verdicts(dirs: Sequence[Vec], vs: Sequence[Vec]) -> int:
-    """Bit i is set iff vs[i] lies in the closed cone spanned by dirs (rank 2, exact).
-
-    The gaps of at least pi between neighbours of the primitive rays of
-    dirs, sorted by angle, give the cone: none, the plane; two (of pi), a
-    line; one of pi, a closed half-plane; one of more, the pointed sector
-    between its ends.  It is kept as the vectors u with v in the cone iff
-    cross(u, v) >= 0 for each u: at most two, but three for one ray and
-    four for none.
+    By Farkas' lemma v lies in the closed cone of the directions iff y.v >= 0
+    for every y in the dual cone {y : d.y >= 0 for every direction d}: for
+    each of its extreme rays (``moduli.cone_rays``), and for y and -y for each
+    y of its lineality basis.  Each such y's bitset is cached, so a verdict is
+    an AND of ints.  A direction set that is a cached one plus a direction in
+    its cone spans the same cone, and takes its dual.
     """
-    rays = sorted({(d[0] // gcd(*d), d[1] // gcd(*d)) for d in dirs if any(d)}, key=cmp_to_key(_by_angle))
-    wide = [(a, b) for a, b in zip(rays, rays[1:] + rays[:1]) if _cross(a, b) <= 0]
-    if not wide:  # the plane, or {0} when there is no ray
-        bounds = [] if rays else [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    elif len(wide) == 2:  # the line through a = -b
-        bounds = list(wide[0])
-    else:  # from b counterclockwise to a: a half-plane if b = -a; for one ray a = b, also a.v >= 0
-        a, b = wide[0]
-        bounds = [b, (-a[0], -a[1])] + [(a[1], -a[0])] * (len(rays) == 1)
-    return sum(1 << i for i, v in enumerate(vs) if all(_cross(u, v) >= 0 for u in bounds))
+    every = sum(1 << stride * i for i in range(len(vs)))
+    passing: dict[Vec, int] = {}  # y -> the bits of the vs with y.v >= 0
+    bit_of: dict[Vec, int] = {}  # a bit per direction met
+    known: dict[int, tuple[Vec, ...]] = {}  # a set of direction bits -> its dual: rays, ± lineality
+
+    def bits(y: Vec) -> int:
+        if y not in passing:
+            passing[y] = sum(1 << stride * i for i, v in enumerate(vs) if sum(a * b for a, b in zip(y, v)) >= 0)
+        return passing[y]
+
+    def verdicts(dirs: Sequence[Vec]) -> int:
+        dirs = list(dict.fromkeys(d for d in dirs if any(d)))
+        key = sum(bit_of.setdefault(d, 1 << len(bit_of)) for d in dirs)  # distinct dirs: an OR
+        for d in dirs:
+            ys = known.get(key - bit_of[d])
+            if ys is not None and all(sum(a * b for a, b in zip(y, d)) >= 0 for y in ys):
+                break
+        else:
+            dual = cone_rays(dirs, rank)
+            ys = (*dual.rays, *dual.lineality, *(tuple(-x for x in y) for y in dual.lineality))
+        known[key] = ys
+        ok = every
+        for y in ys:
+            ok &= bits(y)
+        return ok
+
+    return verdicts
 
 
 def _integer_targets(problem: CountProblem) -> dict[int, Vec]:
@@ -363,9 +370,10 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
         relation is a static table of the skeleton.  ``compat[s]`` packs
         it in one int, whose field (j, k) of E + L bits holds the sites of
         point k compatible with a mark of point j on s, built from the
-        mask groups and one verdict bitset over all pairs per walk mask:
-        ``_cone_verdicts`` in rank 2, an angular test far cheaper than
-        one ``lp.in_closed_cone`` per pair, which the other ranks run.
+        mask groups and one verdict over all pairs per walk mask.  By
+        Farkas' lemma a pair lies in the mask's cone iff it is >= 0 on each
+        extreme ray of the dual cone and 0 on its lineality space, one rule
+        for every rank (``_closed_cone_test``).
 
     Each node carries the sites of every later point.  A child's sites are
     among its parent's (by (ii) the tests against earlier marks stay as
@@ -406,11 +414,11 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     pairs = [tuple(a - b for a, b in zip(tj, tk)) for j, tj in enumerate(points) for tk in points[j + 1 :]]
     first = [j * (2 * last - j - 1) // 2 for j in range(last)]
     pair_fields: dict[int, int] = {}  # walk mask -> the fields of the pairs whose cone test it passes
-    verdicts = _cone_verdicts if rank == 2 else lambda ds, vs: sum(in_closed_cone(v, ds) << i for i, v in enumerate(vs))
     # every skeleton has the L contact legs and L - 3 edges; a field of 2L bits per site
     n_legs = problem.gamma.n
     n_edges = n_legs - 3
     n_sites = n_edges + n_legs
+    in_cone = _closed_cone_test(pairs, rank, n_sites)
     per_site = sum(1 << t * 2 * n_legs for t in range(n_sites))
     low = (per_site | per_site << n_legs) * ((1 << n_legs - 1) - 1)  # the low L - 1 bits of each side
     high = (per_site | per_site << n_legs) << n_legs - 1  # the top bit of each side
@@ -458,8 +466,7 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
         ebits = [bits_of(c) for c in forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), rank)]
         groups, notfar, reach = _site_tables(skeleton, ebits, lbits)
         for mask in {mask for row in groups for mask, _ in row}.difference(pair_fields):
-            ok = verdicts([d for d, b in alphabet.items() if mask & b], pairs)
-            pair_fields[mask] = sum(1 << f * n_sites for f in range(len(pairs)) if ok >> f & 1)
+            pair_fields[mask] = in_cone([d for d, b in alphabet.items() if mask & b])
         # a site's groups are disjoint, so the sum is an OR
         compat = [sum(group * pair_fields[mask] for mask, group in row) for row in groups]
         yield from rec(skeleton, 0, reach, 0, [end_sites(reach) & (1 << n_sites) - 1] * last)
@@ -676,10 +683,8 @@ def mikhalkin_multiplicity(theta: CombinatorialType) -> int:
         if len(outs) == 2:
             continue  # straightened away by stabilization
         if len(outs) != 3:
-            raise NotPlanarPointProblemError(
-                f"vertex {v} has {len(outs)} non-contracted branches"
-            )
-        total *= abs(_cross(outs[0], outs[1]))
+            raise NotPlanarPointProblemError(f"vertex {v} has {len(outs)} non-contracted branches")
+        total *= abs(outs[0][0] * outs[1][1] - outs[0][1] * outs[1][0])
     return total
 
 

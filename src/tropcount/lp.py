@@ -4,14 +4,12 @@
 inequality strict, or proves there is none: since the region is a cone,
 that is a point with B y >= 1. The package reads such points off extreme
 rays instead (``moduli.cone_rays``); the tests keep this LP as their
-reference.  ``in_closed_cone`` decides whether a vector lies in the
-closed cone spanned by given directions.  A small
-dense phase-I simplex settles both exactly. It is fraction-free
-(Edmonds' integer pivoting): the tableau is integer numerators over one
-common positive denominator, so no step does ``Fraction`` arithmetic,
-and it makes the same pivots as the simplex over ``Fraction``. Bland's
-rule keeps it from cycling; the systems involved are tiny (tens of
-rows/columns).
+reference. A small dense phase-I simplex settles it exactly. It is
+fraction-free (Edmonds' integer pivoting): the tableau is integer
+numerators over one common positive denominator, so no step does
+``Fraction`` arithmetic, and it makes the same pivots as the simplex over
+``Fraction``. Bland's rule keeps it from cycling; the systems involved are
+tiny (tens of rows/columns).
 """
 from __future__ import annotations
 
@@ -100,12 +98,8 @@ def _phase_one(a: Sequence[Row], b: Row) -> Optional[tuple[list[int], int]]:
 
 
 def strict_point(rows: list[list[Fraction]], dim: int) -> Optional[list[Fraction]]:
-    """A point y with row·y >= 1 for every row, or None if {row·y > 0} is empty.
-
-    ``rows`` may be empty, in which case the origin (of the given dimension)
-    works vacuously only when dim is 0; otherwise any point does and we
-    return the zero vector.
-    """
+    """A point y with row·y >= 1 for every row, or None if {row·y > 0} is
+    empty; with no rows, the zero vector of dimension ``dim``."""
     if not rows:
         return [Fraction(0)] * dim
     # y = u - w with u, w >= 0; slacks s >= 0: B u - B w - s = 1.
@@ -117,9 +111,3 @@ def strict_point(rows: list[list[Fraction]], dim: int) -> Optional[list[Fraction
     x, d = sol
     return [Fraction(x[j] - x[dim + j], d) for j in range(dim)]
 
-
-def in_closed_cone(v: Sequence[int], dirs: Sequence[Sequence[int]]) -> bool:
-    """Whether sum_d lam_d d = v for some lam >= 0: with no dirs, whether v = 0."""
-    signs = [-1 if x < 0 else 1 for x in v]  # rows where v < 0 are negated: _phase_one needs b >= 0
-    a = [[s * d[k] for d in dirs] for k, s in enumerate(signs)]
-    return _phase_one(a, [s * x for s, x in zip(signs, v)]) is not None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, gcd
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .curves import TreeShape
 from .exactmath import (
@@ -66,29 +66,25 @@ def _ray_sum(rays: Sequence[Sequence[int]], dim: int) -> list[int]:
     return [sum(ray[c] for ray in rays) for c in range(dim)]
 
 
-class ConeRays:
+class ConeRays(NamedTuple):
     """The cone {y in QQ^dim : row·y >= 0 for every row}, by its extreme rays.
 
     ``normals`` are the rows up to positive multiples, primitive, in order
     of first appearance; ``rank`` is their rank. The cone is its pointed
     part plus the lineality space where every normal vanishes. ``rays`` are
     the primitive extreme rays of the pointed part, and bit j of
-    ``tight[i]`` is set when normal j vanishes on ray i.
+    ``tight[i]`` is set when normal j vanishes on ray i. ``lineality`` is a
+    basis of primitive vectors of the lineality space, dim - rank of them.
     """
 
-    # a plain class: building a frozen dataclass costs about 1 ms at every
+    # a named tuple: building a frozen dataclass costs about 1 ms at every
     # start of the program
-    __slots__ = ("dim", "normals", "rank", "rays", "tight")
-
-    def __init__(
-        self,
-        dim: int,
-        normals: tuple[tuple[int, ...], ...],
-        rank: int,
-        rays: tuple[tuple[int, ...], ...],
-        tight: tuple[int, ...],
-    ):
-        self.dim, self.normals, self.rank, self.rays, self.tight = dim, normals, rank, rays, tight
+    dim: int
+    normals: tuple[tuple[int, ...], ...]
+    rank: int
+    rays: tuple[tuple[int, ...], ...]
+    tight: tuple[int, ...]
+    lineality: tuple[tuple[int, ...], ...]
 
     def interior_point(self) -> Optional[list[int]]:
         """The sum of the rays, strict on every normal; None when some normal
@@ -123,7 +119,10 @@ def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
     description method revisited*, 1996). The first independent normals
     cut out a simplicial cone. Its rays are the columns of their inverse on
     the first columns independent on them; the other coordinates stay 0,
-    which drops the lineality space and leaves the pointed part. Each
+    which drops the lineality space and leaves the pointed part. The same
+    elimination gives the lineality space: per free column f, the kernel
+    vector that is d at f and minus column f of the reduced rows at the
+    pivots. Each
     further normal keeps the rays where it is >= 0 and adds, for each
     adjacent pair on opposite sides of its hyperplane, the primitive point
     of their segment on it. Two rays are adjacent when the normals zero on
@@ -146,6 +145,13 @@ def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
     sign = 1 if d > 0 else -1
     start = sum(1 << i for i in basis)
     rays = [primitive_vector([sign * top[t][dim + s] for t in range(k)]) for s in range(k)]
+    lineality = []
+    for f in sorted(set(range(dim)).difference(cols)):
+        y = [0] * dim
+        y[f] = sign * d
+        for c, row in zip(cols, top):
+            y[c] = -sign * row[f]
+        lineality.append(primitive_vector(y))
     tight = [start & ~(1 << i) for i in basis]
     for i, h in enumerate(normals):
         if start >> i & 1:
@@ -175,7 +181,7 @@ def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
         for c, x in zip(cols, ray):
             y[c] = x
         padded.append(tuple(y))
-    return ConeRays(dim, tuple(normals), k, tuple(padded), tuple(tight))
+    return ConeRays(dim, tuple(normals), k, tuple(padded), tuple(tight), tuple(lineality))
 
 
 @dataclass(frozen=True)

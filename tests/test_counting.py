@@ -435,12 +435,37 @@ def _lp_in_cone(v, dirs):
     return _phase_one(a, b) is not None
 
 
+def _in_cone(v, dirs):
+    # the search's cone test on one vector, in the rank of v
+    from tropcount.counting import _closed_cone_test
+
+    return bool(_closed_cone_test([v], len(v))(dirs))
+
+
 @settings(max_examples=400, deadline=None)
 @given(small_vectors, st.lists(small_vectors, max_size=6))
 def test_closed_cone_test_matches_lp_feasibility(v, dirs):
-    from tropcount.counting import _cone_verdicts
+    assert _in_cone(v, dirs) == _lp_in_cone(v, dirs)
 
-    assert _cone_verdicts(dirs, [v]) == _lp_in_cone(v, dirs)
+
+small_4vectors = st.tuples(*[st.integers(-2, 2)] * 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(small_4vectors, min_size=1, max_size=4),
+    st.lists(st.lists(small_4vectors, max_size=7), min_size=1, max_size=3),
+)
+def test_closed_cone_test_matches_lp_feasibility_in_rank_four(vs, cones):
+    # one test over several vectors and the growing prefixes of several cones,
+    # so later cones read the bitsets cached for earlier ones, and a prefix
+    # one direction longer than a cached one may take its dual
+    from tropcount.counting import _closed_cone_test
+
+    test = _closed_cone_test(vs, 4)
+    for dirs in cones:
+        for k in range(len(dirs) + 1):
+            assert test(dirs[:k]) == sum(_lp_in_cone(v, dirs[:k]) << i for i, v in enumerate(vs)), dirs[:k]
 
 
 small_3vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -448,7 +473,7 @@ small_3vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-
 
 def _caratheodory_in_cone(v, dirs):
     # v = 0, or v is a nonnegative combination of linearly independent dirs,
-    # at most 3 of them; no LP code is shared with lp.in_closed_cone
+    # at most 3 of them; it shares neither the LP nor the dual rays
     from itertools import combinations
 
     from tropcount.exactmath import solve_rational
@@ -466,18 +491,7 @@ def _caratheodory_in_cone(v, dirs):
 @settings(max_examples=300, deadline=None)
 @given(small_3vectors, st.lists(small_3vectors, max_size=5))
 def test_in_closed_cone_matches_caratheodory(v, dirs):
-    from tropcount.lp import in_closed_cone
-
-    assert in_closed_cone(v, dirs) == _caratheodory_in_cone(v, dirs)
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_vectors, st.lists(small_vectors, max_size=6))
-def test_in_closed_cone_matches_cone_verdicts_in_rank_two(v, dirs):
-    from tropcount.counting import _cone_verdicts
-    from tropcount.lp import in_closed_cone
-
-    assert in_closed_cone(v, dirs) == bool(_cone_verdicts(dirs, [v]))
+    assert _in_cone(v, dirs) == _caratheodory_in_cone(v, dirs)
 
 
 CONE_CASES = {
@@ -500,18 +514,49 @@ CONE_CASES = {
     ),
     "positively spanning": ([(1, 0), (0, 1), (-1, -1)], [((0, 0), True), ((-5, 2), True), ((3, -7), True)]),
     "plane, no line in it": ([(1, 2), (-3, 1), (1, -4)], [((-1, -1), True), ((9, 9), True), ((0, 1), True)]),
+    "rank 3, line": (
+        [(1, 2, 0), (-2, -4, 0)],
+        [((3, 6, 0), True), ((-1, -2, 0), True), ((0, 0, 0), True), ((1, 0, 0), False), ((0, 0, 1), False)],
+    ),
+    "rank 3, plane through three directions": (
+        [(1, 0, 1), (0, 1, 1), (-1, -1, -2)],
+        [((5, -3, 2), True), ((-2, -7, -9), True), ((0, 0, 1), False), ((1, 1, 1), False)],
+    ),
+    "rank 3, half-space": (
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)],
+        [((3, -4, 0), True), ((-1, 2, 5), True), ((0, 0, -1), False), ((7, 7, -1), False)],
+    ),
+    "rank 3, cone over a square": (
+        [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)],
+        [((0, 0, 1), True), ((1, 0, 1), True), ((2, 1, 2), True), ((0, 0, 0), True)]
+        + [((1, 1, 0), False), ((2, 2, 1), False), ((3, 0, 2), False), ((0, 0, -1), False)],
+    ),
+    "rank 3, positively spanning": (
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+        [((0, 0, 0), True), ((-5, 2, 3), True), ((1, -1, -7), True)],
+    ),
+    "rank 3, no direction": ([], [((0, 0, 0), True), ((1, 0, 0), False), ((0, 0, -2), False)]),
+    "rank 3, zero direction": (
+        [(0, 0, 0), (2, 0, 0)],
+        [((1, 0, 0), True), ((0, 0, 0), True), ((-1, 0, 0), False), ((0, 1, 0), False)],
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONE_CASES))
 def test_cone_verdicts_named_cases(name):
-    # every listed v against the LP, one by one and as one verdict bitset
-    from tropcount.counting import _cone_verdicts
+    # every listed v against the LP, one by one and as one verdict bitset,
+    # packed one bit apart and three apart
+    from tropcount.counting import _closed_cone_test
 
     dirs, cases = CONE_CASES[name]
+    rank = len(cases[0][0])
     for v, inside in cases:
-        assert _cone_verdicts(dirs, [v]) == inside == _lp_in_cone(v, dirs), v
-    assert _cone_verdicts(dirs, [v for v, _ in cases]) == sum(inside << i for i, (_, inside) in enumerate(cases))
+        assert _in_cone(v, dirs) == inside == _lp_in_cone(v, dirs), v
+    vs = [v for v, _ in cases]
+    for stride in (1, 3):
+        expected = sum(inside << stride * i for i, (_, inside) in enumerate(cases))
+        assert _closed_cone_test(vs, rank, stride)(dirs) == expected
 
 
 # --- reference marked-point search -------------------------------------------

@@ -10,8 +10,9 @@ them: same pivots, same points, same decisions. So are the former germ
 rules of ``moduli._germ_into`` and ``maps._points_into``, which
 ``Fan.germ`` replaced, and the former facet search of
 ``moduli.face_types``, one ``lp.strict_point`` per hyperplane, against
-which ``moduli.cone_rays`` is checked. The last test checks that the
-kernels do no ``Fraction`` arithmetic at all.
+which ``moduli.cone_rays`` is checked, with its lineality basis against
+the SNF kernel (``exactmath.integer_kernel``). The last test checks that
+the kernels do no ``Fraction`` arithmetic at all.
 """
 import random
 from fractions import Fraction
@@ -24,7 +25,14 @@ from hypothesis import strategies as st
 
 from tropcount import lp
 from tropcount.curves import TreeShape
-from tropcount.exactmath import IntMatrix, clear_denominators, rank, solve_rational, solve_rational_matrix
+from tropcount.exactmath import (
+    IntMatrix,
+    clear_denominators,
+    integer_kernel,
+    rank,
+    solve_rational,
+    solve_rational_matrix,
+)
 from tropcount.maps import CombinatorialType, DiscreteData, InvalidTypeError
 from tropcount.moduli import assemble_complex, cone_rays
 from tropcount.polyhedral import (
@@ -395,6 +403,39 @@ def test_cone_rays_match_the_hyperplane_lp_on_uniform_cones():
 ])
 def test_cone_rays_on_chosen_cones(rows):
     check_cone_rays(rows, len(rows[0]))
+
+
+def check_lineality(rows: list[list[int]], dim: int) -> None:
+    # dim - rank primitive vectors on which every normal vanishes, spanning
+    # what the SNF kernel of the rows spans
+    cone = cone_rays(rows, dim)
+    if cone is None:
+        return
+    line = cone.lineality
+    assert len(line) == dim - cone.rank
+    for y in line:
+        assert gcd(*y) == 1
+        assert all(dot(h, y) == 0 for h in cone.normals)
+    kernel = integer_kernel(IntMatrix(len(rows), dim, tuple(x for row in rows for x in row)))
+    assert kernel.cols == len(line) == rank(IntMatrix(len(line), dim, tuple(x for y in line for x in y)))
+    both = [*line, *(kernel.column(j) for j in range(kernel.cols))]
+    assert rank(IntMatrix(len(both), dim, tuple(x for y in both for x in y))) == len(line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_rows())
+def test_cone_lineality_spans_the_kernel(case):
+    check_lineality(*case)
+
+
+@pytest.mark.parametrize("rows, dim, lines", [
+    ([], 3, 3),  # no row: the whole space
+    ([[1, 0, 0], [-2, 0, 0]], 3, 2),  # a plane, its normal given both ways: lineality only
+    ([[1, 2, 0, -1], [-1, -2, 0, 1], [0, 0, 3, 0]], 4, 2),
+])
+def test_cone_lineality_on_chosen_cones(rows, dim, lines):
+    check_lineality(rows, dim)
+    assert len(cone_rays(rows, dim).lineality) == lines
 
 
 def test_cone_rays_over_a_square():

@@ -1,10 +1,13 @@
 """Every name a package module imports is used in that module, and every
 function one package module imports from another, or the benchmark's
-tracer wraps by name, can be traced."""
+tracer wraps by name, can be traced; no module but ``lp`` uses the LP."""
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -83,13 +86,21 @@ def test_tracer_attribute_calls_resolve():
         assert inspect.isfunction(fn) and not inspect.isgeneratorfunction(fn), f"{module}.{name}"
 
 
-def test_strict_point_has_no_caller_outside_lp():
-    # moduli reads faces and witnesses off extreme rays; the LP stays as the
-    # tests' reference
+def test_lp_has_no_user_outside_lp():
+    # faces, witnesses and path-cone verdicts are read off extreme rays; the
+    # LP stays as the tests' reference, and no command loads it
+    lp = importlib.import_module("tropcount.lp")
+    lp_names = {"lp", *(name for name, value in vars(lp).items() if getattr(value, "__module__", None) == lp.__name__)}
     for path in MODULES:
         if path.name != "lp.py":
             tree = ast.parse(path.read_text())
+            modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
             # attribute uses, bare names and imported names
             names = {getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(tree)}
             names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
-            assert "strict_point" not in names, path.name
+            assert "lp" not in modules and not names & lp_names, path.name
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, tropcount.cli; print('tropcount.lp' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert loaded.stdout == "False\n"

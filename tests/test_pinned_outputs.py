@@ -1,4 +1,4 @@
-"""The JSON of ten cheap standard CLI cases, pinned by its sha256.
+"""The JSON of eleven cheap standard CLI cases, pinned by its sha256.
 
 A change that alters one of these outputs on purpose updates its hash
 here and says in CHANGES.md what changed and why.
@@ -61,3 +61,16 @@ def test_standard_output_is_pinned(tmp_path, name):
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_rank_three_lines_are_pinned(tmp_path):
+    # lines in P^3 through 2 points: a rank-3 path-cone search, pinned from
+    # before its cone test moved off the LP
+    contacts = tmp_path / "contacts.json"
+    contacts.write_text("[[1,0,0],[0,1,0],[0,0,1],[-1,-1,-1]]")
+    out = tmp_path / "out.json"
+    argv = ["count", "--fan", "p3", "--contacts", str(contacts), "--points", "2", "--seed", "0"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "23c7a07042c418ee16d7645ccab497a741c2926e53ef02fdafeae0e09ba7d0de"
+    )
