@@ -473,16 +473,16 @@ small_3vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-
 
 def _caratheodory_in_cone(v, dirs):
     # v = 0, or v is a nonnegative combination of linearly independent dirs,
-    # at most 3 of them; it shares neither the LP nor the dual rays
+    # at most rank of v of them; it shares neither the LP nor the dual rays
     from itertools import combinations
 
     from tropcount.exactmath import solve_rational
 
     if not any(v):
         return True
-    for k in (1, 2, 3):
+    for k in range(1, len(v) + 1):
         for subset in combinations(dirs, k):
-            sol = solve_rational(IntMatrix.from_rows([[d[i] for d in subset] for i in range(3)]), v)
+            sol = solve_rational(IntMatrix.from_rows([[d[i] for d in subset] for i in range(len(v))]), v)
             if sol is not None and sol[1] and min(sol[0]) >= 0:
                 return True
     return False
@@ -492,6 +492,18 @@ def _caratheodory_in_cone(v, dirs):
 @given(small_3vectors, st.lists(small_3vectors, max_size=5))
 def test_in_closed_cone_matches_caratheodory(v, dirs):
     assert _in_cone(v, dirs) == _caratheodory_in_cone(v, dirs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_vectors, min_size=1, max_size=4), st.lists(small_vectors, max_size=6))
+def test_in_closed_cone_matches_cone_verdicts_in_rank_two(vs, dirs):
+    # each vector's own test, its bit in one test over all the vectors, and
+    # the Caratheodory reference agree in rank two
+    from tropcount.counting import _closed_cone_test
+
+    verdicts = _closed_cone_test(vs, 2)(dirs)
+    for i, v in enumerate(vs):
+        assert _in_cone(v, dirs) == bool(verdicts >> i & 1) == _caratheodory_in_cone(v, dirs), v
 
 
 CONE_CASES = {
