@@ -51,10 +51,11 @@ class MalformedInputError(ValueError):
 
 
 def _parse_input(what: str, parse, *args):
-    """Call an input parser, naming the lookups that malformed JSON makes fail."""
+    """Call an input parser, naming the lookups that malformed JSON makes fail
+    and the rationals with a zero denominator, such as "1/0"."""
     try:
         return parse(*args)
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -145,7 +146,7 @@ def _gamma_from_args(args, fan) -> tuple[DiscreteData, dict, dict]:
     subspaces = {}
     overrides = {}
     for k, spec in enumerate(subspace_specs):
-        basis, translation = _parse_subspace(spec, fan.rank)
+        basis, translation = _parse_input("subspace", _parse_subspace, spec, fan.rank)
         label = n + args.points + 1 + k
         subspaces[label] = basis
         if translation is not None:

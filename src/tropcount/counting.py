@@ -17,7 +17,7 @@ from math import comb, gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from .curves import TreeShape
-from .exactmath import IntMatrix, clear_denominators, determinant, solve_rational
+from .exactmath import IntMatrix, clear_denominators, fraction_free_rref, solve_rational
 from .maps import (
     CombinatorialType,
     DiscreteData,
@@ -631,34 +631,41 @@ def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMat
     Columns are the position of the vertex carrying the smallest trivial leg
     followed by the internal edge lengths, a basis of the type's moduli
     lattice; rows are the projected evaluations of the trivial legs in
-    label order.
+    label order. A leg sits at the root position plus sign·length·contact
+    summed over the edges of its path from the root, so the row of a
+    projection row p is p followed, at each such edge, by sign·(p·contact).
     """
     if any(cone is not None for cone in theta.vertex_cones):
         raise ValueError("evaluation matrices are built for unconfined stabilized types")
     r = problem.fan.rank
     shape = theta.shape
     ne = len(shape.edges)
-    root_vertex = shape.leg_vertex(min(problem.gamma.trivial_legs))
+    paths = shape.signed_paths(shape.leg_vertex(min(problem.gamma.trivial_legs)))
     rows: list[list[int]] = []
     for label in sorted(problem.gamma.trivial_legs):
         proj = problem.projected[label][0]
-        block = [[int(i == j) for j in range(r)] + [0] * ne for i in range(r)]
-        for e, sign in shape.path_edges(root_vertex, shape.leg_vertex(label)):
-            c = theta.edge_contacts[e]
-            for i in range(r):
-                block[i][r + e] = sign * c[i]
+        path = paths[shape.leg_vertex(label)]
         for i in range(proj.rows):
-            rows.append([sum(proj.at(i, k) * block[k][j] for k in range(r)) for j in range(r + ne)])
+            p = proj.row(i)
+            row = list(p) + [0] * ne
+            for e, sign in path:
+                row[r + e] = sign * sum(a * c for a, c in zip(p, theta.edge_contacts[e]))
+            rows.append(row)
     return IntMatrix.from_rows(rows) if rows else IntMatrix(0, r + ne, ())
 
 
 def multiplicity(theta: CombinatorialType, problem: CountProblem) -> int:
-    """Lattice index of the evaluation matrix, |det|; the type's contribution weight."""
+    """The type's contribution weight: the lattice index |det| of its
+    evaluation matrix, read off the last pivot of one ``fraction_free_rref``.
+
+    Raises SingularError unless the matrix is square and of full rank.
+    """
     m = evaluation_matrix(theta, problem)
-    det = determinant(m) if m.rows == m.cols else 0
-    if det == 0:
-        raise SingularError("type is not rigid against this constraint pattern")
-    return abs(det)
+    if m.rows == m.cols:
+        pivots, d = fraction_free_rref(m.to_lists(), m.cols)
+        if len(pivots) == m.cols:
+            return abs(d)
+    raise SingularError("type is not rigid against this constraint pattern")
 
 
 def mikhalkin_multiplicity(theta: CombinatorialType) -> int:
@@ -691,8 +698,7 @@ def mikhalkin_multiplicity(theta: CombinatorialType) -> int:
 def _solve_type(problem: CountProblem, theta: CombinatorialType):
     """Solve the evaluation system for one type.
 
-    Returns (map, multiplicity) for an interior solution, where the
-    multiplicity is |det| of the solved ``evaluation_matrix``, and None for a
+    Returns (map, ``multiplicity``) for an interior solution, and None for a
     miss; raises SingularError or NonGenericError as appropriate, and
     SolveCheckError if the solved map fails validation or its constraints.
     """
@@ -718,11 +724,10 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
         if l == 0:
             raise NonGenericError("a solved edge length is exactly zero")
     # each vertex sits at the root position plus the signed edges of its path
-    root_vertex = shape.leg_vertex(root_label)
     positions = []
-    for v in range(shape.vertices):
+    for path in shape.signed_paths(shape.leg_vertex(root_label)):
         p = list(x)
-        for e, sign in shape.path_edges(root_vertex, v):
+        for e, sign in path:
             p = [pi + sign * lengths[e] * ci for pi, ci in zip(p, theta.edge_contacts[e])]
         positions.append(tuple(p))
     full = subdivide(TropicalStableMap(theta, tuple(positions), tuple(lengths)))
@@ -744,7 +749,7 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
                 f"seed {problem.constraints.seed}: the map solved for type {shape} "
                 f"misses the constraint translate of leg {label}"
             )
-    return full, abs(determinant(matrix))
+    return full, multiplicity(theta, problem)
 
 
 def _check_problem_genericity(problem: CountProblem) -> None:

@@ -3,10 +3,10 @@
 ``TreeShape`` is the one tree of the package: vertices, internal edges
 oriented tail < head, and labelled legs (unbounded marked edges attached
 at a vertex), with one depth-first parent walk behind its connectivity
-check and its paths. A ``TropicalCurve`` is a view on such a tree: each
-internal edge carries a strictly positive rational length, or ``INF`` for
-a nodal curve. Nodal curves can be represented but every moduli operation
-downstream rejects them.
+check and its paths from a root (``signed_paths``). A ``TropicalCurve`` is
+a view on such a tree: each internal edge carries a strictly positive
+rational length, or ``INF`` for a nodal curve. Nodal curves can be
+represented but every moduli operation downstream rejects them.
 """
 from __future__ import annotations
 
@@ -76,16 +76,15 @@ class TreeShape:
             and len(self._parents(0)) == self.vertices
         )
 
-    def path_edges(self, a: int, b: int) -> list[tuple[int, int]]:
-        """Edge indices along the a-b path, each signed by traversal direction."""
-        parent = self._parents(a)
-        out = []
-        v = b
-        while v != a:
-            u, i = parent[v]
-            out.append((i, 1 if self.edges[i] == (u, v) else -1))
-            v = u
-        return out[::-1]
+    def signed_paths(self, root: int) -> list[list[tuple[int, int]]]:
+        """Per vertex, the edge indices along its path from ``root``, each
+        signed by traversal direction, all read off one parent walk."""
+        paths: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
+        # the walk reaches each vertex after its parent
+        for v, (u, i) in self._parents(root).items():
+            if u >= 0:
+                paths[v] = paths[u] + [(i, 1 if self.edges[i] == (u, v) else -1)]
+        return paths
 
     def straighten(self) -> tuple[list[int], TreeShape, list[list[int]]]:
         """Erase the 2-valent vertices of a tree combinatorially, as ``stabilize`` does.
@@ -152,7 +151,7 @@ class TropicalCurve:
     def leg_distance(self, label_a: int, label_b: int) -> Length:
         """Sum of finite internal lengths along the path between two legs."""
         shape = self.shape
-        path = shape.path_edges(shape.leg_vertex(label_a), shape.leg_vertex(label_b))
+        path = shape.signed_paths(shape.leg_vertex(label_a))[shape.leg_vertex(label_b)]
         return sum((self.internal_edges[i][2] for i, _ in path), Fraction(0))
 
 

@@ -3,12 +3,13 @@
 Everything downstream (cone membership, moduli cone dimensions, lattice
 multiplicities) is decided by the routines in this module, so all of them
 work over arbitrary-precision ``int`` and never touch floating point.
-Rational inputs and results are ``fractions.Fraction``, but the
-eliminations do no arithmetic on them: Smith normal form and the
-determinant work on ``int`` directly, and the one elimination behind
-``rank``, ``solve_rational`` and ``solve_rational_matrix`` is a
-fraction-free Gauss–Jordan on right-hand sides cleared of their
-denominators, divided out once at the end.
+Rational inputs and results are ``fractions.Fraction``, but no
+elimination does arithmetic on them. Apart from the Smith normal form,
+which works on ``int`` directly, there is one elimination:
+``fraction_free_rref``, a fraction-free Gauss–Jordan. ``rank``,
+``solve_rational`` and ``solve_rational_matrix`` run it on right-hand
+sides cleared of their denominators and divide out once at the end;
+determinants are read off its last pivot.
 """
 from __future__ import annotations
 
@@ -240,31 +241,6 @@ def rank(a: IntMatrix) -> int:
     return len(fraction_free_rref([list(a.row(i)) for i in range(a.rows)], a.cols)[0])
 
 
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def lattice_index(a: IntMatrix) -> int:
     """Index of the image lattice A(ℤ^cols) inside ℤ^rows.
 
@@ -303,6 +279,10 @@ def fraction_free_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], in
     ``(x·p − f·y) // d_prev``, which divides exactly (Bareiss), so the
     entries stay integer minors of the input; d is the last pivot, nonzero
     and possibly negative. Columns past ``ncols`` are carried along.
+
+    When the pivots cover every one of the ``ncols`` columns of a square
+    block, d is the determinant of that block with its rows permuted, so
+    |det| = |d|; the pivots fall short exactly when the determinant is 0.
     """
     pivots: list[int] = []
     d = 1

@@ -27,7 +27,6 @@ from .curves import TreeShape
 from .exactmath import (
     IntMatrix,
     clear_denominators,
-    determinant,
     fraction_free_rref,
     integer_kernel,
     lattice_quotient,
@@ -872,7 +871,9 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
     A map goes to the position of the (stabilized) vertex carrying the root
     leg together with the pairwise leg-distance vector reduced modulo the
     lattice spanned by per-leg translations.  The quotient basis is fixed by
-    the Smith normal form of the translation map.
+    the Smith normal form of the translation map. A ray cone goes to the
+    primitive image, under its lattice map, of its extreme ray in span
+    coordinates: the point its witness is the lift of.
     """
     if not complex_.cones:
         raise NotAssembledError("empty complex")
@@ -905,7 +906,7 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
         dist_rows = []
         for la, lb in pairs:
             row = [0] * cc.cone.ambient_dim
-            for stab_e, _ in stab.path_edges(stab.leg_vertex(la), stab.leg_vertex(lb)):
+            for stab_e, _ in stab.signed_paths(stab.leg_vertex(la))[stab.leg_vertex(lb)]:
                 for orig in groups[stab_e]:
                     row[nv * r + orig] = 1
             dist_rows.append(row)
@@ -926,8 +927,8 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
     for idx, cc in enumerate(complex_.cones):
         if cc.cone.dimension != 1:
             continue
-        emb_witness = _apply_rows(lattice_maps[idx], cc.cone, cc.witness)
-        ray_image[idx] = primitive_vector(clear_denominators(emb_witness)[0])
+        y = cc.cone.extreme_rays.interior_point()
+        ray_image[idx] = primitive_vector(lattice_maps[idx].apply(y))
     for idx, cc in enumerate(complex_.cones):
         gens: list[tuple[int, ...]] = []
         for face_idx in sorted(complex_.skeleton(idx, 1)):
@@ -935,18 +936,6 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
                 gens.append(ray_image[face_idx])
         images.append(tuple(gens))
     return EmbeddedFan(k, tuple(images), tuple(lattice_maps))
-
-
-def _apply_rows(m: IntMatrix, cone: ModuliCone, ambient_witness: Sequence[Fraction]) -> list[Fraction]:
-    """Evaluate the span-lattice map on the witness given in ambient coordinates."""
-    sol = solve_rational_matrix(
-        cone.span_basis, [[Fraction(x)] for x in ambient_witness]
-    )
-    assert sol is not None
-    y = [row[0] for row in sol]
-    return [
-        sum(m.at(i, j) * y[j] for j in range(m.cols)) for i in range(m.rows)
-    ]
 
 
 def unimodular_equivalent(a: Fan, b: Fan) -> Optional[IntMatrix]:
@@ -964,7 +953,7 @@ def unimodular_equivalent(a: Fan, b: Fan) -> Optional[IntMatrix]:
     ra = a.rays
     for i, j in base_pairs:
         m = IntMatrix.from_rows([[ra[i][0], ra[j][0]], [ra[i][1], ra[j][1]]])
-        det = determinant(m)
+        det = ra[i][0] * ra[j][1] - ra[j][0] * ra[i][1]
         if abs(det) != 1:
             continue
         for bi, bj in base_pairs:

@@ -20,12 +20,11 @@ from typing import NamedTuple, Optional, Sequence
 from .exactmath import (
     IntMatrix,
     clear_denominators,
-    determinant,
+    fraction_free_rref,
     lattice_quotient,
     primitive_vector,
     rank,
     saturate_columns,
-    solve_rational_matrix,
 )
 
 SCHEMA = "tropcount/1"
@@ -155,19 +154,24 @@ class Fan:
         return state
 
     def cone_data(self, cone_idx: int) -> ConeData:
-        """The cone's ``ConeData``, built on first use and cached on the fan."""
+        """The cone's ``ConeData``, built on first use and cached on the fan.
+
+        One ``fraction_free_rref`` on (G | Rᵀ) leaves d·(I | G⁻¹Rᵀ). G is
+        positive definite, so every pivot is a positive leading minor, no
+        row is swapped and d = det G: the right block is adj(G)·Rᵀ.
+        """
         data = self._cone_cache.get(cone_idx)
         if data is None:
             rays = self._ray_matrix(self.cones[cone_idx])
             rays_t = rays.transpose()
             gram = rays_t @ rays
-            det = determinant(gram)
-            # det·G⁻¹Rᵀ = adj(G)·Rᵀ is integral, so each denominator divides det
-            inverse = solve_rational_matrix(gram, rays_t.to_lists())
+            k = gram.rows
+            rows = [list(gram.row(i)) + list(rays_t.row(i)) for i in range(k)]
+            _, det = fraction_free_rref(rows, k)
             proj = self.span_projection(cone_idx)
             data = ConeData(
                 tuple(proj.row(i) for i in range(proj.rows)),
-                tuple(tuple(x.numerator * (det // x.denominator) for x in row) for row in inverse),
+                tuple(tuple(row[k:]) for row in rows),
                 det,
             )
             self._cone_cache[cone_idx] = data

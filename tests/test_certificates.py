@@ -11,7 +11,7 @@ import pytest
 
 from tropcount.exactmath import IntMatrix, solve_rational_matrix
 from tropcount.maps import DiscreteData, TropicalStableMap, subdivide
-from tropcount.moduli import _apply_rows, assemble_complex, gkm_embedding
+from tropcount.moduli import assemble_complex, gkm_embedding
 from tropcount.polyhedral import fan_product, fan_projective_space
 
 P2 = fan_projective_space(2)
@@ -30,6 +30,14 @@ CASES = {
 @cache
 def assembled(name):
     return assemble_complex(CASES[name])
+
+
+def witness_image(m, cone, witness):
+    """The lattice map m on the span point whose lift is the witness, by a
+    solve of span_basis · y = witness of its own."""
+    sol = solve_rational_matrix(cone.span_basis, [[x] for x in witness])
+    assert sol is not None
+    return m.apply([row[0] for row in sol])
 
 
 def dims(cx):
@@ -90,7 +98,7 @@ def test_embedded_cones_are_spanned_by_their_generators(name):
         assert len(gens) == cc.cone.dimension
         if not gens:
             continue
-        image = _apply_rows(m, cc.cone, cc.witness)
+        image = witness_image(m, cc.cone, cc.witness)
         columns = IntMatrix.from_rows([[g[i] for g in gens] for i in range(emb.ambient_rank)])
         coeffs = solve_rational_matrix(columns, [[x] for x in image])
         assert coeffs is not None and all(row[0] > 0 for row in coeffs)

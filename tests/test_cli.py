@@ -290,6 +290,31 @@ def test_malformed_json_input_is_a_named_error(tmp_path, argv, payload):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("where", ["subspace", "position", "length"])
+def test_zero_denominator_is_a_named_error(tmp_path, where):
+    # Fraction("1/0") raises ZeroDivisionError, which is no ValueError
+    line = ("--fan", "p2", "--contacts", "p2-degree:1", "--points", "2")
+    if where == "subspace":
+        argv = ("count", *line, "--subspace", "1,1;1/0,0", "--subspace", "1,0")
+    else:
+        found = tmp_path / "found.json"
+        assert main(["count", *line, "--seed", "7", "--out", str(found)]) == 0
+        data = json.loads(found.read_text())["contributions"][0]["map"]
+        if where == "position":
+            data["positions"][0][0] = "1/0"
+        else:
+            data["lengths"][0] = "1/0"
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(data))
+        argv = ("validate", "--in", str(path))
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 2
+    what = "subspace" if where == "subspace" else "map"
+    assert proc.stderr.startswith(f"error: MalformedInputError: malformed {what}: ")
+    assert "Fraction(1, 0)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_census_limit_is_a_named_error(monkeypatch, capsys):
     from tropcount import counting
 

@@ -201,6 +201,21 @@ def test_evaluation_matrix_leg_across_an_edge():
         multiplicity(confined, prob)
 
 
+def test_multiplicity_refuses_a_singular_square_matrix():
+    # both point legs on the root vertex of a path with two bounded edges:
+    # a 4x4 evaluation matrix of rank 2
+    gamma = p2_gamma(1)
+    prob = CountProblem(P2, gamma, generate_constraints(gamma, None, 3))
+    shape = TreeShape(3, ((0, 1), (1, 2)), ((0, 1), (1, 2), (2, 3), (0, 4), (0, 5)))
+    theta = CombinatorialType(
+        P2, shape, (None,) * 3, ((-1, 0), U3), (None,) * 2, (U1, U2, U3, (0, 0), (0, 0)), (None,) * 5
+    )
+    m = evaluation_matrix(theta, prob)
+    assert m.rows == m.cols == 4
+    with pytest.raises(SingularError):
+        multiplicity(theta, prob)
+
+
 def test_multiplicity_weighted_vertex():
     # weighted directions (2,1) and (1,2) meeting (-3,-3): vertex factor 3
     shape = TreeShape(1, (), ((0, 1), (0, 2), (0, 3)))
@@ -1013,3 +1028,106 @@ def test_skeleton_census_keyed_at_centres_keeps_the_all_roots_list(contacts, mon
     centred = counting._skeleton_census(2, contacts)
     monkeypatch.setattr(counting, "_skeleton_key", all_roots_key)
     assert counting._skeleton_census(2, contacts) == centred
+
+
+# --- evaluation rows and solved positions against their former formulation ----
+
+
+def _signed_path(shape, a, b):
+    """Edges from vertex a to vertex b, each +1 when walked tail to head, by a
+    plain recursive search."""
+
+    def walk(v, came, out):
+        if v == b:
+            return out
+        for i, (x, y) in enumerate(shape.edges):
+            if i != came and v in (x, y):
+                found = walk(y if v == x else x, i, out + [(i, 1 if v == x else -1)])
+                if found is not None:
+                    return found
+        return None
+
+    return walk(a, -1, [])
+
+
+def _reference_evaluation_matrix(theta, problem):
+    """The former rows: per leg, its projection times the r x (r + ne) block
+    (I | sign·contact at each edge on the leg's path from the root)."""
+    r = problem.fan.rank
+    shape = theta.shape
+    ne = len(shape.edges)
+    root_vertex = shape.leg_vertex(min(problem.gamma.trivial_legs))
+    rows = []
+    for label in sorted(problem.gamma.trivial_legs):
+        proj = problem.projected[label][0]
+        block = [[int(i == j) for j in range(r)] + [0] * ne for i in range(r)]
+        for e, sign in _signed_path(shape, root_vertex, shape.leg_vertex(label)):
+            c = theta.edge_contacts[e]
+            for i in range(r):
+                block[i][r + e] = sign * c[i]
+        for i in range(proj.rows):
+            rows.append([sum(proj.at(i, k) * block[k][j] for k in range(r)) for j in range(r + ne)])
+    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, r + ne, ())
+
+
+def _fallback_problem(seed):
+    # lines through 2 points and the translates of the subtori (1, 1) and (1, 0)
+    gamma = DiscreteData(P2, p2_gamma(1).contact_legs, (4, 5, 6, 7))
+    lines = {6: IntMatrix.from_rows([[1], [1]]), 7: IntMatrix.from_rows([[1], [0]])}
+    return CountProblem(P2, gamma, generate_constraints(gamma, {4: None, 5: None, **lines}, seed))
+
+
+def _p3_lines_through_a_point_and_two_lines():
+    fan = fan_projective_space(3)
+    dirs = [unit(3, i) for i in range(3)] + [(-1, -1, -1)]
+    gamma = DiscreteData(fan, tuple(enumerate(dirs, 1)), (5, 6, 7))
+    lines = {6: IntMatrix.from_rows([[1], [2], [0]]), 7: IntMatrix.from_rows([[0], [1], [-3]])}
+    return CountProblem(fan, gamma, generate_constraints(gamma, {5: None, **lines}, 0))
+
+
+# name -> (problem, whether its types are searched, rows per projection)
+ROWS_PROBLEMS = {
+    **{
+        f"fallback-{seed}": (lambda seed=seed: _fallback_problem(seed), False, {1, 2})
+        for seed in (1000, 1001, 1002)
+    },
+    # eleven legs are past the census bound, so the plane conics take the searched types
+    "plane-conics": (lambda: p2_problem(2, 0), True, {2}),
+    "p3-lines-point-two-lines": (_p3_lines_through_a_point_and_two_lines, False, {2, 3}),
+}
+
+
+@pytest.mark.parametrize("name", ROWS_PROBLEMS)
+def test_evaluation_rows_match_the_identity_block_formulation(name):
+    from tropcount.counting import _solve_type
+    from tropcount.exactmath import lattice_index, solve_rational
+
+    make, prune, heights = ROWS_PROBLEMS[name]
+    prob = make()
+    r = prob.fan.rank
+    rhs = [x for label in sorted(prob.gamma.trivial_legs) for x in prob.projected[label][1]]
+    assert {proj.rows for proj, _ in prob.projected.values()} == heights
+    types = solved = 0
+    for theta in enumerate_rigid_types(prob, prune=prune):
+        want = _reference_evaluation_matrix(theta, prob)
+        assert evaluation_matrix(theta, prob) == want
+        types += 1
+        try:
+            found = _solve_type(prob, theta)
+        except (SingularError, NonGenericError):
+            continue
+        if found is None:
+            continue
+        solved += 1
+        f, weight = found
+        assert weight == lattice_index(want)
+        values, unique = solve_rational(want, rhs)
+        assert unique
+        x, lengths = values[:r], values[r:]
+        root_vertex = theta.shape.leg_vertex(min(prob.gamma.trivial_legs))
+        for v in range(theta.shape.vertices):
+            p = list(x)
+            for e, sign in _signed_path(theta.shape, root_vertex, v):
+                p = [pi + sign * lengths[e] * ci for pi, ci in zip(p, theta.edge_contacts[e])]
+            assert f.positions[v] == tuple(p)
+    assert types and solved

@@ -11,12 +11,15 @@ rules of ``moduli._germ_into`` and ``maps._points_into``, which
 ``Fan.germ`` replaced, and the former facet search of
 ``moduli.face_types``, one ``lp.strict_point`` per hyperplane, against
 which ``moduli.cone_rays`` is checked, with its lineality basis against
-the SNF kernel (``exactmath.integer_kernel``). The last test checks that
-the kernels do no ``Fraction`` arithmetic at all.
+the SNF kernel (``exactmath.integer_kernel``). ``Fan.cone_data`` is checked
+against the determinant and the ``Fraction`` inverse of each cone's Gram
+matrix. The last test checks that the kernels do no ``Fraction``
+arithmetic at all.
 """
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 import pytest
@@ -40,6 +43,7 @@ from tropcount.polyhedral import (
     NotCompleteError,
     fan_product,
     fan_projective_space,
+    load_fan,
     locate,
 )
 
@@ -503,6 +507,28 @@ def fan_points(draw, fan: Fan):
 
 def test_skew_fan_is_not_unimodular():
     assert sorted(SKEW.cone_data(SKEW.cone_index(c)).det for c in [(0, 1), (1, 2), (0, 2)]) == [1, 1, 4]
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1", "skew"])
+def test_cone_data_matches_the_gram_references(name):
+    # det is det G, and coefficients is det G times the Fraction inverse G⁻¹Rᵀ
+    fan = SKEW if name == "skew" else load_fan(name)
+    for idx, cone in enumerate(fan.cones):
+        rays = fan._ray_matrix(cone)
+        gram = rays.transpose() @ rays
+        data = fan.cone_data(idx)
+        assert data.det == _leibniz_det(gram.to_lists()) > 0
+        inverse = solve_rational_matrix(gram, rays.transpose().to_lists())
+        assert [list(row) for row in data.coefficients] == [[data.det * x for x in row] for row in inverse]
 
 
 @pytest.mark.parametrize("name", sorted(FANS))

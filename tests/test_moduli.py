@@ -367,11 +367,13 @@ def test_gkm_embedding_disjoint_maximal_interiors():
     for cc, m in zip(cx.cones, emb.lattice_maps):
         if cc.cone.dimension != 2:
             continue
-        # image of the witness is interior to exactly one image cone
-        from tropcount.moduli import _apply_rows
+        # image of the witness is interior to exactly one image cone, by a
+        # solve of span_basis · y = witness of the test's own
+        from tropcount.exactmath import solve_rational_matrix
         from tropcount.polyhedral import locate
 
-        img = _apply_rows(m, cc.cone, cc.witness)
+        sol = solve_rational_matrix(cc.cone.span_basis, [[x] for x in cc.witness])
+        img = m.apply([row[0] for row in sol])
         idx = locate(fan, img)
         assert fan.dim(idx) == 2
         assert idx not in seen

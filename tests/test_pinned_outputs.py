@@ -1,4 +1,4 @@
-"""The JSON of eleven cheap standard CLI cases, pinned by its sha256.
+"""The JSON of thirteen standard CLI cases, pinned by its sha256.
 
 A change that alters one of these outputs on purpose updates its hash
 here and says in CHANGES.md what changed and why.
@@ -51,6 +51,17 @@ PINNED = {
     "embed-2-points": (
         ("embed", *LINE, "--points", "2"),
         "f48b83a1d355faf973e3b82c6731227529044cea3451afb730c4582aac139306",
+    ),
+    # the inputs of the perfbench workloads count_plane_d3 and count_lines_fallback
+    "count-cubics-seed-0": (
+        ("count", "--fan", "p2", "--contacts", "p2-degree:3", "--points", "8", "--seed", "0",
+         "--retries", "5", "--threads", "1"),
+        "5d081ec423412a65729f4b4f0a1b4c43136382c88472bcd9cbfe75a49dc65d5a",
+    ),
+    "count-subspace-seed-0": (
+        ("count", *LINE, "--points", "2", "--subspace", "1,1", "--subspace", "1,0", "--seed", "0",
+         "--retries", "5"),
+        "dc12d8a10dd21c5ffd7e1a47843255bf7459ed87cfa9d0c857147a3081bd966c",
     ),
 }
 
