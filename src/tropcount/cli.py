@@ -37,7 +37,7 @@ from .moduli import (
     embedding_to_json,
     gkm_embedding,
 )
-from .polyhedral import NAMED_FANS, fan_to_json, load_fan
+from .polyhedral import NAMED_FANS, SCHEMA, fan_to_json, load_fan
 
 
 def _logger():
@@ -110,10 +110,10 @@ def _parse_contacts(spec: str, fan) -> tuple[tuple[int, tuple[int, ...]], ...]:
         data = json.load(fh)
     out = []
     for i, entry in enumerate(data):
-        if isinstance(entry[0], int) and isinstance(entry[1], list):
-            out.append((entry[0], tuple(entry[1])))
-        else:
-            out.append((i + 1, tuple(entry)))
+        label, c = entry[:2] if type(entry[0]) is int and isinstance(entry[1], list) else (i + 1, entry)
+        if not all(type(x) is int for x in c):  # a bool is an int, but no label or coordinate
+            raise TypeError(f"contact {c!r} has a coordinate that is not an integer")
+        out.append((label, tuple(c)))
     return tuple(out)
 
 
@@ -179,7 +179,7 @@ def _cmd_validate(args) -> int:
     report = validate(_parse_input("map", map_from_json, data, fan))
     _emit(
         {
-            "schema": "tropcount/1",
+            "schema": SCHEMA,
             "kind": "validation",
             "valid": report.valid,
             "violations": [

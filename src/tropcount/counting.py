@@ -17,15 +17,18 @@ from math import comb, gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from .curves import TreeShape
-from .exactmath import IntMatrix, clear_denominators, fraction_free_rref, solve_rational
+from .exactmath import IntMatrix, clear_denominators, fraction_free_rref
 from .maps import (
     CombinatorialType,
     DiscreteData,
     TropicalStableMap,
     ev_trop,
+    map_from_json,
+    map_to_json,
     oriented,
     subdivide,
-    torically_transverse,
+    type_from_json,
+    type_to_json,
     validate,
 )
 from .moduli import (
@@ -37,7 +40,7 @@ from .moduli import (
     relabel_type,
     rooted_form,
 )
-from .polyhedral import Fan, locate, quotient_projection
+from .polyhedral import SCHEMA, Fan, fan_from_json, fan_to_json, locate, quotient_projection
 
 Vec = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -110,8 +113,7 @@ class CountProblem:
     def __post_init__(self):
         if self.gamma.m < 1:
             raise ValueError("at least one marked point with trivial contact is required")
-        if not torically_transverse(self.gamma):
-            raise ValueError("counting requires torically transverse contact data")
+        self.gamma.check_contacts("counting")
         labels = {c.label for c in self.constraints.constraints}
         if labels != set(self.gamma.trivial_legs):
             raise ValueError("constraints must cover exactly the trivial legs")
@@ -242,16 +244,17 @@ def _centres(nv: int, edges) -> list[int]:
     return sorted(left)
 
 
-def _skeleton_key(tree) -> tuple:
-    """Isomorphism key of a census tree, rooted at its centres.
+def _tree_key(tree) -> tuple:
+    """Isomorphism key of a working tree, rooted at its centres.
 
-    Census legs all carry placeholder labels, so each leg is identified by
-    its contact vector alone.
+    A contact leg is its contact vector, a trivial leg its zero contact and
+    label; edge contacts follow, so trees share a key iff their types share
+    ``canonical_form(identify_contacts=True)``.
     """
     nv, edges, legs = tree
     at_vertex: list[list[Vec]] = [[] for _ in range(nv)]
-    for v, c, _ in legs:
-        at_vertex[v].append(c)
+    for v, c, label in legs:
+        at_vertex[v].append(c if any(c) else c + (label,))
     vertex_tokens = [(tuple(sorted(cs)),) for cs in at_vertex]
     return rooted_form(nv, edges, vertex_tokens, [((), ())] * len(edges), _centres(nv, edges))[0]
 
@@ -265,7 +268,7 @@ def _skeleton_census(rank: int, contacts: Sequence[Vec]) -> list[tuple]:
     """
     if len(contacts) < 3:
         raise ValueError("skeleton census needs at least three contact legs")
-    trees = grow_trees([(c, 0) for c in sorted(contacts)], _skeleton_key)
+    trees = grow_trees([(c, 0) for c in sorted(contacts)], _tree_key)
     # drop skeletons with a contracted internal edge: their evaluation
     # matrices always carry a zero column
     return [
@@ -538,17 +541,10 @@ def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
     harmless because equally-decorated legs are interchangeable.
     """
     nv, edges, legs = tree
-    pool: dict[Vec, list[int]] = {}
-    for lab, c in sorted(problem.gamma.contact_legs):
+    pool: dict[Vec, list[int]] = {}  # contact -> its labels, the least last
+    for lab, c in sorted(problem.gamma.contact_legs, reverse=True):
         pool.setdefault(c, []).append(lab)
-    pool = {c: sorted(labs, reverse=True) for c, labs in pool.items()}
-    labelled = []
-    for v, c, lab in legs:
-        if lab:
-            labelled.append((v, lab, c))
-        else:
-            labelled.append((v, pool[c].pop(), c))
-    labelled.sort(key=lambda t: t[1])
+    labelled = sorted(((v, lab or pool[c].pop(), c) for v, c, lab in legs), key=lambda t: t[1])
     derived = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), problem.fan.rank)
     oriented_edges = sorted(oriented(a, b, c) for (a, b), c in zip(edges, derived))
     shape = TreeShape(nv, tuple(e for e, _ in oriented_edges), tuple((v, lab) for v, lab, _ in labelled))
@@ -563,45 +559,32 @@ def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
     )
 
 
-def enumerate_rigid_types(problem: CountProblem, prune: bool = True) -> Iterator[CombinatorialType]:
+def enumerate_rigid_types(
+    problem: CountProblem, prune: bool = True, skeletons: Optional[list[tuple]] = None
+) -> Iterator[CombinatorialType]:
     """Stabilized types whose moduli cone dimension matches the constraint codimension.
 
-    Duplicates are eliminated by a canonical form that treats legs with
-    equal contact order as interchangeable.  With ``prune`` the stream is
-    filtered by sound necessary conditions against the problem's seeded
-    targets (a pruned-away type can never contribute to this problem).
-    """
-    for _, _, theta in _rigid_types(problem, prune):
-        yield theta
-
-
-def _rigid_types(problem: CountProblem, prune: bool, skeletons: Optional[list[tuple]] = None):
-    """Yield (canonical key, relabeling, type) for the distinct rigid types of one chunk.
-
-    With pruning, point problems with at least three contact legs run the
-    marked-point search over ``skeletons``, by default the whole skeleton
-    census; distinct final types never cross skeleton classes, so
-    per-chunk deduplication is globally valid.  Every other problem runs
-    the full trivalent census over all legs.
+    With ``prune``, point problems with at least three contact legs run the
+    marked-point search over ``skeletons`` (default: the whole census),
+    which drops only types that cannot meet the seeded targets; others run
+    the census over all legs. Trees are deduplicated on ``_tree_key`` before
+    a type is built; no type spans two skeletons, so a chunk's dedup holds.
     """
     gamma = problem.gamma
-    fan = problem.fan
     if prune and _searches_skeletons(problem):
         if skeletons is None:
-            skeletons = _skeleton_census(fan.rank, [c for _, c in gamma.contact_legs])
+            skeletons = _skeleton_census(problem.fan.rank, [c for _, c in gamma.contact_legs])
         trees = _marked_dfs(problem, skeletons, sorted(gamma.trivial_legs))
     else:
         trees = grow_trees([(c, lab) for lab, c in _census_legs(problem)])
-    codim = expected_codimension(fan, gamma)
+    n_edges = expected_codimension(problem.fan, gamma) - problem.fan.rank
     seen = set()
     for tree in trees:
-        theta = _tree_to_type(problem, tree)
-        if fan.rank + len(theta.shape.edges) != codim:
-            continue
-        key, relabel = canonical_form(theta, identify_contacts=True)
-        if key not in seen:
-            seen.add(key)
-            yield key, relabel, theta
+        if len(tree[1]) == n_edges:
+            key = _tree_key(tree)
+            if key not in seen:
+                seen.add(key)
+                yield _tree_to_type(problem, tree)
 
 
 def _searches_skeletons(problem: CountProblem) -> bool:
@@ -635,11 +618,16 @@ def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMat
     summed over the edges of its path from the root, so the row of a
     projection row p is p followed, at each such edge, by sign·(p·contact).
     """
+    rows, _ = _evaluation_rows(theta, problem)
+    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, problem.fan.rank + len(theta.shape.edges), ())
+
+
+def _evaluation_rows(theta: CombinatorialType, problem: CountProblem):
+    """The rows of ``evaluation_matrix``, and the ``signed_paths`` from its root that they read."""
     if any(cone is not None for cone in theta.vertex_cones):
         raise ValueError("evaluation matrices are built for unconfined stabilized types")
     r = problem.fan.rank
     shape = theta.shape
-    ne = len(shape.edges)
     paths = shape.signed_paths(shape.leg_vertex(min(problem.gamma.trivial_legs)))
     rows: list[list[int]] = []
     for label in sorted(problem.gamma.trivial_legs):
@@ -647,25 +635,33 @@ def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMat
         path = paths[shape.leg_vertex(label)]
         for i in range(proj.rows):
             p = proj.row(i)
-            row = list(p) + [0] * ne
+            row = list(p) + [0] * len(shape.edges)
             for e, sign in path:
                 row[r + e] = sign * sum(a * c for a, c in zip(p, theta.edge_contacts[e]))
             rows.append(row)
-    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, r + ne, ())
+    return rows, paths
+
+
+def _lattice_index(rows: list[list[int]], n: int) -> int:
+    """|det| of the n-column evaluation matrix in ``rows``, by one ``fraction_free_rref``
+    in place that carries any later columns: the |last pivot|, or 0 below full rank.
+    SingularError unless the matrix is square, or if a carried column leaves its span."""
+    if len(rows) != n:
+        raise SingularError("evaluation system is not square")
+    pivots, d = fraction_free_rref(rows, n)
+    if any(any(row[n:]) for row in rows[len(pivots) :]):
+        raise SingularError("evaluation matrix is singular (inconsistent)")
+    return abs(d) if len(pivots) == n else 0
 
 
 def multiplicity(theta: CombinatorialType, problem: CountProblem) -> int:
-    """The type's contribution weight: the lattice index |det| of its
-    evaluation matrix, read off the last pivot of one ``fraction_free_rref``.
-
-    Raises SingularError unless the matrix is square and of full rank.
-    """
+    """The type's contribution weight, the lattice index |det| of its evaluation
+    matrix (``_lattice_index``); SingularError unless it is square and of full rank."""
     m = evaluation_matrix(theta, problem)
-    if m.rows == m.cols:
-        pivots, d = fraction_free_rref(m.to_lists(), m.cols)
-        if len(pivots) == m.cols:
-            return abs(d)
-    raise SingularError("type is not rigid against this constraint pattern")
+    index = _lattice_index(m.to_lists(), m.cols)
+    if not index:
+        raise SingularError("type is not rigid against this constraint pattern")
+    return index
 
 
 def mikhalkin_multiplicity(theta: CombinatorialType) -> int:
@@ -698,24 +694,25 @@ def mikhalkin_multiplicity(theta: CombinatorialType) -> int:
 def _solve_type(problem: CountProblem, theta: CombinatorialType):
     """Solve the evaluation system for one type.
 
-    Returns (map, ``multiplicity``) for an interior solution, and None for a
-    miss; raises SingularError or NonGenericError as appropriate, and
-    SolveCheckError if the solved map fails validation or its constraints.
+    ``_lattice_index`` of the evaluation matrix, with the cleared targets
+    b·den carried, leaves row i as d·(e_i | x_i·den) and the weight |d|; the
+    positions sum along the rows' ``signed_paths``. Returns (map, weight), or
+    None for a miss; raises SingularError, NonGenericError (also for a
+    consistent system below full rank) and SolveCheckError.
     """
     fan = problem.fan
     r = fan.rank
     shape = theta.shape
     root_label = min(problem.gamma.trivial_legs)
-    matrix = evaluation_matrix(theta, problem)
-    if matrix.rows != matrix.cols:
-        raise SingularError("evaluation system is not square")
-    rhs = [x for label in sorted(problem.gamma.trivial_legs) for x in problem.projected[label][1]]
-    sol = solve_rational(matrix, rhs)
-    if sol is None:
-        raise SingularError("evaluation matrix is singular (inconsistent)")
-    values, unique = sol
-    if not unique:
+    rows, paths = _evaluation_rows(theta, problem)
+    targets = [x for label in sorted(problem.gamma.trivial_legs) for x in problem.projected[label][1]]
+    rhs, den = clear_denominators(targets)
+    for row, b in zip(rows, rhs):
+        row.append(b)
+    weight = _lattice_index(rows, r + len(shape.edges))
+    if not weight:
         raise NonGenericError("constraints meet a positive-dimensional family")
+    values = [Fraction(row[-1], row[i] * den) for i, row in enumerate(rows)]
     x = values[:r]
     lengths = values[r:]
     for l in lengths:
@@ -725,7 +722,7 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
             raise NonGenericError("a solved edge length is exactly zero")
     # each vertex sits at the root position plus the signed edges of its path
     positions = []
-    for path in shape.signed_paths(shape.leg_vertex(root_label)):
+    for path in paths:
         p = list(x)
         for e, sign in path:
             p = [pi + sign * lengths[e] * ci for pi, ci in zip(p, theta.edge_contacts[e])]
@@ -749,7 +746,7 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
                 f"seed {problem.constraints.seed}: the map solved for type {shape} "
                 f"misses the constraint translate of leg {label}"
             )
-    return full, multiplicity(theta, problem)
+    return full, weight
 
 
 def _check_problem_genericity(problem: CountProblem) -> None:
@@ -777,7 +774,7 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
     else:
         chunks = [None]  # the census over all legs, in one worker
     results = _map_workers(problem, chunks) if len(chunks) > 1 else [_count_worker((problem, chunks[0]))]
-    # chunks never share a type (see _rigid_types)
+    # chunks never share a type (see enumerate_rigid_types)
     contributions = sorted((c for items, _ in results for c in items), key=lambda c: c.key)
     rejected = sum(rej for _, rej in results)
     total = sum(c.multiplicity for c in contributions)
@@ -789,7 +786,7 @@ def _count_worker(args):
     problem, skeletons = args
     contributions = []
     rejected = 0
-    for key, relabel, theta in _rigid_types(problem, True, skeletons):
+    for theta in enumerate_rigid_types(problem, True, skeletons):
         try:
             solved = _solve_type(problem, theta)
         except SingularError:
@@ -797,6 +794,7 @@ def _count_worker(args):
             continue
         if solved is not None:
             full, mult = solved
+            key, relabel = canonical_form(theta, identify_contacts=True)
             contributions.append(Contribution(relabel_type(theta, relabel), full, mult, key))
     return contributions, rejected
 
@@ -812,9 +810,6 @@ def _map_workers(problem: CountProblem, chunks: list):
 
 
 def count_result_to_json(problem: CountProblem, result: CountResult) -> dict:
-    from .maps import map_to_json, type_to_json
-    from .polyhedral import SCHEMA, fan_to_json
-
     return {
         "schema": SCHEMA,
         "kind": "count",
@@ -837,9 +832,6 @@ def count_result_to_json(problem: CountProblem, result: CountResult) -> dict:
 
 
 def count_result_from_json(data: dict) -> CountResult:
-    from .maps import map_from_json, type_from_json
-    from .polyhedral import fan_from_json
-
     fan = fan_from_json(data["fan"])
     contributions = []
     for entry in data["contributions"]:

@@ -201,8 +201,9 @@ def length_from_json(s: str) -> Length:
 
 
 def curve_to_json(curve: TropicalCurve) -> dict:
+    from .polyhedral import SCHEMA  # here, not at the top, so that curves loads before polyhedral
     return {
-        "schema": "tropcount/1",
+        "schema": SCHEMA,
         "kind": "curve",
         "vertices": curve.vertices,
         "edges": [[a, b, length_to_json(l)] for a, b, l in curve.internal_edges],

@@ -23,6 +23,7 @@ from .curves import TreeShape, TropicalCurve, UnknownLabelError
 from .exactmath import rational_to_string
 from .polyhedral import (
     Fan,
+    SCHEMA,
     NotCompleteError,
     extended_point,
     fan_from_json,
@@ -82,6 +83,14 @@ class DiscreteData:
         if label in self.trivial_legs:
             return (0,) * self.fan.rank
         raise UnknownLabelError(f"no leg labelled {label}")
+
+    def check_contacts(self, use: str) -> None:
+        """Refuse contacts that ``use`` cannot take: off the fan's rays, or unbalanced."""
+        if not torically_transverse(self):
+            raise ValueError(f"{use} requires torically transverse contact data")
+        total = [sum(c[k] for _, c in self.contact_legs) for k in range(self.fan.rank)]
+        if any(total):
+            raise ValueError(f"the contact orders sum to {total}, not to zero, so no map balances")
 
     def degree_vector(self) -> dict[int, int]:
         """Per-ray total weight; defined only for torically transverse data."""
@@ -511,7 +520,7 @@ def type_from_json(fan: Fan, data: dict) -> CombinatorialType:
 
 def map_to_json(f: TropicalStableMap) -> dict:
     return {
-        "schema": "tropcount/1",
+        "schema": SCHEMA,
         "kind": "map",
         "fan": fan_to_json(f.type.fan),
         "type": type_to_json(f.type),

@@ -41,7 +41,6 @@ from .maps import (
     TropicalStableMap,
     oriented,
     threaded,
-    torically_transverse,
 )
 from .polyhedral import Fan, locate
 
@@ -787,8 +786,7 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     fan = gamma.fan
     if fan.rank > 2:
         raise UnsupportedRankError("complex assembly supports fan rank <= 2 only")
-    if gamma.contact_legs and not torically_transverse(gamma):
-        raise ValueError("assembly requires torically transverse contact data")
+    gamma.check_contacts("assembly")
     if len(gamma.contact_legs) + len(gamma.trivial_legs) < 2:
         raise ValueError("need at least two marked legs")
 

@@ -290,6 +290,40 @@ def test_malformed_json_input_is_a_named_error(tmp_path, argv, payload):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["count", "complex"])
+@pytest.mark.parametrize(
+    "contacts",
+    [[[1.5, 0], [0, 1], [-1, -1]], [[True, 0], [0, 1], [-1, -1]], [[True, [1, 0]], [2, [0, 1]], [3, [-1, -1]]]],
+    ids=["float", "bool", "bool-label"],
+)
+def test_non_integer_contact_is_a_named_error(tmp_path, command, contacts):
+    path = tmp_path / "contacts.json"
+    path.write_text(json.dumps(contacts))
+    proc = run_cli(command, "--fan", "p2", "--contacts", str(path), "--points", "2", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: MalformedInputError: malformed contacts: ")
+    assert "not an integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["count", "complex"])
+def test_unbalanced_contacts_are_refused_as_input(tmp_path, command):
+    # contacts that do not sum to zero are an input error, not an engine defect
+    path = tmp_path / "contacts.json"
+    path.write_text(json.dumps([[1, 0], [0, 1]]))
+    proc = run_cli(command, "--fan", "p2", "--contacts", str(path), "--points", "1", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: ValueError: the contact orders sum to [1, 1], not to zero, so no map balances\n"
+
+
+def test_curve_count_table_script_agrees_with_the_recursion():
+    script = SRC.parent / "scripts" / "curve_count_table.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "MISMATCH" not in proc.stdout
+    assert len(proc.stdout.splitlines()) == 4  # a header, degrees 1 and 2, and the quadric
+
+
 @pytest.mark.parametrize("where", ["subspace", "position", "length"])
 def test_zero_denominator_is_a_named_error(tmp_path, where):
     # Fraction("1/0") raises ZeroDivisionError, which is no ValueError

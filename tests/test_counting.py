@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import pytest
 from fractions import Fraction
 
@@ -425,6 +426,13 @@ def test_count_requires_marked_point():
     gamma = DiscreteData(P2, p2_gamma(1).contact_legs, ())
     with pytest.raises(ValueError):
         CountProblem(P2, gamma, ConstraintConfig((), 0, 32))
+
+
+def test_unbalanced_contacts_are_refused():
+    # no curve balances unless the contact orders sum to zero
+    gamma = DiscreteData(P2, ((1, U1), (2, U2), (3, U3), (4, U1)), (5, 6, 7))
+    with pytest.raises(ValueError, match=re.escape("sum to [1, 0], not to zero")):
+        CountProblem(P2, gamma, generate_constraints(gamma, None, 0))
 
 
 def test_contributions_interior_to_their_moduli_cone():
@@ -1026,7 +1034,7 @@ def test_skeleton_census_keyed_at_centres_keeps_the_all_roots_list(contacts, mon
         return rooted_form(nv, edges, tokens, [((), ())] * len(edges))[0]
 
     centred = counting._skeleton_census(2, contacts)
-    monkeypatch.setattr(counting, "_skeleton_key", all_roots_key)
+    monkeypatch.setattr(counting, "_tree_key", all_roots_key)
     assert counting._skeleton_census(2, contacts) == centred
 
 
@@ -1131,3 +1139,61 @@ def test_evaluation_rows_match_the_identity_block_formulation(name):
                 p = [pi + sign * lengths[e] * ci for pi, ci in zip(p, theta.edge_contacts[e])]
             assert f.positions[v] == tuple(p)
     assert types and solved
+
+
+# --- rigid-type dedup against its former canonical-form formulation ----------
+
+
+def _reference_rigid_types(problem):
+    """The former dedup: a ``canonical_form(identify_contacts=True)`` of the
+    type of every tree of the codimension, in stream order, keeping the first
+    type of each key."""
+    from tropcount import counting
+    from tropcount.moduli import canonical_form, grow_trees
+
+    gamma = problem.gamma
+    if counting._searches_skeletons(problem):
+        skeletons = counting._skeleton_census(problem.fan.rank, [c for _, c in gamma.contact_legs])
+        trees = counting._marked_dfs(problem, skeletons, sorted(gamma.trivial_legs))
+    else:
+        trees = grow_trees([(c, lab) for lab, c in counting._census_legs(problem)])
+    codim = counting.expected_codimension(problem.fan, gamma)
+    seen = set()
+    for tree in trees:
+        theta = counting._tree_to_type(problem, tree)
+        if problem.fan.rank + len(theta.shape.edges) != codim:
+            continue
+        key, _ = canonical_form(theta, identify_contacts=True)
+        if key not in seen:
+            seen.add(key)
+            yield theta
+
+
+def _p1xp1_two_zero_through_three_points_and_a_line():
+    # bidegree (2, 0) through 3 points and the translate of the subtorus (1, 1)
+    gamma = DiscreteData(P1P1, ((1, (1, 0)), (2, (1, 0)), (3, (-1, 0)), (4, (-1, 0))), (5, 6, 7, 8))
+    subspaces = {5: None, 6: None, 7: None, 8: IntMatrix.from_rows([[1], [1]])}
+    return CountProblem(P1P1, gamma, generate_constraints(gamma, subspaces, 0))
+
+
+# name -> (problem, number of rigid types)
+DEDUP_PROBLEMS = {
+    "plane-conics": (lambda: p2_problem(2, 0), 1),
+    "plane-cubics": (lambda: p2_problem(3, 0), 66),
+    "fallback-1000": (lambda: _fallback_problem(1000), 945),
+    # 10,395 trees of the census over all 9 legs give 3,105 types
+    "p1xp1-2-0-subspace": (_p1xp1_two_zero_through_three_points_and_a_line, 3105),
+}
+
+
+@pytest.mark.parametrize("name", DEDUP_PROBLEMS)
+def test_tree_key_dedup_keeps_the_canonical_form_types(name):
+    # legs of equal contact are interchangeable in both keys, and edge
+    # contacts follow from leg contacts, so the tree key splits the trees
+    # into the classes of canonical_form(identify_contacts=True) and keeps
+    # the same first tree of each
+    make, size = DEDUP_PROBLEMS[name]
+    prob = make()
+    got = list(enumerate_rigid_types(prob))
+    assert got == list(_reference_rigid_types(prob))
+    assert len(got) == size
