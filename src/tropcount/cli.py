@@ -2,9 +2,10 @@
 
 All output is deterministic for a fixed invocation; JSON goes to --out or
 standard output, human-readable summaries to standard error.  The retry
-notices of ``count`` go through the ``tropcount`` logger; with logging left
-unconfigured, Python's last-resort handler writes them to standard error
-as bare messages.  Exit codes:
+notices of ``count`` and the refusal of an ``--svg`` that has no plane
+embedding go through the ``tropcount`` logger, whose one handler is
+Python's last-resort handler: it writes them to standard error as bare
+messages.  Exit codes:
 0 success, 2 validation failure, 3 generic-position retries exhausted,
 64 usage errors.
 """
@@ -43,7 +44,15 @@ from .polyhedral import NAMED_FANS, SCHEMA, fan_to_json, load_fan
 def _logger():
     import logging  # here, not at the top: loading it adds ~0.6 MiB to every run
 
-    return logging.getLogger("tropcount")
+    log = logging.getLogger("tropcount")
+    if not log.handlers:
+        # Python's last-resort handler writes bare messages to the standard
+        # error current at each call; attached here, it does so even when the
+        # root logger has handlers of its own, which would otherwise take
+        # the messages instead
+        log.addHandler(logging.lastResort)
+        log.propagate = False
+    return log
 
 
 class MalformedInputError(ValueError):
@@ -198,7 +207,7 @@ def _cmd_complex(args) -> int:
     # embed before any output, so that a failing --svg or --root writes no file
     emb = gkm_embedding(cx, args.root) if args.svg else None
     if emb is not None and emb.ambient_rank != 2:
-        sys.stderr.write("svg output needs an embedding of ambient rank 2\n")
+        _logger().error("svg output needs an embedding of ambient rank 2")
         return 2
     # open the SVG before writing the JSON, so that an unwritable path writes no file
     with open(args.svg, "w") if emb is not None else nullcontext() as svg:

@@ -4,12 +4,19 @@ Everything downstream (cone membership, moduli cone dimensions, lattice
 multiplicities) is decided by the routines in this module, so all of them
 work over arbitrary-precision ``int`` and never touch floating point.
 Rational inputs and results are ``fractions.Fraction``, but no
-elimination does arithmetic on them. Apart from the Smith normal form,
-which works on ``int`` directly, there is one elimination:
-``fraction_free_rref``, a fraction-free Gauss–Jordan. ``rank``,
-``solve_rational`` and ``solve_rational_matrix`` run it on right-hand
-sides cleared of their denominators and divide out once at the end;
-determinants are read off its last pivot.
+elimination does arithmetic on them. There are two eliminations.
+
+- ``_diagonalize``, the one Smith normal form loop, works on ``int``.
+  What it carries along varies by caller: the left and right factors for
+  ``smith_normal_form``; the right factor V and V⁻¹ for
+  ``kernel_with_left_inverse``, whose rows of V⁻¹ past the rank are an
+  integer left inverse of the kernel basis; the left factor and its
+  inverse for ``saturation_and_quotient``, which reads a span's
+  saturation and its quotient projection off one pass.
+- ``fraction_free_rref``, a fraction-free Gauss–Jordan. ``rank``,
+  ``solve_rational`` and ``solve_rational_matrix`` run it on right-hand
+  sides cleared of their denominators and divide out once at the end;
+  determinants are read off its last pivot.
 """
 from __future__ import annotations
 
@@ -58,7 +65,9 @@ class IntMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if not all(isinstance(e, int) for e in self.entries):
+        # int.__instancecheck__(e) is isinstance(e, int), with no Python
+        # frame per entry
+        if not all(map(int.__instancecheck__, self.entries)):
             raise TypeError("IntMatrix entries must be ints")
 
     @staticmethod
@@ -93,20 +102,25 @@ class IntMatrix:
         )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The product, each row as a combination of other's rows over the
+        nonzero entries of the row of self."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
+        rows = [other.row(k) for k in range(other.rows)]
+        out: list[int] = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
+            acc = [0] * other.cols
+            for c, row in zip(self.row(i), rows):
+                if c:
+                    acc = [x + c * y for x, y in zip(acc, row)]
+            out.extend(acc)
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product; accepts int or Fraction coordinates."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum(self.at(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)]
+        return [sum(a * x for a, x in zip(self.row(i), vec)) for i in range(self.rows)]
 
 
 @dataclass(frozen=True)
@@ -125,38 +139,61 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def _swap_rows(m: list[list[int]], a: int, b: int) -> None:
-    m[a], m[b] = m[b], m[a]
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
-def _swap_cols(m: list[list[int]], a: int, b: int) -> None:
-    for row in m:
-        row[a], row[b] = row[b], row[a]
-
-
-def _add_row(m: list[list[int]], src: int, dst: int, factor: int) -> None:
-    row_s, row_d = m[src], m[dst]
-    for j in range(len(row_d)):
-        row_d[j] += factor * row_s[j]
-
-
-def _add_col(m: list[list[int]], src: int, dst: int, factor: int) -> None:
-    for row in m:
-        row[dst] += factor * row[src]
-
-
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Diagonalize over ℤ with unimodular row/column operations.
+def _diagonalize(
+    d: list[list[int]],
+    ncols: int,
+    rows: Sequence[list[list[int]]] = (),
+    rows_inv: Sequence[list[list[int]]] = (),
+    cols: Sequence[list[list[int]]] = (),
+    cols_inv: Sequence[list[list[int]]] = (),
+) -> int:
+    """Bring the integer rows ``d`` (``ncols`` wide) to Smith normal form in
+    place and return the rank.
 
     Pivots are chosen as the smallest nonzero absolute value in the
     remaining block, which keeps intermediate entries from exploding.
-    The returned diagonal is nonnegative and satisfies the divisibility
-    chain d_i | d_{i+1}.
+    The diagonal ends nonnegative and satisfies the divisibility chain
+    d_i | d_{i+1}.
+
+    The transforms asked for start as identities and are all kept row by
+    row, so each update is one list comprehension. For U·A·V = D:
+    a matrix in ``rows`` receives every row operation on d and ends as U;
+    one in ``rows_inv`` receives their inverses (row src −= f·row dst for
+    the operation row dst += f·row src) and ends as (U⁻¹)ᵀ. Likewise
+    ``cols`` ends as Vᵀ and ``cols_inv`` as V⁻¹.
     """
-    m, n = a.rows, a.cols
-    d = a.to_lists()
-    left = IntMatrix.identity(m).to_lists()
-    right = IntMatrix.identity(n).to_lists()
+    m, n = len(d), ncols
+
+    def row_add(src: int, dst: int, f: int) -> None:
+        for mat in (d, *rows):
+            mat[dst] = [x + f * y for x, y in zip(mat[dst], mat[src])]
+        for mat in rows_inv:
+            mat[src] = [x - f * y for x, y in zip(mat[src], mat[dst])]
+
+    def row_swap(a: int, b: int) -> None:
+        for mat in (d, *rows, *rows_inv):
+            mat[a], mat[b] = mat[b], mat[a]
+
+    def col_add(src: int, dst: int, f: int) -> None:
+        for row in d:
+            row[dst] += f * row[src]
+        for mat in cols:
+            mat[dst] = [x + f * y for x, y in zip(mat[dst], mat[src])]
+        for mat in cols_inv:
+            mat[src] = [x - f * y for x, y in zip(mat[src], mat[dst])]
+
+    def col_swap(a: int, b: int) -> None:
+        for row in d:
+            row[a], row[b] = row[b], row[a]
+        for mat in (*cols, *cols_inv):
+            mat[a], mat[b] = mat[b], mat[a]
 
     t = 0
     while t < min(m, n):
@@ -171,11 +208,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if best == 0:
             break
         if pi != t:
-            _swap_rows(d, t, pi)
-            _swap_rows(left, t, pi)
+            row_swap(t, pi)
         if pj != t:
-            _swap_cols(d, t, pj)
-            _swap_cols(right, t, pj)
+            col_swap(t, pj)
 
         while True:
             # Reduce column t, then row t, restarting whenever a remainder
@@ -185,11 +220,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 if d[i][t]:
                     q = d[i][t] // d[t][t]
                     if q:
-                        _add_row(d, t, i, -q)
-                        _add_row(left, t, i, -q)
+                        row_add(t, i, -q)
                     if d[i][t]:
-                        _swap_rows(d, t, i)
-                        _swap_rows(left, t, i)
+                        row_swap(t, i)
                         restart = True
                         break
             if restart:
@@ -198,41 +231,49 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 if d[t][j]:
                     q = d[t][j] // d[t][t]
                     if q:
-                        _add_col(d, t, j, -q)
-                        _add_col(right, t, j, -q)
+                        col_add(t, j, -q)
                     if d[t][j]:
-                        _swap_cols(d, t, j)
-                        _swap_cols(right, t, j)
+                        col_swap(t, j)
                         restart = True
                         break
             if restart:
                 continue
             # Divisibility fix-up: fold a non-divisible entry into row t.
+            # A unit pivot divides everything.
             bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t]:
+            if abs(d[t][t]) != 1:
+                for i in range(t + 1, m):
+                    if any(x % d[t][t] for x in d[i][t + 1 :]):
                         bad = i
                         break
-                if bad is not None:
-                    break
             if bad is None:
                 break
-            _add_row(d, bad, t, 1)
-            _add_row(left, bad, t, 1)
+            row_add(bad, t, 1)
         t += 1
 
-    for i in range(min(m, n)):
+    for i in range(t):
         if d[i][i] < 0:
-            for j in range(n):
-                d[i][j] = -d[i][j]
-            for j in range(m):
-                left[i][j] = -left[i][j]
+            for mat in (d, *rows, *rows_inv):
+                mat[i] = [-x for x in mat[i]]
+    return t
 
+
+def _from_rows(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
+    return IntMatrix(len(rows), ncols, tuple(x for row in rows for x in row))
+
+
+def _from_columns(columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
+    return IntMatrix(nrows, len(columns), tuple(x for row in zip(*columns) for x in row))
+
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Diagonalize over ℤ with unimodular row/column operations (see
+    ``_diagonalize``); left·A·right = diag."""
+    d = a.to_lists()
+    left, right_t = _identity_rows(a.rows), _identity_rows(a.cols)
+    _diagonalize(d, a.cols, rows=[left], cols=[right_t])
     return SmithDecomposition(
-        IntMatrix.from_rows(left) if m else IntMatrix(0, 0, ()),
-        IntMatrix.from_rows(d) if d else IntMatrix(0, n, ()),
-        IntMatrix.from_rows(right) if n else IntMatrix(0, 0, ()),
+        _from_rows(left, a.rows), _from_rows(d, a.cols), _from_columns(right_t, a.cols)
     )
 
 
@@ -247,26 +288,34 @@ def lattice_index(a: IntMatrix) -> int:
     Requires A to be surjective after tensoring with ℚ; equals |det A| for
     square A.
     """
-    snf = smith_normal_form(a)
-    if snf.rank() < a.rows:
-        raise RankDeficientError(
-            f"matrix of rank {snf.rank()} cannot surject onto ZZ^{a.rows}"
-        )
-    return math.prod(d for d in snf.diagonal() if d)
+    d = a.to_lists()
+    r = _diagonalize(d, a.cols)
+    if r < a.rows:
+        raise RankDeficientError(f"matrix of rank {r} cannot surject onto ZZ^{a.rows}")
+    return math.prod(d[i][i] for i in range(r))
+
+
+def kernel_with_left_inverse(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Basis B of the saturated kernel {x in ZZ^cols : A x = 0}, and an
+    integer L with L·B = I.
+
+    The columns of the right unimodular SNF factor V beyond the rank span
+    exactly the integer kernel, and the kernel of a map to a torsion-free
+    group is automatically saturated. The rows of V⁻¹ beyond the rank are
+    then L, since V⁻¹·V = I. The SNF carries V⁻¹ in place of the left
+    factor, which nothing here reads. L·y recovers the coordinates of any
+    y = B·x, so solving B·X = Y over ℤ is one product and one check.
+    """
+    d = a.to_lists()
+    right_t, right_inv = _identity_rows(a.cols), _identity_rows(a.cols)
+    r = _diagonalize(d, a.cols, cols=[right_t], cols_inv=[right_inv])
+    return _from_columns(right_t[r:], a.cols), _from_rows(right_inv[r:], a.cols)
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
-    """Basis of the saturated kernel lattice {x in ZZ^cols : A x = 0}.
-
-    The columns of the right unimodular SNF factor beyond the rank span
-    exactly the integer kernel, and the kernel of a map to a torsion-free
-    group is automatically saturated, so no post-processing is needed.
-    """
-    snf = smith_normal_form(a)
-    r = snf.rank()
-    cols = [snf.right.column(j) for j in range(r, a.cols)]
-    entries = tuple(col[i] for i in range(a.cols) for col in cols)
-    return IntMatrix(a.cols, len(cols), entries)
+    """Basis of the saturated kernel lattice {x in ZZ^cols : A x = 0}; see
+    ``kernel_with_left_inverse``."""
+    return kernel_with_left_inverse(a)[0]
 
 
 def fraction_free_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -350,30 +399,33 @@ def solve_rational_matrix(a: IntMatrix, b: Sequence[Sequence[Fraction]]) -> Opti
     return None if sol is None else sol[0]
 
 
-def lattice_quotient(basis: IntMatrix) -> IntMatrix:
-    """Projection ℤ^n → ℤ^(n−r) whose kernel is the saturation of the column span.
+def saturation_and_quotient(basis: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """The saturation of the column span and the projection onto ℤ^n by it,
+    from one SNF left·B·right = D of ``basis``.
 
-    The quotient basis is fixed by the SNF of ``basis``: the projection is
-    the block of rows of the left unimodular factor past the rank, which
-    makes quotient coordinates reproducible across runs.
+    The saturation {x in ZZ^n : x in span_QQ(columns)} is spanned by the
+    first r columns of left⁻¹, which the SNF carries along. The projection
+    ℤ^n → ℤ^(n−r), whose kernel is the saturation, is the block of rows of
+    left past the rank; the SNF fixes that basis, which makes quotient
+    coordinates reproducible across runs.
     """
-    snf = smith_normal_form(basis)
-    r = snf.rank()
     n = basis.rows
-    entries = tuple(snf.left.at(i, j) for i in range(r, n) for j in range(n))
-    return IntMatrix(n - r, n, entries)
+    d = basis.to_lists()
+    left, left_inv_t = _identity_rows(n), _identity_rows(n)
+    r = _diagonalize(d, basis.cols, rows=[left], rows_inv=[left_inv_t])
+    return _from_columns(left_inv_t[:r], n), _from_rows(left[r:], n)
+
+
+def lattice_quotient(basis: IntMatrix) -> IntMatrix:
+    """Projection ℤ^n → ℤ^(n−r) whose kernel is the saturation of the column
+    span; see ``saturation_and_quotient``."""
+    return saturation_and_quotient(basis)[1]
 
 
 def saturate_columns(basis: IntMatrix) -> IntMatrix:
-    """Basis of the saturation {x in ZZ^n : x in span_QQ(columns)}."""
-    snf = smith_normal_form(basis)
-    r = snf.rank()
-    # left·B·right = D, so the saturation is spanned by the first r columns
-    # of left^{-1}; recover them by solving left·X = (e_1 … e_r).
-    n = basis.rows
-    sol = solve_rational_matrix(snf.left, [[int(k == i) for i in range(r)] for k in range(n)])
-    assert sol is not None
-    return IntMatrix(n, r, tuple(int(x) for row in sol for x in row))
+    """Basis of the saturation {x in ZZ^n : x in span_QQ(columns)}; see
+    ``saturation_and_quotient``."""
+    return saturation_and_quotient(basis)[0]
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:

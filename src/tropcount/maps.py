@@ -186,7 +186,7 @@ class CombinatorialType:
             if cone_v is not None and not _is_face(self.fan, cone_v, car):
                 raise InvalidTypeError(f"vertex cone of leg {lab}'s vertex is not a face of its carrier")
             c = self.leg_contacts[j]
-            if any(c) and not self.fan.contains(car, [Fraction(x) for x in c]):
+            if any(c) and not self.fan.contains(car, c):
                 raise InvalidTypeError(f"leg {lab} leaves its carrier cone")
 
 

@@ -13,6 +13,12 @@ rays have rank one less than the cone's, the sum of those rays is the
 facet's witness, and the face's type is the type of the map there. No
 LP is involved, and rays, witnesses and facets take integer arithmetic
 alone.
+
+A stored cone's path is all-integer. One SNF of the constraint matrix
+gives the saturated span basis B and an integer left inverse L (L·B = I).
+A face map into the cone is L times the face's lattice on the cone's
+coordinates, kept only when B times it gives that lattice back; assembly
+drops L once the cone's faces are glued.
 """
 from __future__ import annotations
 
@@ -28,11 +34,10 @@ from .exactmath import (
     IntMatrix,
     clear_denominators,
     fraction_free_rref,
-    integer_kernel,
+    kernel_with_left_inverse,
     lattice_quotient,
     primitive_vector,
     rank,
-    solve_rational_matrix,
 )
 from .maps import (
     CombinatorialType,
@@ -237,19 +242,15 @@ class ModuliCone:
         return rows
 
     def _span_inequalities(self) -> list[list[int]]:
-        """The inequality rows on span coordinates: row·B for the span basis B."""
-        basis = [self.span_basis.row(a) for a in range(self.ambient_dim)]
-        return [
-            [sum(x * b[j] for x, b in zip(row, basis) if x) for j in range(self.dimension)]
-            for row in self._inequality_rows()
-        ]
+        """The inequality rows on span coordinates: row·B for the span basis B,
+        which the product takes over a row's r or 1 nonzeros."""
+        rows = self._inequality_rows()
+        a = IntMatrix(len(rows), self.ambient_dim, tuple(x for row in rows for x in row))
+        return (a @ self.span_basis).to_lists()
 
-    def _lift(self, y: Sequence[int]) -> list[Fraction]:
+    def _lift(self, y: Sequence[int]) -> list[int]:
         """Ambient coordinates of the span point y."""
-        return [
-            Fraction(sum(b * x for b, x in zip(self.span_basis.row(a), y)))
-            for a in range(self.ambient_dim)
-        ]
+        return self.span_basis.apply(y)
 
     @cached_property
     def extreme_rays(self) -> Optional[ConeRays]:
@@ -257,8 +258,17 @@ class ModuliCone:
         cone; None when an inequality vanishes on the whole span."""
         return cone_rays(self._span_inequalities(), self.dimension)
 
-    def relint_witness(self) -> Optional[list[Fraction]]:
-        """The lift of the sum of the extreme rays, a point with every
+    @cached_property
+    def left_inverse(self) -> IntMatrix:
+        """An integer L with L·span_basis = I: the face maps into this cone
+        are L times the face's lattice. ``moduli_cone`` fills it in from the
+        SNF that gave the span basis, and assembly drops it once the cone's
+        faces are glued, so it is computed again only for a cone asked for
+        it after that."""
+        return kernel_with_left_inverse(self.constraint_matrix)[1]
+
+    def relint_witness(self) -> Optional[list[int]]:
+        """The lift of the sum of the extreme rays, an integer point with every
         inequality strict; None when no point of the cone is."""
         rays = self.extreme_rays
         y = None if rays is None else rays.interior_point()
@@ -293,8 +303,12 @@ def moduli_cone(theta: CombinatorialType) -> ModuliCone:
             row[v * r : (v + 1) * r] = cut
             rows.append(row)
     matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, ambient, ())
-    basis = integer_kernel(matrix)
-    return ModuliCone(theta, ambient, matrix, basis, basis.cols)
+    basis, inverse = kernel_with_left_inverse(matrix)
+    cone = ModuliCone(theta, ambient, matrix, basis, basis.cols)
+    # a cached_property's value lives in the instance dict, where this
+    # stores the one the kernel's SNF already gave
+    vars(cone)["left_inverse"] = inverse
+    return cone
 
 
 def contains(cone: ModuliCone, f: TropicalStableMap) -> str:
@@ -424,10 +438,10 @@ class FaceData:
     face: CombinatorialType
     vertex_map: tuple[int, ...]  # parent vertex -> face vertex
     edge_map: tuple[Optional[int], ...]  # parent edge -> face edge (None if contracted)
-    witness: tuple[Fraction, ...]  # relative-interior point of the face's moduli cone
+    witness: tuple[int, ...]  # relative-interior point of the face's moduli cone
 
 
-def _type_at(theta: CombinatorialType, witness: Sequence[Fraction]) -> FaceData:
+def _type_at(theta: CombinatorialType, witness: Sequence[int]) -> FaceData:
     """The type of the map at ``witness``, a point of theta's closed moduli cone.
 
     Every zero-length edge is contracted at once (its ends coincide), and
@@ -523,7 +537,10 @@ def face_inclusion_matrix(
 
     ``vertex_map``/``edge_map`` translate parent coordinates to face
     coordinates (a contracted parent edge maps to None and contributes
-    length zero).  Solves parent.span_basis . X = iota . face.span_basis.
+    length zero). X solves B·X = T for the parent's span basis B and
+    T = iota . face.span_basis: a solution is L·T for the parent's left
+    inverse L, since L·B = I. B is saturated and T integral, so the check
+    B·X = T refuses exactly a face lattice that is not inside the parent's.
     """
     fan = parent.type.fan
     r = fan.rank
@@ -533,18 +550,16 @@ def face_inclusion_matrix(
     # for a contracted edge
     source = [vertex_map[v] * r + i for v in range(pnv) for i in range(r)]
     source += [None if fe is None else fnv * r + fe for fe in edge_map]
-    zero = [0] * face_cone.dimension
-    target = [zero if a is None else list(face_cone.span_basis.row(a)) for a in source]
-    sol = solve_rational_matrix(parent.span_basis, target)
-    if sol is None:
-        raise InvalidTypeError("face lattice does not inject into the parent span")
-    entries = []
-    for row in sol:
-        for x in row:
-            if x.denominator != 1:
-                raise InvalidTypeError("face inclusion is not integral")
-            entries.append(x.numerator)
-    return IntMatrix(parent.dimension, face_cone.dimension, tuple(entries))
+    zero = (0,) * face_cone.dimension
+    target = IntMatrix(
+        len(source),
+        face_cone.dimension,
+        tuple(x for a in source for x in (zero if a is None else face_cone.span_basis.row(a))),
+    )
+    inclusion = parent.left_inverse @ target
+    if parent.span_basis @ inclusion != target:
+        raise InvalidTypeError("face lattice does not lie in the parent's span lattice")
+    return inclusion
 
 
 # --- complex assembly ------------------------------------------------------
@@ -554,7 +569,7 @@ def face_inclusion_matrix(
 class ComplexCone:
     type: CombinatorialType
     cone: ModuliCone
-    witness: tuple[Fraction, ...]
+    witness: tuple[int, ...]
     key: tuple
 
 
@@ -828,6 +843,8 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
                 face_rel[pair] = face_inclusion_matrix(
                     parent.cone, by_key[face_key].cone, vmap, emap
                 )
+        # no face map into this cone is left to compute
+        vars(parent.cone).pop("left_inverse", None)
 
     ordered = sorted(by_key.values(), key=lambda c: (c.cone.dimension, c.key))
     index = {c.key: i for i, c in enumerate(ordered)}

@@ -24,7 +24,7 @@ from .exactmath import (
     lattice_quotient,
     primitive_vector,
     rank,
-    saturate_columns,
+    saturation_and_quotient,
 )
 
 SCHEMA = "tropcount/1"
@@ -314,7 +314,7 @@ def quotient_projection(fan: Fan, l_basis: IntMatrix) -> QuotientProjection:
         return QuotientProjection(IntMatrix(fan.rank, 0, ()), IntMatrix.identity(fan.rank))
     if rank(l_basis) != l_basis.cols:
         raise DependentGeneratorsError("subspace generators are dependent")
-    return QuotientProjection(saturate_columns(l_basis), lattice_quotient(l_basis))
+    return QuotientProjection(*saturation_and_quotient(l_basis))
 
 
 def extended_point(fan: Fan, base: Sequence[Fraction], direction: Sequence[int]) -> ExtendedPoint:

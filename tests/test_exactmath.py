@@ -10,12 +10,14 @@ from tropcount.exactmath import (
     RankDeficientError,
     fraction_free_rref,
     integer_kernel,
+    kernel_with_left_inverse,
     lattice_index,
     lattice_quotient,
     primitive_vector,
     rank,
     rational_to_string,
     saturate_columns,
+    saturation_and_quotient,
     smith_normal_form,
     solve_rational,
 )
@@ -178,6 +180,42 @@ def test_kernel_is_saturated_and_annihilated(nr, nc, data):
         assert all(e == 0 for e in prod.entries)
         assert all(d == 1 for d in smith_normal_form(k).diagonal())
     assert rank(a) + k.cols == a.cols
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_is_the_snf_tail_and_has_a_left_inverse(nr, nc, data):
+    # the kernel's SNF carries V^-1 in place of the left factor, with the
+    # same pivots: its basis is the columns of smith_normal_form's right
+    # factor past the rank, entry for entry, and L·B = I
+    rows = [[data.draw(st.integers(-9, 9)) for _ in range(nc)] for _ in range(nr)]
+    a = IntMatrix.from_rows(rows)
+    basis, left = kernel_with_left_inverse(a)
+    snf = smith_normal_form(a)
+    tail = [snf.right.column(j) for j in range(snf.rank(), a.cols)]
+    assert [basis.column(j) for j in range(basis.cols)] == tail
+    assert (left.rows, left.cols) == (basis.cols, a.cols)
+    assert left @ basis == IntMatrix.identity(basis.cols)
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_saturation_and_quotient_from_one_snf(n, k, data):
+    # the saturation is the first r columns of left^-1: left sends it to the
+    # first r unit vectors, and the quotient rows of left kill it
+    rows = [[data.draw(st.integers(-6, 6)) for _ in range(k)] for _ in range(n)]
+    basis = IntMatrix.from_rows(rows)
+    sat, proj = saturation_and_quotient(basis)
+    r = rank(basis)
+    snf = smith_normal_form(basis)
+    assert (sat.rows, sat.cols, proj.rows, proj.cols) == (n, r, n - r, n)
+    assert snf.left @ sat == IntMatrix(n, r, tuple(int(i == j) for i in range(n) for j in range(r)))
+    assert all(e == 0 for e in (proj @ sat).entries)
+    if r:
+        # saturated, and spanning the columns' space
+        assert all(d == 1 for d in smith_normal_form(sat).diagonal())
+        assert rank(IntMatrix.from_rows([b + s for b, s in zip(rows, sat.to_lists())])) == r
+    assert sat == saturate_columns(basis) and proj == lattice_quotient(basis)
 
 
 def test_solve_rational_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from tropcount import lp, moduli
 from tropcount.exactmath import IntMatrix, rank as int_rank
-from tropcount.maps import CombinatorialType, DiscreteData, TreeShape, TropicalStableMap
+from tropcount.maps import CombinatorialType, DiscreteData, InvalidTypeError, TreeShape, TropicalStableMap
 from tropcount.moduli import (
     ConeComplex,
     UnsupportedRankError,
@@ -14,6 +14,7 @@ from tropcount.moduli import (
     assemble_complex,
     canonical_form,
     contains,
+    face_inclusion_matrix,
     face_types,
     forced_edge_contacts,
     gkm_embedding,
@@ -277,6 +278,57 @@ def test_assemble_complex_face_maps_are_injective_lattice_maps():
         assert m.rows == cx.cones[big].cone.dimension
         assert m.cols == cx.cones[small].cone.dimension
         assert int_rank(m) == m.cols
+
+
+def face_basis_on_parent(parent, face_cone, vertex_map, edge_map):
+    """The rows of iota · face span basis: for each parent coordinate, the
+    face's row of the image vertex's position or of the image edge's length,
+    or zero for a contracted edge."""
+    r = parent.type.fan.rank
+    fnv = face_cone.type.shape.vertices
+    rows = [
+        list(face_cone.span_basis.row(vertex_map[v] * r + i))
+        for v in range(parent.type.shape.vertices)
+        for i in range(r)
+    ]
+    for fe in edge_map:
+        rows.append([0] * face_cone.dimension if fe is None else list(face_cone.span_basis.row(fnv * r + fe)))
+    return rows
+
+
+@pytest.mark.parametrize("trivial", [(4,), (4, 5)], ids=["1-point", "2-points"])
+def test_face_maps_match_the_rational_solve(monkeypatch, trivial):
+    # every face map of the complex, the parent's left inverse times the
+    # face's lattice, is the solution of span_basis · X = iota · face basis
+    # that fraction-free elimination over QQ finds
+    from tropcount.exactmath import solve_rational_matrix
+
+    integer = moduli.face_inclusion_matrix
+    made = []
+
+    def checked(parent, face_cone, vertex_map, edge_map):
+        got = integer(parent, face_cone, vertex_map, edge_map)
+        want = solve_rational_matrix(parent.span_basis, face_basis_on_parent(parent, face_cone, vertex_map, edge_map))
+        assert want is not None
+        assert got.to_lists() == want
+        made.append(got)
+        return got
+
+    monkeypatch.setattr(moduli, "face_inclusion_matrix", checked)
+    cx = assemble_complex(DiscreteData(P2, TOY.contact_legs, trivial))
+    assert {id(m) for _, _, m in cx.face_maps} == {id(m) for m in made}
+    assert len(made) == len(cx.face_maps) > 0
+
+
+def test_face_inclusion_refuses_a_wrong_vertex_map():
+    theta = wall_type()
+    parent = moduli_cone(theta)
+    [fd] = [fd for fd in face_types(theta) if fd.edge_map == (0,)]
+    face = moduli_cone(fd.face)
+    assert face_inclusion_matrix(parent, face, fd.vertex_map, fd.edge_map).to_lists() == [[0], [1]]
+    # with its two vertices swapped, the face's lattice leaves the parent's span
+    with pytest.raises(InvalidTypeError):
+        face_inclusion_matrix(parent, face, fd.vertex_map[::-1], fd.edge_map)
 
 
 def test_assemble_complex_p1():

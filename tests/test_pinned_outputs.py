@@ -1,4 +1,5 @@
-"""The JSON of fourteen standard CLI cases, pinned by its sha256.
+"""The JSON of fourteen standard CLI cases, pinned by its sha256, and of two
+large complexes, pinned in slow tests.
 
 A change that alters one of these outputs on purpose updates its hash
 here and says in CHANGES.md what changed and why.
@@ -73,12 +74,35 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", PINNED)
-def test_standard_output_is_pinned(tmp_path, name):
-    argv, digest = PINNED[name]
+# the two largest complexes measured in the ROADMAP; every cone of the first
+# is simplicial, and the second has 480 non-simplicial cones of 12,080
+SLOW_PINNED = {
+    "complex-3-points": (
+        ("complex", *LINE, "--points", "3"),
+        "e541a4a12d1fffc7a5275da94449ac585a2fbb6ba2c44956104923cf7163c3fc",
+    ),
+    "complex-conics": (
+        ("complex", "--fan", "p2", "--contacts", "p2-degree:2"),
+        "535e1ea9ed5e964c6f21b135998e912572b1f1964b83a6fde8476077099d1116",
+    ),
+}
+
+
+def assert_pinned(tmp_path, argv, digest):
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_standard_output_is_pinned(tmp_path, name):
+    assert_pinned(tmp_path, *PINNED[name])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", SLOW_PINNED)
+def test_large_complex_is_pinned(tmp_path, name):
+    assert_pinned(tmp_path, *SLOW_PINNED[name])
 
 
 def test_rank_three_lines_are_pinned(tmp_path):
