@@ -37,8 +37,10 @@ from .moduli import (
     forced_edge_contacts,
     grow_trees,
     insert_leg,
+    position_row,
     relabel_type,
     rooted_form,
+    vertex_positions,
 )
 from .polyhedral import SCHEMA, Fan, fan_from_json, fan_to_json, locate, quotient_projection
 
@@ -614,9 +616,8 @@ def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMat
     Columns are the position of the vertex carrying the smallest trivial leg
     followed by the internal edge lengths, a basis of the type's moduli
     lattice; rows are the projected evaluations of the trivial legs in
-    label order. A leg sits at the root position plus sign·length·contact
-    summed over the edges of its path from the root, so the row of a
-    projection row p is p followed, at each such edge, by sign·(p·contact).
+    label order, each projection row p read at its leg's vertex by
+    ``moduli.position_row``.
     """
     rows, _ = _evaluation_rows(theta, problem)
     return IntMatrix.from_rows(rows) if rows else IntMatrix(0, problem.fan.rank + len(theta.shape.edges), ())
@@ -626,19 +627,12 @@ def _evaluation_rows(theta: CombinatorialType, problem: CountProblem):
     """The rows of ``evaluation_matrix``, and the ``signed_paths`` from its root that they read."""
     if any(cone is not None for cone in theta.vertex_cones):
         raise ValueError("evaluation matrices are built for unconfined stabilized types")
-    r = problem.fan.rank
     shape = theta.shape
     paths = shape.signed_paths(shape.leg_vertex(min(problem.gamma.trivial_legs)))
     rows: list[list[int]] = []
     for label in sorted(problem.gamma.trivial_legs):
-        proj = problem.projected[label][0]
-        path = paths[shape.leg_vertex(label)]
-        for i in range(proj.rows):
-            p = proj.row(i)
-            row = list(p) + [0] * len(shape.edges)
-            for e, sign in path:
-                row[r + e] = sign * sum(a * c for a, c in zip(p, theta.edge_contacts[e]))
-            rows.append(row)
+        proj, path = problem.projected[label][0], paths[shape.leg_vertex(label)]
+        rows += [position_row(proj.row(i), path, theta.edge_contacts) for i in range(proj.rows)]
     return rows, paths
 
 
@@ -713,21 +707,14 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
     if not weight:
         raise NonGenericError("constraints meet a positive-dimensional family")
     values = [Fraction(row[-1], row[i] * den) for i, row in enumerate(rows)]
-    x = values[:r]
     lengths = values[r:]
     for l in lengths:
         if l < 0:
             return None
         if l == 0:
             raise NonGenericError("a solved edge length is exactly zero")
-    # each vertex sits at the root position plus the signed edges of its path
-    positions = []
-    for path in paths:
-        p = list(x)
-        for e, sign in path:
-            p = [pi + sign * lengths[e] * ci for pi, ci in zip(p, theta.edge_contacts[e])]
-        positions.append(tuple(p))
-    full = subdivide(TropicalStableMap(theta, tuple(positions), tuple(lengths)))
+    positions = tuple(tuple(p) for p in vertex_positions(values, paths, theta.edge_contacts))
+    full = subdivide(TropicalStableMap(theta, positions, tuple(lengths)))
     cones = full.type.vertex_cones
     if any(fan.dim(cone) != r for cone in cones[: shape.vertices]):
         raise NonGenericError("a stabilized vertex landed on a wall")

@@ -8,15 +8,16 @@ elimination does arithmetic on them. There are two eliminations.
 
 - ``_diagonalize``, the one Smith normal form loop, works on ``int``.
   What it carries along varies by caller: the left and right factors for
-  ``smith_normal_form``; the right factor V and V⁻¹ for
-  ``kernel_with_left_inverse``, whose rows of V⁻¹ past the rank are an
-  integer left inverse of the kernel basis; the left factor and its
-  inverse for ``saturation_and_quotient``, which reads a span's
-  saturation and its quotient projection off one pass.
-- ``fraction_free_rref``, a fraction-free Gauss–Jordan. ``rank``,
-  ``solve_rational`` and ``solve_rational_matrix`` run it on right-hand
-  sides cleared of their denominators and divide out once at the end;
-  determinants are read off its last pivot.
+  ``smith_normal_form``; the left factor and its inverse for
+  ``saturation_and_quotient``, which reads a span's saturation and its
+  quotient projection off one pass.
+- ``fraction_free_rref``, a fraction-free Gauss–Jordan. ``rank`` and
+  ``solve_rational`` run it on right-hand sides cleared of their
+  denominators and divide out once at the end; determinants are read off
+  its last pivot.
+
+A kernel's canonical basis, its Hermite normal form, comes from a row
+reduction of its own (``integer_kernel``, with ``hermite_solve``).
 """
 from __future__ import annotations
 
@@ -152,7 +153,6 @@ def _diagonalize(
     rows: Sequence[list[list[int]]] = (),
     rows_inv: Sequence[list[list[int]]] = (),
     cols: Sequence[list[list[int]]] = (),
-    cols_inv: Sequence[list[list[int]]] = (),
 ) -> int:
     """Bring the integer rows ``d`` (``ncols`` wide) to Smith normal form in
     place and return the rank.
@@ -166,8 +166,8 @@ def _diagonalize(
     row, so each update is one list comprehension. For U·A·V = D:
     a matrix in ``rows`` receives every row operation on d and ends as U;
     one in ``rows_inv`` receives their inverses (row src −= f·row dst for
-    the operation row dst += f·row src) and ends as (U⁻¹)ᵀ. Likewise
-    ``cols`` ends as Vᵀ and ``cols_inv`` as V⁻¹.
+    the operation row dst += f·row src) and ends as (U⁻¹)ᵀ. One in ``cols``
+    ends as Vᵀ.
     """
     m, n = len(d), ncols
 
@@ -186,13 +186,11 @@ def _diagonalize(
             row[dst] += f * row[src]
         for mat in cols:
             mat[dst] = [x + f * y for x, y in zip(mat[dst], mat[src])]
-        for mat in cols_inv:
-            mat[src] = [x - f * y for x, y in zip(mat[src], mat[dst])]
 
     def col_swap(a: int, b: int) -> None:
         for row in d:
             row[a], row[b] = row[b], row[a]
-        for mat in (*cols, *cols_inv):
+        for mat in cols:
             mat[a], mat[b] = mat[b], mat[a]
 
     t = 0
@@ -295,27 +293,67 @@ def lattice_index(a: IntMatrix) -> int:
     return math.prod(d[i][i] for i in range(r))
 
 
-def kernel_with_left_inverse(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Basis B of the saturated kernel {x in ZZ^cols : A x = 0}, and an
-    integer L with L·B = I.
-
-    The columns of the right unimodular SNF factor V beyond the rank span
-    exactly the integer kernel, and the kernel of a map to a torsion-free
-    group is automatically saturated. The rows of V⁻¹ beyond the rank are
-    then L, since V⁻¹·V = I. The SNF carries V⁻¹ in place of the left
-    factor, which nothing here reads. L·y recovers the coordinates of any
-    y = B·x, so solving B·X = Y over ℤ is one product and one check.
-    """
-    d = a.to_lists()
-    right_t, right_inv = _identity_rows(a.cols), _identity_rows(a.cols)
-    r = _diagonalize(d, a.cols, cols=[right_t], cols_inv=[right_inv])
-    return _from_columns(right_t[r:], a.cols), _from_rows(right_inv[r:], a.cols)
+def _reduce(row: list[int], pivot: Sequence[int], c: int) -> list[int]:
+    """row minus the multiple of pivot that leaves row[c] between 0 and pivot[c]."""
+    q = row[c] // pivot[c]
+    return [x - q * y for x, y in zip(row, pivot)] if q else row
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
-    """Basis of the saturated kernel lattice {x in ZZ^cols : A x = 0}; see
-    ``kernel_with_left_inverse``."""
-    return kernel_with_left_inverse(a)[0]
+    """The Hermite basis of the kernel lattice {x in ZZ^n : A x = 0}, as columns.
+
+    As rows it is in Hermite normal form: each row's first nonzero entry,
+    its pivot, is positive and right of the previous row's, and the entries
+    above a pivot lie in [0, pivot). A lattice has one such basis (Cohen,
+    *A Course in Computational Algebraic Number Theory*, §2.4). Unimodular
+    row operations bring the rows (column j of A | unit vector j) to it
+    from the left; the rows whose A part ends zero hold the kernel's basis,
+    reduced above their pivots among themselves alone.
+    """
+    m, n = a.rows, a.cols
+    if not m:
+        return IntMatrix.identity(n)
+    rows = [[a.at(i, j) for i in range(m)] + [int(j == k) for k in range(n)] for j in range(n)]
+    top = kernel = 0  # rows above top hold pivots; rows from kernel on have a zero A part
+    for c in range(m + n):
+        live = [i for i in range(top, n) if rows[i][c]]
+        while len(live) > 1:  # Euclid down the column
+            p = min(live, key=lambda i: abs(rows[i][c]))
+            rows = [row if i < top or i == p else _reduce(row, rows[p], c) for i, row in enumerate(rows)]
+            live = [i for i in range(top, n) if rows[i][c]]
+        if live:
+            rows[top], rows[live[0]] = rows[live[0]], rows[top]
+            if rows[top][c] < 0:
+                rows[top] = [-x for x in rows[top]]
+            for i in range(kernel, top):
+                rows[i] = _reduce(rows[i], rows[top], c)
+            top += 1
+            kernel = top if c < m else kernel
+    return _from_columns([row[m:] for row in rows[kernel:]], n)
+
+
+def hermite_solve(h: IntMatrix, t: IntMatrix) -> Optional[IntMatrix]:
+    """The integer X with H·X = T, for a basis H from ``integer_kernel``, or
+    None when a column of T is not in the lattice of H's columns.
+
+    Column i of H is zero above its pivot row p_i, and p_0 < p_1 < ..., so
+    going down the rows, a pivot row solves its column by forward
+    substitution and every other row must already hold.
+    """
+    solved: list[list[int]] = []
+    for q in range(h.rows):
+        row, acc = h.row(q), list(t.row(q))
+        for c, x in zip(row, solved):
+            if c:
+                acc = [a - c * b for a, b in zip(acc, x)]
+        i = len(solved)
+        if i < h.cols and row[i]:  # the pivot row of column i
+            if any(a % row[i] for a in acc):
+                return None
+            solved.append([a // row[i] for a in acc])
+        elif any(acc):
+            return None
+    return _from_rows(solved, t.cols)
 
 
 def fraction_free_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -393,12 +431,6 @@ def solve_rational(
     return tuple(row[0] for row in x), r == a.cols
 
 
-def solve_rational_matrix(a: IntMatrix, b: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
-    """Solve A X = B in one elimination; None if any column is inconsistent."""
-    sol = _solve(a, b)
-    return None if sol is None else sol[0]
-
-
 def saturation_and_quotient(basis: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """The saturation of the column span and the projection onto ℤ^n by it,
     from one SNF left·B·right = D of ``basis``.
@@ -420,12 +452,6 @@ def lattice_quotient(basis: IntMatrix) -> IntMatrix:
     """Projection ℤ^n → ℤ^(n−r) whose kernel is the saturation of the column
     span; see ``saturation_and_quotient``."""
     return saturation_and_quotient(basis)[1]
-
-
-def saturate_columns(basis: IntMatrix) -> IntMatrix:
-    """Basis of the saturation {x in ZZ^n : x in span_QQ(columns)}; see
-    ``saturation_and_quotient``."""
-    return saturation_and_quotient(basis)[0]
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:

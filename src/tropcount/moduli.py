@@ -1,24 +1,23 @@
 """Moduli cones of combinatorial types and the glued cone complex.
 
-A type's moduli cone lives in the ambient coordinates
-(position of every vertex) x (length of every internal edge); the edge
-equations head - tail = length * contact and the vertex-span cuts
-pos_v in span(cone_v) are integral linear constraints, and the cone is
-carved out of their solution lattice by the ray-coefficient and length
-inequalities.  Dimensions are exact ranks, never the generic formula.
+A type's moduli cone lives on (position of the root, length of every
+internal edge), the coordinates of ``counting.evaluation_matrix``: the
+root is the vertex of the least leg label, and a vertex sits at the root
+plus sign·length·contact over the edges of its path from it. A confined
+vertex's span cuts pos_v in span(cone_v) are integral rows on these
+r + E coordinates, and the cone is carved out of their kernel lattice by
+the ray-coefficient and length inequalities; its span basis is the
+kernel's Hermite basis, which depends on the lattice alone. Dimensions
+are exact ranks, never the generic formula. ``contains`` and
+``classify`` still read every vertex position.
+
 Faces come from the same inequalities. An exact double description over
 the integers finds each cone's extreme rays once; their sum is the
 cone's relative-interior witness, a facet is an inequality whose zero
-rays have rank one less than the cone's, the sum of those rays is the
-facet's witness, and the face's type is the type of the map there. No
-LP is involved, and rays, witnesses and facets take integer arithmetic
-alone.
-
-A stored cone's path is all-integer. One SNF of the constraint matrix
-gives the saturated span basis B and an integer left inverse L (L·B = I).
-A face map into the cone is L times the face's lattice on the cone's
-coordinates, kept only when B times it gives that lattice back; assembly
-drops L once the cone's faces are glued.
+rays are inclusion-maximal, the sum of those rays is the facet's
+witness, and the face's type is the type of the map there. A face map
+starts from the coordinate map (root to root, a kept edge to its image,
+a contracted edge to 0). All of it is integer arithmetic, with no LP.
 """
 from __future__ import annotations
 
@@ -34,10 +33,10 @@ from .exactmath import (
     IntMatrix,
     clear_denominators,
     fraction_free_rref,
-    kernel_with_left_inverse,
+    hermite_solve,
+    integer_kernel,
     lattice_quotient,
     primitive_vector,
-    rank,
 )
 from .maps import (
     CombinatorialType,
@@ -73,8 +72,9 @@ class ConeRays(NamedTuple):
     """The cone {y in QQ^dim : row·y >= 0 for every row}, by its extreme rays.
 
     ``normals`` are the rows up to positive multiples, primitive, in order
-    of first appearance; ``rank`` is their rank. The cone is its pointed
-    part plus the lineality space where every normal vanishes. ``rays`` are
+    of first appearance, ``row_normals[i]`` is the index of row i's normal,
+    and ``rank`` is their rank. The cone is its pointed part plus the
+    lineality space where every normal vanishes. ``rays`` are
     the primitive extreme rays of the pointed part, and bit j of
     ``tight[i]`` is set when normal j vanishes on ray i. ``lineality`` is a
     basis of primitive vectors of the lineality space, dim - rank of them.
@@ -88,6 +88,7 @@ class ConeRays(NamedTuple):
     rays: tuple[tuple[int, ...], ...]
     tight: tuple[int, ...]
     lineality: tuple[tuple[int, ...], ...]
+    row_normals: tuple[int, ...]
 
     def interior_point(self) -> Optional[list[int]]:
         """The sum of the rays, strict on every normal; None when some normal
@@ -100,19 +101,22 @@ class ConeRays(NamedTuple):
     def facets(self) -> list[tuple[int, list[int]]]:
         """(normal index, relative-interior point) of each facet, in normal order.
 
-        A normal is a facet's when the rays it vanishes on have rank
-        ``rank`` - 1. Their sum is then strict on every other normal, which
-        would otherwise vanish on the facet's hyperplane and so be a positive
-        multiple of this one. A cone with no interior point has no facets here.
+        Every face is where some normals vanish, and is the cone on the rays
+        there. So a normal is a facet's when the set of rays it vanishes on
+        is inclusion-maximal among the normals' sets; each set is a bitset
+        over the rays. The sum of a facet's rays is strict on every other
+        normal, which would otherwise vanish on the facet's hyperplane and so
+        be a positive multiple of this one. A cone with no interior point has
+        no facets here.
         """
         if self.interior_point() is None:
             return []
-        out = []
-        for j in range(len(self.normals)):
-            on = [ray for ray, t in zip(self.rays, self.tight) if t >> j & 1]
-            if rank(IntMatrix(len(on), self.dim, tuple(x for ray in on for x in ray))) == self.rank - 1:
-                out.append((j, _ray_sum(on, self.dim)))
-        return out
+        zero = [sum(1 << i for i, t in enumerate(self.tight) if t >> j & 1) for j in range(len(self.normals))]
+        return [
+            (j, _ray_sum([ray for i, ray in enumerate(self.rays) if z >> i & 1], self.dim))
+            for j, z in enumerate(zero)
+            if not any(z & w == z != w for w in zero)
+        ]
 
 
 def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
@@ -125,19 +129,20 @@ def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
     which drops the lineality space and leaves the pointed part. The same
     elimination gives the lineality space: per free column f, the kernel
     vector that is d at f and minus column f of the reduced rows at the
-    pivots. Each
-    further normal keeps the rays where it is >= 0 and adds, for each
-    adjacent pair on opposite sides of its hyperplane, the primitive point
-    of their segment on it. Two rays are adjacent when the normals zero on
-    both have at least rank - 2 members and no third ray is zero on all of
-    them (the combinatorial test, exact on the minimal ray set kept here).
+    pivots. Each further normal keeps the rays where it is >= 0 and adds,
+    for each adjacent pair on opposite sides of its hyperplane, the
+    primitive point of their segment on it. Two rays are adjacent when the
+    normals zero on both have at least rank - 2 members and no third ray is
+    zero on all of them (the combinatorial test, exact on the minimal ray
+    set kept here).
     """
-    groups: dict[tuple[int, ...], None] = {}
+    groups: dict[tuple[int, ...], int] = {}
+    row_normals = []
     for row in rows:
         g = gcd(*row)
         if g == 0:
             return None
-        groups.setdefault(tuple(x // g for x in row))
+        row_normals.append(groups.setdefault(tuple(x // g for x in row), len(groups)))
     normals = list(groups)
     basis, _ = fraction_free_rref([list(col) for col in zip(*normals)], len(normals))
     k = len(basis)
@@ -184,131 +189,133 @@ def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
         for c, x in zip(cols, ray):
             y[c] = x
         padded.append(tuple(y))
-    return ConeRays(dim, tuple(normals), k, tuple(padded), tuple(tight), tuple(lineality))
+    return ConeRays(dim, tuple(normals), k, tuple(padded), tuple(tight), tuple(lineality), tuple(row_normals))
+
+
+def position_row(covector: Sequence[int], path, contacts) -> list[int]:
+    """The row on (root position, lengths) of covector·(a vertex's position),
+    for the vertex's signed path from the root: covector·(sign·contact) at
+    each of its edges."""
+    r = len(covector)
+    row = list(covector) + [0] * len(contacts)
+    for e, sign in path:
+        row[r + e] = sign * sum(a * c for a, c in zip(covector, contacts[e]))
+    return row
+
+
+def vertex_positions(x: Sequence, paths, contacts) -> list[list]:
+    """Each vertex's position at x = (root position, lengths): the root plus
+    sign·length·contact over the edges of its signed path from the root."""
+    r = len(x) - len(contacts)
+    out = []
+    for path in paths:
+        p = list(x[:r])
+        for e, sign in path:
+            p = [a + sign * x[r + e] * c for a, c in zip(p, contacts[e])]
+        out.append(p)
+    return out
 
 
 @dataclass(frozen=True)
 class ModuliCone:
-    """The cone of maps with a fixed combinatorial type, with integral structure."""
+    """The cone of maps with a fixed combinatorial type, with integral structure.
+
+    Its coordinates are (position of ``root``, edge lengths), and ``paths``
+    are the signed paths from the root. ``constraint_matrix`` holds the
+    confined vertices' span cuts on those coordinates, and the columns of
+    ``span_basis`` are the Hermite basis of its kernel.
+    """
 
     type: CombinatorialType
-    ambient_dim: int
+    root: int
+    paths: tuple[tuple[tuple[int, int], ...], ...]
     constraint_matrix: IntMatrix
     span_basis: IntMatrix
     dimension: int
 
+    @property
+    def ambient_dim(self) -> int:
+        """The number of ambient coordinates: every vertex position, then the lengths."""
+        return self.type.fan.rank * self.type.shape.vertices + len(self.type.shape.edges)
+
     def ambient_coordinates(self, f: TropicalStableMap) -> list[Fraction]:
         if f.type.shape.edges != self.type.shape.edges or f.type.shape.legs != self.type.shape.legs:
             raise ShapeMismatchError("map shape does not match the type")
-        coords: list[Fraction] = []
-        for p in f.positions:
-            coords.extend(Fraction(x) for x in p)
-        coords.extend(Fraction(l) for l in f.lengths)
-        return coords
+        return [Fraction(x) for p in f.positions for x in p] + [Fraction(l) for l in f.lengths]
+
+    def ambient_point(self, x: Sequence) -> list:
+        """Ambient coordinates of the point x = (root position, lengths)."""
+        positions = vertex_positions(x, self.paths, self.type.edge_contacts)
+        return [c for p in positions for c in p] + list(x[self.type.fan.rank :])
 
     def classify(self, coords: Sequence[Fraction]) -> str:
         """Classify ambient coordinates exactly: 'interior', 'boundary' or 'outside'."""
         # every test below reads signs, which clearing denominators keeps
         coords, _ = clear_denominators(coords)
-        if any(self.constraint_matrix.apply(coords)):
-            return "outside"
-        values = [sum(a * x for a, x in zip(row, coords)) for row in self._inequality_rows()]
-        if any(x < 0 for x in values):
+        r = self.type.fan.rank
+        x = coords[self.root * r : self.root * r + r] + coords[r * self.type.shape.vertices :]
+        values = [sum(a * y for a, y in zip(row, x)) for row in self._inequality_rows()]
+        # off an edge equation, off a vertex cone's span, or past an inequality
+        if self.ambient_point(x) != coords or any(self.constraint_matrix.apply(x)) or min(values, default=0) < 0:
             return "outside"
         return "boundary" if 0 in values else "interior"
 
     def _inequality_rows(self) -> list[list[int]]:
-        """Inequalities as integer rows, valid on the span.
+        """Inequalities as integer rows on (root position, lengths), valid on the span.
 
-        A vertex's rows come from its cone's ``ConeData``: adj(G)·Rᵀ
-        extracts det G times the ray coefficients from any point of
-        span(cone), a positive scaling that no sign test sees.
+        First each confined vertex's rows, in vertex order, from its cone's
+        ``ConeData``: adj(G)·Rᵀ gives det G > 0 times the ray coefficients
+        of any point of span(cone). Then one row per length.
         """
         fan = self.type.fan
-        r = fan.rank
-        nv = self.type.shape.vertices
-        rows: list[list[int]] = []
-        for v, cone_idx in enumerate(self.type.vertex_cones):
-            if cone_idx is None or not fan.cones[cone_idx]:
-                continue
-            for lam in fan.cone_data(cone_idx).coefficients:
-                row = [0] * self.ambient_dim
-                row[v * r : (v + 1) * r] = lam
-                rows.append(row)
-        for e in range(len(self.type.shape.edges)):
-            row = [0] * self.ambient_dim
-            row[nv * r + e] = 1
-            rows.append(row)
-        return rows
-
-    def _span_inequalities(self) -> list[list[int]]:
-        """The inequality rows on span coordinates: row·B for the span basis B,
-        which the product takes over a row's r or 1 nonzeros."""
-        rows = self._inequality_rows()
-        a = IntMatrix(len(rows), self.ambient_dim, tuple(x for row in rows for x in row))
-        return (a @ self.span_basis).to_lists()
-
-    def _lift(self, y: Sequence[int]) -> list[int]:
-        """Ambient coordinates of the span point y."""
-        return self.span_basis.apply(y)
+        contacts = self.type.edge_contacts
+        rows = [
+            position_row(lam, path, contacts)
+            for cone_idx, path in zip(self.type.vertex_cones, self.paths)
+            if cone_idx is not None
+            for lam in fan.cone_data(cone_idx).coefficients
+        ]
+        n = self.span_basis.rows
+        return rows + [[int(i == e) for i in range(n)] for e in range(fan.rank, n)]
 
     @cached_property
     def extreme_rays(self) -> Optional[ConeRays]:
-        """The cone on span coordinates by its extreme rays, found once per
-        cone; None when an inequality vanishes on the whole span."""
-        return cone_rays(self._span_inequalities(), self.dimension)
-
-    @cached_property
-    def left_inverse(self) -> IntMatrix:
-        """An integer L with L·span_basis = I: the face maps into this cone
-        are L times the face's lattice. ``moduli_cone`` fills it in from the
-        SNF that gave the span basis, and assembly drops it once the cone's
-        faces are glued, so it is computed again only for a cone asked for
-        it after that."""
-        return kernel_with_left_inverse(self.constraint_matrix)[1]
+        """The cone on span coordinates (the inequality rows times the span
+        basis) by its extreme rays, found once per cone; None when an
+        inequality vanishes on the whole span."""
+        rows = self._inequality_rows()
+        a = IntMatrix(len(rows), self.span_basis.rows, tuple(x for row in rows for x in row))
+        return cone_rays((a @ self.span_basis).to_lists(), self.dimension)
 
     def relint_witness(self) -> Optional[list[int]]:
-        """The lift of the sum of the extreme rays, an integer point with every
-        inequality strict; None when no point of the cone is."""
+        """The ambient coordinates of the sum of the extreme rays, an integer
+        point with every inequality strict; None when no point of the cone is."""
         rays = self.extreme_rays
         y = None if rays is None else rays.interior_point()
-        return None if y is None else self._lift(y)
+        return None if y is None else self.ambient_point(self.span_basis.apply(y))
 
 
 def moduli_cone(theta: CombinatorialType) -> ModuliCone:
-    """Assemble the constraint matrix of a type and its saturated solution lattice.
+    """The span cuts of a type on (root position, lengths), and their kernel's Hermite basis.
 
-    Rows: per internal edge the vector equation head - tail - length*contact = 0,
-    and per confined vertex the integral projection killing span(cone_v).
+    Integer root and lengths give integer positions, and back, so the edge
+    equations take no rows. Per confined vertex, the integral projection
+    killing span(cone_v), read at the vertex's position, gives the rows.
     """
     theta.check()
     fan = theta.fan
-    r = fan.rank
-    nv = theta.shape.vertices
-    ne = len(theta.shape.edges)
-    ambient = r * nv + ne
-    rows: list[list[int]] = []
-    for e, ((a, b), c) in enumerate(zip(theta.shape.edges, theta.edge_contacts)):
-        for i in range(r):
-            row = [0] * ambient
-            row[b * r + i] += 1
-            row[a * r + i] -= 1
-            row[nv * r + e] = -c[i]
-            rows.append(row)
-    for v, cone_idx in enumerate(theta.vertex_cones):
-        if cone_idx is None:
-            continue
-        for cut in fan.cone_data(cone_idx).projection:
-            row = [0] * ambient
-            row[v * r : (v + 1) * r] = cut
-            rows.append(row)
-    matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, ambient, ())
-    basis, inverse = kernel_with_left_inverse(matrix)
-    cone = ModuliCone(theta, ambient, matrix, basis, basis.cols)
-    # a cached_property's value lives in the instance dict, where this
-    # stores the one the kernel's SNF already gave
-    vars(cone)["left_inverse"] = inverse
-    return cone
+    # the vertex of the least leg label, which no contraction removes
+    root = theta.shape.leg_vertex(1) if theta.shape.legs else 0
+    paths = tuple(tuple(path) for path in theta.shape.signed_paths(root))
+    rows = [
+        position_row(cut, path, theta.edge_contacts)
+        for cone_idx, path in zip(theta.vertex_cones, paths)
+        if cone_idx is not None
+        for cut in fan.cone_data(cone_idx).projection
+    ]
+    matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, fan.rank + len(theta.shape.edges), ())
+    basis = integer_kernel(matrix)
+    return ModuliCone(theta, root, paths, matrix, basis, basis.cols)
 
 
 def contains(cone: ModuliCone, f: TropicalStableMap) -> str:
@@ -438,45 +445,51 @@ class FaceData:
     face: CombinatorialType
     vertex_map: tuple[int, ...]  # parent vertex -> face vertex
     edge_map: tuple[Optional[int], ...]  # parent edge -> face edge (None if contracted)
-    witness: tuple[int, ...]  # relative-interior point of the face's moduli cone
+    point: tuple[int, ...]  # the face's (root position, lengths) at a relative-interior point
 
 
-def _type_at(theta: CombinatorialType, witness: Sequence[int]) -> FaceData:
-    """The type of the map at ``witness``, a point of theta's closed moduli cone.
+def _type_at(cone: ModuliCone, x: Sequence[int], facet: Optional[int] = None) -> FaceData:
+    """The type of the map at x = (root position, lengths): a relative-interior
+    point of the cone, or the witness of the facet whose normal in
+    ``cone.extreme_rays`` has index ``facet``.
 
     Every zero-length edge is contracted at once (its ends coincide), and
-    vertex cones and carriers are located at the point; whatever theta
-    leaves None stays None. At a relative-interior point this is theta
-    with its cones and carriers recomputed.
+    vertex cones and carriers are located at the point; whatever the type
+    leaves None stays None. At the facet's witness exactly the inequality
+    rows of its normal vanish, so a confined vertex's face is the cone on
+    the rays whose coefficient rows are not among them.
     """
+    theta = cone.type
     fan = theta.fan
     r = fan.rank
     shape = theta.shape
-    nv = shape.vertices
-    lengths = witness[nv * r :]
+    lengths = x[r:]
     # the ends of each zero-length edge merge into the class's least vertex
-    root = list(range(nv))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            v = root[v]
-        return v
-
+    least = list(range(shape.vertices))
     for (a, b), l in zip(shape.edges, lengths):
         if l == 0:
-            x, y = sorted((find(a), find(b)))
-            root[y] = x
-    reps = sorted({find(v) for v in range(nv)})
-    vmap = [reps.index(find(v)) for v in range(nv)]
-    positions = [tuple(witness[v * r : v * r + r]) for v in reps]
-    # a confined vertex lies in its closed vertex cone, so one of that cone's faces holds it
-    confined = {vmap[v]: cone for v, cone in enumerate(theta.vertex_cones) if cone is not None}
-    cones = tuple(fan.face_at(confined[w], p) if w in confined else None for w, p in enumerate(positions))
+            lo, hi = sorted((least[a], least[b]))
+            least = [lo if w == hi else w for w in least]
+    reps = sorted(set(least))
+    index = {w: i for i, w in enumerate(reps)}
+    vmap = [index[w] for w in least]
+    # the confined vertices' coefficient rows lead ``_inequality_rows``, in
+    # vertex order; merged vertices sit at one point, so they agree
+    row_normals = () if facet is None else cone.extreme_rays.row_normals
+    row = 0
+    cones: list[Optional[int]] = [None] * len(reps)
+    for v, cone_idx in enumerate(theta.vertex_cones):
+        if cone_idx is not None:
+            rays = fan.cones[cone_idx]
+            kept = [ray for i, ray in enumerate(rays) if facet is None or row_normals[row + i] != facet]
+            row += len(rays)
+            cones[vmap[v]] = cone_idx if len(kept) == len(rays) else fan.cone_index(kept)
+    # a carrier is the germ at its vertex's cone, located for an unconfined vertex
+    p = cone.ambient_point(x) if None in cones else ()
+    at = [c if c is not None else locate(fan, p[reps[w] * r : reps[w] * r + r]) for w, c in enumerate(cones)]
 
-    def carrier(old: Optional[int], v: int, c: tuple[int, ...]) -> Optional[int]:
-        if old is None:
-            return None
-        return fan.germ(cones[v] if cones[v] is not None else locate(fan, positions[v]), c)
+    def carrier(old: Optional[int], w: int, c: tuple[int, ...]) -> Optional[int]:
+        return None if old is None else fan.germ(at[w], c)
 
     edges: list[tuple[int, int]] = []
     contacts: list[tuple[int, ...]] = []
@@ -498,14 +511,14 @@ def _type_at(theta: CombinatorialType, witness: Sequence[int]) -> FaceData:
     face = CombinatorialType(
         fan,
         TreeShape(len(reps), tuple(edges), tuple((vmap[v], lab) for v, lab in shape.legs)),
-        cones,
+        tuple(cones),
         tuple(contacts),
         tuple(e_cars),
         theta.leg_contacts,
         l_cars,
     )
-    face_witness = tuple(x for p in positions for x in p) + tuple(l for l in lengths if l)
-    return FaceData(face, tuple(vmap), tuple(emap), face_witness)
+    # the face's root is this one's image, at the same position
+    return FaceData(face, tuple(vmap), tuple(emap), tuple(x[:r]) + tuple(l for l in lengths if l))
 
 
 def face_types(theta: CombinatorialType, parent: Optional[ModuliCone] = None) -> list[FaceData]:
@@ -513,18 +526,18 @@ def face_types(theta: CombinatorialType, parent: Optional[ModuliCone] = None) ->
 
     The inequality rows, on the span basis, fall into groups of positive
     multiples of one row. A group is a facet exactly when the extreme rays
-    it vanishes on have rank one less than the cone's pointed part (see
-    ``ConeRays.facets``); their sum is the face's witness, and ``_type_at``
-    reads the face type off it. A cone with no relative-interior point has
-    no faces. ``parent`` is ``moduli_cone(theta)`` when the caller already
-    holds it, and its rays are then reused.
+    it vanishes on are inclusion-maximal (see ``ConeRays.facets``); their
+    sum is the face's witness, and ``_type_at`` reads the face type off it.
+    A cone with no relative-interior point has no faces. ``parent`` is
+    ``moduli_cone(theta)`` when the caller already holds it, and its rays
+    are then reused.
     """
     if parent is None:
         parent = moduli_cone(theta)
     rays = parent.extreme_rays
     if rays is None:
         return []
-    return [_type_at(theta, parent._lift(y)) for _, y in rays.facets()]
+    return [_type_at(parent, parent.span_basis.apply(y), j) for j, y in rays.facets()]
 
 
 def face_inclusion_matrix(
@@ -535,29 +548,26 @@ def face_inclusion_matrix(
 ) -> IntMatrix:
     """Integral matrix expressing the face's span lattice inside the parent's.
 
-    ``vertex_map``/``edge_map`` translate parent coordinates to face
-    coordinates (a contracted parent edge maps to None and contributes
-    length zero). X solves B·X = T for the parent's span basis B and
-    T = iota . face.span_basis: a solution is L·T for the parent's left
-    inverse L, since L·B = I. B is saturated and T integral, so the check
-    B·X = T refuses exactly a face lattice that is not inside the parent's.
+    ``vertex_map``/``edge_map`` translate parent vertices and edges to the
+    face's (a contracted parent edge maps to None). The face sits in the
+    parent by the coordinate map iota: root to root, a kept edge's length
+    to its image's, a contracted edge's to 0. ``hermite_solve`` finds X with
+    B·X = iota·B_face for the parent's span basis B, or refuses a face
+    lattice outside the parent's; so is a face whose root is not the image.
     """
-    fan = parent.type.fan
-    r = fan.rank
-    pnv = parent.type.shape.vertices
-    fnv = face_cone.type.shape.vertices
-    # iota sends each parent coordinate to one face coordinate, or to 0
-    # for a contracted edge
-    source = [vertex_map[v] * r + i for v in range(pnv) for i in range(r)]
-    source += [None if fe is None else fnv * r + fe for fe in edge_map]
+    r = parent.type.fan.rank
+    if vertex_map[parent.root] != face_cone.root:
+        raise InvalidTypeError("the face's root is not the image of the parent's")
+    face_basis = face_cone.span_basis
     zero = (0,) * face_cone.dimension
     target = IntMatrix(
-        len(source),
+        parent.span_basis.rows,
         face_cone.dimension,
-        tuple(x for a in source for x in (zero if a is None else face_cone.span_basis.row(a))),
+        face_basis.entries[: r * face_cone.dimension]
+        + tuple(x for fe in edge_map for x in (zero if fe is None else face_basis.row(r + fe))),
     )
-    inclusion = parent.left_inverse @ target
-    if parent.span_basis @ inclusion != target:
+    inclusion = hermite_solve(parent.span_basis, target)
+    if inclusion is None:
         raise InvalidTypeError("face lattice does not lie in the parent's span lattice")
     return inclusion
 
@@ -775,9 +785,9 @@ def _candidates(gamma: DiscreteData) -> Iterator[CombinatorialType]:
 
 def _stored_cone(theta: CombinatorialType, key: tuple) -> Optional[ComplexCone]:
     """The record of a stored type: its moduli cone and, as its witness, the
-    lifted sum of that cone's extreme rays, or None when the cone has no
-    relative-interior point. The rays stay cached on the cone, for
-    ``face_types``; ``complex_from_json`` builds its records here too."""
+    ambient point of the sum of that cone's extreme rays, or None when the
+    cone has no relative-interior point. The rays stay cached on the cone,
+    for ``face_types``; ``complex_from_json`` builds its records here too."""
     mc = moduli_cone(theta)
     witness = mc.relint_witness()
     if witness is None:
@@ -843,8 +853,6 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
                 face_rel[pair] = face_inclusion_matrix(
                     parent.cone, by_key[face_key].cone, vmap, emap
                 )
-        # no face map into this cone is left to compute
-        vars(parent.cone).pop("left_inverse", None)
 
     ordered = sorted(by_key.values(), key=lambda c: (c.cone.dimension, c.key))
     index = {c.key: i for i, c in enumerate(ordered)}
@@ -887,8 +895,7 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
     leg together with the pairwise leg-distance vector reduced modulo the
     lattice spanned by per-leg translations.  The quotient basis is fixed by
     the Smith normal form of the translation map. A ray cone goes to the
-    primitive image, under its lattice map, of its extreme ray in span
-    coordinates: the point its witness is the lift of.
+    primitive image, under its lattice map, of its extreme ray.
     """
     if not complex_.cones:
         raise NotAssembledError("empty complex")
@@ -907,35 +914,20 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
 
     images = []
     lattice_maps = []
+    r = fan.rank
     for cc in complex_.cones:
-        shape = cc.type.shape
-        r = fan.rank
-        nv = shape.vertices
-        kept, stab, groups = shape.straighten()
-        root_vertex = kept[stab.leg_vertex(root_label)]
-        rows: list[list[int]] = []
-        for i in range(r):
-            row = [0] * cc.cone.ambient_dim
-            row[root_vertex * r + i] = 1
-            rows.append(row)
-        dist_rows = []
-        for la, lb in pairs:
-            row = [0] * cc.cone.ambient_dim
-            for stab_e, _ in stab.signed_paths(stab.leg_vertex(la))[stab.leg_vertex(lb)]:
-                for orig in groups[stab_e]:
-                    row[nv * r + orig] = 1
-            dist_rows.append(row)
-        for i in range(proj.rows):
-            row = [0] * cc.cone.ambient_dim
-            for p in range(len(pairs)):
-                coef = proj.at(i, p)
-                if coef:
-                    for a in range(cc.cone.ambient_dim):
-                        row[a] += coef * dist_rows[p][a]
-            rows.append(row)
-        emb = IntMatrix.from_rows(rows) if rows else IntMatrix(0, cc.cone.ambient_dim, ())
-        lattice_map = emb @ cc.cone.span_basis
-        lattice_maps.append(lattice_map)
+        ne = len(cc.type.edge_contacts)
+        kept, stab, groups = cc.type.shape.straighten()
+        root_path = cc.cone.paths[kept[stab.leg_vertex(root_label)]]
+        rows = [position_row([int(i == j) for j in range(r)], root_path, cc.type.edge_contacts) for i in range(r)]
+        # the distance of each pair: 1 on each edge of its path
+        on_path = [
+            {orig for s, _ in stab.signed_paths(stab.leg_vertex(la))[stab.leg_vertex(lb)] for orig in groups[s]}
+            for la, lb in pairs
+        ]
+        dist = IntMatrix(len(pairs), r + ne, tuple(int(e - r in path) for path in on_path for e in range(r + ne)))
+        rows += (proj @ dist).to_lists()
+        lattice_maps.append(IntMatrix(len(rows), r + ne, tuple(x for row in rows for x in row)) @ cc.cone.span_basis)
 
     # ray images come from the embedded 1-skeleton
     ray_image: dict[int, tuple[int, ...]] = {}
@@ -1045,6 +1037,8 @@ def complex_from_json(data: dict) -> ConeComplex:
             raise ValueError("stored type has an empty moduli cone")
         if cc.cone.dimension != entry["dimension"]:
             raise ValueError("stored dimension disagrees with the recomputed cone")
+        if _matrix_from_json(entry["span_basis"]) != cc.cone.span_basis:  # the face maps' bases
+            raise ValueError("stored span basis disagrees with the recomputed cone")
         cones.append(cc)
     face_maps = tuple((s, b, _matrix_from_json(m)) for s, b, m in data["faces"])
     return ConeComplex(gamma, tuple(cones), face_maps)

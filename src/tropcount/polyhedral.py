@@ -229,14 +229,6 @@ class Fan:
                     break
         return cache[key]
 
-    def face_at(self, cone_idx: int, p: Sequence[Fraction]) -> int:
-        """The face of a cone holding p, a point of the closed cone, in its
-        relative interior: the face on the rays where p's coefficients are > 0."""
-        nums = self._coefficient_numerators(cone_idx, clear_denominators(p)[0])
-        if nums is None or any(x < 0 for x in nums):
-            raise ValueError(f"{tuple(p)} is not in cone {cone_idx}")
-        return self.cone_index([ray for ray, x in zip(self.cones[cone_idx], nums) if x > 0])
-
     def face_indices(self, cone_idx: int) -> list[int]:
         s = set(self.cones[cone_idx])
         return [i for i, c in enumerate(self.cones) if set(c) <= s]

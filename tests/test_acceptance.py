@@ -187,7 +187,10 @@ def snf_multiplicity(theta, problem):
             row = [0] * mc.ambient_dim
             row[v * r : (v + 1) * r] = proj.row(i)
             rows.append(row)
-    m = IntMatrix.from_rows(rows) @ mc.span_basis
+    # the span lattice on every vertex position: P·span_basis, for P the map
+    # from (root position, lengths)
+    lifted = [mc.ambient_point(list(mc.span_basis.column(j))) for j in range(mc.dimension)]
+    m = IntMatrix.from_rows(rows) @ IntMatrix(mc.ambient_dim, mc.dimension, tuple(x for row in zip(*lifted) for x in row))
     if m.rows != m.cols:
         return None
     try:
@@ -258,8 +261,8 @@ def test_criterion_7_face_correctness():
         for fd in face_types(theta):
             mc = moduli_cone(fd.face)
             assert mc.dimension == parent.dimension - 1
-            assert mc.classify(fd.witness) == "interior"
-            lifted = embed_face_witness(theta, fd, fd.witness)
+            assert mc.classify(mc.ambient_point(fd.point)) == "interior"
+            lifted = embed_face_witness(theta, fd, mc.ambient_point(fd.point))
             assert contains(parent, lifted) == "boundary"
             checked += 1
         if checked >= 20:

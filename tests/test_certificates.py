@@ -1,15 +1,17 @@
 """Exact certificates on assembled complexes: incidences, Euler
-characteristic, pseudo-manifold counts, the fan embedding and the
-geometric subdivision of each stored type.
+characteristic, pseudo-manifold counts, the gluing of the face maps, the
+fan embedding and the geometric subdivision of each stored type.
 
 Each complex is assembled once for the whole module.
 """
+from fractions import Fraction
 from functools import cache
-from math import factorial
+from itertools import combinations
+from math import factorial, gcd
 
 import pytest
 
-from tropcount.exactmath import IntMatrix, solve_rational_matrix
+from tropcount.exactmath import IntMatrix, solve_rational
 from tropcount.maps import DiscreteData, TropicalStableMap, subdivide
 from tropcount.moduli import assemble_complex, gkm_embedding
 from tropcount.polyhedral import fan_product, fan_projective_space
@@ -33,11 +35,13 @@ def assembled(name):
 
 
 def witness_image(m, cone, witness):
-    """The lattice map m on the span point whose lift is the witness, by a
-    solve of span_basis · y = witness of its own."""
-    sol = solve_rational_matrix(cone.span_basis, [[x] for x in witness])
+    """The lattice map m on the span point of the witness, by a solve of
+    span_basis · y = (root position, lengths) of its own."""
+    r = cone.type.fan.rank
+    x = [*witness[cone.root * r : cone.root * r + r], *witness[r * cone.type.shape.vertices :]]
+    sol = solve_rational(cone.span_basis, x)
     assert sol is not None
-    return m.apply([row[0] for row in sol])
+    return m.apply(list(sol[0]))
 
 
 def dims(cx):
@@ -90,6 +94,61 @@ def test_euler_characteristic(name):
     assert euler == (-1) ** (n + r + 1) * factorial(n - 2)
 
 
+def determinant(rows):
+    """Determinant by Gaussian elimination over QQ, apart from the engine's
+    integer eliminations."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return int(det)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_face_maps_are_saturated_injections(name):
+    # X has full column rank and a saturated image exactly when the gcd of
+    # its maximal minors is 1
+    cx = assembled(name)
+    d = dims(cx)
+    for small, big, m in cx.face_maps:
+        assert (m.rows, m.cols) == (d[big], d[small])
+        rows = m.to_lists()
+        minors = [determinant([rows[i] for i in pick]) for pick in combinations(range(m.rows), m.cols)]
+        assert gcd(*minors) == 1, (small, big)
+
+
+# codimension-2 faces a of a cone c, summed over the cones c
+DIAMONDS = {"toy": 6, "p2_1pt": 105, "p2_2pts": 1746, "p1xp1": 106}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_face_maps_commute_on_every_diamond(name):
+    # each codimension-2 face a of c lies in exactly two facets b, b' of c,
+    # and the two ways round the diamond agree: X_bc X_ab = X_b'c X_ab'
+    cx = assembled(name)
+    maps = {(small, big): m for small, big, m in cx.face_maps}
+    diamonds = 0
+    for c in range(len(cx.cones)):
+        facets_over: dict[int, list[int]] = {}
+        for b in cx.faces_of(c):
+            for a in cx.faces_of(b):
+                facets_over.setdefault(a, []).append(b)
+        for a, (b, *others) in facets_over.items():
+            assert len(others) == 1, (a, c)
+            assert maps[b, c] @ maps[a, b] == maps[others[0], c] @ maps[a, others[0]], (a, c)
+            diamonds += 1
+    assert diamonds == DIAMONDS[name]
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_embedded_cones_are_spanned_by_their_generators(name):
     cx = assembled(name)
@@ -100,8 +159,8 @@ def test_embedded_cones_are_spanned_by_their_generators(name):
             continue
         image = witness_image(m, cc.cone, cc.witness)
         columns = IntMatrix.from_rows([[g[i] for g in gens] for i in range(emb.ambient_rank)])
-        coeffs = solve_rational_matrix(columns, [[x] for x in image])
-        assert coeffs is not None and all(row[0] > 0 for row in coeffs)
+        coeffs = solve_rational(columns, image)
+        assert coeffs is not None and all(c > 0 for c in coeffs[0])
     # distinct cones have distinct images (70 for p2_1pt)
     assert len(emb.to_fan().cones) == len(cx.cones)
 

@@ -274,6 +274,18 @@ def test_quadric_bidegree_one_one():
     assert totals == {1}
 
 
+def test_quadric_bidegree_two_two():
+    # 12 rational curves of bidegree (2,2) through 7 general points of
+    # P^1 x P^1; each weight is the product of the Mikhalkin vertex
+    # multiplicities
+    directions = [(1, 0), (1, 0), (-1, 0), (-1, 0), (0, 1), (0, 1), (0, -1), (0, -1)]
+    gamma = DiscreteData(P1P1, tuple(enumerate(directions, 1)), tuple(range(9, 16)))
+    res = count(CountProblem(P1P1, gamma, generate_constraints(gamma, None, 0)))
+    assert res.total == 12
+    for c in res.contributions:
+        assert mikhalkin_multiplicity(c.type) == c.multiplicity
+
+
 def test_quadric_count_matches_bilinear_kernel_oracle():
     # independent oracle: bilinear forms a+bx+cy+dxy through 3 generic points
     # form a 3-dimensional kernel condition with exactly one curve

@@ -9,14 +9,13 @@ from tropcount.exactmath import (
     IntMatrix,
     RankDeficientError,
     fraction_free_rref,
+    hermite_solve,
     integer_kernel,
-    kernel_with_left_inverse,
     lattice_index,
     lattice_quotient,
     primitive_vector,
     rank,
     rational_to_string,
-    saturate_columns,
     saturation_and_quotient,
     smith_normal_form,
     solve_rational,
@@ -184,18 +183,53 @@ def test_kernel_is_saturated_and_annihilated(nr, nc, data):
 
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 @settings(max_examples=150, deadline=None)
-def test_kernel_is_the_snf_tail_and_has_a_left_inverse(nr, nc, data):
-    # the kernel's SNF carries V^-1 in place of the left factor, with the
-    # same pivots: its basis is the columns of smith_normal_form's right
-    # factor past the rank, entry for entry, and L·B = I
+def test_kernel_is_the_hermite_form_of_the_snf_tail(nr, nc, data):
+    # the columns of smith_normal_form's right factor past the rank span the
+    # kernel lattice; the Hermite basis spans the same lattice, by a
+    # unimodular change of basis, and is in Hermite normal form as rows
     rows = [[data.draw(st.integers(-9, 9)) for _ in range(nc)] for _ in range(nr)]
     a = IntMatrix.from_rows(rows)
-    basis, left = kernel_with_left_inverse(a)
+    basis = integer_kernel(a)
     snf = smith_normal_form(a)
     tail = [snf.right.column(j) for j in range(snf.rank(), a.cols)]
-    assert [basis.column(j) for j in range(basis.cols)] == tail
-    assert (left.rows, left.cols) == (basis.cols, a.cols)
-    assert left @ basis == IntMatrix.identity(basis.cols)
+    assert basis.cols == len(tail)
+    if not tail:
+        return
+    change = solve_columns(basis, tail)
+    assert change is not None and all(x.denominator == 1 for col in change for x in col)
+    assert abs(cofactor_det([[int(col[i]) for col in change] for i in range(basis.cols)])) == 1
+    vectors = [basis.column(j) for j in range(basis.cols)]
+    pivots = [next(c for c, x in enumerate(v) if x) for v in vectors]
+    assert pivots == sorted(set(pivots))
+    for i, (v, p) in enumerate(zip(vectors, pivots)):
+        assert v[p] > 0 and all(0 <= w[p] < v[p] for w in vectors[:i])
+    # and hermite_solve recovers the change of basis
+    assert hermite_solve(basis, IntMatrix.from_rows([list(r) for r in zip(*tail)])).to_lists() == [
+        [int(col[i]) for col in change] for i in range(basis.cols)
+    ]
+
+
+def solve_columns(a, columns):
+    """Per column v, the unique solution of A x = v over QQ, or None."""
+    out = []
+    for v in columns:
+        sol = solve_rational(a, [Fraction(x) for x in v])
+        if sol is None or not sol[1]:
+            return None
+        out.append(sol[0])
+    return out
+
+
+def test_hermite_solve_refuses_a_point_off_the_lattice():
+    basis = integer_kernel(IntMatrix.from_rows([[1, 1, 2]]))
+    assert basis.to_lists() == [[1, 0], [1, 2], [-1, -1]]
+    assert hermite_solve(basis, IntMatrix.from_rows([[1], [3], [-2]])).to_lists() == [[1], [1]]
+    # off the span
+    assert hermite_solve(basis, IntMatrix.from_rows([[1], [0], [0]])) is None
+    # in the span of a lattice that is not saturated, but not in the lattice
+    lattice = IntMatrix.from_rows([[2, 0], [1, 3]])
+    assert hermite_solve(lattice, IntMatrix.from_rows([[2], [4]])).to_lists() == [[1], [1]]
+    assert hermite_solve(lattice, IntMatrix.from_rows([[1], [0]])) is None
 
 
 @given(st.integers(1, 4), st.integers(1, 3), st.data())
@@ -215,7 +249,7 @@ def test_saturation_and_quotient_from_one_snf(n, k, data):
         # saturated, and spanning the columns' space
         assert all(d == 1 for d in smith_normal_form(sat).diagonal())
         assert rank(IntMatrix.from_rows([b + s for b, s in zip(rows, sat.to_lists())])) == r
-    assert sat == saturate_columns(basis) and proj == lattice_quotient(basis)
+    assert proj == lattice_quotient(basis)
 
 
 def test_solve_rational_examples():
@@ -266,7 +300,7 @@ def test_lattice_quotient_kills_span_and_is_onto():
 
 
 def test_saturate_columns():
-    sat = saturate_columns(IntMatrix.from_rows([[2], [4]]))
+    sat, _ = saturation_and_quotient(IntMatrix.from_rows([[2], [4]]))
     assert sat.cols == 1
     assert sat.column(0) in {(1, 2), (-1, -2)}
 

@@ -1,7 +1,7 @@
 """The fraction-free exact kernels against their ``Fraction`` references.
 
-``lp._phase_one``, ``exactmath.solve_rational`` (with ``rank`` and
-``solve_rational_matrix`` on the same elimination) and the per-cone
+``lp._phase_one``, ``exactmath.solve_rational`` (with ``rank`` on the
+same elimination) and the per-cone
 integer data behind ``Fan.cone_coefficients``, ``contains``, ``locate`` and
 the former ``locate_germ`` (now ``Fan.germ`` at the located cone) used to
 do their arithmetic over ``Fraction``. The former implementations are kept
@@ -11,7 +11,7 @@ rules of ``moduli._germ_into`` and ``maps._points_into``, which
 ``Fan.germ`` replaced, and the former facet search of
 ``moduli.face_types``, one ``lp.strict_point`` per hyperplane, against
 which ``moduli.cone_rays`` is checked, with its lineality basis against
-the SNF kernel (``exactmath.integer_kernel``). ``Fan.cone_data`` is checked
+the kernel lattice (``exactmath.integer_kernel``). ``Fan.cone_data`` is checked
 against the determinant and the ``Fraction`` inverse of each cone's Gram
 matrix. The last test checks that the kernels do no ``Fraction``
 arithmetic at all.
@@ -34,7 +34,6 @@ from tropcount.exactmath import (
     integer_kernel,
     rank,
     solve_rational,
-    solve_rational_matrix,
 )
 from tropcount.maps import CombinatorialType, DiscreteData, InvalidTypeError
 from tropcount.moduli import assemble_complex, cone_rays
@@ -360,9 +359,49 @@ def check_cone_rays(rows: list[list[int]], dim: int) -> None:
         assert all(dot(row, witness) > 0 for row in rows)
     facets = cone.facets()
     assert [normals[j] for j, _ in facets] == _reference_facets(rows, dim)
+    assert [j for j, _ in facets] == rank_rule_facets(cone)
     for j, point in facets:
         assert dot(normals[j], point) == 0
         assert all(dot(h, point) > 0 for i, h in enumerate(normals) if i != j)
+
+
+def rank_rule_facets(cone) -> list[int]:
+    """The former facet rule of ``ConeRays.facets``: a normal is a facet's
+    when the rays it vanishes on have rank one less than the normals'."""
+    if cone.interior_point() is None:
+        return []
+    out = []
+    for j in range(len(cone.normals)):
+        on = [ray for ray, t in zip(cone.rays, cone.tight) if t >> j & 1]
+        if rank(IntMatrix(len(on), cone.dim, tuple(x for ray in on for x in ray))) == cone.rank - 1:
+            out.append(j)
+    return out
+
+
+def check_facets_on_assembled_cones(gamma) -> int:
+    """Facets by inclusion-maximal zero sets against the rank rule, on every
+    stored cone; returns how many cones are not simplicial."""
+    non_simplicial = 0
+    for cc in assemble_complex(gamma).cones:
+        rays = cc.cone.extreme_rays
+        assert [j for j, _ in rays.facets()] == rank_rule_facets(rays)
+        non_simplicial += len(rays.rays) > rays.rank
+    return non_simplicial
+
+
+@pytest.mark.parametrize("gamma", [
+    DiscreteData(load_fan("p2"), ((1, (1, 0)), (2, (0, 1)), (3, (-1, -1))), (4, 5)),
+    DiscreteData(load_fan("p1xp1"), ((1, (1, 0)), (2, (-1, 0)), (3, (0, 1)), (4, (0, -1))), (5,)),
+], ids=["p2-2-points", "p1xp1-1-point"])
+def test_facets_match_the_rank_rule_on_assembled_cones(gamma):
+    check_facets_on_assembled_cones(gamma)
+
+
+@pytest.mark.slow
+def test_facets_match_the_rank_rule_on_non_simplicial_cones():
+    # conics: 480 of the 12,080 stored cones are not simplicial
+    contacts = tuple((i + 1, c) for i, c in enumerate([(1, 0), (1, 0), (0, 1), (0, 1), (-1, -1), (-1, -1)]))
+    assert check_facets_on_assembled_cones(DiscreteData(load_fan("p2"), contacts, ())) == 480
 
 
 @settings(max_examples=400, deadline=None)
@@ -411,7 +450,7 @@ def test_cone_rays_on_chosen_cones(rows):
 
 def check_lineality(rows: list[list[int]], dim: int) -> None:
     # dim - rank primitive vectors on which every normal vanishes, spanning
-    # what the SNF kernel of the rows spans
+    # what the kernel lattice of the rows spans
     cone = cone_rays(rows, dim)
     if cone is None:
         return
@@ -467,12 +506,7 @@ def test_rank_and_matrix_solve_match_fraction_reference(data):
     reference_rank = len(_reference_row_echelon([[Fraction(x) for x in a.row(i)] for i in range(a.rows)])[0])
     assert rank(a) == reference_rank
     columns = [data.draw(right_hand_sides(a)) for _ in range(data.draw(st.integers(1, 3)))]
-    got = solve_rational_matrix(a, [list(row) for row in zip(*columns)])
-    want = [_reference_solve_rational(a, col) for col in columns]
-    if any(w is None for w in want):
-        assert got is None
-    else:
-        assert got == [list(row) for row in zip(*(w[0] for w in want))]
+    assert [solve_rational(a, col) for col in columns] == [_reference_solve_rational(a, col) for col in columns]
 
 
 def test_singular_solves():
@@ -527,8 +561,8 @@ def test_cone_data_matches_the_gram_references(name):
         gram = rays.transpose() @ rays
         data = fan.cone_data(idx)
         assert data.det == _leibniz_det(gram.to_lists()) > 0
-        inverse = solve_rational_matrix(gram, rays.transpose().to_lists())
-        assert [list(row) for row in data.coefficients] == [[data.det * x for x in row] for row in inverse]
+        inverse = [solve_rational(gram, column)[0] for column in rays.to_lists()]
+        assert [list(row) for row in data.coefficients] == [[data.det * x for x in row] for row in zip(*inverse)]
 
 
 @pytest.mark.parametrize("name", sorted(FANS))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tropcount import lp, moduli
-from tropcount.exactmath import IntMatrix, rank as int_rank
+from tropcount.exactmath import IntMatrix, rank as int_rank, smith_normal_form, solve_rational
 from tropcount.maps import CombinatorialType, DiscreteData, InvalidTypeError, TreeShape, TropicalStableMap
 from tropcount.moduli import (
     ConeComplex,
@@ -13,6 +13,8 @@ from tropcount.moduli import (
     _type_at,
     assemble_complex,
     canonical_form,
+    complex_from_json,
+    complex_to_json,
     contains,
     face_inclusion_matrix,
     face_types,
@@ -70,8 +72,10 @@ def test_moduli_cone_root_type_is_a_point():
 def test_moduli_cone_wall_type():
     mc = moduli_cone(wall_type())
     assert mc.ambient_dim == 5
-    # one vector edge equation (2 rows) and the vertex-on-ray cut (1 row)
-    assert int_rank(mc.constraint_matrix) == 3
+    # on (root position, length) the edge equation takes no row: the
+    # vertex-on-ray cut is the one row
+    assert (mc.constraint_matrix.rows, mc.constraint_matrix.cols) == (1, 3)
+    assert int_rank(mc.constraint_matrix) == 1
     assert mc.dimension == 2
 
 
@@ -112,13 +116,14 @@ def test_unconfined_edge_has_a_lineality_space():
     )
     mc = moduli_cone(t)
     assert (mc.dimension, mc.extreme_rays.rank) == (3, 1)
-    assert lp.strict_point(mc._span_inequalities(), mc.dimension) is not None
+    span_rows = (IntMatrix.from_rows(mc._inequality_rows()) @ mc.span_basis).to_lists()
+    assert lp.strict_point(span_rows, mc.dimension) is not None
     witness = mc.relint_witness()
     assert mc.classify(witness) == "interior"
     [fd] = face_types(t)
     assert fd.edge_map == (None,) and fd.face.shape.vertices == 1
     face = moduli_cone(fd.face)
-    assert face.dimension == 2 and face.classify(fd.witness) == "interior"
+    assert face.dimension == 2 and face.classify(face.ambient_point(fd.point)) == "interior"
 
 
 def random_balanced_type(fan, rng, max_legs=7):
@@ -229,8 +234,8 @@ def test_faces_are_boundary_strata():
             for fd in face_types(t):
                 mc = moduli_cone(fd.face)
                 assert mc.dimension == parent.dimension - 1
-                assert mc.classify(fd.witness) == "interior"
-                lifted = embed_face_witness(t, fd, fd.witness)
+                assert mc.classify(mc.ambient_point(fd.point)) == "interior"
+                lifted = embed_face_witness(t, fd, mc.ambient_point(fd.point))
                 assert contains(parent, lifted) == "boundary"
                 checked += 1
             if checked >= 20:
@@ -247,9 +252,11 @@ def test_assemble_complex_toy_f_vector():
 def test_stored_witnesses_are_relative_interior_points(trivial):
     cx = assemble_complex(DiscreteData(P2, TOY.contact_legs, trivial))
     for cc in cx.cones:
-        assert all(x == 0 for x in cc.cone.constraint_matrix.apply(cc.witness))
+        x = root_and_lengths(cc.cone, cc.witness)
+        assert cc.cone.ambient_point(x) == list(cc.witness)
+        assert all(v == 0 for v in cc.cone.constraint_matrix.apply(x))
         for row in cc.cone._inequality_rows():
-            assert sum(a * x for a, x in zip(row, cc.witness)) > 0
+            assert sum(a * v for a, v in zip(row, x)) > 0
 
 
 def test_assemble_complex_toy_incidences():
@@ -280,35 +287,47 @@ def test_assemble_complex_face_maps_are_injective_lattice_maps():
         assert int_rank(m) == m.cols
 
 
-def face_basis_on_parent(parent, face_cone, vertex_map, edge_map):
-    """The rows of iota · face span basis: for each parent coordinate, the
-    face's row of the image vertex's position or of the image edge's length,
-    or zero for a contracted edge."""
+def root_and_lengths(cone, ambient):
+    """The cone's coordinates (root position, lengths) of an ambient point."""
+    r = cone.type.fan.rank
+    return [*ambient[cone.root * r : cone.root * r + r], *ambient[r * cone.type.shape.vertices :]]
+
+
+def solve_columns(a, columns):
+    """Per column v, the unique solution of A x = v over QQ, as the columns
+    of the result's rows; None if some column has none."""
+    out = []
+    for v in columns:
+        sol = solve_rational(a, [Fraction(x) for x in v])
+        if sol is None or not sol[1]:
+            return None
+        out.append(sol[0])
+    return [list(row) for row in zip(*out)] if out else [[] for _ in range(a.cols)]
+
+
+def face_basis_on_parent(parent, face_cone, edge_map):
+    """The columns of iota · face span basis on the parent's (root position,
+    lengths): the face's root rows, then for each parent edge the face's row
+    of the image edge's length, or zero for a contracted edge."""
     r = parent.type.fan.rank
-    fnv = face_cone.type.shape.vertices
-    rows = [
-        list(face_cone.span_basis.row(vertex_map[v] * r + i))
-        for v in range(parent.type.shape.vertices)
-        for i in range(r)
-    ]
+    rows = [list(face_cone.span_basis.row(i)) for i in range(r)]
     for fe in edge_map:
-        rows.append([0] * face_cone.dimension if fe is None else list(face_cone.span_basis.row(fnv * r + fe)))
-    return rows
+        rows.append([0] * face_cone.dimension if fe is None else list(face_cone.span_basis.row(r + fe)))
+    return [list(col) for col in zip(*rows)]
 
 
 @pytest.mark.parametrize("trivial", [(4,), (4, 5)], ids=["1-point", "2-points"])
 def test_face_maps_match_the_rational_solve(monkeypatch, trivial):
-    # every face map of the complex, the parent's left inverse times the
-    # face's lattice, is the solution of span_basis · X = iota · face basis
-    # that fraction-free elimination over QQ finds
-    from tropcount.exactmath import solve_rational_matrix
-
+    # every face map of the complex, solved against the parent's Hermite
+    # basis by forward substitution, is the solution of
+    # span_basis · X = iota · face basis that fraction-free elimination over
+    # QQ finds
     integer = moduli.face_inclusion_matrix
     made = []
 
     def checked(parent, face_cone, vertex_map, edge_map):
         got = integer(parent, face_cone, vertex_map, edge_map)
-        want = solve_rational_matrix(parent.span_basis, face_basis_on_parent(parent, face_cone, vertex_map, edge_map))
+        want = solve_columns(parent.span_basis, face_basis_on_parent(parent, face_cone, edge_map))
         assert want is not None
         assert got.to_lists() == want
         made.append(got)
@@ -325,10 +344,13 @@ def test_face_inclusion_refuses_a_wrong_vertex_map():
     parent = moduli_cone(theta)
     [fd] = [fd for fd in face_types(theta) if fd.edge_map == (0,)]
     face = moduli_cone(fd.face)
-    assert face_inclusion_matrix(parent, face, fd.vertex_map, fd.edge_map).to_lists() == [[0], [1]]
-    # with its two vertices swapped, the face's lattice leaves the parent's span
+    assert face_inclusion_matrix(parent, face, fd.vertex_map, fd.edge_map).to_lists() == [[1], [1]]
+    # with its two vertices swapped, the face's root is not the parent root's image
     with pytest.raises(InvalidTypeError):
         face_inclusion_matrix(parent, face, fd.vertex_map[::-1], fd.edge_map)
+    # with its edge sent to length 0, the face's lattice leaves the parent's span
+    with pytest.raises(InvalidTypeError):
+        face_inclusion_matrix(parent, face, fd.vertex_map, (None,))
 
 
 def test_assemble_complex_p1():
@@ -363,11 +385,93 @@ def test_candidates_are_valid_nonempty_and_located(name):
     seen = 0
     for theta in _candidates(ASSEMBLED[name]):
         theta.check()
-        witness = moduli_cone(theta).relint_witness()
+        mc = moduli_cone(theta)
+        witness = mc.relint_witness()
         assert witness is not None
-        assert _type_at(theta, witness).face == theta
+        assert _type_at(mc, root_and_lengths(mc, witness)).face == theta
         seen += 1
     assert seen > 0
+
+
+def snf_span_basis(theta):
+    """The former span basis, as columns: the SNF kernel of every edge
+    equation head - tail - length·contact = 0 and every confined vertex's
+    span cuts, on every vertex position and length."""
+    fan = theta.fan
+    r = fan.rank
+    nv = theta.shape.vertices
+    ambient = r * nv + len(theta.shape.edges)
+    rows = []
+    for e, ((a, b), c) in enumerate(zip(theta.shape.edges, theta.edge_contacts)):
+        for i in range(r):
+            row = [0] * ambient
+            row[b * r + i] += 1
+            row[a * r + i] -= 1
+            row[nv * r + e] = -c[i]
+            rows.append(row)
+    for v, cone_idx in enumerate(theta.vertex_cones):
+        if cone_idx is not None:
+            for cut in fan.span_projection(cone_idx).to_lists():
+                row = [0] * ambient
+                row[v * r : v * r + r] = cut
+                rows.append(row)
+    if not rows:
+        return [[int(i == j) for i in range(ambient)] for j in range(ambient)]
+    snf = smith_normal_form(IntMatrix.from_rows(rows))
+    return [list(snf.right.column(j)) for j in range(snf.rank(), ambient)]
+
+
+def coordinate_columns(cone):
+    """The columns of P·span_basis, for P the map from (root position,
+    lengths) to every vertex position and length."""
+    return [cone.ambient_point(list(cone.span_basis.column(j))) for j in range(cone.dimension)]
+
+
+def times(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def from_columns(columns, nrows):
+    return IntMatrix(nrows, len(columns), tuple(x for row in zip(*columns) for x in row))
+
+
+@pytest.mark.parametrize("name", ASSEMBLED)
+def test_bases_and_face_maps_agree_with_the_ambient_snf(monkeypatch, name):
+    # the SNF of the former constraint matrix on every vertex position is the
+    # oracle. P·H spans the lattice of its basis B, by an integer change U
+    # with B·U = P·H and det U = ±1; and the former face map X_old, the
+    # solution of B_c·X_old = iota·B_b, satisfies X_old·U_b = U_c·X.
+    integer = moduli.face_inclusion_matrix
+    made = []
+
+    def recorded(parent, face_cone, vertex_map, edge_map):
+        got = integer(parent, face_cone, vertex_map, edge_map)
+        made.append((parent, face_cone, vertex_map, edge_map, got))
+        return got
+
+    monkeypatch.setattr(moduli, "face_inclusion_matrix", recorded)
+    cx = assemble_complex(ASSEMBLED[name])
+    snf, change = {}, {}
+    for cc in cx.cones:
+        basis = snf_span_basis(cc.type)
+        u = solve_columns(from_columns(basis, cc.cone.ambient_dim), coordinate_columns(cc.cone))
+        assert u is not None and len(u) == cc.cone.dimension
+        assert all(x.denominator == 1 for row in u for x in row)
+        if u:
+            assert smith_normal_form(IntMatrix.from_rows([[int(x) for x in row] for row in u])).diagonal() == (1,) * len(u)
+        snf[id(cc.cone)], change[id(cc.cone)] = basis, u
+    assert len(made) == len(cx.face_maps)
+    for parent, face_cone, vertex_map, edge_map, x_new in made:
+        r = parent.type.fan.rank
+        fnv = face_cone.type.shape.vertices
+        face_basis = snf[id(face_cone)]
+        # iota on every vertex position and length, as rows per parent coordinate
+        source = [vertex_map[v] * r + i for v in range(parent.type.shape.vertices) for i in range(r)]
+        source += [None if fe is None else fnv * r + fe for fe in edge_map]
+        target = [[0 if a is None else col[a] for a in source] for col in face_basis]
+        x_old = solve_columns(from_columns(snf[id(parent)], parent.ambient_dim), target)
+        assert x_old is not None
+        assert times(x_old, change[id(face_cone)]) == times(change[id(parent)], x_new.to_lists())
 
 
 @pytest.mark.parametrize("name", ASSEMBLED)
@@ -420,17 +524,32 @@ def test_gkm_embedding_disjoint_maximal_interiors():
         if cc.cone.dimension != 2:
             continue
         # image of the witness is interior to exactly one image cone, by a
-        # solve of span_basis · y = witness of the test's own
-        from tropcount.exactmath import solve_rational_matrix
+        # solve of span_basis · y = (root position, lengths) of the test's own
         from tropcount.polyhedral import locate
 
-        sol = solve_rational_matrix(cc.cone.span_basis, [[x] for x in cc.witness])
-        img = m.apply([row[0] for row in sol])
+        sol = solve_rational(cc.cone.span_basis, root_and_lengths(cc.cone, cc.witness))
+        img = m.apply(list(sol[0]))
         idx = locate(fan, img)
         assert fan.dim(idx) == 2
         assert idx not in seen
         seen.add(idx)
     assert len(seen) == 6
+
+
+def test_complex_json_round_trip_refuses_a_basis_it_did_not_rebuild():
+    cx = assemble_complex(ASSEMBLED["p2_1pt"])
+    data = complex_to_json(cx)
+    again = complex_from_json(data)
+    assert [cc.cone.span_basis for cc in again.cones] == [cc.cone.span_basis for cc in cx.cones]
+    assert again.face_maps == cx.face_maps
+    # the face maps are written on the stored bases, so a file whose bases
+    # differ from the rebuilt ones would load its maps in the wrong basis
+    cones = data["cones"]
+    i, j = next((i, j) for i in range(len(cones)) for j in range(i)
+                if cones[i]["dimension"] == cones[j]["dimension"] and cones[i]["span_basis"] != cones[j]["span_basis"])
+    cones[i]["span_basis"], cones[j]["span_basis"] = cones[j]["span_basis"], cones[i]["span_basis"]
+    with pytest.raises(ValueError, match="span basis"):
+        complex_from_json(data)
 
 
 def test_gkm_embedding_point_target():
