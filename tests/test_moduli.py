@@ -453,6 +453,9 @@ def test_bases_and_face_maps_agree_with_the_ambient_snf(monkeypatch, name):
     cx = assemble_complex(ASSEMBLED[name])
     snf, change = {}, {}
     for cc in cx.cones:
+        # every matrix the cone reduces or solves has r + E columns or rows
+        r_plus_e = cx.gamma.fan.rank + len(cc.type.shape.edges)
+        assert cc.cone.constraint_matrix.cols == cc.cone.span_basis.rows == r_plus_e
         basis = snf_span_basis(cc.type)
         u = solve_columns(from_columns(basis, cc.cone.ambient_dim), coordinate_columns(cc.cone))
         assert u is not None and len(u) == cc.cone.dimension
