@@ -620,7 +620,7 @@ def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMat
     ``moduli.position_row``.
     """
     rows, _ = _evaluation_rows(theta, problem)
-    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, problem.fan.rank + len(theta.shape.edges), ())
+    return IntMatrix.from_rows(rows, problem.fan.rank + len(theta.shape.edges))
 
 
 def _evaluation_rows(theta: CombinatorialType, problem: CountProblem):
@@ -749,14 +749,15 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
 
     The result is independent of the seed for generic seeds and of the
     worker count; contribution lists are canonically sorted.  The census
-    is dealt to at most one worker per skeleton.
+    is dealt to at most one worker per skeleton, and to no more workers
+    than the CPUs this process may run on (``_usable_cpus``).
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, not {threads}")
     _check_problem_genericity(problem)
     if _searches_skeletons(problem):  # one census, dealt out skeleton by skeleton
         census = _skeleton_census(problem.fan.rank, [c for _, c in problem.gamma.contact_legs])
-        workers = max(1, min(threads, len(census)))  # an empty census still runs one worker
+        workers = max(1, min(threads, len(census), _usable_cpus()))  # an empty census still runs one worker
         chunks = [census[i::workers] for i in range(workers)]
     else:
         chunks = [None]  # the census over all legs, in one worker
@@ -784,6 +785,12 @@ def _count_worker(args):
             key, relabel = canonical_form(theta, identify_contacts=True)
             contributions.append(Contribution(relabel_type(theta, relabel), full, mult, key))
     return contributions, rejected
+
+
+def _usable_cpus() -> int:
+    import os
+
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _map_workers(problem: CountProblem, chunks: list):

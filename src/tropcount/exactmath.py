@@ -4,20 +4,21 @@ Everything downstream (cone membership, moduli cone dimensions, lattice
 multiplicities) is decided by the routines in this module, so all of them
 work over arbitrary-precision ``int`` and never touch floating point.
 Rational inputs and results are ``fractions.Fraction``, but no
-elimination does arithmetic on them. There are two eliminations.
+elimination does arithmetic on them. There are two eliminations, and an
+oracle.
 
-- ``_diagonalize``, the one Smith normal form loop, works on ``int``.
-  What it carries along varies by caller: the left and right factors for
-  ``smith_normal_form``; the left factor and its inverse for
-  ``saturation_and_quotient``, which reads a span's saturation and its
-  quotient projection off one pass.
-- ``fraction_free_rref``, a fraction-free Gauss–Jordan. ``rank`` and
-  ``solve_rational`` run it on right-hand sides cleared of their
-  denominators and divide out once at the end; determinants are read off
-  its last pivot.
-
-A kernel's canonical basis, its Hermite normal form, comes from a row
-reduction of its own (``integer_kernel``, with ``hermite_solve``).
+- ``fraction_free_rref``, a fraction-free Gauss–Jordan, answers the
+  questions over ℚ. ``rank`` and ``solve_rational`` run it on right-hand
+  sides cleared of their denominators and divide out once at the end;
+  determinants are read off its last pivot.
+- ``integer_kernel``, a unimodular row reduction to Hermite normal form,
+  gives every lattice: a kernel's canonical basis, and through it a
+  span's quotient projection (``lattice_quotient``) and saturation.
+  ``hermite_solve`` solves against such a basis.
+- ``_diagonalize``, a Smith normal form loop, runs only under
+  ``smith_normal_form`` and ``lattice_index``, which no module of the
+  package calls: they are the independent oracle the tests check the
+  other two against.
 """
 from __future__ import annotations
 
@@ -72,12 +73,12 @@ class IntMatrix:
             raise TypeError("IntMatrix entries must be ints")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
+    def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+        """The matrix of a list of rows; ``cols`` gives the width of an empty list."""
+        c = cols if cols is not None else len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return IntMatrix(r, c, tuple(int(x) for row in rows for x in row))
+        return IntMatrix(len(rows), c, tuple(int(x) for row in rows for x in row))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -151,7 +152,6 @@ def _diagonalize(
     d: list[list[int]],
     ncols: int,
     rows: Sequence[list[list[int]]] = (),
-    rows_inv: Sequence[list[list[int]]] = (),
     cols: Sequence[list[list[int]]] = (),
 ) -> int:
     """Bring the integer rows ``d`` (``ncols`` wide) to Smith normal form in
@@ -165,20 +165,16 @@ def _diagonalize(
     The transforms asked for start as identities and are all kept row by
     row, so each update is one list comprehension. For U·A·V = D:
     a matrix in ``rows`` receives every row operation on d and ends as U;
-    one in ``rows_inv`` receives their inverses (row src −= f·row dst for
-    the operation row dst += f·row src) and ends as (U⁻¹)ᵀ. One in ``cols``
-    ends as Vᵀ.
+    one in ``cols`` ends as Vᵀ.
     """
     m, n = len(d), ncols
 
     def row_add(src: int, dst: int, f: int) -> None:
         for mat in (d, *rows):
             mat[dst] = [x + f * y for x, y in zip(mat[dst], mat[src])]
-        for mat in rows_inv:
-            mat[src] = [x - f * y for x, y in zip(mat[src], mat[dst])]
 
     def row_swap(a: int, b: int) -> None:
-        for mat in (d, *rows, *rows_inv):
+        for mat in (d, *rows):
             mat[a], mat[b] = mat[b], mat[a]
 
     def col_add(src: int, dst: int, f: int) -> None:
@@ -251,13 +247,9 @@ def _diagonalize(
 
     for i in range(t):
         if d[i][i] < 0:
-            for mat in (d, *rows, *rows_inv):
+            for mat in (d, *rows):
                 mat[i] = [-x for x in mat[i]]
     return t
-
-
-def _from_rows(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
-    return IntMatrix(len(rows), ncols, tuple(x for row in rows for x in row))
 
 
 def _from_columns(columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
@@ -271,7 +263,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     left, right_t = _identity_rows(a.rows), _identity_rows(a.cols)
     _diagonalize(d, a.cols, rows=[left], cols=[right_t])
     return SmithDecomposition(
-        _from_rows(left, a.rows), _from_rows(d, a.cols), _from_columns(right_t, a.cols)
+        IntMatrix.from_rows(left, a.rows), IntMatrix.from_rows(d, a.cols), _from_columns(right_t, a.cols)
     )
 
 
@@ -353,7 +345,7 @@ def hermite_solve(h: IntMatrix, t: IntMatrix) -> Optional[IntMatrix]:
             solved.append([a // row[i] for a in acc])
         elif any(acc):
             return None
-    return _from_rows(solved, t.cols)
+    return IntMatrix.from_rows(solved, t.cols)
 
 
 def fraction_free_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -431,27 +423,16 @@ def solve_rational(
     return tuple(row[0] for row in x), r == a.cols
 
 
-def saturation_and_quotient(basis: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """The saturation of the column span and the projection onto ℤ^n by it,
-    from one SNF left·B·right = D of ``basis``.
+def lattice_quotient(basis: IntMatrix) -> IntMatrix:
+    """Projection ℤ^n → ℤ^(n−r) whose kernel is the saturation of the column span.
 
-    The saturation {x in ZZ^n : x in span_QQ(columns)} is spanned by the
-    first r columns of left⁻¹, which the SNF carries along. The projection
-    ℤ^n → ℤ^(n−r), whose kernel is the saturation, is the block of rows of
-    left past the rank; the SNF fixes that basis, which makes quotient
+    Its rows are the Hermite basis of the integer covectors that vanish on
+    the columns, ``integer_kernel`` of the transpose. That lattice is
+    saturated, so the map is onto; ``integer_kernel`` of it is the
+    saturation. The Hermite basis is canonical, which makes quotient
     coordinates reproducible across runs.
     """
-    n = basis.rows
-    d = basis.to_lists()
-    left, left_inv_t = _identity_rows(n), _identity_rows(n)
-    r = _diagonalize(d, basis.cols, rows=[left], rows_inv=[left_inv_t])
-    return _from_columns(left_inv_t[:r], n), _from_rows(left[r:], n)
-
-
-def lattice_quotient(basis: IntMatrix) -> IntMatrix:
-    """Projection ℤ^n → ℤ^(n−r) whose kernel is the saturation of the column
-    span; see ``saturation_and_quotient``."""
-    return saturation_and_quotient(basis)[1]
+    return integer_kernel(basis.transpose()).transpose()
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:

@@ -474,19 +474,16 @@ def ev_trop(f: TropicalStableMap, label: int) -> ExtendedPoint:
 
 
 def _cone_ref(fan: Fan, idx: Optional[int]):
-    if idx is None:
-        return None
-    return sorted(list(fan.rays[i]) for i in fan.cones[idx])
+    return None if idx is None else fan.cone_refs[0][idx]
 
 
 def _cone_deref(fan: Fan, ref) -> Optional[int]:
     if ref is None:
         return None
-    want = tuple(sorted(tuple(r) for r in ref))
-    for i, cone in enumerate(fan.cones):
-        if tuple(sorted(fan.rays[j] for j in cone)) == want:
-            return i
-    raise ValueError(f"no cone with rays {ref}")
+    idx = fan.cone_refs[1].get(tuple(sorted(tuple(r) for r in ref)))
+    if idx is None:
+        raise ValueError(f"no cone with rays {ref}")
+    return idx
 
 
 def type_to_json(t: CombinatorialType) -> dict:

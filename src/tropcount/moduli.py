@@ -284,7 +284,7 @@ class ModuliCone:
         basis) by its extreme rays, found once per cone; None when an
         inequality vanishes on the whole span."""
         rows = self._inequality_rows()
-        a = IntMatrix(len(rows), self.span_basis.rows, tuple(x for row in rows for x in row))
+        a = IntMatrix.from_rows(rows, self.span_basis.rows)
         return cone_rays((a @ self.span_basis).to_lists(), self.dimension)
 
     def relint_witness(self) -> Optional[list[int]]:
@@ -313,7 +313,7 @@ def moduli_cone(theta: CombinatorialType) -> ModuliCone:
         if cone_idx is not None
         for cut in fan.cone_data(cone_idx).projection
     ]
-    matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, fan.rank + len(theta.shape.edges), ())
+    matrix = IntMatrix.from_rows(rows, fan.rank + len(theta.shape.edges))
     basis = integer_kernel(matrix)
     return ModuliCone(theta, root, paths, matrix, basis, basis.cols)
 
@@ -893,8 +893,8 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
 
     A map goes to the position of the (stabilized) vertex carrying the root
     leg together with the pairwise leg-distance vector reduced modulo the
-    lattice spanned by per-leg translations.  The quotient basis is fixed by
-    the Smith normal form of the translation map. A ray cone goes to the
+    lattice spanned by per-leg translations.  The quotient basis is the
+    canonical one of ``lattice_quotient``. A ray cone goes to the
     primitive image, under its lattice map, of its extreme ray.
     """
     if not complex_.cones:
@@ -906,10 +906,8 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
         raise ValueError(f"root label {root_label} is not a marked leg")
     big_l = len(labels)
     pairs = [(labels[i], labels[j]) for i in range(big_l) for j in range(i + 1, big_l)]
-    phi = IntMatrix.from_rows(
-        [[1 if lab in pair else 0 for lab in labels] for pair in pairs]
-    )
-    proj = lattice_quotient(phi) if pairs else IntMatrix(0, 0, ())
+    phi = IntMatrix.from_rows([[1 if lab in pair else 0 for lab in labels] for pair in pairs], big_l)
+    proj = lattice_quotient(phi)
     k = fan.rank + comb(big_l, 2) - big_l
 
     images = []
@@ -927,7 +925,7 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
         ]
         dist = IntMatrix(len(pairs), r + ne, tuple(int(e - r in path) for path in on_path for e in range(r + ne)))
         rows += (proj @ dist).to_lists()
-        lattice_maps.append(IntMatrix(len(rows), r + ne, tuple(x for row in rows for x in row)) @ cc.cone.span_basis)
+        lattice_maps.append(IntMatrix.from_rows(rows, r + ne) @ cc.cone.span_basis)
 
     # ray images come from the embedded 1-skeleton
     ray_image: dict[int, tuple[int, ...]] = {}

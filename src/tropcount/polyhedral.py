@@ -21,10 +21,10 @@ from .exactmath import (
     IntMatrix,
     clear_denominators,
     fraction_free_rref,
+    integer_kernel,
     lattice_quotient,
     primitive_vector,
     rank,
-    saturation_and_quotient,
 )
 
 SCHEMA = "tropcount/1"
@@ -147,10 +147,17 @@ class Fan:
     def _germ_cache(self) -> dict[tuple[int, Vector], Optional[int]]:
         return {}
 
+    @cached_property
+    def cone_refs(self) -> tuple[tuple[tuple[Vector, ...], ...], dict[tuple[Vector, ...], int]]:
+        """Each cone as its sorted ray vectors, by which a type's JSON refers
+        to it, and the index of each such reference."""
+        refs = tuple(tuple(sorted(self.rays[i] for i in cone)) for cone in self.cones)
+        return refs, {ref: idx for idx, ref in enumerate(refs)}
+
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_cone_cache", None)
-        state.pop("_germ_cache", None)
+        for cache in ("_cone_cache", "_germ_cache", "cone_refs"):
+            state.pop(cache, None)
         return state
 
     def cone_data(self, cone_idx: int) -> ConeData:
@@ -235,10 +242,7 @@ class Fan:
 
     def span_projection(self, cone_idx: int) -> IntMatrix:
         """Integral projection with kernel exactly span(cone) ∩ ZZ^rank."""
-        cone = self.cones[cone_idx]
-        if not cone:
-            return IntMatrix.identity(self.rank)
-        return lattice_quotient(self._ray_matrix(cone))
+        return lattice_quotient(self._ray_matrix(self.cones[cone_idx]))
 
 
 @dataclass(frozen=True)
@@ -299,14 +303,14 @@ def locate(fan: Fan, p: Sequence[Fraction]) -> int:
 
 
 def quotient_projection(fan: Fan, l_basis: IntMatrix) -> QuotientProjection:
-    """Saturate L ∩ ZZ^rank and project onto the quotient lattice."""
+    """Saturate L ∩ ZZ^rank and project onto the quotient lattice: the
+    projection is ``lattice_quotient``, and the saturation its kernel."""
     if l_basis.rows != fan.rank:
         raise ValueError("subspace basis lives in the wrong lattice")
-    if l_basis.cols == 0:
-        return QuotientProjection(IntMatrix(fan.rank, 0, ()), IntMatrix.identity(fan.rank))
     if rank(l_basis) != l_basis.cols:
         raise DependentGeneratorsError("subspace generators are dependent")
-    return QuotientProjection(*saturation_and_quotient(l_basis))
+    projection = lattice_quotient(l_basis)
+    return QuotientProjection(integer_kernel(projection), projection)
 
 
 def extended_point(fan: Fan, base: Sequence[Fraction], direction: Sequence[int]) -> ExtendedPoint:

@@ -399,7 +399,8 @@ def test_seed_and_thread_determinism():
 
 
 def test_count_deals_the_census_to_at_most_one_worker_per_skeleton(monkeypatch):
-    # the stand-in pool records its size and starts no process
+    # the stand-in pool records its size and starts no process; the CPU count
+    # is fixed, so the pools are capped by skeletons and threads alone
     from tropcount import counting
 
     pools = []
@@ -408,11 +409,20 @@ def test_count_deals_the_census_to_at_most_one_worker_per_skeleton(monkeypatch):
         pools.append(len(chunks))
         return [counting._count_worker((problem, chunk)) for chunk in chunks]
 
+    assert counting._usable_cpus() >= 1
     monkeypatch.setattr(counting, "_map_workers", in_process)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 4)
     assert count(p2_problem(1, 0), threads=2).total == 1  # one skeleton: no pool
     assert count(quadric_problem(), threads=3).total == 1  # two skeletons
     assert count(p2_problem(2, 1), threads=3).total == 1  # 17 skeletons
     assert pools == [2, 3]
+    # and no more workers than CPUs, however many threads are asked for
+    assert count(p2_problem(2, 1), threads=800).total == 1
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 2)
+    assert count(p2_problem(2, 1), threads=800).total == 1
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: 1)
+    assert count(p2_problem(2, 1), threads=800).total == 1  # one CPU: no pool
+    assert pools == [2, 3, 4, 2]
 
 
 @pytest.mark.parametrize("threads", [0, -2])

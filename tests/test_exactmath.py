@@ -16,10 +16,10 @@ from tropcount.exactmath import (
     primitive_vector,
     rank,
     rational_to_string,
-    saturation_and_quotient,
     smith_normal_form,
     solve_rational,
 )
+from tropcount.polyhedral import DependentGeneratorsError, QuotientProjection, fan_projective_space, quotient_projection
 
 
 def cofactor_det(rows):
@@ -126,6 +126,36 @@ def test_snf_matches_reduction_oracle_randomized():
         assert snf.diagonal() == reduction_oracle_diagonal(rows)
 
 
+def test_the_package_reaches_no_smith_form(monkeypatch, tmp_path):
+    # the Smith form is the tests' oracle alone: span cuts, quotient
+    # projections, counts, complexes and embeddings run with it refused,
+    # each on fans built after the refusal, so no cached cone data hides it
+    from tropcount import exactmath
+    from tropcount.cli import main
+
+    def refused(*args, **kwargs):
+        raise AssertionError("Smith normal form")
+
+    monkeypatch.setattr(exactmath, "_diagonalize", refused)
+    with pytest.raises(AssertionError):
+        smith_normal_form(IntMatrix.identity(1))
+    for r in (2, 3):
+        fan = fan_projective_space(r)
+        for idx in range(len(fan.cones)):
+            fan.cone_data(idx)
+    q = quotient_projection(fan_projective_space(2), IntMatrix.from_rows([[1], [1]]))
+    assert q.projection.rows == 1
+    line = ("--fan", "p2", "--contacts", "p2-degree:1")
+    runs = [
+        ("count", "--fan", "p2", "--contacts", "p2-degree:2", "--points", "5", "--seed", "0"),
+        ("count", *line, "--points", "2", "--subspace", "1,1", "--subspace", "1,0", "--seed", "0"),
+        ("complex", *line, "--points", "1"),
+        ("embed", *line, "--points", "1"),
+    ]
+    for argv in runs:
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+
+
 def test_lattice_index_examples():
     assert lattice_index(IntMatrix.identity(2)) == 1
     assert lattice_index(IntMatrix.from_rows([[2, 0], [0, 3]])) == 6
@@ -198,15 +228,21 @@ def test_kernel_is_the_hermite_form_of_the_snf_tail(nr, nc, data):
     change = solve_columns(basis, tail)
     assert change is not None and all(x.denominator == 1 for col in change for x in col)
     assert abs(cofactor_det([[int(col[i]) for col in change] for i in range(basis.cols)])) == 1
-    vectors = [basis.column(j) for j in range(basis.cols)]
-    pivots = [next(c for c, x in enumerate(v) if x) for v in vectors]
-    assert pivots == sorted(set(pivots))
-    for i, (v, p) in enumerate(zip(vectors, pivots)):
-        assert v[p] > 0 and all(0 <= w[p] < v[p] for w in vectors[:i])
+    assert_hermite([basis.column(j) for j in range(basis.cols)])
     # and hermite_solve recovers the change of basis
     assert hermite_solve(basis, IntMatrix.from_rows([list(r) for r in zip(*tail)])).to_lists() == [
         [int(col[i]) for col in change] for i in range(basis.cols)
     ]
+
+
+def assert_hermite(vectors):
+    """The vectors, as rows, are in Hermite normal form: each pivot (first
+    nonzero entry) positive and right of the previous one, and the entries
+    above it in [0, pivot)."""
+    pivots = [next(c for c, x in enumerate(v) if x) for v in vectors]
+    assert pivots == sorted(set(pivots))
+    for i, (v, p) in enumerate(zip(vectors, pivots)):
+        assert v[p] > 0 and all(0 <= w[p] < v[p] for w in vectors[:i])
 
 
 def solve_columns(a, columns):
@@ -232,24 +268,39 @@ def test_hermite_solve_refuses_a_point_off_the_lattice():
     assert hermite_solve(lattice, IntMatrix.from_rows([[1], [0]])) is None
 
 
-@given(st.integers(1, 4), st.integers(1, 3), st.data())
+@given(st.integers(1, 4), st.integers(0, 3), st.data())
 @settings(max_examples=100, deadline=None)
-def test_saturation_and_quotient_from_one_snf(n, k, data):
-    # the saturation is the first r columns of left^-1: left sends it to the
-    # first r unit vectors, and the quotient rows of left kill it
+def test_lattice_quotient_and_saturation_against_the_snf(n, k, data):
+    # the oracle: with left·B·right = D, the rows of left past the rank r
+    # span the covectors that vanish on B. The quotient spans the same
+    # lattice, by a unimodular change, so it has the same kernel; it is onto,
+    # and its kernel's basis, the saturation, is saturated and spans B's space
     rows = [[data.draw(st.integers(-6, 6)) for _ in range(k)] for _ in range(n)]
-    basis = IntMatrix.from_rows(rows)
-    sat, proj = saturation_and_quotient(basis)
+    basis = IntMatrix.from_rows(rows, k)
+    proj = lattice_quotient(basis)
+    sat = integer_kernel(proj)
     r = rank(basis)
-    snf = smith_normal_form(basis)
-    assert (sat.rows, sat.cols, proj.rows, proj.cols) == (n, r, n - r, n)
-    assert snf.left @ sat == IntMatrix(n, r, tuple(int(i == j) for i in range(n) for j in range(r)))
-    assert all(e == 0 for e in (proj @ sat).entries)
+    assert (proj.rows, proj.cols, sat.rows, sat.cols) == (n - r, n, n, r)
+    if r < n:
+        snf = smith_normal_form(basis)
+        tail = [snf.left.row(i) for i in range(r, n)]
+        change = solve_columns(IntMatrix.from_rows(tail).transpose(), [proj.row(i) for i in range(n - r)])
+        assert change is not None and all(x.denominator == 1 for col in change for x in col)
+        assert abs(cofactor_det([[int(x) for x in col] for col in change])) == 1
+        assert smith_normal_form(proj).diagonal() == (1,) * (n - r)
+        assert_hermite([proj.row(i) for i in range(n - r)])
+    assert all(e == 0 for e in (proj @ basis).entries)
     if r:
-        # saturated, and spanning the columns' space
-        assert all(d == 1 for d in smith_normal_form(sat).diagonal())
+        assert all(e == 0 for e in (proj @ sat).entries)
+        assert smith_normal_form(sat).diagonal() == (1,) * r
         assert rank(IntMatrix.from_rows([b + s for b, s in zip(rows, sat.to_lists())])) == r
-    assert proj == lattice_quotient(basis)
+        assert_hermite([sat.column(j) for j in range(r)])
+    fan = fan_projective_space(n)
+    if r == k:
+        assert quotient_projection(fan, basis) == QuotientProjection(sat, proj)
+    else:
+        with pytest.raises(DependentGeneratorsError):
+            quotient_projection(fan, basis)
 
 
 def test_solve_rational_examples():
@@ -300,7 +351,7 @@ def test_lattice_quotient_kills_span_and_is_onto():
 
 
 def test_saturate_columns():
-    sat, _ = saturation_and_quotient(IntMatrix.from_rows([[2], [4]]))
+    sat = quotient_projection(fan_projective_space(2), IntMatrix.from_rows([[2], [4]])).subspace_basis
     assert sat.cols == 1
     assert sat.column(0) in {(1, 2), (-1, -2)}
 

@@ -587,6 +587,8 @@ def test_cone_cache_is_not_part_of_the_fan():
     fresh = fan_projective_space(2)
     locate(fan, [Fraction(1), Fraction(2)])
     assert fan.germ(fan.cone_index(()), (1, 2)) == fan.cone_index((0, 1))
+    refs, index = fan.cone_refs  # the cone references of a type's JSON
+    assert refs[fan.cone_index((0, 2))] == ((-1, -1), (1, 0)) and index[((-1, -1), (1, 0))] == fan.cone_index((0, 2))
     assert fan == fresh and hash(fan) == hash(fresh) and repr(fan) == repr(fresh)
     assert pickle.dumps(fan) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(fan)).contains(fan.cone_index((0, 1)), [1, 2], strict=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tropcount import lp, moduli
-from tropcount.exactmath import IntMatrix, rank as int_rank, smith_normal_form, solve_rational
+from tropcount.exactmath import IntMatrix, lattice_quotient, rank as int_rank, smith_normal_form, solve_rational
 from tropcount.maps import CombinatorialType, DiscreteData, InvalidTypeError, TreeShape, TropicalStableMap
 from tropcount.moduli import (
     ConeComplex,
@@ -508,6 +508,37 @@ def test_gkm_embedding_toy_is_the_hexagon_fan():
     assert emb.rays() == sorted(map(tuple, HEXAGON.rays))
     g = unimodular_equivalent(emb.to_fan(), HEXAGON)
     assert g is not None
+
+
+def test_gkm_embedding_moves_by_one_change_of_quotient_coordinates(monkeypatch):
+    # the former quotient was the rows past the rank of the SNF's left
+    # factor of the translation map; the Hermite quotient is U times it for
+    # one unimodular U, so every lattice map and ray image moves by diag(I, U)
+    cx = assemble_complex(ASSEMBLED["p2_1pt"])
+    new = gkm_embedding(cx, 1)
+    quotients = []
+
+    def snf_quotient(phi):
+        snf = smith_normal_form(phi)
+        old = IntMatrix.from_rows(snf.left.to_lists()[snf.rank() :], phi.rows)
+        quotients.append((old, lattice_quotient(phi)))
+        return old
+
+    monkeypatch.setattr(moduli, "lattice_quotient", snf_quotient)
+    old = gkm_embedding(cx, 1)
+    [(q_old, q_new)] = quotients
+    assert q_old != q_new and q_new.rows == 2
+    u = solve_columns(q_old.transpose(), [q_new.row(i) for i in range(q_new.rows)])
+    assert u is not None and all(x.denominator == 1 for row in u for x in row)
+    u = [[int(x) for x in row] for row in zip(*u)]  # U·q_old = q_new
+    assert smith_normal_form(IntMatrix.from_rows(u)).diagonal() == (1, 1)
+    r = P2.rank
+    change = IntMatrix.from_rows(
+        [[int(i == j) for j in range(r + 2)] for i in range(r)] + [[0] * r + row for row in u]
+    )
+    assert new.ambient_rank == old.ambient_rank == r + 2
+    assert new.lattice_maps == tuple(change @ m for m in old.lattice_maps)
+    assert new.cone_images == tuple(tuple(tuple(change.apply(g)) for g in gens) for gens in old.cone_images)
 
 
 def test_gkm_embedding_injective_per_cone():

@@ -54,11 +54,11 @@ PINNED = {
     ),
     "embed-1-point": (
         ("embed", *LINE, "--points", "1"),
-        "15e39de82c049e27656ef732f27a1691a5a2af49863208e48e212fde5bf5509d",
+        "8ed05081c97b3509cb7fb5d6bf59bf06b04aae36da582e58ac92c79029810ee4",
     ),
     "embed-2-points": (
         ("embed", *LINE, "--points", "2"),
-        "68185e5ca45198dca172daa941e3bc51457ee413a530040b0806a290dad27c74",
+        "0b91c58473a891b63539cdd6f5a0f51f97b8cda53c4e87de4c850117230d0ce6",
     ),
     # the inputs of the perfbench workloads count_plane_d3 and count_lines_fallback
     "count-cubics-seed-0": (
@@ -103,8 +103,8 @@ WITHOUT_BASES = {
     "complex-2-points": "a1189b0373510398710e69d0fca161d108e4203e90530ad2896d0ddcfd4222b3",
     "complex-quadric-1-1": "a0ae7a75071d6b02437e1e2c5f816e8ce3f05f61532326cf891d2604d674d812",
     "embed-toy": "685539cfa5815b7e61f0669b1f514da576b1d0691705eb9012a21743cdbac00a",
-    "embed-1-point": "101d9aafd7cb32894baa786f89f76af6eceabe6f63ee2eef6c891f1735adde1c",
-    "embed-2-points": "7b5a9c81576a0a5ac53c5e41ceef3259a293a0218956d02618e37c1d447ff94d",
+    "embed-1-point": "907491633c8804a15a7e02db80a2b9a623ad2fc1d1cbacd17ab6bea43704ea32",
+    "embed-2-points": "9b9270f7c445df1b6b5ee666f2ca623a9e3f5bd3318c761fd4b237d9484363d3",
     "complex-3-points": "2c01c32764a811d0dfa48e08b41f3ef540125b31e70fcc6ad9b69cf00ef7f17b",
     "complex-conics": "8126797376b74433de700ebc7cc1cd6f778ac01c8e7b3530c8facdb833897025",
 }
