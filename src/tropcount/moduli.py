@@ -18,6 +18,15 @@ rays are inclusion-maximal, the sum of those rays is the facet's
 witness, and the face's type is the type of the map there. A face map
 starts from the coordinate map (root to root, a kept edge to its image,
 a contracted edge to 0). All of it is integer arithmetic, with no LP.
+
+Assembly works once per orbit of the group G of ``symmetry_group``: the
+lattice automorphisms of the fan, each with the leg relabelings that carry
+every contact along. Per orbit, for its representative only, come the
+extreme rays, the witness and the face types. Per cone come the canonical
+form of g·rep, the moduli cone with its ``CombinatorialType.check``, the
+``classify`` assert on the representative's witness moved by g, and the
+face maps, composed through the canonical relabelings and each solved by
+``face_inclusion_matrix``.
 """
 from __future__ import annotations
 
@@ -43,6 +52,7 @@ from .maps import (
     DiscreteData,
     InvalidTypeError,
     TropicalStableMap,
+    Vector,
     oriented,
     threaded,
 )
@@ -395,10 +405,14 @@ def canonical_form(
         for c, car in zip(theta.edge_contacts, theta.edge_carriers)
     ]
     best, best_order = rooted_form(shape.vertices, shape.edges, vertex_tokens, edge_tokens)
-    relabel = [0] * shape.vertices
-    for new, old in enumerate(best_order):
-        relabel[old] = new
-    return best, tuple(relabel)
+    return best, tuple(_inverse(best_order))
+
+
+def _inverse(perm: Sequence[int]) -> list[int]:
+    out = [0] * len(perm)
+    for i, j in enumerate(perm):
+        out[j] = i
+    return out
 
 
 def relabel_type(theta: CombinatorialType, relabel: Sequence[int]) -> CombinatorialType:
@@ -411,9 +425,7 @@ def relabel_type(theta: CombinatorialType, relabel: Sequence[int]) -> Combinator
     )
     leg_order = sorted(range(len(shape.legs)), key=lambda j: shape.legs[j][1])
     legs = tuple((relabel[shape.legs[j][0]], shape.legs[j][1]) for j in leg_order)
-    inv = [0] * shape.vertices
-    for old, new in enumerate(relabel):
-        inv[new] = old
+    inv = _inverse(relabel)
     return CombinatorialType(
         theta.fan,
         TreeShape(shape.vertices, tuple(e for e, _, _ in moved), legs),
@@ -570,6 +582,153 @@ def face_inclusion_matrix(
     if inclusion is None:
         raise InvalidTypeError("face lattice does not lie in the parent's span lattice")
     return inclusion
+
+
+# --- symmetry --------------------------------------------------------------
+
+
+def fan_isomorphisms(a: Fan, b: Fan) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
+    """Each A in GL_r(ZZ) that maps a's rays onto b's and a's cones onto b's,
+    with its ray permutation (a's ray i goes to b's ray ``perm[i]``).
+
+    A is fixed by the images of a lattice basis, and they are rays of b. So
+    the first ordered r-tuple of a's rays with determinant ±1, the columns
+    of S, goes to each ordered r-tuple of b's rays, the columns of T, and
+    A = T·S⁻¹ is kept when it matches the rays and the cones. Each A comes
+    once. None comes when a's rays hold no lattice basis.
+    """
+    r = a.rank
+    if r != b.rank or len(a.rays) != len(b.rays) or len(a.cones) != len(b.cones):
+        return
+
+    def columns(rays: Sequence[Vector], picked: Sequence[int]) -> list[list[int]]:
+        return [[rays[i][k] for i in picked] for k in range(r)]
+
+    for basis in itertools.permutations(range(len(a.rays)), r):
+        # Gauss-Jordan on (S | I) leaves (d·I | d·S⁻¹), and d = ±1 = 1/d
+        rows = [row + [int(i == j) for j in range(r)] for i, row in enumerate(columns(a.rays, basis))]
+        pivots, d = fraction_free_rref(rows, r)
+        if len(pivots) == r and abs(d) == 1:
+            break
+    else:
+        return
+    inverse = IntMatrix.from_rows([[d * x for x in row[r:]] for row in rows], r)
+    cones = set(b.cones)
+    for target in itertools.permutations(range(len(b.rays)), r):
+        m = IntMatrix.from_rows(columns(b.rays, target), r) @ inverse
+        mapped = [tuple(m.apply(ray)) for ray in a.rays]
+        if sorted(mapped) != sorted(b.rays):
+            continue
+        perm = tuple(b.rays.index(v) for v in mapped)
+        if {tuple(sorted(perm[x] for x in cone)) for cone in a.cones} == cones:
+            yield m, perm
+
+
+def unimodular_equivalent(a: Fan, b: Fan) -> Optional[IntMatrix]:
+    """A GL_2(ZZ) transform matching ray multisets and cones, if one exists."""
+    if a.rank != 2 or b.rank != 2:
+        raise UnsupportedRankError("unimodular matching implemented for rank 2")
+    return next((m for m, _ in fan_isomorphisms(a, b)), None)
+
+
+class Symmetry(NamedTuple):
+    """An element (A, σ) of the group that acts on a complex.
+
+    A is a lattice automorphism of the fan, and ``cones[i]`` is the index
+    of A applied to cone i. σ is a bijection of the leg labels, ``labels[l]``
+    = σ(l) (entry 0 unused): it takes a contact leg to a leg with contact
+    A·c and a trivial leg to a trivial leg. ``contacts`` holds A·c for each
+    contact moved so far, shared by the elements with this A: a fan has few
+    automorphisms, and a complex few contacts.
+    """
+
+    matrix: IntMatrix
+    cones: tuple[int, ...]
+    labels: tuple[int, ...]
+    contacts: dict[Vector, Vector]
+
+    def act(self, theta: CombinatorialType) -> CombinatorialType:
+        """g·theta: the same tree and vertex numbers, each leg relabeled by σ,
+        each contact moved by A and each cone by its permutation."""
+        cones, contacts = self.cones, self.contacts
+
+        def move(c: Vector) -> Vector:
+            image = contacts.get(c)
+            if image is None:
+                image = contacts[c] = tuple(self.matrix.apply(c))
+            return image
+
+        def cone(idx: Optional[int]) -> Optional[int]:
+            return None if idx is None else cones[idx]
+
+        shape = theta.shape
+        return CombinatorialType(
+            theta.fan,
+            TreeShape(shape.vertices, shape.edges, tuple((v, self.labels[lab]) for v, lab in shape.legs)),
+            tuple(map(cone, theta.vertex_cones)),
+            tuple(map(move, theta.edge_contacts)),
+            tuple(map(cone, theta.edge_carriers)),
+            tuple(map(move, theta.leg_contacts)),
+            tuple(map(cone, theta.leg_carriers)),
+        )
+
+    def move_point(self, coords: Sequence[int], relabel: Sequence[int], eperm: Sequence[int]) -> tuple[int, ...]:
+        """Ambient coordinates (every vertex position, then the lengths) of a
+        map of theta, moved to relabel_type(g·theta, relabel): vertex v's
+        position A·p_v at relabel[v], edge e's length at eperm[e]."""
+        r = self.matrix.rows
+        base = len(relabel) * r
+        out = list(coords)
+        for v, w in enumerate(relabel):
+            out[w * r : w * r + r] = self.matrix.apply(coords[v * r : v * r + r])
+        for e, f in enumerate(eperm):
+            out[base + f] = coords[base + e]
+        return tuple(out)
+
+
+class SymmetryGroup(NamedTuple):
+    elements: tuple[Symmetry, ...]  # the identity first
+    compose: tuple[tuple[int, ...], ...]  # compose[h][g]: the index of h∘g
+
+
+def symmetry_group(gamma: DiscreteData) -> SymmetryGroup:
+    """The lattice automorphisms of the fan (``fan_isomorphisms``; the
+    identity alone when its rays hold no lattice basis), each with every leg
+    bijection that carries the contacts along, and their composition table."""
+    fan = gamma.fan
+    identity = IntMatrix.identity(fan.rank)
+    autos = sorted(fan_isomorphisms(fan, fan), key=lambda t: t[0] != identity)
+    # legs by contact, the trivial ones as the class of None
+    classes: dict[Optional[Vector], list[int]] = {}
+    for lab, c in gamma.contact_legs:
+        classes.setdefault(c, []).append(lab)
+    classes[None] = list(gamma.trivial_legs)
+    size = len(gamma.contact_legs) + len(gamma.trivial_legs) + 1
+    elements = []
+    for m, perm in autos or [(identity, tuple(range(len(fan.rays))))]:
+        cones = tuple(fan.cone_index([perm[i] for i in cone]) for cone in fan.cones)
+        targets = [classes.get(c if c is None else tuple(m.apply(c)), ()) for c in classes]
+        contacts: dict[Vector, Vector] = {}
+        if any(len(t) != len(labs) for t, labs in zip(targets, classes.values())):
+            continue
+        for choice in itertools.product(*map(itertools.permutations, targets)):
+            labels = [0] * size
+            for labs, images in zip(classes.values(), choice):
+                for lab, image in zip(labs, images):
+                    labels[lab] = image
+            elements.append(Symmetry(m, cones, tuple(labels), contacts))
+    index = {(g.matrix, g.labels): i for i, g in enumerate(elements)}
+    products: dict[tuple[IntMatrix, IntMatrix], IntMatrix] = {}
+    compose = []
+    for h in elements:
+        row = []
+        for g in elements:
+            m = products.get((h.matrix, g.matrix))
+            if m is None:
+                m = products[h.matrix, g.matrix] = h.matrix @ g.matrix
+            row.append(index[m, tuple(h.labels[lab] for lab in g.labels)])
+        compose.append(tuple(row))
+    return SymmetryGroup(tuple(elements), tuple(compose))
 
 
 # --- complex assembly ------------------------------------------------------
@@ -783,15 +942,19 @@ def _candidates(gamma: DiscreteData) -> Iterator[CombinatorialType]:
                 yield threaded(fan, shape, assignment, edge_contacts, leg_contacts, pattern[:ne], pattern[ne:])
 
 
-def _stored_cone(theta: CombinatorialType, key: tuple) -> Optional[ComplexCone]:
-    """The record of a stored type: its moduli cone and, as its witness, the
-    ambient point of the sum of that cone's extreme rays, or None when the
-    cone has no relative-interior point. The rays stay cached on the cone,
-    for ``face_types``; ``complex_from_json`` builds its records here too."""
+def _stored_cone(theta: CombinatorialType, key: tuple, witness: Optional[Sequence[int]] = None) -> Optional[ComplexCone]:
+    """The record of a stored type: its moduli cone and a witness, an
+    integer point that ``classify`` certifies to be in the cone's relative
+    interior. A transported cone brings its witness. Otherwise the witness
+    is the ambient point of the sum of the cone's extreme rays, or None when
+    the cone has no relative-interior point; the rays stay cached on the
+    cone, for ``face_types``. ``complex_from_json`` builds its records here
+    too."""
     mc = moduli_cone(theta)
-    witness = mc.relint_witness()
     if witness is None:
-        return None
+        witness = mc.relint_witness()
+        if witness is None:
+            return None
     assert mc.classify(witness) == "interior"
     return ComplexCone(theta, mc, tuple(witness), key)
 
@@ -805,8 +968,20 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     stabilized trees with every vertex-cone assignment over maximal cones
     and every wall-crossing pattern; each is already its own located type
     (see ``_walks``). Every lower cone is reached by face closure, with
-    canonical deduplication. A stored cone's moduli cone is built once, on
-    its canonical type; a candidate whose cone is empty is not stored.
+    canonical deduplication; a candidate whose cone is empty is not stored.
+
+    The group G of ``symmetry_group`` acts on the complex, and assembly
+    works per orbit. A new key is stored as a representative, with its
+    extreme rays and witness, and with one ``canonical_form`` of g·rep per
+    g in G: its orbit table. Each new key in that row is stored too, on its
+    own canonical type and moduli cone, with rep's witness moved by g and
+    certified by ``classify``. Only representatives run ``face_types``, and
+    each of their faces is admitted, so it is stored as g_f·(its
+    representative). The same face of an image h·rep is then
+    (h∘g_f)·(that representative): its key and relabeling are read off
+    that representative's orbit table, and the vertex and edge maps
+    composed through the relabelings. Every face pair still gets its own
+    ``face_inclusion_matrix``.
     """
     fan = gamma.fan
     if fan.rank > 2:
@@ -815,43 +990,76 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     if len(gamma.contact_legs) + len(gamma.trivial_legs) < 2:
         raise ValueError("need at least two marked legs")
 
+    group = symmetry_group(gamma)
     by_key: dict[tuple, ComplexCone] = {}
+    # per representative, one row per element g of G: the key of g·rep and
+    # the relabelings of rep's vertices and edges that reach its stored type
+    orbits: dict[tuple, list[tuple[tuple, tuple[int, ...], list[int]]]] = {}
+    # each stored key -> (its representative's key, the first g with key = g·rep)
+    origin: dict[tuple, tuple[tuple, int]] = {}
+    reps: list[tuple] = []  # the representatives whose faces are still to be found
 
-    def admit(theta: CombinatorialType):
-        """Store the canonical representative of a located type unless its key
-        is known or its cone is empty; returns (key, is_new, relabel)."""
+    def admit(theta: CombinatorialType) -> tuple[tuple, tuple[int, ...]]:
+        """Store the orbit of a located type unless its key is known or its
+        cone is empty; returns (key, relabel)."""
         key, relabel = canonical_form(theta)
         if key in by_key:
-            return key, False, relabel
-        cc = _stored_cone(relabel_type(theta, relabel), key)
-        if cc is None:
-            return key, False, relabel
-        by_key[key] = cc
-        return key, True, relabel
+            return key, relabel
+        rep = _stored_cone(relabel_type(theta, relabel), key)
+        if rep is None:
+            return key, relabel
+        by_key[key] = rep
+        origin[key] = (key, 0)  # the identity comes first
+        row = orbits[key] = []
+        for i, g in enumerate(group.elements):
+            moved = g.act(rep.type)
+            image_key, image_relabel = canonical_form(moved)
+            eperm = edge_permutation(rep.type.shape, image_relabel)
+            if image_key not in by_key:
+                witness = g.move_point(rep.witness, image_relabel, eperm)
+                by_key[image_key] = _stored_cone(relabel_type(moved, image_relabel), image_key, witness)
+                origin[image_key] = (key, i)
+            # the stored key object, so that equal keys are held once
+            row.append((by_key[image_key].key, image_relabel, eperm))
+        reps.append(key)
+        return key, relabel
 
     for theta in _candidates(gamma):
         admit(theta)
 
     # face closure, recording pairs and inclusion matrices as we go
     face_rel: dict[tuple[tuple, tuple], IntMatrix] = {}
-    queue = list(by_key.keys())
-    while queue:
-        key = queue.pop()
-        parent = by_key[key]
-        for fd in face_types(parent.type, parent.cone):
-            face_key, is_new, relabel = admit(fd.face)
-            if is_new:
-                queue.append(face_key)
-            pair = (face_key, key)
-            if pair not in face_rel:
-                # compose parent -> candidate -> stored canonical labeling
-                eperm = edge_permutation(fd.face.shape, relabel)
-                vmap = tuple(relabel[fd.vertex_map[v]] for v in range(parent.type.shape.vertices))
-                emap = tuple(
-                    None if e is None else eperm[e] for e in fd.edge_map
-                )
+    while reps:
+        key = reps.pop()
+        rep = by_key[key]
+        row = orbits[key]
+        images: dict[tuple, int] = {}  # each image's key -> the first h with it
+        for h, (image_key, _, _) in enumerate(row):
+            images.setdefault(image_key, h)
+        for fd in face_types(rep.type, rep.cone):
+            face_key, relabel = admit(fd.face)
+            # the stored face is g·face_rep: pull rep's vertices and edges
+            # back through the face to face_rep's
+            face_rep, g = origin[face_key]
+            _, g_relabel, g_eperm = orbits[face_rep][g]
+            back_v, back_e = _inverse(g_relabel), _inverse(g_eperm)
+            eperm = edge_permutation(fd.face.shape, relabel)
+            to_face_rep = [back_v[relabel[w]] for w in fd.vertex_map]
+            edges_to_face_rep = [None if e is None else back_e[eperm[e]] for e in fd.edge_map]
+            for image_key, h in images.items():
+                _, p_relabel, p_eperm = row[h]
+                f_key, f_relabel, f_eperm = orbits[face_rep][group.compose[h][g]]
+                pair = (f_key, image_key)
+                if pair in face_rel:
+                    continue
+                vmap = [0] * len(p_relabel)
+                for v, w in zip(p_relabel, to_face_rep):
+                    vmap[v] = f_relabel[w]
+                emap: list[Optional[int]] = [None] * len(p_eperm)
+                for e, f in zip(p_eperm, edges_to_face_rep):
+                    emap[e] = None if f is None else f_eperm[f]
                 face_rel[pair] = face_inclusion_matrix(
-                    parent.cone, by_key[face_key].cone, vmap, emap
+                    by_key[image_key].cone, by_key[f_key].cone, tuple(vmap), tuple(emap)
                 )
 
     ordered = sorted(by_key.values(), key=lambda c: (c.cone.dimension, c.key))
@@ -941,43 +1149,6 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
                 gens.append(ray_image[face_idx])
         images.append(tuple(gens))
     return EmbeddedFan(k, tuple(images), tuple(lattice_maps))
-
-
-def unimodular_equivalent(a: Fan, b: Fan) -> Optional[IntMatrix]:
-    """A GL_2(ZZ) transform matching ray multisets and cones, if one exists."""
-    if a.rank != 2 or b.rank != 2:
-        raise UnsupportedRankError("unimodular matching implemented for rank 2")
-    if len(a.rays) != len(b.rays) or len(a.cones) != len(b.cones):
-        return None
-    base_pairs = [
-        (i, j)
-        for i in range(len(a.rays))
-        for j in range(len(a.rays))
-        if i != j
-    ]
-    ra = a.rays
-    for i, j in base_pairs:
-        m = IntMatrix.from_rows([[ra[i][0], ra[j][0]], [ra[i][1], ra[j][1]]])
-        det = ra[i][0] * ra[j][1] - ra[j][0] * ra[i][1]
-        if abs(det) != 1:
-            continue
-        for bi, bj in base_pairs:
-            target = IntMatrix.from_rows(
-                [[b.rays[bi][0], b.rays[bj][0]], [b.rays[bi][1], b.rays[bj][1]]]
-            )
-            # g . m = target  =>  g = target . m^{-1}
-            inv = IntMatrix.from_rows(
-                [[m.at(1, 1) * det, -m.at(0, 1) * det], [-m.at(1, 0) * det, m.at(0, 0) * det]]
-            )
-            g = target @ inv
-            mapped = [tuple(g.apply(list(rr))) for rr in a.rays]
-            if sorted(mapped) != sorted(b.rays):
-                continue
-            perm = {idx: b.rays.index(v) for idx, v in enumerate(mapped)}
-            cones_a = {tuple(sorted(perm[x] for x in cone)) for cone in a.cones}
-            if cones_a == set(b.cones):
-                return g
-    return None
 
 
 # --- JSON interface --------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -16,12 +17,14 @@ from tropcount.moduli import (
     complex_from_json,
     complex_to_json,
     contains,
+    fan_isomorphisms,
     face_inclusion_matrix,
     face_types,
     forced_edge_contacts,
     gkm_embedding,
     labeled_trees,
     moduli_cone,
+    symmetry_group,
     unimodular_equivalent,
 )
 from tropcount.polyhedral import Fan, fan_product, fan_projective_space, point_fan
@@ -623,3 +626,105 @@ def test_labeled_trees_census_sizes():
     # (2n - 5)!! trivalent trees with n labelled legs
     for n, size in zip(range(3, 9), (1, 3, 15, 105, 945, 10395)):
         assert len(labeled_trees(list(range(1, n + 1)))) == size
+
+
+P1 = fan_projective_space(1)
+# no two rays form a lattice basis (each pair has determinant ±3), though
+# a rotation of order 3 in GL_2(ZZ) permutes them
+NO_BASIS = Fan.make(2, [[2, 1], [-1, 1], [-1, -2]], [[0, 1], [1, 2], [0, 2]])
+
+
+@pytest.mark.parametrize("fan,count", [
+    (point_fan(), 1), (P1, 2), (P2, 6), (P1P1, 8), (HEXAGON, 12), (NO_BASIS, 0),
+], ids=["point", "p1", "p2", "p1xp1", "hexagon", "no-basis"])
+def test_fan_isomorphisms_are_the_lattice_automorphisms(fan, count):
+    found = list(fan_isomorphisms(fan, fan))
+    assert len(found) == len({m for m, _ in found}) == count
+    for m, perm in found:
+        assert [tuple(m.apply(ray)) for ray in fan.rays] == [fan.rays[i] for i in perm]
+        assert {tuple(sorted(perm[i] for i in cone)) for cone in fan.cones} == set(fan.cones)
+    if fan.rank == 2:
+        assert unimodular_equivalent(fan, fan) == (found[0][0] if found else None)
+
+
+def test_symmetry_group_is_a_group_acting_on_types():
+    gamma = ASSEMBLED["p2_2pts"]
+    group = symmetry_group(gamma)
+    identity = group.elements[0]
+    assert identity.matrix == IntMatrix.identity(2) and identity.labels == tuple(range(6))
+    types = [cc.type for cc in assemble_complex(gamma).cones[::50]]
+    for h, row in zip(group.elements, group.compose):
+        assert sorted(row) == list(range(len(group.elements)))
+        for g, hg in zip(group.elements, row):
+            for theta in types:
+                assert h.act(g.act(theta)) == group.elements[hg].act(theta)
+    # a fan whose rays hold no lattice basis keeps the identity matrix alone
+    lonely = symmetry_group(DiscreteData(NO_BASIS, (), (1, 2, 3)))
+    assert {g.matrix for g in lonely.elements} == {IntMatrix.identity(2)}
+    assert len(lonely.elements) == 6
+
+
+# |G| and the number of orbits, which is the number of face_types calls
+SYMMETRIC = {
+    "toy": (TOY, 6, 4),
+    "p2_1pt": (ASSEMBLED["p2_1pt"], 6, 16),
+    "p2_2pts": (ASSEMBLED["p2_2pts"], 12, 74),
+    "p1xp1": (ASSEMBLED["p1xp1"], 8, 16),
+    "p1_2pts": (DiscreteData(P1, ((1, (1,)), (2, (-1,))), (3, 4)), 4, 7),
+    # the lattice part is trivial in rank 0, and the legs permute freely
+    "point": (DiscreteData(point_fan(), (), (1, 2, 3)), 6, 1),
+}
+
+
+def identity_group(monkeypatch):
+    """Make assembly see G = {id}: every cone is then its own orbit, and its
+    rays, witness and faces are computed directly."""
+    symmetry = moduli.symmetry_group
+    monkeypatch.setattr(
+        moduli, "symmetry_group", lambda gamma: moduli.SymmetryGroup(symmetry(gamma).elements[:1], ((0,),))
+    )
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_assembly_per_orbit_writes_the_complex_of_the_identity_group(monkeypatch, name):
+    gamma, order, orbits = SYMMETRIC[name]
+    assert len(symmetry_group(gamma).elements) == order
+    face_types = moduli.face_types
+    parents = []
+
+    def counted(theta, parent=None):
+        parents.append(theta)
+        return face_types(theta, parent)
+
+    def written():
+        parents.clear()
+        cx = assemble_complex(gamma)
+        return len(cx.cones), json.dumps(complex_to_json(cx), sort_keys=True, separators=(",", ":"))
+
+    monkeypatch.setattr(moduli, "face_types", counted)
+    cones, per_orbit = written()
+    assert len(parents) == orbits
+    identity_group(monkeypatch)
+    assert written() == (cones, per_orbit)
+    assert len(parents) == cones
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_the_group_maps_every_stored_key_to_a_stored_key(monkeypatch, name):
+    # on the complex assembled cone by cone, with no transport: the property
+    # that lets assembly store a whole orbit from one representative
+    gamma = SYMMETRIC[name][0]
+    group = symmetry_group(gamma)
+    identity_group(monkeypatch)
+    cx = assemble_complex(gamma)
+    keys = {cc.key for cc in cx.cones}
+    for g in group.elements:
+        assert {canonical_form(g.act(cc.type))[0] for cc in cx.cones} == keys
+
+
+@pytest.mark.slow
+def test_plane_lines_through_four_points_assemble():
+    # |G| = 144: the lines' S_3 on the fan times S_4 on the points
+    cx = assemble_complex(DiscreteData(P2, TOY.contact_legs, (4, 5, 6, 7)))
+    assert cx.f_vector() == (1, 107, 1732, 9846, 24675, 27855, 11520)
+    assert len(cx.cones) == 75736
