@@ -1046,6 +1046,8 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
             eperm = edge_permutation(fd.face.shape, relabel)
             to_face_rep = [back_v[relabel[w]] for w in fd.vertex_map]
             edges_to_face_rep = [None if e is None else back_e[eperm[e]] for e in fd.edge_map]
+            # this face of h·rep is (h∘g)·face_rep: map h·rep's vertices and
+            # edges back to rep's, then to face_rep's, then on to its image
             for image_key, h in images.items():
                 _, p_relabel, p_eperm = row[h]
                 f_key, f_relabel, f_eperm = orbits[face_rep][group.compose[h][g]]
