@@ -22,15 +22,18 @@ a contracted edge to 0). All of it is integer arithmetic, with no LP.
 Assembly works once per orbit of the group G of ``symmetry_group``: the
 lattice automorphisms of the fan, each with the leg relabelings that carry
 every contact along. Per orbit, for its representative only, come the
-extreme rays, the witness and the face types. Per cone come the canonical
-form of g·rep, the moduli cone with its ``CombinatorialType.check``, the
-``classify`` assert on the representative's witness moved by g, and the
-face maps, composed through the canonical relabelings and each solved by
-``face_inclusion_matrix``.
+extreme rays, the witness, the face types and the orbit itself (``orbit``:
+one canonical form per coset of the representative's stabilizer, and a
+few more while the stabilizer is found). Per cone come the canonical form
+of g·rep for the first g of its coset, the moduli cone with its
+``CombinatorialType.check``, the ``classify`` assert on the
+representative's witness moved by g, and the face maps, composed through
+the canonical relabelings and each solved by ``face_inclusion_matrix``.
 """
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -637,40 +640,12 @@ class Symmetry(NamedTuple):
     A is a lattice automorphism of the fan, and ``cones[i]`` is the index
     of A applied to cone i. σ is a bijection of the leg labels, ``labels[l]``
     = σ(l) (entry 0 unused): it takes a contact leg to a leg with contact
-    A·c and a trivial leg to a trivial leg. ``contacts`` holds A·c for each
-    contact moved so far, shared by the elements with this A: a fan has few
-    automorphisms, and a complex few contacts.
+    A·c and a trivial leg to a trivial leg.
     """
 
     matrix: IntMatrix
     cones: tuple[int, ...]
     labels: tuple[int, ...]
-    contacts: dict[Vector, Vector]
-
-    def act(self, theta: CombinatorialType) -> CombinatorialType:
-        """g·theta: the same tree and vertex numbers, each leg relabeled by σ,
-        each contact moved by A and each cone by its permutation."""
-        cones, contacts = self.cones, self.contacts
-
-        def move(c: Vector) -> Vector:
-            image = contacts.get(c)
-            if image is None:
-                image = contacts[c] = tuple(self.matrix.apply(c))
-            return image
-
-        def cone(idx: Optional[int]) -> Optional[int]:
-            return None if idx is None else cones[idx]
-
-        shape = theta.shape
-        return CombinatorialType(
-            theta.fan,
-            TreeShape(shape.vertices, shape.edges, tuple((v, self.labels[lab]) for v, lab in shape.legs)),
-            tuple(map(cone, theta.vertex_cones)),
-            tuple(map(move, theta.edge_contacts)),
-            tuple(map(cone, theta.edge_carriers)),
-            tuple(map(move, theta.leg_contacts)),
-            tuple(map(cone, theta.leg_carriers)),
-        )
 
     def move_point(self, coords: Sequence[int], relabel: Sequence[int], eperm: Sequence[int]) -> tuple[int, ...]:
         """Ambient coordinates (every vertex position, then the lengths) of a
@@ -686,15 +661,63 @@ class Symmetry(NamedTuple):
         return tuple(out)
 
 
-class SymmetryGroup(NamedTuple):
-    elements: tuple[Symmetry, ...]  # the identity first
-    compose: tuple[tuple[int, ...], ...]  # compose[h][g]: the index of h∘g
+class SymmetryGroup:
+    """The elements of G, the identity first, and their action on types. An
+    element is fixed by its matrix and labels, so a product or an inverse is
+    looked up by those."""
+
+    def __init__(self, elements: Sequence[Symmetry]):
+        self.elements = tuple(elements)
+        # the matrices, numbered in order of first use, so the identity is 0
+        number = {m: i for i, m in enumerate(dict.fromkeys(g.matrix for g in self.elements))}
+        self._matrix = [number[g.matrix] for g in self.elements]
+        self._index = {(number[g.matrix], g.labels): i for i, g in enumerate(self.elements)}
+        self._products = [[number[a @ b] for b in number] for a in number]
+        self._inverses = [row.index(0) for row in self._products]
+        # per matrix A, A·c for each contact moved so far: a fan has few
+        # automorphisms, and a complex few contacts
+        self._moved: list[dict[Vector, Vector]] = [{} for _ in number]
+
+    def act(self, g: int, theta: CombinatorialType) -> CombinatorialType:
+        """g·theta: the same tree and vertex numbers, each leg relabeled by σ,
+        each contact moved by A and each cone by its permutation."""
+        element = self.elements[g]
+        cones, labels, moved = element.cones, element.labels, self._moved[self._matrix[g]]
+
+        def move(c: Vector) -> Vector:
+            image = moved.get(c)
+            if image is None:
+                image = moved[c] = tuple(element.matrix.apply(c))
+            return image
+
+        def cone(idx: Optional[int]) -> Optional[int]:
+            return None if idx is None else cones[idx]
+
+        shape = theta.shape
+        return CombinatorialType(
+            theta.fan,
+            TreeShape(shape.vertices, shape.edges, tuple((v, labels[lab]) for v, lab in shape.legs)),
+            tuple(map(cone, theta.vertex_cones)),
+            tuple(map(move, theta.edge_contacts)),
+            tuple(map(cone, theta.edge_carriers)),
+            tuple(map(move, theta.leg_contacts)),
+            tuple(map(cone, theta.leg_carriers)),
+        )
+
+    def compose(self, h: int, g: int) -> int:
+        """The index of h∘g, which acts as h after g."""
+        labels = self.elements[h].labels
+        product = self._products[self._matrix[h]][self._matrix[g]]
+        return self._index[product, tuple(map(labels.__getitem__, self.elements[g].labels))]
+
+    def inverse(self, g: int) -> int:
+        return self._index[self._inverses[self._matrix[g]], tuple(_inverse(self.elements[g].labels))]
 
 
 def symmetry_group(gamma: DiscreteData) -> SymmetryGroup:
     """The lattice automorphisms of the fan (``fan_isomorphisms``; the
     identity alone when its rays hold no lattice basis), each with every leg
-    bijection that carries the contacts along, and their composition table."""
+    bijection that carries the contacts along."""
     fan = gamma.fan
     identity = IntMatrix.identity(fan.rank)
     autos = sorted(fan_isomorphisms(fan, fan), key=lambda t: t[0] != identity)
@@ -708,7 +731,6 @@ def symmetry_group(gamma: DiscreteData) -> SymmetryGroup:
     for m, perm in autos or [(identity, tuple(range(len(fan.rays))))]:
         cones = tuple(fan.cone_index([perm[i] for i in cone]) for cone in fan.cones)
         targets = [classes.get(c if c is None else tuple(m.apply(c)), ()) for c in classes]
-        contacts: dict[Vector, Vector] = {}
         if any(len(t) != len(labs) for t, labs in zip(targets, classes.values())):
             continue
         for choice in itertools.product(*map(itertools.permutations, targets)):
@@ -716,19 +738,82 @@ def symmetry_group(gamma: DiscreteData) -> SymmetryGroup:
             for labs, images in zip(classes.values(), choice):
                 for lab, image in zip(labs, images):
                     labels[lab] = image
-            elements.append(Symmetry(m, cones, tuple(labels), contacts))
-    index = {(g.matrix, g.labels): i for i, g in enumerate(elements)}
-    products: dict[tuple[IntMatrix, IntMatrix], IntMatrix] = {}
-    compose = []
-    for h in elements:
-        row = []
-        for g in elements:
-            m = products.get((h.matrix, g.matrix))
-            if m is None:
-                m = products[h.matrix, g.matrix] = h.matrix @ g.matrix
-            row.append(index[m, tuple(h.labels[lab] for lab in g.labels)])
-        compose.append(tuple(row))
-    return SymmetryGroup(tuple(elements), tuple(compose))
+            elements.append(Symmetry(m, cones, tuple(labels)))
+    return SymmetryGroup(elements)
+
+
+class Orbit(NamedTuple):
+    """The orbit of a stored type theta under G, by the cosets of its
+    stabilizer.
+
+    ``images[i]`` = (h, key, relabel, eperm): h is the first element of its
+    coset h·Stab in G's order, key the canonical key of h·theta, and
+    relabel (eperm) carries theta's vertices (edges) to those of the stored
+    type of that key. ``stabilizer[j]`` = (s, vertex map, edge map): s·theta
+    is theta with its vertices and edges renumbered by these maps. Each
+    element k of G is h_i∘s_j for one pair, and ``where[k]`` = i·|G| + j.
+    """
+
+    images: list[tuple[int, tuple, tuple[int, ...], list[int]]]
+    stabilizer: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
+    where: array
+
+    def at(self, k: int) -> tuple[tuple, tuple[int, ...], list[int]]:
+        """(key, relabel, eperm) of k·theta."""
+        i, j = divmod(self.where[k], len(self.where))
+        _, key, relabel, eperm = self.images[i]
+        if j:
+            _, vmap, emap = self.stabilizer[j]
+            return key, tuple(relabel[v] for v in vmap), [eperm[e] for e in emap]
+        return key, relabel, eperm
+
+
+def orbit(group: SymmetryGroup, theta: CombinatorialType) -> Orbit:
+    """The orbit of theta, one ``canonical_form`` per element of G that no
+    known coset holds yet. Such an element starts a coset, or its key is a
+    known image's, h·theta, and then h⁻¹∘g is a stabilizer element not known
+    before: the known stabilizer grows to the group they generate, at least
+    twice its size. So the canonical forms number the orbit's size and at
+    most log₂|Stab| more, however large G is."""
+    n = len(group.elements)
+    where = array("q", [-1]) * n
+    images: list = []
+    stabilizer = [(0, tuple(range(theta.shape.vertices)), tuple(range(len(theta.shape.edges))))]
+    gens: list = []
+    found: dict[tuple, int] = {}
+
+    def mark(i: int, start: int) -> None:
+        h = images[i][0]
+        for j in range(start, len(stabilizer)):
+            where[group.compose(h, stabilizer[j][0])] = i * n + j
+
+    for g in range(n):
+        if where[g] >= 0:
+            continue
+        key, relabel = canonical_form(group.act(g, theta))
+        eperm = edge_permutation(theta.shape, relabel)
+        i = found.get(key)
+        if i is None:
+            found[key] = len(images)
+            images.append((g, key, relabel, eperm))
+            mark(len(images) - 1, 0)
+            continue
+        # g·theta = h·theta, so s = h⁻¹∘g fixes theta, through these maps
+        h, _, h_relabel, h_eperm = images[i]
+        back_v, back_e = _inverse(h_relabel), _inverse(h_eperm)
+        gens.append((group.compose(group.inverse(h), g), tuple(back_v[w] for w in relabel), tuple(back_e[f] for f in eperm)))
+        start = len(stabilizer)
+        members = {s for s, _, _ in stabilizer}
+        for x, x_v, x_e in stabilizer:  # grows as it goes: the closure
+            for y, y_v, y_e in gens:
+                z = group.compose(x, y)
+                if z not in members:
+                    members.add(z)
+                    stabilizer.append((z, tuple(x_v[v] for v in y_v), tuple(x_e[e] for e in y_e)))
+        for i in range(len(images)):
+            mark(i, start)
+    assert len(images) * len(stabilizer) == n
+    return Orbit(images, stabilizer, where)
 
 
 # --- complex assembly ------------------------------------------------------
@@ -972,16 +1057,15 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
 
     The group G of ``symmetry_group`` acts on the complex, and assembly
     works per orbit. A new key is stored as a representative, with its
-    extreme rays and witness, and with one ``canonical_form`` of g·rep per
-    g in G: its orbit table. Each new key in that row is stored too, on its
-    own canonical type and moduli cone, with rep's witness moved by g and
-    certified by ``classify``. Only representatives run ``face_types``, and
-    each of their faces is admitted, so it is stored as g_f·(its
-    representative). The same face of an image h·rep is then
-    (h∘g_f)·(that representative): its key and relabeling are read off
-    that representative's orbit table, and the vertex and edge maps
-    composed through the relabelings. Every face pair still gets its own
-    ``face_inclusion_matrix``.
+    extreme rays and witness, and with its ``orbit``. Each image h·rep is
+    stored too, on its own canonical type and moduli cone, with rep's
+    witness moved by h and certified by ``classify``. Only representatives
+    run ``face_types``, and each of their faces is admitted, so it is
+    stored as g_f·(its representative). The same face of an image h·rep is
+    then (h∘g_f)·(that representative): its key and relabeling are read
+    off that representative's orbit (``Orbit.at``), and the vertex and edge
+    maps composed through the relabelings. Every face pair still gets its
+    own ``face_inclusion_matrix``.
     """
     fan = gamma.fan
     if fan.rank > 2:
@@ -992,9 +1076,7 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
 
     group = symmetry_group(gamma)
     by_key: dict[tuple, ComplexCone] = {}
-    # per representative, one row per element g of G: the key of g·rep and
-    # the relabelings of rep's vertices and edges that reach its stored type
-    orbits: dict[tuple, list[tuple[tuple, tuple[int, ...], list[int]]]] = {}
+    orbits: dict[tuple, Orbit] = {}  # per representative
     # each stored key -> (its representative's key, the first g with key = g·rep)
     origin: dict[tuple, tuple[tuple, int]] = {}
     reps: list[tuple] = []  # the representatives whose faces are still to be found
@@ -1010,17 +1092,12 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
             return key, relabel
         by_key[key] = rep
         origin[key] = (key, 0)  # the identity comes first
-        row = orbits[key] = []
-        for i, g in enumerate(group.elements):
-            moved = g.act(rep.type)
-            image_key, image_relabel = canonical_form(moved)
-            eperm = edge_permutation(rep.type.shape, image_relabel)
+        orbits[key] = orbit(group, rep.type)
+        for g, image_key, image_relabel, eperm in orbits[key].images:
             if image_key not in by_key:
-                witness = g.move_point(rep.witness, image_relabel, eperm)
-                by_key[image_key] = _stored_cone(relabel_type(moved, image_relabel), image_key, witness)
-                origin[image_key] = (key, i)
-            # the stored key object, so that equal keys are held once
-            row.append((by_key[image_key].key, image_relabel, eperm))
+                witness = group.elements[g].move_point(rep.witness, image_relabel, eperm)
+                by_key[image_key] = _stored_cone(relabel_type(group.act(g, rep.type), image_relabel), image_key, witness)
+                origin[image_key] = (key, g)
         reps.append(key)
         return key, relabel
 
@@ -1032,25 +1109,21 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     while reps:
         key = reps.pop()
         rep = by_key[key]
-        row = orbits[key]
-        images: dict[tuple, int] = {}  # each image's key -> the first h with it
-        for h, (image_key, _, _) in enumerate(row):
-            images.setdefault(image_key, h)
         for fd in face_types(rep.type, rep.cone):
             face_key, relabel = admit(fd.face)
             # the stored face is g·face_rep: pull rep's vertices and edges
             # back through the face to face_rep's
             face_rep, g = origin[face_key]
-            _, g_relabel, g_eperm = orbits[face_rep][g]
+            face_orbit = orbits[face_rep]
+            _, g_relabel, g_eperm = face_orbit.at(g)
             back_v, back_e = _inverse(g_relabel), _inverse(g_eperm)
             eperm = edge_permutation(fd.face.shape, relabel)
             to_face_rep = [back_v[relabel[w]] for w in fd.vertex_map]
             edges_to_face_rep = [None if e is None else back_e[eperm[e]] for e in fd.edge_map]
             # this face of h·rep is (h∘g)·face_rep: map h·rep's vertices and
             # edges back to rep's, then to face_rep's, then on to its image
-            for image_key, h in images.items():
-                _, p_relabel, p_eperm = row[h]
-                f_key, f_relabel, f_eperm = orbits[face_rep][group.compose[h][g]]
+            for h, image_key, p_relabel, p_eperm in orbits[key].images:
+                f_key, f_relabel, f_eperm = face_orbit.at(group.compose(h, g))
                 pair = (f_key, image_key)
                 if pair in face_rel:
                     continue

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from tropcount.moduli import (
     complex_from_json,
     complex_to_json,
     contains,
+    edge_permutation,
     fan_isomorphisms,
     face_inclusion_matrix,
     face_types,
@@ -652,27 +654,32 @@ def test_symmetry_group_is_a_group_acting_on_types():
     group = symmetry_group(gamma)
     identity = group.elements[0]
     assert identity.matrix == IntMatrix.identity(2) and identity.labels == tuple(range(6))
+    n = len(group.elements)
     types = [cc.type for cc in assemble_complex(gamma).cones[::50]]
-    for h, row in zip(group.elements, group.compose):
-        assert sorted(row) == list(range(len(group.elements)))
-        for g, hg in zip(group.elements, row):
+    for h in range(n):
+        assert sorted(group.compose(h, g) for g in range(n)) == list(range(n))
+        assert group.compose(h, group.inverse(h)) == group.compose(group.inverse(h), h) == 0
+        for g in range(n):
             for theta in types:
-                assert h.act(g.act(theta)) == group.elements[hg].act(theta)
+                assert group.act(h, group.act(g, theta)) == group.act(group.compose(h, g), theta)
     # a fan whose rays hold no lattice basis keeps the identity matrix alone
     lonely = symmetry_group(DiscreteData(NO_BASIS, (), (1, 2, 3)))
     assert {g.matrix for g in lonely.elements} == {IntMatrix.identity(2)}
     assert len(lonely.elements) == 6
 
 
-# |G| and the number of orbits, which is the number of face_types calls
+# |G| and the number of orbits, which is the number of face_types calls;
+# the last three have no contacts, so their legs permute freely and most
+# cones have large stabilizers
 SYMMETRIC = {
     "toy": (TOY, 6, 4),
     "p2_1pt": (ASSEMBLED["p2_1pt"], 6, 16),
     "p2_2pts": (ASSEMBLED["p2_2pts"], 12, 74),
     "p1xp1": (ASSEMBLED["p1xp1"], 8, 16),
     "p1_2pts": (DiscreteData(P1, ((1, (1,)), (2, (-1,))), (3, 4)), 4, 7),
-    # the lattice part is trivial in rank 0, and the legs permute freely
     "point": (DiscreteData(point_fan(), (), (1, 2, 3)), 6, 1),
+    "point_6": (DiscreteData(point_fan(), (), (1, 2, 3, 4, 5, 6)), 720, 7),
+    "p2_4pts": (DiscreteData(P2, (), (1, 2, 3, 4)), 144, 6),
 }
 
 
@@ -680,36 +687,65 @@ def identity_group(monkeypatch):
     """Make assembly see G = {id}: every cone is then its own orbit, and its
     rays, witness and faces are computed directly."""
     symmetry = moduli.symmetry_group
-    monkeypatch.setattr(
-        moduli, "symmetry_group", lambda gamma: moduli.SymmetryGroup(symmetry(gamma).elements[:1], ((0,),))
-    )
+    monkeypatch.setattr(moduli, "symmetry_group", lambda gamma: moduli.SymmetryGroup(symmetry(gamma).elements[:1]))
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Count the calls of a moduli function, as assembly makes them."""
+    calls = []
+    original = getattr(moduli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(moduli, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("name", SYMMETRIC)
 def test_assembly_per_orbit_writes_the_complex_of_the_identity_group(monkeypatch, name):
     gamma, order, orbits = SYMMETRIC[name]
     assert len(symmetry_group(gamma).elements) == order
-    face_types = moduli.face_types
-    parents = []
-
-    def counted(theta, parent=None):
-        parents.append(theta)
-        return face_types(theta, parent)
+    parents = counting(monkeypatch, "face_types")
+    forms = counting(monkeypatch, "canonical_form")
 
     def written():
         parents.clear()
+        forms.clear()
         cx = assemble_complex(gamma)
         return len(cx.cones), json.dumps(complex_to_json(cx), sort_keys=True, separators=(",", ":"))
 
-    monkeypatch.setattr(moduli, "face_types", counted)
     cones, per_orbit = written()
     assert len(parents) == orbits
+    orbit_forms = len(forms)
     identity_group(monkeypatch)
     assert written() == (cones, per_orbit)
     assert len(parents) == cones
+    # one canonical form per image and per face of a representative, and
+    # at most log2 |Stab| more per orbit: never many more than cone by cone
+    assert orbit_forms <= len(forms) + 2 * orbits
 
 
-@pytest.mark.parametrize("name", SYMMETRIC)
+@pytest.mark.parametrize("name", ["p2_2pts", "p1_2pts", "point_6"])
+def test_an_orbit_reads_every_element_off_its_cosets(monkeypatch, name):
+    gamma = SYMMETRIC[name][0]
+    group = symmetry_group(gamma)
+    n = len(group.elements)
+    cones = assemble_complex(gamma).cones
+    forms = counting(monkeypatch, "canonical_form")
+    for cc in cones[:: max(1, len(cones) // 12)]:
+        forms.clear()
+        orbit = moduli.orbit(group, cc.type)
+        assert len(orbit.images) * len(orbit.stabilizer) == n
+        assert len(forms) <= len(orbit.images) + math.log2(len(orbit.stabilizer))
+        assert orbit.images[0][:2] == (0, cc.key)
+        for k in range(n):
+            key, relabel = canonical_form(group.act(k, cc.type))
+            assert orbit.at(k) == (key, relabel, edge_permutation(cc.type.shape, relabel))
+
+
+@pytest.mark.parametrize("name", [name for name, (_, order, _) in SYMMETRIC.items() if order <= 144])
 def test_the_group_maps_every_stored_key_to_a_stored_key(monkeypatch, name):
     # on the complex assembled cone by cone, with no transport: the property
     # that lets assembly store a whole orbit from one representative
@@ -718,8 +754,8 @@ def test_the_group_maps_every_stored_key_to_a_stored_key(monkeypatch, name):
     identity_group(monkeypatch)
     cx = assemble_complex(gamma)
     keys = {cc.key for cc in cx.cones}
-    for g in group.elements:
-        assert {canonical_form(g.act(cc.type))[0] for cc in cx.cones} == keys
+    for g in range(len(group.elements)):
+        assert {canonical_form(group.act(g, cc.type))[0] for cc in cx.cones} == keys
 
 
 @pytest.mark.slow
