@@ -33,7 +33,6 @@ the canonical relabelings and each solved by ``face_inclusion_matrix``.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -756,7 +755,7 @@ class Orbit(NamedTuple):
 
     images: list[tuple[int, tuple, tuple[int, ...], list[int]]]
     stabilizer: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
-    where: array
+    where: list[int]
 
     def at(self, k: int) -> tuple[tuple, tuple[int, ...], list[int]]:
         """(key, relabel, eperm) of k·theta."""
@@ -776,7 +775,7 @@ def orbit(group: SymmetryGroup, theta: CombinatorialType) -> Orbit:
     twice its size. So the canonical forms number the orbit's size and at
     most log₂|Stab| more, however large G is."""
     n = len(group.elements)
-    where = array("q", [-1]) * n
+    where = [-1] * n
     images: list = []
     stabilizer = [(0, tuple(range(theta.shape.vertices)), tuple(range(len(theta.shape.edges))))]
     gens: list = []
@@ -801,9 +800,10 @@ def orbit(group: SymmetryGroup, theta: CombinatorialType) -> Orbit:
         # g·theta = h·theta, so s = h⁻¹∘g fixes theta, through these maps
         h, _, h_relabel, h_eperm = images[i]
         back_v, back_e = _inverse(h_relabel), _inverse(h_eperm)
-        gens.append((group.compose(group.inverse(h), g), tuple(back_v[w] for w in relabel), tuple(back_e[f] for f in eperm)))
+        s = group.compose(group.inverse(h), g)
+        gens.append((s, tuple(back_v[w] for w in relabel), tuple(back_e[f] for f in eperm)))
         start = len(stabilizer)
-        members = {s for s, _, _ in stabilizer}
+        members = {x for x, _, _ in stabilizer}
         for x, x_v, x_e in stabilizer:  # grows as it goes: the closure
             for y, y_v, y_e in gens:
                 z = group.compose(x, y)
