@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd, prod
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .curves import TreeShape
@@ -265,19 +267,57 @@ def _skeleton_census(rank: int, contacts: Sequence[Vec]) -> list[tuple]:
     """Distinct stabilized trivalent trees over the contact legs, one per symmetry class.
 
     Trees are grown from the tripod by leaf insertion in a fixed contact
-    order with canonical deduplication after every level, so the census
-    never holds more than one representative per class.
+    order, and each level keeps the first tree of every ``_tree_key``, so
+    the census never holds more than one representative per class.  A tree
+    with a contracted internal edge is left out, as its evaluation matrices
+    always carry a zero column: the last leg goes only at the sites that
+    ``_uncontracted_sites`` leaves, before any child is keyed.  A contracted
+    edge is an isomorphism invariant, so whole classes drop out and every
+    other class keeps the same first tree.
     """
     if len(contacts) < 3:
         raise ValueError("skeleton census needs at least three contact legs")
-    trees = grow_trees([(c, 0) for c in sorted(contacts)], _tree_key)
-    # drop skeletons with a contracted internal edge: their evaluation
-    # matrices always carry a zero column
-    return [
-        (nv, edges, legs)
-        for nv, edges, legs in trees
-        if all(any(c) for c in forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), rank))
+    return grow_trees([(c, 0) for c in sorted(contacts)], _tree_key, partial(_uncontracted_sites, rank))
+
+
+def _uncontracted_sites(rank: int, tree, leg) -> list[tuple[Optional[int], Optional[int]]]:
+    """The ``insert_leg`` sites at which ``leg`` leaves ``tree`` no edge of zero contact, in site order.
+
+    An edge carries the sum of the contacts beyond it (``forced_edge_contacts``),
+    so the new leg's contact c adds to the edges whose far side it joins and
+    leaves the rest.  An old edge of contact 0 survives only if the leg lands
+    beyond it, one of contact -c only if it does not; a split edge's two
+    halves carry its contact p and p + c, and a new edge at a leg of
+    contact c' carries c' + c.
+    """
+    nv, edges, legs = tree
+    c = leg[0]
+    zero, minus = (0,) * rank, tuple(-x for x in c)
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    # per edge of contact 0 or -c: (its index, the vertices beyond it, whether the leg must land there)
+    risky = []
+    for j, p in enumerate(forced_edge_contacts(nv, edges, ((v, x) for v, x, _ in legs), rank)):
+        if p == zero or p == minus:
+            a, b = edges[j]
+            beyond, stack = {a}, [b]
+            while stack:
+                v = stack.pop()
+                if v not in beyond:
+                    beyond.add(v)
+                    stack.extend(adj[v])
+            risky.append((j, beyond - {a}, p == zero))
+    sites: list[tuple[Optional[int], Optional[int]]] = [
+        (i, None) for i, (a, _) in enumerate(edges) if all(j != i and (a in beyond) == needs for j, beyond, needs in risky)
     ]
+    sites += [
+        (None, k)
+        for k, (v, x, _) in enumerate(legs)
+        if any(map(add, x, c)) and all((v in beyond) == needs for _, beyond, needs in risky)
+    ]
+    return sites
 
 
 def _closed_cone_test(vs: Sequence[Vec], rank: int, stride: int = 1):
@@ -393,10 +433,13 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     has at most L - 3 edges); the multiply leaves stray copies from bit
     E + L up, which a child's AND with its parent's sites drops and the
     root cuts off.  The lookahead drops a child in which a later point has no
-    site left.  A completed tree passes both tests in any insertion order
-    (the cone test is symmetric in the two points, the end count weakens as
-    marks are removed), so the lookahead drops only subtrees that complete
-    nothing: the same trees come out in the same order.
+    site left.  All of this reads only the tables and bitsets, so a child's
+    tree is built (``insert_leg``) only once it has passed the lookahead, and
+    a dropped child costs no tree.  A completed tree passes both tests in any
+    insertion order (the cone test is symmetric in the two points, the end
+    count weakens as marks are removed), so the lookahead drops only
+    subtrees that complete nothing: the same trees come out in the same
+    order.
     """
     rank = problem.fan.rank
     zero = (0,) * rank
@@ -447,11 +490,6 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
             bit = todo & -todo
             todo ^= bit
             s = bit.bit_length() - 1
-            below = used & (bit - 1)
-            if s < n_edges:
-                child = insert_leg(tree, leg, s - below.bit_count())
-            else:
-                child = insert_leg(tree, leg, None, s - n_edges - (below >> n_edges).bit_count())
             child_reach = reach & notfar[s]
             passing = end_sites(child_reach)
             row = compat[s] >> first[j] * n_sites
@@ -463,6 +501,11 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
                 later.append(sites)
                 row >>= n_sites
             else:
+                below = used & (bit - 1)
+                if s < n_edges:
+                    child = insert_leg(tree, leg, s - below.bit_count())
+                else:
+                    child = insert_leg(tree, leg, None, s - n_edges - (below >> n_edges).bit_count())
                 yield from rec(child, used | bit, child_reach, j + 1, later)
 
     for skeleton in skeletons:  # rec reads the tables of the skeleton in hand

@@ -4,10 +4,10 @@ A combinatorial type records the source tree (a ``curves.TreeShape``), a
 cone for each vertex, a contact order for each edge and a carrier cone for
 every edge and leg.  Edge contacts are stored for the tail->head
 orientation with tail < head, the form ``oriented`` puts an edge in.
-``CombinatorialType.outgoing`` is the star of a vertex, read by type
-checks, balancing and stability.  Vertex cones and carriers may be
-``None`` for the stabilized types used by the counting engine, where
-vertices roam freely; the solver fills them in afterwards.
+``CombinatorialType.stars`` gives the star of every vertex in one pass,
+read by type checks, balancing and stability.  Vertex cones and carriers
+may be ``None`` for the stabilized types used by the counting engine,
+where vertices roam freely; the solver fills them in afterwards.
 
 Constructors here are deliberately permissive: broken maps must be
 representable so that ``validate`` can report exactly which conditions
@@ -35,6 +35,7 @@ from .polyhedral import (
 Vector = tuple[int, ...]
 Point = tuple[Fraction, ...]
 Walk = tuple[tuple[int, ...], tuple[int, ...]]  # (carriers, crossed faces)
+Star = list[tuple[Vector, Optional[int]]]  # (contact leaving a vertex, carrier) per edge and leg at it
 
 
 class InvalidTypeError(ValueError):
@@ -146,24 +147,22 @@ class CombinatorialType:
         if len(self.leg_carriers) != len(self.shape.legs):
             raise ValueError("leg_carriers length mismatch")
 
-    def outgoing(self, v: int) -> list[tuple[Vector, Optional[int]]]:
-        """The star of v: (contact leaving v, carrier) of its edges, then its legs."""
-        out = []
+    def stars(self) -> list[Star]:
+        """Per vertex v, its star: (contact leaving v, carrier) of its edges, then its legs."""
+        out: list[Star] = [[] for _ in range(self.shape.vertices)]
         for (a, b), c, car in zip(self.shape.edges, self.edge_contacts, self.edge_carriers):
-            if a == v:
-                out.append((c, car))
-            elif b == v:
-                out.append((tuple(-x for x in c), car))
+            out[a].append((c, car))
+            out[b].append((tuple(-x for x in c), car))
         for (w, _), c, car in zip(self.shape.legs, self.leg_contacts, self.leg_carriers):
-            if w == v:
-                out.append((c, car))
+            if 0 <= w < len(out):  # TreeShape checks edge ends only; a stray leg is in no star
+                out[w].append((c, car))
         return out
 
     def check(self) -> None:
         """Raise InvalidTypeError if the structural invariants fail."""
         if not self.shape.is_tree():
             raise InvalidTypeError("shape is not a tree")
-        if not all(_balanced(self.outgoing(v)) for v in range(self.shape.vertices)):
+        if not all(_balanced(star) for star in self.stars()):
             raise InvalidTypeError("balancing fails at some vertex")
         for i, (a, b) in enumerate(self.shape.edges):
             car = self.edge_carriers[i]
@@ -190,7 +189,7 @@ class CombinatorialType:
                 raise InvalidTypeError(f"leg {lab} leaves its carrier cone")
 
 
-def _balanced(star: list[tuple[Vector, Optional[int]]]) -> bool:
+def _balanced(star: Star) -> bool:
     return not any(sum(xs) for xs in zip(*(c for c, _ in star)))
 
 
@@ -301,21 +300,21 @@ def validate(f: TropicalStableMap) -> ValidationReport:
         if not (inside and ray_ok):
             out.append(Violation("edge-in-cone", f"leg {lab} leaves its carrier cone"))
 
-    for v in range(shape.vertices):
-        if not _balanced(f.type.outgoing(v)):
+    stars = f.type.stars()
+    for v, star in enumerate(stars):
+        if not _balanced(star):
             out.append(Violation("balancing", f"vertex {v} is unbalanced"))
 
-    out.extend(_stability_violations(f))
+    out.extend(_stability_violations(f, stars))
     order = {name: k for k, name in enumerate(CHECK_ORDER)}
     out.sort(key=lambda viol: order[viol.condition])
     return ValidationReport(tuple(out))
 
 
-def _stability_violations(f: TropicalStableMap) -> list[Violation]:
+def _stability_violations(f: TropicalStableMap, stars: list[Star]) -> list[Violation]:
     fan = f.type.fan
     out = []
-    for v in range(f.type.shape.vertices):
-        branches = f.type.outgoing(v)
+    for v, branches in enumerate(stars):
         if all(not any(c) for c, _ in branches):
             # Vertex is contracted to a point; it needs three special points.
             if len(branches) < 3:

@@ -352,31 +352,50 @@ def rooted_form(
     ``(a, b)`` shows ``edge_tokens[i][0]`` from ``a`` and ``[1]`` from ``b``.
     The least is over ``roots`` (default: every vertex); roots picked by a
     rule isomorphisms respect, such as the tree's centres, keep it a key.
+    Each branch, an edge with all beyond one of its sides, serializes once
+    for all roots, with no vertex order.  The order, the vertices as the
+    least serialization lists them with equal children in adjacency order,
+    is read off that serialization alone; ties between roots go to the
+    first least in ``roots``.
     """
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(vertices)]
     for i, (a, b) in enumerate(edges):
         adj[a].append((i, b, 0))
         adj[b].append((i, a, 1))
+    # 2i + side: the token of edge i from that side and the serialization beyond it,
+    # the same from every root
+    branches: list[Optional[tuple]] = [None] * (2 * len(edges))
+    head: dict[int, int] = {}  # id of a branch -> the vertex it leads to
 
-    def serialize(v: int, come_from: int) -> tuple[tuple, list[int]]:
+    def serialize(v: int, come_from: int) -> tuple:
         children = []
         for i, w, side in adj[v]:
             if i != come_from:
-                child_ser, child_order = serialize(w, i)
-                children.append((edge_tokens[i][side] + (child_ser,), child_order))
-        children.sort(key=lambda t: t[0])
-        order = [v]
-        for _, child_order in children:
-            order.extend(child_order)
-        return vertex_tokens[v] + (tuple(c[0] for c in children),), order
+                k = 2 * i + side
+                if branches[k] is None:
+                    branches[k] = edge_tokens[i][side] + (serialize(w, i),)
+                    head[id(branches[k])] = w
+                children.append(branches[k])
+        children.sort()
+        return vertex_tokens[v] + (tuple(children),)
 
     best = None
-    best_order: list[int] = []
     for root in range(vertices) if roots is None else roots:
-        ser, order = serialize(root, -1)
+        ser = serialize(root, -1)
         if best is None or ser < best:
-            best, best_order = ser, order
-    return best, best_order
+            best, best_root = ser, root
+    # every branch is its own object, so equal branches keep the adjacency order
+    # that the stable sort left them in
+    order: list[int] = []
+
+    def walk(v: int, ser: tuple) -> None:
+        order.append(v)
+        for branch in ser[-1]:
+            walk(head[id(branch)], branch[-1])
+
+    walk(best_root, best)
+    del serialize, walk  # free the branches now, not at a later collection of the closures' cycles
+    return best, order
 
 
 def canonical_form(
@@ -883,20 +902,30 @@ def insert_leg(tree: tuple, leg: tuple, edge: Optional[int] = None, at_leg: Opti
     return (nv + 1, edges + ((old[0], nv),), rest + ((nv,) + old[1:], (nv,) + leg))
 
 
-def grow_trees(legs: Sequence[tuple], dedup_key: Optional[Callable[[tuple], object]] = None) -> list[tuple]:
+def grow_trees(
+    legs: Sequence[tuple],
+    dedup_key: Optional[Callable[[tuple], object]] = None,
+    last_sites: Optional[Callable[[tuple, tuple], Iterable[tuple[Optional[int], Optional[int]]]]] = None,
+) -> list[tuple]:
     """Trivalent trees over ``legs`` by leaf insertion, in ``insert_leg``'s encoding.
 
     The first three legs form the tripod (one vertex when there are fewer).
-    With ``dedup_key`` each level keeps only the first tree of every key.
+    A leg goes at every edge of each tree, then at every leg; at the last
+    level, ``last_sites(tree, leg)`` may name a subset of these sites, as
+    ``(edge, at_leg)`` pairs for ``insert_leg`` in the same order.  With
+    ``dedup_key`` each level keeps only the first tree of every key.
     """
     trees = [(1, (), tuple((0,) + leg for leg in legs[:3]))]
-    for leg in legs[3:]:
+    for depth, leg in enumerate(legs[3:], 4):
         seen = set()
         grown: list[tuple] = []
         for tree in trees:
-            children = [insert_leg(tree, leg, edge=i) for i in range(len(tree[1]))]
-            children += [insert_leg(tree, leg, at_leg=j) for j in range(len(tree[2]))]
-            for child in children:
+            if last_sites is not None and depth == len(legs):
+                sites = last_sites(tree, leg)
+            else:
+                sites = [(i, None) for i in range(len(tree[1]))] + [(None, j) for j in range(len(tree[2]))]
+            for edge, at_leg in sites:
+                child = insert_leg(tree, leg, edge, at_leg)
                 if dedup_key is not None:
                     key = dedup_key(child)
                     if key in seen:

@@ -124,6 +124,62 @@ def test_skeleton_census_sizes():
         assert len(_skeleton_census(2, [U1] * d + [U2] * d + [U3] * d)) == size
 
 
+def _census_keying_every_child(rank, contacts):
+    """The skeleton census as a key of every child, then a drop of the trees
+    with an internal edge of zero contact, the oracle of the census that
+    tests the contact before it keys."""
+    from tropcount import counting
+    from tropcount.moduli import forced_edge_contacts, grow_trees
+
+    trees = grow_trees([(c, 0) for c in sorted(contacts)], counting._tree_key)
+    return [
+        (nv, edges, legs)
+        for nv, edges, legs in trees
+        if all(any(c) for c in forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), rank))
+    ]
+
+
+QUADRIC_ONE_ONE = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+CENSUS_CASES = {
+    **{f"p2-d{d}": (lambda d=d: (2, [U1] * d + [U2] * d + [U3] * d)) for d in (1, 2, 3)},
+    "quadric-(1,1)": lambda: (2, QUADRIC_ONE_ONE),
+    "quadric-(2,2)": lambda: (2, QUADRIC_ONE_ONE * 2),
+    "p3-conics": lambda: (3, [c for _, c in projective_problem(3, 2, 0).gamma.contact_legs]),
+    "p1-cube-(1,1,1)": lambda: (3, [c for _, c in p1_cube_problem((1, 1, 1), 0).gamma.contact_legs]),
+}
+
+
+@pytest.mark.parametrize("name", list(CENSUS_CASES))
+def test_skeleton_census_matches_keying_every_child(name):
+    # a contracted edge is an isomorphism invariant, so testing it before the
+    # key drops whole classes and keeps the first tree of every other class
+    from tropcount.counting import _skeleton_census
+
+    rank, contacts = CENSUS_CASES[name]()
+    assert _skeleton_census(rank, contacts) == _census_keying_every_child(rank, contacts)
+
+
+def test_skeleton_census_keys_no_contracted_child(monkeypatch):
+    # of the 3,510 children at the last level of the d=3 census, 1,293 have
+    # an edge of zero contact and go unkeyed
+    from tropcount import counting
+
+    keyed = []
+    tree_key = counting._tree_key
+
+    def counted(tree):
+        keyed.append(len(tree[2]))
+        return tree_key(tree)
+
+    monkeypatch.setattr(counting, "_tree_key", counted)
+    contacts = [U1] * 3 + [U2] * 3 + [U3] * 3
+    _census_keying_every_child(2, contacts)
+    assert keyed.count(9) == 3510
+    keyed.clear()
+    counting._skeleton_census(2, contacts)
+    assert keyed.count(9) == 2217
+
+
 def test_census_bound_sits_at_nine_legs():
     from tropcount.counting import CensusTooLargeError, _census_legs
 
@@ -840,9 +896,12 @@ def test_marked_dfs_matches_reference_plane_degree_three_slice():
 
 
 def test_marked_dfs_nodes_per_depth_with_lookahead(monkeypatch):
-    # every search node is made by one insert_leg call; the reference search,
-    # without the lookahead, makes 750 / 3,244 / 5,870 / 5,667 / 3,797 /
-    # 1,317 / 304 / 44 (20,993) on the same slice
+    # one insert_leg call builds each search node, a child in which every later
+    # point keeps a site; a child the lookahead drops gets no tree (the search
+    # offers 750 / 2,816 / 1,714 / 706 / 626 / 223 / 272 / 44 children per
+    # depth on this slice).  The reference search, without the lookahead, makes
+    # 750 / 3,244 / 5,870 / 5,667 / 3,797 / 1,317 / 304 / 44 (20,993) nodes on
+    # the same slice
     from tropcount import counting
 
     prob = p2_problem(3, 0)
@@ -859,7 +918,7 @@ def test_marked_dfs_nodes_per_depth_with_lookahead(monkeypatch):
     monkeypatch.setattr(counting, "insert_leg", counted)
     trees = list(counting._marked_dfs(prob, skeletons, sorted(prob.gamma.trivial_legs)))
     assert len(trees) == 44
-    assert per_depth == [750, 2816, 1714, 706, 626, 223, 272, 44]
+    assert per_depth == [566, 678, 328, 397, 212, 198, 42, 44]
 
 
 # slices on which trees complete for the other d=3 seeds: 8 trees over

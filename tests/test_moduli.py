@@ -625,6 +625,57 @@ def test_canonical_form_invariant_under_relabeling():
     assert canonical_form(t)[0] == canonical_form(swapped)[0]
 
 
+def _rooted_form_with_orders(vertices, edges, vertex_tokens, edge_tokens, roots=None):
+    """``rooted_form`` as one recursion that builds every root's vertex order
+    alongside its serialization, the oracle of the form that serializes each
+    branch once and reads one order off the least serialization."""
+    adj = [[] for _ in range(vertices)]
+    for i, (a, b) in enumerate(edges):
+        adj[a].append((i, b, 0))
+        adj[b].append((i, a, 1))
+
+    def serialize(v, come_from):
+        children = []
+        for i, w, side in adj[v]:
+            if i != come_from:
+                child_ser, child_order = serialize(w, i)
+                children.append((edge_tokens[i][side] + (child_ser,), child_order))
+        children.sort(key=lambda t: t[0])
+        order = [v]
+        for _, child_order in children:
+            order.extend(child_order)
+        return vertex_tokens[v] + (tuple(c[0] for c in children),), order
+
+    best = None
+    for root in range(vertices) if roots is None else roots:
+        ser, order = serialize(root, -1)
+        if best is None or ser < best:
+            best, best_order = ser, order
+    return best, best_order
+
+
+def test_rooted_form_matches_every_root_ordered():
+    # few token values make many equal branches and equal roots, so the order
+    # of equal children and the tie between roots (the first least) both count
+    rng = random.Random(24)
+    for _ in range(3000):
+        nv = rng.randrange(1, 12)
+        labels = list(range(nv))
+        rng.shuffle(labels)
+        edges = [(labels[rng.randrange(i)], labels[i]) for i in range(1, nv)]
+        rng.shuffle(edges)
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+        k = rng.choice([1, 2, 3])
+        vertex_tokens = [(rng.randrange(k),) for _ in range(nv)]
+        if rng.random() < 0.5:
+            edge_tokens = [((), ())] * len(edges)
+        else:
+            edge_tokens = [((rng.randrange(k),), (rng.randrange(k),)) for _ in edges]
+        roots = None if rng.random() < 0.5 else rng.sample(range(nv), rng.randrange(1, nv + 1))
+        args = (nv, edges, vertex_tokens, edge_tokens, roots)
+        assert moduli.rooted_form(*args) == _rooted_form_with_orders(*args), args
+
+
 def test_labeled_trees_census_sizes():
     # (2n - 5)!! trivalent trees with n labelled legs
     for n, size in zip(range(3, 9), (1, 3, 15, 105, 945, 10395)):
