@@ -289,34 +289,34 @@ def _uncontracted_sites(rank: int, tree, leg) -> list[tuple[Optional[int], Optio
     beyond it, one of contact -c only if it does not; a split edge's two
     halves carry its contact p and p + c, and a new edge at a leg of
     contact c' carries c' + c.
+
+    These risky edges are bits: one parent walk from vertex 0 gives each
+    vertex the bits of the risky edges on its path.  A vertex lies beyond
+    edge (a, b) iff the edge's bit is set and its child end (the end farther
+    from vertex 0) is b, or unset and that end is a; so a site passes iff
+    its vertex's bits equal ``need`` once the bits of the edges whose child
+    end is a are flipped.
     """
     nv, edges, legs = tree
     c = leg[0]
     zero, minus = (0,) * rank, tuple(-x for x in c)
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    # per edge of contact 0 or -c: (its index, the vertices beyond it, whether the leg must land there)
-    risky = []
+    risky = need = 0
     for j, p in enumerate(forced_edge_contacts(nv, edges, ((v, x) for v, x, _ in legs), rank)):
         if p == zero or p == minus:
-            a, b = edges[j]
-            beyond, stack = {a}, [b]
-            while stack:
-                v = stack.pop()
-                if v not in beyond:
-                    beyond.add(v)
-                    stack.extend(adj[v])
-            risky.append((j, beyond - {a}, p == zero))
+            risky |= 1 << j
+            if p == zero:
+                need |= 1 << j
+    bits = [0] * nv
+    if risky:
+        for v, u, j in TreeShape.parent_walk(nv, edges, 0):
+            bit = risky & 1 << j
+            bits[v] = bits[u] | bit
+            if edges[j][0] == v:
+                need ^= bit
     sites: list[tuple[Optional[int], Optional[int]]] = [
-        (i, None) for i, (a, _) in enumerate(edges) if all(j != i and (a in beyond) == needs for j, beyond, needs in risky)
+        (i, None) for i, (a, _) in enumerate(edges) if not risky >> i & 1 and bits[a] == need
     ]
-    sites += [
-        (None, k)
-        for k, (v, x, _) in enumerate(legs)
-        if any(map(add, x, c)) and all((v in beyond) == needs for _, beyond, needs in risky)
-    ]
+    sites += [(None, k) for k, (v, x, _) in enumerate(legs) if any(map(add, x, c)) and bits[v] == need]
     return sites
 
 

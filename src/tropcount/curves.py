@@ -2,11 +2,14 @@
 
 ``TreeShape`` is the one tree of the package: vertices, internal edges
 oriented tail < head, and labelled legs (unbounded marked edges attached
-at a vertex), with one depth-first parent walk behind its connectivity
-check and its paths from a root (``signed_paths``). A ``TropicalCurve`` is
-a view on such a tree: each internal edge carries a strictly positive
-rational length, or ``INF`` for a nodal curve. Nodal curves can be
-represented but every moduli operation downstream rejects them.
+at a vertex). Its staticmethod ``parent_walk`` is the package's one
+depth-first parent walk, over bare edges that may run either way: it is
+behind the tree's connectivity check, its paths from a root
+(``signed_paths``), the edge contacts of ``moduli`` and the census sites
+of ``counting``. A ``TropicalCurve`` is a view on such a tree: each
+internal edge carries a strictly positive rational length, or ``INF`` for
+a nodal curve. Nodal curves can be represented but every moduli
+operation downstream rejects them.
 """
 from __future__ import annotations
 
@@ -53,27 +56,36 @@ class TreeShape:
                 return v
         raise UnknownLabelError(f"no leg labelled {label}")
 
-    def _parents(self, root: int) -> dict[int, tuple[int, int]]:
-        """Depth-first walk from ``root``: each reached vertex -> (parent, edge index)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
-        for i, (x, y) in enumerate(self.edges):
+    @staticmethod
+    def parent_walk(vertices: int, edges, root: int) -> list[tuple[int, int, int]]:
+        """Depth-first walk from ``root`` over bare ``(a, b)`` edges, which may
+        run either way: (vertex, parent, edge index) per vertex reached past
+        the root, each vertex after its parent."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(vertices)]
+        for i, (x, y) in enumerate(edges):
             adj[x].append((y, i))
             adj[y].append((x, i))
-        parent = {root: (-1, -1)}
+        walk: list[tuple[int, int, int]] = []
+        seen = [False] * vertices
+        seen[root] = True
         stack = [root]
         while stack:
             v = stack.pop()
             for w, i in adj[v]:
-                if w not in parent:
-                    parent[w] = (v, i)
+                if not seen[w]:
+                    seen[w] = True
+                    walk.append((w, v, i))
                     stack.append(w)
-        return parent
+        return walk
+
+    def _parents(self, root: int) -> list[tuple[int, int, int]]:
+        return TreeShape.parent_walk(self.vertices, self.edges, root)
 
     def is_tree(self) -> bool:
         return (
             self.vertices > 0
             and len(self.edges) == self.vertices - 1
-            and len(self._parents(0)) == self.vertices
+            and len(self._parents(0)) == self.vertices - 1
         )
 
     def signed_paths(self, root: int) -> list[list[tuple[int, int]]]:
@@ -81,9 +93,8 @@ class TreeShape:
         signed by traversal direction, all read off one parent walk."""
         paths: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
         # the walk reaches each vertex after its parent
-        for v, (u, i) in self._parents(root).items():
-            if u >= 0:
-                paths[v] = paths[u] + [(i, 1 if self.edges[i] == (u, v) else -1)]
+        for v, u, i in self._parents(root):
+            paths[v] = paths[u] + [(i, 1 if self.edges[i] == (u, v) else -1)]
         return paths
 
     def straighten(self) -> tuple[list[int], TreeShape, list[list[int]]]:

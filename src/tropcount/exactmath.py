@@ -141,13 +141,6 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
-
-
 def _diagonalize(
     d: list[list[int]],
     ncols: int,
@@ -260,7 +253,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Diagonalize over ℤ with unimodular row/column operations (see
     ``_diagonalize``); left·A·right = diag."""
     d = a.to_lists()
-    left, right_t = _identity_rows(a.rows), _identity_rows(a.cols)
+    left, right_t = IntMatrix.identity(a.rows).to_lists(), IntMatrix.identity(a.cols).to_lists()
     _diagonalize(d, a.cols, rows=[left], cols=[right_t])
     return SmithDecomposition(
         IntMatrix.from_rows(left, a.rows), IntMatrix.from_rows(d, a.cols), _from_columns(right_t, a.cols)

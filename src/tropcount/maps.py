@@ -77,14 +77,6 @@ class DiscreteData:
     def m(self) -> int:
         return len(self.trivial_legs)
 
-    def contact(self, label: int) -> Vector:
-        for lab, c in self.contact_legs:
-            if lab == label:
-                return c
-        if label in self.trivial_legs:
-            return (0,) * self.fan.rank
-        raise UnknownLabelError(f"no leg labelled {label}")
-
     def check_contacts(self, use: str) -> None:
         """Refuse contacts that ``use`` cannot take: off the fan's rays, or unbalanced."""
         if not torically_transverse(self):

@@ -953,29 +953,29 @@ def forced_edge_contacts(
     rank: int,
 ) -> list[tuple[int, ...]]:
     """Edge contact orders implied by balancing: for edge (a, b), the sum of
-    the contacts of the (vertex, contact) legs on the b side."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(vertices)]
-    for i, (a, b) in enumerate(edges):
-        adj[a].append((b, i))
-        adj[b].append((a, i))
-    at_vertex: list[list[tuple[int, ...]]] = [[] for _ in range(vertices)]
+    the contacts of the (vertex, contact) legs on the b side.
+
+    One parent walk from vertex 0 sums the leg contacts over each subtree,
+    in reverse walk order.  An edge's child end is its end farther from
+    vertex 0: the edge gets that end's subtree sum when the end is b, and
+    the total minus that sum when it is a.
+    """
+    below = [[0] * rank for _ in range(vertices)]
     for v, c in legs:
-        at_vertex[v].append(c)
-    out = []
-    for i, (a, b) in enumerate(edges):
-        total = [0] * rank
-        seen = {a, b}
-        stack = [b]
-        while stack:
-            v = stack.pop()
-            for c in at_vertex[v]:
-                for k in range(rank):
-                    total[k] += c[k]
-            for w, j in adj[v]:
-                if w not in seen and j != i:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(tuple(total))
+        row = below[v]
+        for k in range(rank):
+            row[k] += c[k]
+    walk = TreeShape.parent_walk(vertices, edges, 0)
+    for v, u, _ in reversed(walk):
+        up, row = below[u], below[v]
+        for k in range(rank):
+            up[k] += row[k]
+    total = below[0]
+    out: list[tuple[int, ...]] = [()] * len(edges)
+    # tuple() of a list: of a generator, it was slower and raised the
+    # count's peak memory
+    for v, _, i in walk:
+        out[i] = tuple(below[v]) if edges[i][1] == v else tuple([t - x for t, x in zip(total, below[v])])
     return out
 
 
@@ -1154,8 +1154,8 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
             for h, image_key, p_relabel, p_eperm in orbits[key].images:
                 f_key, f_relabel, f_eperm = face_orbit.at(group.compose(h, g))
                 pair = (f_key, image_key)
-                if pair in face_rel:
-                    continue
+                # one representative facet and one coset give each pair
+                assert pair not in face_rel
                 vmap = [0] * len(p_relabel)
                 for v, w in zip(p_relabel, to_face_rep):
                     vmap[v] = f_relabel[w]

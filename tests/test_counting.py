@@ -159,6 +159,109 @@ def test_skeleton_census_matches_keying_every_child(name):
     assert _skeleton_census(rank, contacts) == _census_keying_every_child(rank, contacts)
 
 
+def _edge_contacts_by_edge_walks(vertices, edges, legs, rank):
+    """Per edge (a, b), a walk over the b side that sums its leg contacts:
+    the per-edge form of ``forced_edge_contacts``, its oracle."""
+    adj = [[] for _ in range(vertices)]
+    for i, (a, b) in enumerate(edges):
+        adj[a].append((b, i))
+        adj[b].append((a, i))
+    at_vertex = [[] for _ in range(vertices)]
+    for v, c in legs:
+        at_vertex[v].append(c)
+    out = []
+    for i, (a, b) in enumerate(edges):
+        total = [0] * rank
+        seen, stack = {a, b}, [b]
+        while stack:
+            v = stack.pop()
+            for c in at_vertex[v]:
+                total = [x + y for x, y in zip(total, c)]
+            for w, j in adj[v]:
+                if w not in seen and j != i:
+                    seen.add(w)
+                    stack.append(w)
+        out.append(tuple(total))
+    return out
+
+
+@pytest.mark.parametrize("name", list(CENSUS_CASES))
+def test_forced_edge_contacts_match_edge_walks_on_the_census(name):
+    from tropcount.counting import _skeleton_census
+    from tropcount.moduli import forced_edge_contacts
+
+    rank, contacts = CENSUS_CASES[name]()
+    for nv, edges, legs in _skeleton_census(rank, contacts):
+        leg_contacts = [(v, c) for v, c, _ in legs]
+        want = _edge_contacts_by_edge_walks(nv, edges, leg_contacts, rank)
+        assert forced_edge_contacts(nv, edges, leg_contacts, rank) == want, (nv, edges, legs)
+
+
+def _random_working_tree(rng, rank, span, scramble):
+    """A tree grown by ``insert_leg`` with legs (vertex, contact, 0), whose
+    split edges run from the new vertex to the old head, so that some edges
+    run tail > head; the contacts need not balance.  ``scramble`` renames
+    the vertices and turns edges round at random, so that a child end (the
+    end farther from vertex 0) may be a tail."""
+    from tropcount.moduli import insert_leg
+
+    contact = lambda: tuple(rng.randint(-span, span) for _ in range(rank))
+    tree = (1, (), tuple((0, contact(), 0) for _ in range(3)))
+    for _ in range(rng.randint(0, 12)):
+        nv, edges, legs = tree
+        if edges and rng.random() < 0.5:
+            tree = insert_leg(tree, (contact(), 0), edge=rng.randrange(len(edges)))
+        else:
+            tree = insert_leg(tree, (contact(), 0), at_leg=rng.randrange(len(legs)))
+    if not scramble:
+        return tree
+    nv, edges, legs = tree
+    name = list(range(nv))
+    rng.shuffle(name)
+    edges = tuple((name[b], name[a]) if rng.random() < 0.5 else (name[a], name[b]) for a, b in edges)
+    return nv, edges, tuple((name[leg[0]],) + leg[1:] for leg in legs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_forced_edge_contacts_match_edge_walks_on_random_trees(seed):
+    import random
+
+    from tropcount.moduli import forced_edge_contacts
+
+    rng = random.Random(seed)
+    rank = rng.randint(1, 3)
+    nv, edges, legs = _random_working_tree(rng, rank, 3, scramble=seed % 2)
+    leg_contacts = [(v, c) for v, c, _ in legs]
+    want = _edge_contacts_by_edge_walks(nv, edges, leg_contacts, rank)
+    assert forced_edge_contacts(nv, edges, leg_contacts, rank) == want, (nv, edges, legs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_uncontracted_sites_are_the_sites_with_no_zero_edge(seed):
+    # the oracle inserts the leg at every site and keeps the children with
+    # no edge of zero contact, in site order; small contacts make edges of
+    # contact 0 and -c common
+    import random
+
+    from tropcount.counting import _uncontracted_sites
+    from tropcount.moduli import forced_edge_contacts, insert_leg
+
+    rng = random.Random(seed)
+    rank = rng.randint(1, 2)
+    for _ in range(10):
+        tree = _random_working_tree(rng, rank, 1, scramble=True)
+        c = (1,) + tuple(rng.randint(-1, 1) for _ in range(rank - 1))
+        leg = (c if rng.random() < 0.5 else tuple(-x for x in c), 0)
+        nv, edges, legs = tree
+        every = [(i, None) for i in range(len(edges))] + [(None, k) for k in range(len(legs))]
+        want = []
+        for site in every:
+            cnv, cedges, clegs = insert_leg(tree, leg, *site)
+            if all(any(p) for p in forced_edge_contacts(cnv, cedges, ((v, x) for v, x, _ in clegs), rank)):
+                want.append(site)
+        assert _uncontracted_sites(rank, tree, leg) == want, (tree, leg)
+
+
 def test_skeleton_census_keys_no_contracted_child(monkeypatch):
     # of the 3,510 children at the last level of the d=3 census, 1,293 have
     # an edge of zero contact and go unkeyed

@@ -5,6 +5,7 @@ import pytest
 
 from tropcount.curves import (
     INF,
+    TreeShape,
     TropicalCurve,
     curve_from_json,
     curve_to_json,
@@ -172,6 +173,28 @@ def test_overvalence_vs_edge_deficit():
         n_legs = len(c.legs)
         stab = stabilize(c)
         assert overvalence(c) == (n_legs - 3) - len(stab.internal_edges)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_parent_walk_reaches_each_vertex_once_after_its_parent(seed):
+    # a random tree on shuffled vertices, each edge running either way
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    names = list(range(n))
+    rng.shuffle(names)
+    edges = []
+    for k in range(1, n):
+        a, b = names[rng.randrange(k)], names[k]
+        edges.append((a, b) if rng.random() < 0.5 else (b, a))
+    rng.shuffle(edges)
+    root = rng.randrange(n)
+    walk = TreeShape.parent_walk(n, edges, root)
+    order = [root] + [v for v, _, _ in walk]
+    assert sorted(order) == list(range(n))
+    for v, u, i in walk:
+        assert set(edges[i]) == {u, v}
+        assert order.index(u) < order.index(v)
+    assert sorted(i for _, _, i in walk) == list(range(n - 1))
 
 
 def test_curve_json_roundtrip():
