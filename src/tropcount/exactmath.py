@@ -11,10 +11,11 @@ oracle.
   questions over ℚ. ``rank`` and ``solve_rational`` run it on right-hand
   sides cleared of their denominators and divide out once at the end;
   determinants are read off its last pivot.
-- ``integer_kernel``, a unimodular row reduction to Hermite normal form,
-  gives every lattice: a kernel's canonical basis, and through it a
-  span's quotient projection (``lattice_quotient``) and saturation.
-  ``hermite_solve`` solves against such a basis.
+- ``hermite_basis``, a unimodular row reduction to Hermite normal form,
+  gives every lattice its canonical basis: from generators, or as a kernel
+  (``integer_kernel``), and through that a span's quotient projection
+  (``lattice_quotient``) and saturation. ``hermite_solve`` solves against
+  such a basis.
 - ``_diagonalize``, a Smith normal form loop, runs only under
   ``smith_normal_form`` and ``lattice_index``, which no module of the
   package calls: they are the independent oracle the tests check the
@@ -284,37 +285,43 @@ def _reduce(row: list[int], pivot: Sequence[int], c: int) -> list[int]:
     return [x - q * y for x, y in zip(row, pivot)] if q else row
 
 
-def integer_kernel(a: IntMatrix) -> IntMatrix:
-    """The Hermite basis of the kernel lattice {x in ZZ^n : A x = 0}, as columns.
+def hermite_basis(columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
+    """The Hermite basis of the lattice that the integer columns span, as columns.
 
     As rows it is in Hermite normal form: each row's first nonzero entry,
     its pivot, is positive and right of the previous row's, and the entries
     above a pivot lie in [0, pivot). A lattice has one such basis (Cohen,
-    *A Course in Computational Algebraic Number Theory*, §2.4). Unimodular
-    row operations bring the rows (column j of A | unit vector j) to it
-    from the left; the rows whose A part ends zero hold the kernel's basis,
-    reduced above their pivots among themselves alone.
+    *A Course in Computational Algebraic Number Theory*, §2.4). Euclid down
+    each column brings the rows to it, a unimodular row operation at each
+    step, and leaves the rows past the last pivot zero.
     """
-    m, n = a.rows, a.cols
-    if not m:
-        return IntMatrix.identity(n)
-    rows = [[a.at(i, j) for i in range(m)] + [int(j == k) for k in range(n)] for j in range(n)]
-    top = kernel = 0  # rows above top hold pivots; rows from kernel on have a zero A part
-    for c in range(m + n):
-        live = [i for i in range(top, n) if rows[i][c]]
-        while len(live) > 1:  # Euclid down the column
+    rows = [list(col) for col in columns]
+    top = 0  # rows above top hold pivots
+    for c in range(nrows):
+        live = [i for i in range(top, len(rows)) if rows[i][c]]
+        while len(live) > 1:
             p = min(live, key=lambda i: abs(rows[i][c]))
             rows = [row if i < top or i == p else _reduce(row, rows[p], c) for i, row in enumerate(rows)]
-            live = [i for i in range(top, n) if rows[i][c]]
+            live = [i for i in live if rows[i][c]]
         if live:
             rows[top], rows[live[0]] = rows[live[0]], rows[top]
             if rows[top][c] < 0:
                 rows[top] = [-x for x in rows[top]]
-            for i in range(kernel, top):
+            for i in range(top):
                 rows[i] = _reduce(rows[i], rows[top], c)
             top += 1
-            kernel = top if c < m else kernel
-    return _from_columns([row[m:] for row in rows[kernel:]], n)
+    return _from_columns(rows[:top], nrows)
+
+
+def integer_kernel(a: IntMatrix) -> IntMatrix:
+    """The Hermite basis of the kernel lattice {x in ZZ^n : A x = 0}, as columns.
+
+    The vectors (A·e_j, e_j) span the graph of A, and the vectors of its
+    Hermite basis whose A part is zero, the last ones, are the kernel's.
+    """
+    m, n = a.rows, a.cols
+    graph = hermite_basis([[a.at(i, j) for i in range(m)] + [int(j == k) for k in range(n)] for j in range(n)], m + n)
+    return _from_columns([col[m:] for col in map(graph.column, range(graph.cols)) if not any(col[:m])], n)
 
 
 def hermite_solve(h: IntMatrix, t: IntMatrix) -> Optional[IntMatrix]:

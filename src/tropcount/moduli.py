@@ -22,13 +22,14 @@ a contracted edge to 0). All of it is integer arithmetic, with no LP.
 Assembly works once per orbit of the group G of ``symmetry_group``: the
 lattice automorphisms of the fan, each with the leg relabelings that carry
 every contact along. Per orbit, for its representative only, come the
-extreme rays, the witness, the face types and the orbit itself (``orbit``:
-one canonical form per coset of the representative's stabilizer, and a
-few more while the stabilizer is found). Per cone come the canonical form
-of g·rep for the first g of its coset, the moduli cone with its
-``CombinatorialType.check``, the ``classify`` assert on the
-representative's witness moved by g, and the face maps, composed through
-the canonical relabelings and each solved by ``face_inclusion_matrix``.
+moduli cone with its ``CombinatorialType.check``, the rays, the witness
+with its ``classify`` assert, the face types and the orbit (``orbit``: a
+canonical form per coset of the stabilizer, and a few more while it is
+found); an orbit of empty cones is found once, then skipped. Each other
+cone g·rep is transported (``transported_cone``): the canonical form of
+g·rep for the first g of its coset, rep's basis and witness moved by g,
+and the face maps, composed through the canonical relabelings and each
+solved by ``face_inclusion_matrix``.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from .exactmath import (
     IntMatrix,
     clear_denominators,
     fraction_free_rref,
+    hermite_basis,
     hermite_solve,
     integer_kernel,
     lattice_quotient,
@@ -307,14 +309,12 @@ class ModuliCone:
         return None if y is None else self.ambient_point(self.span_basis.apply(y))
 
 
-def moduli_cone(theta: CombinatorialType) -> ModuliCone:
-    """The span cuts of a type on (root position, lengths), and their kernel's Hermite basis.
-
-    Integer root and lengths give integer positions, and back, so the edge
-    equations take no rows. Per confined vertex, the integral projection
-    killing span(cone_v), read at the vertex's position, gives the rows.
-    """
-    theta.check()
+def _span_cuts(theta: CombinatorialType) -> tuple[int, tuple, IntMatrix]:
+    """A type's root, its signed paths from it and its span cuts on (root
+    position, lengths). Integer root and lengths give integer positions, and
+    back, so the edge equations take no rows. Per confined vertex, the
+    integral projection killing span(cone_v), read at the vertex's position,
+    gives the rows."""
     fan = theta.fan
     # the vertex of the least leg label, which no contraction removes
     root = theta.shape.leg_vertex(1) if theta.shape.legs else 0
@@ -325,7 +325,13 @@ def moduli_cone(theta: CombinatorialType) -> ModuliCone:
         if cone_idx is not None
         for cut in fan.cone_data(cone_idx).projection
     ]
-    matrix = IntMatrix.from_rows(rows, fan.rank + len(theta.shape.edges))
+    return root, paths, IntMatrix.from_rows(rows, fan.rank + len(theta.shape.edges))
+
+
+def moduli_cone(theta: CombinatorialType) -> ModuliCone:
+    """A checked type's moduli cone: its span cuts and their kernel's Hermite basis."""
+    theta.check()
+    root, paths, matrix = _span_cuts(theta)
     basis = integer_kernel(matrix)
     return ModuliCone(theta, root, paths, matrix, basis, basis.cols)
 
@@ -1056,21 +1062,44 @@ def _candidates(gamma: DiscreteData) -> Iterator[CombinatorialType]:
                 yield threaded(fan, shape, assignment, edge_contacts, leg_contacts, pattern[:ne], pattern[ne:])
 
 
-def _stored_cone(theta: CombinatorialType, key: tuple, witness: Optional[Sequence[int]] = None) -> Optional[ComplexCone]:
-    """The record of a stored type: its moduli cone and a witness, an
-    integer point that ``classify`` certifies to be in the cone's relative
-    interior. A transported cone brings its witness. Otherwise the witness
-    is the ambient point of the sum of the cone's extreme rays, or None when
-    the cone has no relative-interior point; the rays stay cached on the
-    cone, for ``face_types``. ``complex_from_json`` builds its records here
-    too."""
+def _stored_cone(theta: CombinatorialType, key: tuple) -> Optional[ComplexCone]:
+    """The record of a type built from scratch: its moduli cone and, as the
+    witness, the ambient point of the sum of its extreme rays (cached for
+    ``face_types``), certified by ``classify``; None when the cone has no
+    relative-interior point. Assembly builds its representatives here, and
+    ``complex_from_json`` every record it reads."""
     mc = moduli_cone(theta)
+    witness = mc.relint_witness()
     if witness is None:
-        witness = mc.relint_witness()
-        if witness is None:
-            return None
+        return None
     assert mc.classify(witness) == "interior"
     return ComplexCone(theta, mc, tuple(witness), key)
+
+
+def transported_cone(
+    rep: ComplexCone, g: Symmetry, theta: CombinatorialType, relabel: Sequence[int], eperm: list[int], key: tuple
+) -> ComplexCone:
+    """The record of theta = relabel_type(g·rep.type, relabel), moved from
+    rep's with no check, kernel or ``classify``.
+
+    g moves a map of rep's type to one of theta's, vertex v to relabel[v] at
+    A times its position and edge e to eperm[e], and so rep's witness to
+    theta's. theta's root is relabel[u] for a vertex u, so the unimodular
+    P_g from rep's (root position, lengths) to theta's takes p to A·(p +
+    sign·length·contact over rep's path to u) and the lengths along eperm.
+    The Hermite basis of P_g·B_rep is then the one ``integer_kernel`` gives."""
+    root, paths, matrix = _span_cuts(theta)
+    b, r, back = rep.cone.span_basis, g.matrix.rows, _inverse(eperm)
+    to_u = rep.cone.paths[relabel.index(root)]
+    moved = [position_row(g.matrix.row(i), to_u, rep.type.edge_contacts) for i in range(r)]  # P_g's root rows
+    columns = [
+        [sum(a * y for a, y in zip(row, x)) for row in moved] + [x[r + e] for e in back]
+        for x in (b.entries[j :: b.cols] for j in range(b.cols))
+    ]
+    basis = hermite_basis(columns, b.rows)
+    assert not any((matrix @ basis).entries)
+    cone = ModuliCone(theta, root, paths, matrix, basis, rep.cone.dimension)
+    return ComplexCone(theta, cone, g.move_point(rep.witness, relabel, eperm), key)
 
 
 def assemble_complex(gamma: DiscreteData) -> ConeComplex:
@@ -1086,9 +1115,10 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
 
     The group G of ``symmetry_group`` acts on the complex, and assembly
     works per orbit. A new key is stored as a representative, with its
-    extreme rays and witness, and with its ``orbit``. Each image h·rep is
-    stored too, on its own canonical type and moduli cone, with rep's
-    witness moved by h and certified by ``classify``. Only representatives
+    moduli cone, extreme rays and witness, and with its ``orbit``; a new
+    key of an empty cone puts its whole orbit's keys aside. Each image
+    h·rep is stored too, on its own canonical type, by ``transported_cone``
+    from rep's record, with no moduli cone of its own. Only representatives
     run ``face_types``, and each of their faces is admitted, so it is
     stored as g_f·(its representative). The same face of an image h·rep is
     then (h∘g_f)·(that representative): its key and relabeling are read
@@ -1109,23 +1139,26 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     # each stored key -> (its representative's key, the first g with key = g·rep)
     origin: dict[tuple, tuple[tuple, int]] = {}
     reps: list[tuple] = []  # the representatives whose faces are still to be found
+    empty: set[tuple] = set()  # the keys of the orbits of empty cones
 
     def admit(theta: CombinatorialType) -> tuple[tuple, tuple[int, ...]]:
         """Store the orbit of a located type unless its key is known or its
         cone is empty; returns (key, relabel)."""
         key, relabel = canonical_form(theta)
-        if key in by_key:
+        if key in by_key or key in empty:
             return key, relabel
-        rep = _stored_cone(relabel_type(theta, relabel), key)
+        theta = relabel_type(theta, relabel)
+        rep = _stored_cone(theta, key)
         if rep is None:
+            empty.update(image[1] for image in orbit(group, theta).images)
             return key, relabel
         by_key[key] = rep
         origin[key] = (key, 0)  # the identity comes first
-        orbits[key] = orbit(group, rep.type)
+        orbits[key] = orbit(group, theta)
         for g, image_key, image_relabel, eperm in orbits[key].images:
             if image_key not in by_key:
-                witness = group.elements[g].move_point(rep.witness, image_relabel, eperm)
-                by_key[image_key] = _stored_cone(relabel_type(group.act(g, rep.type), image_relabel), image_key, witness)
+                image = relabel_type(group.act(g, theta), image_relabel)
+                by_key[image_key] = transported_cone(rep, group.elements[g], image, image_relabel, eperm, image_key)
                 origin[image_key] = (key, g)
         reps.append(key)
         return key, relabel

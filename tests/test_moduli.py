@@ -485,18 +485,15 @@ def test_bases_and_face_maps_agree_with_the_ambient_snf(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ASSEMBLED)
 def test_one_moduli_cone_per_stored_cone(monkeypatch, name):
-    built = []
-
-    def counted(theta):
-        built.append(theta)
-        return moduli_cone(theta)
-
-    monkeypatch.setattr(moduli, "moduli_cone", counted)
+    # built from scratch: one stored cone per orbit, its representative, and
+    # no empty cone on these complexes; every other cone is transported
+    built = counting(monkeypatch, "moduli_cone")
+    parents = counting(monkeypatch, "face_types")
     cx = assemble_complex(ASSEMBLED[name])
-    assert len(built) == len(cx.cones)
-    assert set(built) == {cc.type for cc in cx.cones}
+    assert len(built) == len(set(built)) == len(parents)
+    assert set(built) == set(parents) <= {cc.type for cc in cx.cones}
     if name == "p2_2pts":
-        assert len(built) == 554
+        assert len(built) == 74
 
 
 HEXAGON = Fan.make(
@@ -776,6 +773,30 @@ def test_assembly_per_orbit_writes_the_complex_of_the_identity_group(monkeypatch
     # one canonical form per image and per face of a representative, and
     # at most log2 |Stab| more per orbit: never many more than cone by cone
     assert orbit_forms <= len(forms) + 2 * orbits
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_transported_cones_are_the_cones_built_from_scratch(monkeypatch, name):
+    # the checks that assembly runs on representatives only, on every cone
+    gamma, _, orbits = SYMMETRIC[name]
+    root_moved = []
+    transport = moduli.transported_cone
+
+    def recorded(rep, g, theta, relabel, eperm, key):
+        cc = transport(rep, g, theta, relabel, eperm, key)
+        # u, the vertex of rep's that goes to the image's root
+        root_moved.append(relabel.index(cc.cone.root) != rep.cone.root)
+        return cc
+
+    monkeypatch.setattr(moduli, "transported_cone", recorded)
+    cx = assemble_complex(gamma)
+    assert len(root_moved) == len(cx.cones) - orbits
+    for cc in cx.cones:
+        cc.type.check()
+        assert moduli_cone(cc.type) == cc.cone
+        assert cc.cone.classify(cc.witness) == "interior"
+    if name == "p2_2pts":
+        assert any(root_moved)
 
 
 @pytest.mark.parametrize("name", ["p2_2pts", "p1_2pts", "point_6"])

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from tropcount import moduli
 from tropcount.cli import main
 
 LINE = ("--fan", "p2", "--contacts", "p2-degree:1")
@@ -137,10 +138,20 @@ def test_standard_output_is_pinned(tmp_path, name):
     assert_pinned(tmp_path, name, *PINNED[name])
 
 
+# the moduli cones each large complex builds from scratch: one per orbit's
+# representative, and one per orbit of empty candidates (40 of the conics');
+# every other cone is transported along its orbit
+SLOW_MODULI_CONES = {"complex-3-points": 315, "complex-conics": 537}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", SLOW_PINNED)
-def test_large_complex_is_pinned(tmp_path, name):
+def test_large_complex_is_pinned(monkeypatch, tmp_path, name):
+    built = []
+    build = moduli.moduli_cone
+    monkeypatch.setattr(moduli, "moduli_cone", lambda theta: built.append(theta) or build(theta))
     assert_pinned(tmp_path, name, *SLOW_PINNED[name])
+    assert len(built) == SLOW_MODULI_CONES[name]
 
 
 def test_rank_three_lines_are_pinned(tmp_path):
