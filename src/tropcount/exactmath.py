@@ -285,19 +285,16 @@ def _reduce(row: list[int], pivot: Sequence[int], c: int) -> list[int]:
     return [x - q * y for x, y in zip(row, pivot)] if q else row
 
 
-def hermite_basis(columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
-    """The Hermite basis of the lattice that the integer columns span, as columns.
-
-    As rows it is in Hermite normal form: each row's first nonzero entry,
-    its pivot, is positive and right of the previous row's, and the entries
-    above a pivot lie in [0, pivot). A lattice has one such basis (Cohen,
-    *A Course in Computational Algebraic Number Theory*, §2.4). Euclid down
-    each column brings the rows to it, a unimodular row operation at each
-    step, and leaves the rows past the last pivot zero.
-    """
-    rows = [list(col) for col in columns]
-    top = 0  # rows above top hold pivots
-    for c in range(nrows):
+def _hermite(rows: list[list[int]], ncols: int, m: int = 0) -> list[list[int]]:
+    """Unimodular row operations on the integer rows over their first ncols
+    columns, by Euclid down each column: the rows with a pivot in the first
+    m columns stay unreduced, and the others are returned in Hermite normal
+    form. There each row's first nonzero entry, its pivot, is positive and
+    right of the previous row's, and the entries above a pivot lie in [0,
+    pivot): a lattice's one such basis (Cohen, *A Course in Computational
+    Algebraic Number Theory*, §2.4)."""
+    top = tail = 0  # rows above top hold pivots, those from tail on are reduced
+    for c in range(ncols):
         live = [i for i in range(top, len(rows)) if rows[i][c]]
         while len(live) > 1:
             p = min(live, key=lambda i: abs(rows[i][c]))
@@ -307,21 +304,24 @@ def hermite_basis(columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
             rows[top], rows[live[0]] = rows[live[0]], rows[top]
             if rows[top][c] < 0:
                 rows[top] = [-x for x in rows[top]]
-            for i in range(top):
+            for i in range(tail, top):
                 rows[i] = _reduce(rows[i], rows[top], c)
             top += 1
-    return _from_columns(rows[:top], nrows)
+            tail = top if c < m else tail
+    return rows[tail:top]
+
+
+def hermite_basis(columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
+    """The Hermite basis of the lattice that the integer columns span, as columns."""
+    return _from_columns(_hermite([list(col) for col in columns], nrows), nrows)
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
-    """The Hermite basis of the kernel lattice {x in ZZ^n : A x = 0}, as columns.
-
-    The vectors (A·e_j, e_j) span the graph of A, and the vectors of its
-    Hermite basis whose A part is zero, the last ones, are the kernel's.
-    """
+    """The Hermite basis of the kernel lattice {x in ZZ^n : A x = 0}, as columns:
+    the rows (column j of A | unit vector j) with no pivot in the A part span it."""
     m, n = a.rows, a.cols
-    graph = hermite_basis([[a.at(i, j) for i in range(m)] + [int(j == k) for k in range(n)] for j in range(n)], m + n)
-    return _from_columns([col[m:] for col in map(graph.column, range(graph.cols)) if not any(col[:m])], n)
+    rows = [[a.at(i, j) for i in range(m)] + [int(j == k) for k in range(n)] for j in range(n)]
+    return _from_columns([row[m:] for row in _hermite(rows, m + n, m)], n)
 
 
 def hermite_solve(h: IntMatrix, t: IntMatrix) -> Optional[IntMatrix]:
