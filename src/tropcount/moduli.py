@@ -770,22 +770,22 @@ class Orbit(NamedTuple):
     """The orbit of a stored type theta under G, by the cosets of its
     stabilizer.
 
-    ``images[i]`` = (h, key, relabel, eperm): h is the first element of its
-    coset h·Stab in G's order, key the canonical key of h·theta, and
-    relabel (eperm) carries theta's vertices (edges) to those of the stored
-    type of that key. ``stabilizer[j]`` = (s, vertex map, edge map): s·theta
-    is theta with its vertices and edges renumbered by these maps. Each
-    element k of G is h_i∘s_j for one pair, and ``where[k]`` = i·|G| + j.
-    """
+    ``images[i]`` = (h, key, relabel, eperm, image): h is the first element
+    of its coset h·Stab in G's order, key the canonical key of h·theta,
+    image the stored type of that key, relabel_type(h·theta, relabel), and
+    relabel (eperm) carries theta's vertices (edges) to image's.
+    ``stabilizer[j]`` = (s, vertex map, edge map): s·theta is theta with its
+    vertices and edges renumbered by these maps. Each element k of G is
+    h_i∘s_j for one pair, and ``where[k]`` = i·|G| + j."""
 
-    images: list[tuple[int, tuple, tuple[int, ...], list[int]]]
+    images: list[tuple[int, tuple, tuple[int, ...], list[int], CombinatorialType]]
     stabilizer: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
     where: list[int]
 
     def at(self, k: int) -> tuple[tuple, tuple[int, ...], list[int]]:
         """(key, relabel, eperm) of k·theta."""
         i, j = divmod(self.where[k], len(self.where))
-        _, key, relabel, eperm = self.images[i]
+        _, key, relabel, eperm, _ = self.images[i]
         if j:
             _, vmap, emap = self.stabilizer[j]
             return key, tuple(relabel[v] for v in vmap), [eperm[e] for e in emap]
@@ -814,16 +814,17 @@ def orbit(group: SymmetryGroup, theta: CombinatorialType) -> Orbit:
     for g in range(n):
         if where[g] >= 0:
             continue
-        key, relabel = canonical_form(group.act(g, theta))
+        moved = group.act(g, theta)
+        key, relabel = canonical_form(moved)
         eperm = edge_permutation(theta.shape, relabel)
         i = found.get(key)
         if i is None:
             found[key] = len(images)
-            images.append((g, key, relabel, eperm))
+            images.append((g, key, relabel, eperm, relabel_type(moved, relabel)))
             mark(len(images) - 1, 0)
             continue
         # g·theta = h·theta, so s = h⁻¹∘g fixes theta, through these maps
-        h, _, h_relabel, h_eperm = images[i]
+        h, _, h_relabel, h_eperm, _ = images[i]
         back_v, back_e = _inverse(h_relabel), _inverse(h_eperm)
         s = group.compose(group.inverse(h), g)
         gens.append((s, tuple(back_v[w] for w in relabel), tuple(back_e[f] for f in eperm)))
@@ -1117,14 +1118,14 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     works per orbit. A new key is stored as a representative, with its
     moduli cone, extreme rays and witness, and with its ``orbit``; a new
     key of an empty cone puts its whole orbit's keys aside. Each image
-    h·rep is stored too, on its own canonical type, by ``transported_cone``
-    from rep's record, with no moduli cone of its own. Only representatives
-    run ``face_types``, and each of their faces is admitted, so it is
-    stored as g_f·(its representative). The same face of an image h·rep is
-    then (h∘g_f)·(that representative): its key and relabeling are read
-    off that representative's orbit (``Orbit.at``), and the vertex and edge
-    maps composed through the relabelings. Every face pair still gets its
-    own ``face_inclusion_matrix``.
+    h·rep is stored too, on the canonical type its orbit built, by
+    ``transported_cone`` from rep's record, with no moduli cone of its own.
+    Only representatives run ``face_types``, and each of their faces is
+    admitted, so it is stored as g_f·(its representative). The same face of
+    an image h·rep is then (h∘g_f)·(that representative): its key and
+    relabeling are read off that representative's orbit (``Orbit.at``), and
+    the vertex and edge maps composed through the relabelings. Every face
+    pair still gets its own ``face_inclusion_matrix``.
     """
     fan = gamma.fan
     if fan.rank > 2:
@@ -1147,19 +1148,18 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
         key, relabel = canonical_form(theta)
         if key in by_key or key in empty:
             return key, relabel
-        theta = relabel_type(theta, relabel)
-        rep = _stored_cone(theta, key)
+        found = orbit(group, relabel_type(theta, relabel))
+        rep = _stored_cone(found.images[0][4], key)  # the identity comes first
         if rep is None:
-            empty.update(image[1] for image in orbit(group, theta).images)
+            empty.update(image[1] for image in found.images)
             return key, relabel
         by_key[key] = rep
-        origin[key] = (key, 0)  # the identity comes first
-        orbits[key] = orbit(group, theta)
-        for g, image_key, image_relabel, eperm in orbits[key].images:
-            if image_key not in by_key:
-                image = relabel_type(group.act(g, theta), image_relabel)
-                by_key[image_key] = transported_cone(rep, group.elements[g], image, image_relabel, eperm, image_key)
-                origin[image_key] = (key, g)
+        origin[key] = (key, 0)
+        orbits[key] = found
+        # no key of a new orbit is stored yet: orbits are stored whole
+        for g, image_key, image_relabel, eperm, image in found.images[1:]:
+            by_key[image_key] = transported_cone(rep, group.elements[g], image, image_relabel, eperm, image_key)
+            origin[image_key] = (key, g)
         reps.append(key)
         return key, relabel
 
@@ -1184,7 +1184,7 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
             edges_to_face_rep = [None if e is None else back_e[eperm[e]] for e in fd.edge_map]
             # this face of h·rep is (h∘g)·face_rep: map h·rep's vertices and
             # edges back to rep's, then to face_rep's, then on to its image
-            for h, image_key, p_relabel, p_eperm in orbits[key].images:
+            for h, image_key, p_relabel, p_eperm, _ in orbits[key].images:
                 f_key, f_relabel, f_eperm = face_orbit.at(group.compose(h, g))
                 pair = (f_key, image_key)
                 # one representative facet and one coset give each pair
