@@ -1302,6 +1302,9 @@ def _matrix_from_json(data: dict) -> IntMatrix:
 
 
 def complex_to_json(complex_: ConeComplex) -> dict:
+    """The complex's JSON data. Its cones and faces are one-shot iterators
+    that build each entry when it is read, for ``cli._emit`` to write one at
+    a time; ``complex_from_json`` reads them back as lists."""
     from .maps import type_to_json
     from .polyhedral import SCHEMA, fan_to_json
 
@@ -1313,15 +1316,15 @@ def complex_to_json(complex_: ConeComplex) -> dict:
         "contact_legs": [[lab, list(c)] for lab, c in gamma.contact_legs],
         "trivial_legs": list(gamma.trivial_legs),
         "f_vector": list(complex_.f_vector()),
-        "cones": [
+        "cones": (
             {
                 "dimension": cc.cone.dimension,
                 "type": type_to_json(cc.type),
                 "span_basis": _matrix_json(cc.cone.span_basis),
             }
             for cc in complex_.cones
-        ],
-        "faces": [[s, b, _matrix_json(m)] for s, b, m in complex_.face_maps],
+        ),
+        "faces": ([s, b, _matrix_json(m)] for s, b, m in complex_.face_maps),
     }
 
 
@@ -1351,6 +1354,8 @@ def complex_from_json(data: dict) -> ConeComplex:
 
 
 def embedding_to_json(emb: EmbeddedFan) -> dict:
+    """The embedding's JSON data. Its cones are a one-shot iterator, as in
+    ``complex_to_json``; ``embedding_from_json`` reads them back as a list."""
     from .polyhedral import SCHEMA
 
     return {
@@ -1358,10 +1363,10 @@ def embedding_to_json(emb: EmbeddedFan) -> dict:
         "kind": "embedded_fan",
         "ambient_rank": emb.ambient_rank,
         "rays": [list(r) for r in emb.rays()],
-        "cones": [
+        "cones": (
             {"rays": [list(g) for g in gens], "lattice_map": _matrix_json(m)}
             for gens, m in zip(emb.cone_images, emb.lattice_maps)
-        ],
+        ),
     }
 
 

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from tropcount import lp, moduli
+from tropcount.cli import _emit
 from tropcount.exactmath import IntMatrix, lattice_quotient, rank as int_rank, smith_normal_form, solve_rational
 from tropcount.maps import CombinatorialType, DiscreteData, InvalidTypeError, TreeShape, TropicalStableMap
 from tropcount.moduli import (
@@ -19,6 +21,7 @@ from tropcount.moduli import (
     complex_to_json,
     contains,
     edge_permutation,
+    embedding_to_json,
     fan_isomorphisms,
     face_inclusion_matrix,
     face_types,
@@ -573,9 +576,11 @@ def test_gkm_embedding_disjoint_maximal_interiors():
     assert len(seen) == 6
 
 
-def test_complex_json_round_trip_refuses_a_basis_it_did_not_rebuild():
+def test_complex_json_round_trip_refuses_a_basis_it_did_not_rebuild(tmp_path):
     cx = assemble_complex(ASSEMBLED["p2_1pt"])
-    data = complex_to_json(cx)
+    out = tmp_path / "cx.json"
+    _emit(complex_to_json(cx), str(out))
+    data = json.loads(out.read_text())
     again = complex_from_json(data)
     assert [cc.cone.span_basis for cc in again.cones] == [cc.cone.span_basis for cc in cx.cones]
     assert again.face_maps == cx.face_maps
@@ -732,6 +737,54 @@ SYMMETRIC = {
 }
 
 
+def materialized(data: dict) -> dict:
+    """A builder's JSON data with each one-shot iterator made a list."""
+    return {key: list(value) if hasattr(value, "__next__") else value for key, value in data.items()}
+
+
+def one_shot_dump(data: dict) -> str:
+    """The writer that ``cli._emit`` streams: one json.dumps of the whole output."""
+    return json.dumps(materialized(data), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# every assembled complex, the point complex (no faces: an empty array) and
+# one embedding
+@pytest.mark.parametrize("name", [*ASSEMBLED, "point", "p2_2pts_embedding"])
+def test_streamed_output_is_the_one_shot_dump(tmp_path, capsys, name):
+    cx = assemble_complex(SYMMETRIC["point"][0] if name == "point" else ASSEMBLED[name.removesuffix("_embedding")])
+    if name.endswith("_embedding"):
+        build, built = embedding_to_json, gkm_embedding(cx, 1)
+    else:
+        build, built = complex_to_json, cx
+    # compared as bytes: pytest reports the first differing index, where its
+    # diff of two one-line strings this long would take minutes
+    expected = one_shot_dump(build(built)).encode()
+    assert (b'"faces":[]' in expected) == (name == "point")
+    out = tmp_path / "out.json"
+    _emit(build(built), str(out))
+    assert out.read_bytes() == expected
+    _emit(build(built), None)
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_writing_a_complex_holds_no_whole_output(tmp_path):
+    # fails if the writer builds the whole dict of lists or the whole string
+    # again: streamed, p2_2pts peaks at tens of KB; built whole, at MBs
+    cx = assemble_complex(ASSEMBLED["p2_2pts"])
+
+    def peak(write) -> int:
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = peak(lambda: _emit(complex_to_json(cx), str(tmp_path / "cx.json")))
+    whole = peak(lambda: one_shot_dump(complex_to_json(cx)))
+    assert streamed * 10 < whole, (streamed, whole)
+
+
 def identity_group(monkeypatch):
     """Make assembly see G = {id}: every cone is then its own orbit, and its
     rays, witness and faces are computed directly."""
@@ -752,7 +805,7 @@ def counting(monkeypatch, name: str) -> list:
 
 
 @pytest.mark.parametrize("name", SYMMETRIC)
-def test_assembly_per_orbit_writes_the_complex_of_the_identity_group(monkeypatch, name):
+def test_assembly_per_orbit_writes_the_complex_of_the_identity_group(monkeypatch, capsys, name):
     gamma, order, orbits = SYMMETRIC[name]
     assert len(symmetry_group(gamma).elements) == order
     parents = counting(monkeypatch, "face_types")
@@ -762,7 +815,8 @@ def test_assembly_per_orbit_writes_the_complex_of_the_identity_group(monkeypatch
         parents.clear()
         forms.clear()
         cx = assemble_complex(gamma)
-        return len(cx.cones), json.dumps(complex_to_json(cx), sort_keys=True, separators=(",", ":"))
+        _emit(complex_to_json(cx), None)
+        return len(cx.cones), capsys.readouterr().out
 
     cones, per_orbit = written()
     assert len(parents) == orbits
