@@ -89,24 +89,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(data: dict, out: str | None) -> None:
     """Write the line ``json.dumps(data, sort_keys=True, separators=(",", ":"))``
-    to out or standard output. A value that is an iterator (see
-    ``complex_to_json``) is written as an array one entry at a time, as it is
-    built, so that no whole-output list or string is held."""
-    lazy = any(hasattr(value, "__next__") for value in data.values())
-    text = "" if lazy else json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    to out or standard output, one top-level key at a time. A value that is an
+    iterator (see ``complex_to_json``) is written as an array one entry at a
+    time, as it is built, so that no whole-output list or string is held.
+    out is opened before the first entry is built: an error while building
+    one leaves a partial file there."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
-        fh.write(text)
-        if lazy:
-            encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-            for i, (key, value) in enumerate(sorted(data.items())):
-                fh.write(("," if i else "{") + encode(key) + ":")
-                if hasattr(value, "__next__"):
-                    fh.write("[")
-                    fh.writelines(("," if j else "") + encode(entry) for j, entry in enumerate(value))
-                    fh.write("]")
-                else:
-                    fh.write(encode(value))
-            fh.write("}\n")
+        fh.write("{")
+        for i, (key, value) in enumerate(sorted(data.items())):
+            fh.write(("," if i else "") + encode(key) + ":")
+            if hasattr(value, "__next__"):
+                fh.write("[")
+                fh.writelines(("," if j else "") + encode(entry) for j, entry in enumerate(value))
+                fh.write("]")
+            else:
+                fh.write(encode(value))
+        fh.write("}\n")
 
 
 # contact shorthand -> per number, the directions that each get that many legs

@@ -33,7 +33,7 @@ from tropcount.moduli import (
     symmetry_group,
     unimodular_equivalent,
 )
-from tropcount.polyhedral import Fan, fan_product, fan_projective_space, point_fan
+from tropcount.polyhedral import SCHEMA, Fan, fan_product, fan_projective_space, fan_to_json, point_fan
 
 P2 = fan_projective_space(2)
 P1P1 = fan_product(fan_projective_space(1), fan_projective_space(1))
@@ -764,6 +764,23 @@ def test_streamed_output_is_the_one_shot_dump(tmp_path, capsys, name):
     _emit(build(built), str(out))
     assert out.read_bytes() == expected
     _emit(build(built), None)
+    assert capsys.readouterr().out.encode() == expected
+
+
+# outputs with no iterator, as fan and validate write them: nested values,
+# an empty list and a string that json.dumps escapes
+@pytest.mark.parametrize("data", [
+    fan_to_json(P2),
+    {"schema": SCHEMA, "kind": "validation", "valid": False, "violations": [
+        {"condition": "balancing", "detail": "vertex \"v₀\" is not balanced"}]},
+    {"kind": "validation", "valid": True, "violations": []},
+])
+def test_plain_output_is_the_one_shot_dump(tmp_path, capsys, data):
+    expected = one_shot_dump(data).encode()
+    out = tmp_path / "out.json"
+    _emit(data, str(out))
+    assert out.read_bytes() == expected
+    _emit(data, None)
     assert capsys.readouterr().out.encode() == expected
 
 
