@@ -768,11 +768,11 @@ def test_streamed_output_is_the_one_shot_dump(tmp_path, capsys, name):
 
 
 # outputs with no iterator, as fan and validate write them: nested values,
-# an empty list and a string that json.dumps escapes
+# keys out of order, an empty list and a string that json.dumps escapes
 @pytest.mark.parametrize("data", [
     fan_to_json(P2),
-    {"schema": SCHEMA, "kind": "validation", "valid": False, "violations": [
-        {"condition": "balancing", "detail": "vertex \"v₀\" is not balanced"}]},
+    {"valid": False, "schema": SCHEMA, "kind": "validation", "violations": [
+        {"detail": "vertex \"v₀\" is not balanced", "condition": "balancing"}]},
     {"kind": "validation", "valid": True, "violations": []},
 ])
 def test_plain_output_is_the_one_shot_dump(tmp_path, capsys, data):
