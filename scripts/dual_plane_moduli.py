@@ -3,7 +3,9 @@
 
 Prints the cell census, checks the embedded fan against the six-ray
 hexagon fan (the fan of the plane blown up in three points), and writes a
-figure next to this script.
+figure to the path given as the one argument, or next to this script.
+
+    python3 scripts/dual_plane_moduli.py [figure.svg]
 """
 import pathlib
 import sys
@@ -17,7 +19,7 @@ from tropcount.moduli import assemble_complex, gkm_embedding, unimodular_equival
 from tropcount.polyhedral import Fan, fan_projective_space
 
 
-def main() -> None:
+def main(argv: list[str]) -> None:
     fan = fan_projective_space(2)
     gamma = DiscreteData(fan, ((1, (1, 0)), (2, (0, 1)), (3, (-1, -1))), ())
 
@@ -45,10 +47,10 @@ def main() -> None:
     g = unimodular_equivalent(emb.to_fan(), hexagon)
     print(f"unimodular match with the hexagon fan: {g.to_lists() if g else None}")
 
-    out = pathlib.Path(__file__).resolve().parent / "dual_plane_fan.svg"
+    out = pathlib.Path(argv[0]) if argv else pathlib.Path(__file__).resolve().parent / "dual_plane_fan.svg"
     out.write_text(fan_svg(emb.to_fan(), title="moduli of degree-1 maps, embedded"))
     print(f"figure written to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -194,7 +194,7 @@ def _cmd_fan(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    with (open(args.infile) if args.infile else sys.stdin) as fh:
+    with open(args.infile) if args.infile else nullcontext(sys.stdin) as fh:
         data = json.load(fh)
     fan = _parse_input("fan", load_fan, args.fan) if args.fan else None
     report = validate(_parse_input("map", map_from_json, data, fan))

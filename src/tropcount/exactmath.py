@@ -11,11 +11,10 @@ oracle.
   questions over ℚ. ``rank`` and ``solve_rational`` run it on right-hand
   sides cleared of their denominators and divide out once at the end;
   determinants are read off its last pivot.
-- ``hermite_basis``, a unimodular row reduction to Hermite normal form,
-  gives every lattice its canonical basis: from generators, or as a kernel
-  (``integer_kernel``), and through that a span's quotient projection
-  (``lattice_quotient``) and saturation. ``hermite_solve`` solves against
-  such a basis.
+- ``integer_kernel``, a unimodular row reduction to Hermite normal form,
+  gives a kernel lattice its canonical basis, and through that a span's
+  quotient projection (``lattice_quotient``) and saturation.
+  ``hermite_solve`` solves against such a basis.
 - ``_diagonalize``, a Smith normal form loop, runs only under
   ``smith_normal_form`` and ``lattice_index``, which no module of the
   package calls: they are the independent oracle the tests check the
@@ -285,17 +284,22 @@ def _reduce(row: list[int], pivot: Sequence[int], c: int) -> list[int]:
     return [x - q * y for x, y in zip(row, pivot)] if q else row
 
 
-def _hermite(rows: list[list[int]], ncols: int, m: int = 0) -> list[list[int]]:
-    """Unimodular row operations on the integer rows over their first ncols
-    columns, by Euclid down each column: the rows with a pivot in the first
-    m columns stay unreduced, and the others are returned in Hermite normal
-    form. There each row's first nonzero entry, its pivot, is positive and
-    right of the previous row's, and the entries above a pivot lie in [0,
-    pivot): a lattice's one such basis (Cohen, *A Course in Computational
-    Algebraic Number Theory*, §2.4)."""
+def integer_kernel(a: IntMatrix) -> IntMatrix:
+    """The Hermite basis of the kernel lattice {x in ZZ^n : A x = 0}, as columns.
+
+    Unimodular row operations on the rows (column j of A | unit vector j),
+    by Euclid down each column. The rows left with a pivot in the A part
+    stay unreduced; the others span the kernel, and their unit-vector parts
+    end in Hermite normal form. There each row's first nonzero entry, its
+    pivot, is positive and right of the previous row's, and the entries
+    above a pivot lie in [0, pivot): a lattice's one such basis (Cohen, *A
+    Course in Computational Algebraic Number Theory*, §2.4).
+    """
+    m, n = a.rows, a.cols
+    rows = [[a.at(i, j) for i in range(m)] + [int(j == k) for k in range(n)] for j in range(n)]
     top = tail = 0  # rows above top hold pivots, those from tail on are reduced
-    for c in range(ncols):
-        live = [i for i in range(top, len(rows)) if rows[i][c]]
+    for c in range(m + n):
+        live = [i for i in range(top, n) if rows[i][c]]
         while len(live) > 1:
             p = min(live, key=lambda i: abs(rows[i][c]))
             rows = [row if i < top or i == p else _reduce(row, rows[p], c) for i, row in enumerate(rows)]
@@ -308,20 +312,7 @@ def _hermite(rows: list[list[int]], ncols: int, m: int = 0) -> list[list[int]]:
                 rows[i] = _reduce(rows[i], rows[top], c)
             top += 1
             tail = top if c < m else tail
-    return rows[tail:top]
-
-
-def hermite_basis(columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
-    """The Hermite basis of the lattice that the integer columns span, as columns."""
-    return _from_columns(_hermite([list(col) for col in columns], nrows), nrows)
-
-
-def integer_kernel(a: IntMatrix) -> IntMatrix:
-    """The Hermite basis of the kernel lattice {x in ZZ^n : A x = 0}, as columns:
-    the rows (column j of A | unit vector j) with no pivot in the A part span it."""
-    m, n = a.rows, a.cols
-    rows = [[a.at(i, j) for i in range(m)] + [int(j == k) for k in range(n)] for j in range(n)]
-    return _from_columns([row[m:] for row in _hermite(rows, m + n, m)], n)
+    return _from_columns([row[m:] for row in rows[tail:top]], n)
 
 
 def hermite_solve(h: IntMatrix, t: IntMatrix) -> Optional[IntMatrix]:

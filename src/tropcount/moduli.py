@@ -26,10 +26,10 @@ moduli cone with its ``CombinatorialType.check``, the rays, the witness
 with its ``classify`` assert, the face types and the orbit (``orbit``: a
 canonical form per coset of the stabilizer, and a few more while it is
 found); an orbit of empty cones is found once, then skipped. Each other
-cone g·rep is transported (``transported_cone``): the canonical form of
-g·rep for the first g of its coset, rep's basis and witness moved by g,
-and the face maps, composed through the canonical relabelings and each
-solved by ``face_inclusion_matrix``.
+cone g·rep gets the canonical form of g·rep for the first g of its coset,
+the Hermite basis of its own span cuts' kernel, asserted of rep's
+dimension, and the face maps, composed through the canonical relabelings
+and each solved by ``face_inclusion_matrix``.
 """
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ from .exactmath import (
     IntMatrix,
     clear_denominators,
     fraction_free_rref,
-    hermite_basis,
     hermite_solve,
     integer_kernel,
     lattice_quotient,
@@ -309,12 +308,12 @@ class ModuliCone:
         return None if y is None else self.ambient_point(self.span_basis.apply(y))
 
 
-def _span_cuts(theta: CombinatorialType) -> tuple[int, tuple, IntMatrix]:
-    """A type's root, its signed paths from it and its span cuts on (root
-    position, lengths). Integer root and lengths give integer positions, and
-    back, so the edge equations take no rows. Per confined vertex, the
-    integral projection killing span(cone_v), read at the vertex's position,
-    gives the rows."""
+def _unchecked_cone(theta: CombinatorialType) -> ModuliCone:
+    """A type's moduli cone, with no ``check``: its span cuts on (root
+    position, lengths) and their kernel's Hermite basis. Integer root and
+    lengths give integer positions, and back, so the edge equations take no
+    rows. Per confined vertex, the integral projection killing
+    span(cone_v), read at the vertex's position, gives the rows."""
     fan = theta.fan
     # the vertex of the least leg label, which no contraction removes
     root = theta.shape.leg_vertex(1) if theta.shape.legs else 0
@@ -325,15 +324,15 @@ def _span_cuts(theta: CombinatorialType) -> tuple[int, tuple, IntMatrix]:
         if cone_idx is not None
         for cut in fan.cone_data(cone_idx).projection
     ]
-    return root, paths, IntMatrix.from_rows(rows, fan.rank + len(theta.shape.edges))
+    matrix = IntMatrix.from_rows(rows, fan.rank + len(theta.shape.edges))
+    basis = integer_kernel(matrix)
+    return ModuliCone(theta, root, paths, matrix, basis, basis.cols)
 
 
 def moduli_cone(theta: CombinatorialType) -> ModuliCone:
     """A checked type's moduli cone: its span cuts and their kernel's Hermite basis."""
     theta.check()
-    root, paths, matrix = _span_cuts(theta)
-    basis = integer_kernel(matrix)
-    return ModuliCone(theta, root, paths, matrix, basis, basis.cols)
+    return _unchecked_cone(theta)
 
 
 def contains(cone: ModuliCone, f: TropicalStableMap) -> str:
@@ -671,19 +670,6 @@ class Symmetry(NamedTuple):
     cones: tuple[int, ...]
     labels: tuple[int, ...]
 
-    def move_point(self, coords: Sequence[int], relabel: Sequence[int], eperm: Sequence[int]) -> tuple[int, ...]:
-        """Ambient coordinates (every vertex position, then the lengths) of a
-        map of theta, moved to relabel_type(g·theta, relabel): vertex v's
-        position A·p_v at relabel[v], edge e's length at eperm[e]."""
-        r = self.matrix.rows
-        base = len(relabel) * r
-        out = list(coords)
-        for v, w in enumerate(relabel):
-            out[w * r : w * r + r] = self.matrix.apply(coords[v * r : v * r + r])
-        for e, f in enumerate(eperm):
-            out[base + f] = coords[base + e]
-        return tuple(out)
-
 
 class SymmetryGroup:
     """The elements of G, the identity first, and their action on types. An
@@ -849,7 +835,6 @@ def orbit(group: SymmetryGroup, theta: CombinatorialType) -> Orbit:
 class ComplexCone:
     type: CombinatorialType
     cone: ModuliCone
-    witness: tuple[int, ...]
     key: tuple
 
 
@@ -1064,43 +1049,17 @@ def _candidates(gamma: DiscreteData) -> Iterator[CombinatorialType]:
 
 
 def _stored_cone(theta: CombinatorialType, key: tuple) -> Optional[ComplexCone]:
-    """The record of a type built from scratch: its moduli cone and, as the
-    witness, the ambient point of the sum of its extreme rays (cached for
-    ``face_types``), certified by ``classify``; None when the cone has no
-    relative-interior point. Assembly builds its representatives here, and
-    ``complex_from_json`` every record it reads."""
+    """The record of a type built from scratch: its checked moduli cone,
+    whose relative-interior witness (the ambient point of the sum of its
+    extreme rays, cached for ``face_types``) is certified by ``classify``;
+    None when the cone has no relative-interior point. Assembly builds its
+    representatives here, and ``complex_from_json`` every record it reads."""
     mc = moduli_cone(theta)
     witness = mc.relint_witness()
     if witness is None:
         return None
     assert mc.classify(witness) == "interior"
-    return ComplexCone(theta, mc, tuple(witness), key)
-
-
-def transported_cone(
-    rep: ComplexCone, g: Symmetry, theta: CombinatorialType, relabel: Sequence[int], eperm: list[int], key: tuple
-) -> ComplexCone:
-    """The record of theta = relabel_type(g·rep.type, relabel), moved from
-    rep's with no check, kernel or ``classify``.
-
-    g moves a map of rep's type to one of theta's, vertex v to relabel[v] at
-    A times its position and edge e to eperm[e], and so rep's witness to
-    theta's. theta's root is relabel[u] for a vertex u, so the unimodular
-    P_g from rep's (root position, lengths) to theta's takes p to A·(p +
-    sign·length·contact over rep's path to u) and the lengths along eperm.
-    The Hermite basis of P_g·B_rep is then the one ``integer_kernel`` gives."""
-    root, paths, matrix = _span_cuts(theta)
-    b, r, back = rep.cone.span_basis, g.matrix.rows, _inverse(eperm)
-    to_u = rep.cone.paths[relabel.index(root)]
-    moved = [position_row(g.matrix.row(i), to_u, rep.type.edge_contacts) for i in range(r)]  # P_g's root rows
-    columns = [
-        [sum(a * y for a, y in zip(row, x)) for row in moved] + [x[r + e] for e in back]
-        for x in (b.entries[j :: b.cols] for j in range(b.cols))
-    ]
-    basis = hermite_basis(columns, b.rows)
-    assert not any((matrix @ basis).entries)
-    cone = ModuliCone(theta, root, paths, matrix, basis, rep.cone.dimension)
-    return ComplexCone(theta, cone, g.move_point(rep.witness, relabel, eperm), key)
+    return ComplexCone(theta, mc, key)
 
 
 def assemble_complex(gamma: DiscreteData) -> ConeComplex:
@@ -1118,8 +1077,8 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     works per orbit. A new key is stored as a representative, with its
     moduli cone, extreme rays and witness, and with its ``orbit``; a new
     key of an empty cone puts its whole orbit's keys aside. Each image
-    h·rep is stored too, on the canonical type its orbit built, by
-    ``transported_cone`` from rep's record, with no moduli cone of its own.
+    h·rep is stored too, on the canonical type its orbit built, with the
+    cone of its own span cuts and no ``check``, rays or witness.
     Only representatives run ``face_types``, and each of their faces is
     admitted, so it is stored as g_f·(its representative). The same face of
     an image h·rep is then (h∘g_f)·(that representative): its key and
@@ -1157,8 +1116,12 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
         origin[key] = (key, 0)
         orbits[key] = found
         # no key of a new orbit is stored yet: orbits are stored whole
-        for g, image_key, image_relabel, eperm, image in found.images[1:]:
-            by_key[image_key] = transported_cone(rep, group.elements[g], image, image_relabel, eperm, image_key)
+        for g, image_key, _, _, image in found.images[1:]:
+            # g moves rep's cone onto this one by a lattice isomorphism, so
+            # the type needs no check and the dimension is rep's
+            cone = _unchecked_cone(image)
+            assert cone.dimension == rep.cone.dimension
+            by_key[image_key] = ComplexCone(image, cone, image_key)
             origin[image_key] = (key, g)
         reps.append(key)
         return key, relabel

@@ -157,7 +157,7 @@ def test_embedded_cones_are_spanned_by_their_generators(name):
         assert len(gens) == cc.cone.dimension
         if not gens:
             continue
-        image = witness_image(m, cc.cone, cc.witness)
+        image = witness_image(m, cc.cone, cc.cone.relint_witness())
         columns = IntMatrix.from_rows([[g[i] for g in gens] for i in range(emb.ambient_rank)])
         coeffs = solve_rational(columns, image)
         assert coeffs is not None and all(c > 0 for c in coeffs[0])
@@ -175,6 +175,7 @@ def test_stored_types_are_their_own_geometric_subdivision(name):
     r = cx.gamma.fan.rank
     for idx, cc in enumerate(cx.cones):
         nv = cc.type.shape.vertices
-        positions = tuple(tuple(cc.witness[v * r : v * r + r]) for v in range(nv))
-        f = TropicalStableMap(cc.type, positions, tuple(cc.witness[nv * r :]))
+        witness = cc.cone.relint_witness()
+        positions = tuple(tuple(witness[v * r : v * r + r]) for v in range(nv))
+        f = TropicalStableMap(cc.type, positions, tuple(witness[nv * r :]))
         assert subdivide(f).type == cc.type, idx

@@ -184,6 +184,20 @@ def test_validate_exit_codes(tmp_path):
     assert {"positive-length"} <= {v["condition"] for v in report["violations"]}
 
 
+def test_validate_reads_stdin_and_leaves_it_open(tmp_path, monkeypatch, capsys):
+    found = tmp_path / "found.json"
+    line = ["--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--seed", "7"]
+    assert main(["count", *line, "--out", str(found)]) == 0
+    stdin = io.StringIO(json.dumps(json.loads(found.read_text())["contributions"][0]["map"]))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    # an in-process caller may read its standard input again
+    for _ in range(2):
+        stdin.seek(0)
+        assert main(["validate"]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert not stdin.closed
+
+
 def test_usage_error_exit_code():
     proc = run_cli("count", "--nonsense", check=False)
     assert proc.returncode == 64

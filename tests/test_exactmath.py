@@ -9,7 +9,6 @@ from tropcount.exactmath import (
     IntMatrix,
     RankDeficientError,
     fraction_free_rref,
-    hermite_basis,
     hermite_solve,
     integer_kernel,
     lattice_index,
@@ -230,9 +229,7 @@ def test_kernel_is_the_hermite_form_of_the_snf_tail(nr, nc, data):
     assert change is not None and all(x.denominator == 1 for col in change for x in col)
     assert abs(cofactor_det([[int(col[i]) for col in change] for i in range(basis.cols)])) == 1
     assert_hermite([basis.column(j) for j in range(basis.cols)])
-    # hermite_basis reduces the tail to the same canonical basis
-    assert hermite_basis(tail, a.cols) == basis
-    # and hermite_solve recovers the change of basis
+    # hermite_solve recovers the change of basis
     assert hermite_solve(basis, IntMatrix.from_rows([list(r) for r in zip(*tail)])).to_lists() == [
         [int(col[i]) for col in change] for i in range(basis.cols)
     ]
