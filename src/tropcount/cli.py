@@ -90,10 +90,10 @@ class _Parser(argparse.ArgumentParser):
 def _emit(data: dict, out: str | None) -> None:
     """Write the line ``json.dumps(data, sort_keys=True, separators=(",", ":"))``
     to out or standard output, one top-level key at a time. A value that is an
-    iterator (see ``complex_to_json``) is written as an array one entry at a
-    time, as it is built, so that no whole-output list or string is held.
-    out is opened before the first entry is built: an error while building
-    one leaves a partial file there."""
+    iterator (see ``complex_to_json`` and ``count_result_to_json``) is
+    written as an array one entry at a time, as it is built, so that no
+    whole-output list or string is held. out is opened before the first
+    entry is built: an error while building one leaves a partial file there."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with open(out, "w") if out else nullcontext(sys.stdout) as fh:
         fh.write("{")

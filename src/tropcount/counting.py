@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd, prod
-from operator import add
+from operator import add, mul
 from typing import Iterator, Optional, Sequence
 
 from .curves import TreeShape
@@ -34,6 +34,7 @@ from .maps import (
     validate,
 )
 from .moduli import (
+    ConeRays,
     canonical_form,
     cone_rays,
     forced_edge_contacts,
@@ -327,33 +328,40 @@ def _closed_cone_test(vs: Sequence[Vec], rank: int, stride: int = 1):
     for every y in the dual cone {y : d.y >= 0 for every direction d}: for
     each of its extreme rays (``moduli.cone_rays``), and for y and -y for each
     y of its lineality basis.  Each such y's bitset is cached, so a verdict is
-    an AND of ints.  A direction set that is a cached one plus a direction in
-    its cone spans the same cone, and takes its dual.
+    an AND of ints.  A direction set that is a cached one plus a direction d
+    in the cached set's span, which is where every lineality vector vanishes,
+    takes the cached dual: as it is when d lies in the cached cone (y.d >= 0
+    on every ray), else cut by d in one double-description step
+    (``ConeRays.cut``).  Any other set's dual is built from scratch.
     """
     every = sum(1 << stride * i for i in range(len(vs)))
     passing: dict[Vec, int] = {}  # y -> the bits of the vs with y.v >= 0
     bit_of: dict[Vec, int] = {}  # a bit per direction met
-    known: dict[int, tuple[Vec, ...]] = {}  # a set of direction bits -> its dual: rays, ± lineality
+    known: dict[int, ConeRays] = {}  # a set of direction bits -> its dual
 
     def bits(y: Vec) -> int:
         if y not in passing:
-            passing[y] = sum(1 << stride * i for i, v in enumerate(vs) if sum(a * b for a, b in zip(y, v)) >= 0)
+            passing[y] = sum(1 << stride * i for i, v in enumerate(vs) if sum(map(mul, y, v)) >= 0)
         return passing[y]
 
     def verdicts(dirs: Sequence[Vec]) -> int:
         dirs = list(dict.fromkeys(d for d in dirs if any(d)))
         key = sum(bit_of.setdefault(d, 1 << len(bit_of)) for d in dirs)  # distinct dirs: an OR
+        step = None  # a cached dual to cut, and the direction to cut it by
         for d in dirs:
-            ys = known.get(key - bit_of[d])
-            if ys is not None and all(sum(a * b for a, b in zip(y, d)) >= 0 for y in ys):
-                break
+            dual = known.get(key - bit_of[d])
+            if dual is not None and not any(sum(map(mul, y, d)) for y in dual.lineality):
+                if all(sum(map(mul, y, d)) >= 0 for y in dual.rays):
+                    break
+                step = step or (dual, d)
         else:
-            dual = cone_rays(dirs, rank)
-            ys = (*dual.rays, *dual.lineality, *(tuple(-x for x in y) for y in dual.lineality))
-        known[key] = ys
+            dual = step[0].cut(step[1]) if step else cone_rays(dirs, rank)
+        known[key] = dual
         ok = every
-        for y in ys:
+        for y in dual.rays:
             ok &= bits(y)
+        for y in dual.lineality:
+            ok &= bits(y) & bits(tuple(-x for x in y))
         return ok
 
     return verdicts
@@ -386,7 +394,8 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
       sum of l_e c_e over the edges e between them, every l_e > 0.
 
     Four facts put both tests on static tables of the skeleton
-    (``_site_tables``), the same for every node over it:
+    (``_site_tables``), the same for every node over it, and a fifth
+    prunes by them:
 
     (i) Every site the search offers is an unused edge or leg of the
         skeleton.  Both halves of a split edge or leg (a moved leg is the
@@ -419,6 +428,14 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
         Farkas' lemma a pair lies in the mask's cone iff it is >= 0 on each
         extreme ray of the dual cone and 0 on its lineality space, one rule
         for every rank (``_closed_cone_test``).
+    (v) In any completed tree below a node, its later points sit on
+        distinct sites, each among its sites at the node: by (i) a site
+        with a mark is never offered again, and a child's sites are among
+        its parent's (below).  So the later points' site bitsets have
+        distinct representatives, and by Hall's theorem any i of them hold
+        at least i sites together.  The search asks it of the i bitsets of
+        fewest sites, for each i (``_distinct_sites``): a child that fails
+        completes nothing.
 
     Each node carries the sites of every later point.  A child's sites are
     among its parent's (by (ii) the tests against earlier marks stay as
@@ -431,13 +448,21 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     a bitset.  The copies it shifts together never meet, as the E + L
     fields are 2L bits apart and E + L <= 2L - 1 (a stable tree with L legs
     has at most L - 3 edges); the multiply leaves stray copies from bit
-    E + L up, which a child's AND with its parent's sites drops and the
-    root cuts off.  The lookahead drops a child in which a later point has no
-    site left.  All of this reads only the tables and bitsets, so a child's
-    tree is built (``insert_leg``) only once it has passed the lookahead, and
-    a dropped child costs no tree.  A completed tree passes both tests in any
+    E + L up, which a mask drops.
+
+    The sites are packed too.  A node for point j holds one int whose field
+    k - j, of E + L bits, holds the sites of point k >= j, the layout of
+    ``compat[s] >> first[j]·(E + L)`` shifted up by one field.  So with
+    ``rest`` the node's int less its field 0, and ``rep`` one bit per field,
+    a child's sites are one AND, ``rest & compat[s] >> shift & passing·rep``.
+    The lookahead drops a child in which a later point has no site left, by
+    a carry test that flags each nonempty field as ``end_sites`` flags a
+    side, and then a child that fails (v); only then are its fields unpacked.
+    All of this reads only the tables and bitsets, so a child's tree is
+    built (``insert_leg``) only once it has passed the lookahead, and a
+    dropped child costs no tree.  A completed tree passes both tests in any
     insertion order (the cone test is symmetric in the two points, the end
-    count weakens as marks are removed), so the lookahead drops only
+    count weakens as marks are removed), and the lookahead drops only
     subtrees that complete nothing: the same trees come out in the same
     order.
     """
@@ -473,40 +498,44 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     near = per_site << n_legs - 1  # the top bit of each site's side 0
     gather = sum(1 << u * (2 * n_legs - 1) for u in range(n_sites))
     gather_at = n_legs - 1 + (n_sites - 1) * (2 * n_legs - 1)
+    one_site = (1 << n_sites) - 1
+    # the packed lookahead: one field of E + L bits per point, as in a row of compat
+    rep = sum(1 << u * n_sites for u in range(last))
+    field_low = rep * (one_site >> 1)  # the low E + L - 1 bits of each field
+    field_high = rep << n_sites - 1  # the top bit of each field
 
     def end_sites(reach):
-        # the sites with an end on both sides, and stray bits from bit E + L up
+        # the sites with an end on both sides
         sides = ((reach & low) + low | reach) & high
-        return (sides & sides >> n_legs & near) * gather >> gather_at
+        return (sides & sides >> n_legs & near) * gather >> gather_at & one_site
 
     def rec(tree, used, reach, j, open_sites):
-        # open_sites[k - j]: the site bitset of point k, for every k >= j
+        # field k - j of open_sites: the site bitset of point k, for every k >= j
         if j == last:
             yield tree
             return
         leg = (zero, trivial_labels[j])
-        todo = open_sites[0]
+        todo = open_sites & one_site
+        rest = open_sites >> n_sites
+        shift = first[j] * n_sites
+        k = last - j - 1  # the later points
+        full = field_high & (1 << k * n_sites) - 1  # the top bits of their fields
         while todo:
             bit = todo & -todo
             todo ^= bit
             s = bit.bit_length() - 1
             child_reach = reach & notfar[s]
-            passing = end_sites(child_reach)
-            row = compat[s] >> first[j] * n_sites
-            later = []
-            for sites in open_sites[1:]:
-                sites &= passing & row
-                if not sites:
-                    break  # the lookahead: a later point has no site left
-                later.append(sites)
-                row >>= n_sites
+            later = rest & compat[s] >> shift & end_sites(child_reach) * rep
+            if ((later & field_low) + field_low | later) & field_high != full:
+                continue  # the lookahead: a later point has no site left
+            if not _distinct_sites(later, k, n_sites):
+                continue  # (v)
+            below = used & (bit - 1)
+            if s < n_edges:
+                child = insert_leg(tree, leg, s - below.bit_count())
             else:
-                below = used & (bit - 1)
-                if s < n_edges:
-                    child = insert_leg(tree, leg, s - below.bit_count())
-                else:
-                    child = insert_leg(tree, leg, None, s - n_edges - (below >> n_edges).bit_count())
-                yield from rec(child, used | bit, child_reach, j + 1, later)
+                child = insert_leg(tree, leg, None, s - n_edges - (below >> n_edges).bit_count())
+            yield from rec(child, used | bit, child_reach, j + 1, later)
 
     for skeleton in skeletons:  # rec reads the tables of the skeleton in hand
         nv, edges, legs = skeleton
@@ -517,7 +546,26 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
             pair_fields[mask] = in_cone([d for d, b in alphabet.items() if mask & b])
         # a site's groups are disjoint, so the sum is an OR
         compat = [sum(group * pair_fields[mask] for mask, group in row) for row in groups]
-        yield from rec(skeleton, 0, reach, 0, [end_sites(reach) & (1 << n_sites) - 1] * last)
+        yield from rec(skeleton, 0, reach, 0, end_sites(reach) * rep)
+
+
+def _distinct_sites(packed: int, k: int, width: int) -> bool:
+    """Whether the k site bitsets packed in fields of ``width`` bits pass the
+    distinct-sites rule: for each i, the i bitsets of fewest sites hold at
+    least i sites together. These are some of Hall's inequalities, so a
+    family with distinct representatives passes."""
+    one = (1 << width) - 1
+    fields = []
+    for _ in range(k):
+        fields.append(packed & one)
+        packed >>= width
+    fields.sort(key=int.bit_count)
+    union = 0
+    for i, sites in enumerate(fields):
+        union |= sites
+        if union.bit_count() <= i:
+            return False
+    return True
 
 
 def _site_tables(skeleton, ebits: list[tuple[int, int]], lbits: list[tuple[int, int]]):
@@ -847,6 +895,9 @@ def _map_workers(problem: CountProblem, chunks: list):
 
 
 def count_result_to_json(problem: CountProblem, result: CountResult) -> dict:
+    """The count's JSON data; its ``contributions`` are a one-shot iterator
+    that builds each entry when it is read, for ``cli._emit`` to write one at
+    a time, as ``moduli.complex_to_json`` gives its cones."""
     return {
         "schema": SCHEMA,
         "kind": "count",
@@ -857,14 +908,14 @@ def count_result_to_json(problem: CountProblem, result: CountResult) -> dict:
         "height_bound": problem.constraints.height_bound,
         "total": result.total,
         "rejected_nongeneric": result.rejected_nongeneric,
-        "contributions": [
+        "contributions": (
             {
                 "multiplicity": c.multiplicity,
                 "type": type_to_json(c.type),
                 "map": map_to_json(c.map),
             }
             for c in result.contributions
-        ],
+        ),
     }
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, gcd
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .curves import TreeShape
@@ -111,6 +112,22 @@ class ConeRays(NamedTuple):
             everywhere &= t
         return None if everywhere else _ray_sum(self.rays, self.dim)
 
+    def cut(self, row: Sequence[int]) -> ConeRays:
+        """The cone cut by one more row, in the span of the normals and
+        negative on some ray: one ``_dd_step``, as ``cone_rays`` takes for
+        each row past the first independent ones. Such a row vanishes on the
+        lineality space, so the rank and the lineality stay, and it is no
+        positive multiple of a normal, so its normal is new."""
+        g = gcd(*row)
+        values = [sum(map(mul, row, ray)) for ray in self.rays]
+        rays, tight = _dd_step(self.rays, self.tight, values, 1 << len(self.normals), self.rank)
+        return self._replace(
+            normals=(*self.normals, tuple(x // g for x in row)),
+            rays=tuple(rays),
+            tight=tuple(tight),
+            row_normals=(*self.row_normals, len(self.normals)),
+        )
+
     def facets(self) -> list[tuple[int, list[int]]]:
         """(normal index, relative-interior point) of each facet, in normal order.
 
@@ -142,12 +159,7 @@ def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
     which drops the lineality space and leaves the pointed part. The same
     elimination gives the lineality space: per free column f, the kernel
     vector that is d at f and minus column f of the reduced rows at the
-    pivots. Each further normal keeps the rays where it is >= 0 and adds,
-    for each adjacent pair on opposite sides of its hyperplane, the
-    primitive point of their segment on it. Two rays are adjacent when the
-    normals zero on both have at least rank - 2 members and no third ray is
-    zero on all of them (the combinatorial test, exact on the minimal ray
-    set kept here).
+    pivots. Each further normal cuts the rays by one ``_dd_step``.
     """
     groups: dict[tuple[int, ...], int] = {}
     row_normals = []
@@ -175,27 +187,9 @@ def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
         lineality.append(primitive_vector(y))
     tight = [start & ~(1 << i) for i in basis]
     for i, h in enumerate(normals):
-        if start >> i & 1:
-            continue
-        bit = 1 << i
-        a = [h[c] for c in cols]
-        values = [sum(x * z for x, z in zip(a, ray)) for ray in rays]
-        next_rays = [ray for ray, v in zip(rays, values) if v >= 0]
-        next_tight = [t | bit if v == 0 else t for t, v in zip(tight, values) if v >= 0]
-        for p, vp in enumerate(values):
-            if vp <= 0:
-                continue
-            for n, vn in enumerate(values):
-                if vn >= 0:
-                    continue
-                common = tight[p] & tight[n]
-                if common.bit_count() < k - 2 or any(
-                    t & common == common for q, t in enumerate(tight) if q != p and q != n
-                ):
-                    continue
-                next_rays.append(primitive_vector([vp * y - vn * x for x, y in zip(rays[p], rays[n])]))
-                next_tight.append(common | bit)
-        rays, tight = next_rays, next_tight
+        if not start >> i & 1:
+            a = [h[c] for c in cols]
+            rays, tight = _dd_step(rays, tight, [sum(map(mul, a, ray)) for ray in rays], 1 << i, k)
     padded = []
     for ray in rays:
         y = [0] * dim
@@ -205,6 +199,33 @@ def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
     return ConeRays(dim, tuple(normals), k, tuple(padded), tuple(tight), tuple(lineality), tuple(row_normals))
 
 
+def _dd_step(rays: list, tight: list[int], values: list[int], bit: int, rank: int) -> tuple[list, list[int]]:
+    """One double-description step: the rays and tight bitsets of a pointed
+    cone of the given rank cut by one more normal, of the given values on the
+    rays and the given bit. It keeps the rays where the normal is >= 0 and
+    adds, for each adjacent pair on opposite sides of its hyperplane, the
+    primitive point of their segment on it. Two rays are adjacent when the
+    normals zero on both have at least rank - 2 members and no third ray is
+    zero on all of them (the combinatorial test, exact on the minimal ray set
+    that every step keeps)."""
+    next_rays = [ray for ray, v in zip(rays, values) if v >= 0]
+    next_tight = [t | bit if v == 0 else t for t, v in zip(tight, values) if v >= 0]
+    for p, vp in enumerate(values):
+        if vp <= 0:
+            continue
+        for n, vn in enumerate(values):
+            if vn >= 0:
+                continue
+            common = tight[p] & tight[n]
+            if common.bit_count() < rank - 2 or any(
+                t & common == common for q, t in enumerate(tight) if q != p and q != n
+            ):
+                continue
+            next_rays.append(primitive_vector([vp * y - vn * x for x, y in zip(rays[p], rays[n])]))
+            next_tight.append(common | bit)
+    return next_rays, next_tight
+
+
 def position_row(covector: Sequence[int], path, contacts) -> list[int]:
     """The row on (root position, lengths) of covector·(a vertex's position),
     for the vertex's signed path from the root: covector·(sign·contact) at
@@ -212,7 +233,7 @@ def position_row(covector: Sequence[int], path, contacts) -> list[int]:
     r = len(covector)
     row = list(covector) + [0] * len(contacts)
     for e, sign in path:
-        row[r + e] = sign * sum(a * c for a, c in zip(covector, contacts[e]))
+        row[r + e] = sign * sum(map(mul, covector, contacts[e]))
     return row
 
 

@@ -4,13 +4,13 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the per-criterion
 report.  Every tolerance is exact (integer or rational equality); runtime
 budgets are asserted where stated.
 """
-import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from tropcount.cli import _emit
 from tropcount.counting import (
     CountProblem,
     SingularError,
@@ -383,12 +383,14 @@ def test_criterion_9_validation_mutation_suite():
     ok(9, "tripod validates; each single mutation is rejected with its condition named")
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(tmp_path):
+    # the text that cli._emit writes, which reads the contributions one at a time
     problem = p2_problem(2, 1)
     runs = [count(problem, threads=1), count(problem, threads=2), count(problem, threads=1)]
-    payloads = {
-        json.dumps(count_result_to_json(problem, r), sort_keys=True) for r in runs
-    }
+    payloads = set()
+    for i, r in enumerate(runs):
+        _emit(count_result_to_json(problem, r), str(tmp_path / f"{i}.json"))
+        payloads.add((tmp_path / f"{i}.json").read_bytes())
     assert len(payloads) == 1
     keys = [tuple(c.key for c in r.contributions) for r in runs]
     assert len(set(keys)) == 1

@@ -557,6 +557,36 @@ def test_seed_and_thread_determinism():
     assert [c.key for c in r1.contributions] == [c.key for c in r3.contributions]
 
 
+def test_writing_a_count_holds_no_whole_contribution_list(tmp_path):
+    # fails if count_result_to_json gives its contributions as a list again,
+    # which the writer encodes in one call: the d=2 count's contributions,
+    # repeated 60 times, written as the streamed iterator and as that list
+    import tracemalloc
+
+    from tropcount.cli import _emit
+    from tropcount.counting import count_result_to_json
+
+    prob = p2_problem(2, 1)
+    result = count(prob)
+    result = dataclasses.replace(result, contributions=result.contributions * 60)
+
+    def peak(write) -> int:
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    data = count_result_to_json(prob, result)
+    assert hasattr(data["contributions"], "__next__")
+    streamed = peak(lambda: _emit(data, str(tmp_path / "streamed.json")))
+    data = count_result_to_json(prob, result)
+    whole = peak(lambda: _emit({**data, "contributions": list(data["contributions"])}, str(tmp_path / "whole.json")))
+    assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+    assert streamed * 10 < whole, (streamed, whole)
+
+
 def test_count_deals_the_census_to_at_most_one_worker_per_skeleton(monkeypatch):
     # the stand-in pool records its size and starts no process; the CPU count
     # is fixed, so the pools are capped by skeletons and threads alone
@@ -670,6 +700,33 @@ def test_closed_cone_test_matches_lp_feasibility_in_rank_four(vs, cones):
     for dirs in cones:
         for k in range(len(dirs) + 1):
             assert test(dirs[:k]) == sum(_lp_in_cone(v, dirs[:k]) << i for i, v in enumerate(vs)), dirs[:k]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_one_step_duals_match_the_duals_built_from_scratch(monkeypatch, rank):
+    # direction chains grown one direction at a time: a test that has seen
+    # every prefix may cut a cached dual by the new direction, where a fresh
+    # test builds the dual from scratch; both give the same verdicts
+    import random
+
+    from tropcount import counting
+    from tropcount.moduli import ConeRays
+
+    cuts = []
+    cut = ConeRays.cut
+    monkeypatch.setattr(ConeRays, "cut", lambda self, *args: cuts.append(args) or cut(self, *args))
+    rng = random.Random(rank)
+
+    def vector():
+        return tuple(rng.randint(-2, 2) for _ in range(rank))
+
+    for _ in range(40):
+        vs = [vector() for _ in range(6)]
+        chain = [vector() for _ in range(rank + 4)]
+        grown = counting._closed_cone_test(vs, rank, 2)
+        for k in range(len(chain) + 1):
+            assert grown(chain[:k]) == counting._closed_cone_test(vs, rank, 2)(chain[:k]), chain[:k]
+    assert cuts
 
 
 small_3vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -999,12 +1056,12 @@ def test_marked_dfs_matches_reference_plane_degree_three_slice():
 
 
 def test_marked_dfs_nodes_per_depth_with_lookahead(monkeypatch):
-    # one insert_leg call builds each search node, a child in which every later
-    # point keeps a site; a child the lookahead drops gets no tree (the search
-    # offers 750 / 2,816 / 1,714 / 706 / 626 / 223 / 272 / 44 children per
-    # depth on this slice).  The reference search, without the lookahead, makes
-    # 750 / 3,244 / 5,870 / 5,667 / 3,797 / 1,317 / 304 / 44 (20,993) nodes on
-    # the same slice
+    # one insert_leg call builds each search node, a child in which the later
+    # points keep sites that pass the distinct-sites rule; a child the
+    # lookahead drops gets no tree (the search offers 750 / 1,700 / 808 / 137 /
+    # 128 / 52 / 122 / 44 children per depth on this slice).  The reference
+    # search, without the lookahead, makes 750 / 3,244 / 5,870 / 5,667 / 3,797
+    # / 1,317 / 304 / 44 (20,993) nodes on the same slice
     from tropcount import counting
 
     prob = p2_problem(3, 0)
@@ -1021,7 +1078,23 @@ def test_marked_dfs_nodes_per_depth_with_lookahead(monkeypatch):
     monkeypatch.setattr(counting, "insert_leg", counted)
     trees = list(counting._marked_dfs(prob, skeletons, sorted(prob.gamma.trivial_legs)))
     assert len(trees) == 44
-    assert per_depth == [566, 678, 328, 397, 212, 198, 42, 44]
+    assert per_depth == [212, 199, 62, 104, 45, 48, 42, 44]
+
+
+def test_distinct_sites_rule():
+    # fields of 5 bits: three points that share two sites are refused, as is
+    # any i of them, the fewest-site first, on fewer than i sites
+    from tropcount.counting import _distinct_sites
+
+    def packed(*sites):
+        return sum(sum(1 << t for t in ts) << 5 * u for u, ts in enumerate(sites))
+
+    assert not _distinct_sites(packed({0, 1}, {0, 1}, {0, 1}), 3, 5)
+    assert not _distinct_sites(packed({1, 2, 3}, {0}, {0}), 3, 5)
+    assert _distinct_sites(packed({0, 1}, {0, 1}, {2}), 3, 5)
+    assert _distinct_sites(packed({4}, {3, 4}, {2, 3, 4}, {0, 1, 2, 3, 4}), 4, 5)
+    assert not _distinct_sites(packed({4}, {3, 4}, {3, 4}, {0, 1, 2, 3, 4}), 4, 5)
+    assert _distinct_sites(packed({0, 1}, {0, 1}, {0, 1}), 2, 5)  # only the first k fields count
 
 
 # slices on which trees complete for the other d=3 seeds: 8 trees over
