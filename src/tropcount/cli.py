@@ -131,9 +131,12 @@ def _parse_contacts(spec: str, fan) -> tuple[tuple[int, tuple[int, ...]], ...]:
         data = json.load(fh)
     out = []
     for i, entry in enumerate(data):
-        label, c = entry[:2] if type(entry[0]) is int and isinstance(entry[1], list) else (i + 1, entry)
+        labelled = len(entry) == 2 and type(entry[0]) is int and isinstance(entry[1], list)
+        label, c = entry if labelled else (i + 1, entry)
         if not all(type(x) is int for x in c):  # a bool is an int, but no label or coordinate
             raise TypeError(f"contact {c!r} has a coordinate that is not an integer")
+        if len(c) != fan.rank:
+            raise IndexError(f"contact {c!r} has {len(c)} coordinates on a fan of rank {fan.rank}")
         out.append((label, tuple(c)))
     return tuple(out)
 

@@ -704,11 +704,11 @@ def _census_legs(problem: CountProblem) -> list[tuple[int, Vec]]:
 def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMatrix:
     """Stacked constrained evaluations of an unconfined stabilized type.
 
-    Columns are the position of the vertex carrying the smallest trivial leg
-    followed by the internal edge lengths, a basis of the type's moduli
-    lattice; rows are the projected evaluations of the trivial legs in
-    label order, each projection row p read at its leg's vertex by
-    ``moduli.position_row``.
+    Columns are the position of the vertex carrying leg 1, the root of
+    ``moduli.moduli_cone``, followed by the internal edge lengths, a basis
+    of the type's moduli lattice; rows are the projected evaluations of the
+    trivial legs in label order, each projection row p read at its leg's
+    vertex by ``moduli.position_row``.
     """
     rows, _ = _evaluation_rows(theta, problem)
     return IntMatrix.from_rows(rows, problem.fan.rank + len(theta.shape.edges))
@@ -719,7 +719,7 @@ def _evaluation_rows(theta: CombinatorialType, problem: CountProblem):
     if any(cone is not None for cone in theta.vertex_cones):
         raise ValueError("evaluation matrices are built for unconfined stabilized types")
     shape = theta.shape
-    paths = shape.signed_paths(shape.leg_vertex(min(problem.gamma.trivial_legs)))
+    paths = shape.signed_paths(shape.leg_vertex(1))
     rows: list[list[int]] = []
     for label in sorted(problem.gamma.trivial_legs):
         proj, path = problem.projected[label][0], paths[shape.leg_vertex(label)]
@@ -788,7 +788,6 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
     fan = problem.fan
     r = fan.rank
     shape = theta.shape
-    root_label = min(problem.gamma.trivial_legs)
     rows, paths = _evaluation_rows(theta, problem)
     targets = [x for label in sorted(problem.gamma.trivial_legs) for x in problem.projected[label][1]]
     rhs, den = clear_denominators(targets)
@@ -814,15 +813,15 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
     report = validate(full)
     if not report.valid:
         raise SolveCheckError(
-            f"seed {problem.constraints.seed}: the map solved from root leg {root_label} "
+            f"seed {problem.constraints.seed}: the map solved from the vertex of leg 1 "
             f"for type {shape} fails validation: {sorted(report.conditions())}"
         )
     for label in problem.gamma.trivial_legs:
         proj, want = problem.projected[label]
         if tuple(proj.apply(list(ev_trop(full, label).coset))) != want:
             raise SolveCheckError(
-                f"seed {problem.constraints.seed}: the map solved for type {shape} "
-                f"misses the constraint translate of leg {label}"
+                f"seed {problem.constraints.seed}: the map solved from the vertex of leg 1 "
+                f"for type {shape} misses the constraint translate of leg {label}"
             )
     return full, weight
 

@@ -8,9 +8,9 @@ elimination does arithmetic on them. There are two eliminations, and an
 oracle.
 
 - ``fraction_free_rref``, a fraction-free Gauss–Jordan, answers the
-  questions over ℚ. ``rank`` and ``solve_rational`` run it on right-hand
-  sides cleared of their denominators and divide out once at the end;
-  determinants are read off its last pivot.
+  questions over ℚ. ``rank`` runs it, and ``solve_rational`` runs it on
+  a right-hand side cleared of its denominators and divides out once at
+  the end; determinants are read off its last pivot.
 - ``integer_kernel``, a unimodular row reduction to Hermite normal form,
   gives a kernel lattice its canonical basis, and through that a span's
   quotient projection (``lattice_quotient``) and saturation.
@@ -375,43 +375,28 @@ def fraction_free_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], in
     return pivots, d
 
 
-def _solve(a: IntMatrix, b: Sequence[Sequence[Fraction]]) -> Optional[tuple[list[list[Fraction]], int]]:
-    """Solve A X = B with every column of B attached to one elimination.
-
-    Each column is cleared of its denominators first, so the elimination
-    runs over ``int``; the result is divided out once at the end. Returns
-    ``(X, rank A)`` with the free variables set to 0, or None when some
-    column is inconsistent.
-    """
-    ncols = len(b[0]) if b else 0
-    columns = [clear_denominators([b[i][j] for i in range(a.rows)]) for j in range(ncols)]
-    rows = [list(a.row(i)) + [col[i] for col, _ in columns] for i in range(a.rows)]
-    pivots, d = fraction_free_rref(rows, a.cols)
-    if any(any(row[a.cols :]) for row in rows[len(pivots) :]):
-        return None
-    zero = Fraction(0)
-    x = [[zero] * ncols for _ in range(a.cols)]
-    for row, c in zip(rows, pivots):
-        x[c] = [Fraction(n, d * den) for n, (_, den) in zip(row[a.cols :], columns)]
-    return x, len(pivots)
-
-
 def solve_rational(
     a: IntMatrix, b: Sequence[Fraction]
 ) -> Optional[tuple[tuple[Fraction, ...], bool]]:
     """Solve A x = b exactly over ℚ, by fraction-free elimination.
 
-    Returns ``(solution, unique)`` where ``unique`` is True iff the kernel
-    is trivial, or ``None`` when the system is inconsistent. The free
+    b is cleared of its denominators first, so the elimination runs over
+    ``int``; the result is divided out once at the end. Returns
+    ``(solution, unique)`` where ``unique`` is True iff the kernel is
+    trivial, or ``None`` when the system is inconsistent. The free
     variables of a non-unique solution are 0.
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    sol = _solve(a, [[x] for x in b])
-    if sol is None:
+    rhs, den = clear_denominators(b)
+    rows = [list(a.row(i)) + [y] for i, y in enumerate(rhs)]
+    pivots, d = fraction_free_rref(rows, a.cols)
+    if any(row[-1] for row in rows[len(pivots) :]):
         return None
-    x, r = sol
-    return tuple(row[0] for row in x), r == a.cols
+    x = [Fraction(0)] * a.cols
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[-1], d * den)
+    return tuple(x), len(pivots) == a.cols
 
 
 def lattice_quotient(basis: IntMatrix) -> IntMatrix:

@@ -2,22 +2,23 @@
 
 A type's moduli cone lives on (position of the root, length of every
 internal edge), the coordinates of ``counting.evaluation_matrix``: the
-root is the vertex of the least leg label, and a vertex sits at the root
-plus sign·length·contact over the edges of its path from it. A confined
-vertex's span cuts pos_v in span(cone_v) are integral rows on these
-r + E coordinates, and the cone is carved out of their kernel lattice by
-the ray-coefficient and length inequalities; its span basis is the
-kernel's Hermite basis, which depends on the lattice alone. Dimensions
-are exact ranks, never the generic formula. ``contains`` and
-``classify`` still read every vertex position.
+root is the vertex of leg 1, which no contraction removes, and a vertex
+sits at the root plus sign·length·contact over the edges of its path
+from it. A confined vertex's span cuts pos_v in span(cone_v) are
+integral rows on these r + E coordinates, and the cone is carved out of
+their kernel lattice by the ray-coefficient and length inequalities; its
+span basis is the kernel's Hermite basis, which depends on the lattice
+alone. Dimensions are exact ranks, never the generic formula.
+``contains`` and ``classify`` still read every vertex position.
 
 Faces come from the same inequalities. An exact double description over
 the integers finds each cone's extreme rays once; their sum is the
 cone's relative-interior witness, a facet is an inequality whose zero
 rays are inclusion-maximal, the sum of those rays is the facet's
-witness, and the face's type is the type of the map there. A face map
-starts from the coordinate map (root to root, a kept edge to its image,
-a contracted edge to 0). All of it is integer arithmetic, with no LP.
+witness, and the face's type is the type of the map there, read by the
+rule that reads a relative-interior point. A face map is the coordinate
+map (root to root, a kept edge to its image, a contracted edge to 0), so
+it needs only the edge map. All of it is integer arithmetic, with no LP.
 
 Assembly works once per orbit of the group G of ``symmetry_group``: the
 lattice automorphisms of the fan, each with the leg relabelings that carry
@@ -28,8 +29,8 @@ canonical form per coset of the stabilizer, and a few more while it is
 found); an orbit of empty cones is found once, then skipped. Each other
 cone g·rep gets the canonical form of g·rep for the first g of its coset,
 the Hermite basis of its own span cuts' kernel, asserted of rep's
-dimension, and the face maps, composed through the canonical relabelings
-and each solved by ``face_inclusion_matrix``.
+dimension, and the face maps, whose edge maps are composed through the
+canonical edge relabelings and each solved by ``face_inclusion_matrix``.
 """
 from __future__ import annotations
 
@@ -86,12 +87,12 @@ class ConeRays(NamedTuple):
     """The cone {y in QQ^dim : row·y >= 0 for every row}, by its extreme rays.
 
     ``normals`` are the rows up to positive multiples, primitive, in order
-    of first appearance, ``row_normals[i]`` is the index of row i's normal,
-    and ``rank`` is their rank. The cone is its pointed part plus the
-    lineality space where every normal vanishes. ``rays`` are
-    the primitive extreme rays of the pointed part, and bit j of
-    ``tight[i]`` is set when normal j vanishes on ray i. ``lineality`` is a
-    basis of primitive vectors of the lineality space, dim - rank of them.
+    of first appearance, and ``rank`` is their rank. The cone is its
+    pointed part plus the lineality space where every normal vanishes.
+    ``rays`` are the primitive extreme rays of the pointed part, and bit j
+    of ``tight[i]`` is set when normal j vanishes on ray i. ``lineality``
+    is a basis of primitive vectors of the lineality space, dim - rank of
+    them.
     """
 
     # a named tuple: building a frozen dataclass costs about 1 ms at every
@@ -102,7 +103,6 @@ class ConeRays(NamedTuple):
     rays: tuple[tuple[int, ...], ...]
     tight: tuple[int, ...]
     lineality: tuple[tuple[int, ...], ...]
-    row_normals: tuple[int, ...]
 
     def interior_point(self) -> Optional[list[int]]:
         """The sum of the rays, strict on every normal; None when some normal
@@ -125,7 +125,6 @@ class ConeRays(NamedTuple):
             normals=(*self.normals, tuple(x // g for x in row)),
             rays=tuple(rays),
             tight=tuple(tight),
-            row_normals=(*self.row_normals, len(self.normals)),
         )
 
     def facets(self) -> list[tuple[int, list[int]]]:
@@ -161,14 +160,13 @@ def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
     vector that is d at f and minus column f of the reduced rows at the
     pivots. Each further normal cuts the rays by one ``_dd_step``.
     """
-    groups: dict[tuple[int, ...], int] = {}
-    row_normals = []
+    primitive = []
     for row in rows:
         g = gcd(*row)
         if g == 0:
             return None
-        row_normals.append(groups.setdefault(tuple(x // g for x in row), len(groups)))
-    normals = list(groups)
+        primitive.append(tuple(x // g for x in row))
+    normals = list(dict.fromkeys(primitive))
     basis, _ = fraction_free_rref([list(col) for col in zip(*normals)], len(normals))
     k = len(basis)
     # Gauss-Jordan on (A | I) leaves d times A_P^-1 in the right block, for
@@ -196,7 +194,7 @@ def cone_rays(rows: Sequence[Sequence[int]], dim: int) -> Optional[ConeRays]:
         for c, x in zip(cols, ray):
             y[c] = x
         padded.append(tuple(y))
-    return ConeRays(dim, tuple(normals), k, tuple(padded), tuple(tight), tuple(lineality), tuple(row_normals))
+    return ConeRays(dim, tuple(normals), k, tuple(padded), tuple(tight), tuple(lineality))
 
 
 def _dd_step(rays: list, tight: list[int], values: list[int], bit: int, rank: int) -> tuple[list, list[int]]:
@@ -507,16 +505,17 @@ class FaceData:
     point: tuple[int, ...]  # the face's (root position, lengths) at a relative-interior point
 
 
-def _type_at(cone: ModuliCone, x: Sequence[int], facet: Optional[int] = None) -> FaceData:
-    """The type of the map at x = (root position, lengths): a relative-interior
-    point of the cone, or the witness of the facet whose normal in
-    ``cone.extreme_rays`` has index ``facet``.
+def _type_at(cone: ModuliCone, x: Sequence[int]) -> FaceData:
+    """The type of the map at x = (root position, lengths), a point of the cone.
 
     Every zero-length edge is contracted at once (its ends coincide), and
     vertex cones and carriers are located at the point; whatever the type
-    leaves None stays None. At the facet's witness exactly the inequality
-    rows of its normal vanish, so a confined vertex's face is the cone on
-    the rays whose coefficient rows are not among them.
+    leaves None stays None. A confined vertex gets the face of its cone on
+    the rays with a positive coefficient at its position, by the sign of
+    its cone's coefficient rows there (the rows of ``_inequality_rows``):
+    the whole cone at a relative-interior point, and at a facet's witness,
+    where exactly the facet's inequality rows vanish, the face that the
+    facet leaves it.
     """
     theta = cone.type
     fan = theta.fan
@@ -532,20 +531,17 @@ def _type_at(cone: ModuliCone, x: Sequence[int], facet: Optional[int] = None) ->
     reps = sorted(set(least))
     index = {w: i for i, w in enumerate(reps)}
     vmap = [index[w] for w in least]
-    # the confined vertices' coefficient rows lead ``_inequality_rows``, in
-    # vertex order; merged vertices sit at one point, so they agree
-    row_normals = () if facet is None else cone.extreme_rays.row_normals
-    row = 0
+    # merged vertices sit at one point, so they agree
+    positions = vertex_positions(x, cone.paths, theta.edge_contacts)
     cones: list[Optional[int]] = [None] * len(reps)
     for v, cone_idx in enumerate(theta.vertex_cones):
         if cone_idx is not None:
             rays = fan.cones[cone_idx]
-            kept = [ray for i, ray in enumerate(rays) if facet is None or row_normals[row + i] != facet]
-            row += len(rays)
+            rows = fan.cone_data(cone_idx).coefficients
+            kept = [ray for ray, row in zip(rays, rows) if sum(map(mul, row, positions[v])) > 0]
             cones[vmap[v]] = cone_idx if len(kept) == len(rays) else fan.cone_index(kept)
     # a carrier is the germ at its vertex's cone, located for an unconfined vertex
-    p = cone.ambient_point(x) if None in cones else ()
-    at = [c if c is not None else locate(fan, p[reps[w] * r : reps[w] * r + r]) for w, c in enumerate(cones)]
+    at = [c if c is not None else locate(fan, positions[reps[w]]) for w, c in enumerate(cones)]
 
     def carrier(old: Optional[int], w: int, c: tuple[int, ...]) -> Optional[int]:
         return None if old is None else fan.germ(at[w], c)
@@ -596,27 +592,23 @@ def face_types(theta: CombinatorialType, parent: Optional[ModuliCone] = None) ->
     rays = parent.extreme_rays
     if rays is None:
         return []
-    return [_type_at(parent, parent.span_basis.apply(y), j) for j, y in rays.facets()]
+    return [_type_at(parent, parent.span_basis.apply(y)) for _, y in rays.facets()]
 
 
 def face_inclusion_matrix(
-    parent: ModuliCone,
-    face_cone: ModuliCone,
-    vertex_map: Sequence[int],
-    edge_map: Sequence[Optional[int]],
+    parent: ModuliCone, face_cone: ModuliCone, edge_map: Sequence[Optional[int]]
 ) -> IntMatrix:
     """Integral matrix expressing the face's span lattice inside the parent's.
 
-    ``vertex_map``/``edge_map`` translate parent vertices and edges to the
-    face's (a contracted parent edge maps to None). The face sits in the
-    parent by the coordinate map iota: root to root, a kept edge's length
-    to its image's, a contracted edge's to 0. ``hermite_solve`` finds X with
-    B·X = iota·B_face for the parent's span basis B, or refuses a face
-    lattice outside the parent's; so is a face whose root is not the image.
+    ``edge_map`` translates parent edges to the face's (a contracted parent
+    edge maps to None). The face sits in the parent by the coordinate map
+    iota: root to root, a kept edge's length to its image's, a contracted
+    edge's to 0. The roots agree: a face keeps every leg, and each root is
+    the vertex of leg 1. ``hermite_solve`` finds X with B·X = iota·B_face
+    for the parent's span basis B, or refuses a face lattice outside the
+    parent's.
     """
     r = parent.type.fan.rank
-    if vertex_map[parent.root] != face_cone.root:
-        raise InvalidTypeError("the face's root is not the image of the parent's")
     face_basis = face_cone.span_basis
     zero = (0,) * face_cone.dimension
     target = IntMatrix(
@@ -777,26 +769,24 @@ class Orbit(NamedTuple):
     """The orbit of a stored type theta under G, by the cosets of its
     stabilizer.
 
-    ``images[i]`` = (h, key, relabel, eperm, image): h is the first element
-    of its coset h·Stab in G's order, key the canonical key of h·theta,
-    image the stored type of that key, relabel_type(h·theta, relabel), and
-    relabel (eperm) carries theta's vertices (edges) to image's.
-    ``stabilizer[j]`` = (s, vertex map, edge map): s·theta is theta with its
-    vertices and edges renumbered by these maps. Each element k of G is
-    h_i∘s_j for one pair, and ``where[k]`` = i·|G| + j."""
+    ``images[i]`` = (h, key, eperm, image): h is the first element of its
+    coset h·Stab in G's order, key the canonical key of h·theta, image the
+    stored type of that key, h·theta under its canonical relabeling, and
+    eperm carries theta's edges to image's. ``stabilizer[j]`` = (s, edge
+    map): s·theta is theta with its edges renumbered by the map. Each
+    element k of G is h_i∘s_j for one pair, and ``where[k]`` = i·|G| + j."""
 
-    images: list[tuple[int, tuple, tuple[int, ...], list[int], CombinatorialType]]
-    stabilizer: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
+    images: list[tuple[int, tuple, list[int], CombinatorialType]]
+    stabilizer: list[tuple[int, tuple[int, ...]]]
     where: list[int]
 
-    def at(self, k: int) -> tuple[tuple, tuple[int, ...], list[int]]:
-        """(key, relabel, eperm) of k·theta."""
+    def at(self, k: int) -> tuple[tuple, list[int]]:
+        """(key, eperm) of k·theta."""
         i, j = divmod(self.where[k], len(self.where))
-        _, key, relabel, eperm, _ = self.images[i]
+        _, key, eperm, _ = self.images[i]
         if j:
-            _, vmap, emap = self.stabilizer[j]
-            return key, tuple(relabel[v] for v in vmap), [eperm[e] for e in emap]
-        return key, relabel, eperm
+            return key, [eperm[e] for e in self.stabilizer[j][1]]
+        return key, eperm
 
 
 def orbit(group: SymmetryGroup, theta: CombinatorialType) -> Orbit:
@@ -809,7 +799,7 @@ def orbit(group: SymmetryGroup, theta: CombinatorialType) -> Orbit:
     n = len(group.elements)
     where = [-1] * n
     images: list = []
-    stabilizer = [(0, tuple(range(theta.shape.vertices)), tuple(range(len(theta.shape.edges))))]
+    stabilizer = [(0, tuple(range(len(theta.shape.edges))))]
     gens: list = []
     found: dict[tuple, int] = {}
 
@@ -827,22 +817,22 @@ def orbit(group: SymmetryGroup, theta: CombinatorialType) -> Orbit:
         i = found.get(key)
         if i is None:
             found[key] = len(images)
-            images.append((g, key, relabel, eperm, relabel_type(moved, relabel)))
+            images.append((g, key, eperm, relabel_type(moved, relabel)))
             mark(len(images) - 1, 0)
             continue
-        # g·theta = h·theta, so s = h⁻¹∘g fixes theta, through these maps
-        h, _, h_relabel, h_eperm, _ = images[i]
-        back_v, back_e = _inverse(h_relabel), _inverse(h_eperm)
+        # g·theta = h·theta, so s = h⁻¹∘g fixes theta, through this edge map
+        h, _, h_eperm, _ = images[i]
+        back = _inverse(h_eperm)
         s = group.compose(group.inverse(h), g)
-        gens.append((s, tuple(back_v[w] for w in relabel), tuple(back_e[f] for f in eperm)))
+        gens.append((s, tuple(back[f] for f in eperm)))
         start = len(stabilizer)
-        members = {x for x, _, _ in stabilizer}
-        for x, x_v, x_e in stabilizer:  # grows as it goes: the closure
-            for y, y_v, y_e in gens:
+        members = {x for x, _ in stabilizer}
+        for x, x_e in stabilizer:  # grows as it goes: the closure
+            for y, y_e in gens:
                 z = group.compose(x, y)
                 if z not in members:
                     members.add(z)
-                    stabilizer.append((z, tuple(x_v[v] for v in y_v), tuple(x_e[e] for e in y_e)))
+                    stabilizer.append((z, tuple(x_e[e] for e in y_e)))
         for i in range(len(images)):
             mark(i, start)
     assert len(images) * len(stabilizer) == n
@@ -1103,9 +1093,9 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     Only representatives run ``face_types``, and each of their faces is
     admitted, so it is stored as g_f·(its representative). The same face of
     an image h·rep is then (h∘g_f)·(that representative): its key and
-    relabeling are read off that representative's orbit (``Orbit.at``), and
-    the vertex and edge maps composed through the relabelings. Every face
-    pair still gets its own ``face_inclusion_matrix``.
+    edge relabeling are read off that representative's orbit (``Orbit.at``),
+    and the edge map composed through the relabelings. Every face pair
+    still gets its own ``face_inclusion_matrix``.
     """
     fan = gamma.fan
     if fan.rank > 2:
@@ -1129,7 +1119,7 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
         if key in by_key or key in empty:
             return key, relabel
         found = orbit(group, relabel_type(theta, relabel))
-        rep = _stored_cone(found.images[0][4], key)  # the identity comes first
+        rep = _stored_cone(found.images[0][3], key)  # the identity comes first
         if rep is None:
             empty.update(image[1] for image in found.images)
             return key, relabel
@@ -1137,7 +1127,7 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
         origin[key] = (key, 0)
         orbits[key] = found
         # no key of a new orbit is stored yet: orbits are stored whole
-        for g, image_key, _, _, image in found.images[1:]:
+        for g, image_key, _, image in found.images[1:]:
             # g moves rep's cone onto this one by a lattice isomorphism, so
             # the type needs no check and the dimension is rep's
             cone = _unchecked_cone(image)
@@ -1157,31 +1147,24 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
         rep = by_key[key]
         for fd in face_types(rep.type, rep.cone):
             face_key, relabel = admit(fd.face)
-            # the stored face is g·face_rep: pull rep's vertices and edges
-            # back through the face to face_rep's
+            # the stored face is g·face_rep: pull rep's edges back through
+            # the face to face_rep's
             face_rep, g = origin[face_key]
             face_orbit = orbits[face_rep]
-            _, g_relabel, g_eperm = face_orbit.at(g)
-            back_v, back_e = _inverse(g_relabel), _inverse(g_eperm)
+            back = _inverse(face_orbit.at(g)[1])
             eperm = edge_permutation(fd.face.shape, relabel)
-            to_face_rep = [back_v[relabel[w]] for w in fd.vertex_map]
-            edges_to_face_rep = [None if e is None else back_e[eperm[e]] for e in fd.edge_map]
-            # this face of h·rep is (h∘g)·face_rep: map h·rep's vertices and
-            # edges back to rep's, then to face_rep's, then on to its image
-            for h, image_key, p_relabel, p_eperm, _ in orbits[key].images:
-                f_key, f_relabel, f_eperm = face_orbit.at(group.compose(h, g))
+            to_face_rep = [None if e is None else back[eperm[e]] for e in fd.edge_map]
+            # this face of h·rep is (h∘g)·face_rep: map h·rep's edges back to
+            # rep's, then to face_rep's, then on to its image
+            for h, image_key, p_eperm, _ in orbits[key].images:
+                f_key, f_eperm = face_orbit.at(group.compose(h, g))
                 pair = (f_key, image_key)
                 # one representative facet and one coset give each pair
                 assert pair not in face_rel
-                vmap = [0] * len(p_relabel)
-                for v, w in zip(p_relabel, to_face_rep):
-                    vmap[v] = f_relabel[w]
                 emap: list[Optional[int]] = [None] * len(p_eperm)
-                for e, f in zip(p_eperm, edges_to_face_rep):
+                for e, f in zip(p_eperm, to_face_rep):
                     emap[e] = None if f is None else f_eperm[f]
-                face_rel[pair] = face_inclusion_matrix(
-                    by_key[image_key].cone, by_key[f_key].cone, tuple(vmap), tuple(emap)
-                )
+                face_rel[pair] = face_inclusion_matrix(by_key[image_key].cone, by_key[f_key].cone, emap)
 
     ordered = sorted(by_key.values(), key=lambda c: (c.cone.dimension, c.key))
     index = {c.key: i for i, c in enumerate(ordered)}

@@ -304,6 +304,17 @@ def test_malformed_json_input_is_a_named_error(tmp_path, argv, payload):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_bare_rank_one_contact_file_reads_as_the_labelled_one(tmp_path):
+    # a bare entry [1] is one coordinate, not a label with its contact
+    outputs = []
+    for name, contacts in (("bare", [[1], [-1]]), ("labelled", [[1, [1]], [2, [-1]]])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(contacts))
+        outputs.append(run_cli("count", "--fan", "p1", "--contacts", str(path), "--points", "1").stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["total"] == 1
+
+
 @pytest.mark.parametrize("command", ["count", "complex"])
 @pytest.mark.parametrize(
     "contacts",

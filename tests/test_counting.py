@@ -1317,11 +1317,12 @@ def _signed_path(shape, a, b):
 
 def _reference_evaluation_matrix(theta, problem):
     """The former rows: per leg, its projection times the r x (r + ne) block
-    (I | sign·contact at each edge on the leg's path from the root)."""
+    (I | sign·contact at each edge on the leg's path from the root, the
+    vertex of leg 1)."""
     r = problem.fan.rank
     shape = theta.shape
     ne = len(shape.edges)
-    root_vertex = shape.leg_vertex(min(problem.gamma.trivial_legs))
+    root_vertex = shape.leg_vertex(1)
     rows = []
     for label in sorted(problem.gamma.trivial_legs):
         proj = problem.projected[label][0]
@@ -1364,7 +1365,7 @@ ROWS_PROBLEMS = {
 
 @pytest.mark.parametrize("name", ROWS_PROBLEMS)
 def test_evaluation_rows_match_the_identity_block_formulation(name):
-    from tropcount.counting import _solve_type
+    from tropcount.counting import _evaluation_rows, _solve_type
     from tropcount.exactmath import lattice_index, solve_rational
 
     make, prune, heights = ROWS_PROBLEMS[name]
@@ -1376,6 +1377,8 @@ def test_evaluation_rows_match_the_identity_block_formulation(name):
     for theta in enumerate_rigid_types(prob, prune=prune):
         want = _reference_evaluation_matrix(theta, prob)
         assert evaluation_matrix(theta, prob) == want
+        # the count's coordinates are its moduli cone's
+        assert tuple(map(tuple, _evaluation_rows(theta, prob)[1])) == moduli_cone(theta).paths
         types += 1
         try:
             found = _solve_type(prob, theta)
@@ -1389,7 +1392,7 @@ def test_evaluation_rows_match_the_identity_block_formulation(name):
         values, unique = solve_rational(want, rhs)
         assert unique
         x, lengths = values[:r], values[r:]
-        root_vertex = theta.shape.leg_vertex(min(prob.gamma.trivial_legs))
+        root_vertex = theta.shape.leg_vertex(1)
         for v in range(theta.shape.vertices):
             p = list(x)
             for e, sign in _signed_path(theta.shape, root_vertex, v):

@@ -33,7 +33,7 @@ from tropcount.moduli import (
     symmetry_group,
     unimodular_equivalent,
 )
-from tropcount.polyhedral import SCHEMA, Fan, fan_product, fan_projective_space, fan_to_json, point_fan
+from tropcount.polyhedral import SCHEMA, Fan, fan_product, fan_projective_space, fan_to_json, locate, point_fan
 
 P2 = fan_projective_space(2)
 P1P1 = fan_product(fan_projective_space(1), fan_projective_space(1))
@@ -335,8 +335,8 @@ def test_face_maps_match_the_rational_solve(monkeypatch, trivial):
     integer = moduli.face_inclusion_matrix
     made = []
 
-    def checked(parent, face_cone, vertex_map, edge_map):
-        got = integer(parent, face_cone, vertex_map, edge_map)
+    def checked(parent, face_cone, edge_map):
+        got = integer(parent, face_cone, edge_map)
         want = solve_columns(parent.span_basis, face_basis_on_parent(parent, face_cone, edge_map))
         assert want is not None
         assert got.to_lists() == want
@@ -349,18 +349,15 @@ def test_face_maps_match_the_rational_solve(monkeypatch, trivial):
     assert len(made) == len(cx.face_maps) > 0
 
 
-def test_face_inclusion_refuses_a_wrong_vertex_map():
+def test_face_inclusion_refuses_a_wrong_edge_map():
     theta = wall_type()
     parent = moduli_cone(theta)
     [fd] = [fd for fd in face_types(theta) if fd.edge_map == (0,)]
     face = moduli_cone(fd.face)
-    assert face_inclusion_matrix(parent, face, fd.vertex_map, fd.edge_map).to_lists() == [[1], [1]]
-    # with its two vertices swapped, the face's root is not the parent root's image
-    with pytest.raises(InvalidTypeError):
-        face_inclusion_matrix(parent, face, fd.vertex_map[::-1], fd.edge_map)
+    assert face_inclusion_matrix(parent, face, fd.edge_map).to_lists() == [[1], [1]]
     # with its edge sent to length 0, the face's lattice leaves the parent's span
     with pytest.raises(InvalidTypeError):
-        face_inclusion_matrix(parent, face, fd.vertex_map, (None,))
+        face_inclusion_matrix(parent, face, (None,))
 
 
 def test_assemble_complex_p1():
@@ -401,6 +398,29 @@ def test_candidates_are_valid_nonempty_and_located(name):
         assert _type_at(mc, root_and_lengths(mc, witness)).face == theta
         seen += 1
     assert seen > 0
+
+
+@pytest.mark.parametrize("name", ASSEMBLED)
+def test_each_face_is_located_at_its_point(monkeypatch, name):
+    # a face's vertex cones are read off the coefficients at the facet's
+    # witness; locating every vertex position there must give the same cones
+    faces = []
+    original = moduli.face_types
+
+    def recorded(*args):
+        found = original(*args)
+        faces.extend(found)
+        return found
+
+    monkeypatch.setattr(moduli, "face_types", recorded)
+    assemble_complex(ASSEMBLED[name])
+    assert faces
+    for fd in faces:
+        cone = moduli_cone(fd.face)
+        r = fd.face.fan.rank
+        p = cone.ambient_point(fd.point)
+        located = tuple(locate(fd.face.fan, p[v * r : v * r + r]) for v in range(fd.face.shape.vertices))
+        assert fd.face.vertex_cones == located
 
 
 def snf_span_basis(theta):
@@ -445,6 +465,33 @@ def from_columns(columns, nrows):
     return IntMatrix(nrows, len(columns), tuple(x for row in zip(*columns) for x in row))
 
 
+def vertex_map_of(parent, face_cone, edge_map):
+    """Parent vertex -> face vertex, by a walk out from the parent's root,
+    which goes to the face's root: across a contracted edge a vertex maps
+    where its neighbour does, across a kept one to the face edge's other
+    end. Every kept edge's ends must land on the ends of its image."""
+    edges = parent.type.shape.edges
+    face_edges = face_cone.type.shape.edges
+    vertex_map = {parent.root: face_cone.root}
+    frontier = [parent.root]
+    while frontier:
+        u = frontier.pop()
+        for e, (a, b) in enumerate(edges):
+            if u in (a, b) and (v := b if u == a else a) not in vertex_map:
+                if edge_map[e] is None:
+                    vertex_map[v] = vertex_map[u]
+                else:
+                    fa, fb = face_edges[edge_map[e]]
+                    assert vertex_map[u] in (fa, fb)
+                    vertex_map[v] = fb if vertex_map[u] == fa else fa
+                frontier.append(v)
+    out = [vertex_map[v] for v in range(parent.type.shape.vertices)]
+    for (a, b), fe in zip(edges, edge_map):
+        if fe is not None:
+            assert {out[a], out[b]} == set(face_edges[fe])
+    return out
+
+
 @pytest.mark.parametrize("name", ASSEMBLED)
 def test_bases_and_face_maps_agree_with_the_ambient_snf(monkeypatch, name):
     # the SNF of the former constraint matrix on every vertex position is the
@@ -454,9 +501,9 @@ def test_bases_and_face_maps_agree_with_the_ambient_snf(monkeypatch, name):
     integer = moduli.face_inclusion_matrix
     made = []
 
-    def recorded(parent, face_cone, vertex_map, edge_map):
-        got = integer(parent, face_cone, vertex_map, edge_map)
-        made.append((parent, face_cone, vertex_map, edge_map, got))
+    def recorded(parent, face_cone, edge_map):
+        got = integer(parent, face_cone, edge_map)
+        made.append((parent, face_cone, edge_map, got))
         return got
 
     monkeypatch.setattr(moduli, "face_inclusion_matrix", recorded)
@@ -474,7 +521,8 @@ def test_bases_and_face_maps_agree_with_the_ambient_snf(monkeypatch, name):
             assert smith_normal_form(IntMatrix.from_rows([[int(x) for x in row] for row in u])).diagonal() == (1,) * len(u)
         snf[id(cc.cone)], change[id(cc.cone)] = basis, u
     assert len(made) == len(cx.face_maps)
-    for parent, face_cone, vertex_map, edge_map, x_new in made:
+    for parent, face_cone, edge_map, x_new in made:
+        vertex_map = vertex_map_of(parent, face_cone, edge_map)
         r = parent.type.fan.rank
         fnv = face_cone.type.shape.vertices
         face_basis = snf[id(face_cone)]
@@ -871,7 +919,7 @@ def test_an_orbit_reads_every_element_off_its_cosets(monkeypatch, name):
         assert found.images[0][:2] == (0, cc.key)
         for k in range(n):
             key, relabel = canonical_form(group.act(k, cc.type))
-            assert found.at(k) == (key, relabel, edge_permutation(cc.type.shape, relabel))
+            assert found.at(k) == (key, edge_permutation(cc.type.shape, relabel))
 
 
 @pytest.mark.parametrize("name", [name for name, (_, order, _) in SYMMETRIC.items() if order <= 144])

@@ -22,3 +22,22 @@ def test_dual_plane_moduli_matches_the_hexagon(tmp_path):
     assert not match.endswith("None")
     svg = figure.read_text()
     assert svg.startswith("<svg") and svg.count("<path") == 6
+
+
+def test_src_lines_split_every_line_of_each_module():
+    # code, docstring, comment and blank lines sum to each module's plain
+    # line count, and the total row to the package's
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "src_lines.py")], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    header, *rows, total = [line.split() for line in run.stdout.splitlines()]
+    assert header == ["module", "code", "docstring", "comment", "blank", "lines"]
+    package = SCRIPTS.parent / "src" / "tropcount"
+    assert sorted(row[0] for row in rows) == sorted(path.name for path in package.glob("*.py"))
+    for name, *counts in rows:
+        *kinds, lines = map(int, counts)
+        assert sum(kinds) == lines == len((package / name).read_text().splitlines())
+    assert total[0] == "total"
+    assert [int(x) for x in total[1:]] == [sum(int(row[k]) for row in rows) for k in range(1, 6)]
+    assert all(int(x) for x in total[1:])
