@@ -4,10 +4,12 @@ The count of rational curves through seeded generic constraints is the sum
 of lattice indices of evaluation matrices over rigid combinatorial types.
 Enumeration works with stabilized types (no subdivision vertices): a
 skeleton census over the contact legs is grown by inserting the marked
-legs one at a time, with sound pruning against the seeded targets; each
-surviving type is solved exactly and its solution accepted only in the
-interior of the moduli cone.  Boundary solutions abort the whole count so
-the caller can reseed.
+legs one at a time, with sound pruning against the seeded targets.  Each
+surviving working tree is solved exactly on its bare edges, and its type
+is built only for a solution, which is accepted only in the interior of
+the moduli cone.  Trees are keyed for dedup only when two contact legs
+share a contact vector.  Boundary solutions abort the whole count so the
+caller can reseed.
 """
 from __future__ import annotations
 
@@ -626,18 +628,25 @@ def _site_tables(skeleton, ebits: list[tuple[int, int]], lbits: list[tuple[int, 
     return groups, notfar, reach
 
 
-def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
-    """Stabilized combinatorial type (unconfined vertices) from a working tree.
+def _labelled_legs(problem: CountProblem, legs) -> list[tuple[int, int, Vec]]:
+    """(vertex, label, contact) of each leg of a working tree, in leg order.
 
     Contact legs in the census carry placeholder labels; the original labels
     are reassigned per contact order in a deterministic sweep, which is
     harmless because equally-decorated legs are interchangeable.
     """
-    nv, edges, legs = tree
     pool: dict[Vec, list[int]] = {}  # contact -> its labels, the least last
     for lab, c in sorted(problem.gamma.contact_legs, reverse=True):
         pool.setdefault(c, []).append(lab)
-    labelled = sorted(((v, lab or pool[c].pop(), c) for v, c, lab in legs), key=lambda t: t[1])
+    return [(v, lab or pool[c].pop(), c) for v, c, lab in legs]
+
+
+def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
+    """Stabilized combinatorial type (unconfined vertices) from a working tree,
+    its legs labelled by ``_labelled_legs``; vertex ids are kept, and each edge
+    is oriented tail < head, in sorted order."""
+    nv, edges, legs = tree
+    labelled = sorted(_labelled_legs(problem, legs), key=lambda t: t[1])
     derived = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), problem.fan.rank)
     oriented_edges = sorted(oriented(a, b, c) for (a, b), c in zip(edges, derived))
     shape = TreeShape(nv, tuple(e for e, _ in oriented_edges), tuple((v, lab) for v, lab, _ in labelled))
@@ -652,16 +661,19 @@ def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
     )
 
 
-def enumerate_rigid_types(
+def _rigid_trees(
     problem: CountProblem, prune: bool = True, skeletons: Optional[list[tuple]] = None
-) -> Iterator[CombinatorialType]:
-    """Stabilized types whose moduli cone dimension matches the constraint codimension.
+) -> Iterator[tuple]:
+    """Working trees of the stabilized types whose moduli cone dimension
+    matches the constraint codimension, one tree per type.
 
     With ``prune``, point problems with at least three contact legs run the
     marked-point search over ``skeletons`` (default: the whole census),
-    which drops only types that cannot meet the seeded targets; others run
-    the census over all legs. Trees are deduplicated on ``_tree_key`` before
-    a type is built; no type spans two skeletons, so a chunk's dedup holds.
+    which drops only trees that cannot meet the seeded targets; others run
+    the census over all legs. When two contact legs share a contact vector,
+    trees are deduplicated on ``_tree_key``; no type spans two skeletons, so
+    a chunk's dedup holds. When no two do, each leg is told apart by its
+    contact or its label, so no two trees share a key, and none is taken.
     """
     gamma = problem.gamma
     if prune and _searches_skeletons(problem):
@@ -671,13 +683,26 @@ def enumerate_rigid_types(
     else:
         trees = grow_trees([(c, lab) for lab, c in _census_legs(problem)])
     n_edges = expected_codimension(problem.fan, gamma) - problem.fan.rank
+    trees = (tree for tree in trees if len(tree[1]) == n_edges)
+    contacts = [c for _, c in gamma.contact_legs]
+    if len(set(contacts)) == len(contacts):
+        yield from trees
+        return
     seen = set()
     for tree in trees:
-        if len(tree[1]) == n_edges:
-            key = _tree_key(tree)
-            if key not in seen:
-                seen.add(key)
-                yield _tree_to_type(problem, tree)
+        key = _tree_key(tree)
+        if key not in seen:
+            seen.add(key)
+            yield tree
+
+
+def enumerate_rigid_types(
+    problem: CountProblem, prune: bool = True, skeletons: Optional[list[tuple]] = None
+) -> Iterator[CombinatorialType]:
+    """Stabilized types whose moduli cone dimension matches the constraint
+    codimension: ``_tree_to_type`` of each tree of ``_rigid_trees``, the trees
+    that the count workers solve (``_solve_tree``)."""
+    return map(partial(_tree_to_type, problem), _rigid_trees(problem, prune, skeletons))
 
 
 def _searches_skeletons(problem: CountProblem) -> bool:
@@ -710,20 +735,24 @@ def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMat
     trivial legs in label order, each projection row p read at its leg's
     vertex by ``moduli.position_row``.
     """
-    rows, _ = _evaluation_rows(theta, problem)
-    return IntMatrix.from_rows(rows, problem.fan.rank + len(theta.shape.edges))
-
-
-def _evaluation_rows(theta: CombinatorialType, problem: CountProblem):
-    """The rows of ``evaluation_matrix``, and the ``signed_paths`` from its root that they read."""
     if any(cone is not None for cone in theta.vertex_cones):
         raise ValueError("evaluation matrices are built for unconfined stabilized types")
     shape = theta.shape
-    paths = shape.signed_paths(shape.leg_vertex(1))
+    at = {lab: v for v, lab in shape.legs}
+    rows, _ = _evaluation_rows(problem, shape.vertices, shape.edges, theta.edge_contacts, at)
+    return IntMatrix.from_rows(rows, problem.fan.rank + len(shape.edges))
+
+
+def _evaluation_rows(problem: CountProblem, vertices: int, edges, contacts, leg_vertex: dict[int, int]):
+    """The rows of ``evaluation_matrix`` of a tree on bare ``(a, b)`` edges,
+    each of contact pointing from a to b, with ``leg_vertex`` taking a label
+    to its leg's vertex; and the ``signed_paths`` from its root, the vertex
+    of leg 1, that they read. A type and a working tree share it."""
+    paths = TreeShape.signed_paths(vertices, edges, leg_vertex[1])
     rows: list[list[int]] = []
     for label in sorted(problem.gamma.trivial_legs):
-        proj, path = problem.projected[label][0], paths[shape.leg_vertex(label)]
-        rows += [position_row(proj.row(i), path, theta.edge_contacts) for i in range(proj.rows)]
+        proj, path = problem.projected[label][0], paths[leg_vertex[label]]
+        rows += [position_row(proj.row(i), path, contacts) for i in range(proj.rows)]
     return rows, paths
 
 
@@ -776,35 +805,46 @@ def mikhalkin_multiplicity(theta: CombinatorialType) -> int:
     return total
 
 
-def _solve_type(problem: CountProblem, theta: CombinatorialType):
-    """Solve the evaluation system for one type.
+def _solve_tree(problem: CountProblem, tree):
+    """Solve the evaluation system of one working tree, on its bare edges.
 
+    The rows are ``_evaluation_rows`` of the tree, its legs labelled by
+    ``_labelled_legs`` and its edge contacts by ``forced_edge_contacts``.
     ``_lattice_index`` of the evaluation matrix, with the cleared targets
     b·den carried, leaves row i as d·(e_i | x_i·den) and the weight |d|; the
-    positions sum along the rows' ``signed_paths``. Returns (map, weight), or
-    None for a miss; raises SingularError, NonGenericError (also for a
-    consistent system below full rank) and SolveCheckError.
+    positions sum along the rows' ``signed_paths``. A negative length puts
+    the solution outside the closed cone, a miss, and otherwise a zero
+    length is non-generic, whatever the edge order. Only a solution builds
+    its type (``_tree_to_type``, which keeps the vertex ids, so the
+    positions carry over), its lengths put in the type's edge order.
+    Returns (type, map, weight), or None for a miss; raises SingularError,
+    NonGenericError (also for a consistent system below full rank) and
+    SolveCheckError.
     """
     fan = problem.fan
     r = fan.rank
-    shape = theta.shape
-    rows, paths = _evaluation_rows(theta, problem)
+    nv, edges, legs = tree
+    contacts = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), r)
+    at = {lab: v for v, lab, _ in _labelled_legs(problem, legs)}
+    rows, paths = _evaluation_rows(problem, nv, edges, contacts, at)
     targets = [x for label in sorted(problem.gamma.trivial_legs) for x in problem.projected[label][1]]
     rhs, den = clear_denominators(targets)
     for row, b in zip(rows, rhs):
         row.append(b)
-    weight = _lattice_index(rows, r + len(shape.edges))
+    weight = _lattice_index(rows, r + len(edges))
     if not weight:
         raise NonGenericError("constraints meet a positive-dimensional family")
     values = [Fraction(row[-1], row[i] * den) for i, row in enumerate(rows)]
     lengths = values[r:]
-    for l in lengths:
-        if l < 0:
-            return None
-        if l == 0:
-            raise NonGenericError("a solved edge length is exactly zero")
-    positions = tuple(tuple(p) for p in vertex_positions(values, paths, theta.edge_contacts))
-    full = subdivide(TropicalStableMap(theta, positions, tuple(lengths)))
+    if any(l < 0 for l in lengths):
+        return None
+    if 0 in lengths:
+        raise NonGenericError("a solved edge length is exactly zero")
+    theta = _tree_to_type(problem, tree)
+    shape = theta.shape
+    by_edge = {(min(a, b), max(a, b)): l for (a, b), l in zip(edges, lengths)}
+    positions = tuple(tuple(p) for p in vertex_positions(values, paths, contacts))
+    full = subdivide(TropicalStableMap(theta, positions, tuple(by_edge[e] for e in shape.edges)))
     cones = full.type.vertex_cones
     if any(fan.dim(cone) != r for cone in cones[: shape.vertices]):
         raise NonGenericError("a stabilized vertex landed on a wall")
@@ -823,7 +863,7 @@ def _solve_type(problem: CountProblem, theta: CombinatorialType):
                 f"seed {problem.constraints.seed}: the map solved from the vertex of leg 1 "
                 f"for type {shape} misses the constraint translate of leg {label}"
             )
-    return full, weight
+    return theta, full, weight
 
 
 def _check_problem_genericity(problem: CountProblem) -> None:
@@ -852,7 +892,7 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
     else:
         chunks = [None]  # the census over all legs, in one worker
     results = _map_workers(problem, chunks) if len(chunks) > 1 else [_count_worker((problem, chunks[0]))]
-    # chunks never share a type (see enumerate_rigid_types)
+    # chunks never share a type (see _rigid_trees)
     contributions = sorted((c for items, _ in results for c in items), key=lambda c: c.key)
     rejected = sum(rej for _, rej in results)
     total = sum(c.multiplicity for c in contributions)
@@ -864,14 +904,14 @@ def _count_worker(args):
     problem, skeletons = args
     contributions = []
     rejected = 0
-    for theta in enumerate_rigid_types(problem, True, skeletons):
+    for tree in _rigid_trees(problem, True, skeletons):
         try:
-            solved = _solve_type(problem, theta)
+            solved = _solve_tree(problem, tree)
         except SingularError:
             rejected += 1
             continue
         if solved is not None:
-            full, mult = solved
+            theta, full, mult = solved
             key, relabel = canonical_form(theta, identify_contacts=True)
             contributions.append(Contribution(relabel_type(theta, relabel), full, mult, key))
     return contributions, rejected

@@ -78,23 +78,22 @@ class TreeShape:
                     stack.append(w)
         return walk
 
-    def _parents(self, root: int) -> list[tuple[int, int, int]]:
-        return TreeShape.parent_walk(self.vertices, self.edges, root)
-
     def is_tree(self) -> bool:
         return (
             self.vertices > 0
             and len(self.edges) == self.vertices - 1
-            and len(self._parents(0)) == self.vertices - 1
+            and len(TreeShape.parent_walk(self.vertices, self.edges, 0)) == self.vertices - 1
         )
 
-    def signed_paths(self, root: int) -> list[list[tuple[int, int]]]:
-        """Per vertex, the edge indices along its path from ``root``, each
-        signed by traversal direction, all read off one parent walk."""
-        paths: list[list[tuple[int, int]]] = [[] for _ in range(self.vertices)]
+    @staticmethod
+    def signed_paths(vertices: int, edges, root: int) -> list[list[tuple[int, int]]]:
+        """Per vertex, the edge indices along its path from ``root`` over bare
+        ``(a, b)`` edges, each +1 when walked from a to b and -1 against,
+        all read off one parent walk."""
+        paths: list[list[tuple[int, int]]] = [[] for _ in range(vertices)]
         # the walk reaches each vertex after its parent
-        for v, u, i in self._parents(root):
-            paths[v] = paths[u] + [(i, 1 if self.edges[i] == (u, v) else -1)]
+        for v, u, i in TreeShape.parent_walk(vertices, edges, root):
+            paths[v] = paths[u] + [(i, 1 if edges[i] == (u, v) else -1)]
         return paths
 
     def straighten(self) -> tuple[list[int], TreeShape, list[list[int]]]:
@@ -162,8 +161,8 @@ class TropicalCurve:
     def leg_distance(self, label_a: int, label_b: int) -> Length:
         """Sum of finite internal lengths along the path between two legs."""
         shape = self.shape
-        path = shape.signed_paths(shape.leg_vertex(label_a))[shape.leg_vertex(label_b)]
-        return sum((self.internal_edges[i][2] for i, _ in path), Fraction(0))
+        paths = TreeShape.signed_paths(shape.vertices, shape.edges, shape.leg_vertex(label_a))
+        return sum((self.internal_edges[i][2] for i, _ in paths[shape.leg_vertex(label_b)]), Fraction(0))
 
 
 def is_smooth(curve: TropicalCurve) -> bool:

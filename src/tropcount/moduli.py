@@ -334,9 +334,10 @@ def _unchecked_cone(theta: CombinatorialType) -> ModuliCone:
     rows. Per confined vertex, the integral projection killing
     span(cone_v), read at the vertex's position, gives the rows."""
     fan = theta.fan
+    shape = theta.shape
     # the vertex of the least leg label, which no contraction removes
-    root = theta.shape.leg_vertex(1) if theta.shape.legs else 0
-    paths = tuple(tuple(path) for path in theta.shape.signed_paths(root))
+    root = shape.leg_vertex(1) if shape.legs else 0
+    paths = tuple(tuple(path) for path in TreeShape.signed_paths(shape.vertices, shape.edges, root))
     rows = [
         position_row(cut, path, theta.edge_contacts)
         for cone_idx, path in zip(theta.vertex_cones, paths)
@@ -497,10 +498,9 @@ def edge_permutation(old: TreeShape, relabel: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class FaceData:
-    """A codimension-one face together with its vertex/edge correspondence."""
+    """A codimension-one face together with its edge correspondence."""
 
     face: CombinatorialType
-    vertex_map: tuple[int, ...]  # parent vertex -> face vertex
     edge_map: tuple[Optional[int], ...]  # parent edge -> face edge (None if contracted)
     point: tuple[int, ...]  # the face's (root position, lengths) at a relative-interior point
 
@@ -573,7 +573,7 @@ def _type_at(cone: ModuliCone, x: Sequence[int]) -> FaceData:
         l_cars,
     )
     # the face's root is this one's image, at the same position
-    return FaceData(face, tuple(vmap), tuple(emap), tuple(x[:r]) + tuple(l for l in lengths if l))
+    return FaceData(face, tuple(emap), tuple(x[:r]) + tuple(l for l in lengths if l))
 
 
 def face_types(theta: CombinatorialType, parent: Optional[ModuliCone] = None) -> list[FaceData]:
@@ -1231,10 +1231,8 @@ def gkm_embedding(complex_: ConeComplex, root_label: int) -> EmbeddedFan:
         root_path = cc.cone.paths[kept[stab.leg_vertex(root_label)]]
         rows = [position_row([int(i == j) for j in range(r)], root_path, cc.type.edge_contacts) for i in range(r)]
         # the distance of each pair: 1 on each edge of its path
-        on_path = [
-            {orig for s, _ in stab.signed_paths(stab.leg_vertex(la))[stab.leg_vertex(lb)] for orig in groups[s]}
-            for la, lb in pairs
-        ]
+        walks = {la: TreeShape.signed_paths(stab.vertices, stab.edges, stab.leg_vertex(la)) for la in labels}
+        on_path = [{orig for s, _ in walks[la][stab.leg_vertex(lb)] for orig in groups[s]} for la, lb in pairs]
         dist = IntMatrix(len(pairs), r + ne, tuple(int(e - r in path) for path in on_path for e in range(r + ne)))
         rows += (proj @ dist).to_lists()
         lattice_maps.append(IntMatrix.from_rows(rows, r + ne) @ cc.cone.span_basis)

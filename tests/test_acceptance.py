@@ -44,6 +44,7 @@ from tropcount.moduli import (
     gkm_embedding,
     moduli_cone,
     unimodular_equivalent,
+    vertex_positions,
 )
 from tropcount.polyhedral import Fan, fan_product, fan_projective_space
 
@@ -234,19 +235,12 @@ def test_criterion_6_multiplicity_equivalence():
     )
 
 
-def embed_face_witness(parent_type, fd, witness):
-    fan = parent_type.fan
-    r = fan.rank
-    fnv = fd.face.shape.vertices
-    positions = tuple(
-        tuple(witness[fd.vertex_map[v] * r : fd.vertex_map[v] * r + r])
-        for v in range(parent_type.shape.vertices)
-    )
-    lengths = tuple(
-        witness[fnv * r + fd.edge_map[e]] if fd.edge_map[e] is not None else Fraction(0)
-        for e in range(len(parent_type.shape.edges))
-    )
-    return TropicalStableMap(parent_type, positions, lengths)
+def embed_face_witness(parent, fd):
+    # both roots are the vertex of leg 1; a contracted edge gets length 0
+    r = parent.type.fan.rank
+    lengths = tuple(Fraction(0) if fe is None else Fraction(fd.point[r + fe]) for fe in fd.edge_map)
+    positions = vertex_positions(fd.point[:r] + lengths, parent.paths, parent.type.edge_contacts)
+    return TropicalStableMap(parent.type, tuple(map(tuple, positions)), lengths)
 
 
 def test_criterion_7_face_correctness():
@@ -262,7 +256,7 @@ def test_criterion_7_face_correctness():
             mc = moduli_cone(fd.face)
             assert mc.dimension == parent.dimension - 1
             assert mc.classify(mc.ambient_point(fd.point)) == "interior"
-            lifted = embed_face_witness(theta, fd, mc.ambient_point(fd.point))
+            lifted = embed_face_witness(parent, fd)
             assert contains(parent, lifted) == "boundary"
             checked += 1
         if checked >= 20:

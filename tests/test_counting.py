@@ -467,18 +467,19 @@ def test_quadric_count_matches_bilinear_kernel_oracle():
 
 
 def _unpruned_solutions(problem):
-    """{key: multiplicity} of every interior solution over the census of all legs."""
-    from tropcount.counting import _solve_type
+    """{key: multiplicity} of every interior solution over the trees of the census of all legs."""
+    from tropcount.counting import _rigid_trees, _solve_tree
     from tropcount.moduli import canonical_form
 
     found = {}
-    for theta in enumerate_rigid_types(problem, prune=False):
+    for tree in _rigid_trees(problem, prune=False):
         try:
-            solved = _solve_type(problem, theta)
+            solved = _solve_tree(problem, tree)
         except SingularError:
             continue
         if solved is not None:
-            found[canonical_form(theta, identify_contacts=True)[0]] = solved[1]
+            theta, _, weight = solved
+            found[canonical_form(theta, identify_contacts=True)[0]] = weight
     return found
 
 
@@ -1351,6 +1352,13 @@ def _p3_lines_through_a_point_and_two_lines():
     return CountProblem(fan, gamma, generate_constraints(gamma, {5: None, **lines}, 0))
 
 
+def _p1xp1_two_zero_through_three_points_and_a_line():
+    # bidegree (2, 0) through 3 points and the translate of the subtorus (1, 1)
+    gamma = DiscreteData(P1P1, ((1, (1, 0)), (2, (1, 0)), (3, (-1, 0)), (4, (-1, 0))), (5, 6, 7, 8))
+    subspaces = {5: None, 6: None, 7: None, 8: IntMatrix.from_rows([[1], [1]])}
+    return CountProblem(P1P1, gamma, generate_constraints(gamma, subspaces, 0))
+
+
 # name -> (problem, whether its types are searched, rows per projection)
 ROWS_PROBLEMS = {
     **{
@@ -1365,8 +1373,9 @@ ROWS_PROBLEMS = {
 
 @pytest.mark.parametrize("name", ROWS_PROBLEMS)
 def test_evaluation_rows_match_the_identity_block_formulation(name):
-    from tropcount.counting import _evaluation_rows, _solve_type
+    from tropcount.counting import _evaluation_rows, _labelled_legs, _rigid_trees, _solve_tree, _tree_to_type
     from tropcount.exactmath import lattice_index, solve_rational
+    from tropcount.moduli import forced_edge_contacts
 
     make, prune, heights = ROWS_PROBLEMS[name]
     prob = make()
@@ -1374,20 +1383,27 @@ def test_evaluation_rows_match_the_identity_block_formulation(name):
     rhs = [x for label in sorted(prob.gamma.trivial_legs) for x in prob.projected[label][1]]
     assert {proj.rows for proj, _ in prob.projected.values()} == heights
     types = solved = 0
-    for theta in enumerate_rigid_types(prob, prune=prune):
+    for tree in _rigid_trees(prob, prune=prune):
+        theta = _tree_to_type(prob, tree)
         want = _reference_evaluation_matrix(theta, prob)
         assert evaluation_matrix(theta, prob) == want
-        # the count's coordinates are its moduli cone's
-        assert tuple(map(tuple, _evaluation_rows(theta, prob)[1])) == moduli_cone(theta).paths
+        # the tree's rows are the type's, with the length columns in the tree's edge order
+        nv, edges, legs = tree
+        contacts = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), r)
+        at = {lab: v for v, lab, _ in _labelled_legs(prob, legs)}
+        rows, _ = _evaluation_rows(prob, nv, edges, contacts, at)
+        column = [theta.shape.edges.index((min(a, b), max(a, b))) for a, b in edges]
+        assert rows == [row[:r] + [row[r + k] for k in column] for row in want.to_lists()]
         types += 1
         try:
-            found = _solve_type(prob, theta)
+            found = _solve_tree(prob, tree)
         except (SingularError, NonGenericError):
             continue
         if found is None:
             continue
         solved += 1
-        f, weight = found
+        solved_type, f, weight = found
+        assert solved_type == theta
         assert weight == lattice_index(want)
         values, unique = solve_rational(want, rhs)
         assert unique
@@ -1399,6 +1415,108 @@ def test_evaluation_rows_match_the_identity_block_formulation(name):
                 p = [pi + sign * lengths[e] * ci for pi, ci in zip(p, theta.edge_contacts[e])]
             assert f.positions[v] == tuple(p)
     assert types and solved
+
+
+def _reference_outcome(problem, tree):
+    """The outcome of a tree by the former route: ``_reference_evaluation_matrix``
+    of its type solved by ``solve_rational``, then the length and wall rules:
+    "singular", "non-generic", "miss", or the subdivided map and its weight."""
+    from tropcount.counting import _tree_to_type
+    from tropcount.exactmath import lattice_index, solve_rational
+    from tropcount.maps import TropicalStableMap, subdivide
+
+    theta = _tree_to_type(problem, tree)
+    fan, r = problem.fan, problem.fan.rank
+    m = _reference_evaluation_matrix(theta, problem)
+    rhs = [x for label in sorted(problem.gamma.trivial_legs) for x in problem.projected[label][1]]
+    got = solve_rational(m, rhs) if m.rows == m.cols else None
+    if got is None:
+        return "singular"
+    values, unique = got
+    lengths = values[r:]
+    if not unique or (0 in lengths and min(lengths) >= 0):
+        return "non-generic"
+    if min(lengths, default=0) < 0:
+        return "miss"
+    root_vertex = theta.shape.leg_vertex(1)
+    positions = []
+    for v in range(theta.shape.vertices):
+        p = list(values[:r])
+        for e, sign in _signed_path(theta.shape, root_vertex, v):
+            p = [pi + sign * lengths[e] * ci for pi, ci in zip(p, theta.edge_contacts[e])]
+        positions.append(tuple(p))
+    full = subdivide(TropicalStableMap(theta, tuple(positions), tuple(lengths)))
+    cones = full.type.vertex_cones
+    nv = theta.shape.vertices
+    if any(fan.dim(c) != r for c in cones[:nv]) or any(fan.dim(c) != r - 1 for c in cones[nv:]):
+        return "non-generic"
+    return full, lattice_index(m)
+
+
+def _tree_outcome(problem, tree):
+    from tropcount.counting import _solve_tree
+
+    try:
+        found = _solve_tree(problem, tree)
+    except SingularError:
+        return "singular"
+    except NonGenericError:
+        return "non-generic"
+    if found is None:
+        return "miss"
+    return found[1:]
+
+
+# name -> (problem, trees that are singular, missed and solved)
+OUTCOME_PROBLEMS = {
+    **{
+        f"fallback-{seed}": (lambda seed=seed: _fallback_problem(seed), (869, 75, 1))
+        for seed in (1000, 1001, 1002)
+    },
+    "p3-lines-point-two-lines": (_p3_lines_through_a_point_and_two_lines, (795, 147, 3)),
+    # a (2, 0) curve's contacts span one line, so every type is singular
+    "p1xp1-2-0-subspace": (_p1xp1_two_zero_through_three_points_and_a_line, (3105, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", OUTCOME_PROBLEMS)
+def test_each_tree_solves_as_its_type_by_the_former_route(name):
+    # the bare tree's rows, labels and edge contacts, and the order-free
+    # length rule, give every tree the outcome of its type's reference solve
+    from collections import Counter
+
+    from tropcount.counting import _rigid_trees
+
+    make, sizes = OUTCOME_PROBLEMS[name]
+    prob = make()
+    seen = Counter()
+    for tree in _rigid_trees(prob):
+        want = _reference_outcome(prob, tree)
+        assert _tree_outcome(prob, tree) == want
+        seen[want if isinstance(want, str) else "solved"] += 1
+    assert (seen["singular"], seen["miss"], seen["solved"]) == sizes, seen
+
+
+def test_a_negative_length_is_a_miss_in_any_edge_order():
+    # a negative length puts the solution outside the closed cone, whatever
+    # the other lengths: on seed 1065, trees whose reference solution has a
+    # zero and a negative length are misses, in any order of their edges
+    from tropcount.counting import _rigid_trees, _solve_tree, _tree_to_type
+    from tropcount.exactmath import solve_rational
+
+    prob = _fallback_problem(1065)
+    r = prob.fan.rank
+    rhs = [x for label in sorted(prob.gamma.trivial_legs) for x in prob.projected[label][1]]
+    found = 0
+    for tree in _rigid_trees(prob):
+        got = solve_rational(_reference_evaluation_matrix(_tree_to_type(prob, tree), prob), rhs)
+        if got is None or not got[1] or 0 not in got[0][r:] or min(got[0][r:]) >= 0:
+            continue
+        found += 1
+        nv, edges, legs = tree
+        for order in (edges, edges[::-1], tuple((b, a) for a, b in edges)):
+            assert _solve_tree(prob, (nv, order, legs)) is None
+    assert found == 38
 
 
 # --- rigid-type dedup against its former canonical-form formulation ----------
@@ -1429,20 +1547,16 @@ def _reference_rigid_types(problem):
             yield theta
 
 
-def _p1xp1_two_zero_through_three_points_and_a_line():
-    # bidegree (2, 0) through 3 points and the translate of the subtorus (1, 1)
-    gamma = DiscreteData(P1P1, ((1, (1, 0)), (2, (1, 0)), (3, (-1, 0)), (4, (-1, 0))), (5, 6, 7, 8))
-    subspaces = {5: None, 6: None, 7: None, 8: IntMatrix.from_rows([[1], [1]])}
-    return CountProblem(P1P1, gamma, generate_constraints(gamma, subspaces, 0))
-
-
 # name -> (problem, number of rigid types)
 DEDUP_PROBLEMS = {
     "plane-conics": (lambda: p2_problem(2, 0), 1),
     "plane-cubics": (lambda: p2_problem(3, 0), 66),
     "fallback-1000": (lambda: _fallback_problem(1000), 945),
-    # 10,395 trees of the census over all 9 legs give 3,105 types
+    # 10,395 trees of the census over all 8 legs give 3,105 types
     "p1xp1-2-0-subspace": (_p1xp1_two_zero_through_three_points_and_a_line, 3105),
+    # pairwise distinct contacts, searched with no tree key
+    "p3-lines-2pts": (lambda: projective_problem(3, 1, 0), 1),
+    "p1-cube-(1,1,1)-3pts": (lambda: p1_cube_problem((1, 1, 1), 0), 5),
 }
 
 
@@ -1457,3 +1571,18 @@ def test_tree_key_dedup_keeps_the_canonical_form_types(name):
     got = list(enumerate_rigid_types(prob))
     assert got == list(_reference_rigid_types(prob))
     assert len(got) == size
+
+
+@pytest.mark.parametrize("name", ["fallback-1000", "p3-lines-2pts", "p1-cube-(1,1,1)-3pts"])
+def test_no_tree_key_is_taken_when_the_contacts_are_distinct(name, monkeypatch):
+    # each leg is told apart by its contact or its label, so no two trees share a key
+    from tropcount import counting
+
+    prob = DEDUP_PROBLEMS[name][0]()
+    census = counting._skeleton_census(prob.fan.rank, [c for _, c in prob.gamma.contact_legs])
+
+    def refuse(tree):
+        raise AssertionError("a tree was keyed")
+
+    monkeypatch.setattr(counting, "_tree_key", refuse)
+    assert len(list(counting._rigid_trees(prob, skeletons=census))) == DEDUP_PROBLEMS[name][1]

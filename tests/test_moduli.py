@@ -32,6 +32,7 @@ from tropcount.moduli import (
     orbit,
     symmetry_group,
     unimodular_equivalent,
+    vertex_positions,
 )
 from tropcount.polyhedral import SCHEMA, Fan, fan_product, fan_projective_space, fan_to_json, locate, point_fan
 
@@ -216,20 +217,14 @@ def test_root_type_has_no_faces():
     assert face_types(pinned) == []
 
 
-def embed_face_witness(parent_type, fd, witness):
-    """Lift a face witness into the parent's coordinates."""
-    fan = parent_type.fan
-    r = fan.rank
-    fnv = fd.face.shape.vertices
-    positions = tuple(
-        tuple(witness[fd.vertex_map[v] * r : fd.vertex_map[v] * r + r])
-        for v in range(parent_type.shape.vertices)
-    )
-    lengths = tuple(
-        witness[fnv * r + fd.edge_map[e]] if fd.edge_map[e] is not None else Fraction(0)
-        for e in range(len(parent_type.shape.edges))
-    )
-    return TropicalStableMap(parent_type, positions, lengths)
+def embed_face_witness(parent, fd):
+    """Lift a face's point into the parent's coordinates by its edge map: the
+    root position stays, as both roots are the vertex of leg 1, a kept edge
+    takes its image's length and a contracted one 0."""
+    r = parent.type.fan.rank
+    lengths = tuple(Fraction(0) if fe is None else Fraction(fd.point[r + fe]) for fe in fd.edge_map)
+    positions = vertex_positions(fd.point[:r] + lengths, parent.paths, parent.type.edge_contacts)
+    return TropicalStableMap(parent.type, tuple(map(tuple, positions)), lengths)
 
 
 def test_faces_are_boundary_strata():
@@ -244,8 +239,12 @@ def test_faces_are_boundary_strata():
                 mc = moduli_cone(fd.face)
                 assert mc.dimension == parent.dimension - 1
                 assert mc.classify(mc.ambient_point(fd.point)) == "interior"
-                lifted = embed_face_witness(t, fd, mc.ambient_point(fd.point))
+                lifted = embed_face_witness(parent, fd)
                 assert contains(parent, lifted) == "boundary"
+                # each parent vertex sits where its face vertex does
+                at_face = mc.ambient_point(fd.point)
+                for v, w in enumerate(vertex_map_of(parent, mc, fd.edge_map)):
+                    assert list(lifted.positions[v]) == at_face[w * fan.rank : w * fan.rank + fan.rank]
                 checked += 1
             if checked >= 20:
                 break
