@@ -30,7 +30,7 @@ def plane_problem(d: int, seed: int) -> CountProblem:
     fan = fan_projective_space(2)
     contacts = tuple((i + 1, U[i // d]) for i in range(3 * d))
     gamma = DiscreteData(fan, contacts, tuple(range(3 * d + 1, 6 * d)))
-    return CountProblem(fan, gamma, generate_constraints(gamma, None, seed))
+    return CountProblem(gamma, generate_constraints(gamma, None, seed))
 
 
 def count_with_retries(make_problem, seed: int, retries: int = 5):
@@ -66,7 +66,7 @@ def main() -> None:
     gamma = DiscreteData(fan, contacts, (5, 6, 7))
     start = time.monotonic()
     seed, res = count_with_retries(
-        lambda s: CountProblem(fan, gamma, generate_constraints(gamma, None, s)),
+        lambda s: CountProblem(gamma, generate_constraints(gamma, None, s)),
         args.seed,
     )
     elapsed = time.monotonic() - start

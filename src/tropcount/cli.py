@@ -160,26 +160,23 @@ def _parse_subspace(spec: str, rank: int):
     return basis, translation
 
 
-def _gamma_from_args(args, fan) -> tuple[DiscreteData, dict, dict]:
+def _gamma_from_args(args, fan, subspaces: int = 0) -> DiscreteData:
+    """The contact legs, then ``--points`` marked legs and ``subspaces`` more."""
     contacts = _parse_input("contacts", _parse_contacts, args.contacts, fan) if args.contacts else ()
     n = len(contacts)
-    subspace_specs = args.subspace or []
-    m = args.points + len(subspace_specs)
-    trivial = tuple(range(n + 1, n + 1 + m))
-    gamma = DiscreteData(fan, contacts, trivial)
-    subspaces = {}
-    overrides = {}
-    for k, spec in enumerate(subspace_specs):
-        basis, translation = _parse_input("subspace", _parse_subspace, spec, fan.rank)
-        label = n + args.points + 1 + k
-        subspaces[label] = basis
-        if translation is not None:
-            overrides[label] = translation
-    return gamma, subspaces, overrides
+    return DiscreteData(fan, contacts, tuple(range(n + 1, n + 1 + args.points + subspaces)))
 
 
 def _build_problem(args, fan, seed: int) -> CountProblem:
-    gamma, subspaces, overrides = _gamma_from_args(args, fan)
+    specs = args.subspace or []
+    gamma = _gamma_from_args(args, fan, len(specs))
+    subspaces = {}
+    overrides = {}
+    for label, spec in enumerate(specs, len(gamma.contact_legs) + args.points + 1):
+        basis, translation = _parse_input("subspace", _parse_subspace, spec, fan.rank)
+        subspaces[label] = basis
+        if translation is not None:
+            overrides[label] = translation
     config = generate_constraints(gamma, subspaces, seed, args.height_bound)
     if overrides:
         constraints = tuple(
@@ -187,7 +184,7 @@ def _build_problem(args, fan, seed: int) -> CountProblem:
             for c in config.constraints
         )
         config = ConstraintConfig(constraints, config.seed, config.height_bound)
-    return CountProblem(fan, gamma, config)
+    return CountProblem(gamma, config)
 
 
 def _cmd_fan(args) -> int:
@@ -217,7 +214,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_complex(args) -> int:
     fan = _parse_input("fan", load_fan, args.fan)
-    gamma, _, _ = _gamma_from_args(args, fan)
+    gamma = _gamma_from_args(args, fan)
     cx = assemble_complex(gamma)
     # embed before any output, so that a failing --svg or --root writes no file
     emb = gkm_embedding(cx, args.root) if args.svg else None
@@ -235,7 +232,7 @@ def _cmd_complex(args) -> int:
 
 def _cmd_embed(args) -> int:
     fan = _parse_input("fan", load_fan, args.fan)
-    gamma, _, _ = _gamma_from_args(args, fan)
+    gamma = _gamma_from_args(args, fan)
     emb = gkm_embedding(assemble_complex(gamma), args.root)
     _emit(embedding_to_json(emb), args.out)
     return 0
@@ -286,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fan", required=True)
         p.add_argument("--contacts")
         p.add_argument("--points", type=_int_at_least(0), default=0)
-        p.add_argument("--subspace", action="append")
         p.add_argument("--root", type=int, default=1)
         p.add_argument("--out")
         if name == "complex":

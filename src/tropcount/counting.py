@@ -111,11 +111,15 @@ class ConstraintConfig:
 
 @dataclass(frozen=True)
 class CountProblem:
-    fan: Fan
     gamma: DiscreteData
     constraints: ConstraintConfig
-    # label -> (projection onto N / L, projected target), built once per problem
-    projected: dict[int, tuple[IntMatrix, Point]] = field(init=False, repr=False, compare=False)
+    # the constraints as integers, built once per problem: per evaluation row,
+    # in label order, (label, covector), the identity's rows for a point and the
+    # rows of its quotient projection for a subspace; beside them the projected
+    # targets, cleared over one common denominator
+    rows: tuple[tuple[int, Vec], ...] = field(init=False, repr=False, compare=False)
+    targets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gamma.m < 1:
@@ -124,20 +128,18 @@ class CountProblem:
         labels = {c.label for c in self.constraints.constraints}
         if labels != set(self.gamma.trivial_legs):
             raise ValueError("constraints must cover exactly the trivial legs")
-        projected = {}
-        for c in self.constraints.constraints:
+        rows, projected = [], []
+        for c in sorted(self.constraints.constraints, key=lambda c: c.label):
             if c.subspace is None:
-                proj = IntMatrix.identity(self.fan.rank)
+                proj = IntMatrix.identity(self.gamma.fan.rank)
             else:
-                proj = quotient_projection(self.fan, c.subspace).projection
-            projected[c.label] = (proj, tuple(proj.apply(list(c.translation))))
-        object.__setattr__(self, "projected", projected)
-
-    def target(self, label: int) -> Point:
-        for c in self.constraints.constraints:
-            if c.label == label:
-                return c.translation
-        raise KeyError(label)
+                proj = quotient_projection(self.gamma.fan, c.subspace).projection
+            rows += [(c.label, proj.row(i)) for i in range(proj.rows)]
+            projected += proj.apply(c.translation)
+        targets, den = clear_denominators(projected)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "targets", tuple(targets))
+        object.__setattr__(self, "denominator", den)
 
     def is_point_problem(self) -> bool:
         return all(c.subspace is None for c in self.constraints.constraints)
@@ -369,13 +371,6 @@ def _closed_cone_test(vs: Sequence[Vec], rank: int, stride: int = 1):
     return verdicts
 
 
-def _integer_targets(problem: CountProblem) -> dict[int, Vec]:
-    """Targets rescaled by a common denominator; cone tests are scale-invariant."""
-    constraints = problem.constraints.constraints
-    cleared = iter(clear_denominators([x for c in constraints for x in c.translation])[0])
-    return {c.label: tuple(next(cleared) for _ in c.translation) for c in constraints}
-
-
 def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     """Yield the completed trees over each skeleton in turn, pruning against the targets.
 
@@ -468,7 +463,7 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     subtrees that complete nothing: the same trees come out in the same
     order.
     """
-    rank = problem.fan.rank
+    rank = problem.gamma.fan.rank
     zero = (0,) * rank
     last = len(trivial_labels)
     # direction alphabet, one bit per ray: bits[c] = (bit of +c, bit of -c)
@@ -483,8 +478,10 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
             got = bits[c] = tuple(alphabet.setdefault(d, 1 << len(alphabet)) for d in rays)
         return got
 
-    targets = _integer_targets(problem)
-    points = [targets[label] for label in trivial_labels]
+    # each point's target is its rows' cleared targets; the cone tests are scale-invariant
+    points = [
+        tuple(b for (lab, _), b in zip(problem.rows, problem.targets) if lab == label) for label in trivial_labels
+    ]
     # pair (j, k), j < k, is field first[j] + k - j - 1, for the vector target j - target k
     pairs = [tuple(a - b for a, b in zip(tj, tk)) for j, tj in enumerate(points) for tk in points[j + 1 :]]
     first = [j * (2 * last - j - 1) // 2 for j in range(last)]
@@ -647,11 +644,11 @@ def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
     is oriented tail < head, in sorted order."""
     nv, edges, legs = tree
     labelled = sorted(_labelled_legs(problem, legs), key=lambda t: t[1])
-    derived = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), problem.fan.rank)
+    derived = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), problem.gamma.fan.rank)
     oriented_edges = sorted(oriented(a, b, c) for (a, b), c in zip(edges, derived))
     shape = TreeShape(nv, tuple(e for e, _ in oriented_edges), tuple((v, lab) for v, lab, _ in labelled))
     return CombinatorialType(
-        problem.fan,
+        problem.gamma.fan,
         shape,
         (None,) * nv,
         tuple(c for _, c in oriented_edges),
@@ -678,11 +675,11 @@ def _rigid_trees(
     gamma = problem.gamma
     if prune and _searches_skeletons(problem):
         if skeletons is None:
-            skeletons = _skeleton_census(problem.fan.rank, [c for _, c in gamma.contact_legs])
+            skeletons = _skeleton_census(gamma.fan.rank, [c for _, c in gamma.contact_legs])
         trees = _marked_dfs(problem, skeletons, sorted(gamma.trivial_legs))
     else:
         trees = grow_trees([(c, lab) for lab, c in _census_legs(problem)])
-    n_edges = expected_codimension(problem.fan, gamma) - problem.fan.rank
+    n_edges = expected_codimension(gamma.fan, gamma) - gamma.fan.rank
     trees = (tree for tree in trees if len(tree[1]) == n_edges)
     contacts = [c for _, c in gamma.contact_legs]
     if len(set(contacts)) == len(contacts):
@@ -715,7 +712,7 @@ def _census_legs(problem: CountProblem) -> list[tuple[int, Vec]]:
     subspace constraints and fewer than three contact legs need; raises
     CensusTooLargeError past ``MAX_CENSUS_LEGS`` legs."""
     gamma = problem.gamma
-    zero = (0,) * problem.fan.rank
+    zero = (0,) * gamma.fan.rank
     legs = sorted([*gamma.contact_legs, *((lab, zero) for lab in gamma.trivial_legs)])
     k = len(legs)
     if k > MAX_CENSUS_LEGS:
@@ -740,7 +737,7 @@ def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMat
     shape = theta.shape
     at = {lab: v for v, lab in shape.legs}
     rows, _ = _evaluation_rows(problem, shape.vertices, shape.edges, theta.edge_contacts, at)
-    return IntMatrix.from_rows(rows, problem.fan.rank + len(shape.edges))
+    return IntMatrix.from_rows(rows, problem.gamma.fan.rank + len(shape.edges))
 
 
 def _evaluation_rows(problem: CountProblem, vertices: int, edges, contacts, leg_vertex: dict[int, int]):
@@ -749,10 +746,7 @@ def _evaluation_rows(problem: CountProblem, vertices: int, edges, contacts, leg_
     to its leg's vertex; and the ``signed_paths`` from its root, the vertex
     of leg 1, that they read. A type and a working tree share it."""
     paths = TreeShape.signed_paths(vertices, edges, leg_vertex[1])
-    rows: list[list[int]] = []
-    for label in sorted(problem.gamma.trivial_legs):
-        proj, path = problem.projected[label][0], paths[leg_vertex[label]]
-        rows += [position_row(proj.row(i), path, contacts) for i in range(proj.rows)]
+    rows = [position_row(p, paths[leg_vertex[label]], contacts) for label, p in problem.rows]
     return rows, paths
 
 
@@ -821,19 +815,18 @@ def _solve_tree(problem: CountProblem, tree):
     NonGenericError (also for a consistent system below full rank) and
     SolveCheckError.
     """
-    fan = problem.fan
+    fan = problem.gamma.fan
     r = fan.rank
     nv, edges, legs = tree
     contacts = forced_edge_contacts(nv, edges, ((v, c) for v, c, _ in legs), r)
     at = {lab: v for v, lab, _ in _labelled_legs(problem, legs)}
     rows, paths = _evaluation_rows(problem, nv, edges, contacts, at)
-    targets = [x for label in sorted(problem.gamma.trivial_legs) for x in problem.projected[label][1]]
-    rhs, den = clear_denominators(targets)
-    for row, b in zip(rows, rhs):
+    for row, b in zip(rows, problem.targets):
         row.append(b)
     weight = _lattice_index(rows, r + len(edges))
     if not weight:
         raise NonGenericError("constraints meet a positive-dimensional family")
+    den = problem.denominator
     values = [Fraction(row[-1], row[i] * den) for i, row in enumerate(rows)]
     lengths = values[r:]
     if any(l < 0 for l in lengths):
@@ -856,9 +849,9 @@ def _solve_tree(problem: CountProblem, tree):
             f"seed {problem.constraints.seed}: the map solved from the vertex of leg 1 "
             f"for type {shape} fails validation: {sorted(report.conditions())}"
         )
-    for label in problem.gamma.trivial_legs:
-        proj, want = problem.projected[label]
-        if tuple(proj.apply(list(ev_trop(full, label).coset))) != want:
+    cosets = {label: ev_trop(full, label).coset for label in problem.gamma.trivial_legs}
+    for (label, p), b in zip(problem.rows, problem.targets):
+        if sum(map(mul, p, cosets[label])) * den != b:
             raise SolveCheckError(
                 f"seed {problem.constraints.seed}: the map solved from the vertex of leg 1 "
                 f"for type {shape} misses the constraint translate of leg {label}"
@@ -867,10 +860,11 @@ def _solve_tree(problem: CountProblem, tree):
 
 
 def _check_problem_genericity(problem: CountProblem) -> None:
+    fan = problem.gamma.fan
     if problem.is_point_problem():
         for c in problem.constraints.constraints:
-            cone = locate(problem.fan, c.translation)
-            if problem.fan.dim(cone) != problem.fan.rank:
+            cone = locate(fan, c.translation)
+            if fan.dim(cone) != fan.rank:
                 raise NonGenericError(f"target for leg {c.label} lies on a wall")
 
 
@@ -886,7 +880,7 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
         raise ValueError(f"threads must be at least 1, not {threads}")
     _check_problem_genericity(problem)
     if _searches_skeletons(problem):  # one census, dealt out skeleton by skeleton
-        census = _skeleton_census(problem.fan.rank, [c for _, c in problem.gamma.contact_legs])
+        census = _skeleton_census(problem.gamma.fan.rank, [c for _, c in problem.gamma.contact_legs])
         workers = max(1, min(threads, len(census), _usable_cpus()))  # an empty census still runs one worker
         chunks = [census[i::workers] for i in range(workers)]
     else:
@@ -940,7 +934,7 @@ def count_result_to_json(problem: CountProblem, result: CountResult) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "count",
-        "fan": fan_to_json(problem.fan),
+        "fan": fan_to_json(problem.gamma.fan),
         "contact_legs": [[lab, list(c)] for lab, c in problem.gamma.contact_legs],
         "trivial_legs": list(problem.gamma.trivial_legs),
         "seed": result.seed_echo,

@@ -41,6 +41,8 @@ class TreeShape:
         for a, b in self.edges:
             if not (0 <= a < b < self.vertices):
                 raise ValueError(f"edge ({a},{b}) must satisfy tail < head")
+        if not all(0 <= v < self.vertices for v, _ in self.legs):
+            raise ValueError("leg attached to a missing vertex")
         labels = sorted(lab for _, lab in self.legs)
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError("leg labels must be 1..n+m")
@@ -143,9 +145,6 @@ class TropicalCurve:
         for _, _, length in self.internal_edges:
             if length != INF and (not isinstance(length, Fraction) or length <= 0):
                 raise ValueError("internal lengths must be positive rationals or INF")
-        for v, _ in self.legs:
-            if not 0 <= v < self.vertices:
-                raise ValueError("leg attached to a missing vertex")
         if not self.shape.is_tree():
             raise ValueError("graph is not a tree")
 

@@ -146,8 +146,7 @@ class CombinatorialType:
             out[a].append((c, car))
             out[b].append((tuple(-x for x in c), car))
         for (w, _), c, car in zip(self.shape.legs, self.leg_contacts, self.leg_carriers):
-            if 0 <= w < len(out):  # TreeShape checks edge ends only; a stray leg is in no star
-                out[w].append((c, car))
+            out[w].append((c, car))
         return out
 
     def check(self) -> None:

@@ -576,23 +576,19 @@ def _type_at(cone: ModuliCone, x: Sequence[int]) -> FaceData:
     return FaceData(face, tuple(emap), tuple(x[:r]) + tuple(l for l in lengths if l))
 
 
-def face_types(theta: CombinatorialType, parent: Optional[ModuliCone] = None) -> list[FaceData]:
-    """Codimension-one faces, read off the cone's extreme rays.
+def face_types(cone: ModuliCone) -> list[FaceData]:
+    """Codimension-one faces of a type's moduli cone, read off its extreme rays.
 
     The inequality rows, on the span basis, fall into groups of positive
     multiples of one row. A group is a facet exactly when the extreme rays
     it vanishes on are inclusion-maximal (see ``ConeRays.facets``); their
     sum is the face's witness, and ``_type_at`` reads the face type off it.
-    A cone with no relative-interior point has no faces. ``parent`` is
-    ``moduli_cone(theta)`` when the caller already holds it, and its rays
-    are then reused.
+    A cone with no relative-interior point has no faces.
     """
-    if parent is None:
-        parent = moduli_cone(theta)
-    rays = parent.extreme_rays
+    rays = cone.extreme_rays
     if rays is None:
         return []
-    return [_type_at(parent, parent.span_basis.apply(y)) for _, y in rays.facets()]
+    return [_type_at(cone, cone.span_basis.apply(y)) for _, y in rays.facets()]
 
 
 def face_inclusion_matrix(
@@ -1145,7 +1141,7 @@ def assemble_complex(gamma: DiscreteData) -> ConeComplex:
     while reps:
         key = reps.pop()
         rep = by_key[key]
-        for fd in face_types(rep.type, rep.cone):
+        for fd in face_types(rep.cone):
             face_key, relabel = admit(fd.face)
             # the stored face is g·face_rep: pull rep's edges back through
             # the face to face_rep's

@@ -354,6 +354,8 @@ def fan_to_json(fan: Fan) -> dict:
 
 
 def fan_from_json(data: dict) -> Fan:
+    if not isinstance(data, dict):
+        raise TypeError(f"a fan is a JSON object, not {type(data).__name__}")
     if data.get("schema", SCHEMA) != SCHEMA:
         raise ValueError(f"unsupported schema {data.get('schema')!r}")
     return Fan.make(data["rank"], data["rays"], data["cones"], name=data.get("name", ""))

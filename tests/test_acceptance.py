@@ -64,7 +64,7 @@ def p2_problem(d, seed):
     contacts = tuple((i + 1, [U1, U2, U3][i // d]) for i in range(3 * d))
     m = 3 * d - 1
     gamma = DiscreteData(P2, contacts, tuple(range(3 * d + 1, 3 * d + 1 + m)))
-    return CountProblem(P2, gamma, generate_constraints(gamma, None, seed))
+    return CountProblem(gamma, generate_constraints(gamma, None, seed))
 
 
 _COUNTS = {}
@@ -126,7 +126,7 @@ def test_criterion_4_quadric_bidegree_one_one():
     start = time.monotonic()
     for seed in (0, 1, 2):
         gamma = DiscreteData(P1P1, contacts, (5, 6, 7))
-        res = count(CountProblem(P1P1, gamma, generate_constraints(gamma, None, seed)))
+        res = count(CountProblem(gamma, generate_constraints(gamma, None, seed)))
         totals.add(res.total)
     elapsed = time.monotonic() - start
     assert totals == {1}
@@ -179,14 +179,21 @@ def snf_multiplicity(theta, problem):
     """Reference weight: the Smith-normal-form lattice index of the stacked
     evaluations on the moduli span lattice, or None if they are not rigid."""
     mc = moduli_cone(theta)
-    r = problem.fan.rank
+    r = problem.gamma.fan.rank
     rows = []
-    for label in sorted(problem.gamma.trivial_legs):
-        proj = problem.projected[label][0]
-        v = theta.shape.leg_vertex(label)
-        for i in range(proj.rows):
+    for c in sorted(problem.constraints.constraints, key=lambda c: c.label):
+        if c.subspace is None:
+            quotient = IntMatrix.identity(r).to_lists()
+        else:
+            # the rows of a unimodular left factor past the rank vanish on L
+            # and span the covectors that do: the quotient lattice, up to a
+            # unimodular change, which leaves |det| as it is
+            snf = smith_normal_form(c.subspace)
+            quotient = snf.left.to_lists()[snf.rank() :]
+        v = theta.shape.leg_vertex(c.label)
+        for p in quotient:
             row = [0] * mc.ambient_dim
-            row[v * r : (v + 1) * r] = proj.row(i)
+            row[v * r : (v + 1) * r] = p
             rows.append(row)
     # the span lattice on every vertex position: P·span_basis, for P the map
     # from (root position, lengths)
@@ -219,7 +226,7 @@ def test_criterion_6_multiplicity_equivalence():
     subtori = {4: None, 5: None, 6: IntMatrix.from_rows([[1], [1]]), 7: IntMatrix.from_rows([[1], [0]])}
     weights = []
     for gamma, subspaces in ((quadric, None), (lines, subtori)):
-        problem = CountProblem(gamma.fan, gamma, generate_constraints(gamma, subspaces, 1000))
+        problem = CountProblem(gamma, generate_constraints(gamma, subspaces, 1000))
         for theta in enumerate_rigid_types(problem, prune=False):
             try:
                 got = multiplicity(theta, problem)
@@ -252,7 +259,7 @@ def test_criterion_7_face_correctness():
     checked = 0
     for theta in pool:
         parent = moduli_cone(theta)
-        for fd in face_types(theta):
+        for fd in face_types(parent):
             mc = moduli_cone(fd.face)
             assert mc.dimension == parent.dimension - 1
             assert mc.classify(mc.ambient_point(fd.point)) == "interior"

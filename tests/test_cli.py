@@ -293,6 +293,8 @@ def test_retries_exhausted_exit_code():
         (("fan", "--in"), {}),
         (("validate", "--in"), {}),
         (("count", "--fan", "p2", "--points", "2", "--contacts"), [[1]]),
+        (("fan", "--in"), [1, 2]),  # a fan file whose top level is not an object
+        (("count", "--contacts", "p2-degree:1", "--points", "2", "--fan"), [1, 2]),
     ],
 )
 def test_malformed_json_input_is_a_named_error(tmp_path, argv, payload):
@@ -301,6 +303,28 @@ def test_malformed_json_input_is_a_named_error(tmp_path, argv, payload):
     proc = run_cli(*argv, str(path), check=False)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: MalformedInputError: malformed ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_leg_on_a_missing_vertex_is_a_named_error(tmp_path):
+    found = tmp_path / "found.json"
+    line = ("--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--seed", "7")
+    assert main(["count", *line, "--out", str(found)]) == 0
+    data = json.loads(found.read_text())["contributions"][0]["map"]
+    data["type"]["legs"][0][0] = data["type"]["vertices"]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("validate", "--in", str(path), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: ValueError: leg attached to a missing vertex\n"
+
+
+@pytest.mark.parametrize("command", ["complex", "embed"])
+def test_subspace_is_an_option_of_count_only(command):
+    # a complex or an embedding reads no constraint, so a subspace only added a marked leg
+    proc = run_cli(command, "--fan", "p2", "--contacts", "p2-degree:1", "--subspace", "1,1", check=False)
+    assert proc.returncode == 64
+    assert "unrecognized arguments: --subspace 1,1" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -419,7 +443,8 @@ def cli_argv(draw):
     room = 7 if command == "count" else 5
     contacts = draw(st.sampled_from(sorted(c for c, n in CONTACTS.items() if n <= room)))
     room -= CONTACTS[contacts]
-    subspaces = draw(st.lists(st.sampled_from(SUBSPACES), max_size=min(2, room)))
+    # only a count takes subspace constraints
+    subspaces = draw(st.lists(st.sampled_from(SUBSPACES), max_size=min(2, room) if command == "count" else 0))
     points = draw(st.integers(0, min(4, room - len(subspaces))))
     fan = draw(st.sampled_from(["p1", "p2", "p1xp1", "p3"]))
     argv = [command, "--fan", fan, "--contacts", contacts, "--points", str(points)]

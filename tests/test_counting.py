@@ -39,14 +39,14 @@ def p2_gamma(d, m=None):
 
 def p2_problem(d, seed):
     gamma = p2_gamma(d)
-    return CountProblem(P2, gamma, generate_constraints(gamma, None, seed))
+    return CountProblem(gamma, generate_constraints(gamma, None, seed))
 
 
 def tangency_problem(contacts, seed=0):
     """Rational plane curves with these contact vectors through n - 1 points."""
     n = len(contacts)
     gamma = DiscreteData(P2, tuple(enumerate(contacts, 1)), tuple(range(n + 1, 2 * n)))
-    return CountProblem(P2, gamma, generate_constraints(gamma, None, seed))
+    return CountProblem(gamma, generate_constraints(gamma, None, seed))
 
 
 def unit(r, i):
@@ -60,7 +60,7 @@ def projective_problem(r, d, seed):
     n = d * (r + 1)
     m = (r - 3 + n) // (r - 1)  # r - 3 + n + m = r m
     gamma = DiscreteData(fan, tuple((i + 1, dirs[i // d]) for i in range(n)), tuple(range(n + 1, n + 1 + m)))
-    return CountProblem(fan, gamma, generate_constraints(gamma, None, seed))
+    return CountProblem(gamma, generate_constraints(gamma, None, seed))
 
 
 def p1_cube_problem(degrees, seed):
@@ -69,7 +69,7 @@ def p1_cube_problem(degrees, seed):
     dirs = [tuple(s * x for x in unit(3, i)) for i, a in enumerate(degrees) for s in (1, -1) for _ in range(a)]
     n = len(dirs)
     gamma = DiscreteData(fan, tuple(enumerate(dirs, 1)), tuple(range(n + 1, n + 1 + n // 2)))
-    return CountProblem(fan, gamma, generate_constraints(gamma, None, seed))
+    return CountProblem(gamma, generate_constraints(gamma, None, seed))
 
 
 # tangent to the line of the ray (0, 1): conics once, cubics once and at a contact of order 3
@@ -291,7 +291,7 @@ def test_census_bound_sits_at_nine_legs():
     for s in (4, 5):
         gamma = p2_gamma(1, 2 + s)
         subspaces = {lab: line for lab in gamma.trivial_legs[2:]}
-        prob = CountProblem(P2, gamma, generate_constraints(gamma, subspaces, 1))
+        prob = CountProblem(gamma, generate_constraints(gamma, subspaces, 1))
         if s == 4:
             assert len(_census_legs(prob)) == 9
         else:
@@ -301,7 +301,7 @@ def test_census_bound_sits_at_nine_legs():
 
 def test_enumerate_p1_single_path_type():
     gamma = DiscreteData(P1, ((1, (1,)), (2, (-1,))), (3,))
-    prob = CountProblem(P1, gamma, generate_constraints(gamma, None, 5))
+    prob = CountProblem(gamma, generate_constraints(gamma, None, 5))
     types = list(enumerate_rigid_types(prob, prune=False))
     assert len(types) == 1
     assert count(prob).total == 1
@@ -311,7 +311,7 @@ def test_degree_zero_m3_single_contracted_type():
     gamma = DiscreteData(P2, (), (1, 2, 3))
     subspaces = {1: None, 2: IntMatrix.identity(2), 3: IntMatrix.identity(2)}
     cfg = generate_constraints(gamma, subspaces, 11)
-    prob = CountProblem(P2, gamma, cfg)
+    prob = CountProblem(gamma, cfg)
     types = list(enumerate_rigid_types(prob, prune=False))
     assert len(types) == 1
     res = count(prob)
@@ -321,7 +321,7 @@ def test_degree_zero_m3_single_contracted_type():
 def test_evaluation_matrix_point_legs_on_root():
     # both point legs at the single vertex: the matrix stacks two identities
     gamma = p2_gamma(1)
-    prob = CountProblem(P2, gamma, generate_constraints(gamma, None, 3))
+    prob = CountProblem(gamma, generate_constraints(gamma, None, 3))
     shape = TreeShape(1, (), tuple((0, lab) for lab in range(1, 6)))
     theta = CombinatorialType(
         P2, shape, (None,), (), (), (U1, U2, U3, (0, 0), (0, 0)), (None,) * 5
@@ -337,7 +337,7 @@ def test_evaluation_matrix_point_legs_on_root():
 def test_evaluation_matrix_leg_across_an_edge():
     # point leg 5 across a bounded edge of contact u1 from the root leg 4
     gamma = p2_gamma(1)
-    prob = CountProblem(P2, gamma, generate_constraints(gamma, None, 3))
+    prob = CountProblem(gamma, generate_constraints(gamma, None, 3))
     shape = TreeShape(
         2, ((0, 1),), ((0, 1), (1, 2), (1, 3), (0, 4), (1, 5))
     )
@@ -365,7 +365,7 @@ def test_multiplicity_refuses_a_singular_square_matrix():
     # both point legs on the root vertex of a path with two bounded edges:
     # a 4x4 evaluation matrix of rank 2
     gamma = p2_gamma(1)
-    prob = CountProblem(P2, gamma, generate_constraints(gamma, None, 3))
+    prob = CountProblem(gamma, generate_constraints(gamma, None, 3))
     shape = TreeShape(3, ((0, 1), (1, 2)), ((0, 1), (1, 2), (2, 3), (0, 4), (0, 5)))
     theta = CombinatorialType(
         P2, shape, (None,) * 3, ((-1, 0), U3), (None,) * 2, (U1, U2, U3, (0, 0), (0, 0)), (None,) * 5
@@ -428,7 +428,7 @@ def test_quadric_bidegree_one_one():
     totals = set()
     for seed in (0, 1, 2):
         gamma = DiscreteData(P1P1, contacts, (5, 6, 7))
-        res = count(CountProblem(P1P1, gamma, generate_constraints(gamma, None, seed)))
+        res = count(CountProblem(gamma, generate_constraints(gamma, None, seed)))
         totals.add(res.total)
     assert totals == {1}
 
@@ -439,7 +439,7 @@ def test_quadric_bidegree_two_two():
     # multiplicities
     directions = [(1, 0), (1, 0), (-1, 0), (-1, 0), (0, 1), (0, 1), (0, -1), (0, -1)]
     gamma = DiscreteData(P1P1, tuple(enumerate(directions, 1)), tuple(range(9, 16)))
-    res = count(CountProblem(P1P1, gamma, generate_constraints(gamma, None, 0)))
+    res = count(CountProblem(gamma, generate_constraints(gamma, None, 0)))
     assert res.total == 12
     for c in res.contributions:
         assert mikhalkin_multiplicity(c.type) == c.multiplicity
@@ -513,10 +513,11 @@ def test_count_contributions_are_interior_and_on_target():
     res = count(prob)
     assert res.seed_echo == 0
     assert res.total == sum(c.multiplicity for c in res.contributions)
+    targets = {c.label: c.translation for c in prob.constraints.constraints}
     for c in res.contributions:
         for label in prob.gamma.trivial_legs:
             ep = ev_trop(c.map, label)
-            assert ep.coset == prob.target(label)
+            assert ep.coset == targets[label]
 
 
 # two targets for the point legs 4 and 5 of a line in P^2 (contacts u1, u2, u3)
@@ -545,7 +546,7 @@ def test_nongeneric_seed_detected(name):
         32,
     )
     with pytest.raises(NonGenericError, match=message):
-        count(CountProblem(P2, gamma, bad))
+        count(CountProblem(gamma, bad))
 
 
 def test_seed_and_thread_determinism():
@@ -627,7 +628,7 @@ def test_subspace_constraint_line_through_two_points():
     gamma = DiscreteData(P2, p2_gamma(1).contact_legs, (4, 5, 6))
     subspaces = {4: None, 5: None, 6: IntMatrix.from_rows([[1], [1]])}
     cfg = generate_constraints(gamma, subspaces, 9)
-    prob = CountProblem(P2, gamma, cfg)
+    prob = CountProblem(gamma, cfg)
     res = count(prob)
     assert res.total == 1
 
@@ -637,14 +638,14 @@ def test_count_requires_marked_point():
 
     gamma = DiscreteData(P2, p2_gamma(1).contact_legs, ())
     with pytest.raises(ValueError):
-        CountProblem(P2, gamma, ConstraintConfig((), 0, 32))
+        CountProblem(gamma, ConstraintConfig((), 0, 32))
 
 
 def test_unbalanced_contacts_are_refused():
     # no curve balances unless the contact orders sum to zero
     gamma = DiscreteData(P2, ((1, U1), (2, U2), (3, U3), (4, U1)), (5, 6, 7))
     with pytest.raises(ValueError, match=re.escape("sum to [1, 0], not to zero")):
-        CountProblem(P2, gamma, generate_constraints(gamma, None, 0))
+        CountProblem(gamma, generate_constraints(gamma, None, 0))
 
 
 def test_contributions_interior_to_their_moduli_cone():
@@ -940,12 +941,11 @@ def _reference_site_walk(tree, contacts, te, tl, walks):
 
 def _reference_marked_dfs(problem, skeleton, trivial_labels, nodes):
     """Yield the completed trees; append each search node at depth k to nodes[k - 1]."""
-    from tropcount.counting import _integer_targets
     from tropcount.moduli import forced_edge_contacts, insert_leg
 
-    rank = problem.fan.rank
+    rank = problem.gamma.fan.rank
     zero = (0,) * rank
-    targets = _integer_targets(problem)
+    targets = {c.label: c.translation for c in problem.constraints.constraints}
     in_cone = {}  # (v, walk) -> the LP verdict, shared with no cone code of the engine
 
     def lp_in_cone(v, walk):
@@ -994,7 +994,7 @@ def _assert_dfs_matches_reference(problem, limit=None, start=0):
     from tropcount.counting import _marked_dfs, _skeleton_census
 
     trivial = sorted(problem.gamma.trivial_legs)
-    skeletons = _skeleton_census(problem.fan.rank, [c for _, c in problem.gamma.contact_legs])
+    skeletons = _skeleton_census(problem.gamma.fan.rank, [c for _, c in problem.gamma.contact_legs])
     skeletons = skeletons[start:limit]
     nodes = [[] for _ in trivial]
     want = [tree for skeleton in skeletons for tree in _reference_marked_dfs(problem, skeleton, trivial, nodes)]
@@ -1012,7 +1012,7 @@ def test_marked_dfs_matches_reference_plane_degree_two(seed):
 def test_marked_dfs_matches_reference_quadric():
     contacts = ((1, (1, 0)), (2, (-1, 0)), (3, (0, 1)), (4, (0, -1)))
     gamma = DiscreteData(P1P1, contacts, (5, 6, 7))
-    prob = CountProblem(P1P1, gamma, generate_constraints(gamma, None, 0))
+    prob = CountProblem(gamma, generate_constraints(gamma, None, 0))
     assert _assert_dfs_matches_reference(prob)[-1] > 0
 
 
@@ -1027,7 +1027,7 @@ def test_marked_dfs_matches_reference_p3_lines():
     p3 = fan_projective_space(3)
     contacts = ((1, (1, 0, 0)), (2, (0, 1, 0)), (3, (0, 0, 1)), (4, (-1, -1, -1)))
     gamma = DiscreteData(p3, contacts, (5, 6))
-    prob = CountProblem(p3, gamma, generate_constraints(gamma, None, 0))
+    prob = CountProblem(gamma, generate_constraints(gamma, None, 0))
     assert _assert_dfs_matches_reference(prob)[-1] > 0
 
 
@@ -1042,7 +1042,7 @@ def test_marked_dfs_matches_reference_p1_cube():
 def quadric_problem():
     contacts = ((1, (1, 0)), (2, (-1, 0)), (3, (0, 1)), (4, (0, -1)))
     gamma = DiscreteData(P1P1, contacts, (5, 6, 7))
-    return CountProblem(P1P1, gamma, generate_constraints(gamma, None, 0))
+    return CountProblem(gamma, generate_constraints(gamma, None, 0))
 
 
 # skeletons 160-209 of the d=3 census: 44 trees over 9 of them survive all
@@ -1320,13 +1320,13 @@ def _reference_evaluation_matrix(theta, problem):
     """The former rows: per leg, its projection times the r x (r + ne) block
     (I | sign·contact at each edge on the leg's path from the root, the
     vertex of leg 1)."""
-    r = problem.fan.rank
+    r = problem.gamma.fan.rank
     shape = theta.shape
     ne = len(shape.edges)
     root_vertex = shape.leg_vertex(1)
     rows = []
     for label in sorted(problem.gamma.trivial_legs):
-        proj = problem.projected[label][0]
+        proj = IntMatrix.from_rows([p for lab, p in problem.rows if lab == label], r)
         block = [[int(i == j) for j in range(r)] + [0] * ne for i in range(r)]
         for e, sign in _signed_path(shape, root_vertex, shape.leg_vertex(label)):
             c = theta.edge_contacts[e]
@@ -1337,11 +1337,17 @@ def _reference_evaluation_matrix(theta, problem):
     return IntMatrix.from_rows(rows) if rows else IntMatrix(0, r + ne, ())
 
 
+def _projected_targets(problem):
+    """Each evaluation row's target: its covector applied to its leg's translation."""
+    translation = {c.label: c.translation for c in problem.constraints.constraints}
+    return [sum(a * x for a, x in zip(p, translation[label])) for label, p in problem.rows]
+
+
 def _fallback_problem(seed):
     # lines through 2 points and the translates of the subtori (1, 1) and (1, 0)
     gamma = DiscreteData(P2, p2_gamma(1).contact_legs, (4, 5, 6, 7))
     lines = {6: IntMatrix.from_rows([[1], [1]]), 7: IntMatrix.from_rows([[1], [0]])}
-    return CountProblem(P2, gamma, generate_constraints(gamma, {4: None, 5: None, **lines}, seed))
+    return CountProblem(gamma, generate_constraints(gamma, {4: None, 5: None, **lines}, seed))
 
 
 def _p3_lines_through_a_point_and_two_lines():
@@ -1349,14 +1355,14 @@ def _p3_lines_through_a_point_and_two_lines():
     dirs = [unit(3, i) for i in range(3)] + [(-1, -1, -1)]
     gamma = DiscreteData(fan, tuple(enumerate(dirs, 1)), (5, 6, 7))
     lines = {6: IntMatrix.from_rows([[1], [2], [0]]), 7: IntMatrix.from_rows([[0], [1], [-3]])}
-    return CountProblem(fan, gamma, generate_constraints(gamma, {5: None, **lines}, 0))
+    return CountProblem(gamma, generate_constraints(gamma, {5: None, **lines}, 0))
 
 
 def _p1xp1_two_zero_through_three_points_and_a_line():
     # bidegree (2, 0) through 3 points and the translate of the subtorus (1, 1)
     gamma = DiscreteData(P1P1, ((1, (1, 0)), (2, (1, 0)), (3, (-1, 0)), (4, (-1, 0))), (5, 6, 7, 8))
     subspaces = {5: None, 6: None, 7: None, 8: IntMatrix.from_rows([[1], [1]])}
-    return CountProblem(P1P1, gamma, generate_constraints(gamma, subspaces, 0))
+    return CountProblem(gamma, generate_constraints(gamma, subspaces, 0))
 
 
 # name -> (problem, whether its types are searched, rows per projection)
@@ -1372,16 +1378,44 @@ ROWS_PROBLEMS = {
 
 
 @pytest.mark.parametrize("name", ROWS_PROBLEMS)
+def test_count_problem_holds_its_constraints_as_integer_rows(name):
+    # in label order, a point's rows are the identity's, and a subspace L's
+    # are a basis of the covectors vanishing on L (those of a unimodular Smith
+    # factor); the targets are those rows at the translations, cleared over
+    # their least common denominator
+    from math import lcm
+
+    from tropcount.exactmath import smith_normal_form
+
+    prob = ROWS_PROBLEMS[name][0]()
+    r = prob.gamma.fan.rank
+    assert [label for label, _ in prob.rows] == sorted(label for label, _ in prob.rows)
+    for c in prob.constraints.constraints:
+        quotient = IntMatrix.from_rows([p for label, p in prob.rows if label == c.label], r)
+        if c.subspace is None:
+            assert quotient == IntMatrix.identity(r)
+            continue
+        assert quotient.rows == r - c.subspace.cols
+        assert not any((quotient @ c.subspace).entries)
+        assert all(abs(d) == 1 for d in smith_normal_form(quotient).diagonal())
+    projected = _projected_targets(prob)
+    assert prob.denominator == lcm(*(Fraction(x).denominator for x in projected))
+    assert [Fraction(b, prob.denominator) for b in prob.targets] == projected
+
+
+@pytest.mark.parametrize("name", ROWS_PROBLEMS)
 def test_evaluation_rows_match_the_identity_block_formulation(name):
+    from collections import Counter
+
     from tropcount.counting import _evaluation_rows, _labelled_legs, _rigid_trees, _solve_tree, _tree_to_type
     from tropcount.exactmath import lattice_index, solve_rational
     from tropcount.moduli import forced_edge_contacts
 
     make, prune, heights = ROWS_PROBLEMS[name]
     prob = make()
-    r = prob.fan.rank
-    rhs = [x for label in sorted(prob.gamma.trivial_legs) for x in prob.projected[label][1]]
-    assert {proj.rows for proj, _ in prob.projected.values()} == heights
+    r = prob.gamma.fan.rank
+    rhs = _projected_targets(prob)
+    assert set(Counter(label for label, _ in prob.rows).values()) == heights
     types = solved = 0
     for tree in _rigid_trees(prob, prune=prune):
         theta = _tree_to_type(prob, tree)
@@ -1426,9 +1460,10 @@ def _reference_outcome(problem, tree):
     from tropcount.maps import TropicalStableMap, subdivide
 
     theta = _tree_to_type(problem, tree)
-    fan, r = problem.fan, problem.fan.rank
+    fan = problem.gamma.fan
+    r = fan.rank
     m = _reference_evaluation_matrix(theta, problem)
-    rhs = [x for label in sorted(problem.gamma.trivial_legs) for x in problem.projected[label][1]]
+    rhs = _projected_targets(problem)
     got = solve_rational(m, rhs) if m.rows == m.cols else None
     if got is None:
         return "singular"
@@ -1505,8 +1540,8 @@ def test_a_negative_length_is_a_miss_in_any_edge_order():
     from tropcount.exactmath import solve_rational
 
     prob = _fallback_problem(1065)
-    r = prob.fan.rank
-    rhs = [x for label in sorted(prob.gamma.trivial_legs) for x in prob.projected[label][1]]
+    r = prob.gamma.fan.rank
+    rhs = _projected_targets(prob)
     found = 0
     for tree in _rigid_trees(prob):
         got = solve_rational(_reference_evaluation_matrix(_tree_to_type(prob, tree), prob), rhs)
@@ -1531,15 +1566,15 @@ def _reference_rigid_types(problem):
 
     gamma = problem.gamma
     if counting._searches_skeletons(problem):
-        skeletons = counting._skeleton_census(problem.fan.rank, [c for _, c in gamma.contact_legs])
+        skeletons = counting._skeleton_census(problem.gamma.fan.rank, [c for _, c in gamma.contact_legs])
         trees = counting._marked_dfs(problem, skeletons, sorted(gamma.trivial_legs))
     else:
         trees = grow_trees([(c, lab) for lab, c in counting._census_legs(problem)])
-    codim = counting.expected_codimension(problem.fan, gamma)
+    codim = counting.expected_codimension(problem.gamma.fan, gamma)
     seen = set()
     for tree in trees:
         theta = counting._tree_to_type(problem, tree)
-        if problem.fan.rank + len(theta.shape.edges) != codim:
+        if problem.gamma.fan.rank + len(theta.shape.edges) != codim:
             continue
         key, _ = canonical_form(theta, identify_contacts=True)
         if key not in seen:
@@ -1579,7 +1614,7 @@ def test_no_tree_key_is_taken_when_the_contacts_are_distinct(name, monkeypatch):
     from tropcount import counting
 
     prob = DEDUP_PROBLEMS[name][0]()
-    census = counting._skeleton_census(prob.fan.rank, [c for _, c in prob.gamma.contact_legs])
+    census = counting._skeleton_census(prob.gamma.fan.rank, [c for _, c in prob.gamma.contact_legs])
 
     def refuse(tree):
         raise AssertionError("a tree was keyed")

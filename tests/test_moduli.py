@@ -106,7 +106,7 @@ def test_moduli_cone_overvalent_unconfined():
     # no inequality at all: the cone is its lineality space, the plane
     assert mc.extreme_rays.rank == 0
     assert mc.relint_witness() == [0, 0]
-    assert face_types(t) == []
+    assert face_types(mc) == []
 
 
 def test_unconfined_edge_has_a_lineality_space():
@@ -130,7 +130,7 @@ def test_unconfined_edge_has_a_lineality_space():
     assert lp.strict_point(span_rows, mc.dimension) is not None
     witness = mc.relint_witness()
     assert mc.classify(witness) == "interior"
-    [fd] = face_types(t)
+    [fd] = face_types(mc)
     assert fd.edge_map == (None,) and fd.face.shape.vertices == 1
     face = moduli_cone(fd.face)
     assert face.dimension == 2 and face.classify(face.ambient_point(fd.point)) == "interior"
@@ -194,7 +194,7 @@ def test_contains_classification():
 
 
 def test_face_types_of_wall_type():
-    fds = face_types(wall_type())
+    fds = face_types(moduli_cone(wall_type()))
     assert len(fds) == 2
     dims = sorted(moduli_cone(fd.face).dimension for fd in fds)
     assert dims == [1, 1]
@@ -203,7 +203,7 @@ def test_face_types_of_wall_type():
 
 
 def test_root_type_has_no_faces():
-    assert face_types(root_type()) == []
+    assert face_types(moduli_cone(root_type())) == []
     # both ends at the origin pin the edge's length to 0: no relative interior
     pinned = CombinatorialType(
         P2,
@@ -214,7 +214,7 @@ def test_root_type_has_no_faces():
         (U1, U2, U3),
         (None, None, None),
     )
-    assert face_types(pinned) == []
+    assert face_types(moduli_cone(pinned)) == []
 
 
 def embed_face_witness(parent, fd):
@@ -235,7 +235,7 @@ def test_faces_are_boundary_strata():
         candidates += [random_balanced_type(fan, rng, max_legs=5) for _ in range(30)]
         for t in candidates:
             parent = moduli_cone(t)
-            for fd in face_types(t):
+            for fd in face_types(parent):
                 mc = moduli_cone(fd.face)
                 assert mc.dimension == parent.dimension - 1
                 assert mc.classify(mc.ambient_point(fd.point)) == "interior"
@@ -351,7 +351,7 @@ def test_face_maps_match_the_rational_solve(monkeypatch, trivial):
 def test_face_inclusion_refuses_a_wrong_edge_map():
     theta = wall_type()
     parent = moduli_cone(theta)
-    [fd] = [fd for fd in face_types(theta) if fd.edge_map == (0,)]
+    [fd] = [fd for fd in face_types(parent) if fd.edge_map == (0,)]
     face = moduli_cone(fd.face)
     assert face_inclusion_matrix(parent, face, fd.edge_map).to_lists() == [[1], [1]]
     # with its edge sent to length 0, the face's lattice leaves the parent's span
@@ -542,7 +542,7 @@ def test_one_moduli_cone_per_stored_cone(monkeypatch, name):
     parents = counting(monkeypatch, "face_types")
     cx = assemble_complex(ASSEMBLED[name])
     assert len(built) == len(set(built)) == len(parents)
-    assert set(built) == set(parents) <= {cc.type for cc in cx.cones}
+    assert set(built) == {cone.type for cone in parents} <= {cc.type for cc in cx.cones}
     if name == "p2_2pts":
         assert len(built) == 74
 
