@@ -48,7 +48,6 @@ from .moduli import (
 from .polyhedral import (
     ExtendedPoint,
     Fan,
-    QuotientProjection,
     extended_point,
     fan_product,
     fan_projective_space,
@@ -67,7 +66,6 @@ __all__ = [
     "Fan",
     "IntMatrix",
     "ModuliCone",
-    "QuotientProjection",
     "Rational",
     "SmithDecomposition",
     "TropicalCurve",

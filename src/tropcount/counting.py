@@ -133,7 +133,7 @@ class CountProblem:
             if c.subspace is None:
                 proj = IntMatrix.identity(self.gamma.fan.rank)
             else:
-                proj = quotient_projection(self.gamma.fan, c.subspace).projection
+                proj = quotient_projection(self.gamma.fan, c.subspace)
             rows += [(c.label, proj.row(i)) for i in range(proj.rows)]
             projected += proj.apply(c.translation)
         targets, den = clear_denominators(projected)
@@ -658,29 +658,27 @@ def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
     )
 
 
-def _rigid_trees(
-    problem: CountProblem, prune: bool = True, skeletons: Optional[list[tuple]] = None
-) -> Iterator[tuple]:
-    """Working trees of the stabilized types whose moduli cone dimension
-    matches the constraint codimension, one tree per type.
+def _rigid_trees(problem: CountProblem, skeletons: Optional[list[tuple]]) -> Iterator[tuple]:
+    """Working trees of the stabilized types that the constraints may make
+    rigid, one tree per type.
 
-    With ``prune``, point problems with at least three contact legs run the
-    marked-point search over ``skeletons`` (default: the whole census),
-    which drops only trees that cannot meet the seeded targets; others run
-    the census over all legs. When two contact legs share a contact vector,
-    trees are deduplicated on ``_tree_key``; no type spans two skeletons, so
-    a chunk's dedup holds. When no two do, each leg is told apart by its
-    contact or its label, so no two trees share a key, and none is taken.
+    A skeleton list runs the marked-point search over it, which drops only
+    trees that cannot meet the seeded targets; None runs the census over all
+    legs. Both grow trees of L - 3 edges over L legs, whose moduli cones have
+    the constraint codimension, the rank plus L - 3, as their dimension;
+    fewer than three legs leave no stable tree. When two contact legs share a
+    contact vector, trees are deduplicated on ``_tree_key``; no type spans
+    two skeletons, so a chunk's dedup holds. When no two do, each leg is told
+    apart by its contact or its label, so no two trees share a key, and none
+    is taken.
     """
     gamma = problem.gamma
-    if prune and _searches_skeletons(problem):
-        if skeletons is None:
-            skeletons = _skeleton_census(gamma.fan.rank, [c for _, c in gamma.contact_legs])
-        trees = _marked_dfs(problem, skeletons, sorted(gamma.trivial_legs))
-    else:
+    if gamma.n + gamma.m < 3:
+        return
+    if skeletons is None:
         trees = grow_trees([(c, lab) for lab, c in _census_legs(problem)])
-    n_edges = expected_codimension(gamma.fan, gamma) - gamma.fan.rank
-    trees = (tree for tree in trees if len(tree[1]) == n_edges)
+    else:
+        trees = _marked_dfs(problem, skeletons, sorted(gamma.trivial_legs))
     contacts = [c for _, c in gamma.contact_legs]
     if len(set(contacts)) == len(contacts):
         yield from trees
@@ -693,17 +691,8 @@ def _rigid_trees(
             yield tree
 
 
-def enumerate_rigid_types(
-    problem: CountProblem, prune: bool = True, skeletons: Optional[list[tuple]] = None
-) -> Iterator[CombinatorialType]:
-    """Stabilized types whose moduli cone dimension matches the constraint
-    codimension: ``_tree_to_type`` of each tree of ``_rigid_trees``, the trees
-    that the count workers solve (``_solve_tree``)."""
-    return map(partial(_tree_to_type, problem), _rigid_trees(problem, prune, skeletons))
-
-
 def _searches_skeletons(problem: CountProblem) -> bool:
-    """Whether pruned enumeration runs the skeleton census and marked-point search."""
+    """Whether ``count`` runs the skeleton census and marked-point search."""
     return problem.is_point_problem() and problem.gamma.n >= 3
 
 
@@ -872,9 +861,13 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
     """Sum lattice multiplicities of rigid types solved against the constraints.
 
     The result is independent of the seed for generic seeds and of the
-    worker count; contribution lists are canonically sorted.  The census
-    is dealt to at most one worker per skeleton, and to no more workers
-    than the CPUs this process may run on (``_usable_cpus``).
+    worker count; contribution lists are canonically sorted.  This is the
+    one place that picks where the trees come from: a point problem with at
+    least three contact legs (``_searches_skeletons``) builds the skeleton
+    census once and deals it to at most one worker per skeleton, and to no
+    more workers than the CPUs this process may run on (``_usable_cpus``),
+    each running the marked-point search over its chunk; any other problem
+    runs the census over all legs in one worker.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, not {threads}")
@@ -894,11 +887,13 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
 
 
 def _count_worker(args):
-    """Solve the rigid types of one chunk of skeletons (None: the census over all legs)."""
+    """Solve the rigid types of one chunk of skeletons (None: the census over
+    all legs), the trees of ``_rigid_trees``; returns the contributions and
+    the number of trees rejected as singular."""
     problem, skeletons = args
     contributions = []
     rejected = 0
-    for tree in _rigid_trees(problem, True, skeletons):
+    for tree in _rigid_trees(problem, skeletons):
         try:
             solved = _solve_tree(problem, tree)
         except SingularError:

@@ -491,7 +491,17 @@ def type_to_json(t: CombinatorialType) -> dict:
     }
 
 
+def _check_rank(fan: Fan, what: str, vector) -> None:
+    """Refuse an input vector with other than the fan's rank of coordinates."""
+    if len(vector) != fan.rank:
+        raise ValueError(f"{what} has {len(vector)} coordinates, but the fan has rank {fan.rank}")
+
+
 def type_from_json(fan: Fan, data: dict) -> CombinatorialType:
+    for a, b, c, _ in data["edges"]:
+        _check_rank(fan, f"the contact of edge ({a}, {b})", c)
+    for _, lab, c, _ in data["legs"]:
+        _check_rank(fan, f"the contact of leg {lab}", c)
     edges = tuple((a, b) for a, b, _, _ in data["edges"])
     legs = tuple((v, lab) for v, lab, _, _ in data["legs"])
     return CombinatorialType(
@@ -519,6 +529,8 @@ def map_to_json(f: TropicalStableMap) -> dict:
 def map_from_json(data: dict, fan: Optional[Fan] = None) -> TropicalStableMap:
     fan = fan if fan is not None else fan_from_json(data["fan"])
     t = type_from_json(fan, data["type"])
+    for v, p in enumerate(data["positions"]):
+        _check_rank(fan, f"the position of vertex {v}", p)
     positions = tuple(tuple(Fraction(x) for x in p) for p in data["positions"])
     lengths = tuple(Fraction(l) for l in data["lengths"])
     return TropicalStableMap(t, positions, lengths)

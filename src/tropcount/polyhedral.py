@@ -21,7 +21,6 @@ from .exactmath import (
     IntMatrix,
     clear_denominators,
     fraction_free_rref,
-    integer_kernel,
     lattice_quotient,
     primitive_vector,
     rank,
@@ -175,7 +174,7 @@ class Fan:
             k = gram.rows
             rows = [list(gram.row(i)) + list(rays_t.row(i)) for i in range(k)]
             _, det = fraction_free_rref(rows, k)
-            proj = self.span_projection(cone_idx)
+            proj = lattice_quotient(rays)
             data = ConeData(
                 tuple(proj.row(i) for i in range(proj.rows)),
                 tuple(tuple(row[k:]) for row in rows),
@@ -207,14 +206,11 @@ class Fan:
         scale = self.cone_data(cone_idx).det * den
         return [Fraction(x, scale) for x in nums]
 
-    def contains(self, cone_idx: int, p: Sequence[Fraction], strict: bool = False) -> bool:
+    def contains(self, cone_idx: int, p: Sequence[Fraction]) -> bool:
+        """Whether p lies in the closed cone; ``locate`` finds the cone of its relative interior."""
         # the coefficients are the numerators over a positive denominator
         nums = self._coefficient_numerators(cone_idx, clear_denominators(p)[0])
-        if nums is None:
-            return False
-        if strict:
-            return all(c > 0 for c in nums)
-        return all(c >= 0 for c in nums)
+        return nums is not None and all(c >= 0 for c in nums)
 
     def germ(self, base: int, direction: Sequence[int]) -> Optional[int]:
         """The cone entered by moving off relint(base) along an integer direction.
@@ -240,10 +236,6 @@ class Fan:
         s = set(self.cones[cone_idx])
         return [i for i, c in enumerate(self.cones) if set(c) <= s]
 
-    def span_projection(self, cone_idx: int) -> IntMatrix:
-        """Integral projection with kernel exactly span(cone) ∩ ZZ^rank."""
-        return lattice_quotient(self._ray_matrix(self.cones[cone_idx]))
-
 
 @dataclass(frozen=True)
 class ExtendedPoint:
@@ -255,17 +247,6 @@ class ExtendedPoint:
 
     stratum_cone: int
     coset: Point
-
-
-@dataclass(frozen=True)
-class QuotientProjection:
-    subspace_basis: IntMatrix
-    projection: IntMatrix
-
-    def __post_init__(self):
-        prod = self.projection @ self.subspace_basis
-        if any(e != 0 for e in prod.entries):
-            raise ValueError("projection does not kill the subspace")
 
 
 def fan_projective_space(r: int) -> Fan:
@@ -302,15 +283,18 @@ def locate(fan: Fan, p: Sequence[Fraction]) -> int:
     raise NotCompleteError(f"no cone contains {p} in its relative interior")
 
 
-def quotient_projection(fan: Fan, l_basis: IntMatrix) -> QuotientProjection:
-    """Saturate L ∩ ZZ^rank and project onto the quotient lattice: the
-    projection is ``lattice_quotient``, and the saturation its kernel."""
+def quotient_projection(fan: Fan, l_basis: IntMatrix) -> IntMatrix:
+    """The projection of ZZ^rank onto the quotient lattice by L, for L spanned
+    by the independent columns of ``l_basis``: ``lattice_quotient``, whose
+    kernel is the saturation of L ∩ ZZ^rank."""
     if l_basis.rows != fan.rank:
         raise ValueError("subspace basis lives in the wrong lattice")
     if rank(l_basis) != l_basis.cols:
         raise DependentGeneratorsError("subspace generators are dependent")
     projection = lattice_quotient(l_basis)
-    return QuotientProjection(integer_kernel(projection), projection)
+    if any((projection @ l_basis).entries):
+        raise ValueError("projection does not kill the subspace")
+    return projection
 
 
 def extended_point(fan: Fan, base: Sequence[Fraction], direction: Sequence[int]) -> ExtendedPoint:
@@ -322,8 +306,10 @@ def extended_point(fan: Fan, base: Sequence[Fraction], direction: Sequence[int])
         stratum = locate(fan, [Fraction(x) for x in direction])
     except NotCompleteError as exc:
         raise DirectionOutsideFanError(str(exc)) from exc
-    proj = fan.span_projection(stratum)
-    coset = tuple(proj.apply([Fraction(x) for x in base]))
+    if len(base) != fan.rank:
+        raise ValueError("vector length mismatch")
+    base = [Fraction(x) for x in base]
+    coset = tuple(_dot(row, base) for row in fan.cone_data(stratum).projection)
     return ExtendedPoint(stratum, coset)
 
 

@@ -14,9 +14,10 @@ from tropcount.cli import _emit
 from tropcount.counting import (
     CountProblem,
     SingularError,
+    _rigid_trees,
+    _tree_to_type,
     count,
     count_result_to_json,
-    enumerate_rigid_types,
     generate_constraints,
     kontsevich_oracle,
     mikhalkin_multiplicity,
@@ -227,7 +228,8 @@ def test_criterion_6_multiplicity_equivalence():
     weights = []
     for gamma, subspaces in ((quadric, None), (lines, subtori)):
         problem = CountProblem(gamma, generate_constraints(gamma, subspaces, 1000))
-        for theta in enumerate_rigid_types(problem, prune=False):
+        # every type of the census over all legs
+        for theta in (_tree_to_type(problem, tree) for tree in _rigid_trees(problem, None)):
             try:
                 got = multiplicity(theta, problem)
             except SingularError:

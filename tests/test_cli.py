@@ -319,6 +319,36 @@ def test_a_leg_on_a_missing_vertex_is_a_named_error(tmp_path):
     assert proc.stderr == "error: ValueError: leg attached to a missing vertex\n"
 
 
+def _append_a_coordinate(data):
+    data["positions"][0].append("5")
+
+
+def _widen_a_leg_contact(data):
+    data["type"]["legs"][0][2] = [1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_append_a_coordinate, "the position of vertex 0 has 3 coordinates, but the fan has rank 2"),
+        (_widen_a_leg_contact, "the contact of leg 1 has 3 coordinates, but the fan has rank 2"),
+    ],
+    ids=["position", "leg-contact"],
+)
+def test_a_coordinate_of_the_wrong_rank_is_a_named_error(tmp_path, mutate, message):
+    found = tmp_path / "found.json"
+    line = ("--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--seed", "7")
+    assert main(["count", *line, "--out", str(found)]) == 0
+    data = json.loads(found.read_text())["contributions"][0]["map"]
+    assert data["type"]["legs"][0][1] == 1
+    mutate(data)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("validate", "--in", str(path), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: ValueError: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["complex", "embed"])
 def test_subspace_is_an_option_of_count_only(command):
     # a complex or an embedding reads no constraint, so a subspace only added a marked leg

@@ -13,7 +13,6 @@ from tropcount.counting import (
     NotPlanarPointProblemError,
     SingularError,
     count,
-    enumerate_rigid_types,
     evaluation_matrix,
     generate_constraints,
     kontsevich_oracle,
@@ -40,6 +39,28 @@ def p2_gamma(d, m=None):
 def p2_problem(d, seed):
     gamma = p2_gamma(d)
     return CountProblem(gamma, generate_constraints(gamma, None, seed))
+
+
+def skeleton_census(problem):
+    """The skeleton census over a problem's contact legs."""
+    from tropcount.counting import _skeleton_census
+
+    return _skeleton_census(problem.gamma.fan.rank, [c for _, c in problem.gamma.contact_legs])
+
+
+def count_trees(problem):
+    """The trees that ``count`` solves: the marked-point search over the
+    skeleton census where ``count`` runs it, else the census over all legs."""
+    from tropcount.counting import _rigid_trees, _searches_skeletons
+
+    return _rigid_trees(problem, skeleton_census(problem) if _searches_skeletons(problem) else None)
+
+
+def rigid_types(problem, trees):
+    """The stabilized type of each working tree, as ``count`` builds it for a solution."""
+    from tropcount.counting import _tree_to_type
+
+    return [_tree_to_type(problem, tree) for tree in trees]
 
 
 def tangency_problem(contacts, seed=0):
@@ -107,10 +128,12 @@ def test_generate_constraints_codimension_balance():
 
 
 def test_enumerate_census_degree_one():
+    from tropcount.counting import _rigid_trees
+
     prob = p2_problem(1, 7)
-    unpruned = list(enumerate_rigid_types(prob, prune=False))
+    unpruned = rigid_types(prob, _rigid_trees(prob, None))
     assert len(unpruned) == 15  # (2*5-5)!! labeled trivalent trees
-    pruned = list(enumerate_rigid_types(prob))
+    pruned = rigid_types(prob, _rigid_trees(prob, skeleton_census(prob)))
     assert 1 <= len(pruned) <= 15
     pruned_keys = {t.shape.legs for t in pruned}
     assert pruned_keys <= {t.shape.legs for t in unpruned} | pruned_keys
@@ -300,19 +323,23 @@ def test_census_bound_sits_at_nine_legs():
 
 
 def test_enumerate_p1_single_path_type():
+    from tropcount.counting import _rigid_trees
+
     gamma = DiscreteData(P1, ((1, (1,)), (2, (-1,))), (3,))
     prob = CountProblem(gamma, generate_constraints(gamma, None, 5))
-    types = list(enumerate_rigid_types(prob, prune=False))
+    types = rigid_types(prob, _rigid_trees(prob, None))
     assert len(types) == 1
     assert count(prob).total == 1
 
 
 def test_degree_zero_m3_single_contracted_type():
+    from tropcount.counting import _rigid_trees
+
     gamma = DiscreteData(P2, (), (1, 2, 3))
     subspaces = {1: None, 2: IntMatrix.identity(2), 3: IntMatrix.identity(2)}
     cfg = generate_constraints(gamma, subspaces, 11)
     prob = CountProblem(gamma, cfg)
-    types = list(enumerate_rigid_types(prob, prune=False))
+    types = rigid_types(prob, _rigid_trees(prob, None))
     assert len(types) == 1
     res = count(prob)
     assert res.total == 1
@@ -472,7 +499,7 @@ def _unpruned_solutions(problem):
     from tropcount.moduli import canonical_form
 
     found = {}
-    for tree in _rigid_trees(problem, prune=False):
+    for tree in _rigid_trees(problem, None):
         try:
             solved = _solve_tree(problem, tree)
         except SingularError:
@@ -1365,15 +1392,15 @@ def _p1xp1_two_zero_through_three_points_and_a_line():
     return CountProblem(gamma, generate_constraints(gamma, subspaces, 0))
 
 
-# name -> (problem, whether its types are searched, rows per projection)
+# name -> (problem, rows per projection); each takes the trees that count solves
 ROWS_PROBLEMS = {
     **{
-        f"fallback-{seed}": (lambda seed=seed: _fallback_problem(seed), False, {1, 2})
+        f"fallback-{seed}": (lambda seed=seed: _fallback_problem(seed), {1, 2})
         for seed in (1000, 1001, 1002)
     },
     # eleven legs are past the census bound, so the plane conics take the searched types
-    "plane-conics": (lambda: p2_problem(2, 0), True, {2}),
-    "p3-lines-point-two-lines": (_p3_lines_through_a_point_and_two_lines, False, {2, 3}),
+    "plane-conics": (lambda: p2_problem(2, 0), {2}),
+    "p3-lines-point-two-lines": (_p3_lines_through_a_point_and_two_lines, {2, 3}),
 }
 
 
@@ -1407,17 +1434,17 @@ def test_count_problem_holds_its_constraints_as_integer_rows(name):
 def test_evaluation_rows_match_the_identity_block_formulation(name):
     from collections import Counter
 
-    from tropcount.counting import _evaluation_rows, _labelled_legs, _rigid_trees, _solve_tree, _tree_to_type
+    from tropcount.counting import _evaluation_rows, _labelled_legs, _solve_tree, _tree_to_type
     from tropcount.exactmath import lattice_index, solve_rational
     from tropcount.moduli import forced_edge_contacts
 
-    make, prune, heights = ROWS_PROBLEMS[name]
+    make, heights = ROWS_PROBLEMS[name]
     prob = make()
     r = prob.gamma.fan.rank
     rhs = _projected_targets(prob)
     assert set(Counter(label for label, _ in prob.rows).values()) == heights
     types = solved = 0
-    for tree in _rigid_trees(prob, prune=prune):
+    for tree in count_trees(prob):
         theta = _tree_to_type(prob, tree)
         want = _reference_evaluation_matrix(theta, prob)
         assert evaluation_matrix(theta, prob) == want
@@ -1520,12 +1547,10 @@ def test_each_tree_solves_as_its_type_by_the_former_route(name):
     # length rule, give every tree the outcome of its type's reference solve
     from collections import Counter
 
-    from tropcount.counting import _rigid_trees
-
     make, sizes = OUTCOME_PROBLEMS[name]
     prob = make()
     seen = Counter()
-    for tree in _rigid_trees(prob):
+    for tree in count_trees(prob):
         want = _reference_outcome(prob, tree)
         assert _tree_outcome(prob, tree) == want
         seen[want if isinstance(want, str) else "solved"] += 1
@@ -1536,14 +1561,14 @@ def test_a_negative_length_is_a_miss_in_any_edge_order():
     # a negative length puts the solution outside the closed cone, whatever
     # the other lengths: on seed 1065, trees whose reference solution has a
     # zero and a negative length are misses, in any order of their edges
-    from tropcount.counting import _rigid_trees, _solve_tree, _tree_to_type
+    from tropcount.counting import _solve_tree, _tree_to_type
     from tropcount.exactmath import solve_rational
 
     prob = _fallback_problem(1065)
     r = prob.gamma.fan.rank
     rhs = _projected_targets(prob)
     found = 0
-    for tree in _rigid_trees(prob):
+    for tree in count_trees(prob):
         got = solve_rational(_reference_evaluation_matrix(_tree_to_type(prob, tree), prob), rhs)
         if got is None or not got[1] or 0 not in got[0][r:] or min(got[0][r:]) >= 0:
             continue
@@ -1603,7 +1628,7 @@ def test_tree_key_dedup_keeps_the_canonical_form_types(name):
     # the same first tree of each
     make, size = DEDUP_PROBLEMS[name]
     prob = make()
-    got = list(enumerate_rigid_types(prob))
+    got = rigid_types(prob, count_trees(prob))
     assert got == list(_reference_rigid_types(prob))
     assert len(got) == size
 
@@ -1614,10 +1639,10 @@ def test_no_tree_key_is_taken_when_the_contacts_are_distinct(name, monkeypatch):
     from tropcount import counting
 
     prob = DEDUP_PROBLEMS[name][0]()
-    census = counting._skeleton_census(prob.gamma.fan.rank, [c for _, c in prob.gamma.contact_legs])
+    census = skeleton_census(prob) if counting._searches_skeletons(prob) else None
 
     def refuse(tree):
         raise AssertionError("a tree was keyed")
 
     monkeypatch.setattr(counting, "_tree_key", refuse)
-    assert len(list(counting._rigid_trees(prob, skeletons=census))) == DEDUP_PROBLEMS[name][1]
+    assert len(list(counting._rigid_trees(prob, census))) == DEDUP_PROBLEMS[name][1]

@@ -19,7 +19,7 @@ from tropcount.exactmath import (
     smith_normal_form,
     solve_rational,
 )
-from tropcount.polyhedral import DependentGeneratorsError, QuotientProjection, fan_projective_space, quotient_projection
+from tropcount.polyhedral import DependentGeneratorsError, fan_projective_space, quotient_projection
 
 
 def cofactor_det(rows):
@@ -143,8 +143,7 @@ def test_the_package_reaches_no_smith_form(monkeypatch, tmp_path):
         fan = fan_projective_space(r)
         for idx in range(len(fan.cones)):
             fan.cone_data(idx)
-    q = quotient_projection(fan_projective_space(2), IntMatrix.from_rows([[1], [1]]))
-    assert q.projection.rows == 1
+    assert quotient_projection(fan_projective_space(2), IntMatrix.from_rows([[1], [1]])).rows == 1
     line = ("--fan", "p2", "--contacts", "p2-degree:1")
     runs = [
         ("count", "--fan", "p2", "--contacts", "p2-degree:2", "--points", "5", "--seed", "0"),
@@ -297,7 +296,7 @@ def test_lattice_quotient_and_saturation_against_the_snf(n, k, data):
         assert_hermite([sat.column(j) for j in range(r)])
     fan = fan_projective_space(n)
     if r == k:
-        assert quotient_projection(fan, basis) == QuotientProjection(sat, proj)
+        assert quotient_projection(fan, basis) == proj
     else:
         with pytest.raises(DependentGeneratorsError):
             quotient_projection(fan, basis)
@@ -351,7 +350,7 @@ def test_lattice_quotient_kills_span_and_is_onto():
 
 
 def test_saturate_columns():
-    sat = quotient_projection(fan_projective_space(2), IntMatrix.from_rows([[2], [4]])).subspace_basis
+    sat = integer_kernel(quotient_projection(fan_projective_space(2), IntMatrix.from_rows([[2], [4]])))
     assert sat.cols == 1
     assert sat.column(0) in {(1, 2), (-1, -2)}
 

@@ -440,7 +440,7 @@ def snf_span_basis(theta):
             rows.append(row)
     for v, cone_idx in enumerate(theta.vertex_cones):
         if cone_idx is not None:
-            for cut in fan.span_projection(cone_idx).to_lists():
+            for cut in fan.cone_data(cone_idx).projection:
                 row = [0] * ambient
                 row[v * r : v * r + r] = cut
                 rows.append(row)

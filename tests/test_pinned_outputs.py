@@ -165,3 +165,25 @@ def test_rank_three_lines_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "23c7a07042c418ee16d7645ccab497a741c2926e53ef02fdafeae0e09ba7d0de"
     )
+
+
+@pytest.mark.parametrize(
+    "subspaces,digest",
+    [
+        (["1,0|0,1"], "1c6e5dd5aee68388dfa865af3ede1da774b5c417ccb33c64bf9c1ff2a85ce756"),
+        (["1,0", "1,0|0,1"], "5875b58a95e41936ac267345dcce1db55015c04b4d12d5a22f27cf742dfc1055"),
+    ],
+    ids=["one-leg", "two-legs"],
+)
+def test_fewer_than_three_legs_count_nothing(tmp_path, subspaces, digest):
+    # no stable tree has one or two legs, so the count is the empty sum
+    contacts = tmp_path / "contacts.json"
+    contacts.write_text("[]")
+    out = tmp_path / "out.json"
+    argv = ["count", "--fan", "p2", "--contacts", str(contacts)]
+    for subspace in subspaces:
+        argv += ["--subspace", subspace]
+    assert main([*argv, "--out", str(out)]) == 0
+    data = json.loads(out.read_bytes())
+    assert (data["total"], data["rejected_nongeneric"], data["contributions"]) == (0, 0, [])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

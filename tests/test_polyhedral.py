@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropcount.exactmath import IntMatrix, clear_denominators, smith_normal_form
+from tropcount.exactmath import IntMatrix, clear_denominators, integer_kernel, smith_normal_form
 from tropcount.polyhedral import (
     DependentGeneratorsError,
     Fan,
@@ -23,6 +24,11 @@ from tropcount.polyhedral import (
 
 P2 = fan_projective_space(2)
 U1, U2, U3 = (1, 0), (0, 1), (-1, -1)
+
+
+def in_relint(fan, idx, p):
+    """Whether p lies in the cone and in none of its proper faces."""
+    return fan.contains(idx, p) and not any(fan.contains(face, p) for face in fan.face_indices(idx) if face != idx)
 
 
 def test_p1_fan():
@@ -88,8 +94,8 @@ def test_locate_incomplete_fan():
 @settings(max_examples=300, deadline=None)
 def test_locate_partitions_p2(px, py, qx, qy):
     p = (Fraction(px, qx), Fraction(py, qy))
-    hits = [i for i in range(len(P2.cones)) if P2.contains(i, p, strict=True)]
-    assert len(hits) == 1
+    hits = [i for i in range(len(P2.cones)) if in_relint(P2, i, p)]
+    assert hits == [locate(P2, p)]
 
 
 def test_locate_partitions_p1xp1_randomized():
@@ -97,21 +103,19 @@ def test_locate_partitions_p1xp1_randomized():
     rng = random.Random(3)
     for _ in range(200):
         p = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-        hits = [i for i in range(len(f.cones)) if f.contains(i, p, strict=True)]
-        assert len(hits) == 1
+        hits = [i for i in range(len(f.cones)) if in_relint(f, i, p)]
+        assert hits == [locate(f, p)]
 
 
 def test_quotient_projection_examples():
-    q = quotient_projection(P2, IntMatrix(2, 0, ()))
-    assert q.projection == IntMatrix.identity(2)
+    assert quotient_projection(P2, IntMatrix(2, 0, ())) == IntMatrix.identity(2)
 
     q = quotient_projection(P2, IntMatrix.from_rows([[1], [1]]))
-    assert q.projection.rows == 1
-    x_minus_y = q.projection.to_lists()[0]
+    assert q.rows == 1
+    x_minus_y = q.to_lists()[0]
     assert x_minus_y in ([1, -1], [-1, 1])
 
-    q = quotient_projection(P2, IntMatrix.identity(2))
-    assert q.projection.rows == 0
+    assert quotient_projection(P2, IntMatrix.identity(2)).rows == 0
 
 
 def test_quotient_projection_rejects_dependent():
@@ -126,8 +130,10 @@ def test_quotient_projection_unit_snf_randomized():
         if v == [0, 0]:
             continue
         q = quotient_projection(P2, IntMatrix.from_rows([[v[0]], [v[1]]]))
-        assert all(e == 0 for e in (q.projection @ q.subspace_basis).entries)
-        assert all(d == 1 for d in smith_normal_form(q.projection).diagonal())
+        # the saturation of the span of v is spanned by v over the gcd of its entries
+        saturation = integer_kernel(q)
+        assert saturation.cols == 1 and saturation.column(0) in {tuple(x // g for x in v) for g in (gcd(*v), -gcd(*v))}
+        assert all(d == 1 for d in smith_normal_form(q).diagonal())
 
 
 def test_extended_point_examples():
@@ -141,6 +147,8 @@ def test_extended_point_examples():
 
     ep = extended_point(P2, (Fraction(0), Fraction(5)), U1)
     assert ep.coset in ((Fraction(5),), (Fraction(-5),))
+    with pytest.raises(ValueError, match="length mismatch"):
+        extended_point(P2, (Fraction(0), Fraction(5), Fraction(1)), U1)
 
 
 def test_extended_point_invariant_under_span_translation():

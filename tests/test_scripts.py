@@ -41,3 +41,23 @@ def test_src_lines_split_every_line_of_each_module():
     assert total[0] == "total"
     assert [int(x) for x in total[1:]] == [sum(int(row[k]) for row in rows) for k in range(1, 6)]
     assert all(int(x) for x in total[1:])
+
+
+def test_reach_lists_the_functions_no_call_enters():
+    # the fan command enters the static method Fan.make, whose code starts at
+    # its decorator's line; neither call enters the count or a cached property
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reach.py"), "fan --name p2", "oracle kontsevich 2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    header, *rows, total = [line.split() for line in run.stdout.splitlines()]
+    assert header == ["module", "function", "lines"]
+    listed = {(module, name) for module, name, _ in rows}
+    assert ("counting.py", "count") in listed and ("polyhedral.py", "Fan.cone_refs") in listed
+    assert not listed & {("polyhedral.py", "Fan.make"), ("counting.py", "kontsevich_oracle"), ("cli.py", "main")}
+    # a nested function is listed only under an entered one
+    assert ("counting.py", "_marked_dfs") in listed and ("counting.py", "_marked_dfs.rec") not in listed
+    assert total == ["total", f"{len(rows)}", "functions", f"{sum(int(row[2]) for row in rows)}"]
