@@ -16,7 +16,6 @@ from .counting import (
     mikhalkin_multiplicity,
     multiplicity,
 )
-from .curves import TropicalCurve, is_smooth, overvalence, stabilize
 from .exactmath import (
     IntMatrix,
     Rational,
@@ -68,7 +67,6 @@ __all__ = [
     "ModuliCone",
     "Rational",
     "SmithDecomposition",
-    "TropicalCurve",
     "TropicalStableMap",
     "assemble_complex",
     "contains",
@@ -81,18 +79,15 @@ __all__ = [
     "generate_constraints",
     "gkm_embedding",
     "integer_kernel",
-    "is_smooth",
     "kontsevich_oracle",
     "lattice_index",
     "locate",
     "mikhalkin_multiplicity",
     "moduli_cone",
     "multiplicity",
-    "overvalence",
     "quotient_projection",
     "smith_normal_form",
     "solve_rational",
-    "stabilize",
     "subdivide",
     "torically_transverse",
     "validate",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -296,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subspace", action="append")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--height-bound", type=_int_at_least(1), default=32)
-    # a string default goes through the type too, so a bad $TROPCOUNT_THREADS is a usage error
-    p.add_argument("--threads", type=_int_at_least(1), default=os.environ.get("TROPCOUNT_THREADS", "1"))
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.add_argument("--retries", type=_int_at_least(0), default=5)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_count)

@@ -1,4 +1,4 @@
-"""Abstract marked rational trees and tropical curves.
+"""Abstract marked rational trees.
 
 ``TreeShape`` is the one tree of the package: vertices, internal edges
 oriented tail < head, and labelled legs (unbounded marked edges attached
@@ -6,23 +6,12 @@ at a vertex). Its staticmethod ``parent_walk`` is the package's one
 depth-first parent walk, over bare edges that may run either way: it is
 behind the tree's connectivity check, its paths from a root
 (``signed_paths``), the edge contacts of ``moduli`` and the census sites
-of ``counting``. A ``TropicalCurve`` is a view on such a tree: each
-internal edge carries a strictly positive rational length, or ``INF`` for
-a nodal curve. Nodal curves can be represented but every moduli
-operation downstream rejects them.
+of ``counting``. ``straighten`` is the package's one stabilizer: a tree's
+lengths or a map's follow it through the edge groups it returns.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from typing import Union
-
-from .exactmath import rational_to_string
-
-INF = math.inf
-Length = Union[Fraction, float]  # Fraction, or math.inf for nodal edges
 
 
 class UnknownLabelError(KeyError):
@@ -46,11 +35,6 @@ class TreeShape:
         labels = sorted(lab for _, lab in self.legs)
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError("leg labels must be 1..n+m")
-
-    def valence(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b)) + sum(
-            1 for w, _ in self.legs if w == v
-        )
 
     def leg_vertex(self, label: int) -> int:
         for v, lab in self.legs:
@@ -99,7 +83,12 @@ class TreeShape:
         return paths
 
     def straighten(self) -> tuple[list[int], TreeShape, list[list[int]]]:
-        """Erase the 2-valent vertices of a tree combinatorially, as ``stabilize`` does.
+        """Erase the 2-valent vertices of a tree combinatorially.
+
+        The two edges at a 2-valent vertex merge into one. At a vertex with
+        one edge and one leg, the leg slides to the edge's far end (its
+        infinite length absorbs the edge's). A vertex carrying two legs and
+        nothing else is irreducible and stays.
 
         Returns the surviving vertices in increasing order (new vertex ``k`` is
         ``kept[k]``), the straightened tree on the new numbering, and per
@@ -131,98 +120,3 @@ class TreeShape:
         edges = tuple(tuple(sorted((relabel[a], relabel[b]))) for a, b, _ in work)
         legs = tuple(sorted((relabel[v], lab) for v, lab in moved))
         return kept, TreeShape(len(kept), edges, legs), [group for _, _, group in work]
-
-
-@dataclass(frozen=True)
-class TropicalCurve:
-    """A tree with ``vertices`` vertices, weighted internal edges and labelled legs."""
-
-    vertices: int
-    internal_edges: tuple[tuple[int, int, Length], ...]
-    legs: tuple[tuple[int, int], ...]  # (vertex, label)
-
-    def __post_init__(self):
-        for _, _, length in self.internal_edges:
-            if length != INF and (not isinstance(length, Fraction) or length <= 0):
-                raise ValueError("internal lengths must be positive rationals or INF")
-        if not self.shape.is_tree():
-            raise ValueError("graph is not a tree")
-
-    @cached_property
-    def shape(self) -> TreeShape:
-        """The underlying tree: each edge oriented tail < head, in this curve's edge order."""
-        return TreeShape(
-            self.vertices,
-            tuple((min(a, b), max(a, b)) for a, b, _ in self.internal_edges),
-            self.legs,
-        )
-
-    def leg_distance(self, label_a: int, label_b: int) -> Length:
-        """Sum of finite internal lengths along the path between two legs."""
-        shape = self.shape
-        paths = TreeShape.signed_paths(shape.vertices, shape.edges, shape.leg_vertex(label_a))
-        return sum((self.internal_edges[i][2] for i, _ in paths[shape.leg_vertex(label_b)]), Fraction(0))
-
-
-def is_smooth(curve: TropicalCurve) -> bool:
-    """True iff every internal edge has finite length."""
-    return all(l != INF for _, _, l in curve.internal_edges)
-
-
-def stabilize(curve: TropicalCurve) -> TropicalCurve:
-    """Erase 2-valent vertices, adding the lengths of the merged edges.
-
-    A 2-valent vertex whose incident edges are an internal edge and a leg is
-    straightened too: the leg slides to the far endpoint (the removed finite
-    length is absorbed into the leg's infinite one).  A vertex carrying two
-    legs and nothing else is irreducible and stays. Edges come out oriented
-    tail < head.
-    """
-    _, stab, groups = curve.shape.straighten()
-    lengths = [l for _, _, l in curve.internal_edges]
-    merged = tuple(
-        (a, b, sum((lengths[k] for k in group), Fraction(0)))
-        for (a, b), group in zip(stab.edges, groups)
-    )
-    return TropicalCurve(stab.vertices, merged, stab.legs)
-
-
-def overvalence(curve: TropicalCurve) -> int:
-    """Total excess valence of the stabilization over trivalence.
-
-    Each finite vertex of the stabilization contributes max(deg - 3, 0);
-    vertices of valence below three only occur for curves with fewer than
-    three legs, where the notion degenerates.
-    """
-    stab = stabilize(curve).shape
-    return sum(max(stab.valence(v) - 3, 0) for v in range(stab.vertices))
-
-
-# --- JSON interface -------------------------------------------------------
-
-
-def length_to_json(l: Length) -> str:
-    return "inf" if l == INF else rational_to_string(l)
-
-
-def length_from_json(s: str) -> Length:
-    return INF if s == "inf" else Fraction(s)
-
-
-def curve_to_json(curve: TropicalCurve) -> dict:
-    from .polyhedral import SCHEMA  # here, not at the top, so that curves loads before polyhedral
-    return {
-        "schema": SCHEMA,
-        "kind": "curve",
-        "vertices": curve.vertices,
-        "edges": [[a, b, length_to_json(l)] for a, b, l in curve.internal_edges],
-        "legs": [[v, lab] for v, lab in curve.legs],
-    }
-
-
-def curve_from_json(data: dict) -> TropicalCurve:
-    return TropicalCurve(
-        data["vertices"],
-        tuple((a, b, length_from_json(s)) for a, b, s in data["edges"]),
-        tuple((v, lab) for v, lab in data["legs"]),
-    )

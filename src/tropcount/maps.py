@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .curves import TreeShape, TropicalCurve, UnknownLabelError
+from .curves import TreeShape, UnknownLabelError
 from .exactmath import rational_to_string
 from .polyhedral import (
     Fan,
@@ -84,18 +84,6 @@ class DiscreteData:
         total = [sum(c[k] for _, c in self.contact_legs) for k in range(self.fan.rank)]
         if any(total):
             raise ValueError(f"the contact orders sum to {total}, not to zero, so no map balances")
-
-    def degree_vector(self) -> dict[int, int]:
-        """Per-ray total weight; defined only for torically transverse data."""
-        if not torically_transverse(self):
-            raise ValueError("degree vector needs torically transverse contacts")
-        out = {i: 0 for i in range(len(self.fan.rays))}
-        for _, c in self.contact_legs:
-            ray_idx = self.fan.cones[locate(self.fan, [Fraction(x) for x in c])][0]
-            ray = self.fan.rays[ray_idx]
-            w = next(abs(ci) // abs(ri) for ci, ri in zip(c, ray) if ri)
-            out[ray_idx] += w
-        return out
 
 
 def torically_transverse(gamma: DiscreteData) -> bool:
@@ -202,13 +190,6 @@ class TropicalStableMap:
         if len(self.lengths) != len(self.type.shape.edges):
             raise ValueError("lengths length mismatch")
 
-    def curve(self) -> TropicalCurve:
-        return TropicalCurve(
-            self.type.shape.vertices,
-            tuple((a, b, l) for (a, b), l in zip(self.type.shape.edges, self.lengths)),
-            self.type.shape.legs,
-        )
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -254,8 +235,10 @@ def validate(f: TropicalStableMap) -> ValidationReport:
         out.append(Violation("tree", "source graph is not a tree"))
         return ValidationReport(tuple(out))
 
+    # an exact length: a Fraction, or an int that is not a bool
+    finite = [isinstance(l, Fraction) or (isinstance(l, int) and not isinstance(l, bool)) for l in f.lengths]
     for i, l in enumerate(f.lengths):
-        if not isinstance(l, Fraction):
+        if not finite[i]:
             out.append(Violation("smooth", f"edge {i} has non-finite length"))
         elif l <= 0:
             out.append(Violation("positive-length", f"edge {i} has length {l} <= 0"))
@@ -267,7 +250,7 @@ def validate(f: TropicalStableMap) -> ValidationReport:
             out.append(Violation("vertex-in-cone", f"vertex {v} lies outside its cone"))
 
     for i, ((a, b), c) in enumerate(zip(shape.edges, f.type.edge_contacts)):
-        if not isinstance(f.lengths[i], Fraction):
+        if not finite[i]:
             continue
         expect = tuple(pa + f.lengths[i] * ci for pa, ci in zip(f.positions[a], c))
         if expect != tuple(f.positions[b]):
@@ -491,17 +474,11 @@ def type_to_json(t: CombinatorialType) -> dict:
     }
 
 
-def _check_rank(fan: Fan, what: str, vector) -> None:
-    """Refuse an input vector with other than the fan's rank of coordinates."""
-    if len(vector) != fan.rank:
-        raise ValueError(f"{what} has {len(vector)} coordinates, but the fan has rank {fan.rank}")
-
-
 def type_from_json(fan: Fan, data: dict) -> CombinatorialType:
     for a, b, c, _ in data["edges"]:
-        _check_rank(fan, f"the contact of edge ({a}, {b})", c)
+        fan.check_rank(c, f"the contact of edge ({a}, {b})")
     for _, lab, c, _ in data["legs"]:
-        _check_rank(fan, f"the contact of leg {lab}", c)
+        fan.check_rank(c, f"the contact of leg {lab}")
     edges = tuple((a, b) for a, b, _, _ in data["edges"])
     legs = tuple((v, lab) for v, lab, _, _ in data["legs"])
     return CombinatorialType(
@@ -530,7 +507,7 @@ def map_from_json(data: dict, fan: Optional[Fan] = None) -> TropicalStableMap:
     fan = fan if fan is not None else fan_from_json(data["fan"])
     t = type_from_json(fan, data["type"])
     for v, p in enumerate(data["positions"]):
-        _check_rank(fan, f"the position of vertex {v}", p)
+        fan.check_rank(p, f"the position of vertex {v}")
     positions = tuple(tuple(Fraction(x) for x in p) for p in data["positions"])
     lengths = tuple(Fraction(l) for l in data["lengths"])
     return TropicalStableMap(t, positions, lengths)

@@ -183,6 +183,11 @@ class Fan:
             self._cone_cache[cone_idx] = data
         return data
 
+    def check_rank(self, p: Sequence, what: str = "the point") -> None:
+        """Refuse a vector with other than the fan's rank of coordinates."""
+        if len(p) != self.rank:
+            raise ValueError(f"{what} has {len(p)} coordinates, but the fan has rank {self.rank}")
+
     def _coefficient_numerators(self, cone_idx: int, q: Sequence[int]) -> Optional[list[int]]:
         """adj(G)·Rᵀ·q for an integer q in the cone's span, None if q is off it."""
         data = self.cone_data(cone_idx)
@@ -199,6 +204,7 @@ class Fan:
         span test and the coefficients are integer dot products; the only
         ``Fraction``s built are the returned values.
         """
+        self.check_rank(p)
         q, den = clear_denominators(p)
         nums = self._coefficient_numerators(cone_idx, q)
         if nums is None:
@@ -208,6 +214,7 @@ class Fan:
 
     def contains(self, cone_idx: int, p: Sequence[Fraction]) -> bool:
         """Whether p lies in the closed cone; ``locate`` finds the cone of its relative interior."""
+        self.check_rank(p)
         # the coefficients are the numerators over a positive denominator
         nums = self._coefficient_numerators(cone_idx, clear_denominators(p)[0])
         return nums is not None and all(c >= 0 for c in nums)
@@ -275,6 +282,7 @@ def point_fan() -> Fan:
 def locate(fan: Fan, p: Sequence[Fraction]) -> int:
     """Index of the unique cone containing p in its relative interior."""
     p = tuple(Fraction(x) for x in p)
+    fan.check_rank(p)
     q, _ = clear_denominators(p)
     for idx in range(len(fan.cones)):
         nums = fan._coefficient_numerators(idx, q)

@@ -21,9 +21,9 @@ from tropcount.polyhedral import fan_from_json
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*argv, check=True, env=None):
+def run_cli(*argv, check=True):
     """Run the CLI in a child interpreter that imports the package from ``src``."""
-    child_env = dict(os.environ, **(env or {}))
+    child_env = dict(os.environ)
     child_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
     )
@@ -225,24 +225,11 @@ def test_main_entrypoint_in_process(capsys):
     assert capsys.readouterr().out.strip() == "12"
 
 
-def test_threads_env_var_default():
-    proc = run_cli(
-        "count", "--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--seed", "7",
-        env={"TROPCOUNT_THREADS": "2"},
-    )
-    assert json.loads(proc.stdout)["total"] == 1
-
-
-@pytest.mark.parametrize(
-    "flag,env",
-    [((), {"TROPCOUNT_THREADS": "two"}), (("--threads", "0"), {}), (("--threads", "-2"), {})],
-    ids=["bad-env", "zero", "negative"],
-)
-def test_bad_thread_count_is_a_usage_error(flag, env):
-    argv = ["count", "--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", *flag]
-    proc = run_cli(*argv, env=env, check=False)
+@pytest.mark.parametrize("bad", ["0", "-2"], ids=["zero", "negative"])
+def test_bad_thread_count_is_a_usage_error(bad):
+    argv = ["count", "--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--threads", bad]
+    proc = run_cli(*argv, check=False)
     assert proc.returncode == 64
-    bad = env.get("TROPCOUNT_THREADS") or flag[1]
     assert f"argument --threads: not a positive integer: '{bad}'" in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -271,11 +258,6 @@ def test_bad_integer_argument_is_a_usage_error(argv, kind):
     assert proc.returncode == 64
     assert f"argument {rest[-2]}: not a {kind} integer: '{rest[-1]}'" in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-def test_bad_thread_env_var_leaves_other_commands_alone():
-    proc = run_cli("oracle", "kontsevich", "3", env={"TROPCOUNT_THREADS": "two"})
-    assert proc.stdout == "12\n"
 
 
 def test_retries_exhausted_exit_code():

@@ -91,6 +91,22 @@ def test_negative_length_rejected():
     assert "positive-length" in validate(bad).conditions()
 
 
+def test_an_integer_length_is_finite():
+    # the valid wall map with its length 1 as a plain int
+    f = subdivided_wall_map()
+    report = validate(TropicalStableMap(f.type, f.positions, (1,)))
+    assert report.valid, report
+    # an int that is off by one still meets the edge equation check
+    report = validate(TropicalStableMap(f.type, f.positions, (2,)))
+    assert report.conditions() == {"edge-equation"}
+
+
+@pytest.mark.parametrize("length", [float("inf"), True], ids=["inf", "bool"])
+def test_a_length_that_is_not_exact_is_not_smooth(length):
+    f = subdivided_wall_map()
+    assert validate(TropicalStableMap(f.type, f.positions, (length,))).conditions() == {"smooth"}
+
+
 def test_midcone_divalent_vertex_is_unstable():
     # Subdivide the bounded edge of the valid wall map at its midpoint: the
     # new vertex joins two collinear edges strictly inside a maximal cone.
@@ -249,7 +265,6 @@ def test_global_balancing_of_valid_maps():
 def test_torically_transverse():
     gamma = DiscreteData(P2, ((1, U1), (2, U2), (3, U3)), ())
     assert torically_transverse(gamma)
-    assert gamma.degree_vector() == {P2.rays.index(U1): 1, P2.rays.index(U2): 1, P2.rays.index(U3): 1}
 
     gamma = DiscreteData(P2, ((1, (1, 1)), (2, (-1, -1)), (3, U3)), ())
     assert not torically_transverse(gamma)
@@ -288,19 +303,26 @@ def test_degree_vector_p1xp1():
         (5,),
     )
     assert torically_transverse(gamma)
-    assert set(gamma.degree_vector().values()) == {1}
+    # degree (1, 1, 1, 1): each contact is a ray of its own, with weight 1
+    assert sorted(f.rays.index(c) for _, c in gamma.contact_legs) == list(range(4))
 
 
 def test_subdivide_stabilize_metric_compatibility():
-    # cutting at walls and re-straightening preserves all leg-to-leg distances
-    from tropcount.curves import stabilize
+    # cutting at walls keeps every leg-to-leg distance, before straightening
+    # and after it
+    def leg_distance(shape, lengths, i, j):
+        paths = TreeShape.signed_paths(shape.vertices, shape.edges, shape.leg_vertex(i))
+        return sum((lengths[k] for k, _ in paths[shape.leg_vertex(j)]), Fraction(0))
+
+    def straightened(h):
+        _, stab, groups = h.type.shape.straighten()
+        return stab, [sum((h.lengths[k] for k in group), Fraction(0)) for group in groups]
 
     f = subdivided_wall_map()
     g = subdivide(f)
-    a = stabilize(f.curve())
-    b = stabilize(g.curve())
     labels = [lab for _, lab in f.type.shape.legs]
     for i in labels:
         for j in labels:
             if i < j:
-                assert a.leg_distance(i, j) == b.leg_distance(i, j)
+                assert leg_distance(f.type.shape, f.lengths, i, j) == leg_distance(g.type.shape, g.lengths, i, j)
+                assert leg_distance(*straightened(f), i, j) == leg_distance(*straightened(g), i, j)

@@ -84,6 +84,23 @@ def test_locate_examples():
     assert P2.cones[idx] == (P2.rays.index(U1),)
 
 
+@pytest.mark.parametrize("point", [(1, 2, 3), (1,)], ids=["long", "short"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: locate(P2, p),
+        lambda p: P2.contains(P2.cone_index((0,)), p),
+        lambda p: P2.cone_coefficients(P2.cone_index((0,)), p),
+    ],
+    ids=["locate", "contains", "cone_coefficients"],
+)
+def test_a_point_of_the_wrong_length_is_refused(call, point):
+    # the cone's rows would be zipped with the point, silently dropping or
+    # missing coordinates
+    with pytest.raises(ValueError, match=f"the point has {len(point)} coordinates, but the fan has rank 2"):
+        call(tuple(Fraction(x) for x in point))
+
+
 def test_locate_incomplete_fan():
     half = Fan.make(2, [[1, 0], [0, 1]], [[0, 1]])
     with pytest.raises(NotCompleteError):

@@ -61,3 +61,47 @@ def test_reach_lists_the_functions_no_call_enters():
     # a nested function is listed only under an entered one
     assert ("counting.py", "_marked_dfs") in listed and ("counting.py", "_marked_dfs.rec") not in listed
     assert total == ["total", f"{len(rows)}", "functions", f"{sum(int(row[2]) for row in rows)}"]
+
+
+# What no command enters, each with why it stays under src/. A function
+# missing here fails the test below, and so does an entry no longer listed.
+UNREACHED = {
+    ("cli.py", "_logger"): "error path: built only when a retry notice or an --svg refusal is logged",
+    ("cli.py", "_Parser.error"): "error path: a usage error, exit 64",
+    ("counting.py", "evaluation_matrix"): "test oracle: the evaluation rows of a type as one matrix",
+    ("counting.py", "multiplicity"): "test oracle: a type's lattice index, apart from the count",
+    ("counting.py", "mikhalkin_multiplicity"): "test oracle: Mikhalkin's vertex product",
+    ("counting.py", "_map_workers"): "pool-worker path: a count on more than one worker",
+    ("counting.py", "count_result_from_json"): "JSON reader kept for validating count files (ROADMAP item 15)",
+    ("exactmath.py", "IntMatrix.column"): "test oracle: read by the tests' lattice checks",
+    ("exactmath.py", "SmithDecomposition.diagonal"): "test oracle: the Smith form",
+    ("exactmath.py", "SmithDecomposition.rank"): "test oracle: the Smith form",
+    ("exactmath.py", "_diagonalize"): "test oracle: the Smith form",
+    ("exactmath.py", "smith_normal_form"): "test oracle: the Smith form",
+    ("exactmath.py", "lattice_index"): "test oracle: lattice indices by the Smith form",
+    ("exactmath.py", "solve_rational"): "test oracle: exact solves apart from the fraction-free elimination",
+    ("lp.py", "_phase_one"): "test oracle: the exact LP, which perfbench's tracer imports (ROADMAP item 17)",
+    ("lp.py", "strict_point"): "test oracle: the exact LP, which perfbench's tracer imports (ROADMAP item 17)",
+    ("maps.py", "ValidationReport.conditions"): "test oracle: the set of violated conditions",
+    ("moduli.py", "ModuliCone.ambient_dim"): "test oracle: the ambient view of a moduli cone",
+    ("moduli.py", "ModuliCone.ambient_coordinates"): "test oracle: the ambient view of a moduli cone",
+    ("moduli.py", "contains"): "test oracle: classifies a map against a moduli cone",
+    ("moduli.py", "unimodular_equivalent"): "caller under scripts/: dual_plane_moduli.py",
+    ("moduli.py", "_matrix_from_json"): "JSON reader kept for validating complex files (ROADMAP item 15)",
+    ("moduli.py", "complex_from_json"): "JSON reader kept for validating complex files (ROADMAP item 15)",
+    ("moduli.py", "embedding_from_json"): "JSON reader kept for validating embed files (ROADMAP item 15)",
+    ("polyhedral.py", "Fan.__getstate__"): "pool-worker path: pickles a fan without its caches",
+    ("polyhedral.py", "point_fan"): "test oracle: the rank-0 fan",
+    ("polyhedral.py", "extended_point"): "test oracle: ev_trop's limit point of a contact leg, which no command asks for",
+}
+
+
+def test_reach_lists_only_the_allowed_functions():
+    # a ratchet: a new function that no command enters must be given a reason
+    # here, and one that a command now enters, or that is gone, leaves
+    run = subprocess.run([sys.executable, str(SCRIPTS / "reach.py")], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    _, *rows, _ = [line.split() for line in run.stdout.splitlines()]
+    listed = {(module, name) for module, name, _ in rows}
+    assert sorted(listed - UNREACHED.keys()) == []
+    assert sorted(UNREACHED.keys() - listed) == []
