@@ -308,8 +308,8 @@ def test_degree_vector_p1xp1():
 
 
 def test_subdivide_stabilize_metric_compatibility():
-    # cutting at walls keeps every leg-to-leg distance, before straightening
-    # and after it
+    # the edge from (2, 1) along u3 crosses the wall <u1> at (1, 0); cutting
+    # it there keeps every leg-to-leg distance, before straightening and after
     def leg_distance(shape, lengths, i, j):
         paths = TreeShape.signed_paths(shape.vertices, shape.edges, shape.leg_vertex(i))
         return sum((lengths[k] for k, _ in paths[shape.leg_vertex(j)]), Fraction(0))
@@ -318,8 +318,11 @@ def test_subdivide_stabilize_metric_compatibility():
         _, stab, groups = h.type.shape.straighten()
         return stab, [sum((h.lengths[k] for k in group), Fraction(0)) for group in groups]
 
-    f = subdivided_wall_map()
+    shape = TreeShape(2, ((0, 1),), ((0, 1), (0, 2), (1, 3), (1, 4)))
+    t = CombinatorialType(P2, shape, (None, None), (U3,), (None,), (U1, U2, U3, (0, 0)), (None,) * 4)
+    f = TropicalStableMap(t, (frac_point(2, 1), frac_point(-1, -2)), (Fraction(3),))
     g = subdivide(f)
+    assert g.type.shape.vertices == 3 and sorted(g.lengths) == [Fraction(1), Fraction(2)]
     labels = [lab for _, lab in f.type.shape.legs]
     for i in labels:
         for j in labels:
