@@ -15,7 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from tropcount.figures import fan_svg
 from tropcount.maps import DiscreteData
-from tropcount.moduli import assemble_complex, gkm_embedding, unimodular_equivalent
+from tropcount.moduli import assemble_complex, fan_isomorphisms, gkm_embedding
 from tropcount.polyhedral import Fan, fan_projective_space
 
 
@@ -44,8 +44,8 @@ def main(argv: list[str]) -> None:
         [[0, 2], [1, 2], [0, 4], [3, 5], [1, 3], [4, 5]],
         name="hexagon",
     )
-    g = unimodular_equivalent(emb.to_fan(), hexagon)
-    print(f"unimodular match with the hexagon fan: {g.to_lists() if g else None}")
+    match = next(fan_isomorphisms(emb.to_fan(), hexagon), None)
+    print(f"unimodular match with the hexagon fan: {match[0].to_lists() if match else None}")
 
     out = pathlib.Path(argv[0]) if argv else pathlib.Path(__file__).resolve().parent / "dual_plane_fan.svg"
     out.write_text(fan_svg(emb.to_fan(), title="moduli of degree-1 maps, embedded"))

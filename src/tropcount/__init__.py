@@ -14,22 +14,12 @@ from .counting import (
     generate_constraints,
     kontsevich_oracle,
     mikhalkin_multiplicity,
-    multiplicity,
 )
-from .exactmath import (
-    IntMatrix,
-    Rational,
-    SmithDecomposition,
-    integer_kernel,
-    lattice_index,
-    smith_normal_form,
-    solve_rational,
-)
+from .exactmath import IntMatrix, Rational, integer_kernel
 from .maps import (
     CombinatorialType,
     DiscreteData,
     TropicalStableMap,
-    ev_trop,
     subdivide,
     torically_transverse,
     validate,
@@ -39,15 +29,12 @@ from .moduli import (
     EmbeddedFan,
     ModuliCone,
     assemble_complex,
-    contains,
     face_types,
     gkm_embedding,
     moduli_cone,
 )
 from .polyhedral import (
-    ExtendedPoint,
     Fan,
-    extended_point,
     fan_product,
     fan_projective_space,
     locate,
@@ -61,18 +48,13 @@ __all__ = [
     "CountResult",
     "DiscreteData",
     "EmbeddedFan",
-    "ExtendedPoint",
     "Fan",
     "IntMatrix",
     "ModuliCone",
     "Rational",
-    "SmithDecomposition",
     "TropicalStableMap",
     "assemble_complex",
-    "contains",
     "count",
-    "ev_trop",
-    "extended_point",
     "face_types",
     "fan_product",
     "fan_projective_space",
@@ -80,14 +62,10 @@ __all__ = [
     "gkm_embedding",
     "integer_kernel",
     "kontsevich_oracle",
-    "lattice_index",
     "locate",
     "mikhalkin_multiplicity",
     "moduli_cone",
-    "multiplicity",
     "quotient_projection",
-    "smith_normal_form",
-    "solve_rational",
     "subdivide",
     "torically_transverse",
     "validate",

@@ -26,7 +26,6 @@ from .maps import (
     CombinatorialType,
     DiscreteData,
     TropicalStableMap,
-    ev_trop,
     map_from_json,
     map_to_json,
     oriented,
@@ -325,7 +324,7 @@ def _uncontracted_sites(rank: int, tree, leg) -> list[tuple[Optional[int], Optio
     return sites
 
 
-def _closed_cone_test(vs: Sequence[Vec], rank: int, stride: int = 1):
+def _closed_cone_test(vs: Sequence[Vec], rank: int, stride: int):
     """A function from directions to the bitset of the vs in their closed cone, vs[i] at bit stride*i.
 
     By Farkas' lemma v lies in the closed cone of the directions iff y.v >= 0
@@ -712,28 +711,14 @@ def _census_legs(problem: CountProblem) -> list[tuple[int, Vec]]:
     return legs
 
 
-def evaluation_matrix(theta: CombinatorialType, problem: CountProblem) -> IntMatrix:
-    """Stacked constrained evaluations of an unconfined stabilized type.
-
-    Columns are the position of the vertex carrying leg 1, the root of
-    ``moduli.moduli_cone``, followed by the internal edge lengths, a basis
-    of the type's moduli lattice; rows are the projected evaluations of the
-    trivial legs in label order, each projection row p read at its leg's
-    vertex by ``moduli.position_row``.
-    """
-    if any(cone is not None for cone in theta.vertex_cones):
-        raise ValueError("evaluation matrices are built for unconfined stabilized types")
-    shape = theta.shape
-    at = {lab: v for v, lab in shape.legs}
-    rows, _ = _evaluation_rows(problem, shape.vertices, shape.edges, theta.edge_contacts, at)
-    return IntMatrix.from_rows(rows, problem.gamma.fan.rank + len(shape.edges))
-
-
 def _evaluation_rows(problem: CountProblem, vertices: int, edges, contacts, leg_vertex: dict[int, int]):
-    """The rows of ``evaluation_matrix`` of a tree on bare ``(a, b)`` edges,
-    each of contact pointing from a to b, with ``leg_vertex`` taking a label
-    to its leg's vertex; and the ``signed_paths`` from its root, the vertex
-    of leg 1, that they read. A type and a working tree share it."""
+    """The evaluation rows of a tree on bare ``(a, b)`` edges, each of contact
+    pointing from a to b, with ``leg_vertex`` taking a label to its leg's
+    vertex; and the ``signed_paths`` from its root, the vertex of leg 1,
+    that they read. The columns are the root's position, as in
+    ``moduli.moduli_cone``, then the edge lengths: a basis of the tree's
+    moduli lattice. Each covector of ``problem.rows``, in label order, is
+    read at its leg's vertex by ``moduli.position_row``."""
     paths = TreeShape.signed_paths(vertices, edges, leg_vertex[1])
     rows = [position_row(p, paths[leg_vertex[label]], contacts) for label, p in problem.rows]
     return rows, paths
@@ -749,16 +734,6 @@ def _lattice_index(rows: list[list[int]], n: int) -> int:
     if any(any(row[n:]) for row in rows[len(pivots) :]):
         raise SingularError("evaluation matrix is singular (inconsistent)")
     return abs(d) if len(pivots) == n else 0
-
-
-def multiplicity(theta: CombinatorialType, problem: CountProblem) -> int:
-    """The type's contribution weight, the lattice index |det| of its evaluation
-    matrix (``_lattice_index``); SingularError unless it is square and of full rank."""
-    m = evaluation_matrix(theta, problem)
-    index = _lattice_index(m.to_lists(), m.cols)
-    if not index:
-        raise SingularError("type is not rigid against this constraint pattern")
-    return index
 
 
 def mikhalkin_multiplicity(theta: CombinatorialType) -> int:
@@ -838,9 +813,10 @@ def _solve_tree(problem: CountProblem, tree):
             f"seed {problem.constraints.seed}: the map solved from the vertex of leg 1 "
             f"for type {shape} fails validation: {sorted(report.conditions())}"
         )
-    cosets = {label: ev_trop(full, label).coset for label in problem.gamma.trivial_legs}
+    # a trivial leg's evaluation is the position of its vertex
+    vertex_of = {label: v for v, label in full.type.shape.legs}
     for (label, p), b in zip(problem.rows, problem.targets):
-        if sum(map(mul, p, cosets[label])) * den != b:
+        if sum(map(mul, p, full.positions[vertex_of[label]])) * den != b:
             raise SolveCheckError(
                 f"seed {problem.constraints.seed}: the map solved from the vertex of leg 1 "
                 f"for type {shape} misses the constraint translate of leg {label}"

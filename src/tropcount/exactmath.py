@@ -4,21 +4,18 @@ Everything downstream (cone membership, moduli cone dimensions, lattice
 multiplicities) is decided by the routines in this module, so all of them
 work over arbitrary-precision ``int`` and never touch floating point.
 Rational inputs and results are ``fractions.Fraction``, but no
-elimination does arithmetic on them. There are two eliminations, and an
-oracle.
+elimination does arithmetic on them. There are two eliminations.
 
 - ``fraction_free_rref``, a fraction-free Gauss–Jordan, answers the
-  questions over ℚ. ``rank`` runs it, and ``solve_rational`` runs it on
-  a right-hand side cleared of its denominators and divides out once at
-  the end; determinants are read off its last pivot.
+  questions over ℚ. ``rank`` runs it, and determinants are read off its
+  last pivot.
 - ``integer_kernel``, a unimodular row reduction to Hermite normal form,
   gives a kernel lattice its canonical basis, and through that a span's
   quotient projection (``lattice_quotient``) and saturation.
   ``hermite_solve`` solves against such a basis.
-- ``_diagonalize``, a Smith normal form loop, runs only under
-  ``smith_normal_form`` and ``lattice_index``, which no module of the
-  package calls: they are the independent oracle the tests check the
-  other two against.
+
+The Smith normal form that the tests check both against lives with the
+tests, in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -30,10 +27,6 @@ from typing import Optional, Sequence
 # Rational coordinates throughout the package are plain ``Fraction``s; the
 # stdlib type already maintains denominator > 0 and gcd-reduced form.
 Rational = Fraction
-
-
-class RankDeficientError(ValueError):
-    """The matrix does not surject onto its target lattice after ⊗ℚ."""
 
 
 def clear_denominators(vec: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -90,9 +83,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -125,157 +115,13 @@ class IntMatrix:
         return [sum(a * x for a, x in zip(self.row(i), vec)) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Unimodular left/right factors with left·A·right = diag."""
-
-    left: IntMatrix
-    diag: IntMatrix
-    right: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        n = min(self.diag.rows, self.diag.cols)
-        return tuple(self.diag.at(i, i) for i in range(n))
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
-
-def _diagonalize(
-    d: list[list[int]],
-    ncols: int,
-    rows: Sequence[list[list[int]]] = (),
-    cols: Sequence[list[list[int]]] = (),
-) -> int:
-    """Bring the integer rows ``d`` (``ncols`` wide) to Smith normal form in
-    place and return the rank.
-
-    Pivots are chosen as the smallest nonzero absolute value in the
-    remaining block, which keeps intermediate entries from exploding.
-    The diagonal ends nonnegative and satisfies the divisibility chain
-    d_i | d_{i+1}.
-
-    The transforms asked for start as identities and are all kept row by
-    row, so each update is one list comprehension. For U·A·V = D:
-    a matrix in ``rows`` receives every row operation on d and ends as U;
-    one in ``cols`` ends as Vᵀ.
-    """
-    m, n = len(d), ncols
-
-    def row_add(src: int, dst: int, f: int) -> None:
-        for mat in (d, *rows):
-            mat[dst] = [x + f * y for x, y in zip(mat[dst], mat[src])]
-
-    def row_swap(a: int, b: int) -> None:
-        for mat in (d, *rows):
-            mat[a], mat[b] = mat[b], mat[a]
-
-    def col_add(src: int, dst: int, f: int) -> None:
-        for row in d:
-            row[dst] += f * row[src]
-        for mat in cols:
-            mat[dst] = [x + f * y for x, y in zip(mat[dst], mat[src])]
-
-    def col_swap(a: int, b: int) -> None:
-        for row in d:
-            row[a], row[b] = row[b], row[a]
-        for mat in cols:
-            mat[a], mat[b] = mat[b], mat[a]
-
-    t = 0
-    while t < min(m, n):
-        # Locate the smallest-|value| nonzero pivot in the trailing block.
-        pi = pj = -1
-        best = 0
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(d[i][j])
-                if v and (best == 0 or v < best):
-                    best, pi, pj = v, i, j
-        if best == 0:
-            break
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-
-        while True:
-            # Reduce column t, then row t, restarting whenever a remainder
-            # smaller than the pivot shows up.
-            restart = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    if q:
-                        row_add(t, i, -q)
-                    if d[i][t]:
-                        row_swap(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    if q:
-                        col_add(t, j, -q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # Divisibility fix-up: fold a non-divisible entry into row t.
-            # A unit pivot divides everything.
-            bad = None
-            if abs(d[t][t]) != 1:
-                for i in range(t + 1, m):
-                    if any(x % d[t][t] for x in d[i][t + 1 :]):
-                        bad = i
-                        break
-            if bad is None:
-                break
-            row_add(bad, t, 1)
-        t += 1
-
-    for i in range(t):
-        if d[i][i] < 0:
-            for mat in (d, *rows):
-                mat[i] = [-x for x in mat[i]]
-    return t
-
-
 def _from_columns(columns: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
     return IntMatrix(nrows, len(columns), tuple(x for row in zip(*columns) for x in row))
-
-
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Diagonalize over ℤ with unimodular row/column operations (see
-    ``_diagonalize``); left·A·right = diag."""
-    d = a.to_lists()
-    left, right_t = IntMatrix.identity(a.rows).to_lists(), IntMatrix.identity(a.cols).to_lists()
-    _diagonalize(d, a.cols, rows=[left], cols=[right_t])
-    return SmithDecomposition(
-        IntMatrix.from_rows(left, a.rows), IntMatrix.from_rows(d, a.cols), _from_columns(right_t, a.cols)
-    )
 
 
 def rank(a: IntMatrix) -> int:
     """Rank over ℚ, by fraction-free Gauss–Jordan elimination over ``int``."""
     return len(fraction_free_rref([list(a.row(i)) for i in range(a.rows)], a.cols)[0])
-
-
-def lattice_index(a: IntMatrix) -> int:
-    """Index of the image lattice A(ℤ^cols) inside ℤ^rows.
-
-    Requires A to be surjective after tensoring with ℚ; equals |det A| for
-    square A.
-    """
-    d = a.to_lists()
-    r = _diagonalize(d, a.cols)
-    if r < a.rows:
-        raise RankDeficientError(f"matrix of rank {r} cannot surject onto ZZ^{a.rows}")
-    return math.prod(d[i][i] for i in range(r))
 
 
 def _reduce(row: list[int], pivot: Sequence[int], c: int) -> list[int]:
@@ -373,30 +219,6 @@ def fraction_free_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], in
         d = p
         pivots.append(c)
     return pivots, d
-
-
-def solve_rational(
-    a: IntMatrix, b: Sequence[Fraction]
-) -> Optional[tuple[tuple[Fraction, ...], bool]]:
-    """Solve A x = b exactly over ℚ, by fraction-free elimination.
-
-    b is cleared of its denominators first, so the elimination runs over
-    ``int``; the result is divided out once at the end. Returns
-    ``(solution, unique)`` where ``unique`` is True iff the kernel is
-    trivial, or ``None`` when the system is inconsistent. The free
-    variables of a non-unique solution are 0.
-    """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    rhs, den = clear_denominators(b)
-    rows = [list(a.row(i)) + [y] for i, y in enumerate(rhs)]
-    pivots, d = fraction_free_rref(rows, a.cols)
-    if any(row[-1] for row in rows[len(pivots) :]):
-        return None
-    x = [Fraction(0)] * a.cols
-    for row, c in zip(rows, pivots):
-        x[c] = Fraction(row[-1], d * den)
-    return tuple(x), len(pivots) == a.cols
 
 
 def lattice_quotient(basis: IntMatrix) -> IntMatrix:

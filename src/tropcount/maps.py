@@ -19,18 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .curves import TreeShape, UnknownLabelError
+from .curves import TreeShape
 from .exactmath import rational_to_string
-from .polyhedral import (
-    Fan,
-    SCHEMA,
-    NotCompleteError,
-    extended_point,
-    fan_from_json,
-    fan_to_json,
-    locate,
-    ExtendedPoint,
-)
+from .polyhedral import SCHEMA, Fan, NotCompleteError, fan_from_json, fan_to_json, locate
 
 Vector = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -429,18 +420,6 @@ def subdivide(f: TropicalStableMap) -> TropicalStableMap:
     leg_walks = [walk(v, c, None) for (v, _), c in zip(shape.legs, f.type.leg_contacts)]
     new_type = threaded(fan, shape, cones, f.type.edge_contacts, f.type.leg_contacts, edge_walks, leg_walks)
     return TropicalStableMap(new_type, tuple(positions), tuple(lengths))
-
-
-def ev_trop(f: TropicalStableMap, label: int) -> ExtendedPoint:
-    """Image of the infinite point of the marked edge with the given label."""
-    fan = f.type.fan
-    for (v, lab), c in zip(f.type.shape.legs, f.type.leg_contacts):
-        if lab == label:
-            if not any(c):
-                zero = fan.cone_index(())
-                return ExtendedPoint(zero, tuple(f.positions[v]))
-            return extended_point(fan, f.positions[v], c)
-    raise UnknownLabelError(f"no leg labelled {label}")
 
 
 # --- JSON interface -------------------------------------------------------

@@ -1,7 +1,7 @@
 """Moduli cones of combinatorial types and the glued cone complex.
 
 A type's moduli cone lives on (position of the root, length of every
-internal edge), the coordinates of ``counting.evaluation_matrix``: the
+internal edge), the coordinates of ``counting._evaluation_rows``: the
 root is the vertex of leg 1, which no contraction removes, and a vertex
 sits at the root plus sign·length·contact over the edges of its path
 from it. A confined vertex's span cuts pos_v in span(cone_v) are
@@ -9,7 +9,7 @@ integral rows on these r + E coordinates, and the cone is carved out of
 their kernel lattice by the ray-coefficient and length inequalities; its
 span basis is the kernel's Hermite basis, which depends on the lattice
 alone. Dimensions are exact ranks, never the generic formula.
-``contains`` and ``classify`` still read every vertex position.
+``classify`` still reads every vertex position.
 
 Faces come from the same inequalities. An exact double description over
 the integers finds each cone's extreme rays once; their sum is the
@@ -56,7 +56,6 @@ from .maps import (
     CombinatorialType,
     DiscreteData,
     InvalidTypeError,
-    TropicalStableMap,
     Vector,
     oriented,
     threaded,
@@ -69,10 +68,6 @@ class UnsupportedRankError(ValueError):
 
 
 class NotAssembledError(ValueError):
-    pass
-
-
-class ShapeMismatchError(ValueError):
     pass
 
 
@@ -265,23 +260,14 @@ class ModuliCone:
     span_basis: IntMatrix
     dimension: int
 
-    @property
-    def ambient_dim(self) -> int:
-        """The number of ambient coordinates: every vertex position, then the lengths."""
-        return self.type.fan.rank * self.type.shape.vertices + len(self.type.shape.edges)
-
-    def ambient_coordinates(self, f: TropicalStableMap) -> list[Fraction]:
-        if f.type.shape.edges != self.type.shape.edges or f.type.shape.legs != self.type.shape.legs:
-            raise ShapeMismatchError("map shape does not match the type")
-        return [Fraction(x) for p in f.positions for x in p] + [Fraction(l) for l in f.lengths]
-
     def ambient_point(self, x: Sequence) -> list:
         """Ambient coordinates of the point x = (root position, lengths)."""
         positions = vertex_positions(x, self.paths, self.type.edge_contacts)
         return [c for p in positions for c in p] + list(x[self.type.fan.rank :])
 
     def classify(self, coords: Sequence[Fraction]) -> str:
-        """Classify ambient coordinates exactly: 'interior', 'boundary' or 'outside'."""
+        """Classify ambient coordinates (every vertex position, then the edge
+        lengths) exactly: 'interior', 'boundary' or 'outside'."""
         # every test below reads signs, which clearing denominators keeps
         coords, _ = clear_denominators(coords)
         r = self.type.fan.rank
@@ -353,11 +339,6 @@ def moduli_cone(theta: CombinatorialType) -> ModuliCone:
     """A checked type's moduli cone: its span cuts and their kernel's Hermite basis."""
     theta.check()
     return _unchecked_cone(theta)
-
-
-def contains(cone: ModuliCone, f: TropicalStableMap) -> str:
-    """Classify a map against a moduli cone: 'interior', 'boundary' or 'outside'."""
-    return cone.classify(cone.ambient_coordinates(f))
 
 
 # --- canonical forms -------------------------------------------------------
@@ -657,13 +638,6 @@ def fan_isomorphisms(a: Fan, b: Fan) -> Iterator[tuple[IntMatrix, tuple[int, ...
         perm = tuple(b.rays.index(v) for v in mapped)
         if {tuple(sorted(perm[x] for x in cone)) for cone in a.cones} == cones:
             yield m, perm
-
-
-def unimodular_equivalent(a: Fan, b: Fan) -> Optional[IntMatrix]:
-    """A GL_2(ZZ) transform matching ray multisets and cones, if one exists."""
-    if a.rank != 2 or b.rank != 2:
-        raise UnsupportedRankError("unimodular matching implemented for rank 2")
-    return next((m for m, _ in fan_isomorphisms(a, b)), None)
 
 
 class Symmetry(NamedTuple):

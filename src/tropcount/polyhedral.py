@@ -1,12 +1,10 @@
-"""Complete simplicial fans, their canonical compactifications, and quotients.
+"""Complete simplicial fans and their quotients.
 
 A fan is stored as primitive ray vectors plus cones given by ray-index
 sets; the zero cone is the empty set. Membership, location and the cone
 a germ enters (``Fan.germ``) are decided exactly by the signs of ray
 coefficients, read as integer dot products from per-cone data that the
-fan builds once (``ConeData``), and points of the compactified fan are
-represented by the stratum they fall in together with rational
-coordinates in a deterministically chosen quotient basis.
+fan builds once (``ConeData``).
 """
 from __future__ import annotations
 
@@ -41,12 +39,7 @@ class DependentGeneratorsError(ValueError):
     """Subspace generators are linearly dependent."""
 
 
-class DirectionOutsideFanError(NotCompleteError):
-    """The requested recession direction misses the fan's support."""
-
-
 Vector = tuple[int, ...]
-Point = tuple[Fraction, ...]
 
 
 class ConeData(NamedTuple):
@@ -225,11 +218,14 @@ class Fan:
         It is the cone containing base on whose other rays the direction's
         coefficients are all > 0, strictly, so a direction running inside a
         wall stays in the wall; None off the fan's support. Cached per
-        (base, direction): both range over finite sets, unlike points.
+        (base, direction): both range over finite sets, unlike points. A
+        direction whose length is not the fan's rank is refused when it
+        misses the cache, so a cached lookup checks nothing.
         """
         key = (base, tuple(direction))
         cache = self._germ_cache
         if key not in cache:
+            self.check_rank(direction, "the direction")
             inner = set(self.cones[base])
             cache[key] = None
             for idx, cone in enumerate(self.cones):
@@ -242,18 +238,6 @@ class Fan:
     def face_indices(self, cone_idx: int) -> list[int]:
         s = set(self.cones[cone_idx])
         return [i for i, c in enumerate(self.cones) if set(c) <= s]
-
-
-@dataclass(frozen=True)
-class ExtendedPoint:
-    """A point of the compactified fan, lying in the stratum of ``stratum_cone``.
-
-    ``coset`` holds coordinates in the fixed basis of N/span(cone); for the
-    zero cone this is an honest point of N_R.
-    """
-
-    stratum_cone: int
-    coset: Point
 
 
 def fan_projective_space(r: int) -> Fan:
@@ -273,10 +257,6 @@ def fan_product(f: Fan, g: Fan) -> Fan:
     cones = [tuple(c) + tuple(i + off for i in d) for c in f.cones for d in g.cones]
     name = f"{f.name}x{g.name}" if f.name and g.name else ""
     return Fan.make(f.rank + g.rank, rays, cones, name=name)
-
-
-def point_fan() -> Fan:
-    return Fan(0, (), ((),), name="pt")
 
 
 def locate(fan: Fan, p: Sequence[Fraction]) -> int:
@@ -303,22 +283,6 @@ def quotient_projection(fan: Fan, l_basis: IntMatrix) -> IntMatrix:
     if any((projection @ l_basis).entries):
         raise ValueError("projection does not kill the subspace")
     return projection
-
-
-def extended_point(fan: Fan, base: Sequence[Fraction], direction: Sequence[int]) -> ExtendedPoint:
-    """Limit point of base + t*direction, t -> infinity, in the compactified fan."""
-    direction = tuple(int(x) for x in direction)
-    if all(x == 0 for x in direction):
-        raise ValueError("direction must be nonzero")
-    try:
-        stratum = locate(fan, [Fraction(x) for x in direction])
-    except NotCompleteError as exc:
-        raise DirectionOutsideFanError(str(exc)) from exc
-    if len(base) != fan.rank:
-        raise ValueError("vector length mismatch")
-    base = [Fraction(x) for x in base]
-    coset = tuple(_dot(row, base) for row in fan.cone_data(stratum).projection)
-    return ExtendedPoint(stratum, coset)
 
 
 # --- JSON interface -------------------------------------------------------

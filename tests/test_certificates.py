@@ -11,7 +11,8 @@ from math import factorial, gcd
 
 import pytest
 
-from tropcount.exactmath import IntMatrix, solve_rational
+from oracles import solve_rational
+from tropcount.exactmath import IntMatrix
 from tropcount.maps import DiscreteData, TropicalStableMap, subdivide
 from tropcount.moduli import assemble_complex, gkm_embedding
 from tropcount.polyhedral import fan_product, fan_projective_space

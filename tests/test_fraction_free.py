@@ -1,7 +1,7 @@
 """The fraction-free exact kernels against their ``Fraction`` references.
 
-``lp._phase_one``, ``exactmath.solve_rational`` (with ``rank`` on the
-same elimination) and the per-cone
+``lp._phase_one``, ``solve_rational`` of ``tests/oracles.py`` (which
+runs ``exactmath.fraction_free_rref``, as ``rank`` does) and the per-cone
 integer data behind ``Fan.cone_coefficients``, ``contains``, ``locate`` and
 the former ``locate_germ`` (now ``Fan.germ`` at the located cone) used to
 do their arithmetic over ``Fraction``. The former implementations are kept
@@ -26,15 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import solve_rational
 from tropcount import lp
 from tropcount.curves import TreeShape
-from tropcount.exactmath import (
-    IntMatrix,
-    clear_denominators,
-    integer_kernel,
-    rank,
-    solve_rational,
-)
+from tropcount.exactmath import IntMatrix, clear_denominators, integer_kernel, rank
 from tropcount.maps import CombinatorialType, DiscreteData, InvalidTypeError
 from tropcount.moduli import assemble_complex, cone_rays
 from tropcount.polyhedral import (
@@ -461,7 +456,7 @@ def check_lineality(rows: list[list[int]], dim: int) -> None:
         assert all(dot(h, y) == 0 for h in cone.normals)
     kernel = integer_kernel(IntMatrix(len(rows), dim, tuple(x for row in rows for x in row)))
     assert kernel.cols == len(line) == rank(IntMatrix(len(line), dim, tuple(x for y in line for x in y)))
-    both = [*line, *(kernel.column(j) for j in range(kernel.cols))]
+    both = [*line, *kernel.transpose().to_lists()]
     assert rank(IntMatrix(len(both), dim, tuple(x for y in both for x in y))) == len(line)
 
 

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, and every
 function one package module imports from another, or the benchmark's
-tracer wraps by name, can be traced; no module but ``lp`` uses the LP."""
+tracer wraps by name, can be traced; no module but ``lp`` uses the LP, and
+no package module imports the tests' oracles."""
 import ast
 import importlib
 import inspect
@@ -104,3 +105,17 @@ def test_lp_has_no_user_outside_lp():
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert loaded.stdout == "False\n"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_package_module_imports_the_oracles(path):
+    # tests/oracles.py checks the engine by other means, so the engine must
+    # not run it: neither ``oracles`` nor anything under ``tests`` is imported
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    assert sorted(name for name in imported if {"oracles", "tests"} & set(name.split("."))) == []

@@ -3,21 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import ExtendedPoint, ev_trop
+from tropcount.curves import UnknownLabelError
 from tropcount.maps import (
     CombinatorialType,
     DiscreteData,
     InvalidTypeError,
     TreeShape,
     TropicalStableMap,
-    UnknownLabelError,
-    ev_trop,
     map_from_json,
     map_to_json,
     subdivide,
     torically_transverse,
     validate,
 )
-from tropcount.polyhedral import ExtendedPoint, fan_product, fan_projective_space
+from tropcount.polyhedral import fan_product, fan_projective_space
 
 P2 = fan_projective_space(2)
 U1, U2, U3 = (1, 0), (0, 1), (-1, -1)

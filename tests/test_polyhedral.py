@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropcount.exactmath import IntMatrix, clear_denominators, integer_kernel, smith_normal_form
+from oracles import extended_point, smith_normal_form
+from tropcount.exactmath import IntMatrix, clear_denominators, integer_kernel
 from tropcount.polyhedral import (
     DependentGeneratorsError,
     Fan,
     NotCompleteError,
     NotSimplicialError,
-    extended_point,
     fan_from_json,
     fan_product,
     fan_projective_space,
     fan_to_json,
     locate,
-    point_fan,
     quotient_projection,
 )
 
@@ -65,7 +64,7 @@ def test_product_p1xp1():
 
 
 def test_product_with_point_fan_is_identity():
-    f = fan_product(P2, point_fan())
+    f = fan_product(P2, Fan(0, (), ((),), "pt"))
     assert f.rank == P2.rank
     assert set(f.rays) == set(P2.rays)
     assert len(f.cones) == len(P2.cones)
@@ -99,6 +98,15 @@ def test_a_point_of_the_wrong_length_is_refused(call, point):
     # missing coordinates
     with pytest.raises(ValueError, match=f"the point has {len(point)} coordinates, but the fan has rank 2"):
         call(tuple(Fraction(x) for x in point))
+
+
+@pytest.mark.parametrize("direction", [(1, 0, 5), (1,)], ids=["long", "short"])
+def test_a_germ_direction_of_the_wrong_length_is_refused(direction):
+    # checked when the lookup misses the germ cache, which a fresh fan's does
+    fan = fan_projective_space(2)
+    with pytest.raises(ValueError, match=f"the direction has {len(direction)} coordinates, but the fan has rank 2"):
+        fan.germ(0, direction)
+    assert fan.germ(0, (1, 0)) == fan.cone_index((fan.rays.index(U1),))
 
 
 def test_locate_incomplete_fan():
@@ -149,7 +157,7 @@ def test_quotient_projection_unit_snf_randomized():
         q = quotient_projection(P2, IntMatrix.from_rows([[v[0]], [v[1]]]))
         # the saturation of the span of v is spanned by v over the gcd of its entries
         saturation = integer_kernel(q)
-        assert saturation.cols == 1 and saturation.column(0) in {tuple(x // g for x in v) for g in (gcd(*v), -gcd(*v))}
+        assert saturation.cols == 1 and saturation.transpose().row(0) in {tuple(x // g for x in v) for g in (gcd(*v), -gcd(*v))}
         assert all(d == 1 for d in smith_normal_form(q).diagonal())
 
 

@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts: each runs to the end."""
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 def test_dual_plane_moduli_matches_the_hexagon(tmp_path):
     # assembles the toy complex, embeds it and matches the embedded fan with
-    # the hexagon by unimodular_equivalent; the figure goes to the given path
+    # the hexagon by fan_isomorphisms; the figure goes to the given path
     figure = tmp_path / "fan.svg"
     run = subprocess.run(
         [sys.executable, str(SCRIPTS / "dual_plane_moduli.py"), str(figure)],
@@ -68,32 +69,19 @@ def test_reach_lists_the_functions_no_call_enters():
 UNREACHED = {
     ("cli.py", "_logger"): "error path: built only when a retry notice or an --svg refusal is logged",
     ("cli.py", "_Parser.error"): "error path: a usage error, exit 64",
-    ("counting.py", "evaluation_matrix"): "test oracle: the evaluation rows of a type as one matrix",
-    ("counting.py", "multiplicity"): "test oracle: a type's lattice index, apart from the count",
-    ("counting.py", "mikhalkin_multiplicity"): "test oracle: Mikhalkin's vertex product",
+    ("counting.py", "mikhalkin_multiplicity"): "perfbench reads it: check_mikhalkin's vertex product on count_plane_d3",
     ("counting.py", "_map_workers"): "pool-worker path: a count on more than one worker",
     ("counting.py", "count_result_from_json"): "JSON reader kept for validating count files (ROADMAP item 15)",
-    ("exactmath.py", "IntMatrix.column"): "test oracle: read by the tests' lattice checks",
-    ("exactmath.py", "SmithDecomposition.diagonal"): "test oracle: the Smith form",
-    ("exactmath.py", "SmithDecomposition.rank"): "test oracle: the Smith form",
-    ("exactmath.py", "_diagonalize"): "test oracle: the Smith form",
-    ("exactmath.py", "smith_normal_form"): "test oracle: the Smith form",
-    ("exactmath.py", "lattice_index"): "test oracle: lattice indices by the Smith form",
-    ("exactmath.py", "solve_rational"): "test oracle: exact solves apart from the fraction-free elimination",
-    ("lp.py", "_phase_one"): "test oracle: the exact LP, which perfbench's tracer imports (ROADMAP item 17)",
-    ("lp.py", "strict_point"): "test oracle: the exact LP, which perfbench's tracer imports (ROADMAP item 17)",
-    ("maps.py", "ValidationReport.conditions"): "test oracle: the set of violated conditions",
-    ("moduli.py", "ModuliCone.ambient_dim"): "test oracle: the ambient view of a moduli cone",
-    ("moduli.py", "ModuliCone.ambient_coordinates"): "test oracle: the ambient view of a moduli cone",
-    ("moduli.py", "contains"): "test oracle: classifies a map against a moduli cone",
-    ("moduli.py", "unimodular_equivalent"): "caller under scripts/: dual_plane_moduli.py",
+    ("lp.py", "_phase_one"): "perfbench reads it: under lp.strict_point, which the tracer wraps (ROADMAP item 17)",
+    ("lp.py", "strict_point"): "perfbench reads it: the tracer wraps it by name (ROADMAP item 17)",
+    ("maps.py", "ValidationReport.conditions"): "error path: names the failed conditions in _solve_tree's SolveCheckError",
     ("moduli.py", "_matrix_from_json"): "JSON reader kept for validating complex files (ROADMAP item 15)",
     ("moduli.py", "complex_from_json"): "JSON reader kept for validating complex files (ROADMAP item 15)",
     ("moduli.py", "embedding_from_json"): "JSON reader kept for validating embed files (ROADMAP item 15)",
     ("polyhedral.py", "Fan.__getstate__"): "pool-worker path: pickles a fan without its caches",
-    ("polyhedral.py", "point_fan"): "test oracle: the rank-0 fan",
-    ("polyhedral.py", "extended_point"): "test oracle: ev_trop's limit point of a contact leg, which no command asks for",
 }
+# Each reason names one of these kinds; a test oracle goes to tests/oracles.py.
+REASON = re.compile(r"error path: |pool-worker path: |perfbench reads it: |JSON reader kept for .* \(ROADMAP item 15\)$")
 
 
 def test_reach_lists_only_the_allowed_functions():
@@ -105,3 +93,4 @@ def test_reach_lists_only_the_allowed_functions():
     listed = {(module, name) for module, name, _ in rows}
     assert sorted(listed - UNREACHED.keys()) == []
     assert sorted(UNREACHED.keys() - listed) == []
+    assert [key for key, reason in UNREACHED.items() if not REASON.match(reason)] == []
