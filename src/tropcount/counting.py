@@ -2,9 +2,10 @@
 
 The count of rational curves through seeded generic constraints is the sum
 of lattice indices of evaluation matrices over rigid combinatorial types.
-Enumeration works with stabilized types (no subdivision vertices): a
-skeleton census over the contact legs is grown by inserting the marked
-legs one at a time, with sound pruning against the seeded targets.  Each
+Enumeration works with stabilized types (no subdivision vertices): each
+start tree (a skeleton over the contact legs, or a tripod) is grown by
+inserting the point legs one at a time, with sound pruning against the
+seeded targets, and then every other trivial leg at every site.  Each
 surviving working tree is solved exactly on its bare edges, and its type
 is built only for a solution, which is accepted only in the interior of
 the moduli cone.  Trees are keyed for dedup only when two contact legs
@@ -73,12 +74,13 @@ class NotPlanarPointProblemError(ValueError):
 
 
 class CensusTooLargeError(ValueError):
-    """The trivalent census over all legs is too large to grow."""
+    """The unpruned insertion would grow too many trees from one start tree."""
 
 
-# The census over k legs holds all (2k-5)!! labeled trivalent trees, a whole
-# level at a time: 135,135 at 9 legs, 2,027,025 at 10.
-MAX_CENSUS_LEGS = 9
+# Inserting s legs at every site of a start tree of L legs grows
+# (2L - 3)(2L - 1)...(2L + 2s - 5) trees, a whole level at a time: from a
+# tripod, 135,135 at 9 legs and 2,027,025 at 10.
+MAX_GROWN_TREES = 135_135
 
 
 MASK64 = (1 << 64) - 1
@@ -139,9 +141,6 @@ class CountProblem:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "targets", tuple(targets))
         object.__setattr__(self, "denominator", den)
-
-    def is_point_problem(self) -> bool:
-        return all(c.subspace is None for c in self.constraints.constraints)
 
 
 @dataclass(frozen=True)
@@ -370,13 +369,14 @@ def _closed_cone_test(vs: Sequence[Vec], rank: int, stride: int):
     return verdicts
 
 
-def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
+def _marked_dfs(problem: CountProblem, skeletons, point_labels):
     """Yield the completed trees over each skeleton in turn, pruning against the targets.
 
-    The trivial legs, each pinned to a point, are inserted in label order,
-    each at a fresh marked 2-valent vertex subdividing an edge or a contact
-    leg.  A site must pass two tests, sound in every fan rank r >= 2 (a
-    rank-1 point problem has two contact legs and never comes here):
+    The point legs, the trivial legs each pinned to a point, are inserted in
+    label order, each at a fresh marked 2-valent vertex subdividing an edge
+    or a contact leg.  A site must pass two tests, sound in every fan rank
+    r >= 2 (in rank 1 the codimension n + m - 2 is at most the number of
+    point legs, so a problem with n >= 3 contact legs never comes here):
 
     - end count: every component of the tree minus the marked vertices
       keeps a contact end, so a site is offered only when it reaches an
@@ -388,6 +388,25 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
       target lies in the closed cone of the directions of the walk from
       the new vertex to mark i, as two points of the tree differ by the
       sum of l_e c_e over the edges e between them, every l_e > 0.
+
+    Both tests stay sound when ``grow_trees`` then inserts the other trivial
+    legs, leg j held to a translate of a subspace L_j, at every site
+    (``_rigid_trees``): a tree T that solves is grown from a tree T' over
+    the skeleton and the point legs that passes both.  Every edge of T has
+    a nonzero contact, as an edge of contact 0 has a zero length column.
+    So a later leg's vertex has two other branches of contacts c and -c,
+    no trivial leg among them: the leg splits an edge or contact leg of T'
+    into two parallel pieces, and T less its later legs, straightened, is
+    T'.  A trivial leg adds no contact, so the walk between two marks has
+    the same directions in T and T' (path cone).  In a component of T'
+    less its marks that has no contact end and k marks, s later legs of T
+    add s edge lengths, and leg j adds r - dim L_j conditions on its
+    vertex's position.  If dim L_j = r, no row reads the vertex between leg
+    j's two pieces, whose length columns are then equal, and T is singular;
+    else 2k - 3 + s lengths move at least r(k - 1) + s coordinates, and
+    generic targets avoid them (end count).  The distinct-sites rule and the
+    lookahead below drop only nodes under which the search completes no
+    tree, so they drop nothing that the later legs could grow.
 
     Four facts put both tests on static tables of the skeleton
     (``_site_tables``), the same for every node over it, and a fifth
@@ -464,7 +483,7 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
     """
     rank = problem.gamma.fan.rank
     zero = (0,) * rank
-    last = len(trivial_labels)
+    last = len(point_labels)
     # direction alphabet, one bit per ray: bits[c] = (bit of +c, bit of -c)
     alphabet: dict[Vec, int] = {}
     bits: dict[Vec, tuple[int, int]] = {}
@@ -479,7 +498,7 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
 
     # each point's target is its rows' cleared targets; the cone tests are scale-invariant
     points = [
-        tuple(b for (lab, _), b in zip(problem.rows, problem.targets) if lab == label) for label in trivial_labels
+        tuple(b for (lab, _), b in zip(problem.rows, problem.targets) if lab == label) for label in point_labels
     ]
     # pair (j, k), j < k, is field first[j] + k - j - 1, for the vector target j - target k
     pairs = [tuple(a - b for a, b in zip(tj, tk)) for j, tj in enumerate(points) for tk in points[j + 1 :]]
@@ -512,7 +531,7 @@ def _marked_dfs(problem: CountProblem, skeletons, trivial_labels):
         if j == last:
             yield tree
             return
-        leg = (zero, trivial_labels[j])
+        leg = (zero, point_labels[j])
         todo = open_sites & one_site
         rest = open_sites >> n_sites
         shift = first[j] * n_sites
@@ -657,27 +676,25 @@ def _tree_to_type(problem: CountProblem, tree) -> CombinatorialType:
     )
 
 
-def _rigid_trees(problem: CountProblem, skeletons: Optional[list[tuple]]) -> Iterator[tuple]:
+def _rigid_trees(problem: CountProblem, start_trees: list[tuple]) -> Iterator[tuple]:
     """Working trees of the stabilized types that the constraints may make
-    rigid, one tree per type.
+    rigid, one tree per type, grown from a chunk of ``_start_trees``.
 
-    A skeleton list runs the marked-point search over it, which drops only
-    trees that cannot meet the seeded targets; None runs the census over all
-    legs. Both grow trees of L - 3 edges over L legs, whose moduli cones have
-    the constraint codimension, the rank plus L - 3, as their dimension;
-    fewer than three legs leave no stable tree. When two contact legs share a
-    contact vector, trees are deduplicated on ``_tree_key``; no type spans
-    two skeletons, so a chunk's dedup holds. When no two do, each leg is told
-    apart by its contact or its label, so no two trees share a key, and none
-    is taken.
+    The marked-point search inserts the point legs into each skeleton, and
+    drops only trees that cannot meet the seeded targets; ``grow_trees``
+    then inserts the legs that ``_inserted_legs`` leaves at every site.
+    Every tree has L - 3 edges over L legs, so its moduli cone has the
+    constraint codimension, the rank plus L - 3, as its dimension. When two
+    contact legs share a contact vector, trees are deduplicated on
+    ``_tree_key``; no type spans two start trees, so a chunk's dedup holds.
+    When no two do, each leg is told apart by its contact or its label, so
+    no two trees share a key, and none is taken.
     """
     gamma = problem.gamma
-    if gamma.n + gamma.m < 3:
-        return
-    if skeletons is None:
-        trees = grow_trees([(c, lab) for lab, c in _census_legs(problem)])
-    else:
-        trees = _marked_dfs(problem, skeletons, sorted(gamma.trivial_legs))
+    points, grown = _inserted_legs(problem)
+    trees = _marked_dfs(problem, start_trees, points) if points else start_trees
+    if grown:
+        trees = (tree for start in trees for tree in grow_trees(grown, trees=[start]))
     contacts = [c for _, c in gamma.contact_legs]
     if len(set(contacts)) == len(contacts):
         yield from trees
@@ -690,25 +707,47 @@ def _rigid_trees(problem: CountProblem, skeletons: Optional[list[tuple]]) -> Ite
             yield tree
 
 
-def _searches_skeletons(problem: CountProblem) -> bool:
-    """Whether ``count`` runs the skeleton census and marked-point search."""
-    return problem.is_point_problem() and problem.gamma.n >= 3
-
-
-def _census_legs(problem: CountProblem) -> list[tuple[int, Vec]]:
-    """(label, contact) of every leg for the census over all legs, which
-    subspace constraints and fewer than three contact legs need; raises
-    CensusTooLargeError past ``MAX_CENSUS_LEGS`` legs."""
-    gamma = problem.gamma
+def _legs_by_label(gamma: DiscreteData) -> list[tuple[int, Vec]]:
+    """(label, contact) of every leg, in label order."""
     zero = (0,) * gamma.fan.rank
-    legs = sorted([*gamma.contact_legs, *((lab, zero) for lab in gamma.trivial_legs)])
-    k = len(legs)
-    if k > MAX_CENSUS_LEGS:
+    return sorted([*gamma.contact_legs, *((lab, zero) for lab in gamma.trivial_legs)])
+
+
+def _start_trees(problem: CountProblem) -> list[tuple]:
+    """The trees that ``count`` deals to its workers: the skeleton census
+    over the contact legs when there are at least three, else the one tripod
+    of the first three legs by label; none for fewer than three legs, which
+    no stable tree has."""
+    gamma = problem.gamma
+    if gamma.n >= 3:
+        return _skeleton_census(gamma.fan.rank, [c for _, c in gamma.contact_legs])
+    legs = _legs_by_label(gamma)
+    return grow_trees([(c, lab) for lab, c in legs[:3]]) if len(legs) >= 3 else []
+
+
+def _inserted_legs(problem: CountProblem) -> tuple[list[int], list[tuple[Vec, int]]]:
+    """What ``_rigid_trees`` inserts into a start tree, in label order: the
+    labels of the point legs that ``_marked_dfs`` places on a skeleton, then
+    the (contact, label) of the legs that ``grow_trees`` places at every
+    site, the other trivial legs on a skeleton and every leg past the first
+    three on a tripod. Raises CensusTooLargeError when that insertion would
+    grow more than ``MAX_GROWN_TREES`` trees from one start tree."""
+    gamma = problem.gamma
+    legs = _legs_by_label(gamma)
+    if gamma.n < 3:
+        points, grown = [], legs[3:]
+    else:
+        subspace = {c.label: c.subspace for c in problem.constraints.constraints}
+        points = [lab for lab, _ in legs if lab in subspace and subspace[lab] is None]
+        grown = [(lab, c) for lab, c in legs if subspace.get(lab) is not None]
+    start = len(legs) - len(grown)
+    trees = prod(range(2 * start - 3, 2 * len(legs) - 3, 2))
+    if trees > MAX_GROWN_TREES:
         raise CensusTooLargeError(
-            f"the census over {k} legs would grow {prod(range(1, 2 * k - 4, 2)):,} "
-            f"labeled trivalent trees; at most {MAX_CENSUS_LEGS} legs are supported"
+            f"inserting {len(grown)} legs at every site of a start tree of {start} legs would grow "
+            f"{trees:,} trees; at most {MAX_GROWN_TREES:,} are supported"
         )
-    return legs
+    return points, [(c, lab) for lab, c in grown]
 
 
 def _evaluation_rows(problem: CountProblem, vertices: int, edges, contacts, leg_vertex: dict[int, int]):
@@ -744,17 +783,9 @@ def mikhalkin_multiplicity(theta: CombinatorialType) -> int:
     """
     if theta.fan.rank != 2:
         raise NotPlanarPointProblemError("vertex multiplicities need a rank-2 fan")
-    nv = theta.shape.vertices
-    star: list[list[Vec]] = [[] for _ in range(nv)]
-    for (a, b), c in zip(theta.shape.edges, theta.edge_contacts):
-        star[a].append(c)
-        star[b].append(tuple(-x for x in c))
-    for (v, _), c in zip(theta.shape.legs, theta.leg_contacts):
-        if any(c):
-            star[v].append(c)
     total = 1
-    for v in range(nv):
-        outs = star[v]
+    for v, star in enumerate(theta.stars()):
+        outs = [c for c, _ in star if any(c)]
         if len(outs) == 2:
             continue  # straightened away by stabilization
         if len(outs) != 3:
@@ -826,35 +857,30 @@ def _solve_tree(problem: CountProblem, tree):
 
 def _check_problem_genericity(problem: CountProblem) -> None:
     fan = problem.gamma.fan
-    if problem.is_point_problem():
-        for c in problem.constraints.constraints:
-            cone = locate(fan, c.translation)
-            if fan.dim(cone) != fan.rank:
-                raise NonGenericError(f"target for leg {c.label} lies on a wall")
+    for c in problem.constraints.constraints:
+        if c.subspace is None and fan.dim(locate(fan, c.translation)) != fan.rank:
+            raise NonGenericError(f"target for leg {c.label} lies on a wall")
 
 
 def count(problem: CountProblem, threads: int = 1) -> CountResult:
     """Sum lattice multiplicities of rigid types solved against the constraints.
 
     The result is independent of the seed for generic seeds and of the
-    worker count; contribution lists are canonically sorted.  This is the
-    one place that picks where the trees come from: a point problem with at
-    least three contact legs (``_searches_skeletons``) builds the skeleton
-    census once and deals it to at most one worker per skeleton, and to no
-    more workers than the CPUs this process may run on (``_usable_cpus``),
-    each running the marked-point search over its chunk; any other problem
-    runs the census over all legs in one worker.
+    worker count; contribution lists are canonically sorted.  The start
+    trees (``_start_trees``) are built once and dealt to at most one worker
+    per start tree, and to no more workers than the CPUs this process may
+    run on (``_usable_cpus``), each growing the trees of its chunk
+    (``_rigid_trees``).  An insertion too large to grow is refused before
+    any tree is built.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, not {threads}")
+    _inserted_legs(problem)  # raises CensusTooLargeError
     _check_problem_genericity(problem)
-    if _searches_skeletons(problem):  # one census, dealt out skeleton by skeleton
-        census = _skeleton_census(problem.gamma.fan.rank, [c for _, c in problem.gamma.contact_legs])
-        workers = max(1, min(threads, len(census), _usable_cpus()))  # an empty census still runs one worker
-        chunks = [census[i::workers] for i in range(workers)]
-    else:
-        chunks = [None]  # the census over all legs, in one worker
-    results = _map_workers(problem, chunks) if len(chunks) > 1 else [_count_worker((problem, chunks[0]))]
+    start = _start_trees(problem)
+    workers = max(1, min(threads, len(start), _usable_cpus()))  # no start tree still runs one worker
+    chunks = [start[i::workers] for i in range(workers)]
+    results = _map_workers(problem, chunks) if workers > 1 else [_count_worker((problem, chunks[0]))]
     # chunks never share a type (see _rigid_trees)
     contributions = sorted((c for items, _ in results for c in items), key=lambda c: c.key)
     rejected = sum(rej for _, rej in results)
@@ -863,13 +889,13 @@ def count(problem: CountProblem, threads: int = 1) -> CountResult:
 
 
 def _count_worker(args):
-    """Solve the rigid types of one chunk of skeletons (None: the census over
-    all legs), the trees of ``_rigid_trees``; returns the contributions and
-    the number of trees rejected as singular."""
-    problem, skeletons = args
+    """Solve the rigid types grown from one chunk of start trees, the trees
+    of ``_rigid_trees``; returns the contributions and the number of trees
+    rejected as singular."""
+    problem, start_trees = args
     contributions = []
     rejected = 0
-    for tree in _rigid_trees(problem, skeletons):
+    for tree in _rigid_trees(problem, start_trees):
         try:
             solved = _solve_tree(problem, tree)
         except SingularError:

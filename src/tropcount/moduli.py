@@ -879,17 +879,20 @@ def grow_trees(
     legs: Sequence[tuple],
     dedup_key: Optional[Callable[[tuple], object]] = None,
     last_sites: Optional[Callable[[tuple, tuple], Iterable[tuple[Optional[int], Optional[int]]]]] = None,
+    trees: Optional[list[tuple]] = None,
 ) -> list[tuple]:
-    """Trivalent trees over ``legs`` by leaf insertion, in ``insert_leg``'s encoding.
+    """Trivalent trees by leaf insertion of ``legs``, in ``insert_leg``'s encoding.
 
-    The first three legs form the tripod (one vertex when there are fewer).
-    A leg goes at every edge of each tree, then at every leg; at the last
+    The legs are inserted in order into the start ``trees``, by default the
+    tripod of the first three legs (one vertex when there are fewer).  A
+    leg goes at every edge of each tree, then at every leg; at the last
     level, ``last_sites(tree, leg)`` may name a subset of these sites, as
     ``(edge, at_leg)`` pairs for ``insert_leg`` in the same order.  With
     ``dedup_key`` each level keeps only the first tree of every key.
     """
-    trees = [(1, (), tuple((0,) + leg for leg in legs[:3]))]
-    for depth, leg in enumerate(legs[3:], 4):
+    if trees is None:
+        trees, legs = [(1, (), tuple((0,) + leg for leg in legs[:3]))], legs[3:]
+    for depth, leg in enumerate(legs, 1):
         seen = set()
         grown: list[tuple] = []
         for tree in trees:

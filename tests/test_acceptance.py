@@ -11,13 +11,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import RankDeficientError, ambient_coordinates, ambient_dim, lattice_index, smith_normal_form
-from test_counting import type_rows
+from test_counting import census_trees, type_rows
 from tropcount.cli import _emit
 from tropcount.counting import (
     CountProblem,
     SingularError,
     _lattice_index,
-    _rigid_trees,
     _tree_to_type,
     count,
     count_result_to_json,
@@ -235,7 +234,7 @@ def test_criterion_6_multiplicity_equivalence():
     for gamma, subspaces in ((quadric, None), (lines, subtori)):
         problem = CountProblem(gamma, generate_constraints(gamma, subspaces, 1000))
         # every type of the census over all legs
-        for theta in (_tree_to_type(problem, tree) for tree in _rigid_trees(problem, None)):
+        for theta in (_tree_to_type(problem, tree) for tree in census_trees(problem)):
             got = det_multiplicity(theta, problem)
             assert got == snf_multiplicity(theta, problem)
             weights.append(got)

@@ -136,12 +136,14 @@ def test_count_summary_and_roundtrip(tmp_path):
 
 
 def test_count_byte_identical_across_threads_and_runs():
-    # degree 2 has 17 skeletons, so --threads 2 deals them to two workers
-    argv = ["count", "--fan", "p2", "--contacts", "p2-degree:2", "--points", "5", "--seed", "7"]
-    a = run_cli(*argv)
-    b = run_cli(*argv)
-    c = run_cli(*argv, "--threads", "2")
-    assert a.stdout == b.stdout == c.stdout
+    # degree 2 has 17 skeletons, so --threads 2 deals them to two workers,
+    # through 5 points and through 5 points and two lines alike
+    conics = ["count", "--fan", "p2", "--contacts", "p2-degree:2", "--points", "5"]
+    for argv in ([*conics, "--seed", "7"], [*conics, "--subspace", "1,1", "--subspace", "1,-2", "--seed", "0"]):
+        a = run_cli(*argv)
+        b = run_cli(*argv)
+        c = run_cli(*argv, "--threads", "2")
+        assert a.stdout == b.stdout == c.stdout
 
 
 def test_count_retries_nongeneric_seeds():
@@ -152,6 +154,26 @@ def test_count_retries_nongeneric_seeds():
     )
     assert "not generic" in proc.stderr
     assert "degree = 1" in proc.stderr
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("lines", [["1,1"], ["1,1", "1,-2"]], ids=["one-line", "two-lines"])
+def test_conics_past_nine_legs_meet_lines_as_bezout_says(tmp_path, lines, seed):
+    # the conic through 5 points meets a line of direction v in
+    # sum_i max(0, det(u_i, v)) points over its ends u_i: twice for (1, 1),
+    # 6 times for (1, -2); 12 and 13 legs, past the former 9-leg census
+    argv = ["count", "--fan", "p2", "--contacts", "p2-degree:2", "--points", "5", "--seed", str(seed), "--retries", "0"]
+    for spec in lines:
+        argv += ["--subspace", spec]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    want = 1
+    for spec in lines:
+        v = [int(x) for x in spec.split(",")]
+        want *= sum(max(0, u[0] * v[1] - u[1] * v[0]) for _, u in data["contact_legs"])
+    assert want == {1: 2, 2: 12}[len(lines)]
+    assert data["total"] == want
 
 
 def test_count_subspace_flag():
@@ -419,15 +441,15 @@ def test_census_limit_is_a_named_error(monkeypatch, capsys):
     monkeypatch.setattr(counting, "grow_trees", must_not_run)
     monkeypatch.setattr(counting, "_map_workers", must_not_run)
     argv = ["count", "--fan", "p2", "--contacts", "p2-degree:1", "--points", "2", "--threads", "2"]
-    for spec in ("1,0", "0,1", "1,1", "1,0", "0,1"):
-        argv += ["--subspace", spec]  # 3 + 2 + 5 = 10 legs
+    for spec in ("1,0", "0,1", "1,1", "1,0", "0,1", "1,1"):
+        argv += ["--subspace", spec]  # 6 lines grown on each search tree of 3 + 2 legs
     start = time.perf_counter()
     code = main(argv)
     assert time.perf_counter() - start < 1
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: CensusTooLargeError: ")
-    assert "10 legs" in err and "2,027,025" in err and "Traceback" not in err
+    assert "6 legs" in err and "2,297,295" in err and "Traceback" not in err
 
 
 # contact shorthand -> the number of contact legs it makes (0 when malformed)

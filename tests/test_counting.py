@@ -42,19 +42,44 @@ def p2_problem(d, seed):
     return CountProblem(gamma, generate_constraints(gamma, None, seed))
 
 
-def skeleton_census(problem):
-    """The skeleton census over a problem's contact legs."""
-    from tropcount.counting import _skeleton_census
-
-    return _skeleton_census(problem.gamma.fan.rank, [c for _, c in problem.gamma.contact_legs])
-
-
 def count_trees(problem):
-    """The trees that ``count`` solves: the marked-point search over the
-    skeleton census where ``count`` runs it, else the census over all legs."""
-    from tropcount.counting import _rigid_trees, _searches_skeletons
+    """The trees that ``count`` solves, grown from all of its start trees."""
+    from tropcount.counting import _rigid_trees, _start_trees
 
-    return _rigid_trees(problem, skeleton_census(problem) if _searches_skeletons(problem) else None)
+    return _rigid_trees(problem, _start_trees(problem))
+
+
+def census_trees(problem, contacts_first=False):
+    """The census over all legs: every trivalent tree that ``grow_trees``
+    grows over the labelled legs in label order, from the tripod of the
+    first three, keeping the first tree of each ``_tree_key`` when two
+    contact legs share a contact; none for fewer than three legs.
+
+    With ``contacts_first`` the contact legs come first, by contact, as the
+    skeleton census takes them, and then the trivial legs by label, so that
+    a tree that ``count`` grows too has the same vertex numbers here when
+    the contacts are distinct and the point legs come first by label."""
+    from tropcount.counting import _tree_key
+    from tropcount.moduli import grow_trees
+
+    gamma = problem.gamma
+    zero = (0,) * gamma.fan.rank
+    legs = sorted([*gamma.contact_legs, *((lab, zero) for lab in gamma.trivial_legs)])
+    if contacts_first:
+        legs.sort(key=lambda leg: (0, leg[1]) if any(leg[1]) else (1, leg[0]))
+    if len(legs) < 3:
+        return []
+    trees = grow_trees([(c, lab) for lab, c in legs])
+    contacts = [c for _, c in gamma.contact_legs]
+    if len(set(contacts)) == len(contacts):
+        return trees
+    seen, kept = set(), []
+    for tree in trees:
+        key = _tree_key(tree)
+        if key not in seen:
+            seen.add(key)
+            kept.append(tree)
+    return kept
 
 
 def rigid_types(problem, trees):
@@ -129,12 +154,10 @@ def test_generate_constraints_codimension_balance():
 
 
 def test_enumerate_census_degree_one():
-    from tropcount.counting import _rigid_trees
-
     prob = p2_problem(1, 7)
-    unpruned = rigid_types(prob, _rigid_trees(prob, None))
+    unpruned = rigid_types(prob, census_trees(prob))
     assert len(unpruned) == 15  # (2*5-5)!! labeled trivalent trees
-    pruned = rigid_types(prob, _rigid_trees(prob, skeleton_census(prob)))
+    pruned = rigid_types(prob, count_trees(prob))
     assert 1 <= len(pruned) <= 15
     pruned_keys = {t.shape.legs for t in pruned}
     assert pruned_keys <= {t.shape.legs for t in unpruned} | pruned_keys
@@ -308,39 +331,56 @@ def test_skeleton_census_keys_no_contracted_child(monkeypatch):
 
 
 def test_census_bound_sits_at_nine_legs():
-    from tropcount.counting import CensusTooLargeError, _census_legs
+    # with fewer than three contact legs every leg past the tripod is grown
+    # unpruned: the curves of bidegree (0, 1) on P1 x P1 through 1 point and
+    # s lines have 2 + 1 + s legs, and 9 legs grow 13!! = 135,135 trees
+    from tropcount.counting import MAX_GROWN_TREES, CensusTooLargeError, _inserted_legs
 
-    # lines through 2 points and s lines: 3 + 2 + s legs
-    line = IntMatrix.from_rows([[1], [0]])
-    for s in (4, 5):
-        gamma = p2_gamma(1, 2 + s)
-        subspaces = {lab: line for lab in gamma.trivial_legs[2:]}
+    line = IntMatrix.from_rows([[1], [1]])
+    for s in (6, 7):
+        gamma = DiscreteData(P1P1, ((1, (0, 1)), (2, (0, -1))), tuple(range(3, 4 + s)))
+        subspaces = {lab: line for lab in gamma.trivial_legs[1:]}
         prob = CountProblem(gamma, generate_constraints(gamma, subspaces, 1))
-        if s == 4:
-            assert len(_census_legs(prob)) == 9
+        if s == 6:
+            assert MAX_GROWN_TREES == 135_135
+            assert len(_inserted_legs(prob)[1]) == 9 - 3
         else:
-            with pytest.raises(CensusTooLargeError, match="10 legs"):
+            with pytest.raises(CensusTooLargeError, match="7 legs at every site of a start tree of 3 legs .* 2,027,025 trees"):
                 count(prob)
 
 
-def test_enumerate_p1_single_path_type():
-    from tropcount.counting import _rigid_trees
+@pytest.mark.parametrize("lines,legs", [(5, 10), (6, 11)])
+def test_the_bound_counts_the_trees_grown_from_one_start_tree(lines, legs):
+    # lines through 2 points and s lines: each search completion of 5 legs
+    # takes s more at every site, 7 x 9 x 11 x 13 x 15 = 135,135 trees for
+    # s = 5, at the bound, and 17 times as many for s = 6, past it
+    from tropcount.counting import CensusTooLargeError, _inserted_legs
 
+    line = IntMatrix.from_rows([[1], [0]])
+    gamma = p2_gamma(1, 2 + lines)
+    prob = CountProblem(gamma, generate_constraints(gamma, {lab: line for lab in gamma.trivial_legs[2:]}, 1))
+    assert gamma.n + gamma.m == legs
+    if lines == 5:
+        assert _inserted_legs(prob) == ([4, 5], [((0, 0), lab) for lab in range(6, 11)])
+    else:
+        with pytest.raises(CensusTooLargeError, match="6 legs at every site of a start tree of 5 legs .* 2,297,295 trees"):
+            count(prob)
+
+
+def test_enumerate_p1_single_path_type():
     gamma = DiscreteData(P1, ((1, (1,)), (2, (-1,))), (3,))
     prob = CountProblem(gamma, generate_constraints(gamma, None, 5))
-    types = rigid_types(prob, _rigid_trees(prob, None))
+    types = rigid_types(prob, count_trees(prob))
     assert len(types) == 1
     assert count(prob).total == 1
 
 
 def test_degree_zero_m3_single_contracted_type():
-    from tropcount.counting import _rigid_trees
-
     gamma = DiscreteData(P2, (), (1, 2, 3))
     subspaces = {1: None, 2: IntMatrix.identity(2), 3: IntMatrix.identity(2)}
     cfg = generate_constraints(gamma, subspaces, 11)
     prob = CountProblem(gamma, cfg)
-    types = rigid_types(prob, _rigid_trees(prob, None))
+    types = rigid_types(prob, count_trees(prob))
     assert len(types) == 1
     res = count(prob)
     assert res.total == 1
@@ -498,11 +538,11 @@ def test_quadric_count_matches_bilinear_kernel_oracle():
 
 def _unpruned_solutions(problem):
     """{key: multiplicity} of every interior solution over the trees of the census of all legs."""
-    from tropcount.counting import _rigid_trees, _solve_tree
+    from tropcount.counting import _solve_tree
     from tropcount.moduli import canonical_form
 
     found = {}
-    for tree in _rigid_trees(problem, None):
+    for tree in census_trees(problem):
         try:
             solved = _solve_tree(problem, tree)
         except SingularError:
@@ -1380,12 +1420,28 @@ def _fallback_problem(seed):
     return CountProblem(gamma, generate_constraints(gamma, {4: None, 5: None, **lines}, seed))
 
 
-def _p3_lines_through_a_point_and_two_lines():
+def _p3_lines_through_a_point_and_two_lines(seed=0, second=(0, 1, -3)):
     fan = fan_projective_space(3)
     dirs = [unit(3, i) for i in range(3)] + [(-1, -1, -1)]
     gamma = DiscreteData(fan, tuple(enumerate(dirs, 1)), (5, 6, 7))
-    lines = {6: IntMatrix.from_rows([[1], [2], [0]]), 7: IntMatrix.from_rows([[0], [1], [-3]])}
-    return CountProblem(gamma, generate_constraints(gamma, {5: None, **lines}, 0))
+    lines = {6: IntMatrix.from_rows([[1], [2], [0]]), 7: IntMatrix.from_rows([[x] for x in second])}
+    return CountProblem(gamma, generate_constraints(gamma, {5: None, **lines}, seed))
+
+
+def _p3_lines_meeting_four_lines(seed):
+    # each subtorus line (the directions e1, e2, e3 and (1, 1, 1)) closes up to a line of P^3
+    fan = fan_projective_space(3)
+    dirs = [unit(3, i) for i in range(3)] + [(-1, -1, -1)]
+    gamma = DiscreteData(fan, tuple(enumerate(dirs, 1)), (5, 6, 7, 8))
+    lines = {5 + i: IntMatrix.from_rows([[x] for x in d]) for i, d in enumerate(dirs[:3] + [(1, 1, 1)])}
+    return CountProblem(gamma, generate_constraints(gamma, lines, seed))
+
+
+def _conics_through_five_points_and_two_lines(seed):
+    # plane conics through 5 points and the translates of the subtori (1, 1) and (1, -2)
+    gamma = p2_gamma(2, 7)
+    lines = {12: IntMatrix.from_rows([[1], [1]]), 13: IntMatrix.from_rows([[1], [-2]])}
+    return CountProblem(gamma, generate_constraints(gamma, {**dict.fromkeys(range(7, 12)), **lines}, seed))
 
 
 def _p1xp1_two_zero_through_three_points_and_a_line():
@@ -1532,7 +1588,7 @@ def _tree_outcome(problem, tree):
     return found[1:]
 
 
-# name -> (problem, trees that are singular, missed and solved)
+# name -> (problem, trees of the census over all legs that are singular, missed and solved)
 OUTCOME_PROBLEMS = {
     **{
         f"fallback-{seed}": (lambda seed=seed: _fallback_problem(seed), (869, 75, 1))
@@ -1553,7 +1609,7 @@ def test_each_tree_solves_as_its_type_by_the_former_route(name):
     make, sizes = OUTCOME_PROBLEMS[name]
     prob = make()
     seen = Counter()
-    for tree in count_trees(prob):
+    for tree in census_trees(prob):
         want = _reference_outcome(prob, tree)
         assert _tree_outcome(prob, tree) == want
         seen[want if isinstance(want, str) else "solved"] += 1
@@ -1571,7 +1627,7 @@ def test_a_negative_length_is_a_miss_in_any_edge_order():
     r = prob.gamma.fan.rank
     rhs = _projected_targets(prob)
     found = 0
-    for tree in count_trees(prob):
+    for tree in census_trees(prob):
         got = solve_rational(_reference_evaluation_matrix(_tree_to_type(prob, tree), prob), rhs)
         if got is None or not got[1] or 0 not in got[0][r:] or min(got[0][r:]) >= 0:
             continue
@@ -1588,16 +1644,17 @@ def test_a_negative_length_is_a_miss_in_any_edge_order():
 def _reference_rigid_types(problem):
     """The former dedup: a ``canonical_form(identify_contacts=True)`` of the
     type of every tree of the codimension, in stream order, keeping the first
-    type of each key."""
+    type of each key. The trees are grown as ``count`` grows them, from the
+    start trees by the marked-point search and then ``grow_trees``."""
     from tropcount import counting
     from tropcount.moduli import canonical_form, grow_trees
 
     gamma = problem.gamma
-    if counting._searches_skeletons(problem):
-        skeletons = counting._skeleton_census(problem.gamma.fan.rank, [c for _, c in gamma.contact_legs])
-        trees = counting._marked_dfs(problem, skeletons, sorted(gamma.trivial_legs))
-    else:
-        trees = grow_trees([(c, lab) for lab, c in counting._census_legs(problem)])
+    points, grown = counting._inserted_legs(problem)
+    trees = counting._start_trees(problem)
+    if points:
+        trees = counting._marked_dfs(problem, trees, points)
+    trees = [tree for start in trees for tree in grow_trees(grown, trees=[start])]
     codim = counting.expected_codimension(problem.gamma.fan, gamma)
     seen = set()
     for tree in trees:
@@ -1614,9 +1671,11 @@ def _reference_rigid_types(problem):
 DEDUP_PROBLEMS = {
     "plane-conics": (lambda: p2_problem(2, 0), 1),
     "plane-cubics": (lambda: p2_problem(3, 0), 66),
-    "fallback-1000": (lambda: _fallback_problem(1000), 945),
-    # 10,395 trees of the census over all 8 legs give 3,105 types
-    "p1xp1-2-0-subspace": (_p1xp1_two_zero_through_three_points_and_a_line, 3105),
+    "fallback-1000": (lambda: _fallback_problem(1000), 63),
+    # the search completes no tree: the contacts span one line, and the targets do not
+    "p1xp1-2-0-subspace": (_p1xp1_two_zero_through_three_points_and_a_line, 0),
+    # 1,995 grown trees give 1,596 types
+    "conics-point-two-lines-1": (lambda: _conics_through_five_points_and_two_lines(1), 1596),
     # pairwise distinct contacts, searched with no tree key
     "p3-lines-2pts": (lambda: projective_problem(3, 1, 0), 1),
     "p1-cube-(1,1,1)-3pts": (lambda: p1_cube_problem((1, 1, 1), 0), 5),
@@ -1642,10 +1701,56 @@ def test_no_tree_key_is_taken_when_the_contacts_are_distinct(name, monkeypatch):
     from tropcount import counting
 
     prob = DEDUP_PROBLEMS[name][0]()
-    census = skeleton_census(prob) if counting._searches_skeletons(prob) else None
+    start = counting._start_trees(prob)
 
     def refuse(tree):
         raise AssertionError("a tree was keyed")
 
     monkeypatch.setattr(counting, "_tree_key", refuse)
-    assert len(list(counting._rigid_trees(prob, census))) == DEDUP_PROBLEMS[name][1]
+    assert len(list(counting._rigid_trees(prob, start))) == DEDUP_PROBLEMS[name][1]
+
+
+# --- the one tree pipeline against the census over all legs ------------------
+
+
+# name -> (problem, its total)
+PIPELINE_PROBLEMS = {
+    **{f"fallback-{seed}": (lambda seed=seed: _fallback_problem(seed), 1) for seed in (1000, 1001, 1002)},
+    "p1xp1-2-0-subspace": (_p1xp1_two_zero_through_three_points_and_a_line, 0),
+    # two lines meet four general lines of P^3
+    **{f"p3-lines-four-lines-{seed}": (lambda seed=seed: _p3_lines_meeting_four_lines(seed), 2) for seed in range(3)},
+    # the subtorus lines (1, 2, 0) and (0, 1, 3) close up to curves of degrees 2 and 3,
+    # whose projections from the point meet 6 times
+    **{
+        f"p3-lines-point-two-lines-{seed}": (
+            lambda seed=seed: _p3_lines_through_a_point_and_two_lines(seed, (0, 1, 3)),
+            6,
+        )
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", PIPELINE_PROBLEMS)
+def test_the_pipeline_counts_what_the_census_over_all_legs_counts(name, monkeypatch):
+    # the marked-point search stays sound when the subspace legs are grown
+    # after it (see the _marked_dfs docstring): every tree of the census over
+    # all legs, each solved as count solves it, gives the same total and the
+    # same contributions, byte for byte; each problem has distinct contacts,
+    # or no contribution, and its point legs first by label
+    import json
+
+    from tropcount import counting
+
+    make, total = PIPELINE_PROBLEMS[name]
+    prob = make()
+
+    def written(result):
+        data = counting.count_result_to_json(prob, result)
+        return data["total"], json.dumps(list(data["contributions"]))
+
+    got = written(count(prob))
+    census = census_trees(prob, contacts_first=True)
+    monkeypatch.setattr(counting, "_rigid_trees", lambda problem, start_trees: iter(census))
+    assert got == written(count(prob))
+    assert got[0] == total

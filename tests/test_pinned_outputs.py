@@ -1,4 +1,4 @@
-"""The JSON of fourteen standard CLI cases, pinned by its sha256, and of two
+"""The JSON of fifteen standard CLI cases, pinned by its sha256, and of two
 large complexes, pinned in slow tests.
 
 A change that alters one of these outputs on purpose updates its hash
@@ -31,7 +31,7 @@ PINNED = {
     ),
     "count-subspace-seed-1000": (
         ("count", *LINE, "--points", "2", "--subspace", "1,1", "--subspace", "1,0", "--seed", "1000"),
-        "f7d439ab63d8e8b47dbc431b06af5f16be5cb88c8286ed6dd1aa1a0c1a524611",
+        "4e7c361d8e324dfe98a7cad53050d1e1ab3f28326dd8e7e2b0151f10a66a7563",
     ),
     "complex-toy": (
         ("complex", *LINE),
@@ -70,14 +70,21 @@ PINNED = {
     "count-subspace-seed-0": (
         ("count", *LINE, "--points", "2", "--subspace", "1,1", "--subspace", "1,0", "--seed", "0",
          "--retries", "5"),
-        "dc12d8a10dd21c5ffd7e1a47843255bf7459ed87cfa9d0c857147a3081bd966c",
+        "ca11be08a7133e1cf6894b0813d7942d9d19dafd5718ad4b3f15fbdd777d4b0d",
     ),
-    # the one standard case where dedup drops trees of the census over all
-    # legs: 10,395 trees give 3,105 types, every one of them singular
+    # the (2, 0) curves' contacts span one line, which the point targets do
+    # not, so the marked-point search completes no tree
     "count-p1xp1-2-0-subspace": (
         ("count", "--fan", "p1xp1", "--contacts", "p1xp1-bidegree:2,0", "--points", "3",
          "--subspace", "1,1", "--seed", "0"),
-        "29ed041a49c9d39a22ba280ef9ff7c63e5bb3e3432e3aa3cd197ce04bf5a4f89",
+        "253df2d16c7df6ae4b76fcbcc57e6214e8944940b2e3c2edf506bcdd8d0d84a5",
+    ),
+    # 13 legs, grown from the 17 conic skeletons: 5 points by the search,
+    # then 2 lines at every site; 2 x 6 = 12 by Bezout
+    "count-conics-two-lines-seed-0": (
+        ("count", "--fan", "p2", "--contacts", "p2-degree:2", "--points", "5",
+         "--subspace", "1,1", "--subspace", "1,-2", "--seed", "0"),
+        "c2cfaef3c8b2cc12878410a2f556859bd94ba811aa27bbaa72893c6cc789d475",
     ),
 }
 
